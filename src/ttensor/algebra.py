@@ -164,17 +164,36 @@ def is_t_psd(a: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:
     sym = is_symmetric(a, tol)
     if not sym:
         raise NotSymmetricError(f"is_t_psd requires a symmetric tensor: {sym.reason}")
+    min_eig, scale = _slice_eig_extremes(a)
+    tolerance = tol * (1.0 + scale)
+    return LoewnerVerdict(bool(min_eig >= -tolerance), float(min_eig), tolerance)
+
+
+def _slice_eig_extremes(a: Tensor3) -> tuple[float, float]:
+    """``(smallest eigenvalue, largest eigenvalue magnitude)`` over the
+    Hermitian-symmetrized Fourier slices of ``a``.
+
+    Conjugate slices share a spectrum, so only slices ``0..n3//2`` are
+    decomposed.  This is the one min-gap loop; its callers keep their own
+    tolerance scales, which are deliberately not reconciled because moving
+    either can flip verdicts that sit near the band edge:
+
+    * :func:`is_t_psd` accepts ``min >= -tol * (1 + max |eig|)``, using the
+      magnitude returned here for the tensor under test;
+    * :func:`ttensor.certificates.loewner_certificate` passes ``rhs - lhs``
+      through :func:`ttensor.certificates.loewner_min_gap` and accepts
+      ``gap >= -tol * (1 + ||R||_2)``, scaled by the spectral norm of the
+      right-hand side ``R`` instead.
+    """
     fa = to_fourier(a)
     min_eig = np.inf
-    scale = 0.0
-    # conjugate slices share a spectrum, so only the first half is decomposed
+    max_abs = 0.0
     for k in range(a.n3 // 2 + 1):
         s = fa.slices[k]
         w = hermitian_eig(0.5 * (s + s.conj().T)).values
         min_eig = min(min_eig, float(w[0]))
-        scale = max(scale, float(np.abs(w).max()))
-    tolerance = tol * (1.0 + scale)
-    return LoewnerVerdict(bool(min_eig >= -tolerance), float(min_eig), tolerance)
+        max_abs = max(max_abs, float(np.abs(w).max()))
+    return min_eig, max_abs
 
 
 def loewner_ge(a: Tensor3, b: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:

@@ -4,7 +4,9 @@ A campaign draws hypothesis-valid instances (one counter-based substream per
 trial, so runs are reproducible and order-independent), invokes the matching
 certifier, and aggregates the certificates.  ``TTENSOR_THREADS`` caps worker
 threads; results are collected in trial order, so reports are byte-identical
-regardless of thread count.
+regardless of thread count.  Each trial runs in its own eigendecomposition
+memo scope (see :mod:`ttensor.eigensolvers`), so repeated Fourier slices are
+decomposed once per trial and nothing is shared between trials or threads.
 """
 
 from __future__ import annotations
@@ -31,13 +33,16 @@ from .core import (
     spectral_norm,
     transpose,
 )
-from .errors import SingularTensorError, UnknownTheoremError
+from .eigensolvers import _eig_memo
+from .errors import HypothesisViolationError, SingularTensorError, UnknownTheoremError
 from .spectral import t_eigenvalues
 from .algebra import t_inverse, t_product
 
 __all__ = ["THEOREM_IDS", "CampaignResult", "run_campaign"]
 
 _NORMS = (FROBENIUS, SPECTRAL)
+_CONJUGATOR_DRAWS = 100
+_CONJUGATOR_MAX_COND = 1e4
 
 
 @dataclass(frozen=True)
@@ -250,14 +255,20 @@ def _trial_gershgorin(trial, stream, n, n3, tol, mode, params):
 
 def _trial_bauer_fike(trial, stream, n, n3, tol, mode, params):
     g = stream.generator()
-    for _ in range(100):
+    for _ in range(_CONJUGATOR_DRAWS):
         q = gen_random((n, n, n3), g)
         try:
             q_inv = t_inverse(q)
         except SingularTensorError:
             continue
-        if spectral_norm(q) * spectral_norm(q_inv) <= 1e4:
+        if spectral_norm(q) * spectral_norm(q_inv) <= _CONJUGATOR_MAX_COND:
             break
+    else:
+        raise HypothesisViolationError(
+            f"bauer-fike: no invertible conjugator with condition <= "
+            f"{_CONJUGATOR_MAX_COND:.0e} in {_CONJUGATOR_DRAWS} draws "
+            f"(seed={stream.seed}, trial={trial})"
+        )
     diag = np.zeros((n, n, n3))
     idx = np.arange(n)
     diag[idx, idx, :] = g.uniform(-1.0, 1.0, size=(n, n3))
@@ -351,7 +362,8 @@ def run_campaign(
     params = dict(params or {})
 
     def one(trial: int):
-        return trial_fn(trial, RngStream(seed, trial), n, n3, tol, mode, params)
+        with _eig_memo():
+            return trial_fn(trial, RngStream(seed, trial), n, n3, tol, mode, params)
 
     workers = _thread_count(threads)
     if workers > 1 and trials > 1:

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _slice_eig_extremes
 from .core import Tensor3, spectral_norm, transpose
-from .eigensolvers import hermitian_eig
-from .fourier import to_fourier
 
 __all__ = [
     "InequalityCertificate",
@@ -116,13 +115,7 @@ def norm_certificate(
 def loewner_min_gap(lhs_tensor: Tensor3, rhs_tensor: Tensor3) -> float:
     """Smallest eigenvalue over the Fourier slices of ``rhs - lhs``."""
     diff = rhs_tensor - lhs_tensor
-    diff = 0.5 * (diff + transpose(diff))
-    slices = to_fourier(diff).slices
-    gap = np.inf
-    for k in range(diff.n3 // 2 + 1):
-        s = slices[k]
-        gap = min(gap, float(hermitian_eig(0.5 * (s + s.conj().T)).values[0]))
-    return gap
+    return _slice_eig_extremes(0.5 * (diff + transpose(diff)))[0]
 
 
 def loewner_certificate(

@@ -12,11 +12,24 @@ Two kernels back everything spectral in this package:
   general complex matrix (order unspecified).
 
 Both are plain sequential numpy, so results are bit-reproducible.
+
+Inside an :func:`_eig_memo` scope, :func:`hermitian_eig` remembers each
+decomposition keyed by ``(n, max_sweeps, bytes of the complex128 input)`` and
+returns the stored, read-only :class:`HermitianEigen` when exactly the same
+matrix comes back; errors are never stored.  Campaigns open one scope per
+trial, because one trial often decomposes the same Fourier slice several times
+(a tensor's power at several exponents, a PSD check followed by a power).  A
+scope holds about one decomposition per distinct slice matrix and is freed
+when the trial ends.  Outside a scope every call solves afresh.  There is no
+setting: a hit returns the very result the kernel would have computed.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,15 +57,43 @@ def _as_square_complex(m) -> np.ndarray:
     return a
 
 
+_MEMO: ContextVar[dict | None] = ContextVar("ttensor_eig_memo", default=None)
+
+
+@contextmanager
+def _eig_memo():
+    """Scope in which :func:`hermitian_eig` reuses results for repeated inputs."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def hermitian_eig(m, max_sweeps: int = _MAX_SWEEPS) -> HermitianEigen:
     """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi.
 
     The input must be Hermitian within ``1e-9 * (1 + ||M||_F)``; it is
     symmetrized before iterating.  Ties in the ascending eigenvalue sort are
     broken by original position (stable sort), which keeps the output
-    deterministic across platforms.
+    deterministic across platforms.  Inside an :func:`_eig_memo` scope a
+    repeated input returns the stored, read-only result.
     """
     a = _as_square_complex(m)
+    memo = _MEMO.get()
+    if memo is None:
+        return _hermitian_eig(a, max_sweeps)
+    key = (a.shape[0], max_sweeps, a.tobytes())
+    eig = memo.get(key)
+    if eig is None:
+        eig = _hermitian_eig(a, max_sweeps)
+        eig.values.flags.writeable = False
+        eig.vectors.flags.writeable = False
+        memo[key] = eig
+    return eig
+
+
+def _hermitian_eig(a: np.ndarray, max_sweeps: int) -> HermitianEigen:
     n = a.shape[0]
     norm = float(np.linalg.norm(a))
     herm_residual = float(np.linalg.norm(a - a.conj().T))
@@ -90,9 +131,16 @@ def hermitian_eig(m, max_sweeps: int = _MAX_SWEEPS) -> HermitianEigen:
     return HermitianEigen(vals[order].copy(), v[:, order].copy())
 
 
+@lru_cache(maxsize=None)
+def _offdiag_mask(n: int) -> np.ndarray:
+    mask = ~np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _max_offdiag(a: np.ndarray) -> float:
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return float(np.abs(a[mask]).max()) if a.shape[0] > 1 else 0.0
+    n = a.shape[0]
+    return float(np.abs(a[_offdiag_mask(n)]).max()) if n > 1 else 0.0
 
 
 def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, skip: float) -> None:

@@ -1,10 +1,19 @@
 """Campaign driver: registry, determinism, thread invariance."""
 
+import contextlib
 import json
 
 import pytest
 
-from ttensor import THEOREM_IDS, UnknownTheoremError, run_campaign
+from ttensor import (
+    THEOREM_IDS,
+    HypothesisViolationError,
+    SingularTensorError,
+    UnknownTheoremError,
+    campaigns,
+    eigensolvers,
+    run_campaign,
+)
 
 
 def _report_bytes(result) -> bytes:
@@ -79,3 +88,48 @@ def test_summary_fields():
     assert s["violations"] == 0
     assert s["certificates"] == len(result.certificates)
     assert "worst_margin" in s and "worst_params" in s
+
+
+@pytest.mark.parametrize("n,n3", [(3, 4), (2, 5)])
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_eig_memo_leaves_reports_unchanged(monkeypatch, theorem_id, n, n3):
+    memo_on = run_campaign(theorem_id, n=n, n3=n3, trials=2, seed=3)
+    monkeypatch.setattr(campaigns, "_eig_memo", contextlib.nullcontext)
+    memo_off = run_campaign(theorem_id, n=n, n3=n3, trials=2, seed=3)
+    assert _report_bytes(memo_on) == _report_bytes(memo_off)
+
+
+def test_eig_memo_scope_is_per_trial(monkeypatch):
+    solved = []
+    kernel = eigensolvers._hermitian_eig
+
+    def counting_kernel(a, max_sweeps):
+        solved.append(a.tobytes())
+        return kernel(a, max_sweeps)
+
+    monkeypatch.setattr(eigensolvers, "_hermitian_eig", counting_kernel)
+    run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
+    assert eigensolvers._MEMO.get() is None
+    first = list(solved)
+    assert len(first) == len(set(first))  # each distinct slice solved once
+    run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
+    assert solved[len(first):] == first  # nothing survives the trial
+    monkeypatch.setattr(campaigns, "_eig_memo", contextlib.nullcontext)
+    del solved[:]
+    run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
+    assert len(solved) > len(first)
+
+
+def test_bauer_fike_all_draws_singular(monkeypatch):
+    def singular(q):
+        raise SingularTensorError(0, float("inf"))
+
+    monkeypatch.setattr(campaigns, "t_inverse", singular)
+    with pytest.raises(HypothesisViolationError, match=r"seed=7, trial=0"):
+        run_campaign("bauer-fike", n=2, n3=2, trials=1, seed=7)
+
+
+def test_bauer_fike_no_well_conditioned_draw(monkeypatch):
+    monkeypatch.setattr(campaigns, "spectral_norm", lambda a: 1e3)
+    with pytest.raises(HypothesisViolationError, match=r"seed=8, trial=0"):
+        run_campaign("bauer-fike", n=2, n3=2, trials=1, seed=8)

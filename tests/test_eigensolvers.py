@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from ttensor import NotSymmetricError, general_eig, hermitian_eig
+from ttensor.eigensolvers import _MEMO, _eig_memo
 
 
 def _random_hermitian(rng, n, real=False):
@@ -101,3 +102,39 @@ def test_determinism():
     e1, e2 = hermitian_eig(h), hermitian_eig(h)
     assert np.array_equal(e1.values, e2.values)
     assert np.array_equal(e1.vectors, e2.vectors)
+
+
+def test_memo_returns_stored_read_only_result():
+    h = _random_hermitian(np.random.default_rng(4), 4)
+    with _eig_memo():
+        e1 = hermitian_eig(h)
+        e2 = hermitian_eig(h.copy())
+        assert e2 is e1
+        assert hermitian_eig(h, max_sweeps=50) is not e1
+        with pytest.raises(ValueError):
+            e1.values[0] = 0.0
+        with pytest.raises(ValueError):
+            e1.vectors[0, 0] = 0.0
+    fresh = hermitian_eig(h)
+    assert np.array_equal(fresh.values, e1.values)
+    assert np.array_equal(fresh.vectors, e1.vectors)
+
+
+def test_memo_off_outside_scope():
+    h = _random_hermitian(np.random.default_rng(5), 3)
+    assert _MEMO.get() is None
+    with _eig_memo():
+        assert _MEMO.get() == {}
+    assert _MEMO.get() is None
+    e1, e2 = hermitian_eig(h), hermitian_eig(h)
+    assert e1 is not e2
+    e1.values[0] = 0.0  # results outside a scope stay private and writable
+
+
+def test_memo_never_stores_errors():
+    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with _eig_memo():
+        for _ in range(3):
+            with pytest.raises(NotSymmetricError):
+                hermitian_eig(bad)
+        assert _MEMO.get() == {}

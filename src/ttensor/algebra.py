@@ -1,9 +1,10 @@
 """The t-product and its algebraic superstructure.
 
-Multiplication and inversion run slicewise in the Fourier domain; the
-block-circulant route ``fold(bcirc(a) @ unfold(b))`` is equivalent and is kept
-as a test oracle only.  The positive-semidefinite order on symmetric tensors
-is decided per Fourier slice: a symmetric tensor is t-PSD exactly when every
+Multiplication and inversion run slicewise in the Fourier domain, each as one
+array call over the stacked slices; the block-circulant route
+``fold(bcirc(a) @ unfold(b))`` is equivalent and is kept as a test oracle
+only.  The positive-semidefinite order on symmetric tensors is decided per
+Fourier slice: a symmetric tensor is t-PSD exactly when every
 (Hermitian-symmetrized) Fourier slice is positive semidefinite.
 """
 
@@ -66,10 +67,8 @@ def t_product(a: Tensor3, b: Tensor3) -> Tensor3:
         raise ShapeMismatchError(
             f"cannot multiply {a.shape} by {b.shape}: need a.n2 == b.n1 and equal n3"
         )
-    fa = to_fourier(a)
-    fb = to_fourier(b)
-    slices = tuple(fa.slices[k] @ fb.slices[k] for k in range(a.n3))
-    return from_fourier(FourierSlices(a.n1, b.n2, a.n3, slices, True))
+    product = to_fourier(a).slices @ to_fourier(b).slices
+    return from_fourier(FourierSlices(a.n1, b.n2, a.n3, product, True))
 
 
 def t_inverse(a: Tensor3, tol_inv: float = INVERSE_TOL) -> Tensor3:
@@ -81,18 +80,15 @@ def t_inverse(a: Tensor3, tol_inv: float = INVERSE_TOL) -> Tensor3:
     """
     if a.n1 != a.n2:
         raise ShapeMismatchError(f"inverse requires a square tensor, got {a.shape}")
-    fa = to_fourier(a)
-    worst = (np.inf, -1)  # (sigma_min / sigma_max, slice)
-    for k, s in enumerate(fa.slices):
-        sv = np.linalg.svd(s, compute_uv=False)
-        ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-        if ratio < worst[0]:
-            worst = (ratio, k)
-    if worst[0] <= tol_inv:
-        cond = 1.0 / worst[0] if worst[0] > 0 else np.inf
-        raise SingularTensorError(worst[1], cond)
-    inv_slices = tuple(np.linalg.inv(s) for s in fa.slices)
-    return from_fourier(FourierSlices(a.n1, a.n2, a.n3, inv_slices, True))
+    slices = to_fourier(a).slices
+    sv = np.linalg.svd(slices, compute_uv=False)
+    ratio = np.zeros(a.n3)  # sigma_min / sigma_max per slice; 0 for an all-zero slice
+    np.divide(sv[:, -1], sv[:, 0], out=ratio, where=sv[:, 0] > 0)
+    worst = int(np.argmin(ratio))
+    if ratio[worst] <= tol_inv:
+        cond = 1.0 / ratio[worst] if ratio[worst] > 0 else np.inf
+        raise SingularTensorError(worst, float(cond))
+    return from_fourier(FourierSlices(a.n1, a.n2, a.n3, np.linalg.inv(slices), True))
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +170,10 @@ def _slice_eig_extremes(a: Tensor3) -> tuple[float, float]:
     Hermitian-symmetrized Fourier slices of ``a``.
 
     Conjugate slices share a spectrum, so only slices ``0..n3//2`` are
-    decomposed.  This is the one min-gap loop; its callers keep their own
-    tolerance scales, which are deliberately not reconciled because moving
-    either can flip verdicts that sit near the band edge:
+    decomposed, in one stacked solver call.  This is the one min-gap routine;
+    its callers keep their own tolerance scales, which are deliberately not
+    reconciled because moving either can flip verdicts that sit near the band
+    edge:
 
     * :func:`is_t_psd` accepts ``min >= -tol * (1 + max |eig|)``, using the
       magnitude returned here for the tensor under test;
@@ -185,15 +182,9 @@ def _slice_eig_extremes(a: Tensor3) -> tuple[float, float]:
       ``gap >= -tol * (1 + ||R||_2)``, scaled by the spectral norm of the
       right-hand side ``R`` instead.
     """
-    fa = to_fourier(a)
-    min_eig = np.inf
-    max_abs = 0.0
-    for k in range(a.n3 // 2 + 1):
-        s = fa.slices[k]
-        w = hermitian_eig(0.5 * (s + s.conj().T)).values
-        min_eig = min(min_eig, float(w[0]))
-        max_abs = max(max_abs, float(np.abs(w).max()))
-    return min_eig, max_abs
+    half = to_fourier(a).half()
+    w = hermitian_eig(0.5 * (half + half.conj().transpose(0, 2, 1))).values
+    return float(w[:, 0].min()), float(np.abs(w).max())
 
 
 def loewner_ge(a: Tensor3, b: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:

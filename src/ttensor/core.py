@@ -233,9 +233,7 @@ def spectral_norm(a) -> float:
     """
     from .fourier import to_fourier  # deferred: core must not import fourier at load
 
-    return max(
-        float(np.linalg.svd(s, compute_uv=False)[0]) for s in to_fourier(a).slices
-    )
+    return float(np.linalg.svd(to_fourier(a).slices, compute_uv=False)[:, 0].max())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,12 @@ Two kernels back everything spectral in this package:
 * :func:`hermitian_eig`: cyclic Jacobi rotations on a Hermitian matrix, run
   until every off-diagonal magnitude drops below ``1e-13 * ||M||_F`` (at most
   100 sweeps).  Returns ascending eigenvalues with a unitary eigenvector
-  matrix.
+  matrix.  It also takes a ``(b, n, n)`` stack, such as the Fourier slices of
+  a tensor, and solves every member in one pass: each rotation step is one
+  array operation across the stack, with a per-member mask for members that
+  have converged or whose rotation is skipped.  The rotations keep the cyclic
+  ``(p, q)`` row order of the one-matrix method, so every member's result is
+  bit-for-bit what solving it alone gives.
 * :func:`general_eig`: Householder reduction to upper Hessenberg form
   followed by explicitly shifted QR iteration with Wilkinson shifts and
   subdiagonal deflation at ``1e-13 * ||H||_F``.  Returns all eigenvalues of a
@@ -14,14 +19,16 @@ Two kernels back everything spectral in this package:
 Both are plain sequential numpy, so results are bit-reproducible.
 
 Inside an :func:`_eig_memo` scope, :func:`hermitian_eig` remembers each
-decomposition keyed by ``(n, max_sweeps, bytes of the complex128 input)`` and
-returns the stored, read-only :class:`HermitianEigen` when exactly the same
-matrix comes back; errors are never stored.  Campaigns open one scope per
-trial, because one trial often decomposes the same Fourier slice several times
-(a tensor's power at several exponents, a PSD check followed by a power).  A
-scope holds about one decomposition per distinct slice matrix and is freed
-when the trial ends.  Outside a scope every call solves afresh.  There is no
-setting: a hit returns the very result the kernel would have computed.
+decomposition keyed by ``(n, max_sweeps, bytes of the complex128 matrix)``,
+one entry per stack member, and returns the stored, read-only
+:class:`HermitianEigen` when exactly the same matrix comes back; only members
+not yet stored are solved, a member repeated within one stack is solved once,
+and errors are never stored.  Campaigns open one scope per trial, because one
+trial often decomposes the same Fourier slice several times (a tensor's power
+at several exponents, a PSD check followed by a power).  A scope holds about
+one decomposition per distinct slice matrix and is freed when the trial ends.
+Outside a scope every call solves afresh.  There is no setting: a hit returns
+the very result the kernel would have computed.
 """
 
 from __future__ import annotations
@@ -44,7 +51,11 @@ _HERMITIAN_PRE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class HermitianEigen:
-    """Eigenvalues ascending, eigenvectors as matching unitary columns."""
+    """Eigenvalues ascending, eigenvectors as matching unitary columns.
+
+    For a ``(b, n, n)`` input, ``values`` is ``(b, n)`` and ``vectors`` is
+    ``(b, n, n)``, one decomposition per stack member.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
@@ -71,64 +82,86 @@ def _eig_memo():
 
 
 def hermitian_eig(m, max_sweeps: int = _MAX_SWEEPS) -> HermitianEigen:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi.
+    """Full eigendecomposition of a Hermitian matrix, or of each member of a
+    ``(b, n, n)`` stack, by cyclic Jacobi.
 
-    The input must be Hermitian within ``1e-9 * (1 + ||M||_F)``; it is
-    symmetrized before iterating.  Ties in the ascending eigenvalue sort are
-    broken by original position (stable sort), which keeps the output
-    deterministic across platforms.  Inside an :func:`_eig_memo` scope a
-    repeated input returns the stored, read-only result.
+    Every matrix must be Hermitian within ``1e-9 * (1 + ||M||_F)``; it is
+    symmetrized before iterating.  A stack with a non-Hermitian member reports
+    the first such member.  Ties in the ascending eigenvalue sort are broken
+    by original position (stable sort), which keeps the output deterministic
+    across platforms.  Inside an :func:`_eig_memo` scope a repeated matrix
+    returns the stored, read-only result.
     """
-    a = _as_square_complex(m)
+    a = np.array(m, dtype=complex, order="C")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    stack = a if a.ndim == 3 else a[None]
     memo = _MEMO.get()
     if memo is None:
-        return _hermitian_eig(a, max_sweeps)
-    key = (a.shape[0], max_sweeps, a.tobytes())
-    eig = memo.get(key)
-    if eig is None:
-        eig = _hermitian_eig(a, max_sweeps)
-        eig.values.flags.writeable = False
-        eig.vectors.flags.writeable = False
-        memo[key] = eig
-    return eig
+        values, vectors = _jacobi(stack, max_sweeps)
+    else:
+        keys = [(stack.shape[1], max_sweeps, s.tobytes()) for s in stack]
+        todo = {key: i for i, key in enumerate(keys) if key not in memo}
+        if todo:
+            values, vectors = _jacobi(stack[list(todo.values())], max_sweeps)
+            values.flags.writeable = False
+            vectors.flags.writeable = False
+            for j, key in enumerate(todo):
+                memo[key] = HermitianEigen(values[j], vectors[j])
+        if a.ndim == 2:
+            return memo[keys[0]]
+        values = np.stack([memo[key].values for key in keys])
+        vectors = np.stack([memo[key].vectors for key in keys])
+    if a.ndim == 2:
+        return HermitianEigen(values[0], vectors[0])
+    return HermitianEigen(values, vectors)
 
 
-def _hermitian_eig(a: np.ndarray, max_sweeps: int) -> HermitianEigen:
-    n = a.shape[0]
-    norm = float(np.linalg.norm(a))
-    herm_residual = float(np.linalg.norm(a - a.conj().T))
-    if herm_residual > _HERMITIAN_PRE_TOL * (1.0 + norm):
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Per-member ``np.linalg.norm``, with the same BLAS dot products."""
+    flat = a.reshape(a.shape[0], -1)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
+def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi on a ``(b, n, n)`` stack; ``(values, vectors)`` stacks."""
+    b, n, _ = a.shape
+    norm = _frobenius(a)
+    herm_residual = _frobenius(a - a.conj().transpose(0, 2, 1))
+    bad = np.flatnonzero(herm_residual > _HERMITIAN_PRE_TOL * (1.0 + norm))
+    if bad.size:
         raise NotSymmetricError(
-            f"matrix is not Hermitian: residual {herm_residual:.3e} "
+            f"matrix is not Hermitian: residual {herm_residual[bad[0]]:.3e} "
             f"exceeds {_HERMITIAN_PRE_TOL:.1e} * (1 + ||M||_F)"
         )
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=complex)
-    if n == 1 or norm == 0.0:
-        vals = np.diag(a).real.copy()
-        return HermitianEigen(vals, v)
-
+    a = 0.5 * (a + a.conj().transpose(0, 2, 1))
+    v = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
     threshold = _OFFDIAG_FACTOR * norm
-    converged = False
+    live = np.arange(b if n > 1 else 0)  # members still sweeping
     for _ in range(max_sweeps):
-        off = _max_offdiag(a)
-        if off <= threshold:
-            converged = True
+        live = live[~(_max_offdiag(a[live]) <= threshold[live])]
+        if not live.size:
             break
+        sub_a, sub_v = a[live], v[live]
+        skip = 0.5 * threshold[live]
         for p in range(n - 1):
             for q in range(p + 1, n):
-                _jacobi_rotate(a, v, p, q, 0.5 * threshold)
+                _rotate(sub_a, sub_v, p, q, skip)
+        a[live] = sub_a
+        v[live] = sub_v
     else:
-        converged = _max_offdiag(a) <= threshold
-    if not converged:
-        raise EigenConvergenceError(
-            f"Jacobi sweep budget exhausted ({max_sweeps} sweeps); "
-            f"final off-diagonal max {_max_offdiag(a):.3e} > {threshold:.3e}"
-        )
+        off = _max_offdiag(a[live])
+        failed = np.flatnonzero(~(off <= threshold[live]))
+        if failed.size:
+            k = failed[0]
+            raise EigenConvergenceError(
+                f"Jacobi sweep budget exhausted ({max_sweeps} sweeps); "
+                f"final off-diagonal max {off[k]:.3e} > {threshold[live[k]]:.3e}"
+            )
 
-    vals = np.diag(a).real
-    order = np.argsort(vals, kind="stable")
-    return HermitianEigen(vals[order].copy(), v[:, order].copy())
+    vals = np.diagonal(a, axis1=1, axis2=2).real
+    order = np.argsort(vals, axis=1, kind="stable")
+    return np.take_along_axis(vals, order, 1), np.take_along_axis(v, order[:, None, :], 2)
 
 
 @lru_cache(maxsize=None)
@@ -138,46 +171,54 @@ def _offdiag_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _max_offdiag(a: np.ndarray) -> float:
-    n = a.shape[0]
-    return float(np.abs(a[_offdiag_mask(n)]).max()) if n > 1 else 0.0
+def _max_offdiag(a: np.ndarray) -> np.ndarray:
+    """Largest off-diagonal magnitude of each member of a stack."""
+    return np.abs(a[:, _offdiag_mask(a.shape[1])]).max(axis=1, initial=0.0)
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, skip: float) -> None:
-    b = a[p, q]
-    ab = abs(b)
-    if ab <= skip:
+def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, skip: np.ndarray) -> None:
+    """One Jacobi rotation in the ``(p, q)`` plane of every member of ``a``
+    whose ``|a[p, q]|`` exceeds its ``skip``; updates ``a`` and ``v`` in place."""
+    b = a[:, p, q]
+    ab = np.hypot(b.real, b.imag)  # bit-equal to the scalar abs(); np.abs is not
+    on = ~(ab <= skip)
+    if not on.all():
+        idx = np.flatnonzero(on)
+        if idx.size:
+            sub_a, sub_v = a[idx], v[idx]
+            _rotate(sub_a, sub_v, p, q, skip[idx])
+            a[idx] = sub_a
+            v[idx] = sub_v
         return
-    phase = b / ab
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * ab)
-    if tau >= 0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
+    phase = (b / ab)[:, None]
+    tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * ab)
+    # t = 1 / (tau + root) for tau >= 0, else -1 / (-tau + root): the same
+    # bits without evaluating the branch not taken
+    t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+    c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+    s = t[:, None] * c
 
     # rotation J: J[p,p] = J[q,q] = c, J[p,q] = s*phase, J[q,p] = -s*conj(phase);
     # apply A <- J^H A J and accumulate V <- V J
     sp = s * phase
-    spc = s * phase.conjugate()
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - sp * row_q
-    a[q, :] = spc * row_p + c * row_q
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - spc * col_q
-    a[:, q] = sp * col_p + c * col_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
+    spc = s * phase.conj()
+    row_p = a[:, p, :].copy()
+    row_q = a[:, q, :].copy()
+    a[:, p, :] = c * row_p - sp * row_q
+    a[:, q, :] = spc * row_p + c * row_q
+    col_p = a[:, :, p].copy()
+    col_q = a[:, :, q].copy()
+    a[:, :, p] = c * col_p - spc * col_q
+    a[:, :, q] = sp * col_p + c * col_q
+    a[:, p, q] = 0.0
+    a[:, q, p] = 0.0
+    a[:, p, p] = a[:, p, p].real
+    a[:, q, q] = a[:, q, q].real
 
-    vcol_p = v[:, p].copy()
-    vcol_q = v[:, q].copy()
-    v[:, p] = c * vcol_p - spc * vcol_q
-    v[:, q] = sp * vcol_p + c * vcol_q
+    vcol_p = v[:, :, p].copy()
+    vcol_q = v[:, :, q].copy()
+    v[:, :, p] = c * vcol_p - spc * vcol_q
+    v[:, :, q] = sp * vcol_p + c * vcol_q
 
 
 # ---------------------------------------------------------------------------

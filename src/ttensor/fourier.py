@@ -1,11 +1,18 @@
 """Block-circulant unfolding and DFT block diagonalization.
 
-The transform pair moves tensors between the spatial domain and the list of
-complex Fourier slices that block-diagonalize the block-circulant unfolding.
+The transform pair moves tensors between the spatial domain and the complex
+Fourier slices that block-diagonalize the block-circulant unfolding.  The
+slices are held as one stacked ``(n3, n1, n2)`` array, so slicewise work
+(products, inverses, eigendecompositions) is one array call over the stack.
 The forward kernel is the dense DFT matrix with ``omega = exp(-2*pi*i/n3)``
 applied along tubes (unnormalized); the inverse divides by ``n3``.  A dense
 kernel is deliberate: tube counts stay desk-scale here, and the explicit
 matrix pins the sign/normalization convention exactly.
+
+A real tensor's slices come in conjugate pairs, so slices ``0 .. n3//2`` (the
+half spectrum, :meth:`FourierSlices.half`) determine the rest; this module
+owns that convention, including which half slices are their own conjugate
+and how a half spectrum is mirrored back into a real tensor.
 """
 
 from __future__ import annotations
@@ -33,7 +40,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FourierSlices:
-    """Ordered list of the n3 complex Fourier slices of a tensor.
+    """The n3 complex Fourier slices of a tensor, stacked in one array.
+
+    ``slices`` is a read-only C-contiguous complex128 array of shape
+    ``(n3, n1, n2)``; slice ``k`` is ``slices[k]``.  Construction accepts a
+    tuple, list or array of equally shaped slices and raises
+    :class:`ShapeMismatchError` when they do not stack to that shape.
 
     ``origin_real`` records that the slices came from a real tensor, in which
     case slice ``n3 - i`` is the entrywise conjugate of slice ``i`` for
@@ -43,25 +55,66 @@ class FourierSlices:
     n1: int
     n2: int
     n3: int
-    slices: tuple
+    slices: np.ndarray
     origin_real: bool
+
+    def __post_init__(self):
+        try:
+            stack = np.ascontiguousarray(self.slices, dtype=complex)
+        except ValueError as exc:
+            raise ShapeMismatchError(f"Fourier slices do not stack: {exc}") from None
+        if stack.shape != (self.n3, self.n1, self.n2):
+            raise ShapeMismatchError(
+                f"Fourier slices stack to shape {stack.shape}, expected "
+                f"(n3, n1, n2) = {(self.n3, self.n1, self.n2)}"
+            )
+        stack = stack.view()  # read-only without freezing the caller's array
+        stack.flags.writeable = False
+        object.__setattr__(self, "slices", stack)
 
     @classmethod
     def from_list(cls, slices, origin_real: bool) -> "FourierSlices":
-        mats = tuple(np.asarray(s, dtype=complex) for s in slices)
-        n1, n2 = mats[0].shape
-        for m in mats:
-            if m.shape != (n1, n2):
-                raise ShapeMismatchError("all Fourier slices must share one shape")
-        return cls(n1, n2, len(mats), mats, origin_real)
+        n1, n2 = np.shape(slices[0])
+        return cls(n1, n2, len(slices), slices, origin_real)
+
+    def half(self) -> np.ndarray:
+        """Slices ``0 .. n3//2``: for real-origin data the rest are their conjugates."""
+        return self.slices[: self.n3 // 2 + 1]
 
     def symmetry_residual(self) -> float:
         """Largest deviation from the conjugate-symmetry pattern of a real tensor."""
-        res = float(np.abs(self.slices[0].imag).max()) if self.slices[0].size else 0.0
-        for i in range(1, self.n3 // 2 + 1):
-            diff = np.abs(self.slices[self.n3 - i] - self.slices[i].conj()).max()
-            res = max(res, float(diff))
-        return res
+        return _worst_symmetry_pair(self)[0]
+
+
+def _worst_symmetry_pair(s: FourierSlices) -> tuple[float, int, int]:
+    """``(residual, i, j)`` of the pair furthest from ``slices[j] == conj(slices[i])``.
+
+    Pairs are ``j = n3 - i`` for ``i = 1 .. n3//2``; slice 0 is paired with
+    itself as ``(0, 0)`` and measured by its imaginary part.  The lowest
+    index wins ties, and a NaN residual never counts as the worst.
+    """
+    sl = s.slices
+    half = s.n3 // 2
+    i = np.arange(1, half + 1)
+    res = np.empty(half + 1)
+    res[0] = np.abs(sl[0].imag).max()
+    res[1:] = np.abs(sl[s.n3 - i] - sl[i].conj()).max(axis=(1, 2))
+    res = np.fmax(res, 0.0)
+    k = int(np.argmax(res))
+    return float(res[k]), k, (s.n3 - k) % s.n3
+
+
+def _self_conjugate_indices(n3: int) -> list:
+    """Half-spectrum slices that are their own conjugate, hence real for a
+    real tensor: 0 and, for even n3, the middle slice n3//2."""
+    return [0, n3 // 2] if n3 % 2 == 0 else [0]
+
+
+def _assemble_real_from_half(half, n3: int) -> Tensor3:
+    """Mirror slices 1..(n3-1)//2 of a ``(n3//2 + 1, n1, n2)`` half spectrum
+    as conjugates and inverse-transform."""
+    full = np.concatenate([half, half[(n3 - 1) // 2:0:-1].conj()])
+    return from_fourier(FourierSlices(half.shape[1], half.shape[2], n3, full, True))
 
 
 @dataclass(frozen=True)
@@ -79,6 +132,14 @@ def dft_matrix(n: int) -> np.ndarray:
     """Unnormalized DFT matrix F with F[j, k] = omega^(j*k), omega = exp(-2*pi*i/n)."""
     j = np.arange(n)
     return np.exp(-2j * np.pi / n * np.outer(j, j))
+
+
+@lru_cache(maxsize=None)
+def _inverse_dft_kernel(n: int) -> np.ndarray:
+    """``conj(F)``; the inverse transform divides its product by ``n``."""
+    kernel = dft_matrix(n).conj()
+    kernel.flags.writeable = False
+    return kernel
 
 
 def bcirc(a) -> BlockCirculantMatrix:
@@ -113,10 +174,8 @@ def to_fourier(a) -> FourierSlices:
     and the output then carries the conjugate-symmetry pattern by construction.
     """
     n1, n2, n3 = a.shape
-    f = dft_matrix(n3)
-    bar = np.einsum("kt,ijt->kij", f, a.data)
-    real_origin = isinstance(a, Tensor3)
-    return FourierSlices(n1, n2, n3, tuple(bar[k] for k in range(n3)), real_origin)
+    bar = np.einsum("kt,ijt->kij", dft_matrix(n3), a.data)
+    return FourierSlices(n1, n2, n3, bar, isinstance(a, Tensor3))
 
 
 def from_fourier(s: FourierSlices, tol_sym: float = 1e-9) -> Tensor3:
@@ -126,24 +185,11 @@ def from_fourier(s: FourierSlices, tol_sym: float = 1e-9) -> Tensor3:
     ``tol_sym * (1 + max slice magnitude)``; otherwise the data has no real
     preimage and :class:`ConjugateSymmetryError` reports the worst slice pair.
     """
-    scale = max((float(np.abs(m).max()) for m in s.slices if m.size), default=0.0)
-    tol = tol_sym * (1.0 + scale)
-    worst = (0.0, 0, 0)
-    if s.slices[0].size:
-        r0 = float(np.abs(s.slices[0].imag).max())
-        if r0 > worst[0]:
-            worst = (r0, 0, 0)
-    for i in range(1, s.n3 // 2 + 1):
-        j = s.n3 - i
-        r = float(np.abs(s.slices[j] - s.slices[i].conj()).max())
-        if r > worst[0]:
-            worst = (r, i, j)
-    if worst[0] > tol:
-        raise ConjugateSymmetryError(worst[1], worst[2], worst[0], tol)
-
-    f = dft_matrix(s.n3)
-    bar = np.stack(s.slices, axis=0)
-    data = np.einsum("kt,tij->ijk", f.conj(), bar) / s.n3
+    tol = tol_sym * (1.0 + float(np.abs(s.slices).max()))
+    residual, i, j = _worst_symmetry_pair(s)
+    if residual > tol:
+        raise ConjugateSymmetryError(i, j, residual, tol)
+    data = np.einsum("kt,tij->ijk", _inverse_dft_kernel(s.n3), s.slices) / s.n3
     return Tensor3(data.real)
 
 

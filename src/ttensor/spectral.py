@@ -3,9 +3,9 @@
 t-eigenvalues are the eigenvalues of the block-circulant unfolding, computed
 slice-by-slice in the Fourier domain.  Tensor functions (real powers, square
 root, absolute value) act on the Hermitian eigendecomposition of each Fourier
-slice.  For real tensors only slices ``0 .. n3//2`` are decomposed; the rest
-are mirrored as complex conjugates, which makes every function output exactly
-real after the inverse transform.
+slice.  For real tensors only slices ``0 .. n3//2`` are decomposed, all of them
+in one stacked solver call; the rest are mirrored as complex conjugates, which
+makes every function output exactly real after the inverse transform.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .algebra import LoewnerVerdict, is_symmetric, loewner_ge, t_product
 from .core import Tensor3, _as_generator, gen_random, transpose
 from .eigensolvers import general_eig, hermitian_eig
 from .errors import NotSymmetricError, NotTPSDError, ShapeMismatchError, SingularTensorError
-from .fourier import FourierSlices, from_fourier, to_fourier
+from .fourier import _assemble_real_from_half, _self_conjugate_indices, to_fourier
 
 __all__ = [
     "TEigenSpectrum",
@@ -45,6 +45,11 @@ class TEigenSpectrum:
         return len(self.values)
 
 
+def _herm_t(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of every matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def t_eigenvalues(a) -> TEigenSpectrum:
     """t-eigenvalues of a square (real or complex) tensor.
 
@@ -55,29 +60,20 @@ def t_eigenvalues(a) -> TEigenSpectrum:
     if a.n1 != a.n2:
         raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {a.shape}")
     fa = to_fourier(a)
-    values = []
-    provenance = []
-    if isinstance(a, Tensor3):
-        symmetric = bool(is_symmetric(a))
-        half = a.n3 // 2
-        for k in range(half + 1):
-            s = fa.slices[k]
-            if symmetric:
-                w = hermitian_eig(0.5 * (s + s.conj().T)).values.astype(complex)
-            else:
-                w = general_eig(s)
-            values.append(w)
-            provenance.append(np.full(len(w), k))
-            mirror = a.n3 - k
-            if 0 < k < mirror:
-                values.append(w.conj())
-                provenance.append(np.full(len(w), mirror))
+    if not isinstance(a, Tensor3):
+        values = np.concatenate([general_eig(s) for s in fa.slices])
+        return TEigenSpectrum(values, np.repeat(np.arange(a.n3), a.n1))
+    half = fa.half()
+    if is_symmetric(a):
+        w = hermitian_eig(0.5 * (half + _herm_t(half))).values.astype(complex)
     else:
-        for k, s in enumerate(fa.slices):
-            w = general_eig(s)
-            values.append(w)
-            provenance.append(np.full(len(w), k))
-    return TEigenSpectrum(np.concatenate(values), np.concatenate(provenance))
+        w = np.stack([general_eig(s) for s in half])
+    # slice k, then its conjugate partner n3 - k when that is another slice
+    k = np.arange(len(half))
+    keep = np.stack([np.full(len(k), True), (0 < k) & (k < a.n3 - k)], axis=1)
+    values = np.stack([w, w.conj()], axis=1)[keep].ravel()
+    provenance = np.repeat(np.stack([k, a.n3 - k], axis=1)[keep], a.n1)
+    return TEigenSpectrum(values, provenance)
 
 
 def multiset_distance(u, v) -> float:
@@ -101,39 +97,18 @@ def multiset_distance(u, v) -> float:
 # tensor functions through Fourier-slice eigendecompositions
 # ---------------------------------------------------------------------------
 
-def _self_conjugate_indices(n3: int) -> set:
-    """Slices that must be exactly real for a real tensor: 0 and, for even
-    n3, the middle slice (its conjugate partner is itself)."""
-    return {0, n3 // 2} if n3 % 2 == 0 else {0}
-
-
-def _assemble_real_from_half(n1: int, n2: int, n3: int, half_slices) -> Tensor3:
-    """Mirror slices 1..n3//2 as conjugates and inverse-transform."""
-    full = list(half_slices)
-    for k in range(n3 // 2 + 1, n3):
-        full.append(half_slices[n3 - k].conj())
-    return from_fourier(FourierSlices(n1, n2, n3, tuple(full), True))
-
-
-def _half_slice_eigs(a: Tensor3, tol: float):
-    """Hermitian eigendecompositions of Fourier slices 0..n3//2.
+def _half_slice_eigs(a: Tensor3):
+    """Hermitian eigendecompositions of Fourier slices 0..n3//2, as one stack.
 
     Self-conjugate slices are clamped to their real symmetric part: for a
     symmetric real tensor they are real in exact arithmetic, and dropping the
     roundoff imaginary junk here keeps every function output exactly
     conjugate-symmetric after mirroring.
     """
-    fa = to_fourier(a)
+    half = to_fourier(a).half().copy()
     real_idx = _self_conjugate_indices(a.n3)
-    eigs = []
-    for k in range(a.n3 // 2 + 1):
-        s = fa.slices[k]
-        if k in real_idx:
-            h = 0.5 * (s.real + s.real.T)
-        else:
-            h = 0.5 * (s + s.conj().T)
-        eigs.append(hermitian_eig(h))
-    return eigs
+    half[real_idx] = half[real_idx].real
+    return hermitian_eig(0.5 * (half + _herm_t(half)))
 
 
 def t_power(a: Tensor3, r: float, tol: float = _POWER_TOL) -> Tensor3:
@@ -147,10 +122,10 @@ def t_power(a: Tensor3, r: float, tol: float = _POWER_TOL) -> Tensor3:
     sym = is_symmetric(a, tol)
     if not sym:
         raise NotSymmetricError(f"t_power requires a symmetric tensor: {sym.reason}")
-    eigs = _half_slice_eigs(a, tol)
-    lam_max = max((float(e.values.max()) for e in eigs), default=0.0)
+    eigs = _half_slice_eigs(a)
+    lam_max = float(eigs.values.max())
     clamp_floor = tol * max(lam_max, 0.0)
-    min_eig = min(float(e.values.min()) for e in eigs)
+    min_eig = float(eigs.values.min())
     if min_eig < -clamp_floor:
         raise NotTPSDError(
             f"t_power requires positive semidefiniteness: eigenvalue {min_eig:.6e} "
@@ -161,18 +136,15 @@ def t_power(a: Tensor3, r: float, tol: float = _POWER_TOL) -> Tensor3:
             -1, np.inf,
             f"negative power needs strict definiteness: smallest eigenvalue {min_eig:.3e}",
         )
-    out_slices = []
-    for e in eigs:
-        w = np.clip(e.values, 0.0, None)
-        if r == 0:
-            pw = np.ones_like(w)
-        else:
-            pw = np.zeros_like(w)
-            pos = w > 0
-            pw[pos] = w[pos] ** r
-        m = (e.vectors * pw) @ e.vectors.conj().T
-        out_slices.append(0.5 * (m + m.conj().T))
-    out = _assemble_real_from_half(a.n1, a.n2, a.n3, out_slices)
+    w = np.clip(eigs.values, 0.0, None)
+    if r == 0:
+        pw = np.ones_like(w)
+    else:
+        pw = np.zeros_like(w)
+        pos = w > 0
+        pw[pos] = w[pos] ** r
+    m = (eigs.vectors * pw[:, None, :]) @ _herm_t(eigs.vectors)
+    out = _assemble_real_from_half(0.5 * (m + _herm_t(m)), a.n3)
     return 0.5 * (out + transpose(out))
 
 
@@ -192,16 +164,15 @@ def gen_orthogonal(n: int, n3: int, rng) -> Tensor3:
     """
     g = _as_generator(rng)
     r = gen_random((n, n, n3), g)
-    fr = to_fourier(r)
+    half = to_fourier(r).half()
     real_idx = _self_conjugate_indices(n3)
-    half = []
-    for k in range(n3 // 2 + 1):
-        s = fr.slices[k].real if k in real_idx else fr.slices[k]
-        q, rr = np.linalg.qr(s)
+    q_half = np.empty_like(half)
+    for k, s in enumerate(half):
+        q, rr = np.linalg.qr(s.real if k in real_idx else s)
         d = np.diagonal(rr).copy()
         d[d == 0] = 1.0
-        half.append(q * (d / np.abs(d)))
-    return _assemble_real_from_half(n, n, n3, half)
+        q_half[k] = q * (d / np.abs(d))
+    return _assemble_real_from_half(q_half, n3)
 
 
 def young_witness(
@@ -223,25 +194,20 @@ def young_witness(
     if p <= 0 or q <= 0 or abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
         raise ValueError(f"exponents must be conjugate: 1/{p} + 1/{q} != 1")
 
-    fa = to_fourier(a)
-    fb = to_fourier(b)
-    real_idx = _self_conjugate_indices(a.n3)
-    half_u = []
-    for k in range(a.n3 // 2 + 1):
-        sa, sb = fa.slices[k], fb.slices[k]
-        if k in real_idx:
-            sa, sb = sa.real, sb.real
-        prod = sa @ sb.conj().T
-        e_c = hermitian_eig(prod.conj().T @ prod)   # |A_k B_k^H| = V sqrt(w) V^H
-        e_a = hermitian_eig(sa.conj().T @ sa)
-        e_b = hermitian_eig(sb.conj().T @ sb)
-        d = (
-            (e_a.vectors * np.clip(e_a.values, 0.0, None) ** (p / 2)) @ e_a.vectors.conj().T / p
-            + (e_b.vectors * np.clip(e_b.values, 0.0, None) ** (q / 2)) @ e_b.vectors.conj().T / q
-        )
-        e_d = hermitian_eig(0.5 * (d + d.conj().T))
-        half_u.append(e_c.vectors @ e_d.vectors.conj().T)
-    u = _assemble_real_from_half(a.n1, a.n2, a.n3, half_u)
+    sa = to_fourier(a).half()
+    sb = to_fourier(b).half()
+    grams = _young_grams(sa, sb)
+    # self-conjugate slices are clamped to their real parts, in real arithmetic
+    for k in _self_conjugate_indices(a.n3):
+        for g, real_g in zip(grams, _young_grams(sa[k].real, sb[k].real)):
+            g[k] = real_g
+    e_c, e_a, e_b = (hermitian_eig(g) for g in grams)  # |A_k B_k^H| = V sqrt(w) V^H
+
+    def power(e, r):  # V clip(w)^r V^H per slice
+        return (e.vectors * np.clip(e.values, 0.0, None)[:, None, :] ** r) @ _herm_t(e.vectors)
+    d = power(e_a, p / 2) / p + power(e_b, q / 2) / q
+    e_d = hermitian_eig(0.5 * (d + _herm_t(d)))
+    u = _assemble_real_from_half(e_c.vectors @ _herm_t(e_d.vectors), a.n3)
 
     def gram(x, e):  # |x|^(2e)
         g = t_product(transpose(x), x)
@@ -250,3 +216,9 @@ def young_witness(
     conjugated = t_product(t_product(transpose(u), t_abs(t_product(a, transpose(b)))), u)
     verdict = loewner_ge(rhs, 0.5 * (conjugated + transpose(conjugated)), tol)
     return u, verdict
+
+
+def _young_grams(sa, sb):
+    """``(P^H P, A^H A, B^H B)`` with ``P = A B^H``, per slice or per stack member."""
+    prod = sa @ _herm_t(sb)
+    return _herm_t(prod) @ prod, _herm_t(sa) @ sa, _herm_t(sb) @ sb

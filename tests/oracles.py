@@ -3,6 +3,8 @@
 These deliberately avoid the library's own code paths: the block-circulant
 matrix is assembled entry by entry from the tensor data, the largest singular
 value comes from power iteration, and the quadratic form is summed directly.
+The one-matrix cyclic Jacobi is kept here as the reference the stacked
+Hermitian solver must match bit for bit.
 """
 
 import numpy as np
@@ -63,3 +65,104 @@ def quadratic_form_min(a, n_samples: int = 1000, seed: int = 0) -> float:
         norm2 = inner_product(x, x)
         worst = min(worst, val / norm2)
     return float(worst)
+
+
+def jacobi_eig_reference(m, max_sweeps: int = 100):
+    """Cyclic Jacobi on one Hermitian matrix, one rotation at a time.
+
+    The one-matrix form of ``ttensor.hermitian_eig``, rotation by rotation in
+    scalar arithmetic: the stacked solver must reproduce its values and
+    vectors bit for bit.  Returns ``(values ascending, vectors)``.
+    """
+    from ttensor import EigenConvergenceError, NotSymmetricError
+
+    a = np.array(m, dtype=complex)
+    n = a.shape[0]
+    norm = float(np.linalg.norm(a))
+    herm_residual = float(np.linalg.norm(a - a.conj().T))
+    if herm_residual > 1e-9 * (1.0 + norm):
+        raise NotSymmetricError(
+            f"matrix is not Hermitian: residual {herm_residual:.3e} "
+            f"exceeds {1e-9:.1e} * (1 + ||M||_F)"
+        )
+    a = 0.5 * (a + a.conj().T)
+    v = np.eye(n, dtype=complex)
+    if n == 1 or norm == 0.0:
+        return np.diag(a).real.copy(), v
+
+    def max_offdiag():
+        return float(np.abs(a[~np.eye(n, dtype=bool)]).max())
+
+    threshold = 1e-13 * norm
+    for _ in range(max_sweeps):
+        if max_offdiag() <= threshold:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                _jacobi_rotate(a, v, p, q, 0.5 * threshold)
+    else:
+        if not max_offdiag() <= threshold:
+            raise EigenConvergenceError(
+                f"Jacobi sweep budget exhausted ({max_sweeps} sweeps); "
+                f"final off-diagonal max {max_offdiag():.3e} > {threshold:.3e}"
+            )
+    vals = np.diag(a).real
+    order = np.argsort(vals, kind="stable")
+    return vals[order].copy(), v[:, order].copy()
+
+
+def _jacobi_rotate(a, v, p, q, skip):
+    b = a[p, q]
+    ab = abs(b)
+    if ab <= skip:
+        return
+    phase = b / ab
+    tau = (a[q, q].real - a[p, p].real) / (2.0 * ab)
+    if tau >= 0:
+        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+    else:
+        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+
+    # rotation J: J[p,p] = J[q,q] = c, J[p,q] = s*phase, J[q,p] = -s*conj(phase);
+    # apply A <- J^H A J and accumulate V <- V J
+    sp = s * phase
+    spc = s * phase.conjugate()
+    row_p = a[p, :].copy()
+    row_q = a[q, :].copy()
+    a[p, :] = c * row_p - sp * row_q
+    a[q, :] = spc * row_p + c * row_q
+    col_p = a[:, p].copy()
+    col_q = a[:, q].copy()
+    a[:, p] = c * col_p - spc * col_q
+    a[:, q] = sp * col_p + c * col_q
+    a[p, q] = 0.0
+    a[q, p] = 0.0
+    a[p, p] = a[p, p].real
+    a[q, q] = a[q, q].real
+
+    vcol_p = v[:, p].copy()
+    vcol_q = v[:, q].copy()
+    v[:, p] = c * vcol_p - spc * vcol_q
+    v[:, q] = sp * vcol_p + c * vcol_q
+
+
+def conjugate_pair_worst_reference(slices):
+    """``(residual, i, j)`` of the worst conjugate pair, one pair at a time.
+
+    Slice 0 is measured against its own conjugate as ``(0, 0)``, then pairs
+    ``j = n3 - i`` for ``i = 1 .. n3//2``; a later pair replaces the worst
+    only when it is strictly worse, so the lowest index wins ties.
+    """
+    n3 = len(slices)
+    worst = (0.0, 0, 0)
+    r0 = float(np.abs(slices[0].imag).max())
+    if r0 > worst[0]:
+        worst = (r0, 0, 0)
+    for i in range(1, n3 // 2 + 1):
+        j = n3 - i
+        r = float(np.abs(slices[j] - slices[i].conj()).max())
+        if r > worst[0]:
+            worst = (r, i, j)
+    return worst

@@ -1,5 +1,7 @@
 """t-product, inverse, predicates, and the semidefinite order."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,15 @@ def test_t_inverse_singular_reports_slice():
         t_inverse(Tensor3(data))
     assert err.value.slice_index == 0
     assert err.value.condition > 1e12
+
+
+def test_t_inverse_zero_tensor_reports_first_slice_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularTensorError) as err:
+            t_inverse(Tensor3(np.zeros((2, 2, 3))))
+    assert err.value.slice_index == 0
+    assert err.value.condition == np.inf
 
 
 def test_predicates_on_identity():

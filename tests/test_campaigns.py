@@ -101,13 +101,13 @@ def test_eig_memo_leaves_reports_unchanged(monkeypatch, theorem_id, n, n3):
 
 def test_eig_memo_scope_is_per_trial(monkeypatch):
     solved = []
-    kernel = eigensolvers._hermitian_eig
+    kernel = eigensolvers._jacobi
 
-    def counting_kernel(a, max_sweeps):
-        solved.append(a.tobytes())
-        return kernel(a, max_sweeps)
+    def counting_kernel(stack, max_sweeps):
+        solved.extend(m.tobytes() for m in stack)
+        return kernel(stack, max_sweeps)
 
-    monkeypatch.setattr(eigensolvers, "_hermitian_eig", counting_kernel)
+    monkeypatch.setattr(eigensolvers, "_jacobi", counting_kernel)
     run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
     assert eigensolvers._MEMO.get() is None
     first = list(solved)

@@ -1,10 +1,14 @@
 """Quality gates for the in-repo eigensolvers, cross-checked against LAPACK."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from ttensor import NotSymmetricError, general_eig, hermitian_eig
+from oracles import jacobi_eig_reference
+from ttensor import EigenConvergenceError, NotSymmetricError, general_eig, hermitian_eig
+from ttensor import eigensolvers
 from ttensor.eigensolvers import _MEMO, _eig_memo
 
 
@@ -138,3 +142,155 @@ def test_memo_never_stores_errors():
             with pytest.raises(NotSymmetricError):
                 hermitian_eig(bad)
         assert _MEMO.get() == {}
+
+
+# ---------------------------------------------------------------------------
+# stacked solver: bit-identical to the one-matrix cyclic Jacobi
+# ---------------------------------------------------------------------------
+
+def _mixed_stack(rng, n, b):
+    """Hermitian members of several kinds: general, real, PSD, near-singular
+    (one row and column scaled by 1e-9) and all-zero."""
+    stack = np.empty((b, n, n), dtype=complex)
+    for i in range(b):
+        kind = i % 5
+        m = _random_hermitian(rng, n, real=(kind == 1))
+        if kind == 2:
+            m = m @ m.conj().T
+        elif kind == 3:
+            k = int(rng.integers(n))
+            m[k, :] *= 1e-9
+            m[:, k] *= 1e-9
+        elif kind == 4:
+            m = np.zeros((n, n))
+        stack[i] = m
+    return stack
+
+
+def _assert_matches_reference(stack, e, max_sweeps=100):
+    assert e.values.shape == stack.shape[:2] and e.vectors.shape == stack.shape
+    for i, m in enumerate(stack):
+        values, vectors = jacobi_eig_reference(m, max_sweeps)
+        assert np.array_equal(e.values[i], values), i
+        assert np.array_equal(e.vectors[i], vectors), i
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_stack_matches_reference_jacobi(n):
+    rng = np.random.default_rng(40 + n)
+    for b in (1, 2, 3, 5, 17, 65, 70):
+        stack = _mixed_stack(rng, n, b)
+        _assert_matches_reference(stack, hermitian_eig(stack))
+
+
+def test_stack_members_converging_in_different_sweeps():
+    rng = np.random.default_rng(41)
+    general = _random_hermitian(rng, 4)
+    diagonal = np.diag([3.0, -1.0, 2.0, 0.5])  # converged before the first sweep
+    one_pair = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    one_pair[1, 2], one_pair[2, 1] = 0.5 + 0.25j, 0.5 - 0.25j  # one sweep suffices
+    skipped = _random_hermitian(rng, 4)
+    skipped[0, 1] = skipped[1, 0] = 1e-16  # below the skip threshold from the start
+    stack = np.stack([general, diagonal, one_pair, skipped, general.real + 0j])
+    _assert_matches_reference(stack, hermitian_eig(stack))
+    for sweeps in (1, 2, 3):  # members still live when the budget runs out
+        stack = np.stack([diagonal, one_pair])
+        _assert_matches_reference(stack, hermitian_eig(stack, max_sweeps=sweeps), sweeps)
+
+
+def test_stack_reports_first_non_hermitian_member():
+    rng = np.random.default_rng(42)
+    stack = _mixed_stack(rng, 3, 6)
+    stack[2, 0, 1] += 1.0
+    stack[4, 1, 2] += 5.0
+    with pytest.raises(NotSymmetricError) as reference:
+        jacobi_eig_reference(stack[2])
+    with pytest.raises(NotSymmetricError) as err:
+        hermitian_eig(stack)
+    assert str(err.value) == str(reference.value)
+
+
+def test_stack_reports_first_member_out_of_sweeps():
+    rng = np.random.default_rng(43)
+    stack = np.stack([np.diag([1.0, 2.0, 3.0])] + [_random_hermitian(rng, 5)[:3, :3] for _ in range(3)])
+    with pytest.raises(EigenConvergenceError) as reference:
+        jacobi_eig_reference(stack[1], max_sweeps=1)
+    with pytest.raises(EigenConvergenceError) as err:
+        hermitian_eig(stack, max_sweeps=1)
+    assert str(err.value) == str(reference.value)
+
+
+def test_stack_solve_emits_no_warnings():
+    rng = np.random.default_rng(44)
+    stack = _mixed_stack(rng, 4, 25)
+    stack[0] = np.diag([1.0, 1e12, -3.0, 0.0])
+    stack[1, 0, 3] = stack[1, 3, 0] = 1e-30  # |tau| beyond 1e8 on a live member
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hermitian_eig(stack)
+
+
+def test_two_dimensional_input_keeps_matrix_shapes():
+    h = _random_hermitian(np.random.default_rng(45), 3)
+    e = hermitian_eig(h)
+    assert e.values.shape == (3,) and e.vectors.shape == (3, 3)
+    stacked = hermitian_eig(h[None])
+    assert np.array_equal(stacked.values[0], e.values)
+    assert np.array_equal(stacked.vectors[0], e.vectors)
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 3)), np.zeros((1, 1, 2, 2))):
+        with pytest.raises(ValueError):
+            hermitian_eig(bad)
+
+
+def _count_solved(monkeypatch):
+    solved = []
+    kernel = eigensolvers._jacobi
+
+    def counting_kernel(stack, max_sweeps):
+        solved.extend(m.tobytes() for m in stack)
+        return kernel(stack, max_sweeps)
+
+    monkeypatch.setattr(eigensolvers, "_jacobi", counting_kernel)
+    return solved
+
+
+def test_memo_solves_duplicate_stack_member_once(monkeypatch):
+    rng = np.random.default_rng(46)
+    h0, h1 = _random_hermitian(rng, 3), _random_hermitian(rng, 3)
+    stack = np.stack([h0, h1, h0, h0])
+    solved = _count_solved(monkeypatch)
+    with _eig_memo():
+        e = hermitian_eig(stack)
+    assert len(solved) == 2
+    _assert_matches_reference(stack, e)
+
+
+def test_memo_partly_cached_stack_matches_fresh_solve(monkeypatch):
+    rng = np.random.default_rng(47)
+    stack = np.stack([_random_hermitian(rng, 4) for _ in range(5)])
+    fresh = hermitian_eig(stack)
+    solved = _count_solved(monkeypatch)
+    with _eig_memo():
+        hermitian_eig(stack[1])
+        hermitian_eig(stack[3:])
+        del solved[:]
+        e = hermitian_eig(stack)
+    assert solved == [stack[0].tobytes(), stack[2].tobytes()]
+    assert np.array_equal(e.values, fresh.values)
+    assert np.array_equal(e.vectors, fresh.vectors)
+
+
+def test_memo_two_dimensional_hit_after_stack_returns_stored_result():
+    rng = np.random.default_rng(48)
+    stack = np.stack([_random_hermitian(rng, 3) for _ in range(3)])
+    with _eig_memo():
+        hermitian_eig(stack)
+        e1 = hermitian_eig(stack[1].copy())
+        assert isinstance(e1, eigensolvers.HermitianEigen)
+        assert hermitian_eig(stack[1]) is e1
+        with pytest.raises(ValueError):
+            e1.values[0] = 0.0
+        with pytest.raises(ValueError):
+            e1.vectors[0, 0] = 0.0
+    values, vectors = jacobi_eig_reference(stack[1])
+    assert np.array_equal(e1.values, values) and np.array_equal(e1.vectors, vectors)

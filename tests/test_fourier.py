@@ -20,7 +20,8 @@ from ttensor import (
     transpose,
     unfold,
 )
-from oracles import brute_bcirc
+from oracles import brute_bcirc, conjugate_pair_worst_reference
+from ttensor.fourier import _assemble_real_from_half, _inverse_dft_kernel, dft_matrix
 
 
 def test_bcirc_n3_1_is_the_slice():
@@ -146,3 +147,100 @@ def test_transpose_transports_to_conjugate_slices():
     fa = to_fourier(a)
     for k in range(4):
         assert np.abs(ft.slices[k] - fa.slices[k].conj().T).max() < 1e-12
+
+
+def test_fourier_slices_is_one_read_only_stack():
+    a = gen_random((2, 3, 4), RngStream(21))
+    stack = np.array(to_fourier(a).slices)
+    for given in (tuple(stack), list(stack), stack, stack.real):
+        fs = FourierSlices(2, 3, 4, given, True)
+        assert isinstance(fs.slices, np.ndarray) and fs.slices.dtype == np.complex128
+        assert fs.slices.shape == (4, 2, 3) and fs.slices.flags.c_contiguous
+        assert not fs.slices.flags.writeable
+        assert np.array_equal(fs.slices, np.asarray(given))
+    assert stack.flags.writeable  # the caller's array is not frozen
+    assert np.array_equal(fs.half(), fs.slices[:3])
+
+
+@pytest.mark.parametrize(
+    "dims, given",
+    [
+        ((2, 3, 5), np.zeros((4, 2, 3))),  # wrong n3
+        ((3, 2, 4), np.zeros((4, 2, 3))),  # n1, n2 swapped
+        ((2, 3, 4), np.zeros((2, 3, 4))),  # tube axis last
+        ((2, 2, 2), (np.eye(2), np.eye(3))),  # ragged slices
+    ],
+)
+def test_fourier_slices_rejects_mismatched_shapes(dims, given):
+    with pytest.raises(ShapeMismatchError):
+        FourierSlices(*dims, given, True)
+
+
+def _exactly_conjugate_slices(rng, n1, n2, n3):
+    """Slices with slice n3 - i equal to conj(slice i) bit for bit, and the
+    self-conjugate slices exactly real."""
+    s = rng.normal(size=(n3, n1, n2)) + 1j * rng.normal(size=(n3, n1, n2))
+    s[0] = s[0].real
+    if n3 % 2 == 0:
+        s[n3 // 2] = s[n3 // 2].real
+    for i in range(1, (n3 + 1) // 2):
+        s[n3 - i] = s[i].conj()
+    return s
+
+
+def _check_symmetry_parity(slices, tol_sym=1e-9):
+    residual, i, j = conjugate_pair_worst_reference(slices)
+    fs = FourierSlices(slices.shape[1], slices.shape[2], len(slices), slices, True)
+    assert fs.symmetry_residual() == residual
+    tol = tol_sym * (1.0 + float(np.abs(slices).max()))
+    if residual > tol:
+        with pytest.raises(ConjugateSymmetryError) as err:
+            from_fourier(fs, tol_sym)
+        e = err.value
+        assert (e.slice_a, e.slice_b, e.residual, e.tolerance) == (i, j, residual, tol)
+    else:
+        from_fourier(fs, tol_sym)
+
+
+@pytest.mark.parametrize("n3", [1, 2, 3, 4])
+def test_symmetry_check_matches_pairwise_reference(n3):
+    rng = np.random.default_rng(60 + n3)
+    _check_symmetry_parity(to_fourier(gen_random((2, 3, n3), RngStream(22, n3))).slices)
+    for trial in range(40):
+        s = _exactly_conjugate_slices(rng, 2, 3, n3)
+        for k in rng.choice(n3, size=int(rng.integers(1, n3 + 1)), replace=False):
+            s[k, rng.integers(2), rng.integers(3)] += 10.0 ** rng.integers(-12, 0) * (1 + 1j)
+        _check_symmetry_parity(s)
+
+
+@pytest.mark.parametrize("n3", [1, 2, 3, 4])
+def test_symmetry_check_ties_go_to_lower_index(n3):
+    s = np.zeros((n3, 2, 2), dtype=complex)
+    s[0, 0, 0] = 2e-3j  # slice 0 scores its imaginary part
+    for i in range(1, n3 // 2 + 1):
+        s[n3 - i, 1, 1] = 1e-3j if n3 - i == i else 2e-3j  # a self-conjugate slice scores twice
+    _check_symmetry_parity(s)
+    with pytest.raises(ConjugateSymmetryError) as err:
+        from_fourier(FourierSlices(2, 2, n3, s, True))
+    assert (err.value.slice_a, err.value.slice_b, err.value.residual) == (0, 0, 2e-3)
+    s[0] = 0.0
+    if n3 > 1:
+        with pytest.raises(ConjugateSymmetryError) as err:
+            from_fourier(FourierSlices(2, 2, n3, s, True))
+        assert (err.value.slice_a, err.value.slice_b) == (1, n3 - 1)
+
+
+@pytest.mark.parametrize("n3", [1, 2, 5, 8])
+def test_half_spectrum_mirrors_back_to_the_tensor(n3):
+    a = gen_random((3, 2, n3), RngStream(23, n3))
+    half = to_fourier(a).half()
+    assert len(half) == n3 // 2 + 1
+    back = _assemble_real_from_half(half, n3)
+    assert np.abs(back.data - a.data).max() <= 1e-12
+
+
+def test_inverse_kernel_is_cached_read_only():
+    kernel = _inverse_dft_kernel(6)
+    assert kernel is _inverse_dft_kernel(6)
+    assert not kernel.flags.writeable
+    assert np.array_equal(kernel, dft_matrix(6).conj())

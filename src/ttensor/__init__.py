@@ -81,6 +81,7 @@ from .localization import (
     gershgorin_component_count,
     gershgorin_contains,
     gershgorin_discs,
+    gershgorin_gaps,
     hoffman_wielandt,
     schur_bound,
     sorted_pairing_distance,

@@ -2,17 +2,16 @@
 
 A campaign draws hypothesis-valid instances (one counter-based substream per
 trial, so runs are reproducible and order-independent), invokes the matching
-certifier, and aggregates the certificates.  ``TTENSOR_THREADS`` caps worker
-threads; results are collected in trial order, so reports are byte-identical
-regardless of thread count.  Each trial runs in its own eigendecomposition
-memo scope (see :mod:`ttensor.eigensolvers`), so repeated Fourier slices are
-decomposed once per trial and nothing is shared between trials or threads.
+certifier, and aggregates the certificates.  Trials run serially in trial
+order, each in its own eigendecomposition memo scope (see
+:mod:`ttensor.eigensolvers`), so repeated Fourier slices are decomposed once
+per trial and nothing is shared between trials or calls.  The memo is a
+context variable, so :func:`run_campaign` may be called from several threads
+at once and each call's report is byte-identical to a lone serial run.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,14 +233,11 @@ def _trial_gershgorin(trial, stream, n, n3, tol, mode, params):
     a = gen_random((n, n, n3), stream)
     discs = loc.gershgorin_discs(a)
     spectrum = t_eigenvalues(a)
-    scale = 1.0 + max(abs(d.center) + d.radius for d in discs)
-    worst = max(
-        min(abs(z - d.center) - d.radius for d in discs) for z in spectrum.values
-    )
+    gaps, _, scale = loc.gershgorin_gaps(discs, spectrum)
     contain = norm_certificate(
         "gershgorin", seed=stream.seed, dims=a.shape,
         params={"trial": trial, "claim": "containment"}, norm_kind="n/a",
-        lhs=float(worst) / scale, rhs=0.0, tol=tol,
+        lhs=float(gaps.max()) / scale, rhs=0.0, tol=tol,
     )
     components = loc.gershgorin_component_count(discs, spectrum, tol)
     miscount = max(abs(c.eigenvalue_count - c.disc_count) for c in components)
@@ -328,16 +324,6 @@ _REGISTRY = {
 THEOREM_IDS = tuple(sorted(_REGISTRY))
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("TTENSOR_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def run_campaign(
     theorem_id: str,
     n: int = 3,
@@ -347,7 +333,6 @@ def run_campaign(
     tol: float = DEFAULT_TOL,
     mode: str = "corrected",
     params: dict | None = None,
-    threads: int | None = None,
 ) -> CampaignResult:
     """Run ``trials`` seeded instances of one registered theorem.
 
@@ -361,18 +346,12 @@ def run_campaign(
     trial_fn = _REGISTRY[theorem_id]
     params = dict(params or {})
 
-    def one(trial: int):
+    certificates = []
+    for trial in range(trials):
         with _eig_memo():
-            return trial_fn(trial, RngStream(seed, trial), n, n3, tol, mode, params)
-
-    workers = _thread_count(threads)
-    if workers > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(one, range(trials)))
-    else:
-        per_trial = [one(t) for t in range(trials)]
-
-    certificates = [c for chunk in per_trial for c in chunk]
+            certificates.extend(
+                trial_fn(trial, RngStream(seed, trial), n, n3, tol, mode, params)
+            )
     violations = [c for c in certificates if not c.holds]
     worst = min(certificates, key=lambda c: c.margin, default=None)
     summary = {

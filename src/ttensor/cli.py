@@ -18,7 +18,7 @@ import numpy as np
 from .campaigns import THEOREM_IDS, run_campaign
 from .core import ComplexTensor3, Tensor3, frobenius_norm
 from .errors import ShapeMismatchError, TtensorError, UnknownTheoremError
-from .localization import gershgorin_discs
+from .localization import gershgorin_discs, gershgorin_gaps
 from .algebra import t_product
 from .spectral import t_eigenvalues
 
@@ -158,18 +158,16 @@ def cmd_check(args) -> int:
 def cmd_gershgorin(args) -> int:
     a = read_tensor(args.file)
     discs = gershgorin_discs(a)
-    spectrum = t_eigenvalues(a)
-    scale = 1.0 + max(abs(d.center) + d.radius for d in discs)
-    rows = []
-    all_contained = True
-    for z, k in _sorted_spectrum(spectrum):
-        gap = min(abs(z - d.center) - d.radius for d in discs)
-        contained = gap <= args.tol * scale
-        all_contained = all_contained and contained
-        rows.append({
+    entries = _sorted_spectrum(t_eigenvalues(a))
+    gaps, _, scale = gershgorin_gaps(discs, [z for z, _ in entries])
+    rows = [
+        {
             "re": z.real, "im": z.imag, "slice": k,
-            "contained": bool(contained), "boundary_distance": float(gap),
-        })
+            "contained": bool(gap <= args.tol * scale), "boundary_distance": float(gap),
+        }
+        for (z, k), gap in zip(entries, gaps)
+    ]
+    all_contained = all(row["contained"] for row in rows)
     if args.json:
         doc = {
             "discs": [d.to_json_dict() for d in discs],

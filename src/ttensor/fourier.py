@@ -127,14 +127,24 @@ class BlockCirculantMatrix:
     n3: int
 
 
-@lru_cache(maxsize=None)
+# Tube lengths whose dense kernels stay cached; each costs 16 * n3**2 bytes per
+# cache, so the bound caps the resident kernels (a benchmark run uses <= 4 lengths).
+_KERNEL_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def dft_matrix(n: int) -> np.ndarray:
-    """Unnormalized DFT matrix F with F[j, k] = omega^(j*k), omega = exp(-2*pi*i/n)."""
+    """Unnormalized DFT matrix F with F[j, k] = omega^(j*k), omega = exp(-2*pi*i/n).
+
+    The array is cached and shared, hence read-only.
+    """
     j = np.arange(n)
-    return np.exp(-2j * np.pi / n * np.outer(j, j))
+    kernel = np.exp(-2j * np.pi / n * np.outer(j, j))
+    kernel.flags.writeable = False
+    return kernel
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _inverse_dft_kernel(n: int) -> np.ndarray:
     """``conj(F)``; the inverse transform divides its product by ``n``."""
     kernel = dft_matrix(n).conj()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import is_orthogonal, is_symmetric, is_t_psd, loewner_ge, t_product
+from .algebra import PREDICATE_TOL, is_orthogonal, is_symmetric, is_t_psd, loewner_ge, t_product
 from .certificates import (
     DEFAULT_TOL,
     FROBENIUS,
@@ -163,7 +163,7 @@ def check_hansen_power(
         )
         left = transpose(q)
     elif mode == MODE_LITERAL:
-        _require(bool(is_orthogonal(q, max(tol, 1e-9))), "Q is not orthogonal")
+        _require(bool(is_orthogonal(q, max(tol, PREDICATE_TOL))), "Q is not orthogonal")
         left = q
     else:
         raise ValueError(f"unknown mode {mode!r}")

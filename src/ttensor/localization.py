@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .algebra import is_f_diagonal, is_normal, is_symmetric, t_inverse, t_product
+from .algebra import PREDICATE_TOL, is_f_diagonal, is_normal, is_symmetric, t_inverse, t_product
 from .certificates import (
     DEFAULT_TOL,
     FROBENIUS,
@@ -32,6 +32,7 @@ __all__ = [
     "ComponentCount",
     "schur_bound",
     "gershgorin_discs",
+    "gershgorin_gaps",
     "gershgorin_contains",
     "gershgorin_component_count",
     "bauer_fike",
@@ -115,18 +116,27 @@ def gershgorin_discs(a) -> list[GershgorinDisc]:
     return out
 
 
-def _disc_scale(discs) -> float:
-    return 1.0 + max((abs(d.center) + d.radius for d in discs), default=0.0)
+def gershgorin_gaps(discs, spectrum) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(gaps, nearest, scale)`` for the values of ``spectrum``.
+
+    ``gaps[i]`` is value i's distance outside its nearest disc (negative
+    inside), ``nearest[i]`` that disc's index (the lowest index wins ties),
+    and ``scale = 1 + max(|center| + radius)`` the magnitude that disc
+    tolerances are relative to.  Distances use ``hypot`` on the real and
+    imaginary parts, so they equal scalar ``abs`` bit for bit.
+    """
+    values = spectrum.values if isinstance(spectrum, TEigenSpectrum) else spectrum
+    diff = np.asarray(values, dtype=complex)[:, None] - np.array([d.center for d in discs])
+    all_gaps = np.hypot(diff.real, diff.imag) - np.array([d.radius for d in discs])
+    nearest = np.argmin(all_gaps, axis=1)
+    scale = 1.0 + max((abs(d.center) + d.radius for d in discs), default=0.0)
+    return all_gaps[np.arange(len(nearest)), nearest], nearest, scale
 
 
 def gershgorin_contains(discs, spectrum, tol: float = DEFAULT_TOL) -> bool:
     """True iff every value lies within ``tol * scale`` of some disc."""
-    values = spectrum.values if isinstance(spectrum, TEigenSpectrum) else np.asarray(spectrum)
-    slack = tol * _disc_scale(discs)
-    for z in values:
-        if min(abs(z - d.center) - d.radius for d in discs) > slack:
-            return False
-    return True
+    gaps, _, scale = gershgorin_gaps(discs, spectrum)
+    return not np.any(gaps > tol * scale)
 
 
 def gershgorin_component_count(
@@ -149,7 +159,8 @@ def gershgorin_component_count(
             f"{len(values)} eigenvalues cannot be grouped by {n} discs"
         )
     n3 = len(values) // n
-    slack = tol * _disc_scale(discs)
+    gaps, nearest, scale = gershgorin_gaps(discs, values)
+    slack = tol * scale
 
     # union-find over the disc overlap graph
     parent = list(range(n))
@@ -170,14 +181,10 @@ def gershgorin_component_count(
         members.setdefault(find(i), []).append(i)
 
     counts = {root: 0 for root in members}
-    for z in values:
-        gaps = [abs(z - d.center) - d.radius for d in discs]
-        best = int(np.argmin(gaps))
-        if gaps[best] > slack:
-            raise HypothesisViolationError(
-                f"eigenvalue {z} escapes every disc by {gaps[best]:.3e}"
-            )
-        counts[find(best)] += 1
+    for z, gap, best in zip(values, gaps, nearest):
+        if gap > slack:
+            raise HypothesisViolationError(f"eigenvalue {z} escapes every disc by {gap:.3e}")
+        counts[find(int(best))] += 1
 
     return [
         ComponentCount(tuple(idx), len(idx), counts[root] / n3)
@@ -199,13 +206,13 @@ def bauer_fike(
     Certifies that every t-eigenvalue of ``a`` has a t-eigenvalue of ``b``
     within ``||q^-1||_2 * ||q||_2 * ||a - b||_2``.
     """
-    fd = is_f_diagonal(s, max(tol, 1e-9))
+    fd = is_f_diagonal(s, max(tol, PREDICATE_TOL))
     if not fd:
         raise HypothesisViolationError(f"S is not f-diagonal: {fd.reason}")
     q_inv = t_inverse(q)
     recon = t_product(t_product(q_inv, s), q)
     residual = frobenius_norm(a - recon)
-    if residual > 1e-8 * (1.0 + frobenius_norm(a)):
+    if residual > DEFAULT_TOL * (1.0 + frobenius_norm(a)):
         raise HypothesisViolationError(
             f"a is not reproduced by q^-1 * s * q (residual {residual:.3e})"
         )
@@ -241,7 +248,7 @@ def hoffman_wielandt(
     constant (``sqrt(n3)``).
     """
     for name, t in (("A", a), ("B", b)):
-        nv = is_normal(t, max(tol, 1e-9))
+        nv = is_normal(t, max(tol, PREDICATE_TOL))
         if not nv:
             raise HypothesisViolationError(f"{name} is not normal: {nv.reason}")
     lam = t_eigenvalues(a).values
@@ -291,7 +298,7 @@ def diag_spectrum_bound(
     Frobenius variant with prefactor 1/sqrt(n3).
     """
     for name, t in (("A", a), ("B", b)):
-        sv = is_symmetric(t, max(tol, 1e-9))
+        sv = is_symmetric(t, max(tol, PREDICATE_TOL))
         if not sv:
             raise HypothesisViolationError(f"{name} is not symmetric: {sv.reason}")
     if a.shape != b.shape:

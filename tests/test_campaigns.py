@@ -1,7 +1,9 @@
-"""Campaign driver: registry, determinism, thread invariance."""
+"""Campaign driver: registry, determinism, concurrent callers."""
 
 import contextlib
 import json
+import sys
+import threading
 
 import pytest
 
@@ -51,10 +53,48 @@ def test_campaign_determinism():
     assert _report_bytes(r1) != _report_bytes(r3)
 
 
-def test_campaign_thread_invariance():
-    base = run_campaign("heinz-family", n=2, n3=2, trials=10, seed=4, threads=1)
-    threaded = run_campaign("heinz-family", n=2, n3=2, trials=10, seed=4, threads=4)
-    assert _report_bytes(base) == _report_bytes(threaded)
+_CONCURRENT_CAMPAIGNS = (
+    ("heinz-family", 2, 2, 10, 4),
+    ("furuta", 3, 4, 6, 7),
+    ("gershgorin", 3, 5, 6, 2),
+)
+
+
+def _concurrent_reports(order):
+    return {
+        tid: _report_bytes(run_campaign(tid, n=n, n3=n3, trials=trials, seed=seed))
+        for tid, n, n3, trials, seed in order
+    }
+
+
+def test_campaign_concurrent_callers_match_serial():
+    # the per-trial eig memo is a context variable, so campaigns run at once
+    # from two caller threads neither share nor clobber each other's memo
+    serial = _concurrent_reports(_CONCURRENT_CAMPAIGNS)
+    orders = (_CONCURRENT_CAMPAIGNS, _CONCURRENT_CAMPAIGNS[::-1])
+    barrier = threading.Barrier(len(orders))
+    results, errors = [None] * len(orders), []
+
+    def caller(i):
+        try:
+            barrier.wait()
+            results[i] = _concurrent_reports(orders[i])
+            assert eigensolvers._MEMO.get() is None
+        except BaseException as exc:  # re-raised on the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the callers' trials finely
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert results == [serial, serial]
 
 
 def test_campaign_certificates_reconstructible():

@@ -21,7 +21,12 @@ from ttensor import (
     unfold,
 )
 from oracles import brute_bcirc, conjugate_pair_worst_reference
-from ttensor.fourier import _assemble_real_from_half, _inverse_dft_kernel, dft_matrix
+from ttensor.fourier import (
+    _KERNEL_CACHE_SIZE,
+    _assemble_real_from_half,
+    _inverse_dft_kernel,
+    dft_matrix,
+)
 
 
 def test_bcirc_n3_1_is_the_slice():
@@ -244,3 +249,32 @@ def test_inverse_kernel_is_cached_read_only():
     assert kernel is _inverse_dft_kernel(6)
     assert not kernel.flags.writeable
     assert np.array_equal(kernel, dft_matrix(6).conj())
+
+
+def test_dft_matrix_is_cached_read_only():
+    f = dft_matrix(4)
+    assert f is dft_matrix(4)
+    with pytest.raises(ValueError):
+        f[1, 1] = 0
+    assert np.allclose(f, np.fft.fft(np.eye(4)), rtol=0, atol=1e-15)
+    # a rejected write leaves every later transform at this length intact
+    a = gen_random((2, 3, 4), RngStream(41))
+    b = gen_random((3, 2, 4), RngStream(42))
+    assert np.abs(from_fourier(to_fourier(a)).data - a.data).max() <= 1e-12
+    assert np.abs(t_product(a, identity(3, 4)).data - a.data).max() <= 1e-12
+    expected = np.fft.ifft(
+        np.fft.fft(a.data, axis=2).transpose(2, 0, 1)
+        @ np.fft.fft(b.data, axis=2).transpose(2, 0, 1),
+        axis=0,
+    ).real.transpose(1, 2, 0)
+    assert np.abs(t_product(a, b).data - expected).max() <= 1e-12
+
+
+def test_kernel_caches_are_bounded():
+    for n3 in range(1, 2 * _KERNEL_CACHE_SIZE + 2):
+        a = gen_random((2, 2, n3), RngStream(43, n3))
+        assert np.abs(from_fourier(to_fourier(a)).data - a.data).max() <= 1e-12
+        assert dft_matrix.cache_info().currsize <= _KERNEL_CACHE_SIZE
+        assert _inverse_dft_kernel.cache_info().currsize <= _KERNEL_CACHE_SIZE
+    assert dft_matrix.cache_info().maxsize == _KERNEL_CACHE_SIZE
+    assert _inverse_dft_kernel.cache_info().maxsize == _KERNEL_CACHE_SIZE

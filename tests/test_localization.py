@@ -14,6 +14,7 @@ from ttensor import (
     gershgorin_component_count,
     gershgorin_contains,
     gershgorin_discs,
+    gershgorin_gaps,
     hoffman_wielandt,
     identity,
     schur_bound,
@@ -230,3 +231,32 @@ def test_gershgorin_on_complex_tensor():
     assert gershgorin_contains(discs, t_eigenvalues(t))
     comps = gershgorin_component_count(discs, t_eigenvalues(t))
     assert sum(c.disc_count for c in comps) == 3
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+@pytest.mark.parametrize("n, n3", [(1, 1), (2, 2), (3, 5), (4, 4), (6, 9)])
+def test_gershgorin_gaps_match_scalar_loop(n, n3, complex_input):
+    from ttensor import ComplexTensor3
+
+    for trial in range(6):
+        a = gen_random((n, n, n3), RngStream(333, trial))
+        if complex_input:
+            a = ComplexTensor3.from_parts(a, gen_random((n, n, n3), RngStream(334, trial)))
+        discs = gershgorin_discs(a)
+        spectrum = t_eigenvalues(a)
+        gaps, nearest, scale = gershgorin_gaps(discs, spectrum)
+        # per-value scalar reference: nearest disc by scalar abs, first index on ties
+        loop = [[abs(z - d.center) - d.radius for d in discs] for z in spectrum.values]
+        assert np.array_equal(gaps, [min(row) for row in loop])
+        assert nearest.tolist() == [row.index(min(row)) for row in loop]
+        assert scale == 1.0 + max(abs(d.center) + d.radius for d in discs)
+        # Python complex input (the CLI's display order) gives the same gaps
+        assert np.array_equal(gershgorin_gaps(discs, [complex(z) for z in spectrum.values])[0], gaps)
+
+
+def test_gershgorin_gaps_nearest_disc_on_ties():
+    discs = gershgorin_discs(Tensor3(np.diag([1.0, -1.0, 1.0]).reshape(3, 3, 1)))
+    gaps, nearest, scale = gershgorin_gaps(discs, [0.0, 1.0, -1.0, 3.0j])
+    assert nearest.tolist() == [0, 0, 1, 0]
+    assert gaps.tolist() == [1.0, 0.0, 0.0, np.hypot(1.0, 3.0)]
+    assert scale == 2.0

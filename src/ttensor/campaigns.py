@@ -3,11 +3,16 @@
 A campaign draws hypothesis-valid instances (one counter-based substream per
 trial, so runs are reproducible and order-independent), invokes the matching
 certifier, and aggregates the certificates.  Trials run serially in trial
-order, each in its own eigendecomposition memo scope (see
-:mod:`ttensor.eigensolvers`), so repeated Fourier slices are decomposed once
-per trial and nothing is shared between trials or calls.  The memo is a
-context variable, so :func:`run_campaign` may be called from several threads
-at once and each call's report is byte-identical to a lone serial run.
+order, each in its own memo scope (:func:`ttensor.core._trial_memo`).  Within
+a trial, a tensor that comes back is transformed to the Fourier domain once,
+slices that come back are inverse-transformed once, and a repeated Fourier
+slice is eigendecomposed once (see :mod:`ttensor.fourier` and
+:mod:`ttensor.eigensolvers` for the keys); nothing is shared between trials
+or calls, and errors are never stored.  A hit returns the very result the
+computation would have given, so reports are byte-identical with or without
+the memo.  The memo is a context variable, so :func:`run_campaign` may be
+called from several threads at once and each call's report is byte-identical
+to a lone serial run.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .certificates import DEFAULT_TOL, FROBENIUS, SPECTRAL, norm_certificate
 from .core import (
     RngStream,
     Tensor3,
+    _trial_memo,
     frobenius_norm,
     gen_commuting_psd_pair,
     gen_loewner_pair,
@@ -32,7 +38,6 @@ from .core import (
     spectral_norm,
     transpose,
 )
-from .eigensolvers import _eig_memo
 from .errors import HypothesisViolationError, SingularTensorError, UnknownTheoremError
 from .spectral import t_eigenvalues
 from .algebra import t_inverse, t_product
@@ -348,7 +353,7 @@ def run_campaign(
 
     certificates = []
     for trial in range(trials):
-        with _eig_memo():
+        with _trial_memo():
             certificates.extend(
                 trial_fn(trial, RngStream(seed, trial), n, n3, tol, mode, params)
             )

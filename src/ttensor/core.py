@@ -5,10 +5,22 @@ A :class:`Tensor3` stores its entries as a read-only float64 array of shape
 ``(n1, n2, n3)``; ``data[:, :, k]`` is frontal slice ``k`` (0-based).  The flat
 serialization order used by files and oracles is slice-major with row-major
 slices: flat index ``(k * n1 + i) * n2 + j`` for 0-based ``(i, j, k)``.
+
+This module also owns the per-trial memo, :func:`_trial_memo`: a scope in
+which the Fourier transforms (:mod:`ttensor.fourier`) and the Hermitian
+eigensolver (:mod:`ttensor.eigensolvers`) return their stored result when
+exactly the same input comes back.  Each layer keys its entries by a tag, the
+parameters that shape the result and the bytes of the input; see those
+modules for the keys.  Errors are never stored.  Campaigns open one scope per
+trial, so nothing is shared between trials or calls; outside a scope every
+call computes afresh.  The memo is a context variable, so concurrent callers
+each see only their own scope.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +44,18 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+_MEMO: ContextVar[dict | None] = ContextVar("ttensor_trial_memo", default=None)
+
+
+@contextmanager
+def _trial_memo():
+    """Scope in which repeated transform and eigensolver inputs reuse results."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 def _validated(arr: np.ndarray, dtype) -> np.ndarray:

@@ -18,28 +18,28 @@ Two kernels back everything spectral in this package:
 
 Both are plain sequential numpy, so results are bit-reproducible.
 
-Inside an :func:`_eig_memo` scope, :func:`hermitian_eig` remembers each
-decomposition keyed by ``(n, max_sweeps, bytes of the complex128 matrix)``,
-one entry per stack member, and returns the stored, read-only
-:class:`HermitianEigen` when exactly the same matrix comes back; only members
-not yet stored are solved, a member repeated within one stack is solved once,
-and errors are never stored.  Campaigns open one scope per trial, because one
-trial often decomposes the same Fourier slice several times (a tensor's power
-at several exponents, a PSD check followed by a power).  A scope holds about
-one decomposition per distinct slice matrix and is freed when the trial ends.
+Inside a per-trial memo scope (:func:`ttensor.core._trial_memo`),
+:func:`hermitian_eig` remembers each decomposition keyed by
+``("eig", n, max_sweeps, bytes of the complex128 matrix)``, one entry per
+stack member, and returns the stored, read-only :class:`HermitianEigen` when
+exactly the same matrix comes back; only members not yet stored are solved,
+a member repeated within one stack is solved once, and errors are never
+stored.  Campaigns open one scope per trial, because one trial often
+decomposes the same Fourier slice several times (a tensor's power at several
+exponents, a PSD check followed by a power).  A scope holds about one
+decomposition per distinct slice matrix and is freed when the trial ends.
 Outside a scope every call solves afresh.  There is no setting: a hit returns
 the very result the kernel would have computed.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .core import _MEMO
 from .errors import EigenConvergenceError, NotSymmetricError
 
 __all__ = ["HermitianEigen", "hermitian_eig", "general_eig"]
@@ -68,19 +68,6 @@ def _as_square_complex(m) -> np.ndarray:
     return a
 
 
-_MEMO: ContextVar[dict | None] = ContextVar("ttensor_eig_memo", default=None)
-
-
-@contextmanager
-def _eig_memo():
-    """Scope in which :func:`hermitian_eig` reuses results for repeated inputs."""
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
-
-
 def hermitian_eig(m, max_sweeps: int = _MAX_SWEEPS) -> HermitianEigen:
     """Full eigendecomposition of a Hermitian matrix, or of each member of a
     ``(b, n, n)`` stack, by cyclic Jacobi.
@@ -89,8 +76,8 @@ def hermitian_eig(m, max_sweeps: int = _MAX_SWEEPS) -> HermitianEigen:
     symmetrized before iterating.  A stack with a non-Hermitian member reports
     the first such member.  Ties in the ascending eigenvalue sort are broken
     by original position (stable sort), which keeps the output deterministic
-    across platforms.  Inside an :func:`_eig_memo` scope a repeated matrix
-    returns the stored, read-only result.
+    across platforms.  Inside a per-trial memo scope a repeated matrix returns
+    the stored, read-only result.
     """
     a = np.array(m, dtype=complex, order="C")
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -100,7 +87,7 @@ def hermitian_eig(m, max_sweeps: int = _MAX_SWEEPS) -> HermitianEigen:
     if memo is None:
         values, vectors = _jacobi(stack, max_sweeps)
     else:
-        keys = [(stack.shape[1], max_sweeps, s.tobytes()) for s in stack]
+        keys = [("eig", stack.shape[1], max_sweeps, s.tobytes()) for s in stack]
         todo = {key: i for i, key in enumerate(keys) if key not in memo}
         if todo:
             values, vectors = _jacobi(stack[list(todo.values())], max_sweeps)

@@ -7,7 +7,23 @@ slices are held as one stacked ``(n3, n1, n2)`` array, so slicewise work
 The forward kernel is the dense DFT matrix with ``omega = exp(-2*pi*i/n3)``
 applied along tubes (unnormalized); the inverse divides by ``n3``.  A dense
 kernel is deliberate: tube counts stay desk-scale here, and the explicit
-matrix pins the sign/normalization convention exactly.
+matrix pins the sign/normalization convention exactly.  The inverse first
+lays the slices out tube-major, ``(n1, n2, n3)``, so its reduction over the
+slice index runs along contiguous memory.  Each output entry is still the
+sum over ``t`` of the same products ``conj(F)[k, t] * slices[t, i, j]``, and
+numpy's einsum accumulates complex products one term at a time in ``t``
+order for either layout, so the result is bit for bit what the slice-major
+product gives (the tests pin this for ``n3`` up to 1024); only the memory
+walk is faster.
+
+Inside a per-trial memo scope (:func:`ttensor.core._trial_memo`) both
+directions return their stored result when exactly the same input comes
+back.  :func:`to_fourier` keys by ``("fwd", type, shape, data bytes)``; the
+type and shape are part of the key because a real ``(2, 2, 4)`` tensor and a
+complex ``(2, 2, 2)`` one can hold equal bytes.  :func:`from_fourier` keys by
+``("inv", (n1, n2, n3), tol_sym, slice bytes)``.  Stored results are
+immutable (read-only arrays), and a :class:`ConjugateSymmetryError` is never
+stored, so a repeat raises it again.  Outside a scope nothing is cached.
 
 A real tensor's slices come in conjugate pairs, so slices ``0 .. n3//2`` (the
 half spectrum, :meth:`FourierSlices.half`) determine the rest; this module
@@ -22,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Tensor3
+from .core import _MEMO, Tensor3
 from .errors import ConjugateSymmetryError, ShapeMismatchError
 
 __all__ = [
@@ -182,7 +198,19 @@ def to_fourier(a) -> FourierSlices:
 
     Accepts real and complex tensors; ``origin_real`` is set for real input,
     and the output then carries the conjugate-symmetry pattern by construction.
+    Inside a per-trial memo scope a repeated tensor returns the stored slices.
     """
+    memo = _MEMO.get()
+    if memo is None:
+        return _to_fourier(a)
+    key = ("fwd", type(a), a.shape, a.data.tobytes())
+    s = memo.get(key)
+    if s is None:
+        s = memo[key] = _to_fourier(a)
+    return s
+
+
+def _to_fourier(a) -> FourierSlices:
     n1, n2, n3 = a.shape
     bar = np.einsum("kt,ijt->kij", dft_matrix(n3), a.data)
     return FourierSlices(n1, n2, n3, bar, isinstance(a, Tensor3))
@@ -194,15 +222,28 @@ def from_fourier(s: FourierSlices, tol_sym: float = 1e-9) -> Tensor3:
     The slices must satisfy the conjugate-symmetry pattern within
     ``tol_sym * (1 + max slice magnitude)``; otherwise the data has no real
     preimage and :class:`ConjugateSymmetryError` reports the worst slice pair.
+    Inside a per-trial memo scope repeated slices return the stored tensor.
     """
+    memo = _MEMO.get()
+    if memo is None:
+        return _from_fourier(s, tol_sym)
+    key = ("inv", (s.n1, s.n2, s.n3), tol_sym, s.slices.tobytes())
+    a = memo.get(key)
+    if a is None:
+        a = memo[key] = _from_fourier(s, tol_sym)
+    return a
+
+
+def _from_fourier(s: FourierSlices, tol_sym: float) -> Tensor3:
     tol = tol_sym * (1.0 + float(np.abs(s.slices).max()))
     residual, i, j = _worst_symmetry_pair(s)
     if residual > tol:
         raise ConjugateSymmetryError(i, j, residual, tol)
-    data = np.einsum("kt,tij->ijk", _inverse_dft_kernel(s.n3), s.slices) / s.n3
+    tubes = np.ascontiguousarray(s.slices.transpose(1, 2, 0))
+    data = np.einsum("kt,ijt->ijk", _inverse_dft_kernel(s.n3), tubes) / s.n3
     return Tensor3(data.real)
 
 
 def fourier_frobenius_norm(s: FourierSlices) -> float:
     """Frobenius norm of the stacked Fourier slices."""
-    return float(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in s.slices)))
+    return float(np.linalg.norm(s.slices))

@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: the block-circulant
 matrix is assembled entry by entry from the tensor data, the largest singular
 value comes from power iteration, and the quadratic form is summed directly.
 The one-matrix cyclic Jacobi is kept here as the reference the stacked
-Hermitian solver must match bit for bit.
+Hermitian solver must match bit for bit, and the slice-major inverse DFT as
+the reference for the tube-major one in ``from_fourier``.
 """
 
 import numpy as np
@@ -166,3 +167,16 @@ def conjugate_pair_worst_reference(slices):
         if r > worst[0]:
             worst = (r, i, j)
     return worst
+
+
+def inverse_dft_slice_major(slices):
+    """Inverse DFT of ``(n3, n1, n2)`` slices in the slice-major layout.
+
+    The einsum ``"kt,tij->ijk"`` over the conjugate DFT kernel, divided by
+    ``n3``, real part: the form ``from_fourier`` had before it laid the
+    slices out tube-major, which it must still match bit for bit.
+    """
+    n3 = len(slices)
+    j = np.arange(n3)
+    kernel = np.exp(-2j * np.pi / n3 * np.outer(j, j)).conj()
+    return (np.einsum("kt,tij->ijk", kernel, slices) / n3).real

@@ -13,7 +13,9 @@ from ttensor import (
     SingularTensorError,
     UnknownTheoremError,
     campaigns,
+    core,
     eigensolvers,
+    fourier,
     run_campaign,
 )
 
@@ -68,7 +70,7 @@ def _concurrent_reports(order):
 
 
 def test_campaign_concurrent_callers_match_serial():
-    # the per-trial eig memo is a context variable, so campaigns run at once
+    # the per-trial memo is a context variable, so campaigns run at once
     # from two caller threads neither share nor clobber each other's memo
     serial = _concurrent_reports(_CONCURRENT_CAMPAIGNS)
     orders = (_CONCURRENT_CAMPAIGNS, _CONCURRENT_CAMPAIGNS[::-1])
@@ -79,7 +81,7 @@ def test_campaign_concurrent_callers_match_serial():
         try:
             barrier.wait()
             results[i] = _concurrent_reports(orders[i])
-            assert eigensolvers._MEMO.get() is None
+            assert core._MEMO.get() is None
         except BaseException as exc:  # re-raised on the main thread
             errors.append(exc)
 
@@ -133,8 +135,10 @@ def test_summary_fields():
 @pytest.mark.parametrize("n,n3", [(3, 4), (2, 5)])
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
 def test_eig_memo_leaves_reports_unchanged(monkeypatch, theorem_id, n, n3):
+    # the trial memo covers the transforms as well as the eigensolver; turning
+    # it off turns both off
     memo_on = run_campaign(theorem_id, n=n, n3=n3, trials=2, seed=3)
-    monkeypatch.setattr(campaigns, "_eig_memo", contextlib.nullcontext)
+    monkeypatch.setattr(campaigns, "_trial_memo", contextlib.nullcontext)
     memo_off = run_campaign(theorem_id, n=n, n3=n3, trials=2, seed=3)
     assert _report_bytes(memo_on) == _report_bytes(memo_off)
 
@@ -149,15 +153,41 @@ def test_eig_memo_scope_is_per_trial(monkeypatch):
 
     monkeypatch.setattr(eigensolvers, "_jacobi", counting_kernel)
     run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
-    assert eigensolvers._MEMO.get() is None
+    assert core._MEMO.get() is None
     first = list(solved)
     assert len(first) == len(set(first))  # each distinct slice solved once
     run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
     assert solved[len(first):] == first  # nothing survives the trial
-    monkeypatch.setattr(campaigns, "_eig_memo", contextlib.nullcontext)
+    monkeypatch.setattr(campaigns, "_trial_memo", contextlib.nullcontext)
     del solved[:]
     run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
     assert len(solved) > len(first)
+
+
+def test_transform_memo_scope_is_per_trial(monkeypatch):
+    computed = []
+    forward, inverse = fourier._to_fourier, fourier._from_fourier
+
+    def counting_forward(a):
+        computed.append(("fwd", type(a), a.shape, a.data.tobytes()))
+        return forward(a)
+
+    def counting_inverse(s, tol_sym):
+        computed.append(("inv", s.slices.shape, tol_sym, s.slices.tobytes()))
+        return inverse(s, tol_sym)
+
+    monkeypatch.setattr(fourier, "_to_fourier", counting_forward)
+    monkeypatch.setattr(fourier, "_from_fourier", counting_inverse)
+    run_campaign("furuta", n=3, n3=5, trials=1, seed=5)
+    assert core._MEMO.get() is None
+    first = list(computed)
+    assert len(first) == len(set(first))  # each distinct input transformed once
+    run_campaign("furuta", n=3, n3=5, trials=1, seed=5)
+    assert computed[len(first):] == first  # nothing survives the trial
+    monkeypatch.setattr(campaigns, "_trial_memo", contextlib.nullcontext)
+    del computed[:]
+    run_campaign("furuta", n=3, n3=5, trials=1, seed=5)
+    assert len(computed) > len(first)
 
 
 def test_bauer_fike_all_draws_singular(monkeypatch):

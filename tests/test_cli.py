@@ -1,7 +1,6 @@
 """Command-line surface: file I/O, commands, exit codes, reproducibility."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -12,12 +11,9 @@ from ttensor import RngStream, Tensor3, frobenius_norm, gen_random, t_product
 from ttensor.cli import main, read_tensor, write_tensor
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.update(env_extra or {})
+def run_cli(args):
     return subprocess.run(
-        [sys.executable, "-m", "ttensor.cli", *args],
-        capture_output=True, text=True, env=env,
+        [sys.executable, "-m", "ttensor.cli", *args], capture_output=True, text=True
     )
 
 
@@ -147,10 +143,10 @@ def test_check_unknown_theorem_exit_2(capsys):
     assert main(["check", "nosuch"]) == 2
 
 
-def test_check_json_reproducible_across_thread_counts(tmp_path):
+def test_check_json_reproducible_across_processes(tmp_path):
     args = ["check", "schur", "--n", "2", "--n3", "2", "--trials", "12", "--seed", "3", "--json"]
-    r1 = run_cli(args, env_extra={"TTENSOR_THREADS": "1"})
-    r2 = run_cli(args, env_extra={"TTENSOR_THREADS": "4"})
+    r1 = run_cli(args)
+    r2 = run_cli(args)
     assert r1.returncode == 0 and r2.returncode == 0
     assert r1.stdout == r2.stdout
     for line in r1.stdout.strip().splitlines():

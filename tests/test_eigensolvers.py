@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from oracles import jacobi_eig_reference
 from ttensor import EigenConvergenceError, NotSymmetricError, general_eig, hermitian_eig
 from ttensor import eigensolvers
-from ttensor.eigensolvers import _MEMO, _eig_memo
+from ttensor.core import _MEMO, _trial_memo
 
 
 def _random_hermitian(rng, n, real=False):
@@ -110,7 +110,7 @@ def test_determinism():
 
 def test_memo_returns_stored_read_only_result():
     h = _random_hermitian(np.random.default_rng(4), 4)
-    with _eig_memo():
+    with _trial_memo():
         e1 = hermitian_eig(h)
         e2 = hermitian_eig(h.copy())
         assert e2 is e1
@@ -127,7 +127,7 @@ def test_memo_returns_stored_read_only_result():
 def test_memo_off_outside_scope():
     h = _random_hermitian(np.random.default_rng(5), 3)
     assert _MEMO.get() is None
-    with _eig_memo():
+    with _trial_memo():
         assert _MEMO.get() == {}
     assert _MEMO.get() is None
     e1, e2 = hermitian_eig(h), hermitian_eig(h)
@@ -137,7 +137,7 @@ def test_memo_off_outside_scope():
 
 def test_memo_never_stores_errors():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with _eig_memo():
+    with _trial_memo():
         for _ in range(3):
             with pytest.raises(NotSymmetricError):
                 hermitian_eig(bad)
@@ -259,7 +259,7 @@ def test_memo_solves_duplicate_stack_member_once(monkeypatch):
     h0, h1 = _random_hermitian(rng, 3), _random_hermitian(rng, 3)
     stack = np.stack([h0, h1, h0, h0])
     solved = _count_solved(monkeypatch)
-    with _eig_memo():
+    with _trial_memo():
         e = hermitian_eig(stack)
     assert len(solved) == 2
     _assert_matches_reference(stack, e)
@@ -270,7 +270,7 @@ def test_memo_partly_cached_stack_matches_fresh_solve(monkeypatch):
     stack = np.stack([_random_hermitian(rng, 4) for _ in range(5)])
     fresh = hermitian_eig(stack)
     solved = _count_solved(monkeypatch)
-    with _eig_memo():
+    with _trial_memo():
         hermitian_eig(stack[1])
         hermitian_eig(stack[3:])
         del solved[:]
@@ -283,7 +283,7 @@ def test_memo_partly_cached_stack_matches_fresh_solve(monkeypatch):
 def test_memo_two_dimensional_hit_after_stack_returns_stored_result():
     rng = np.random.default_rng(48)
     stack = np.stack([_random_hermitian(rng, 3) for _ in range(3)])
-    with _eig_memo():
+    with _trial_memo():
         hermitian_eig(stack)
         e1 = hermitian_eig(stack[1].copy())
         assert isinstance(e1, eigensolvers.HermitianEigen)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ttensor import (
+    ComplexTensor3,
     ConjugateSymmetryError,
     FourierSlices,
     RngStream,
@@ -20,7 +21,8 @@ from ttensor import (
     transpose,
     unfold,
 )
-from oracles import brute_bcirc, conjugate_pair_worst_reference
+from oracles import brute_bcirc, conjugate_pair_worst_reference, inverse_dft_slice_major
+from ttensor.core import _MEMO, _trial_memo
 from ttensor.fourier import (
     _KERNEL_CACHE_SIZE,
     _assemble_real_from_half,
@@ -278,3 +280,83 @@ def test_kernel_caches_are_bounded():
         assert _inverse_dft_kernel.cache_info().currsize <= _KERNEL_CACHE_SIZE
     assert dft_matrix.cache_info().maxsize == _KERNEL_CACHE_SIZE
     assert _inverse_dft_kernel.cache_info().maxsize == _KERNEL_CACHE_SIZE
+
+
+@pytest.mark.parametrize("n3", [*range(1, 41), 127, 128, 255, 256, 1024])
+def test_inverse_matches_slice_major_layout_bit_for_bit(n3):
+    rng = np.random.default_rng(80 + n3)
+    for n1, n2 in ((3, 3), (2, 5)):
+        exact = _exactly_conjugate_slices(rng, n1, n2, n3)
+        rounded = to_fourier(gen_random((n1, n2, n3), RngStream(44, n3))).slices
+        for slices in (exact, rounded):
+            got = from_fourier(FourierSlices(n1, n2, n3, slices, True)).data
+            want = np.ascontiguousarray(inverse_dft_slice_major(slices))
+            assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# per-trial memo
+# ---------------------------------------------------------------------------
+
+def test_memo_returns_stored_transforms():
+    a = gen_random((3, 2, 5), RngStream(45))
+    with _trial_memo():
+        fs = to_fourier(a)
+        assert to_fourier(Tensor3(a.data.copy())) is fs
+        back = from_fourier(fs)
+        assert from_fourier(FourierSlices(3, 2, 5, fs.slices.copy(), True)) is back
+        assert from_fourier(fs, tol_sym=1e-6) is not back  # tol_sym is keyed
+        assert not fs.slices.flags.writeable and not back.data.flags.writeable
+    assert np.array_equal(to_fourier(a).slices, fs.slices)
+    assert np.array_equal(from_fourier(fs).data, back.data)
+
+
+def test_memo_tells_equal_bytes_apart():
+    data = np.random.default_rng(46).normal(size=(2, 2, 4))
+    tensors = [
+        Tensor3(data),
+        ComplexTensor3(data.view(complex)),  # (2, 2, 2), the same bytes
+        Tensor3(data.reshape(4, 1, 4)),
+        Tensor3(data.reshape(2, 4, 2)),
+    ]
+    assert len({t.data.tobytes() for t in tensors}) == 1
+    with _trial_memo():
+        inside = [to_fourier(t) for t in tensors]
+    for t, fs in zip(tensors, inside):
+        fresh = to_fourier(t)
+        assert (fs.n1, fs.n2, fs.n3, fs.origin_real) == (
+            fresh.n1, fresh.n2, fresh.n3, fresh.origin_real)
+        assert np.array_equal(fs.slices, fresh.slices)
+    slices = to_fourier(Tensor3(data.reshape(2, 4, 2))).slices  # (2, 2, 4) slices
+    same_bytes = [FourierSlices(2, 4, 2, slices, True),
+                  FourierSlices(4, 2, 2, slices.reshape(2, 4, 2), True)]
+    with _trial_memo():
+        inside = [from_fourier(s) for s in same_bytes]
+    for s, a in zip(same_bytes, inside):
+        assert a.shape == (s.n1, s.n2, s.n3)
+        assert np.array_equal(a.data, from_fourier(s).data)
+
+
+def test_memo_never_stores_conjugate_symmetry_errors():
+    bad = FourierSlices.from_list([np.array([[1.0 + 0j]]), np.array([[1j]])], True)
+    with _trial_memo():
+        for _ in range(3):
+            with pytest.raises(ConjugateSymmetryError):
+                from_fourier(bad)
+        assert _MEMO.get() == {}
+
+
+def test_transforms_are_not_cached_outside_a_scope():
+    a = gen_random((2, 3, 4), RngStream(47))
+    assert _MEMO.get() is None
+    fs = to_fourier(a)
+    assert to_fourier(a) is not fs
+    assert from_fourier(fs) is not from_fourier(fs)
+    with _trial_memo():
+        inside = to_fourier(a)
+        back = from_fourier(inside)
+    assert _MEMO.get() is None
+    with _trial_memo():  # a new trial starts empty
+        assert _MEMO.get() == {}
+        assert to_fourier(a) is not inside
+        assert from_fourier(inside) is not back

@@ -2,17 +2,33 @@
 
 A campaign draws hypothesis-valid instances (one counter-based substream per
 trial, so runs are reproducible and order-independent), invokes the matching
-certifier, and aggregates the certificates.  Trials run serially in trial
-order, each in its own memo scope (:func:`ttensor.core._trial_memo`).  Within
-a trial, a tensor that comes back is transformed to the Fourier domain once,
-slices that come back are inverse-transformed once, and a repeated Fourier
-slice is eigendecomposed once (see :mod:`ttensor.fourier` and
+certifier, and aggregates the certificates.  Each trial runs in its own memo
+scope (:func:`ttensor.core._trial_memo`).  Within a trial, a tensor that
+comes back is transformed to the Fourier domain once, slices that come back
+are inverse-transformed once, and a repeated Fourier slice is
+eigendecomposed once (see :mod:`ttensor.fourier` and
 :mod:`ttensor.eigensolvers` for the keys); nothing is shared between trials
 or calls, and errors are never stored.  A hit returns the very result the
 computation would have given, so reports are byte-identical with or without
-the memo.  The memo is a context variable, so :func:`run_campaign` may be
-called from several threads at once and each call's report is byte-identical
-to a lone serial run.
+the memo.
+
+Trials run in windows of lockstep workers (:class:`ttensor.core._Batcher`),
+so the eigensolver calls of a window's trials are merged into one stacked
+Jacobi call per round: at small ``n`` a stacked call costs about as much for
+one member as for dozens.  The workers are threads used as coroutines, one
+running at a time, not for parallelism.  The calling thread runs the first
+trial, and a trial gets a thread of its own only when the one before it
+waits in a solver call, so a one-trial campaign, or one whose trials never
+call the Hermitian solver, starts no thread.  A window holds at most 64
+trials and at most 4096 tensor entries (``n * n * n3`` a trial), but at
+least one trial; the bound keeps the memos a window holds at once small.
+There is no setting.  A merged call gives every trial the bits it would get
+alone, so reports are byte-identical to running the trials one after
+another; a trial's error reaches only that trial, and the campaign raises
+the error of the lowest failing trial, as a serial loop would.  The memo and
+the batcher are context variables, so :func:`run_campaign` may be called
+from several threads at once and each call's report is byte-identical to a
+lone serial run.
 """
 
 from __future__ import annotations
@@ -27,6 +43,7 @@ from .certificates import DEFAULT_TOL, FROBENIUS, SPECTRAL, norm_certificate
 from .core import (
     RngStream,
     Tensor3,
+    _Batcher,
     _trial_memo,
     frobenius_norm,
     gen_commuting_psd_pair,
@@ -47,6 +64,8 @@ __all__ = ["THEOREM_IDS", "CampaignResult", "run_campaign"]
 _NORMS = (FROBENIUS, SPECTRAL)
 _CONJUGATOR_DRAWS = 100
 _CONJUGATOR_MAX_COND = 1e4
+_WINDOW_TRIALS = 64
+_WINDOW_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -351,12 +370,28 @@ def run_campaign(
     trial_fn = _REGISTRY[theorem_id]
     params = dict(params or {})
 
-    certificates = []
-    for trial in range(trials):
+    def run_trial(trial):
         with _trial_memo():
-            certificates.extend(
-                trial_fn(trial, RngStream(seed, trial), n, n3, tol, mode, params)
-            )
+            return trial_fn(trial, RngStream(seed, trial), n, n3, tol, mode, params)
+
+    certificates = []
+    window = _window_size(n, n3)
+    for start in range(0, trials, window):
+        for outcome in _Batcher(run_trial, range(start, min(start + window, trials))).run():
+            if isinstance(outcome, BaseException):
+                raise outcome  # the lowest failing trial's, as a serial loop raises
+            certificates.extend(outcome)
+    return _campaign_result(theorem_id, n, n3, trials, seed, mode, certificates)
+
+
+def _window_size(n: int, n3: int) -> int:
+    """Trials run at once: at most ``_WINDOW_TRIALS``, and at most
+    ``_WINDOW_ENTRIES`` tensor entries (``n * n * n3`` a trial) across the
+    window, which bounds the memory the window's trial memos hold at once."""
+    return max(1, min(_WINDOW_TRIALS, _WINDOW_ENTRIES // max(1, n * n * n3)))
+
+
+def _campaign_result(theorem_id, n, n3, trials, seed, mode, certificates) -> CampaignResult:
     violations = [c for c in certificates if not c.holds]
     worst = min(certificates, key=lambda c: c.margin, default=None)
     summary = {

@@ -15,10 +15,25 @@ modules for the keys.  Errors are never stored.  Campaigns open one scope per
 trial, so nothing is shared between trials or calls; outside a scope every
 call computes afresh.  The memo is a context variable, so concurrent callers
 each see only their own scope.
+
+It also owns the lockstep batcher, :class:`_Batcher`, through which a
+campaign merges the stacked eigensolver calls of the trials it runs at once.
+The batcher runs each trial as a worker; the workers take turns, one at a
+time, and a kernel called through :func:`_batched` waits until every live
+worker is waiting in a kernel call.  The pending stacks are then grouped by
+kernel, member shape and arguments, each group is solved in one call, and
+each worker gets its own rows back.  The kernel must treat the members of a
+stack independently, so a merged call gives every member the bits a lone
+call gives; if a merged call raises, each stack of the group is solved
+alone, so an error reaches only the worker whose stack caused it.  The
+batcher is a context variable too; outside a batcher :func:`_batched` calls
+the kernel directly.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -56,6 +71,173 @@ def _trial_memo():
         yield
     finally:
         _MEMO.reset(token)
+
+
+_BATCH: ContextVar[tuple[_Batcher, object] | None] = ContextVar("ttensor_batcher", default=None)
+
+
+def _batched(kernel, stack: np.ndarray, *args) -> tuple:
+    """``kernel(stack, *args)``; in a :class:`_Batcher` worker, merged with
+    the other workers' calls.  ``kernel`` returns a tuple of arrays with one
+    row per member of ``stack``."""
+    entry = _BATCH.get()
+    if entry is None:
+        return kernel(stack, *args)
+    batcher, worker = entry
+    return batcher.solve(worker, kernel, stack, args)
+
+
+class _Request:
+    __slots__ = ("worker", "kernel", "stack", "args", "result", "error")
+
+    def __init__(self, worker, kernel, stack, args):
+        self.worker, self.kernel, self.stack, self.args = worker, kernel, stack, args
+        self.result = self.error = None
+
+
+class _Batcher:
+    """Runs ``run(w)`` for each of a fixed list of workers in lockstep and
+    merges the kernel calls they make through :func:`_batched`.
+
+    The workers take turns like coroutines: exactly one holds the turn and
+    runs, and the others wait on their own lock, so their threads never
+    contend for the interpreter.  A worker that calls a kernel or finishes
+    hands the turn to the next ready worker, in worker order.  When no worker
+    is ready, every live worker is waiting in a call, and the pending calls
+    are solved together before the turn moves on.  So the calls merged in
+    round ``r`` are every live worker's ``r``-th call, whatever the thread
+    schedule.
+
+    Threads carry the workers.  The calling thread starts with the first
+    worker; a thread whose worker finishes goes on with the next worker if
+    that one has not started yet, and a worker that has not started gets a
+    new thread only when the turn reaches it while the worker before it waits
+    in a call.  Workers that make no kernel call all run on the calling
+    thread.
+    """
+
+    def __init__(self, run, workers):
+        self._run = run
+        self._workers = list(workers)
+        self._outcomes: dict = {}
+        self._lock = threading.Lock()
+        self._turn: dict = {}  # started worker -> lock it waits on for the turn
+        self._holder = self._workers[0]
+        self._ready = deque(self._workers[1:])  # may run, in worker order
+        self._pending: list[_Request] = []  # the calls of waiting workers
+        self._threads: list[threading.Thread] = []
+
+    def run(self) -> list:
+        """Each worker's return value, or the exception it raised, in worker
+        order.  Every thread the batcher started has ended on return."""
+        try:
+            self._start(self._holder)
+            self._carry(self._holder)
+        finally:
+            for thread in self._threads:  # threads append to it until they end
+                thread.join()
+        return [self._outcomes[w] for w in self._workers]
+
+    def _carry(self, worker) -> None:
+        while worker is not None:
+            token = _BATCH.set((self, worker))
+            try:
+                self._outcomes[worker] = self._run(worker)
+            except BaseException as exc:  # returned by run(), in worker order
+                self._outcomes[worker] = exc
+            finally:
+                _BATCH.reset(token)
+            worker = self._retire(worker)
+
+    def _start(self, worker) -> bool:
+        """Give ``worker`` its turn lock, held; false if it has one already."""
+        if worker in self._turn:
+            return False
+        self._turn[worker] = turn = threading.Lock()
+        turn.acquire()
+        return True
+
+    def _retire(self, worker):
+        """Count ``worker`` as done and pass the turn on if it held it;
+        returns the next worker when the calling thread should carry it."""
+        with self._lock:
+            if worker in self._ready:
+                self._ready.remove(worker)
+            self._pending = [r for r in self._pending if r.worker != worker]
+            if worker != self._holder:  # it left while waiting
+                return None
+            successor = self._pass_turn()
+            if successor is None or self._start(successor):
+                return successor
+        self._turn[successor].release()
+        return None
+
+    def solve(self, worker, kernel, stack: np.ndarray, args: tuple) -> tuple:
+        request = _Request(worker, kernel, stack, args)
+        with self._lock:
+            self._pending.append(request)
+            successor = self._pass_turn()
+            fresh = self._start(successor)
+        if successor != worker:
+            if fresh:
+                self._spawn(successor, worker)
+            else:
+                self._turn[successor].release()
+            self._turn[worker].acquire()
+        if request.error is not None:
+            raise request.error
+        return request.result
+
+    def _spawn(self, worker, caller) -> None:
+        thread = threading.Thread(target=self._carry, args=(worker,))
+        try:
+            thread.start()
+        except BaseException:  # the turn stays with the caller, whose call fails
+            with self._lock:
+                del self._turn[worker]
+                self._ready.appendleft(worker)
+                self._holder = caller
+            raise
+        self._threads.append(thread)
+
+    def _pass_turn(self):
+        """The worker that runs next, or ``None`` when all are done; when no
+        worker is ready, the pending calls are solved first.  Called by the
+        holder of the turn, with the lock held."""
+        if not self._ready and self._pending:
+            pending, self._pending = self._pending, []
+            try:
+                groups: dict[tuple, list[_Request]] = {}
+                for r in pending:
+                    groups.setdefault((r.kernel, r.stack.shape[1:], r.args), []).append(r)
+                for (kernel, _, args), requests in groups.items():
+                    _solve_group(kernel, args, requests)
+            except BaseException as exc:  # an interrupt: every waiting worker raises it
+                for r in pending:
+                    r.result, r.error = None, exc
+            self._ready.extend(r.worker for r in pending)
+        self._holder = self._ready.popleft() if self._ready else None
+        return self._holder
+
+
+def _solve_group(kernel, args: tuple, requests: list[_Request]) -> None:
+    """One call for all stacks, or, if that raises, one call per stack."""
+    if len(requests) > 1:
+        try:
+            outs = kernel(np.concatenate([r.stack for r in requests]), *args)
+        except Exception:  # solve each stack alone below: an error is per worker
+            pass
+        else:
+            hi = 0
+            for r in requests:
+                lo, hi = hi, hi + len(r.stack)
+                r.result = tuple(out[lo:hi] for out in outs)
+            return
+    for r in requests:
+        try:
+            r.result = kernel(r.stack, *args)
+        except Exception as exc:
+            r.error = exc
 
 
 def _validated(arr: np.ndarray, dtype) -> np.ndarray:

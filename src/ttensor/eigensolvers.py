@@ -30,6 +30,13 @@ exponents, a PSD check followed by a power).  A scope holds about one
 decomposition per distinct slice matrix and is freed when the trial ends.
 Outside a scope every call solves afresh.  There is no setting: a hit returns
 the very result the kernel would have computed.
+
+The members :func:`hermitian_eig` does solve go to the Jacobi kernel through
+the lockstep batcher (:func:`ttensor.core._batched`).  Inside a campaign
+window, the stacks of the window's trials are merged into one kernel call;
+since every member's result is independent of the rest of its stack, each
+trial gets the bits it would get alone.  Outside a campaign the kernel is
+called directly.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _MEMO
+from .core import _MEMO, _batched
 from .errors import EigenConvergenceError, NotSymmetricError
 
 __all__ = ["HermitianEigen", "hermitian_eig", "general_eig"]
@@ -85,12 +92,12 @@ def hermitian_eig(m, max_sweeps: int = _MAX_SWEEPS) -> HermitianEigen:
     stack = a if a.ndim == 3 else a[None]
     memo = _MEMO.get()
     if memo is None:
-        values, vectors = _jacobi(stack, max_sweeps)
+        values, vectors = _batched(_jacobi, stack, max_sweeps)
     else:
         keys = [("eig", stack.shape[1], max_sweeps, s.tobytes()) for s in stack]
         todo = {key: i for i, key in enumerate(keys) if key not in memo}
         if todo:
-            values, vectors = _jacobi(stack[list(todo.values())], max_sweeps)
+            values, vectors = _batched(_jacobi, stack[list(todo.values())], max_sweeps)
             values.flags.writeable = False
             vectors.flags.writeable = False
             for j, key in enumerate(todo):

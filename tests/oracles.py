@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: the block-circulant
 matrix is assembled entry by entry from the tensor data, the largest singular
 value comes from power iteration, and the quadratic form is summed directly.
 The one-matrix cyclic Jacobi is kept here as the reference the stacked
-Hermitian solver must match bit for bit, and the slice-major inverse DFT as
-the reference for the tube-major one in ``from_fourier``.
+Hermitian solver must match bit for bit, the slice-major inverse DFT as the
+reference for the tube-major one in ``from_fourier``, and the serial trial
+loop as the reference for the lockstep windows of ``run_campaign``.
 """
 
 import numpy as np
@@ -180,3 +181,26 @@ def inverse_dft_slice_major(slices):
     j = np.arange(n3)
     kernel = np.exp(-2j * np.pi / n3 * np.outer(j, j)).conj()
     return (np.einsum("kt,tij->ijk", kernel, slices) / n3).real
+
+
+def run_campaign_serial(theorem_id, n=3, n3=3, trials=200, seed=0, tol=None,
+                        mode="corrected", params=None):
+    """``ttensor.run_campaign`` as one serial loop over the trials.
+
+    Each trial runs on the calling thread in its own memo scope, in trial
+    order, with no batcher, so every eigensolver call solves its own stack
+    alone; the first failing trial's exception propagates.  The lockstep
+    windows must reproduce its reports byte for byte, and its exceptions.
+    """
+    from ttensor import campaigns, core
+
+    trial_fn = campaigns._REGISTRY[theorem_id]
+    tol = campaigns.DEFAULT_TOL if tol is None else tol
+    params = dict(params or {})
+    certificates = []
+    for trial in range(trials):
+        with core._trial_memo():
+            certificates.extend(
+                trial_fn(trial, core.RngStream(seed, trial), n, n3, tol, mode, params)
+            )
+    return campaigns._campaign_result(theorem_id, n, n3, trials, seed, mode, certificates)

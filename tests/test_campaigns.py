@@ -1,15 +1,19 @@
-"""Campaign driver: registry, determinism, concurrent callers."""
+"""Campaign driver: registry, determinism, concurrent callers, lockstep
+windows against the serial oracle."""
 
 import contextlib
 import json
 import sys
 import threading
 
+import numpy as np
 import pytest
 
+from oracles import run_campaign_serial
 from ttensor import (
     THEOREM_IDS,
     HypothesisViolationError,
+    NotSymmetricError,
     SingularTensorError,
     UnknownTheoremError,
     campaigns,
@@ -62,17 +66,18 @@ _CONCURRENT_CAMPAIGNS = (
 )
 
 
-def _concurrent_reports(order):
+def _concurrent_reports(order, run=run_campaign):
     return {
-        tid: _report_bytes(run_campaign(tid, n=n, n3=n3, trials=trials, seed=seed))
+        tid: _report_bytes(run(tid, n=n, n3=n3, trials=trials, seed=seed))
         for tid, n, n3, trials, seed in order
     }
 
 
 def test_campaign_concurrent_callers_match_serial():
-    # the per-trial memo is a context variable, so campaigns run at once
-    # from two caller threads neither share nor clobber each other's memo
-    serial = _concurrent_reports(_CONCURRENT_CAMPAIGNS)
+    # the per-trial memo and the batcher are context variables, so campaigns
+    # run at once from two caller threads neither share nor clobber each
+    # other's memo or merge each other's solver calls
+    serial = _concurrent_reports(_CONCURRENT_CAMPAIGNS, run_campaign_serial)
     orders = (_CONCURRENT_CAMPAIGNS, _CONCURRENT_CAMPAIGNS[::-1])
     barrier = threading.Barrier(len(orders))
     results, errors = [None] * len(orders), []
@@ -81,7 +86,7 @@ def test_campaign_concurrent_callers_match_serial():
         try:
             barrier.wait()
             results[i] = _concurrent_reports(orders[i])
-            assert core._MEMO.get() is None
+            assert core._MEMO.get() is None and core._BATCH.get() is None
         except BaseException as exc:  # re-raised on the main thread
             errors.append(exc)
 
@@ -203,3 +208,246 @@ def test_bauer_fike_no_well_conditioned_draw(monkeypatch):
     monkeypatch.setattr(campaigns, "spectral_norm", lambda a: 1e3)
     with pytest.raises(HypothesisViolationError, match=r"seed=8, trial=0"):
         run_campaign("bauer-fike", n=2, n3=2, trials=1, seed=8)
+
+
+# --- lockstep windows against the serial oracle ----------------------------
+
+_COUNTEREXAMPLES = (
+    ("am-gm", "literal", None),
+    ("complex-norm-a", "literal", None),
+    ("complex-norm-b", "literal", None),
+    ("hansen-power", "literal", None),
+    ("loewner-heinz", "corrected", {"r": 2.0}),
+)
+_ORACLE_CONFIGS = [(tid, "corrected", None) for tid in THEOREM_IDS] + list(_COUNTEREXAMPLES)
+# (n, n3, trials, seed): small shapes of both middle-slice parities, a
+# 16-trial window, 70 trials across the 64-trial window boundary, and long
+# tubes whose entry budget cuts the window to 3 trials
+_ORACLE_GRID = (
+    (4, 4, 4, 0), (3, 5, 3, 1), (2, 2, 3, 0), (3, 8, 3, 1), (4, 4, 16, 0),
+    (2, 2, 70, 1), (3, 128, 3, 0), (3, 127, 3, 1),
+)
+
+
+@pytest.mark.parametrize("n,n3,trials,seed", _ORACLE_GRID)
+@pytest.mark.parametrize(
+    "theorem_id,mode,params", _ORACLE_CONFIGS,
+    ids=[f"{tid}-{mode}{'-r2' if params else ''}" for tid, mode, params in _ORACLE_CONFIGS],
+)
+def test_lockstep_matches_serial_oracle(theorem_id, mode, params, n, n3, trials, seed):
+    kwargs = dict(n=n, n3=n3, trials=trials, seed=seed, mode=mode, params=params)
+    assert _report_bytes(run_campaign(theorem_id, **kwargs)) == _report_bytes(
+        run_campaign_serial(theorem_id, **kwargs)
+    )
+
+
+def test_window_size():
+    assert campaigns._window_size(4, 4) == 64
+    assert campaigns._window_size(8, 4) == 16
+    assert campaigns._window_size(3, 128) == 3
+    assert campaigns._window_size(3, 512) == 1
+
+
+def _raised(run, *args, **kwargs):
+    with pytest.raises(Exception) as info:
+        run(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+def _track_trials(monkeypatch, theorem_id, fail=None, before_solving=False):
+    """Wrap a registered trial function: record the thread and live thread
+    count of each trial and whether it returned; trial ``fail`` raises,
+    before or after its own work."""
+    real = campaigns._REGISTRY[theorem_id]
+    log = {}
+
+    def trial_fn(trial, *args):
+        log[trial] = {"thread": threading.current_thread(), "ok": False}
+        if trial == fail and before_solving:
+            raise ValueError(f"trial {trial} refused")
+        out = real(trial, *args)
+        log[trial]["threads"] = threading.active_count()
+        if trial == fail:
+            raise ValueError(f"trial {trial} refused")
+        log[trial]["ok"] = True
+        return out
+
+    monkeypatch.setitem(campaigns._REGISTRY, theorem_id, trial_fn)
+    return log
+
+
+def _assert_no_leftovers(threads_before):
+    assert threading.active_count() == threads_before
+    assert core._MEMO.get() is None and core._BATCH.get() is None
+
+
+@pytest.mark.parametrize("before_solving", [True, False])
+@pytest.mark.parametrize("fail", [0, 2])
+def test_failing_trial_raises_serial_error(monkeypatch, fail, before_solving):
+    log = _track_trials(monkeypatch, "furuta", fail, before_solving)
+    expected = _raised(run_campaign_serial, "furuta", n=3, n3=4, trials=4, seed=3)
+    threads_before = threading.active_count()
+    log.clear()
+    assert _raised(run_campaign, "furuta", n=3, n3=4, trials=4, seed=3) == expected
+    assert expected == (ValueError, f"trial {fail} refused")
+    _assert_no_leftovers(threads_before)
+    # trial 0 runs on the calling thread, trial 2 on a thread of its own,
+    # and every other trial still runs to the end
+    assert (log[fail]["thread"] is threading.current_thread()) == (fail == 0)
+    assert [t for t in sorted(log) if log[t]["ok"]] == [t for t in range(4) if t != fail]
+
+
+def test_every_trial_failing_raises_trial_zero_error(monkeypatch):
+    def singular(q):
+        raise SingularTensorError(0, float("inf"))
+
+    monkeypatch.setattr(campaigns, "t_inverse", singular)
+    expected = _raised(run_campaign_serial, "bauer-fike", n=2, n3=2, trials=5, seed=7)
+    assert expected[0] is HypothesisViolationError and "trial=0)" in expected[1]
+    assert _raised(run_campaign, "bauer-fike", n=2, n3=2, trials=5, seed=7) == expected
+
+
+def _solved_per_trial(monkeypatch, theorem_id, **kwargs):
+    """Stacks each trial hands the kernel in the serial oracle, in order."""
+    stacks, current = {}, [None]
+    real = campaigns._REGISTRY[theorem_id]
+    kernel = eigensolvers._jacobi
+
+    def trial_fn(trial, *args):
+        current[0] = trial
+        stacks[trial] = []
+        return real(trial, *args)
+
+    def recording_kernel(stack, max_sweeps):
+        stacks[current[0]].append(stack.copy())
+        return kernel(stack, max_sweeps)
+
+    with monkeypatch.context() as patch:
+        patch.setitem(campaigns._REGISTRY, theorem_id, trial_fn)
+        patch.setattr(eigensolvers, "_jacobi", recording_kernel)
+        run_campaign_serial(theorem_id, **kwargs)
+    return stacks
+
+
+def test_merged_call_error_reaches_only_its_trial(monkeypatch):
+    kwargs = dict(n=4, n3=4, trials=4, seed=0)
+    stacks = _solved_per_trial(monkeypatch, "furuta", **kwargs)
+    others = {m.tobytes() for t in (0, 1, 3) for s in stacks[t] for m in s}
+    poison = next(m.tobytes() for s in stacks[2] for m in s if m.tobytes() not in others)
+    kernel = eigensolvers._jacobi
+    raised_sizes = []
+
+    def poisoned_kernel(stack, max_sweeps):
+        if any(m.tobytes() == poison for m in stack):
+            raised_sizes.append(len(stack))
+            raise NotSymmetricError("poisoned member")
+        return kernel(stack, max_sweeps)
+
+    monkeypatch.setattr(eigensolvers, "_jacobi", poisoned_kernel)
+    log = _track_trials(monkeypatch, "furuta")
+    expected = _raised(run_campaign_serial, "furuta", **kwargs)
+    assert expected == (NotSymmetricError, "poisoned member")
+    log.clear()
+    del raised_sizes[:]
+    threads_before = threading.active_count()
+    assert _raised(run_campaign, "furuta", **kwargs) == expected
+    _assert_no_leftovers(threads_before)
+    # the merged call raised, then trial 2's stack alone did; the rest went on
+    poisoned_stack = next(len(s) for s in stacks[2] if any(m.tobytes() == poison for m in s))
+    assert raised_sizes[0] > poisoned_stack and raised_sizes[1:] == [poisoned_stack]
+    assert [t for t in sorted(log) if log[t]["ok"]] == [0, 1, 3]
+
+
+def test_lockstep_merges_each_round_into_one_call(monkeypatch):
+    # furuta solves only 4x4 stacks with the default sweep budget, so round r
+    # is one kernel call holding every live trial's r-th stack
+    kwargs = dict(n=4, n3=4, trials=8, seed=0)
+    per_trial = _solved_per_trial(monkeypatch, "furuta", **kwargs)
+    calls = []
+    kernel = eigensolvers._jacobi
+
+    def counting_kernel(stack, max_sweeps):
+        calls.append(len(stack))
+        return kernel(stack, max_sweeps)
+
+    monkeypatch.setattr(eigensolvers, "_jacobi", counting_kernel)
+    threads_before = threading.active_count()
+    run_campaign("furuta", **kwargs)
+    _assert_no_leftovers(threads_before)
+    assert len(calls) == max(len(s) for s in per_trial.values())
+    assert sum(calls) == sum(len(s) for t in per_trial.values() for s in t)
+
+
+def test_lockstep_starts_threads_only_for_waiting_trials(monkeypatch):
+    # one trial (a long tube) and trials that never call the eigensolver
+    # run on the calling thread alone
+    threads_before = threading.active_count()
+    for theorem_id, n, n3, trials in (("furuta", 3, 128, 1), ("schur", 3, 3, 8)):
+        log = _track_trials(monkeypatch, theorem_id)
+        run_campaign(theorem_id, n=n, n3=n3, trials=trials, seed=1)
+        assert all(e["thread"] is threading.current_thread() for e in log.values())
+        assert all(e["threads"] == threads_before for e in log.values())
+    log = _track_trials(monkeypatch, "furuta")
+    run_campaign("furuta", n=3, n3=3, trials=8, seed=1)
+    assert len({e["thread"] for e in log.values()}) == 8
+    _assert_no_leftovers(threads_before)
+
+
+class _InterruptedTurn:
+    """A turn lock whose next wait raises, as an interrupt would."""
+
+    def __init__(self, lock):
+        self.lock = lock
+
+    def acquire(self):
+        raise KeyboardInterrupt
+
+    def release(self):
+        self.lock.release()
+
+
+def test_batcher_interrupted_wait_leaves_no_worker_blocked():
+    solved = []
+
+    def kernel(stack):
+        solved.append(stack[:, 0].tolist())
+        return (2.0 * stack,)
+
+    def run(worker):
+        first = core._batched(kernel, np.full((1, 1), float(worker)))
+        if worker == 0:
+            batcher._turn[0] = _InterruptedTurn(batcher._turn[0])
+        second = core._batched(kernel, np.full((1, 1), 10.0 + worker))
+        return first[0][0, 0], second[0][0, 0]
+
+    batcher = core._Batcher(run, range(3))
+    outcomes = []
+    caller = threading.Thread(target=lambda: outcomes.extend(batcher.run()))
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert isinstance(outcomes[0], KeyboardInterrupt)
+    assert outcomes[1:] == [(2.0, 22.0), (4.0, 24.0)]
+    # round 1 merged all three calls; worker 0's second call was withdrawn
+    assert solved == [[0.0, 1.0, 2.0], [11.0, 12.0]]
+    assert len(batcher._threads) == 2
+    assert not any(t.is_alive() for t in batcher._threads)
+
+
+def test_batcher_interrupt_in_merged_call_reaches_every_waiting_worker():
+    # the last worker finishes without a call, so the merged call runs as it
+    # retires; the interrupt must reach both waiting workers, not strand them
+    def kernel(stack):
+        raise KeyboardInterrupt
+
+    def run(worker):
+        return "done" if worker == 2 else core._batched(kernel, np.zeros((1, 1)))
+
+    batcher = core._Batcher(run, range(3))
+    outcomes = []
+    caller = threading.Thread(target=lambda: outcomes.extend(batcher.run()))
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert [type(o) for o in outcomes[:2]] == [KeyboardInterrupt, KeyboardInterrupt]
+    assert outcomes[2] == "done"

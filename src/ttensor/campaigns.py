@@ -14,21 +14,24 @@ the memo.
 
 Trials run in windows of lockstep workers (:class:`ttensor.core._Batcher`),
 so the eigensolver calls of a window's trials are merged into one stacked
-Jacobi call per round: at small ``n`` a stacked call costs about as much for
-one member as for dozens.  The workers are threads used as coroutines, one
-running at a time, not for parallelism.  The calling thread runs the first
-trial, and a trial gets a thread of its own only when the one before it
-waits in a solver call, so a one-trial campaign, or one whose trials never
-call the Hermitian solver, starts no thread.  A window holds at most 64
-trials and at most 4096 tensor entries (``n * n * n3`` a trial), but at
-least one trial; the bound keeps the memos a window holds at once small.
-There is no setting.  A merged call gives every trial the bits it would get
-alone, so reports are byte-identical to running the trials one after
-another; a trial's error reaches only that trial, and the campaign raises
-the error of the lowest failing trial, as a serial loop would.  The memo and
-the batcher are context variables, so :func:`run_campaign` may be called
-from several threads at once and each call's report is byte-identical to a
-lone serial run.
+call per round: the Jacobi solves of every theorem that takes powers, PSD
+checks or symmetric spectra, and the Hessenberg + QR solves of the theorems
+on the t-eigenvalues of non-symmetric tensors (``gershgorin``,
+``bauer-fike``, ``schur``).  At small ``n`` a stacked call costs about as
+much for one member as for dozens.  The workers are threads used as
+coroutines, one running at a time, not for parallelism.  The calling thread
+runs the first trial, and a trial gets a thread of its own only when the one
+before it waits in a solver call, so a one-trial campaign, or one whose
+trials never call an eigensolver (``am-gm``), starts no thread.  A window
+holds at most 64 trials and at most 4096 tensor entries (``n * n * n3`` a
+trial), but at least one trial; the bound keeps the memos a window holds at
+once small.  There is no setting.  A merged call gives every trial the bits
+it would get alone, so reports are byte-identical to running the trials one
+after another; a trial's error reaches only that trial, and the campaign
+raises the error of the lowest failing trial, as a serial loop would.  The
+memo and the batcher are context variables, so :func:`run_campaign` may be
+called from several threads at once and each call's report is
+byte-identical to a lone serial run.
 """
 
 from __future__ import annotations

@@ -12,11 +12,21 @@ Two kernels back everything spectral in this package:
   ``(p, q)`` row order of the one-matrix method, so every member's result is
   bit-for-bit what solving it alone gives.
 * :func:`general_eig`: Householder reduction to upper Hessenberg form
-  followed by explicitly shifted QR iteration with Wilkinson shifts and
-  subdiagonal deflation at ``1e-13 * ||H||_F``.  Returns all eigenvalues of a
-  general complex matrix (order unspecified).
+  followed by explicitly shifted QR iteration with Wilkinson shifts (an
+  exceptional shift every 12th step without a deflation) and subdiagonal
+  deflation at ``1e-13 * ||H||_F``.  Returns all eigenvalues of a general
+  complex matrix, in the order they deflate from the bottom.  It also takes a
+  ``(b, n, n)`` stack: each Householder step is one array operation across
+  the members whose column is not already zero, and the QR phase keeps each
+  member's own active window, step and stall counts.  A round deflates the
+  members that can and gives every other member one QR step, one array call
+  per distinct window; members leave the live set as they finish.  Products
+  of two complex scalars, which numpy's array loops may round differently
+  from its scalars, are spelled out in real arithmetic, so every member's
+  values, order included, are bit-for-bit what solving it alone gives.
 
-Both are plain sequential numpy, so results are bit-reproducible.
+Both are plain numpy with fixed operation order, so results are
+bit-reproducible.
 
 Inside a per-trial memo scope (:func:`ttensor.core._trial_memo`),
 :func:`hermitian_eig` remembers each decomposition keyed by
@@ -31,12 +41,13 @@ decomposition per distinct slice matrix and is freed when the trial ends.
 Outside a scope every call solves afresh.  There is no setting: a hit returns
 the very result the kernel would have computed.
 
-The members :func:`hermitian_eig` does solve go to the Jacobi kernel through
-the lockstep batcher (:func:`ttensor.core._batched`).  Inside a campaign
-window, the stacks of the window's trials are merged into one kernel call;
-since every member's result is independent of the rest of its stack, each
-trial gets the bits it would get alone.  Outside a campaign the kernel is
-called directly.
+Both solvers reach their kernels through the lockstep batcher
+(:func:`ttensor.core._batched`): the members :func:`hermitian_eig` does solve
+go to the Jacobi kernel, and every :func:`general_eig` stack goes to the QR
+kernel.  Inside a campaign window, the stacks of the window's trials are
+merged into one kernel call per solver, member shape and budget; since every
+member's result is independent of the rest of its stack, each trial gets the
+bits it would get alone.  Outside a campaign the kernel is called directly.
 """
 
 from __future__ import annotations
@@ -68,10 +79,11 @@ class HermitianEigen:
     vectors: np.ndarray
 
 
-def _as_square_complex(m) -> np.ndarray:
-    a = np.array(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+def _square_stack(m) -> np.ndarray:
+    """``m`` as a C-ordered complex matrix or ``(b, n, n)`` stack."""
+    a = np.array(m, dtype=complex, order="C")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     return a
 
 
@@ -86,9 +98,7 @@ def hermitian_eig(m, max_sweeps: int = _MAX_SWEEPS) -> HermitianEigen:
     across platforms.  Inside a per-trial memo scope a repeated matrix returns
     the stored, read-only result.
     """
-    a = np.array(m, dtype=complex, order="C")
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    a = _square_stack(m)
     stack = a if a.ndim == 3 else a[None]
     memo = _MEMO.get()
     if memo is None:
@@ -113,7 +123,7 @@ def hermitian_eig(m, max_sweeps: int = _MAX_SWEEPS) -> HermitianEigen:
 
 def _frobenius(a: np.ndarray) -> np.ndarray:
     """Per-member ``np.linalg.norm``, with the same BLAS dot products."""
-    flat = a.reshape(a.shape[0], -1)
+    flat = a.reshape(a.shape[0], int(np.prod(a.shape[1:])))
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
@@ -220,114 +230,176 @@ def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, skip: np.ndarray) -> N
 # ---------------------------------------------------------------------------
 
 def general_eig(m, iter_per_eigenvalue: int = 30) -> np.ndarray:
-    """All eigenvalues of a general complex square matrix, order unspecified."""
-    h = _hessenberg(_as_square_complex(m))
-    n = h.shape[0]
-    norm = float(np.linalg.norm(h))
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    if norm == 0.0:
-        return np.zeros(n, dtype=complex)
+    """All eigenvalues of a general complex square matrix, or of each member
+    of a ``(b, n, n)`` stack, in the order they deflate.
+
+    A matrix gives ``(n,)`` values and a stack ``(b, n)``.  Each member is
+    solved as if alone, so its values and their order do not depend on the
+    rest of the stack.  A member that does not converge within
+    ``iter_per_eigenvalue * n`` QR steps raises
+    :class:`EigenConvergenceError`; in a stack, the lowest such member is
+    reported.
+    """
+    a = _square_stack(m)
+    (values,) = _batched(_qr_eig, a if a.ndim == 3 else a[None], iter_per_eigenvalue)
+    return values if a.ndim == 3 else values[0]
+
+
+def _qr_eig(a: np.ndarray, iter_per_eigenvalue: int) -> tuple[np.ndarray]:
+    """Hessenberg reduction and shifted QR on a ``(b, n, n)`` stack; ``(values,)``.
+
+    Each member keeps its own state: the end of its unreduced part, its QR
+    step count and its stall count since the last deflation.  A round scans
+    every live member's subdiagonal, deflates the members whose bottom 1x1 or
+    2x2 block has split off, and gives every other member one QR step on its
+    active window ``[lo, end)``, one array call per distinct window.
+    """
+    b, n, _ = a.shape
+    h = _hessenberg(a)
+    norm = _frobenius(h)
     tol = _OFFDIAG_FACTOR * norm
-
-    eigs: list[complex] = []
-    end = n
+    values = np.zeros((b, n), dtype=complex)
+    end = np.full(b, n)
+    used = np.zeros(b, dtype=int)
+    stall = np.zeros(b, dtype=int)
     budget = iter_per_eigenvalue * n
-    used = 0
-    stall = 0
-    while end > 0:
-        for i in range(1, end):
-            if abs(h[i, i - 1]) <= tol:
-                h[i, i - 1] = 0.0
-        lo = end - 1
-        while lo > 0 and h[lo, lo - 1] != 0.0:
-            lo -= 1
-        if lo == end - 1:
-            eigs.append(complex(h[lo, lo]))
-            end -= 1
-            stall = 0
-            continue
-        if lo == end - 2:
-            w1, w2 = _eig2(h[lo, lo], h[lo, lo + 1], h[lo + 1, lo], h[lo + 1, lo + 1])
-            eigs.extend([w1, w2])
-            end -= 2
-            stall = 0
-            continue
+    failures: dict[int, str] = {}
+    sub_rows = np.arange(1, n)
+    live = np.flatnonzero(norm != 0.0) if n else np.arange(0)
+    while live.size:
+        e = end[live]
+        # zero negligible subdiagonals, then find the top of the bottom block
+        sub = h[live[:, None], sub_rows, sub_rows - 1]
+        inside = sub_rows < e[:, None]
+        small = inside & (np.hypot(sub.real, sub.imag) <= tol[live, None])
+        member, row = np.nonzero(small)
+        h[live[member], sub_rows[row], sub_rows[row] - 1] = 0.0
+        split = inside & (small | (sub == 0.0))
+        lo = np.where(split, sub_rows, 0).max(axis=1, initial=0)
 
-        used += 1
-        stall += 1
-        if used > budget:
-            raise EigenConvergenceError(
+        one = lo == e - 1
+        if one.any():
+            m, k = live[one], lo[one]
+            values[m, n - e[one]] = h[m, k, k]
+        two = lo == e - 2
+        if two.any():
+            m, k = live[two], lo[two]
+            w1, w2 = _eig2(h[m, k, k], h[m, k, k + 1], h[m, k + 1, k], h[m, k + 1, k + 1])
+            values[m, n - e[two]] = w1
+            values[m, n - e[two] + 1] = w2
+        end[live] = e - one - 2 * two
+        stall[live[one | two]] = 0
+
+        step = ~(one | two)
+        m, k, e = live[step], lo[step], e[step]
+        used[m] += 1
+        stall[m] += 1
+        over = used[m] > budget
+        for i in np.flatnonzero(over):
+            failures[int(m[i])] = (
                 f"QR iteration budget exhausted ({budget} steps for n={n}); "
-                f"active block [{lo}, {end})"
+                f"active block [{k[i]}, {e[i]})"
             )
-        if stall % 12 == 0:
-            # exceptional shift to break symmetric stagnation cycles
-            mu = h[end - 1, end - 1] + 0.75 * abs(h[end - 1, end - 2])
-        else:
-            mu = _wilkinson_shift(h, end)
-        _qr_step(h, lo, end, mu)
+        end[m[over]] = 0  # out of steps: leaves the live set
+        m, k, e = m[~over], k[~over], e[~over]
+        if m.size:
+            _shifted_qr_steps(h, m, k, e, stall[m] % 12 == 0)
+        live = live[end[live] > 0]
+    if failures:
+        raise EigenConvergenceError(failures[min(failures)])
+    return (values,)
 
-    return np.asarray(eigs, dtype=complex)
+
+def _shifted_qr_steps(h, m, lo, end, exceptional) -> None:
+    """One shifted QR step on each member ``m`` of ``h``, on its window
+    ``[lo, end)``: a Wilkinson shift, or every 12th stalled step an
+    exceptional one to break symmetric stagnation cycles."""
+    a, b = h[m, end - 2, end - 2], h[m, end - 2, end - 1]
+    c, d = h[m, end - 1, end - 2], h[m, end - 1, end - 1]
+    w1, w2 = _eig2(a, b, c, d)
+    near = w1 - d
+    far = w2 - d
+    mu = np.where(np.hypot(near.real, near.imag) <= np.hypot(far.real, far.imag), w1, w2)
+    if exceptional.any():
+        mu[exceptional] = d[exceptional] + 0.75 * np.hypot(c.real, c.imag)[exceptional]
+    base = h.shape[1] + 1
+    window = lo * base + end
+    for key in np.unique(window):
+        same = window == key
+        lo_w, end_w = divmod(int(key), base)
+        block = h[m[same], lo_w:end_w, lo_w:end_w]
+        _qr_step(block, mu[same])
+        h[m[same], lo_w:end_w, lo_w:end_w] = block
 
 
-def _hessenberg(m: np.ndarray) -> np.ndarray:
-    h = m.copy()
-    n = h.shape[0]
+def _hessenberg(a: np.ndarray) -> np.ndarray:
+    """Householder reduction of each member of a ``(b, n, n)`` stack to upper
+    Hessenberg form; a member whose column is already zero skips that step."""
+    h = a.copy()
+    n = h.shape[1]
     for k in range(n - 2):
-        x = h[k + 1:, k]
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
+        v = h[:, k + 1:, k].copy()
+        alpha = v[:, 0]
+        phase = np.ones(len(v), dtype=complex)
+        nonzero = alpha != 0
+        phase[nonzero] = alpha[nonzero] / np.hypot(alpha.real, alpha.imag)[nonzero]
+        v[:, 0] += phase * _frobenius(v)
+        nv = _frobenius(v)
+        live = np.flatnonzero(nv != 0.0)  # nv is 0 exactly when the column is
+        if not live.size:
             continue
-        v = x.copy()
-        alpha = v[0]
-        phase = alpha / abs(alpha) if alpha != 0 else 1.0
-        v[0] += phase * nx
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            continue
-        v /= nv
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
-        h[k + 2:, k] = 0.0
+        v = v[live] / nv[live, None]
+        hl = h[live]
+        below = hl[:, k + 1:, k:]
+        below -= 2.0 * (v[:, :, None] * np.matmul(v.conj()[:, None, :], below))
+        right = hl[:, :, k + 1:]
+        right -= 2.0 * (np.matmul(right, v[:, :, None]) * v.conj()[:, None, :])
+        hl[:, k + 2:, k] = 0.0
+        h[live] = hl
     return h
 
 
-def _eig2(a, b, c, d) -> tuple[complex, complex]:
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x * y`` in the arithmetic of numpy's complex scalars; the array loop
+    may fuse a multiply and an add, which rounds differently."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _eig2(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
+    """Both roots of each 2x2 block ``[[a, b], [c, d]]``, elementwise.
+
+    ``np.power`` and :func:`_cmul` give the bits of the scalar expression
+    ``0.5 * (a + d) +- sqrt(0.25 * (a - d) ** 2 + b * c)``."""
     mid = 0.5 * (a + d)
-    disc = np.sqrt(complex(0.25 * (a - d) ** 2 + b * c))
-    return complex(mid + disc), complex(mid - disc)
+    disc = np.sqrt(0.25 * np.power(a - d, 2.0) + _cmul(b, c))
+    return mid + disc, mid - disc
 
 
-def _wilkinson_shift(h: np.ndarray, end: int) -> complex:
-    a, b = h[end - 2, end - 2], h[end - 2, end - 1]
-    c, d = h[end - 1, end - 2], h[end - 1, end - 1]
-    w1, w2 = _eig2(a, b, c, d)
-    return w1 if abs(w1 - d) <= abs(w2 - d) else w2
-
-
-def _qr_step(h: np.ndarray, lo: int, end: int, mu: complex) -> None:
-    """One explicit shifted QR sweep on the active window ``[lo, end)``."""
-    idx = np.arange(lo, end)
-    h[idx, idx] -= mu
+def _qr_step(h: np.ndarray, mu: np.ndarray) -> None:
+    """One explicit shifted QR sweep on every member of a ``(b, w, w)`` stack
+    of active windows, member ``i`` shifted by ``mu[i]``; in place."""
+    w = h.shape[1]
+    idx = np.arange(w)
+    h[:, idx, idx] -= mu[:, None]
     rotations = []
-    for k in range(lo, end - 1):
-        x, y = h[k, k], h[k + 1, k]
-        r = np.hypot(abs(x), abs(y))
-        if r == 0.0:
-            rotations.append((1.0 + 0.0j, 0.0 + 0.0j))
-            continue
-        g00 = x.conjugate() / r
-        g01 = y.conjugate() / r
+    for k in range(w - 1):
+        # r >= |y| > 0: y is a subdiagonal entry of an unreduced window, and
+        # earlier rotations of this sweep leave row k + 1 alone
+        x, y = h[:, k, k:k + 1], h[:, k + 1, k:k + 1]
+        r = np.hypot(np.hypot(x.real, x.imag), np.hypot(y.real, y.imag))
+        g00 = x.conj() / r
+        g01 = y.conj() / r
+        row_k = h[:, k, k:].copy()
+        row_k1 = h[:, k + 1, k:].copy()
+        h[:, k, k:] = g00 * row_k + g01 * row_k1
+        h[:, k + 1, k:] = -g01.conj() * row_k + g00.conj() * row_k1
         rotations.append((g00, g01))
-        row_k = h[k, k:end].copy()
-        row_k1 = h[k + 1, k:end].copy()
-        h[k, k:end] = g00 * row_k + g01 * row_k1
-        h[k + 1, k:end] = -g01.conjugate() * row_k + g00.conjugate() * row_k1
-    for k in range(lo, end - 1):
-        g00, g01 = rotations[k - lo]
-        col_k = h[lo:end, k].copy()
-        col_k1 = h[lo:end, k + 1].copy()
-        h[lo:end, k] = col_k * g00.conjugate() + col_k1 * g01.conjugate()
-        h[lo:end, k + 1] = -col_k * g01 + col_k1 * g00
-    h[idx, idx] += mu
+    for k, (g00, g01) in enumerate(rotations):
+        col_k = h[:, :, k].copy()
+        col_k1 = h[:, :, k + 1].copy()
+        h[:, :, k] = col_k * g00.conj() + col_k1 * g01.conj()
+        h[:, :, k + 1] = -col_k * g01 + col_k1 * g00
+    h[:, idx, idx] += mu[:, None]

@@ -61,13 +61,13 @@ def t_eigenvalues(a) -> TEigenSpectrum:
         raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {a.shape}")
     fa = to_fourier(a)
     if not isinstance(a, Tensor3):
-        values = np.concatenate([general_eig(s) for s in fa.slices])
+        values = general_eig(fa.slices).ravel()
         return TEigenSpectrum(values, np.repeat(np.arange(a.n3), a.n1))
     half = fa.half()
     if is_symmetric(a):
         w = hermitian_eig(0.5 * (half + _herm_t(half))).values.astype(complex)
     else:
-        w = np.stack([general_eig(s) for s in half])
+        w = general_eig(half)
     # slice k, then its conjugate partner n3 - k when that is another slice
     k = np.arange(len(half))
     keep = np.stack([np.full(len(k), True), (0 < k) & (k < a.n3 - k)], axis=1)

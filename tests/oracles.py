@@ -3,10 +3,11 @@
 These deliberately avoid the library's own code paths: the block-circulant
 matrix is assembled entry by entry from the tensor data, the largest singular
 value comes from power iteration, and the quadratic form is summed directly.
-The one-matrix cyclic Jacobi is kept here as the reference the stacked
-Hermitian solver must match bit for bit, the slice-major inverse DFT as the
-reference for the tube-major one in ``from_fourier``, and the serial trial
-loop as the reference for the lockstep windows of ``run_campaign``.
+The one-matrix cyclic Jacobi and the one-matrix Hessenberg + shifted QR are
+kept here as the references the stacked solvers must match bit for bit, the
+slice-major inverse DFT as the reference for the tube-major one in
+``from_fourier``, and the serial trial loop as the reference for the lockstep
+windows of ``run_campaign``.
 """
 
 import numpy as np
@@ -148,6 +149,128 @@ def _jacobi_rotate(a, v, p, q, skip):
     vcol_q = v[:, q].copy()
     v[:, p] = c * vcol_p - spc * vcol_q
     v[:, q] = sp * vcol_p + c * vcol_q
+
+
+def general_eig_reference(m, iter_per_eigenvalue: int = 30):
+    """Hessenberg reduction plus shifted QR on one matrix, in scalar steps.
+
+    The one-matrix form of ``ttensor.general_eig``: eigenvalues in the order
+    they deflate from the bottom of the active block, a 2x2 block giving both
+    roots of its characteristic polynomial.  The stacked solver must
+    reproduce its values, order included, bit for bit, and its errors.
+    """
+    from ttensor import EigenConvergenceError
+
+    h = _hessenberg(np.array(m, dtype=complex))
+    n = h.shape[0]
+    norm = float(np.linalg.norm(h))
+    if n == 0:
+        return np.zeros(0, dtype=complex)
+    if norm == 0.0:
+        return np.zeros(n, dtype=complex)
+    tol = 1e-13 * norm
+
+    eigs = []
+    end = n
+    budget = iter_per_eigenvalue * n
+    used = 0
+    stall = 0
+    while end > 0:
+        for i in range(1, end):
+            if abs(h[i, i - 1]) <= tol:
+                h[i, i - 1] = 0.0
+        lo = end - 1
+        while lo > 0 and h[lo, lo - 1] != 0.0:
+            lo -= 1
+        if lo == end - 1:
+            eigs.append(complex(h[lo, lo]))
+            end -= 1
+            stall = 0
+            continue
+        if lo == end - 2:
+            w1, w2 = _eig2(h[lo, lo], h[lo, lo + 1], h[lo + 1, lo], h[lo + 1, lo + 1])
+            eigs.extend([w1, w2])
+            end -= 2
+            stall = 0
+            continue
+
+        used += 1
+        stall += 1
+        if used > budget:
+            raise EigenConvergenceError(
+                f"QR iteration budget exhausted ({budget} steps for n={n}); "
+                f"active block [{lo}, {end})"
+            )
+        if stall % 12 == 0:
+            # exceptional shift to break symmetric stagnation cycles
+            mu = h[end - 1, end - 1] + 0.75 * abs(h[end - 1, end - 2])
+        else:
+            mu = _wilkinson_shift(h, end)
+        _qr_step(h, lo, end, mu)
+
+    return np.asarray(eigs, dtype=complex)
+
+
+def _hessenberg(m):
+    h = m.copy()
+    n = h.shape[0]
+    for k in range(n - 2):
+        x = h[k + 1:, k]
+        nx = float(np.linalg.norm(x))
+        if nx == 0.0:
+            continue
+        v = x.copy()
+        alpha = v[0]
+        phase = alpha / abs(alpha) if alpha != 0 else 1.0
+        v[0] += phase * nx
+        nv = float(np.linalg.norm(v))
+        if nv == 0.0:
+            continue
+        v /= nv
+        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
+        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
+        h[k + 2:, k] = 0.0
+    return h
+
+
+def _eig2(a, b, c, d):
+    mid = 0.5 * (a + d)
+    disc = np.sqrt(complex(0.25 * (a - d) ** 2 + b * c))
+    return complex(mid + disc), complex(mid - disc)
+
+
+def _wilkinson_shift(h, end):
+    a, b = h[end - 2, end - 2], h[end - 2, end - 1]
+    c, d = h[end - 1, end - 2], h[end - 1, end - 1]
+    w1, w2 = _eig2(a, b, c, d)
+    return w1 if abs(w1 - d) <= abs(w2 - d) else w2
+
+
+def _qr_step(h, lo, end, mu):
+    """One explicit shifted QR sweep on the active window ``[lo, end)``."""
+    idx = np.arange(lo, end)
+    h[idx, idx] -= mu
+    rotations = []
+    for k in range(lo, end - 1):
+        x, y = h[k, k], h[k + 1, k]
+        r = np.hypot(abs(x), abs(y))
+        if r == 0.0:
+            rotations.append((1.0 + 0.0j, 0.0 + 0.0j))
+            continue
+        g00 = x.conjugate() / r
+        g01 = y.conjugate() / r
+        rotations.append((g00, g01))
+        row_k = h[k, k:end].copy()
+        row_k1 = h[k + 1, k:end].copy()
+        h[k, k:end] = g00 * row_k + g01 * row_k1
+        h[k + 1, k:end] = -g01.conjugate() * row_k + g00.conjugate() * row_k1
+    for k in range(lo, end - 1):
+        g00, g01 = rotations[k - lo]
+        col_k = h[lo:end, k].copy()
+        col_k1 = h[lo:end, k + 1].copy()
+        h[lo:end, k] = col_k * g00.conjugate() + col_k1 * g01.conjugate()
+        h[lo:end, k + 1] = -col_k * g01 + col_k1 * g00
+    h[idx, idx] += mu
 
 
 def conjugate_pair_worst_reference(slices):

@@ -12,6 +12,7 @@ import pytest
 from oracles import run_campaign_serial
 from ttensor import (
     THEOREM_IDS,
+    EigenConvergenceError,
     HypothesisViolationError,
     NotSymmetricError,
     SingularTensorError,
@@ -378,18 +379,69 @@ def test_lockstep_merges_each_round_into_one_call(monkeypatch):
     assert sum(calls) == sum(len(s) for t in per_trial.values() for s in t)
 
 
-def test_lockstep_starts_threads_only_for_waiting_trials(monkeypatch):
-    # one trial (a long tube) and trials that never call the eigensolver
-    # run on the calling thread alone
+def _count_general_kernel(monkeypatch):
+    """Stack sizes handed to the general eigensolver's kernel, in order."""
+    calls = []
+    kernel = eigensolvers._qr_eig
+
+    def counting_kernel(stack, iter_per_eigenvalue):
+        calls.append(len(stack))
+        return kernel(stack, iter_per_eigenvalue)
+
+    monkeypatch.setattr(eigensolvers, "_qr_eig", counting_kernel)
+    return calls
+
+
+@pytest.mark.parametrize("n,n3,trials", [(4, 4, 16), (3, 5, 3), (2, 2, 70)])
+@pytest.mark.parametrize("theorem_id", ["gershgorin", "bauer-fike", "schur"])
+def test_lockstep_merges_general_eig_solves(monkeypatch, theorem_id, n, n3, trials):
+    # each trial takes the t-eigenvalues of the same number of non-symmetric
+    # tensors, so round r merges every trial's r-th general solve
+    kwargs = dict(n=n, n3=n3, trials=trials, seed=0)
+    calls = _count_general_kernel(monkeypatch)
+    serial = _report_bytes(run_campaign_serial(theorem_id, **kwargs))
+    per_trial, rem = divmod(len(calls), trials)
+    assert rem == 0 and per_trial >= 1
+    solved = sum(calls)
+    del calls[:]
+    assert _report_bytes(run_campaign(theorem_id, **kwargs)) == serial
+    windows = -(-trials // campaigns._window_size(n, n3))
+    assert len(calls) == per_trial * windows and sum(calls) == solved
+
+
+def test_merged_general_eig_failure_reaches_only_its_trial(monkeypatch):
+    # with 2 QR steps per eigenvalue only trial 3's slices run out of steps
+    monkeypatch.setattr(eigensolvers.general_eig, "__defaults__", (2,))
+    kwargs = dict(n=3, n3=3, trials=8, seed=0)
+    log = _track_trials(monkeypatch, "gershgorin")
+    expected = _raised(run_campaign_serial, "gershgorin", **kwargs)
+    assert expected[0] is EigenConvergenceError
+    assert [t for t in sorted(log) if not log[t]["ok"]] == [3]
+    calls = _count_general_kernel(monkeypatch)
+    log.clear()
     threads_before = threading.active_count()
-    for theorem_id, n, n3, trials in (("furuta", 3, 128, 1), ("schur", 3, 3, 8)):
+    assert _raised(run_campaign, "gershgorin", **kwargs) == expected
+    _assert_no_leftovers(threads_before)
+    # the merged call of all 8 half spectra (2 slices each) raised, then each
+    # trial's stack was solved alone; every other trial ran to the end
+    assert calls == [16] + [2] * 8
+    assert [t for t in sorted(log) if log[t]["ok"]] == [0, 1, 2, 4, 5, 6, 7]
+
+
+def test_lockstep_starts_threads_only_for_waiting_trials(monkeypatch):
+    # one trial (a long tube) and trials that never call an eigensolver run
+    # on the calling thread alone
+    threads_before = threading.active_count()
+    for theorem_id, n, n3, trials in (("furuta", 3, 128, 1), ("am-gm", 3, 3, 8)):
         log = _track_trials(monkeypatch, theorem_id)
         run_campaign(theorem_id, n=n, n3=n3, trials=trials, seed=1)
         assert all(e["thread"] is threading.current_thread() for e in log.values())
         assert all(e["threads"] == threads_before for e in log.values())
-    log = _track_trials(monkeypatch, "furuta")
-    run_campaign("furuta", n=3, n3=3, trials=8, seed=1)
-    assert len({e["thread"] for e in log.values()}) == 8
+    # trials that wait in a Hermitian or a general solve get a thread each
+    for theorem_id in ("furuta", "schur"):
+        log = _track_trials(monkeypatch, theorem_id)
+        run_campaign(theorem_id, n=3, n3=3, trials=8, seed=1)
+        assert len({e["thread"] for e in log.values()}) == 8
     _assert_no_leftovers(threads_before)
 
 

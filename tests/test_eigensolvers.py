@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from oracles import jacobi_eig_reference
+from oracles import general_eig_reference, jacobi_eig_reference
 from ttensor import EigenConvergenceError, NotSymmetricError, general_eig, hermitian_eig
 from ttensor import eigensolvers
 from ttensor.core import _MEMO, _trial_memo
@@ -294,3 +296,182 @@ def test_memo_two_dimensional_hit_after_stack_returns_stored_result():
             e1.vectors[0, 0] = 0.0
     values, vectors = jacobi_eig_reference(stack[1])
     assert np.array_equal(e1.values, values) and np.array_equal(e1.vectors, vectors)
+
+
+# ---------------------------------------------------------------------------
+# stacked general solver: bit-identical to the one-matrix Hessenberg + QR
+# ---------------------------------------------------------------------------
+
+_GENERAL_KINDS = (
+    "complex", "real", "zero", "triangular", "jordan", "cyclic", "hessenberg", "zero-column",
+)
+
+
+def _general_member(rng, n, kind):
+    """One ``n x n`` matrix of a kind: complex, real-valued, all-zero, upper
+    triangular, a Jordan block (defective), the cyclic shift (the companion
+    matrix of ``x^n - 1``, whose Wilkinson shifts stall until the exceptional
+    shift breaks the cycle), already Hessenberg, or with a zero first column
+    (the Householder step skips it)."""
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "real":
+        return m.real + 0j
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
+    if kind == "triangular":
+        return np.triu(m)
+    if kind == "jordan":
+        return (2.0 * np.eye(n) + np.eye(n, k=1)).astype(complex)
+    if kind == "cyclic":
+        return np.roll(np.eye(n), 1, axis=0).astype(complex)
+    if kind == "hessenberg":
+        return np.triu(m, -1)
+    if kind == "zero-column" and n:
+        m[:, 0] = 0.0
+    return m
+
+
+def _general_stack(rng, n, b, kinds=_GENERAL_KINDS):
+    return np.stack([_general_member(rng, n, kinds[i % len(kinds)]) for i in range(b)])
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def _assert_matches_general_reference(stack, values, iter_per_eigenvalue=30):
+    assert values.shape == stack.shape[:2]
+    for i, m in enumerate(stack):
+        reference = general_eig_reference(m, iter_per_eigenvalue)
+        assert np.array_equal(values[i], reference), i
+        assert _same_bits(values[i], reference), i  # signed zeros included
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_general_stack_matches_reference(n):
+    rng = np.random.default_rng(60 + n)
+    for b in (1, 2, 3, 8, 17, 70):
+        stack = _general_stack(rng, n, b)
+        _assert_matches_general_reference(stack, general_eig(stack))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(0, 8),
+    b=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(_GENERAL_KINDS), min_size=1, max_size=4),
+)
+def test_general_stack_property(n, b, seed, kinds):
+    stack = _general_stack(np.random.default_rng(seed), n, b, kinds)
+    _assert_matches_general_reference(stack, general_eig(stack))
+
+
+def _spy_steps(monkeypatch):
+    """Record, for each round that takes QR steps, the stack members
+    stepped and those given the exceptional shift."""
+    rounds = []
+    steps = eigensolvers._shifted_qr_steps
+
+    def spy(h, members, lo, end, exceptional):
+        rounds.append((members.tolist(), members[exceptional].tolist()))
+        return steps(h, members, lo, end, exceptional)
+
+    monkeypatch.setattr(eigensolvers, "_shifted_qr_steps", spy)
+    return rounds
+
+
+def test_general_stack_exceptional_shift_and_staggered_deflation(monkeypatch):
+    rng = np.random.default_rng(70)
+    kinds = ("cyclic", "triangular", "complex", "jordan", "real", "zero")
+    stack = _general_stack(rng, 5, 12, kinds)
+    rounds = _spy_steps(monkeypatch)
+    values = general_eig(stack)
+    _assert_matches_general_reference(stack, values)
+    # only the cyclic members (0 and 6) stall long enough for the
+    # exceptional shift, and members leave the live set in different rounds
+    assert {m for _, exceptional in rounds for m in exceptional} == {0, 6}
+    last_step = {m: r for r, (members, _) in enumerate(rounds) for m in members}
+    assert len(set(last_step.values())) > 2
+    assert 1 not in last_step and 3 not in last_step  # triangular: no step at all
+
+
+def test_general_stack_reports_first_member_out_of_steps():
+    # the lowest failing member is reported even when a later one runs out
+    # of steps first: member 1 deflates once before it stalls, so it fails a
+    # round after the cyclic member 2, which never deflates
+    rng = np.random.default_rng(71)
+
+    def outcome(m):
+        try:
+            general_eig_reference(m, iter_per_eigenvalue=1)
+        except EigenConvergenceError as exc:
+            return str(exc)
+        return None
+
+    late = next(m for m in (_general_member(rng, 4, "complex") for _ in range(50))
+                if (outcome(m) or "[0, 4)").endswith("[0, 3)"))
+    cyclic = _general_member(rng, 4, "cyclic")
+    assert outcome(cyclic).endswith("[0, 4)")
+    stack = _general_stack(rng, 4, 9, ("triangular", "complex", "cyclic"))
+    stack[1], stack[2] = late, cyclic
+    failing = [(i, outcome(m)) for i, m in enumerate(stack) if outcome(m)]
+    assert len(failing) > 2 and failing[0][0] == 1
+    with pytest.raises(EigenConvergenceError) as err:
+        general_eig(stack, iter_per_eigenvalue=1)
+    assert str(err.value) == failing[0][1]
+    # the members that converge within the budget are not reported
+    ok = [i for i in range(len(stack)) if i not in dict(failing)]
+    _assert_matches_general_reference(stack[ok], general_eig(stack[ok], 1), 1)
+
+
+def test_general_deflation_threshold_uses_scalar_abs():
+    # np.abs and the scalar abs() (a hypot) differ in the last bit on about a
+    # third of complex inputs; a subdiagonal entry whose hypot lies one ulp
+    # above the deflation tolerance 1e-13 * ||H||_F must not deflate
+    rng = np.random.default_rng(74)
+    z = rng.normal(size=64) + 1j * rng.normal(size=64)
+    c = next(c for c in z if np.abs(c) < np.hypot(c.real, c.imag))
+    t = np.abs(c) / 1e-13
+    for _ in range(200):  # step the diagonal until the tolerance is np.abs(c)
+        m = np.array([[t, 0.0], [c, 0.0]])
+        if 1e-13 * np.linalg.norm(m) == np.abs(c):
+            break
+        t = np.nextafter(t, np.inf)
+    else:
+        pytest.fail("no diagonal puts the tolerance on np.abs(c)")
+    reference = general_eig_reference(m)
+    assert reference[1] == 0.0  # one 2x2 block: roots t, then 0
+    assert _same_bits(general_eig(m), reference)
+
+
+def test_general_nan_member_raises():
+    # a NaN that spreads through the reduction never deflates, so the member
+    # runs out of steps instead of returning NaN eigenvalues
+    rng = np.random.default_rng(72)
+    stack = _general_stack(rng, 3, 10)
+    stack[8, 1, 2] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(EigenConvergenceError) as reference:
+            general_eig_reference(stack[8])
+        with pytest.raises(EigenConvergenceError) as err:
+            general_eig(stack)
+    assert str(err.value) == str(reference.value)
+
+
+def test_general_two_dimensional_input_and_shapes():
+    m = _general_member(np.random.default_rng(73), 4, "complex")
+    w = general_eig(m)
+    assert w.shape == (4,) and _same_bits(general_eig(m[None])[0], w)
+    assert _same_bits(general_eig(m.real), general_eig(m.real + 0j))
+    assert general_eig(np.zeros((0, 3, 3))).shape == (0, 3)
+    assert general_eig(np.zeros((2, 0, 0))).shape == (2, 0)
+    assert hermitian_eig(np.zeros((0, 3, 3))).values.shape == (0, 3)
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((2, 2, 3)), np.zeros((1, 1, 2, 2))):
+        with pytest.raises(ValueError) as general_err:
+            general_eig(bad)
+        with pytest.raises(ValueError) as hermitian_err:
+            hermitian_eig(bad)
+        assert str(general_err.value) == str(hermitian_err.value)

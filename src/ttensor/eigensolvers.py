@@ -26,7 +26,9 @@ Two kernels back everything spectral in this package:
   values, order included, are bit-for-bit what solving it alone gives.
 
 Both are plain numpy with fixed operation order, so results are
-bit-reproducible.
+bit-reproducible.  Both reject a matrix or stack holding NaN or Inf on entry
+with :class:`EigenConvergenceError`, naming the lowest such member, since no
+iteration converges on it.
 
 Inside a per-trial memo scope (:func:`ttensor.core._trial_memo`),
 :func:`hermitian_eig` remembers each decomposition keyed by
@@ -80,10 +82,20 @@ class HermitianEigen:
 
 
 def _square_stack(m) -> np.ndarray:
-    """``m`` as a C-ordered complex matrix or ``(b, n, n)`` stack."""
+    """``m`` as a C-ordered complex matrix or ``(b, n, n)`` stack.
+
+    A NaN or infinite entry raises :class:`EigenConvergenceError` naming the
+    lowest member that holds one.  No iteration converges on such a member,
+    so it fails here, before the memo and the batcher see it, instead of
+    after its whole iteration budget inside a merged campaign call.
+    """
     a = np.array(m, dtype=complex, order="C")
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        where = "matrix" if a.ndim == 2 else f"stack member {np.argmin(finite.all(axis=(1, 2)))}"
+        raise EigenConvergenceError(f"{where} has a non-finite entry (NaN or Inf)")
     return a
 
 

@@ -49,7 +49,8 @@ class NotTPSDError(TtensorError):
 
 
 class EigenConvergenceError(TtensorError):
-    """An iterative eigensolver failed to converge within its sweep budget."""
+    """An iterative eigensolver failed to converge within its sweep budget,
+    or was handed a non-finite matrix, on which no iteration converges."""
 
 
 class HypothesisViolationError(TtensorError):

@@ -4,17 +4,53 @@ The transform pair moves tensors between the spatial domain and the complex
 Fourier slices that block-diagonalize the block-circulant unfolding.  The
 slices are held as one stacked ``(n3, n1, n2)`` array, so slicewise work
 (products, inverses, eigendecompositions) is one array call over the stack.
-The forward kernel is the dense DFT matrix with ``omega = exp(-2*pi*i/n3)``
-applied along tubes (unnormalized); the inverse divides by ``n3``.  A dense
-kernel is deliberate: tube counts stay desk-scale here, and the explicit
-matrix pins the sign/normalization convention exactly.  The inverse first
-lays the slices out tube-major, ``(n1, n2, n3)``, so its reduction over the
-slice index runs along contiguous memory.  Each output entry is still the
-sum over ``t`` of the same products ``conj(F)[k, t] * slices[t, i, j]``, and
-numpy's einsum accumulates complex products one term at a time in ``t``
-order for either layout, so the result is bit for bit what the slice-major
-product gives (the tests pin this for ``n3`` up to 1024); only the memory
-walk is faster.
+The forward kernel is the dense DFT matrix ``F`` with
+``omega = exp(-2*pi*i/n3)`` applied along tubes (unnormalized); the inverse
+applies ``conj(F)`` and divides by ``n3``.  A dense kernel is deliberate:
+tube counts stay desk-scale here, and the explicit matrix pins the
+sign/normalization convention exactly.
+
+One cached array per tube length backs both directions: ``F`` from
+:func:`dft_matrix`, which is bitwise symmetric (its exponents come from the
+symmetric ``outer(j, j)``).
+
+* Forward, real tensor: a complex product ``F[k, t] * (a[t] + 0j)`` has
+  parts ``round(F.real[k, t] * a[t])`` and ``round(F.imag[k, t] * a[t])``
+  exactly, so the transform runs in real arithmetic.  The real kernel ``K``
+  is ``F``'s own buffer read as ``(t, k, c)`` floats, ``c`` 0 for the real
+  part and 1 for the imaginary part; by symmetry ``K[t, k, 0] =
+  F.real[k, t]`` and ``K[t, k, 1] = F.imag[k, t]``.  One real
+  ``einsum("tkc,ijt->kijc")`` then adds the same rounded products in ``t``
+  order as the complex einsum did, and its output read as complex is the
+  same slices, bit for bit (the tests pin this against the complex kernel
+  for ``n3`` up to 1024, exact and signed zeros included), at a third of
+  the time on long tubes.  A :class:`~ttensor.core.ComplexTensor3` keeps the
+  complex kernel: its imaginary parts are not zero, so there is no real
+  split with the same roundoff.
+* Inverse: the slices are conjugated once into a tube-major ``(n1, n2, n3)``
+  buffer, so the reduction over the slice index runs along contiguous
+  memory, and contracted with ``F`` itself.  Per term
+  ``Re(conj(F) * s) = Re(F * conj(s))`` exactly, numpy's einsum adds complex
+  products one term at a time in ``t`` order for either layout, and the
+  division by ``n3`` comes before taking the real part as it always did, so
+  the result is bit for bit the slice-major ``conj(F)`` product (tested for
+  ``n3`` up to 1024).
+
+What breaks or slows this:
+
+* A real kernel with ``t`` contiguous (``(k, c, t)`` in C order) sends
+  einsum down its unrolled multi-accumulator loop, which adds the terms in
+  another order: the result is *not* bit-identical.  ``K`` must keep ``t``
+  as its outermost axis.
+* Asking the real einsum for another output layout costs more than the
+  whole transform: writing into ``out=bar.real`` of a complex array, passing
+  ``order="C"`` or a C-ordered ``out=`` each made it 5-17x slower at
+  3x3x128 and 8x8x1024.  einsum picks the output layout, and
+  :class:`FourierSlices` makes the contiguous copy.
+* Every cached kernel beside ``F`` costs another ``16 * n3**2`` bytes per
+  tube length: the ``tube-algebra`` benchmark peaks at 138.7 MB with a
+  cached ``conj(F)`` beside ``F`` and at 126.0 MB with ``F`` alone.  ``K``
+  as a view of ``F`` costs nothing.
 
 Inside a per-trial memo scope (:func:`ttensor.core._trial_memo`) both
 directions return their stored result when exactly the same input comes
@@ -143,8 +179,9 @@ class BlockCirculantMatrix:
     n3: int
 
 
-# Tube lengths whose dense kernels stay cached; each costs 16 * n3**2 bytes per
-# cache, so the bound caps the resident kernels (a benchmark run uses <= 4 lengths).
+# Tube lengths whose dense kernel F stays cached, 16 * n3**2 bytes each; both
+# directions and the real forward kernel share it, so the bound caps every
+# resident kernel (a benchmark run uses <= 4 lengths).
 _KERNEL_CACHE_SIZE = 8
 
 
@@ -160,12 +197,13 @@ def dft_matrix(n: int) -> np.ndarray:
     return kernel
 
 
-@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
-def _inverse_dft_kernel(n: int) -> np.ndarray:
-    """``conj(F)``; the inverse transform divides its product by ``n``."""
-    kernel = dft_matrix(n).conj()
-    kernel.flags.writeable = False
-    return kernel
+def _real_dft_kernel(n: int) -> np.ndarray:
+    """``K`` of shape ``(n, n, 2)``: ``K[t, k, 0] = F.real[k, t]`` and
+    ``K[t, k, 1] = F.imag[k, t]``, a read-only view of the cached, symmetric
+    ``F``.  ``t`` is outermost in memory, the layout that keeps einsum's sums
+    in ``t`` order (see the module docstring).
+    """
+    return dft_matrix(n).view(float).reshape(n, n, 2)
 
 
 def bcirc(a) -> BlockCirculantMatrix:
@@ -212,8 +250,10 @@ def to_fourier(a) -> FourierSlices:
 
 def _to_fourier(a) -> FourierSlices:
     n1, n2, n3 = a.shape
-    bar = np.einsum("kt,ijt->kij", dft_matrix(n3), a.data)
-    return FourierSlices(n1, n2, n3, bar, isinstance(a, Tensor3))
+    if isinstance(a, Tensor3):
+        bar = np.einsum("tkc,ijt->kijc", _real_dft_kernel(n3), a.data).view(complex)[..., 0]
+        return FourierSlices(n1, n2, n3, bar, True)
+    return FourierSlices(n1, n2, n3, np.einsum("kt,ijt->kij", dft_matrix(n3), a.data), False)
 
 
 def from_fourier(s: FourierSlices, tol_sym: float = 1e-9) -> Tensor3:
@@ -239,8 +279,8 @@ def _from_fourier(s: FourierSlices, tol_sym: float) -> Tensor3:
     residual, i, j = _worst_symmetry_pair(s)
     if residual > tol:
         raise ConjugateSymmetryError(i, j, residual, tol)
-    tubes = np.ascontiguousarray(s.slices.transpose(1, 2, 0))
-    data = np.einsum("kt,ijt->ijk", _inverse_dft_kernel(s.n3), tubes) / s.n3
+    tubes = np.conjugate(s.slices.transpose(1, 2, 0), order="C")
+    data = np.einsum("kt,ijt->ijk", dft_matrix(s.n3), tubes) / s.n3
     return Tensor3(data.real)
 
 

@@ -5,9 +5,10 @@ matrix is assembled entry by entry from the tensor data, the largest singular
 value comes from power iteration, and the quadratic form is summed directly.
 The one-matrix cyclic Jacobi and the one-matrix Hessenberg + shifted QR are
 kept here as the references the stacked solvers must match bit for bit, the
-slice-major inverse DFT as the reference for the tube-major one in
-``from_fourier``, and the serial trial loop as the reference for the lockstep
-windows of ``run_campaign``.
+complex-kernel forward DFT as the reference for the real-arithmetic one in
+``to_fourier``, the slice-major inverse DFT as the reference for the
+tube-major one in ``from_fourier``, and the serial trial loop as the
+reference for the lockstep windows of ``run_campaign``.
 """
 
 import numpy as np
@@ -291,6 +292,19 @@ def conjugate_pair_worst_reference(slices):
         if r > worst[0]:
             worst = (r, i, j)
     return worst
+
+
+def forward_dft_reference(data):
+    """Forward DFT of an ``(n1, n2, n3)`` array along its tubes, slices first.
+
+    The complex einsum ``"kt,ijt->kij"`` over the DFT kernel, which promotes
+    real data to complex: the form ``to_fourier`` had before it transformed
+    real tensors in real arithmetic, which it must still match bit for bit.
+    """
+    n3 = data.shape[2]
+    j = np.arange(n3)
+    kernel = np.exp(-2j * np.pi / n3 * np.outer(j, j))
+    return np.einsum("kt,ijt->kij", kernel, data)
 
 
 def inverse_dft_slice_major(slices):

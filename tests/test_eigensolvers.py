@@ -447,18 +447,45 @@ def test_general_deflation_threshold_uses_scalar_abs():
 
 
 def test_general_nan_member_raises():
-    # a NaN that spreads through the reduction never deflates, so the member
-    # runs out of steps instead of returning NaN eigenvalues
+    # a NaN never deflates, so the reference runs out of steps; the stacked
+    # solver raises the same error type on entry, naming the member
     rng = np.random.default_rng(72)
     stack = _general_stack(rng, 3, 10)
     stack[8, 1, 2] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(EigenConvergenceError) as reference:
+        with pytest.raises(EigenConvergenceError):
             general_eig_reference(stack[8])
         with pytest.raises(EigenConvergenceError) as err:
             general_eig(stack)
-    assert str(err.value) == str(reference.value)
+    assert str(err.value) == "stack member 8 has a non-finite entry (NaN or Inf)"
+
+
+@pytest.mark.parametrize("solver", ["hermitian_eig", "general_eig"])
+def test_non_finite_input_fails_before_any_kernel(solver, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran on non-finite input")
+
+    monkeypatch.setattr(eigensolvers, "_jacobi", no_kernel)
+    monkeypatch.setattr(eigensolvers, "_qr_eig", no_kernel)
+    solve = getattr(eigensolvers, solver)
+    stack = np.stack([_random_hermitian(np.random.default_rng(74), 4) for _ in range(6)])
+    stack[5, 0, 0] = np.inf
+    stack[3, 2, 1] = stack[3, 1, 2] = complex(0.0, np.nan)
+    cases = [
+        (np.array([[np.nan]]), "matrix"),  # used to return nan silently
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), "matrix"),
+        (np.array([[[1.0, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]]), "stack member 1"),
+        (stack, "stack member 3"),  # the lowest non-finite member is named
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic warns
+        for m, where in cases:
+            with _trial_memo():
+                with pytest.raises(EigenConvergenceError) as err:
+                    solve(m)
+                assert _MEMO.get() == {}
+            assert str(err.value) == f"{where} has a non-finite entry (NaN or Inf)"
 
 
 def test_general_two_dimensional_input_and_shapes():

@@ -1,5 +1,7 @@
 """Block-circulant unfolding and the DFT block diagonalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,17 @@ from ttensor import (
     transpose,
     unfold,
 )
-from oracles import brute_bcirc, conjugate_pair_worst_reference, inverse_dft_slice_major
+from oracles import (
+    brute_bcirc,
+    conjugate_pair_worst_reference,
+    forward_dft_reference,
+    inverse_dft_slice_major,
+)
 from ttensor.core import _MEMO, _trial_memo
 from ttensor.fourier import (
     _KERNEL_CACHE_SIZE,
     _assemble_real_from_half,
-    _inverse_dft_kernel,
+    _real_dft_kernel,
     dft_matrix,
 )
 
@@ -183,10 +190,16 @@ def test_fourier_slices_rejects_mismatched_shapes(dims, given):
         FourierSlices(*dims, given, True)
 
 
-def _exactly_conjugate_slices(rng, n1, n2, n3):
+def _exactly_conjugate_slices(rng, n1, n2, n3, zeros=False):
     """Slices with slice n3 - i equal to conj(slice i) bit for bit, and the
-    self-conjugate slices exactly real."""
-    s = rng.normal(size=(n3, n1, n2)) + 1j * rng.normal(size=(n3, n1, n2))
+    self-conjugate slices exactly real; with ``zeros``, about half the real
+    and imaginary parts are exact zeros of either sign."""
+    parts = rng.normal(size=(2, n3, n1, n2))
+    if zeros:
+        signed_zeros = np.where(rng.random(parts.shape) < 0.5, -0.0, 0.0)
+        parts = np.where(rng.random(parts.shape) < 0.5, signed_zeros, parts)
+    s = np.empty((n3, n1, n2), dtype=complex)
+    s.real, s.imag = parts
     s[0] = s[0].real
     if n3 % 2 == 0:
         s[n3 // 2] = s[n3 // 2].real
@@ -246,11 +259,15 @@ def test_half_spectrum_mirrors_back_to_the_tensor(n3):
     assert np.abs(back.data - a.data).max() <= 1e-12
 
 
-def test_inverse_kernel_is_cached_read_only():
-    kernel = _inverse_dft_kernel(6)
-    assert kernel is _inverse_dft_kernel(6)
+def test_real_kernel_is_a_read_only_view_of_the_cached_dft():
+    f = dft_matrix(6)
+    kernel = _real_dft_kernel(6)
+    assert kernel.shape == (6, 6, 2) and kernel.dtype == np.float64
     assert not kernel.flags.writeable
-    assert np.array_equal(kernel, dft_matrix(6).conj())
+    assert np.shares_memory(kernel, f)  # cached with F: no second buffer
+    assert kernel.flags.c_contiguous  # t outermost: einsum sums in t order
+    assert f.tobytes() == np.ascontiguousarray(f.T).tobytes()  # F is bitwise symmetric
+    assert np.array_equal(kernel[..., 0], f.real.T) and np.array_equal(kernel[..., 1], f.imag.T)
 
 
 def test_dft_matrix_is_cached_read_only():
@@ -277,9 +294,48 @@ def test_kernel_caches_are_bounded():
         a = gen_random((2, 2, n3), RngStream(43, n3))
         assert np.abs(from_fourier(to_fourier(a)).data - a.data).max() <= 1e-12
         assert dft_matrix.cache_info().currsize <= _KERNEL_CACHE_SIZE
-        assert _inverse_dft_kernel.cache_info().currsize <= _KERNEL_CACHE_SIZE
+        assert np.shares_memory(_real_dft_kernel(n3), dft_matrix(n3))
     assert dft_matrix.cache_info().maxsize == _KERNEL_CACHE_SIZE
-    assert _inverse_dft_kernel.cache_info().maxsize == _KERNEL_CACHE_SIZE
+
+
+def test_first_round_trip_keeps_one_kernel_resident():
+    # after a first transform pair at a fresh tube length only F stays behind:
+    # a second cached kernel (conj(F), or K as its own array) fails the bound
+    n3 = 512
+    kernel = 16 * n3 * n3
+    a = gen_random((8, 8, n3), RngStream(48))
+    dft_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        back = from_fourier(to_fourier(a))
+        resident, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.data.nbytes == 8 * 8 * n3 * 8
+    assert resident <= kernel + 2**20
+    assert peak <= 3 * kernel
+
+
+@pytest.mark.parametrize("n3", [*range(1, 41), 127, 128, 255, 256, 1024])
+def test_forward_matches_complex_kernel_bit_for_bit(n3):
+    rng = np.random.default_rng(90 + n3)
+    for n1, n2 in ((3, 3), (2, 5), *([(8, 8)] if n3 == 1024 else [])):
+        data = rng.normal(size=(n1, n2, n3))
+        signed_zeros = np.where(rng.random(data.shape) < 0.5, -0.0, 0.0)
+        tensors = [
+            Tensor3(data),
+            Tensor3(np.where(rng.random(data.shape) < 0.5, signed_zeros, data)),
+            Tensor3(signed_zeros),
+            Tensor3(-np.zeros(data.shape)),
+            ComplexTensor3(data + 1j * rng.normal(size=data.shape)),
+        ]
+        if n1 == n2:
+            tensors.append(identity(n1, n3))
+        for t in tensors:
+            fs = to_fourier(t)
+            assert fs.origin_real == isinstance(t, Tensor3)
+            want = np.ascontiguousarray(forward_dft_reference(t.data))
+            assert fs.slices.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n3", [*range(1, 41), 127, 128, 255, 256, 1024])
@@ -287,8 +343,9 @@ def test_inverse_matches_slice_major_layout_bit_for_bit(n3):
     rng = np.random.default_rng(80 + n3)
     for n1, n2 in ((3, 3), (2, 5)):
         exact = _exactly_conjugate_slices(rng, n1, n2, n3)
+        zeros = _exactly_conjugate_slices(rng, n1, n2, n3, zeros=True)
         rounded = to_fourier(gen_random((n1, n2, n3), RngStream(44, n3))).slices
-        for slices in (exact, rounded):
+        for slices in (exact, zeros, rounded):
             got = from_fourier(FourierSlices(n1, n2, n3, slices, True)).data
             want = np.ascontiguousarray(inverse_dft_slice_major(slices))
             assert got.tobytes() == want.tobytes()

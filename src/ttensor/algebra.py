@@ -71,12 +71,12 @@ def t_product(a: Tensor3, b: Tensor3) -> Tensor3:
     return from_fourier(FourierSlices(a.n1, b.n2, a.n3, product, True))
 
 
-def t_inverse(a: Tensor3, tol_inv: float = INVERSE_TOL) -> Tensor3:
+def t_inverse(a: Tensor3) -> Tensor3:
     """Multiplicative inverse, computed by slicewise inversion.
 
     Every Fourier slice must be invertible: its smallest singular value must
-    exceed ``tol_inv`` times its largest.  Otherwise the worst slice index and
-    its condition estimate are reported.
+    exceed ``INVERSE_TOL`` times its largest.  Otherwise the worst slice index
+    and its condition estimate are reported.
     """
     if a.n1 != a.n2:
         raise ShapeMismatchError(f"inverse requires a square tensor, got {a.shape}")
@@ -85,7 +85,7 @@ def t_inverse(a: Tensor3, tol_inv: float = INVERSE_TOL) -> Tensor3:
     ratio = np.zeros(a.n3)  # sigma_min / sigma_max per slice; 0 for an all-zero slice
     np.divide(sv[:, -1], sv[:, 0], out=ratio, where=sv[:, 0] > 0)
     worst = int(np.argmin(ratio))
-    if ratio[worst] <= tol_inv:
+    if ratio[worst] <= INVERSE_TOL:
         cond = 1.0 / ratio[worst] if ratio[worst] > 0 else np.inf
         raise SingularTensorError(worst, float(cond))
     return from_fourier(FourierSlices(a.n1, a.n2, a.n3, np.linalg.inv(slices), True))

@@ -2,7 +2,10 @@
 
 A campaign draws hypothesis-valid instances (one counter-based substream per
 trial, so runs are reproducible and order-independent), invokes the matching
-certifier, and aggregates the certificates.  Each trial runs in its own memo
+certifier, and aggregates the certificates.  Certifiers are pure functions of
+the instance; the campaign stamps each certificate with its provenance, the
+campaign ``seed`` and ``"trial"`` as the first key of ``params``, in one
+place (:func:`_run_trial`).  Each trial runs in its own memo
 scope (:func:`ttensor.core._trial_memo`).  Within a trial, a tensor that
 comes back is transformed to the Fourier domain once, slices that come back
 are inverse-transformed once, and a repeated Fourier slice is
@@ -36,7 +39,7 @@ byte-identical to a lone serial run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,12 +101,7 @@ def _trial_loewner_heinz(trial, stream, n, n3, tol, mode, params):
     else:
         a, b = gen_loewner_pair(n, n3, stream)
         extra = None
-    return [
-        ineq.check_loewner_heinz(
-            a, b, r, tol, exploratory=exploratory,
-            seed=stream.seed, trial=trial, extra_params=extra,
-        )
-    ]
+    return [ineq.check_loewner_heinz(a, b, r, tol, exploratory=exploratory, extra_params=extra)]
 
 
 def _householder_tensor(n, n3, g) -> Tensor3:
@@ -129,9 +127,7 @@ def _trial_hansen_power(trial, stream, n, n3, tol, mode, params):
         raw = gen_random((n, n, n3), g)
         q = raw * (1.0 / (spectral_norm(raw) * float(g.uniform(1.0, 2.0))))
         hansen_mode = "contraction"
-    return [
-        ineq.check_hansen_power(q, x, r, tol, mode=hansen_mode, seed=stream.seed, trial=trial)
-    ]
+    return [ineq.check_hansen_power(q, x, r, tol, mode=hansen_mode)]
 
 
 def _trial_furuta(trial, stream, n, n3, tol, mode, params):
@@ -143,14 +139,14 @@ def _trial_furuta(trial, stream, n, n3, tol, mode, params):
         q = float(g.uniform(1.0, 4.0))
         if (1 + 2 * r) * q >= p + 2 * r:
             break
-    return list(ineq.check_furuta(a, b, r, p, q, tol, seed=stream.seed, trial=trial))
+    return list(ineq.check_furuta(a, b, r, p, q, tol))
 
 
 def _trial_young_commuting(trial, stream, n, n3, tol, mode, params):
     a, b = gen_commuting_psd_pair(n, n3, stream)
     p = params.get("p", _grid([1.5, 2.0, 4.0], trial))
     q = p / (p - 1.0)
-    return [ineq.check_young_commuting(a, b, p, q, tol, seed=stream.seed, trial=trial)]
+    return [ineq.check_young_commuting(a, b, p, q, tol)]
 
 
 def _trial_young_witness(trial, stream, n, n3, tol, mode, params):
@@ -159,7 +155,7 @@ def _trial_young_witness(trial, stream, n, n3, tol, mode, params):
     b = gen_random((n, n, n3), g)
     p = params.get("p", _grid([1.5, 2.0, 3.0], trial))
     q = p / (p - 1.0)
-    return [ineq.check_young_witness(a, b, p, q, tol, seed=stream.seed, trial=trial)]
+    return [ineq.check_young_witness(a, b, p, q, tol)]
 
 
 def _complex_norm_trial(variant):
@@ -167,9 +163,7 @@ def _complex_norm_trial(variant):
         g = stream.generator()
         a = gen_t_psd(n, n3, g) if variant in ("b", "c") else gen_symmetric(n, n3, g)
         b = gen_t_psd(n, n3, g) if variant == "c" else gen_symmetric(n, n3, g)
-        return ineq.check_complex_norm_bounds(
-            a, b, variant, tol, mode=mode, seed=stream.seed, trial=trial
-        )
+        return ineq.check_complex_norm_bounds(a, b, variant, tol, mode=mode)
     return run
 
 
@@ -184,10 +178,7 @@ def _trial_am_gm(trial, stream, n, n3, tol, mode, params):
         a = gen_random((n, n, n3), g)
         x = gen_random((n, n, n3), g)
         b = gen_random((n, n, n3), g)
-    return [
-        ineq.check_am_gm(a, x, b, tol, mode=mode, norm_kind=k, seed=stream.seed, trial=trial)
-        for k in _NORMS
-    ]
+    return [ineq.check_am_gm(a, x, b, tol, mode=mode, norm_kind=k) for k in _NORMS]
 
 
 def _trial_heinz_family(trial, stream, n, n3, tol, mode, params):
@@ -199,7 +190,7 @@ def _trial_heinz_family(trial, stream, n, n3, tol, mode, params):
     t = params.get("t", _grid([-1.0, 0.0, 1.0, 2.0], trial // 5))
     out = []
     for k in _NORMS:
-        out.extend(ineq.check_heinz_family(a, x, b, r, t, tol, norm_kind=k, seed=stream.seed, trial=trial))
+        out.extend(ineq.check_heinz_family(a, x, b, r, t, tol, norm_kind=k))
     return out
 
 
@@ -211,10 +202,7 @@ def _trial_holder(trial, stream, n, n3, tol, mode, params):
     r = params.get("r", _grid([0.5, 1.0, 2.0], trial))
     p = params.get("p", _grid([1.25, 2.0, 5.0], trial // 3))
     q = p / (p - 1.0)
-    return [
-        ineq.check_holder(a, x, b, r, p, q, tol, norm_kind=k, seed=stream.seed, trial=trial)
-        for k in _NORMS
-    ]
+    return [ineq.check_holder(a, x, b, r, p, q, tol, norm_kind=k) for k in _NORMS]
 
 
 def _trial_holder_pairs(trial, stream, n, n3, tol, mode, params):
@@ -222,10 +210,7 @@ def _trial_holder_pairs(trial, stream, n, n3, tol, mode, params):
     a, b, c, d = (gen_random((n, n, n3), g) for _ in range(4))
     p = params.get("p", _grid([1.25, 2.0, 5.0], trial))
     q = p / (p - 1.0)
-    return [
-        ineq.check_holder_pairs(a, b, c, d, p, q, tol, norm_kind=k, seed=stream.seed, trial=trial)
-        for k in _NORMS
-    ]
+    return [ineq.check_holder_pairs(a, b, c, d, p, q, tol, norm_kind=k) for k in _NORMS]
 
 
 def _trial_holder_corollary(trial, stream, n, n3, tol, mode, params):
@@ -235,25 +220,19 @@ def _trial_holder_corollary(trial, stream, n, n3, tol, mode, params):
     r = params.get("r", _grid([0.5, 1.0, 2.0], trial))
     p = params.get("p", _grid([1.25, 2.0, 5.0], trial // 3))
     q = p / (p - 1.0)
-    return [
-        ineq.check_holder_corollary(a, b, r, p, q, tol, norm_kind=k, seed=stream.seed, trial=trial)
-        for k in _NORMS
-    ]
+    return [ineq.check_holder_corollary(a, b, r, p, q, tol, norm_kind=k) for k in _NORMS]
 
 
 def _trial_minkowski(trial, stream, n, n3, tol, mode, params):
     g = stream.generator()
     a1, a2, b1, b2 = (gen_random((n, n, n3), g) for _ in range(4))
     p = params.get("p", _grid([1.0, 1.5, 2.0, 3.0], trial))
-    return [
-        ineq.check_minkowski(a1, a2, b1, b2, p, tol, norm_kind=k, seed=stream.seed, trial=trial)
-        for k in _NORMS
-    ]
+    return [ineq.check_minkowski(a1, a2, b1, b2, p, tol, norm_kind=k) for k in _NORMS]
 
 
 def _trial_schur(trial, stream, n, n3, tol, mode, params):
     a = gen_random((n, n, n3), stream)
-    return [loc.schur_bound(a, tol, seed=stream.seed, trial=trial)]
+    return [loc.schur_bound(a, tol)]
 
 
 def _trial_gershgorin(trial, stream, n, n3, tol, mode, params):
@@ -262,15 +241,13 @@ def _trial_gershgorin(trial, stream, n, n3, tol, mode, params):
     spectrum = t_eigenvalues(a)
     gaps, _, scale = loc.gershgorin_gaps(discs, spectrum)
     contain = norm_certificate(
-        "gershgorin", seed=stream.seed, dims=a.shape,
-        params={"trial": trial, "claim": "containment"}, norm_kind="n/a",
+        "gershgorin", dims=a.shape, params={"claim": "containment"}, norm_kind="n/a",
         lhs=float(gaps.max()) / scale, rhs=0.0, tol=tol,
     )
     components = loc.gershgorin_component_count(discs, spectrum, tol)
     miscount = max(abs(c.eigenvalue_count - c.disc_count) for c in components)
     counting = norm_certificate(
-        "gershgorin", seed=stream.seed, dims=a.shape,
-        params={"trial": trial, "claim": "component-count"}, norm_kind="n/a",
+        "gershgorin", dims=a.shape, params={"claim": "component-count"}, norm_kind="n/a",
         lhs=float(miscount), rhs=0.0, tol=tol,
     )
     return [contain, counting]
@@ -299,19 +276,18 @@ def _trial_bauer_fike(trial, stream, n, n3, tol, mode, params):
     a = t_product(t_product(q_inv, s), q)
     e = gen_random((n, n, n3), g)
     b = a + (0.3 * (1.0 + frobenius_norm(a)) / (1.0 + frobenius_norm(e))) * e
-    return [loc.bauer_fike(a, b, q, s, tol, seed=stream.seed, trial=trial)]
+    return [loc.bauer_fike(a, b, q, s, tol)]
 
 
 def _trial_hoffman_wielandt(trial, stream, n, n3, tol, mode, params):
     g = stream.generator()
     a = gen_symmetric(n, n3, g)
     b = gen_symmetric(n, n3, g)
-    report, cert_sqrt, cert_stated = loc.hoffman_wielandt(a, b, tol, seed=stream.seed, trial=trial)
+    report, cert_sqrt, cert_stated = loc.hoffman_wielandt(a, b, tol)
     sorted_dist = loc.sorted_pairing_distance(a, b)
     sorted_certs = [
         norm_certificate(
-            "hoffman-wielandt", seed=stream.seed, dims=a.shape,
-            params={"trial": trial, "pairing": "sorted", "constant": const},
+            "hoffman-wielandt", dims=a.shape, params={"pairing": "sorted", "constant": const},
             norm_kind=FROBENIUS, lhs=sorted_dist, rhs=rhs, tol=tol,
         )
         for const, rhs in (("sqrt-n3", report.bound_sqrt), ("n3", report.bound_stated))
@@ -323,7 +299,7 @@ def _trial_diag_spectrum(trial, stream, n, n3, tol, mode, params):
     g = stream.generator()
     a = gen_symmetric(n, n3, g)
     b = gen_symmetric(n, n3, g)
-    return loc.diag_spectrum_bound(a, b, tol, seed=stream.seed, trial=trial)
+    return loc.diag_spectrum_bound(a, b, tol)
 
 
 _REGISTRY = {
@@ -374,8 +350,7 @@ def run_campaign(
     params = dict(params or {})
 
     def run_trial(trial):
-        with _trial_memo():
-            return trial_fn(trial, RngStream(seed, trial), n, n3, tol, mode, params)
+        return _run_trial(trial_fn, trial, seed, n, n3, tol, mode, params)
 
     certificates = []
     window = _window_size(n, n3)
@@ -385,6 +360,15 @@ def run_campaign(
                 raise outcome  # the lowest failing trial's, as a serial loop raises
             certificates.extend(outcome)
     return _campaign_result(theorem_id, n, n3, trials, seed, mode, certificates)
+
+
+def _run_trial(trial_fn, trial, seed, n, n3, tol, mode, params) -> list:
+    """One trial in its own memo scope, its certificates stamped with their
+    provenance: ``seed`` set and ``"trial"`` put first in ``params``.  This
+    is the only place a certificate gets its seed and trial."""
+    with _trial_memo():
+        certificates = trial_fn(trial, RngStream(seed, trial), n, n3, tol, mode, params)
+    return [replace(c, seed=int(seed), params={"trial": trial, **c.params}) for c in certificates]
 
 
 def _window_size(n: int, n3: int) -> int:

@@ -5,6 +5,11 @@ effective tolerance, and a verdict, plus enough descriptor data (dims, seed,
 parameters) to rebuild the instance bit-identically.  Certificates serialize
 to JSON with a fixed field order so reports are byte-reproducible.
 
+A certifier is a pure function of its instance: it records only its own
+parameters, and its certificate has ``seed = -1``.  A campaign
+(:mod:`ttensor.campaigns`) stamps the provenance afterwards, setting ``seed``
+and putting ``"trial"`` first in ``params``.
+
 Two tolerance policies, both relative:
 
 * norm inequalities ``lhs <= rhs``: holds iff ``lhs <= rhs + tol * (1 + |rhs|)``;
@@ -46,7 +51,8 @@ class InequalityCertificate:
     ``margin`` always equals ``rhs - lhs``.  For semidefinite-order checks the
     margin is the minimum gap eigenvalue, stored with ``lhs = -margin`` and
     ``rhs = 0`` so the same field convention covers both certificate kinds.
-    ``tol`` is the effective (already scaled) tolerance.
+    ``tol`` is the effective (already scaled) tolerance.  ``seed`` is -1
+    until a campaign stamps its certificates.
     """
 
     theorem_id: str
@@ -93,7 +99,6 @@ def _plain(value):
 def norm_certificate(
     theorem_id: str,
     *,
-    seed: int,
     dims,
     params: dict,
     norm_kind: str,
@@ -107,7 +112,7 @@ def norm_certificate(
     effective = tol * (1.0 + abs(rhs))
     margin = rhs - lhs
     return InequalityCertificate(
-        theorem_id, int(seed), tuple(int(d) for d in dims), dict(params),
+        theorem_id, -1, tuple(int(d) for d in dims), dict(params),
         norm_kind, lhs, rhs, margin, effective, bool(margin >= -effective),
     )
 
@@ -123,7 +128,6 @@ def loewner_certificate(
     lhs_tensor: Tensor3,
     rhs_tensor: Tensor3,
     *,
-    seed: int,
     dims,
     params: dict,
     tol: float = DEFAULT_TOL,
@@ -132,6 +136,6 @@ def loewner_certificate(
     gap = loewner_min_gap(lhs_tensor, rhs_tensor)
     effective = tol * (1.0 + spectral_norm(rhs_tensor))
     return InequalityCertificate(
-        theorem_id, int(seed), tuple(int(d) for d in dims), dict(params),
+        theorem_id, -1, tuple(int(d) for d in dims), dict(params),
         NO_NORM, -gap, 0.0, gap, effective, bool(gap >= -effective),
     )

@@ -9,25 +9,25 @@ slices: flat index ``(k * n1 + i) * n2 + j`` for 0-based ``(i, j, k)``.
 This module also owns the per-trial memo, :func:`_trial_memo`: a scope in
 which the Fourier transforms (:mod:`ttensor.fourier`) and the Hermitian
 eigensolver (:mod:`ttensor.eigensolvers`) return their stored result when
-exactly the same input comes back.  Each layer keys its entries by a tag, the
-parameters that shape the result and the bytes of the input; see those
-modules for the keys.  Errors are never stored.  Campaigns open one scope per
-trial, so nothing is shared between trials or calls; outside a scope every
-call computes afresh.  The memo is a context variable, so concurrent callers
-each see only their own scope.
+exactly the same input comes back.  Each layer keys its entries by a tag,
+the input's shape (and type, for the forward transform) and its bytes; see
+those modules for the keys.  Errors are never stored.  Campaigns open one
+scope per trial, so nothing is shared between trials or calls; outside a
+scope every call computes afresh.  The memo is a context variable, so
+concurrent callers each see only their own scope.
 
 It also owns the lockstep batcher, :class:`_Batcher`, through which a
 campaign merges the stacked eigensolver calls of the trials it runs at once.
 The batcher runs each trial as a worker; the workers take turns, one at a
 time, and a kernel called through :func:`_batched` waits until every live
 worker is waiting in a kernel call.  The pending stacks are then grouped by
-kernel, member shape and arguments, each group is solved in one call, and
-each worker gets its own rows back.  The kernel must treat the members of a
-stack independently, so a merged call gives every member the bits a lone
-call gives; if a merged call raises, each stack of the group is solved
-alone, so an error reaches only the worker whose stack caused it.  The
-batcher is a context variable too; outside a batcher :func:`_batched` calls
-the kernel directly.
+kernel and member shape, each group is solved in one call, and each worker
+gets its own rows back.  The kernel must treat the members of a stack
+independently, so a merged call gives every member the bits a lone call
+gives; if a merged call raises, each stack of the group is solved alone, so
+an error reaches only the worker whose stack caused it.  The batcher is a
+context variable too; outside a batcher :func:`_batched` calls the kernel
+directly.
 """
 
 from __future__ import annotations
@@ -76,22 +76,22 @@ def _trial_memo():
 _BATCH: ContextVar[tuple[_Batcher, object] | None] = ContextVar("ttensor_batcher", default=None)
 
 
-def _batched(kernel, stack: np.ndarray, *args) -> tuple:
-    """``kernel(stack, *args)``; in a :class:`_Batcher` worker, merged with
-    the other workers' calls.  ``kernel`` returns a tuple of arrays with one
-    row per member of ``stack``."""
+def _batched(kernel, stack: np.ndarray) -> tuple:
+    """``kernel(stack)``; in a :class:`_Batcher` worker, merged with the
+    other workers' calls.  ``kernel`` returns a tuple of arrays with one row
+    per member of ``stack``."""
     entry = _BATCH.get()
     if entry is None:
-        return kernel(stack, *args)
+        return kernel(stack)
     batcher, worker = entry
-    return batcher.solve(worker, kernel, stack, args)
+    return batcher.solve(worker, kernel, stack)
 
 
 class _Request:
-    __slots__ = ("worker", "kernel", "stack", "args", "result", "error")
+    __slots__ = ("worker", "kernel", "stack", "result", "error")
 
-    def __init__(self, worker, kernel, stack, args):
-        self.worker, self.kernel, self.stack, self.args = worker, kernel, stack, args
+    def __init__(self, worker, kernel, stack):
+        self.worker, self.kernel, self.stack = worker, kernel, stack
         self.result = self.error = None
 
 
@@ -172,8 +172,8 @@ class _Batcher:
         self._turn[successor].release()
         return None
 
-    def solve(self, worker, kernel, stack: np.ndarray, args: tuple) -> tuple:
-        request = _Request(worker, kernel, stack, args)
+    def solve(self, worker, kernel, stack: np.ndarray) -> tuple:
+        request = _Request(worker, kernel, stack)
         with self._lock:
             self._pending.append(request)
             successor = self._pass_turn()
@@ -209,9 +209,9 @@ class _Batcher:
             try:
                 groups: dict[tuple, list[_Request]] = {}
                 for r in pending:
-                    groups.setdefault((r.kernel, r.stack.shape[1:], r.args), []).append(r)
-                for (kernel, _, args), requests in groups.items():
-                    _solve_group(kernel, args, requests)
+                    groups.setdefault((r.kernel, r.stack.shape[1:]), []).append(r)
+                for (kernel, _), requests in groups.items():
+                    _solve_group(kernel, requests)
             except BaseException as exc:  # an interrupt: every waiting worker raises it
                 for r in pending:
                     r.result, r.error = None, exc
@@ -220,11 +220,11 @@ class _Batcher:
         return self._holder
 
 
-def _solve_group(kernel, args: tuple, requests: list[_Request]) -> None:
+def _solve_group(kernel, requests: list[_Request]) -> None:
     """One call for all stacks, or, if that raises, one call per stack."""
     if len(requests) > 1:
         try:
-            outs = kernel(np.concatenate([r.stack for r in requests]), *args)
+            outs = kernel(np.concatenate([r.stack for r in requests]))
         except Exception:  # solve each stack alone below: an error is per worker
             pass
         else:
@@ -235,7 +235,7 @@ def _solve_group(kernel, args: tuple, requests: list[_Request]) -> None:
             return
     for r in requests:
         try:
-            r.result = kernel(r.stack, *args)
+            r.result = kernel(r.stack)
         except Exception as exc:
             r.error = exc
 

@@ -32,7 +32,7 @@ iteration converges on it.
 
 Inside a per-trial memo scope (:func:`ttensor.core._trial_memo`),
 :func:`hermitian_eig` remembers each decomposition keyed by
-``("eig", n, max_sweeps, bytes of the complex128 matrix)``, one entry per
+``("eig", n, bytes of the complex128 matrix)``, one entry per
 stack member, and returns the stored, read-only :class:`HermitianEigen` when
 exactly the same matrix comes back; only members not yet stored are solved,
 a member repeated within one stack is solved once, and errors are never
@@ -47,7 +47,7 @@ Both solvers reach their kernels through the lockstep batcher
 (:func:`ttensor.core._batched`): the members :func:`hermitian_eig` does solve
 go to the Jacobi kernel, and every :func:`general_eig` stack goes to the QR
 kernel.  Inside a campaign window, the stacks of the window's trials are
-merged into one kernel call per solver, member shape and budget; since every
+merged into one kernel call per solver and member shape; since every
 member's result is independent of the rest of its stack, each trial gets the
 bits it would get alone.  Outside a campaign the kernel is called directly.
 """
@@ -66,6 +66,7 @@ __all__ = ["HermitianEigen", "hermitian_eig", "general_eig"]
 
 _OFFDIAG_FACTOR = 1e-13
 _MAX_SWEEPS = 100
+_QR_STEPS_PER_EIGENVALUE = 30
 _HERMITIAN_PRE_TOL = 1e-9
 
 
@@ -99,7 +100,7 @@ def _square_stack(m) -> np.ndarray:
     return a
 
 
-def hermitian_eig(m, max_sweeps: int = _MAX_SWEEPS) -> HermitianEigen:
+def hermitian_eig(m) -> HermitianEigen:
     """Full eigendecomposition of a Hermitian matrix, or of each member of a
     ``(b, n, n)`` stack, by cyclic Jacobi.
 
@@ -114,12 +115,12 @@ def hermitian_eig(m, max_sweeps: int = _MAX_SWEEPS) -> HermitianEigen:
     stack = a if a.ndim == 3 else a[None]
     memo = _MEMO.get()
     if memo is None:
-        values, vectors = _batched(_jacobi, stack, max_sweeps)
+        values, vectors = _batched(_jacobi, stack)
     else:
-        keys = [("eig", stack.shape[1], max_sweeps, s.tobytes()) for s in stack]
+        keys = [("eig", stack.shape[1], s.tobytes()) for s in stack]
         todo = {key: i for i, key in enumerate(keys) if key not in memo}
         if todo:
-            values, vectors = _batched(_jacobi, stack[list(todo.values())], max_sweeps)
+            values, vectors = _batched(_jacobi, stack[list(todo.values())])
             values.flags.writeable = False
             vectors.flags.writeable = False
             for j, key in enumerate(todo):
@@ -139,7 +140,7 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
-def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi on a ``(b, n, n)`` stack; ``(values, vectors)`` stacks."""
     b, n, _ = a.shape
     norm = _frobenius(a)
@@ -154,7 +155,7 @@ def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
     v = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
     threshold = _OFFDIAG_FACTOR * norm
     live = np.arange(b if n > 1 else 0)  # members still sweeping
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         live = live[~(_max_offdiag(a[live]) <= threshold[live])]
         if not live.size:
             break
@@ -171,7 +172,7 @@ def _jacobi(a: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
         if failed.size:
             k = failed[0]
             raise EigenConvergenceError(
-                f"Jacobi sweep budget exhausted ({max_sweeps} sweeps); "
+                f"Jacobi sweep budget exhausted ({_MAX_SWEEPS} sweeps); "
                 f"final off-diagonal max {off[k]:.3e} > {threshold[live[k]]:.3e}"
             )
 
@@ -241,23 +242,23 @@ def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, skip: np.ndarray) -> N
 # general complex eigenvalues: Hessenberg + shifted QR
 # ---------------------------------------------------------------------------
 
-def general_eig(m, iter_per_eigenvalue: int = 30) -> np.ndarray:
+def general_eig(m) -> np.ndarray:
     """All eigenvalues of a general complex square matrix, or of each member
     of a ``(b, n, n)`` stack, in the order they deflate.
 
     A matrix gives ``(n,)`` values and a stack ``(b, n)``.  Each member is
     solved as if alone, so its values and their order do not depend on the
     rest of the stack.  A member that does not converge within
-    ``iter_per_eigenvalue * n`` QR steps raises
+    ``_QR_STEPS_PER_EIGENVALUE * n`` (30 n) QR steps raises
     :class:`EigenConvergenceError`; in a stack, the lowest such member is
     reported.
     """
     a = _square_stack(m)
-    (values,) = _batched(_qr_eig, a if a.ndim == 3 else a[None], iter_per_eigenvalue)
+    (values,) = _batched(_qr_eig, a if a.ndim == 3 else a[None])
     return values if a.ndim == 3 else values[0]
 
 
-def _qr_eig(a: np.ndarray, iter_per_eigenvalue: int) -> tuple[np.ndarray]:
+def _qr_eig(a: np.ndarray) -> tuple[np.ndarray]:
     """Hessenberg reduction and shifted QR on a ``(b, n, n)`` stack; ``(values,)``.
 
     Each member keeps its own state: the end of its unreduced part, its QR
@@ -274,7 +275,7 @@ def _qr_eig(a: np.ndarray, iter_per_eigenvalue: int) -> tuple[np.ndarray]:
     end = np.full(b, n)
     used = np.zeros(b, dtype=int)
     stall = np.zeros(b, dtype=int)
-    budget = iter_per_eigenvalue * n
+    budget = _QR_STEPS_PER_EIGENVALUE * n
     failures: dict[int, str] = {}
     sub_rows = np.arange(1, n)
     live = np.flatnonzero(norm != 0.0) if n else np.arange(0)

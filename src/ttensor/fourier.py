@@ -57,7 +57,7 @@ directions return their stored result when exactly the same input comes
 back.  :func:`to_fourier` keys by ``("fwd", type, shape, data bytes)``; the
 type and shape are part of the key because a real ``(2, 2, 4)`` tensor and a
 complex ``(2, 2, 2)`` one can hold equal bytes.  :func:`from_fourier` keys by
-``("inv", (n1, n2, n3), tol_sym, slice bytes)``.  Stored results are
+``("inv", (n1, n2, n3), slice bytes)``.  Stored results are
 immutable (read-only arrays), and a :class:`ConjugateSymmetryError` is never
 stored, so a repeat raises it again.  Outside a scope nothing is cached.
 
@@ -184,6 +184,9 @@ class BlockCirculantMatrix:
 # resident kernel (a benchmark run uses <= 4 lengths).
 _KERNEL_CACHE_SIZE = 8
 
+# Relative conjugate-symmetry residual below which slices have a real preimage.
+_SYMMETRY_TOL = 1e-9
+
 
 @lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def dft_matrix(n: int) -> np.ndarray:
@@ -192,7 +195,8 @@ def dft_matrix(n: int) -> np.ndarray:
     The array is cached and shared, hence read-only.
     """
     j = np.arange(n)
-    kernel = np.exp(-2j * np.pi / n * np.outer(j, j))
+    kernel = -2j * np.pi / n * np.outer(j, j)
+    np.exp(kernel, out=kernel)  # in place: one complex n x n array at a time
     kernel.flags.writeable = False
     return kernel
 
@@ -256,26 +260,27 @@ def _to_fourier(a) -> FourierSlices:
     return FourierSlices(n1, n2, n3, np.einsum("kt,ijt->kij", dft_matrix(n3), a.data), False)
 
 
-def from_fourier(s: FourierSlices, tol_sym: float = 1e-9) -> Tensor3:
+def from_fourier(s: FourierSlices) -> Tensor3:
     """Inverse DFT along tubes back to a real tensor.
 
     The slices must satisfy the conjugate-symmetry pattern within
-    ``tol_sym * (1 + max slice magnitude)``; otherwise the data has no real
-    preimage and :class:`ConjugateSymmetryError` reports the worst slice pair.
+    ``_SYMMETRY_TOL * (1 + max slice magnitude)``; otherwise the data has no
+    real preimage and :class:`ConjugateSymmetryError` reports the worst slice
+    pair.
     Inside a per-trial memo scope repeated slices return the stored tensor.
     """
     memo = _MEMO.get()
     if memo is None:
-        return _from_fourier(s, tol_sym)
-    key = ("inv", (s.n1, s.n2, s.n3), tol_sym, s.slices.tobytes())
+        return _from_fourier(s)
+    key = ("inv", (s.n1, s.n2, s.n3), s.slices.tobytes())
     a = memo.get(key)
     if a is None:
-        a = memo[key] = _from_fourier(s, tol_sym)
+        a = memo[key] = _from_fourier(s)
     return a
 
 
-def _from_fourier(s: FourierSlices, tol_sym: float) -> Tensor3:
-    tol = tol_sym * (1.0 + float(np.abs(s.slices).max()))
+def _from_fourier(s: FourierSlices) -> Tensor3:
+    tol = _SYMMETRY_TOL * (1.0 + float(np.abs(s.slices).max()))
     residual, i, j = _worst_symmetry_pair(s)
     if residual > tol:
         raise ConjugateSymmetryError(i, j, residual, tol)

@@ -33,7 +33,7 @@ from .certificates import (
 )
 from .core import ComplexTensor3, Tensor3, frobenius_norm, spectral_norm, transpose
 from .errors import HypothesisViolationError
-from .spectral import t_power, young_witness
+from .spectral import _abs_power, t_power, young_witness
 
 __all__ = [
     "power_order_counterexample",
@@ -79,12 +79,6 @@ def _sym(t: Tensor3) -> Tensor3:
     return 0.5 * (t + transpose(t))
 
 
-def _abs_power(x: Tensor3, r: float) -> Tensor3:
-    """|x|^r computed as (x^T * x)^(r/2)."""
-    gram = t_product(transpose(x), x)
-    return t_power(_sym(gram), 0.5 * r)
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise HypothesisViolationError(message)
@@ -116,8 +110,6 @@ def check_loewner_heinz(
     r: float,
     tol: float = DEFAULT_TOL,
     exploratory: bool = False,
-    seed: int = -1,
-    trial: int = -1,
     extra_params: dict | None = None,
 ) -> InequalityCertificate:
     """Power monotonicity A >= B >= 0  =>  A^r >= B^r for 0 <= r <= 1.
@@ -129,10 +121,9 @@ def check_loewner_heinz(
         _require(0.0 <= r <= 1.0, f"exponent r={r} outside [0, 1]")
     _require_psd(b, tol, "B")
     _require_order(a, b, tol, "A >= B")
-    params = {"trial": trial, "r": r, "exploratory": exploratory, **(extra_params or {})}
+    params = {"r": r, "exploratory": exploratory, **(extra_params or {})}
     return loewner_certificate(
-        "loewner-heinz", t_power(b, r), t_power(a, r),
-        seed=seed, dims=a.shape, params=params, tol=tol,
+        "loewner-heinz", t_power(b, r), t_power(a, r), dims=a.shape, params=params, tol=tol
     )
 
 
@@ -142,8 +133,6 @@ def check_hansen_power(
     r: float,
     tol: float = DEFAULT_TOL,
     mode: str = "contraction",
-    seed: int = -1,
-    trial: int = -1,
 ) -> InequalityCertificate:
     """Conjugation-versus-power inequality for X >= 0 and 0 < r <= 2.
 
@@ -177,13 +166,13 @@ def check_hansen_power(
         )
     conj_pow = t_product(t_product(left, t_power(x, r)), q)
     pow_conj = t_power(_sym(middle), r)
-    params = {"trial": trial, "r": r, "mode": mode}
+    params = {"r": r, "mode": mode}
     if r <= 1.0:
         lhs, rhs = _sym(conj_pow), pow_conj
     else:
         lhs, rhs = pow_conj, _sym(conj_pow)
     return loewner_certificate(
-        "hansen-power", lhs, rhs, seed=seed, dims=q.shape, params=params, tol=tol
+        "hansen-power", lhs, rhs, dims=q.shape, params=params, tol=tol
     )
 
 
@@ -194,8 +183,6 @@ def check_furuta(
     p: float,
     q: float,
     tol: float = DEFAULT_TOL,
-    seed: int = -1,
-    trial: int = -1,
 ) -> tuple[InequalityCertificate, InequalityCertificate]:
     """Order-propagation inequalities for A >= B >= 0.
 
@@ -207,19 +194,19 @@ def check_furuta(
     _require((1 + 2 * r) * q >= p + 2 * r - 1e-12, f"(1+2r)q >= p+2r fails: r={r}, p={p}, q={q}")
     _require_psd(b, tol, "B")
     _require_order(a, b, tol, "A >= B")
-    params = {"trial": trial, "r": r, "p": p, "q": q}
+    params = {"r": r, "p": p, "q": q}
 
     br = t_power(b, r)
     sandwich_b = _sym(t_product(t_product(br, t_power(a, p)), br))
     cert_lower = loewner_certificate(
         "furuta", t_power(b, (p + 2 * r) / q), t_power(sandwich_b, 1.0 / q),
-        seed=seed, dims=a.shape, params={**params, "side": "lower"}, tol=tol,
+        dims=a.shape, params={**params, "side": "lower"}, tol=tol,
     )
     ar = t_power(a, r)
     sandwich_a = _sym(t_product(t_product(ar, t_power(b, p)), ar))
     cert_upper = loewner_certificate(
         "furuta", t_power(sandwich_a, 1.0 / q), t_power(a, (p + 2 * r) / q),
-        seed=seed, dims=a.shape, params={**params, "side": "upper"}, tol=tol,
+        dims=a.shape, params={**params, "side": "upper"}, tol=tol,
     )
     return cert_lower, cert_upper
 
@@ -230,8 +217,6 @@ def check_young_commuting(
     p: float,
     q: float,
     tol: float = DEFAULT_TOL,
-    seed: int = -1,
-    trial: int = -1,
 ) -> InequalityCertificate:
     """Young inequality A * B <= A^p / p + B^q / q for a commuting PSD pair."""
     _require(p > 1 and q > 1 and abs(1 / p + 1 / q - 1) <= 1e-12, f"non-conjugate exponents p={p}, q={q}")
@@ -246,8 +231,7 @@ def check_young_commuting(
     _require_psd(_sym(ab), tol, "A * B")
     rhs = (1.0 / p) * t_power(a, p) + (1.0 / q) * t_power(b, q)
     return loewner_certificate(
-        "young-commuting", _sym(ab), rhs,
-        seed=seed, dims=a.shape, params={"trial": trial, "p": p, "q": q}, tol=tol,
+        "young-commuting", _sym(ab), rhs, dims=a.shape, params={"p": p, "q": q}, tol=tol
     )
 
 
@@ -257,14 +241,11 @@ def check_young_witness(
     p: float,
     q: float,
     tol: float = DEFAULT_TOL,
-    seed: int = -1,
-    trial: int = -1,
 ) -> InequalityCertificate:
     """Certificate form of the constructive generalized Young inequality."""
     _, verdict = young_witness(a, b, p, q, tol)
     return InequalityCertificate(
-        "young-witness", int(seed), tuple(a.shape),
-        {"trial": trial, "p": p, "q": q}, NO_NORM,
+        "young-witness", -1, tuple(a.shape), {"p": p, "q": q}, NO_NORM,
         -verdict.min_gap_eigenvalue, 0.0, verdict.min_gap_eigenvalue,
         verdict.tolerance_used, verdict.holds,
     )
@@ -280,8 +261,6 @@ def check_complex_norm_bounds(
     variant: str,
     tol: float = DEFAULT_TOL,
     mode: str = MODE_CORRECTED,
-    seed: int = -1,
-    trial: int = -1,
 ) -> list[InequalityCertificate]:
     """Norm bounds for the Cartesian assembly T = A + iB.
 
@@ -300,14 +279,14 @@ def check_complex_norm_bounds(
         _require_psd(b, tol, "B")
 
     t = ComplexTensor3.from_parts(a, b)
-    base = {"trial": trial, "variant": variant, "mode": mode}
+    base = {"variant": variant, "mode": mode}
     sa2, sb2 = spectral_norm(a) ** 2, spectral_norm(b) ** 2
     fa2, fb2 = frobenius_norm(a) ** 2, frobenius_norm(b) ** 2
     st2, ft2 = spectral_norm(t) ** 2, frobenius_norm(t) ** 2
 
     def cert(claim: str, norm_kind: str, lhs: float, rhs: float) -> InequalityCertificate:
         return norm_certificate(
-            f"complex-norm-{variant}", seed=seed, dims=a.shape,
+            f"complex-norm-{variant}", dims=a.shape,
             params={**base, "claim": claim}, norm_kind=norm_kind, lhs=lhs, rhs=rhs, tol=tol,
         )
 
@@ -343,8 +322,6 @@ def check_am_gm(
     tol: float = DEFAULT_TOL,
     mode: str = MODE_CORRECTED,
     norm_kind: str = FROBENIUS,
-    seed: int = -1,
-    trial: int = -1,
 ) -> InequalityCertificate:
     """Arithmetic-geometric mean bound ||A*X*B^T|| <= 0.5 ||A^T*A*X + X*B^T*B||.
 
@@ -361,8 +338,7 @@ def check_am_gm(
         raise ValueError(f"unknown mode {mode!r}")
     rhs = 0.5 * _norm(first + t_product(x, t_product(transpose(b), b)), norm_kind)
     return norm_certificate(
-        "am-gm", seed=seed, dims=a.shape,
-        params={"trial": trial, "mode": mode}, norm_kind=norm_kind,
+        "am-gm", dims=a.shape, params={"mode": mode}, norm_kind=norm_kind,
         lhs=lhs, rhs=rhs, tol=tol,
     )
 
@@ -375,8 +351,6 @@ def check_heinz_family(
     t: float,
     tol: float = DEFAULT_TOL,
     norm_kind: str = FROBENIUS,
-    seed: int = -1,
-    trial: int = -1,
 ) -> tuple[InequalityCertificate, InequalityCertificate]:
     """Heinz-type bounds for positive semidefinite A, B.
 
@@ -387,7 +361,7 @@ def check_heinz_family(
     _require(-2.0 < t <= 2.0, f"weight t={t} outside (-2, 2]")
     _require_psd(a, tol, "A")
     _require_psd(b, tol, "B")
-    params = {"trial": trial, "r": r, "t": t}
+    params = {"r": r, "t": t}
 
     ar, a2r = t_power(a, r), t_power(a, 2 - r)
     br, b2r = t_power(b, r), t_power(b, 2 - r)
@@ -401,14 +375,12 @@ def check_heinz_family(
         norm_kind,
     )
     cert1 = norm_certificate(
-        "heinz-family", seed=seed, dims=a.shape,
-        params={**params, "part": "weighted"}, norm_kind=norm_kind,
+        "heinz-family", dims=a.shape, params={**params, "part": "weighted"}, norm_kind=norm_kind,
         lhs=lhs1, rhs=rhs1, tol=tol,
     )
     s = a + b
     cert2 = norm_certificate(
-        "heinz-family", seed=seed, dims=a.shape,
-        params={**params, "part": "product"}, norm_kind=norm_kind,
+        "heinz-family", dims=a.shape, params={**params, "part": "product"}, norm_kind=norm_kind,
         lhs=4 * _norm(t_product(a, b), norm_kind),
         rhs=_norm(t_product(s, s), norm_kind),
         tol=tol,
@@ -416,16 +388,16 @@ def check_heinz_family(
     return cert1, cert2
 
 
-def _conjugate_prefactor(p: float, q: float) -> float:
-    """Tube-count prefactor n3^(1/(2p) + 1/(2q) - 1/2); identically 1.
+def _require_conjugate(p: float, q: float) -> None:
+    """Require conjugate (p, q).
 
-    The exponent vanishes for conjugate (p, q); this is asserted rather than
-    trusted to floating-point cancellation.
+    The tube-count prefactor ``n3^(1/(2p) + 1/(2q) - 1/2)`` of the Hoelder
+    bounds is then identically 1, so it is left out; its exponent vanishing
+    is asserted rather than trusted to floating-point cancellation.
     """
     exponent = 0.5 / p + 0.5 / q - 0.5
     if abs(exponent) > 1e-12:
         raise HypothesisViolationError(f"exponents p={p}, q={q} are not conjugate")
-    return 1.0
 
 
 def check_holder(
@@ -437,8 +409,6 @@ def check_holder(
     q: float,
     tol: float = DEFAULT_TOL,
     norm_kind: str = FROBENIUS,
-    seed: int = -1,
-    trial: int = -1,
 ) -> InequalityCertificate:
     """Mixed Hoelder bound ``|| |A X B|^r || <= || |A^p X|^r ||^(1/p) || |X B^q|^r ||^(1/q)``.
 
@@ -447,17 +417,16 @@ def check_holder(
     consistent reading of the statement.
     """
     _require(r > 0 and p > 1 and q > 1, f"need r > 0 and finite conjugate p, q; got r={r}, p={p}, q={q}")
-    prefactor = _conjugate_prefactor(p, q)
+    _require_conjugate(p, q)
     _require_psd(a, tol, "A")
     _require_psd(b, tol, "B")
     lhs = _norm(_abs_power(t_product(t_product(a, x), b), r), norm_kind)
-    rhs = prefactor * (
+    rhs = (
         _norm(_abs_power(t_product(t_power(a, p), x), r), norm_kind) ** (1 / p)
         * _norm(_abs_power(t_product(x, t_power(b, q)), r), norm_kind) ** (1 / q)
     )
     return norm_certificate(
-        "holder", seed=seed, dims=a.shape,
-        params={"trial": trial, "r": r, "p": p, "q": q}, norm_kind=norm_kind,
+        "holder", dims=a.shape, params={"r": r, "p": p, "q": q}, norm_kind=norm_kind,
         lhs=lhs, rhs=rhs, tol=tol,
     )
 
@@ -471,8 +440,6 @@ def check_holder_pairs(
     q: float,
     tol: float = DEFAULT_TOL,
     norm_kind: str = FROBENIUS,
-    seed: int = -1,
-    trial: int = -1,
 ) -> InequalityCertificate:
     """Paired Hoelder bound with damping 2^(-|1/p - 1/2|) on the left.
 
@@ -481,17 +448,16 @@ def check_holder_pairs(
     out of numeric scope).
     """
     _require(p > 1 and q > 1, f"infinite or unit exponents out of numeric scope: p={p}, q={q}")
-    prefactor = _conjugate_prefactor(p, q)
+    _require_conjugate(p, q)
     lhs = 2.0 ** (-abs(1 / p - 0.5)) * _norm(
         t_product(transpose(c), a) + t_product(transpose(d), b), norm_kind
     )
-    rhs = prefactor * (
+    rhs = (
         _norm(_abs_power(a, p) + _abs_power(b, p), norm_kind) ** (1 / p)
         * _norm(_abs_power(c, q) + _abs_power(d, q), norm_kind) ** (1 / q)
     )
     return norm_certificate(
-        "holder-pairs", seed=seed, dims=a.shape,
-        params={"trial": trial, "p": p, "q": q}, norm_kind=norm_kind,
+        "holder-pairs", dims=a.shape, params={"p": p, "q": q}, norm_kind=norm_kind,
         lhs=lhs, rhs=rhs, tol=tol,
     )
 
@@ -504,20 +470,17 @@ def check_holder_corollary(
     q: float,
     tol: float = DEFAULT_TOL,
     norm_kind: str = FROBENIUS,
-    seed: int = -1,
-    trial: int = -1,
 ) -> InequalityCertificate:
     """Two-factor Hoelder corollary ``|| |A B|^r || <= || |A|^(pr) ||^(1/p) || |B|^(qr) ||^(1/q)``."""
     _require(r > 0 and p > 1 and q > 1, f"need r > 0 and finite conjugate p, q; got r={r}, p={p}, q={q}")
-    prefactor = _conjugate_prefactor(p, q)
+    _require_conjugate(p, q)
     lhs = _norm(_abs_power(t_product(a, b), r), norm_kind)
-    rhs = prefactor * (
+    rhs = (
         _norm(_abs_power(a, p * r), norm_kind) ** (1 / p)
         * _norm(_abs_power(b, q * r), norm_kind) ** (1 / q)
     )
     return norm_certificate(
-        "holder-corollary", seed=seed, dims=a.shape,
-        params={"trial": trial, "r": r, "p": p, "q": q}, norm_kind=norm_kind,
+        "holder-corollary", dims=a.shape, params={"r": r, "p": p, "q": q}, norm_kind=norm_kind,
         lhs=lhs, rhs=rhs, tol=tol,
     )
 
@@ -530,8 +493,6 @@ def check_minkowski(
     p: float,
     tol: float = DEFAULT_TOL,
     norm_kind: str = FROBENIUS,
-    seed: int = -1,
-    trial: int = -1,
 ) -> InequalityCertificate:
     """Minkowski-type bound with damping 2^(-|1/p - 1/2|) for 1 <= p < inf.
 
@@ -547,7 +508,6 @@ def check_minkowski(
         + _norm(_abs_power(a2, p) + _abs_power(b2, p), norm_kind) ** (1 / p)
     )
     return norm_certificate(
-        "minkowski", seed=seed, dims=a1.shape,
-        params={"trial": trial, "p": p}, norm_kind=norm_kind,
+        "minkowski", dims=a1.shape, params={"p": p}, norm_kind=norm_kind,
         lhs=lhs, rhs=rhs, tol=tol,
     )

@@ -90,16 +90,13 @@ class ComponentCount:
     eigenvalue_count: float
 
 
-def schur_bound(
-    a, tol: float = DEFAULT_TOL, seed: int = -1, trial: int = -1
-) -> InequalityCertificate:
+def schur_bound(a, tol: float = DEFAULT_TOL) -> InequalityCertificate:
     """Quadratic spectral-sum bound: sum |lambda_i|^2 <= n3 * ||A||_F^2."""
     spectrum = t_eigenvalues(a)
     lhs = float(np.sum(np.abs(spectrum.values) ** 2))
     rhs = a.n3 * frobenius_norm(a) ** 2
     return norm_certificate(
-        "schur", seed=seed, dims=a.shape, params={"trial": trial},
-        norm_kind=FROBENIUS, lhs=lhs, rhs=rhs, tol=tol,
+        "schur", dims=a.shape, params={}, norm_kind=FROBENIUS, lhs=lhs, rhs=rhs, tol=tol
     )
 
 
@@ -198,8 +195,6 @@ def bauer_fike(
     q: Tensor3,
     s: Tensor3,
     tol: float = DEFAULT_TOL,
-    seed: int = -1,
-    trial: int = -1,
 ) -> InequalityCertificate:
     """Perturbation bound for a diagonalizable tensor a = q^-1 * s * q.
 
@@ -221,8 +216,7 @@ def bauer_fike(
     lhs = float(max(np.abs(mu - z).min() for z in lam))
     rhs = spectral_norm(q_inv) * spectral_norm(q) * spectral_norm(a - b)
     return norm_certificate(
-        "bauer-fike", seed=seed, dims=a.shape, params={"trial": trial},
-        norm_kind=SPECTRAL, lhs=lhs, rhs=rhs, tol=tol,
+        "bauer-fike", dims=a.shape, params={}, norm_kind=SPECTRAL, lhs=lhs, rhs=rhs, tol=tol
     )
 
 
@@ -235,11 +229,7 @@ def _matched_distance(lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, floa
 
 
 def hoffman_wielandt(
-    a: Tensor3,
-    b: Tensor3,
-    tol: float = DEFAULT_TOL,
-    seed: int = -1,
-    trial: int = -1,
+    a: Tensor3, b: Tensor3, tol: float = DEFAULT_TOL
 ) -> tuple[MatchingReport, InequalityCertificate, InequalityCertificate]:
     """Optimal spectral matching bound for normal tensors.
 
@@ -259,16 +249,12 @@ def hoffman_wielandt(
         tuple(int(i) for i in perm), dist,
         float(np.sqrt(a.n3) * diff), float(a.n3 * diff),
     )
-    base = {"trial": trial, "pairing": "optimal"}
-    cert_sqrt = norm_certificate(
-        "hoffman-wielandt", seed=seed, dims=a.shape,
-        params={**base, "constant": "sqrt-n3"}, norm_kind=FROBENIUS,
-        lhs=dist, rhs=report.bound_sqrt, tol=tol,
-    )
-    cert_stated = norm_certificate(
-        "hoffman-wielandt", seed=seed, dims=a.shape,
-        params={**base, "constant": "n3"}, norm_kind=FROBENIUS,
-        lhs=dist, rhs=report.bound_stated, tol=tol,
+    cert_sqrt, cert_stated = (
+        norm_certificate(
+            "hoffman-wielandt", dims=a.shape, params={"pairing": "optimal", "constant": const},
+            norm_kind=FROBENIUS, lhs=dist, rhs=rhs, tol=tol,
+        )
+        for const, rhs in (("sqrt-n3", report.bound_sqrt), ("n3", report.bound_stated))
     )
     return report, cert_sqrt, cert_stated
 
@@ -284,11 +270,7 @@ def sorted_pairing_distance(a: Tensor3, b: Tensor3) -> float:
 
 
 def diag_spectrum_bound(
-    a: Tensor3,
-    b: Tensor3,
-    tol: float = DEFAULT_TOL,
-    seed: int = -1,
-    trial: int = -1,
+    a: Tensor3, b: Tensor3, tol: float = DEFAULT_TOL
 ) -> list[InequalityCertificate]:
     """Norm bounds on the paired-spectra diagonal of T = A + iB (A, B symmetric).
 
@@ -312,12 +294,10 @@ def diag_spectrum_bound(
     st = spectral_norm(t_complex)
     paired = np.sqrt(alpha**2 + beta**2)
     diag_fro = float(np.sqrt((paired**2).sum()))
-    base = {"trial": trial}
 
     def cert(claim, norm_kind, lhs, rhs):
         return norm_certificate(
-            "diag-spectrum", seed=seed, dims=a.shape,
-            params={**base, "claim": claim}, norm_kind=norm_kind,
+            "diag-spectrum", dims=a.shape, params={"claim": claim}, norm_kind=norm_kind,
             lhs=lhs, rhs=rhs, tol=tol,
         )
 

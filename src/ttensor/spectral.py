@@ -111,27 +111,29 @@ def _half_slice_eigs(a: Tensor3):
     return hermitian_eig(0.5 * (half + _herm_t(half)))
 
 
-def t_power(a: Tensor3, r: float, tol: float = _POWER_TOL) -> Tensor3:
+def t_power(a: Tensor3, r: float) -> Tensor3:
     """Real power of a symmetric positive semidefinite tensor.
 
-    Eigenvalues in ``[-tol * lambda_max, 0)`` are clamped to zero (transform
-    roundoff makes tiny negatives inevitable); anything below that window is a
-    genuine violation and raises.  Negative exponents additionally require
-    strict definiteness: every eigenvalue at least ``tol * lambda_max``.
+    Eigenvalues in ``[-_POWER_TOL * lambda_max, 0)`` are clamped to zero
+    (transform roundoff makes tiny negatives inevitable); anything below that
+    window is a genuine violation and raises.  Negative exponents additionally
+    require strict definiteness: every eigenvalue at least
+    ``_POWER_TOL * lambda_max``.  The input must be symmetric within
+    ``_POWER_TOL``.
     """
-    sym = is_symmetric(a, tol)
+    sym = is_symmetric(a, _POWER_TOL)
     if not sym:
         raise NotSymmetricError(f"t_power requires a symmetric tensor: {sym.reason}")
     eigs = _half_slice_eigs(a)
     lam_max = float(eigs.values.max())
-    clamp_floor = tol * max(lam_max, 0.0)
+    clamp_floor = _POWER_TOL * max(lam_max, 0.0)
     min_eig = float(eigs.values.min())
     if min_eig < -clamp_floor:
         raise NotTPSDError(
             f"t_power requires positive semidefiniteness: eigenvalue {min_eig:.6e} "
             f"below -{clamp_floor:.3e}"
         )
-    if r < 0 and (lam_max <= 0.0 or min_eig < tol * lam_max):
+    if r < 0 and (lam_max <= 0.0 or min_eig < _POWER_TOL * lam_max):
         raise SingularTensorError(
             -1, np.inf,
             f"negative power needs strict definiteness: smallest eigenvalue {min_eig:.3e}",
@@ -152,8 +154,14 @@ def t_abs(a: Tensor3) -> Tensor3:
     """Absolute value (a^T * a)^(1/2); symmetric positive semidefinite."""
     if a.n1 != a.n2:
         raise ShapeMismatchError(f"t_abs requires a square tensor, got {a.shape}")
-    gram = t_product(transpose(a), a)
-    return t_power(0.5 * (gram + transpose(gram)), 0.5)
+    return _abs_power(a, 1.0)
+
+
+def _abs_power(x: Tensor3, r: float) -> Tensor3:
+    """``|x|^r``, computed as the power ``r / 2`` of the symmetrized Gram
+    ``x^T * x``; the one place every ``|X|^r`` in the package is taken."""
+    gram = t_product(transpose(x), x)
+    return t_power(0.5 * (gram + transpose(gram)), 0.5 * r)
 
 
 def gen_orthogonal(n: int, n3: int, rng) -> Tensor3:
@@ -208,11 +216,7 @@ def young_witness(
     d = power(e_a, p / 2) / p + power(e_b, q / 2) / q
     e_d = hermitian_eig(0.5 * (d + _herm_t(d)))
     u = _assemble_real_from_half(e_c.vectors @ _herm_t(e_d.vectors), a.n3)
-
-    def gram(x, e):  # |x|^(2e)
-        g = t_product(transpose(x), x)
-        return t_power(0.5 * (g + transpose(g)), e)
-    rhs = (1.0 / p) * gram(a, p / 2) + (1.0 / q) * gram(b, q / 2)
+    rhs = (1.0 / p) * _abs_power(a, p) + (1.0 / q) * _abs_power(b, q)
     conjugated = t_product(t_product(transpose(u), t_abs(t_product(a, transpose(b)))), u)
     verdict = loewner_ge(rhs, 0.5 * (conjugated + transpose(conjugated)), tol)
     return u, verdict

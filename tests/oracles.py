@@ -324,20 +324,20 @@ def run_campaign_serial(theorem_id, n=3, n3=3, trials=200, seed=0, tol=None,
                         mode="corrected", params=None):
     """``ttensor.run_campaign`` as one serial loop over the trials.
 
-    Each trial runs on the calling thread in its own memo scope, in trial
+    Each trial runs on the calling thread through the program's own
+    ``campaigns._run_trial`` (memo scope and provenance stamping), in trial
     order, with no batcher, so every eigensolver call solves its own stack
     alone; the first failing trial's exception propagates.  The lockstep
     windows must reproduce its reports byte for byte, and its exceptions.
     """
-    from ttensor import campaigns, core
+    from ttensor import campaigns
 
     trial_fn = campaigns._REGISTRY[theorem_id]
     tol = campaigns.DEFAULT_TOL if tol is None else tol
     params = dict(params or {})
     certificates = []
     for trial in range(trials):
-        with core._trial_memo():
-            certificates.extend(
-                trial_fn(trial, core.RngStream(seed, trial), n, n3, tol, mode, params)
-            )
+        certificates.extend(
+            campaigns._run_trial(trial_fn, trial, seed, n, n3, tol, mode, params)
+        )
     return campaigns._campaign_result(theorem_id, n, n3, trials, seed, mode, certificates)

@@ -2,6 +2,8 @@
 windows against the serial oracle."""
 
 import contextlib
+import dataclasses
+import inspect
 import json
 import sys
 import threading
@@ -15,12 +17,19 @@ from ttensor import (
     EigenConvergenceError,
     HypothesisViolationError,
     NotSymmetricError,
+    RngStream,
     SingularTensorError,
     UnknownTheoremError,
     campaigns,
+    certificates,
+    check_holder,
     core,
     eigensolvers,
     fourier,
+    gen_random,
+    gen_t_psd,
+    inequalities,
+    localization,
     run_campaign,
 )
 
@@ -113,6 +122,33 @@ def test_campaign_certificates_reconstructible():
         assert c1 == c2
 
 
+def test_certifiers_take_no_provenance():
+    # a certifier is a pure function of its instance; only a campaign knows
+    # the seed and the trial
+    fns = [getattr(m, name) for m in (inequalities, localization) for name in m.__all__]
+    fns += [certificates.norm_certificate, certificates.loewner_certificate]
+    for fn in fns:
+        if not inspect.isclass(fn):
+            assert not {"seed", "trial"} & set(inspect.signature(fn).parameters), fn.__name__
+
+
+def test_campaign_stamps_seed_and_trial():
+    result = run_campaign("holder", n=2, n3=2, trials=2, seed=3)
+    assert [c.seed for c in result.certificates] == [3, 3, 3, 3]
+    assert [next(iter(c.params)) for c in result.certificates] == ["trial"] * 4
+    assert [c.params["trial"] for c in result.certificates] == [0, 0, 1, 1]
+    # trial 0's instance, certified outside the campaign: no provenance, and
+    # stamping it gives the campaign's certificate
+    g = RngStream(3, 0).generator()
+    a, b = gen_t_psd(2, 2, g), gen_t_psd(2, 2, g)
+    x = gen_random((2, 2, 2), g)
+    standalone = check_holder(a, x, b, 0.5, 1.25, 5.0)
+    assert standalone.seed == -1 and "trial" not in standalone.params
+    assert "trial" not in standalone.to_json_dict()["params"]
+    stamped = dataclasses.replace(standalone, seed=3, params={"trial": 0, **standalone.params})
+    assert stamped == result.certificates[0]
+
+
 def test_literal_am_gm_finds_counterexample():
     result = run_campaign("am-gm", n=2, n3=2, trials=50, seed=1, mode="literal")
     assert result.violations >= 1
@@ -153,9 +189,9 @@ def test_eig_memo_scope_is_per_trial(monkeypatch):
     solved = []
     kernel = eigensolvers._jacobi
 
-    def counting_kernel(stack, max_sweeps):
+    def counting_kernel(stack):
         solved.extend(m.tobytes() for m in stack)
-        return kernel(stack, max_sweeps)
+        return kernel(stack)
 
     monkeypatch.setattr(eigensolvers, "_jacobi", counting_kernel)
     run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
@@ -178,9 +214,9 @@ def test_transform_memo_scope_is_per_trial(monkeypatch):
         computed.append(("fwd", type(a), a.shape, a.data.tobytes()))
         return forward(a)
 
-    def counting_inverse(s, tol_sym):
-        computed.append(("inv", s.slices.shape, tol_sym, s.slices.tobytes()))
-        return inverse(s, tol_sym)
+    def counting_inverse(s):
+        computed.append(("inv", s.slices.shape, s.slices.tobytes()))
+        return inverse(s)
 
     monkeypatch.setattr(fourier, "_to_fourier", counting_forward)
     monkeypatch.setattr(fourier, "_from_fourier", counting_inverse)
@@ -319,9 +355,9 @@ def _solved_per_trial(monkeypatch, theorem_id, **kwargs):
         stacks[trial] = []
         return real(trial, *args)
 
-    def recording_kernel(stack, max_sweeps):
+    def recording_kernel(stack):
         stacks[current[0]].append(stack.copy())
-        return kernel(stack, max_sweeps)
+        return kernel(stack)
 
     with monkeypatch.context() as patch:
         patch.setitem(campaigns._REGISTRY, theorem_id, trial_fn)
@@ -338,11 +374,11 @@ def test_merged_call_error_reaches_only_its_trial(monkeypatch):
     kernel = eigensolvers._jacobi
     raised_sizes = []
 
-    def poisoned_kernel(stack, max_sweeps):
+    def poisoned_kernel(stack):
         if any(m.tobytes() == poison for m in stack):
             raised_sizes.append(len(stack))
             raise NotSymmetricError("poisoned member")
-        return kernel(stack, max_sweeps)
+        return kernel(stack)
 
     monkeypatch.setattr(eigensolvers, "_jacobi", poisoned_kernel)
     log = _track_trials(monkeypatch, "furuta")
@@ -360,16 +396,16 @@ def test_merged_call_error_reaches_only_its_trial(monkeypatch):
 
 
 def test_lockstep_merges_each_round_into_one_call(monkeypatch):
-    # furuta solves only 4x4 stacks with the default sweep budget, so round r
+    # furuta solves only 4x4 stacks, so round r
     # is one kernel call holding every live trial's r-th stack
     kwargs = dict(n=4, n3=4, trials=8, seed=0)
     per_trial = _solved_per_trial(monkeypatch, "furuta", **kwargs)
     calls = []
     kernel = eigensolvers._jacobi
 
-    def counting_kernel(stack, max_sweeps):
+    def counting_kernel(stack):
         calls.append(len(stack))
-        return kernel(stack, max_sweeps)
+        return kernel(stack)
 
     monkeypatch.setattr(eigensolvers, "_jacobi", counting_kernel)
     threads_before = threading.active_count()
@@ -384,9 +420,9 @@ def _count_general_kernel(monkeypatch):
     calls = []
     kernel = eigensolvers._qr_eig
 
-    def counting_kernel(stack, iter_per_eigenvalue):
+    def counting_kernel(stack):
         calls.append(len(stack))
-        return kernel(stack, iter_per_eigenvalue)
+        return kernel(stack)
 
     monkeypatch.setattr(eigensolvers, "_qr_eig", counting_kernel)
     return calls
@@ -411,7 +447,7 @@ def test_lockstep_merges_general_eig_solves(monkeypatch, theorem_id, n, n3, tria
 
 def test_merged_general_eig_failure_reaches_only_its_trial(monkeypatch):
     # with 2 QR steps per eigenvalue only trial 3's slices run out of steps
-    monkeypatch.setattr(eigensolvers.general_eig, "__defaults__", (2,))
+    monkeypatch.setattr(eigensolvers, "_QR_STEPS_PER_EIGENVALUE", 2)
     kwargs = dict(n=3, n3=3, trials=8, seed=0)
     log = _track_trials(monkeypatch, "gershgorin")
     expected = _raised(run_campaign_serial, "gershgorin", **kwargs)

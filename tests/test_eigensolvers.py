@@ -116,7 +116,6 @@ def test_memo_returns_stored_read_only_result():
         e1 = hermitian_eig(h)
         e2 = hermitian_eig(h.copy())
         assert e2 is e1
-        assert hermitian_eig(h, max_sweeps=50) is not e1
         with pytest.raises(ValueError):
             e1.values[0] = 0.0
         with pytest.raises(ValueError):
@@ -185,7 +184,7 @@ def test_stack_matches_reference_jacobi(n):
         _assert_matches_reference(stack, hermitian_eig(stack))
 
 
-def test_stack_members_converging_in_different_sweeps():
+def test_stack_members_converging_in_different_sweeps(monkeypatch):
     rng = np.random.default_rng(41)
     general = _random_hermitian(rng, 4)
     diagonal = np.diag([3.0, -1.0, 2.0, 0.5])  # converged before the first sweep
@@ -197,7 +196,8 @@ def test_stack_members_converging_in_different_sweeps():
     _assert_matches_reference(stack, hermitian_eig(stack))
     for sweeps in (1, 2, 3):  # members still live when the budget runs out
         stack = np.stack([diagonal, one_pair])
-        _assert_matches_reference(stack, hermitian_eig(stack, max_sweeps=sweeps), sweeps)
+        monkeypatch.setattr(eigensolvers, "_MAX_SWEEPS", sweeps)
+        _assert_matches_reference(stack, hermitian_eig(stack), sweeps)
 
 
 def test_stack_reports_first_non_hermitian_member():
@@ -212,13 +212,14 @@ def test_stack_reports_first_non_hermitian_member():
     assert str(err.value) == str(reference.value)
 
 
-def test_stack_reports_first_member_out_of_sweeps():
+def test_stack_reports_first_member_out_of_sweeps(monkeypatch):
     rng = np.random.default_rng(43)
     stack = np.stack([np.diag([1.0, 2.0, 3.0])] + [_random_hermitian(rng, 5)[:3, :3] for _ in range(3)])
     with pytest.raises(EigenConvergenceError) as reference:
         jacobi_eig_reference(stack[1], max_sweeps=1)
+    monkeypatch.setattr(eigensolvers, "_MAX_SWEEPS", 1)
     with pytest.raises(EigenConvergenceError) as err:
-        hermitian_eig(stack, max_sweeps=1)
+        hermitian_eig(stack)
     assert str(err.value) == str(reference.value)
 
 
@@ -248,9 +249,9 @@ def _count_solved(monkeypatch):
     solved = []
     kernel = eigensolvers._jacobi
 
-    def counting_kernel(stack, max_sweeps):
+    def counting_kernel(stack):
         solved.extend(m.tobytes() for m in stack)
-        return kernel(stack, max_sweeps)
+        return kernel(stack)
 
     monkeypatch.setattr(eigensolvers, "_jacobi", counting_kernel)
     return solved
@@ -397,7 +398,7 @@ def test_general_stack_exceptional_shift_and_staggered_deflation(monkeypatch):
     assert 1 not in last_step and 3 not in last_step  # triangular: no step at all
 
 
-def test_general_stack_reports_first_member_out_of_steps():
+def test_general_stack_reports_first_member_out_of_steps(monkeypatch):
     # the lowest failing member is reported even when a later one runs out
     # of steps first: member 1 deflates once before it stalls, so it fails a
     # round after the cyclic member 2, which never deflates
@@ -418,12 +419,13 @@ def test_general_stack_reports_first_member_out_of_steps():
     stack[1], stack[2] = late, cyclic
     failing = [(i, outcome(m)) for i, m in enumerate(stack) if outcome(m)]
     assert len(failing) > 2 and failing[0][0] == 1
+    monkeypatch.setattr(eigensolvers, "_QR_STEPS_PER_EIGENVALUE", 1)
     with pytest.raises(EigenConvergenceError) as err:
-        general_eig(stack, iter_per_eigenvalue=1)
+        general_eig(stack)
     assert str(err.value) == failing[0][1]
     # the members that converge within the budget are not reported
     ok = [i for i in range(len(stack)) if i not in dict(failing)]
-    _assert_matches_general_reference(stack[ok], general_eig(stack[ok], 1), 1)
+    _assert_matches_general_reference(stack[ok], general_eig(stack[ok]), 1)
 
 
 def test_general_deflation_threshold_uses_scalar_abs():

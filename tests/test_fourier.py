@@ -32,6 +32,7 @@ from oracles import (
 from ttensor.core import _MEMO, _trial_memo
 from ttensor.fourier import (
     _KERNEL_CACHE_SIZE,
+    _SYMMETRY_TOL,
     _assemble_real_from_half,
     _real_dft_kernel,
     dft_matrix,
@@ -208,18 +209,18 @@ def _exactly_conjugate_slices(rng, n1, n2, n3, zeros=False):
     return s
 
 
-def _check_symmetry_parity(slices, tol_sym=1e-9):
+def _check_symmetry_parity(slices):
     residual, i, j = conjugate_pair_worst_reference(slices)
     fs = FourierSlices(slices.shape[1], slices.shape[2], len(slices), slices, True)
     assert fs.symmetry_residual() == residual
-    tol = tol_sym * (1.0 + float(np.abs(slices).max()))
+    tol = _SYMMETRY_TOL * (1.0 + float(np.abs(slices).max()))
     if residual > tol:
         with pytest.raises(ConjugateSymmetryError) as err:
-            from_fourier(fs, tol_sym)
+            from_fourier(fs)
         e = err.value
         assert (e.slice_a, e.slice_b, e.residual, e.tolerance) == (i, j, residual, tol)
     else:
-        from_fourier(fs, tol_sym)
+        from_fourier(fs)
 
 
 @pytest.mark.parametrize("n3", [1, 2, 3, 4])
@@ -313,10 +314,12 @@ def test_first_round_trip_keeps_one_kernel_resident():
         tracemalloc.stop()
     assert back.data.nbytes == 8 * 8 * n3 * 8
     assert resident <= kernel + 2**20
-    assert peak <= 3 * kernel
+    # F is exponentiated in place: only the int64 outer(j, j) (half a kernel)
+    # lives beside it while it is built; a separate exp output peaks at 2x
+    assert peak <= 1.75 * kernel
 
 
-@pytest.mark.parametrize("n3", [*range(1, 41), 127, 128, 255, 256, 1024])
+@pytest.mark.parametrize("n3", [*range(1, 41), 127, 128, 255, 256, 511, 512, 1024])
 def test_forward_matches_complex_kernel_bit_for_bit(n3):
     rng = np.random.default_rng(90 + n3)
     for n1, n2 in ((3, 3), (2, 5), *([(8, 8)] if n3 == 1024 else [])):
@@ -362,7 +365,6 @@ def test_memo_returns_stored_transforms():
         assert to_fourier(Tensor3(a.data.copy())) is fs
         back = from_fourier(fs)
         assert from_fourier(FourierSlices(3, 2, 5, fs.slices.copy(), True)) is back
-        assert from_fourier(fs, tol_sym=1e-6) is not back  # tol_sym is keyed
         assert not fs.slices.flags.writeable and not back.data.flags.writeable
     assert np.array_equal(to_fourier(a).slices, fs.slices)
     assert np.array_equal(from_fourier(fs).data, back.data)

@@ -264,12 +264,14 @@ def test_holder_cauchy_schwarz_instance():
 
 
 def test_holder_prefactor_is_exactly_one():
-    from ttensor.inequalities import _conjugate_prefactor
+    # the prefactor n3^(1/(2p) + 1/(2q) - 1/2) is 1 for conjugate (p, q), so
+    # the certifiers leave it out and only require conjugacy
+    from ttensor.inequalities import _require_conjugate
 
     for p in (1.25, 1.5, 2.0, 3.0, 5.0):
-        assert _conjugate_prefactor(p, p / (p - 1.0)) == 1.0
-    with pytest.raises(HypothesisViolationError):
-        _conjugate_prefactor(2.0, 3.0)
+        assert _require_conjugate(p, p / (p - 1.0)) is None
+    with pytest.raises(HypothesisViolationError, match=r"^exponents p=2.0, q=3.0 are not conjugate$"):
+        _require_conjugate(2.0, 3.0)
 
 
 def test_holder_rejects_unit_exponent():

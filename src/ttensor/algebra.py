@@ -182,9 +182,17 @@ def _slice_eig_extremes(a: Tensor3) -> tuple[float, float]:
       ``gap >= -tol * (1 + ||R||_2)``, scaled by the spectral norm of the
       right-hand side ``R`` instead.
     """
-    half = to_fourier(a).half()
-    w = hermitian_eig(0.5 * (half + half.conj().transpose(0, 2, 1))).values
+    w = hermitian_eig(_psd_stack(a)).values
     return float(w[:, 0].min()), float(np.abs(w).max())
+
+
+def _psd_stack(a: Tensor3) -> np.ndarray:
+    """Hermitian-symmetrized Fourier slices ``0..n3//2`` of ``a``: the stack
+    whose spectra :func:`_slice_eig_extremes` (hence :func:`is_t_psd` and
+    every Loewner certificate) and the symmetric branch of
+    :func:`ttensor.spectral.t_eigenvalues` take."""
+    half = to_fourier(a).half()
+    return 0.5 * (half + half.conj().transpose(0, 2, 1))
 
 
 def loewner_ge(a: Tensor3, b: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:

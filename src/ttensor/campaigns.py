@@ -20,12 +20,15 @@ so the eigensolver calls of a window's trials are merged into one stacked
 call per round: the Jacobi solves of every theorem that takes powers, PSD
 checks or symmetric spectra, and the Hessenberg + QR solves of the theorems
 on the t-eigenvalues of non-symmetric tensors (``gershgorin``,
-``bauer-fike``, ``schur``).  At small ``n`` a stacked call costs about as
-much for one member as for dozens.  The workers are threads used as
-coroutines, one running at a time, not for parallelism.  The calling thread
-runs the first trial, and a trial gets a thread of its own only when the one
-before it waits in a solver call, so a one-trial campaign, or one whose
-trials never call an eigensolver (``am-gm``), starts no thread.  A window
+``bauer-fike``, ``schur``).  Within a trial, the certifiers hand each wave
+of independent Hermitian solves to :func:`ttensor.spectral._solve_ahead`, so
+a round holds one call per wave and trial rather than one per tensor.  At
+small ``n`` a stacked call costs about as much for one member as for dozens.
+The workers are threads used as coroutines, one running at a time, not for
+parallelism.  The calling thread runs the first trial, and a trial gets a
+thread of its own only when the one before it waits in a solver call, so a
+one-trial campaign, or one whose trials never call an eigensolver
+(``am-gm``), starts no thread.  A window
 holds at most 64 trials and at most 4096 tensor entries (``n * n * n3`` a
 trial), but at least one trial; the bound keeps the memos a window holds at
 once small.  There is no setting.  A merged call gives every trial the bits

@@ -119,8 +119,13 @@ def norm_certificate(
 
 def loewner_min_gap(lhs_tensor: Tensor3, rhs_tensor: Tensor3) -> float:
     """Smallest eigenvalue over the Fourier slices of ``rhs - lhs``."""
+    return _slice_eig_extremes(_gap_tensor(lhs_tensor, rhs_tensor))[0]
+
+
+def _gap_tensor(lhs_tensor: Tensor3, rhs_tensor: Tensor3) -> Tensor3:
+    """The symmetrized ``rhs - lhs`` whose slice spectra give the min gap."""
     diff = rhs_tensor - lhs_tensor
-    return _slice_eig_extremes(0.5 * (diff + transpose(diff)))[0]
+    return 0.5 * (diff + transpose(diff))
 
 
 def loewner_certificate(

@@ -41,7 +41,9 @@ decomposes the same Fourier slice several times (a tensor's power at several
 exponents, a PSD check followed by a power).  A scope holds about one
 decomposition per distinct slice matrix and is freed when the trial ends.
 Outside a scope every call solves afresh.  There is no setting: a hit returns
-the very result the kernel would have computed.
+the very result the kernel would have computed.  A caller that knows which
+independent decompositions come next can store them all with one stacked
+call first (:func:`ttensor.spectral._solve_ahead`).
 
 Both solvers reach their kernels through the lockstep batcher
 (:func:`ttensor.core._batched`): the members :func:`hermitian_eig` does solve
@@ -141,7 +143,12 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
 
 
 def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi on a ``(b, n, n)`` stack; ``(values, vectors)`` stacks."""
+    """Cyclic Jacobi on a ``(b, n, n)`` stack; ``(values, vectors)`` stacks.
+
+    Each member iterates as one ``(2n, n)`` array: the matrix in rows
+    ``0..n-1`` and its accumulated eigenvectors in rows ``n..2n-1``, so a
+    rotation's column update covers both in one set of array operations.
+    """
     b, n, _ = a.shape
     norm = _frobenius(a)
     herm_residual = _frobenius(a - a.conj().transpose(0, 2, 1))
@@ -151,23 +158,23 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"matrix is not Hermitian: residual {herm_residual[bad[0]]:.3e} "
             f"exceeds {_HERMITIAN_PRE_TOL:.1e} * (1 + ||M||_F)"
         )
-    a = 0.5 * (a + a.conj().transpose(0, 2, 1))
-    v = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
+    w = np.empty((b, 2 * n, n), dtype=complex)
+    w[:, :n] = 0.5 * (a + a.conj().transpose(0, 2, 1))
+    w[:, n:] = np.eye(n)
     threshold = _OFFDIAG_FACTOR * norm
     live = np.arange(b if n > 1 else 0)  # members still sweeping
     for _ in range(_MAX_SWEEPS):
-        live = live[~(_max_offdiag(a[live]) <= threshold[live])]
+        live = live[~(_max_offdiag(w[live, :n]) <= threshold[live])]
         if not live.size:
             break
-        sub_a, sub_v = a[live], v[live]
+        sub = w[live]
         skip = 0.5 * threshold[live]
         for p in range(n - 1):
             for q in range(p + 1, n):
-                _rotate(sub_a, sub_v, p, q, skip)
-        a[live] = sub_a
-        v[live] = sub_v
+                _rotate(sub, p, q, skip)
+        w[live] = sub
     else:
-        off = _max_offdiag(a[live])
+        off = _max_offdiag(w[live, :n])
         failed = np.flatnonzero(~(off <= threshold[live]))
         if failed.size:
             k = failed[0]
@@ -176,9 +183,9 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 f"final off-diagonal max {off[k]:.3e} > {threshold[live[k]]:.3e}"
             )
 
-    vals = np.diagonal(a, axis1=1, axis2=2).real
+    vals = np.diagonal(w[:, :n], axis1=1, axis2=2).real
     order = np.argsort(vals, axis=1, kind="stable")
-    return np.take_along_axis(vals, order, 1), np.take_along_axis(v, order[:, None, :], 2)
+    return np.take_along_axis(vals, order, 1), np.take_along_axis(w[:, n:], order[:, None, :], 2)
 
 
 @lru_cache(maxsize=None)
@@ -193,22 +200,22 @@ def _max_offdiag(a: np.ndarray) -> np.ndarray:
     return np.abs(a[:, _offdiag_mask(a.shape[1])]).max(axis=1, initial=0.0)
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, skip: np.ndarray) -> None:
-    """One Jacobi rotation in the ``(p, q)`` plane of every member of ``a``
-    whose ``|a[p, q]|`` exceeds its ``skip``; updates ``a`` and ``v`` in place."""
-    b = a[:, p, q]
+def _rotate(w: np.ndarray, p: int, q: int, skip: np.ndarray) -> None:
+    """One Jacobi rotation in the ``(p, q)`` plane of every member of ``w``
+    (matrix rows over eigenvector rows, as in :func:`_jacobi`) whose
+    ``|a[p, q]|`` exceeds its ``skip``; updates ``w`` in place."""
+    b = w[:, p, q]
     ab = np.hypot(b.real, b.imag)  # bit-equal to the scalar abs(); np.abs is not
     on = ~(ab <= skip)
     if not on.all():
         idx = np.flatnonzero(on)
         if idx.size:
-            sub_a, sub_v = a[idx], v[idx]
-            _rotate(sub_a, sub_v, p, q, skip[idx])
-            a[idx] = sub_a
-            v[idx] = sub_v
+            sub = w[idx]
+            _rotate(sub, p, q, skip[idx])
+            w[idx] = sub
         return
     phase = (b / ab)[:, None]
-    tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * ab)
+    tau = (w[:, q, q].real - w[:, p, p].real) / (2.0 * ab)
     # t = 1 / (tau + root) for tau >= 0, else -1 / (-tau + root): the same
     # bits without evaluating the branch not taken
     t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
@@ -216,26 +223,22 @@ def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, skip: np.ndarray) -> N
     s = t[:, None] * c
 
     # rotation J: J[p,p] = J[q,q] = c, J[p,q] = s*phase, J[q,p] = -s*conj(phase);
-    # apply A <- J^H A J and accumulate V <- V J
+    # apply A <- J^H A J and accumulate V <- V J: the rows touch A only, the
+    # columns run down A and V together
     sp = s * phase
     spc = s * phase.conj()
-    row_p = a[:, p, :].copy()
-    row_q = a[:, q, :].copy()
-    a[:, p, :] = c * row_p - sp * row_q
-    a[:, q, :] = spc * row_p + c * row_q
-    col_p = a[:, :, p].copy()
-    col_q = a[:, :, q].copy()
-    a[:, :, p] = c * col_p - spc * col_q
-    a[:, :, q] = sp * col_p + c * col_q
-    a[:, p, q] = 0.0
-    a[:, q, p] = 0.0
-    a[:, p, p] = a[:, p, p].real
-    a[:, q, q] = a[:, q, q].real
-
-    vcol_p = v[:, :, p].copy()
-    vcol_q = v[:, :, q].copy()
-    v[:, :, p] = c * vcol_p - spc * vcol_q
-    v[:, :, q] = sp * vcol_p + c * vcol_q
+    row_p = w[:, p, :].copy()
+    row_q = w[:, q, :].copy()
+    w[:, p, :] = c * row_p - sp * row_q
+    w[:, q, :] = spc * row_p + c * row_q
+    col_p = w[:, :, p].copy()
+    col_q = w[:, :, q].copy()
+    w[:, :, p] = c * col_p - spc * col_q
+    w[:, :, q] = sp * col_p + c * col_q
+    w[:, p, q] = 0.0
+    w[:, q, p] = 0.0
+    w[:, p, p] = w[:, p, p].real
+    w[:, q, q] = w[:, q, q].real
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,14 @@ evaluates the mathematically valid form:
 * ``complex-norm-b`` literal claims ``||T||_F^2 >= ||A||_F^2 + 2||B||_F^2``,
   which fails for scalars; the corrected form is the exact identity
   ``||T||_F^2 = ||A||_F^2 + ||B||_F^2``.
+
+A certifier that needs several slice spectra that do not depend on each
+other asks for them in waves: one :func:`ttensor.spectral._solve_ahead` line
+names a wave's PSD checks, powers, absolute values and Loewner gaps just
+before the calls that take them, after the scalar hypothesis checks.  Inside
+a campaign trial the wave is solved in one stacked call and the calls find
+their spectra stored; elsewhere the line does nothing.  Either way the
+calls compute exactly what they would without it, so results are unchanged.
 """
 
 from __future__ import annotations
@@ -28,12 +36,13 @@ from .certificates import (
     NO_NORM,
     SPECTRAL,
     InequalityCertificate,
+    _gap_tensor,
     loewner_certificate,
     norm_certificate,
 )
 from .core import ComplexTensor3, Tensor3, frobenius_norm, spectral_norm, transpose
 from .errors import HypothesisViolationError
-from .spectral import _abs_power, t_power, young_witness
+from .spectral import _abs_power, _require_conjugate, _solve_ahead, t_power, young_witness
 
 __all__ = [
     "power_order_counterexample",
@@ -119,6 +128,7 @@ def check_loewner_heinz(
     """
     if not exploratory:
         _require(0.0 <= r <= 1.0, f"exponent r={r} outside [0, 1]")
+    _solve_ahead(psd=[b], order=[(a, b)], power=[b, a])
     _require_psd(b, tol, "B")
     _require_order(a, b, tol, "A >= B")
     params = {"r": r, "exploratory": exploratory, **(extra_params or {})}
@@ -144,6 +154,7 @@ def check_hansen_power(
     symmetrized.
     """
     _require(0.0 < r <= 2.0, f"exponent r={r} outside (0, 2]")
+    _solve_ahead(psd=[x], power=[x])
     _require_psd(x, tol, "X")
     if mode == "contraction":
         _require(
@@ -192,21 +203,23 @@ def check_furuta(
     """
     _require(r >= 0 and p >= 0 and q >= 1, f"parameters out of range: r={r}, p={p}, q={q}")
     _require((1 + 2 * r) * q >= p + 2 * r - 1e-12, f"(1+2r)q >= p+2r fails: r={r}, p={p}, q={q}")
+    _solve_ahead(psd=[b], order=[(a, b)], power=[b, a])
     _require_psd(b, tol, "B")
     _require_order(a, b, tol, "A >= B")
     params = {"r": r, "p": p, "q": q}
 
-    br = t_power(b, r)
+    br, ar = t_power(b, r), t_power(a, r)
     sandwich_b = _sym(t_product(t_product(br, t_power(a, p)), br))
-    cert_lower = loewner_certificate(
-        "furuta", t_power(b, (p + 2 * r) / q), t_power(sandwich_b, 1.0 / q),
-        dims=a.shape, params={**params, "side": "lower"}, tol=tol,
-    )
-    ar = t_power(a, r)
     sandwich_a = _sym(t_product(t_product(ar, t_power(b, p)), ar))
+    _solve_ahead(power=[sandwich_b, sandwich_a])
+    lower = t_power(b, (p + 2 * r) / q), t_power(sandwich_b, 1.0 / q)
+    upper = t_power(sandwich_a, 1.0 / q), t_power(a, (p + 2 * r) / q)
+    _solve_ahead(psd=[_gap_tensor(*lower), _gap_tensor(*upper)])
+    cert_lower = loewner_certificate(
+        "furuta", *lower, dims=a.shape, params={**params, "side": "lower"}, tol=tol
+    )
     cert_upper = loewner_certificate(
-        "furuta", t_power(sandwich_a, 1.0 / q), t_power(a, (p + 2 * r) / q),
-        dims=a.shape, params={**params, "side": "upper"}, tol=tol,
+        "furuta", *upper, dims=a.shape, params={**params, "side": "upper"}, tol=tol
     )
     return cert_lower, cert_upper
 
@@ -219,7 +232,8 @@ def check_young_commuting(
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Young inequality A * B <= A^p / p + B^q / q for a commuting PSD pair."""
-    _require(p > 1 and q > 1 and abs(1 / p + 1 / q - 1) <= 1e-12, f"non-conjugate exponents p={p}, q={q}")
+    _require_conjugate(p, q)
+    _solve_ahead(psd=[a, b], power=[a, b])
     _require_psd(a, tol, "A")
     _require_psd(b, tol, "B")
     ab = t_product(a, b)
@@ -273,6 +287,8 @@ def check_complex_norm_bounds(
         raise ValueError(f"unknown mode {mode!r}")
     _require(bool(is_symmetric(a, tol)), "A is not symmetric")
     _require(bool(is_symmetric(b, tol)), "B is not symmetric")
+    if variant == "c":
+        _solve_ahead(psd=[a, b])
     if variant in ("b", "c"):
         _require_psd(a, tol, "A")
     if variant == "c":
@@ -359,6 +375,7 @@ def check_heinz_family(
     """
     _require(1.0 <= 2 * r <= 3.0, f"exponent r={r} outside [0.5, 1.5]")
     _require(-2.0 < t <= 2.0, f"weight t={t} outside (-2, 2]")
+    _solve_ahead(psd=[a, b], power=[a, b])
     _require_psd(a, tol, "A")
     _require_psd(b, tol, "B")
     params = {"r": r, "t": t}
@@ -388,18 +405,6 @@ def check_heinz_family(
     return cert1, cert2
 
 
-def _require_conjugate(p: float, q: float) -> None:
-    """Require conjugate (p, q).
-
-    The tube-count prefactor ``n3^(1/(2p) + 1/(2q) - 1/2)`` of the Hoelder
-    bounds is then identically 1, so it is left out; its exponent vanishing
-    is asserted rather than trusted to floating-point cancellation.
-    """
-    exponent = 0.5 / p + 0.5 / q - 0.5
-    if abs(exponent) > 1e-12:
-        raise HypothesisViolationError(f"exponents p={p}, q={q} are not conjugate")
-
-
 def check_holder(
     a: Tensor3,
     x: Tensor3,
@@ -418,12 +423,16 @@ def check_holder(
     """
     _require(r > 0 and p > 1 and q > 1, f"need r > 0 and finite conjugate p, q; got r={r}, p={p}, q={q}")
     _require_conjugate(p, q)
+    _solve_ahead(psd=[a, b], power=[a, b])
     _require_psd(a, tol, "A")
     _require_psd(b, tol, "B")
-    lhs = _norm(_abs_power(t_product(t_product(a, x), b), r), norm_kind)
+    axb = t_product(t_product(a, x), b)
+    apx, xbq = t_product(t_power(a, p), x), t_product(x, t_power(b, q))
+    _solve_ahead(absolute=[axb, apx, xbq])
+    lhs = _norm(_abs_power(axb, r), norm_kind)
     rhs = (
-        _norm(_abs_power(t_product(t_power(a, p), x), r), norm_kind) ** (1 / p)
-        * _norm(_abs_power(t_product(x, t_power(b, q)), r), norm_kind) ** (1 / q)
+        _norm(_abs_power(apx, r), norm_kind) ** (1 / p)
+        * _norm(_abs_power(xbq, r), norm_kind) ** (1 / q)
     )
     return norm_certificate(
         "holder", dims=a.shape, params={"r": r, "p": p, "q": q}, norm_kind=norm_kind,
@@ -449,6 +458,7 @@ def check_holder_pairs(
     """
     _require(p > 1 and q > 1, f"infinite or unit exponents out of numeric scope: p={p}, q={q}")
     _require_conjugate(p, q)
+    _solve_ahead(absolute=[a, b, c, d])
     lhs = 2.0 ** (-abs(1 / p - 0.5)) * _norm(
         t_product(transpose(c), a) + t_product(transpose(d), b), norm_kind
     )
@@ -474,7 +484,9 @@ def check_holder_corollary(
     """Two-factor Hoelder corollary ``|| |A B|^r || <= || |A|^(pr) ||^(1/p) || |B|^(qr) ||^(1/q)``."""
     _require(r > 0 and p > 1 and q > 1, f"need r > 0 and finite conjugate p, q; got r={r}, p={p}, q={q}")
     _require_conjugate(p, q)
-    lhs = _norm(_abs_power(t_product(a, b), r), norm_kind)
+    ab = t_product(a, b)
+    _solve_ahead(absolute=[ab, a, b])
+    lhs = _norm(_abs_power(ab, r), norm_kind)
     rhs = (
         _norm(_abs_power(a, p * r), norm_kind) ** (1 / p)
         * _norm(_abs_power(b, q * r), norm_kind) ** (1 / q)
@@ -500,8 +512,10 @@ def check_minkowski(
     <= || |A1|^p + |B1|^p ||^(1/p) + || |A2|^p + |B2|^p ||^(1/p)``.
     """
     _require(1.0 <= p < np.inf, f"exponent p={p} outside [1, inf)")
+    a12, b12 = a1 + a2, b1 + b2
+    _solve_ahead(absolute=[a12, b12, a1, b1, a2, b2])
     lhs = 2.0 ** (-abs(1 / p - 0.5)) * _norm(
-        _abs_power(a1 + a2, p) + _abs_power(b1 + b2, p), norm_kind
+        _abs_power(a12, p) + _abs_power(b12, p), norm_kind
     ) ** (1 / p)
     rhs = (
         _norm(_abs_power(a1, p) + _abs_power(b1, p), norm_kind) ** (1 / p)

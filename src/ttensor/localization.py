@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .algebra import PREDICATE_TOL, is_f_diagonal, is_normal, is_symmetric, t_inverse, t_product
 from .certificates import (
@@ -24,7 +23,7 @@ from .certificates import (
 )
 from .core import ComplexTensor3, Tensor3, frobenius_norm, spectral_norm
 from .errors import HypothesisViolationError
-from .spectral import TEigenSpectrum, t_eigenvalues
+from .spectral import TEigenSpectrum, _solve_ahead, t_eigenvalues
 
 __all__ = [
     "GershgorinDisc",
@@ -201,13 +200,14 @@ def bauer_fike(
     Certifies that every t-eigenvalue of ``a`` has a t-eigenvalue of ``b``
     within ``||q^-1||_2 * ||q||_2 * ||a - b||_2``.
     """
-    fd = is_f_diagonal(s, max(tol, PREDICATE_TOL))
+    hypothesis_tol = max(tol, PREDICATE_TOL)
+    fd = is_f_diagonal(s, hypothesis_tol)
     if not fd:
         raise HypothesisViolationError(f"S is not f-diagonal: {fd.reason}")
     q_inv = t_inverse(q)
     recon = t_product(t_product(q_inv, s), q)
     residual = frobenius_norm(a - recon)
-    if residual > DEFAULT_TOL * (1.0 + frobenius_norm(a)):
+    if residual > hypothesis_tol * (1.0 + frobenius_norm(a)):
         raise HypothesisViolationError(
             f"a is not reproduced by q^-1 * s * q (residual {residual:.3e})"
         )
@@ -221,6 +221,8 @@ def bauer_fike(
 
 
 def _matched_distance(lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, float]:
+    from scipy.optimize import linear_sum_assignment  # deferred: scipy loads slowly
+
     cost = np.abs(mu[None, :] - lam[:, None]) ** 2
     rows, cols = linear_sum_assignment(cost)
     order = np.argsort(rows)
@@ -241,6 +243,7 @@ def hoffman_wielandt(
         nv = is_normal(t, max(tol, PREDICATE_TOL))
         if not nv:
             raise HypothesisViolationError(f"{name} is not normal: {nv.reason}")
+    _solve_ahead(spectra=[a, b])
     lam = t_eigenvalues(a).values
     mu = t_eigenvalues(b).values
     perm, dist = _matched_distance(lam, mu)
@@ -285,6 +288,7 @@ def diag_spectrum_bound(
             raise HypothesisViolationError(f"{name} is not symmetric: {sv.reason}")
     if a.shape != b.shape:
         raise HypothesisViolationError(f"shape mismatch: {a.shape} vs {b.shape}")
+    _solve_ahead(spectra=[a, b])
     alpha = t_eigenvalues(a).values.real
     beta = t_eigenvalues(b).values.real
     alpha = alpha[np.argsort(-np.abs(alpha), kind="stable")]

@@ -31,6 +31,7 @@ from ttensor import (
     inequalities,
     localization,
     run_campaign,
+    spectral,
 )
 
 
@@ -384,14 +385,21 @@ def test_merged_call_error_reaches_only_its_trial(monkeypatch):
     log = _track_trials(monkeypatch, "furuta")
     expected = _raised(run_campaign_serial, "furuta", **kwargs)
     assert expected == (NotSymmetricError, "poisoned member")
+    # alone, trial 2 first meets the poisoned member in its first wave's
+    # solve-ahead call, which swallows the error and stores nothing; the
+    # first call that needs the member then solves its own stack and raises
+    poisoned_stack = next(len(s) for s in stacks[2] if any(m.tobytes() == poison for m in s))
+    alone = list(raised_sizes)
+    assert len(alone) == 2 and alone[0] == poisoned_stack > alone[1]
     log.clear()
     del raised_sizes[:]
     threads_before = threading.active_count()
     assert _raised(run_campaign, "furuta", **kwargs) == expected
     _assert_no_leftovers(threads_before)
-    # the merged call raised, then trial 2's stack alone did; the rest went on
-    poisoned_stack = next(len(s) for s in stacks[2] if any(m.tobytes() == poison for m in s))
-    assert raised_sizes[0] > poisoned_stack and raised_sizes[1:] == [poisoned_stack]
+    # each of those stacks raised first inside a larger merged call, then
+    # alone; the other trials went on
+    assert raised_sizes[1::2] == alone
+    assert all(merged > size for merged, size in zip(raised_sizes[0::2], alone))
     assert [t for t in sorted(log) if log[t]["ok"]] == [0, 1, 3]
 
 
@@ -413,6 +421,84 @@ def test_lockstep_merges_each_round_into_one_call(monkeypatch):
     _assert_no_leftovers(threads_before)
     assert len(calls) == max(len(s) for s in per_trial.values())
     assert sum(calls) == sum(len(s) for t in per_trial.values() for s in t)
+
+
+# --- solving each wave of a trial ahead --------------------------------------
+
+# Jacobi kernel calls of one campaign at (4, 4, 4) and (3, 128, 1) without and
+# with the certifiers' solve-ahead calls: one call per wave of independent
+# solves instead of one per tensor, for the same members
+_SOLVE_AHEAD_CALLS = {
+    "complex-norm-c": (2, 1),
+    "diag-spectrum": (2, 1),
+    "furuta": (8, 3),
+    "hansen-power": (4, 3),
+    "heinz-family": (4, 1),
+    "hoffman-wielandt": (2, 1),
+    "holder": (7, 2),
+    "holder-corollary": (3, 1),
+    "holder-pairs": (4, 1),
+    "loewner-heinz": (5, 2),
+    "minkowski": (6, 1),
+    "young-commuting": (6, 3),
+    "young-witness": (6, 3),
+}
+
+
+def _without_solve_ahead(patch):
+    for module in (inequalities, localization, spectral):
+        patch.setattr(module, "_solve_ahead", lambda *stacks, **kinds: None)
+
+
+def _solved_members(monkeypatch, theorem_id, solve_ahead, **kwargs):
+    """Kernel calls of one lockstep campaign, and the members they solved."""
+    calls, members = [], []
+    kernel = eigensolvers._jacobi
+
+    def recording_kernel(stack):
+        calls.append(len(stack))
+        members.extend(m.tobytes() for m in stack)
+        return kernel(stack)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(eigensolvers, "_jacobi", recording_kernel)
+        if not solve_ahead:
+            _without_solve_ahead(patch)
+        result = run_campaign(theorem_id, **kwargs)
+    return result, len(calls), sorted(members)
+
+
+@pytest.mark.parametrize("n,n3,trials,seed", [(4, 4, 4, 5), (3, 128, 1, 7)])
+@pytest.mark.parametrize("theorem_id", sorted(_SOLVE_AHEAD_CALLS))
+def test_solve_ahead_kernel_calls(monkeypatch, theorem_id, n, n3, trials, seed):
+    kwargs = dict(n=n, n3=n3, trials=trials, seed=seed)
+    plain, plain_calls, plain_members = _solved_members(monkeypatch, theorem_id, False, **kwargs)
+    ahead, ahead_calls, ahead_members = _solved_members(monkeypatch, theorem_id, True, **kwargs)
+    assert (plain_calls, ahead_calls) == _SOLVE_AHEAD_CALLS[theorem_id]
+    assert ahead_members == plain_members
+    assert _report_bytes(ahead) == _report_bytes(plain)
+
+
+_SOLVE_AHEAD_CONFIGS = [(tid, "corrected", None) for tid in sorted(_SOLVE_AHEAD_CALLS)] + [
+    ("hansen-power", "literal", None),
+    ("loewner-heinz", "corrected", {"r": 2.0}),
+]
+
+
+@pytest.mark.parametrize("n,n3,trials,seed", [(4, 4, 4, 0), (3, 5, 3, 1), (2, 2, 70, 1), (3, 127, 2, 0)])
+@pytest.mark.parametrize(
+    "theorem_id,mode,params", _SOLVE_AHEAD_CONFIGS,
+    ids=[f"{tid}-{mode}{'-r2' if params else ''}" for tid, mode, params in _SOLVE_AHEAD_CONFIGS],
+)
+def test_solve_ahead_matches_serial_oracle_without_it(
+    monkeypatch, theorem_id, mode, params, n, n3, trials, seed
+):
+    kwargs = dict(n=n, n3=n3, trials=trials, seed=seed, mode=mode, params=params)
+    ahead = run_campaign(theorem_id, **kwargs)
+    with monkeypatch.context() as patch:
+        _without_solve_ahead(patch)
+        serial = run_campaign_serial(theorem_id, **kwargs)
+    assert _report_bytes(ahead) == _report_bytes(serial)
 
 
 def _count_general_kernel(monkeypatch):

@@ -7,7 +7,17 @@ import sys
 import numpy as np
 import pytest
 
-from ttensor import RngStream, Tensor3, frobenius_norm, gen_random, t_product
+from ttensor import (
+    RngStream,
+    Tensor3,
+    check_young_commuting,
+    check_young_witness,
+    cli,
+    frobenius_norm,
+    gen_random,
+    gen_t_psd,
+    t_product,
+)
 from ttensor.cli import main, read_tensor, write_tensor
 
 
@@ -227,3 +237,15 @@ def test_certificate_wire_format():
     ]
     line = json.dumps(cert.to_json_dict())
     assert json.loads(line)["theorem_id"] == "schur"
+
+
+def test_non_conjugate_exponents_exit_as_hypothesis_violations(monkeypatch, capsys):
+    # both Young certifiers reject non-conjugate exponents with the same
+    # error, which the CLI reports as a hypothesis violation (exit 3)
+    a = gen_t_psd(2, 2, RngStream(401))
+    codes = []
+    for certifier in (check_young_witness, check_young_commuting):
+        monkeypatch.setattr(cli, "run_campaign", lambda *args, c=certifier, **kw: c(a, a, 2.0, 3.0))
+        codes.append(main(["check", "young-witness"]))
+    assert codes == [3, 3]
+    assert capsys.readouterr().err.count("exponents p=2.0, q=3.0 are not conjugate") == 2

@@ -1,5 +1,8 @@
 """Tensor storage, structural operations, norms, and generators."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -175,3 +178,10 @@ def test_degenerate_dims_are_first_class():
     assert spectral_norm(flat) == pytest.approx(
         np.linalg.svd(flat.slice(0), compute_uv=False)[0], rel=1e-12
     )
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the assignment solver is imported on first use, not with the package
+    code = "import sys, ttensor; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert "scipy.optimize" not in out.stdout

@@ -18,6 +18,7 @@ from ttensor import (
     check_loewner_heinz,
     check_minkowski,
     check_young_commuting,
+    check_young_witness,
     gen_loewner_pair,
     gen_random,
     gen_symmetric,
@@ -150,6 +151,18 @@ def test_young_commuting_rejects_noncommuting():
     if frobenius_norm(t_product(a, b) - t_product(b, a)) > 1e-6:
         with pytest.raises(HypothesisViolationError):
             check_young_commuting(a, b, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("p,q", [(2.0, 3.0), (1.0, 1e13), (0.5, -1.0)])
+def test_young_certifiers_share_the_exponent_check(p, q):
+    # one rule and one error for every Young and Hoelder statement
+    a = gen_t_psd(2, 2, RngStream(224))
+    raised = []
+    for check in (check_young_witness, check_young_commuting):
+        with pytest.raises(HypothesisViolationError) as info:
+            check(a, a, p, q)
+        raised.append(str(info.value))
+    assert raised == [f"exponents p={p}, q={q} are not conjugate"] * 2
 
 
 def test_complex_norm_variant_a_b_zero():

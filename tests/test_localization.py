@@ -20,6 +20,8 @@ from ttensor import (
     schur_bound,
     sorted_pairing_distance,
     t_eigenvalues,
+    t_inverse,
+    t_product,
 )
 from oracles import brute_bcirc
 
@@ -129,6 +131,21 @@ def test_bauer_fike_validates_reconstruction():
     s = Tensor3(np.zeros((2, 2, 2)))
     with pytest.raises(HypothesisViolationError):
         bauer_fike(a, a, identity(2, 2), s)
+
+
+def test_bauer_fike_reconstruction_check_scales_with_tol():
+    # a = q^-1 s q + 1e-6 I misses the reconstruction by 1.4e-6: a hypothesis
+    # violation at the default tol, within a caller's tol of 1e-3
+    g = RngStream(307).generator()
+    data = np.zeros((2, 2, 2))
+    data[np.arange(2), np.arange(2), :] = g.uniform(-1, 1, size=(2, 2))
+    s = Tensor3(data)
+    q = gen_random((2, 2, 2), g)
+    a = t_product(t_product(t_inverse(q), s), q) + 1e-6 * identity(2, 2)
+    with pytest.raises(HypothesisViolationError, match="not reproduced"):
+        bauer_fike(a, a, q, s)
+    cert = bauer_fike(a, a, q, s, tol=1e-3)
+    assert cert.holds and cert.lhs == 0.0
 
 
 def test_hoffman_wielandt_uniform_shift_equality():

@@ -5,14 +5,21 @@ import pytest
 
 from ttensor import (
     ComplexTensor3,
+    EigenConvergenceError,
+    HypothesisViolationError,
     NotSymmetricError,
     NotTPSDError,
     RngStream,
     SingularTensorError,
     Tensor3,
+    ShapeMismatchError,
     bcirc,
+    core,
+    eigensolvers,
+    fourier,
     frobenius_norm,
     gen_orthogonal,
+    gen_loewner_pair,
     gen_random,
     gen_symmetric,
     gen_t_psd,
@@ -20,6 +27,8 @@ from ttensor import (
     identity,
     is_orthogonal,
     is_t_psd,
+    loewner_certificate,
+    loewner_ge,
     multiset_distance,
     spectral_norm,
     t_abs,
@@ -30,6 +39,8 @@ from ttensor import (
     transpose,
     young_witness,
 )
+from ttensor.certificates import _gap_tensor
+from ttensor.spectral import _abs_power, _solve_ahead
 from oracles import brute_bcirc
 
 
@@ -152,8 +163,9 @@ def test_young_witness_psd_equal_pair():
 
 
 def test_young_witness_validates_exponents():
+    # the shared exponent check of the Young and Hoelder certifiers
     a = gen_random((2, 2, 2), RngStream(84))
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisViolationError, match=r"^exponents p=2.0, q=3.0 are not conjugate$"):
         young_witness(a, a, 2.0, 3.0)
 
 
@@ -210,3 +222,92 @@ def test_function_outputs_are_exactly_real():
     root = t_power(a, 0.5)
     fs = to_fourier(root)
     assert fs.symmetry_residual() <= 1e-10 * (1 + frobenius_norm(a))
+
+
+# --- solving slice spectra ahead --------------------------------------------
+
+def _count_kernels(monkeypatch):
+    counts = {"jacobi": 0, "forward": 0}
+    jacobi, forward = eigensolvers._jacobi, fourier._to_fourier
+
+    def counting_jacobi(stack):
+        counts["jacobi"] += 1
+        return jacobi(stack)
+
+    def counting_forward(a):
+        counts["forward"] += 1
+        return forward(a)
+
+    monkeypatch.setattr(eigensolvers, "_jacobi", counting_jacobi)
+    monkeypatch.setattr(fourier, "_to_fourier", counting_forward)
+    return counts
+
+
+def _every_kind(a, b):
+    """One solve-ahead request of each kind, for the calls of _later_calls."""
+    return dict(
+        psd=[a, _gap_tensor(b, a)], order=[(a, b)], power=[a, b], absolute=[a - b], spectra=[a]
+    )
+
+
+def _later_calls(a, b):
+    return [
+        is_t_psd(a).min_gap_eigenvalue,
+        loewner_ge(a, b).min_gap_eigenvalue,
+        t_power(a, 0.5).data.tobytes(),
+        t_power(b, 1.5).data.tobytes(),
+        _abs_power(a - b, 0.7).data.tobytes(),
+        t_eigenvalues(a).values.tobytes(),
+        loewner_certificate("t", b, a, dims=a.shape, params={}).to_json_dict(),
+    ]
+
+
+def test_solve_ahead_outside_a_memo_scope_does_nothing(monkeypatch):
+    a, b = gen_loewner_pair(3, 4, RngStream(90))
+    counts = _count_kernels(monkeypatch)
+    _solve_ahead(np.eye(3, dtype=complex)[None], **_every_kind(a, b))
+    assert counts == {"jacobi": 0, "forward": 0}
+
+
+@pytest.mark.parametrize("n3", [4, 5])
+def test_solve_ahead_solves_every_later_stack_in_one_call(monkeypatch, n3):
+    a, b = gen_loewner_pair(3, n3, RngStream(91))
+    alone = _later_calls(a, b)
+    counts = _count_kernels(monkeypatch)
+    with core._trial_memo():
+        _solve_ahead(**_every_kind(a, b))
+        assert counts["jacobi"] == 1
+        assert _later_calls(a, b) == alone
+    assert counts["jacobi"] == 1
+
+
+def test_solve_ahead_swallows_errors_and_stores_nothing(monkeypatch):
+    a, b = gen_loewner_pair(3, 4, RngStream(92))
+    small = gen_t_psd(2, 4, RngStream(93))
+    counts = _count_kernels(monkeypatch)
+    with core._trial_memo():
+        _solve_ahead(psd=[a], order=[(a, small)])  # a shape mismatch while building
+        _solve_ahead(psd=[a, small])  # stacks of two member shapes
+        assert counts["jacobi"] == 0
+        with pytest.raises(ShapeMismatchError):
+            loewner_ge(a, small)
+    monkeypatch.setattr(eigensolvers, "_MAX_SWEEPS", 1)
+    with pytest.raises(EigenConvergenceError) as alone:
+        t_power(a, 0.5)
+    with core._trial_memo():
+        _solve_ahead(power=[a])  # the solve itself fails
+        assert not [key for key in core._MEMO.get() if key[0] == "eig"]
+        with pytest.raises(EigenConvergenceError) as after:
+            t_power(a, 0.5)
+    assert str(after.value) == str(alone.value)
+
+
+def test_solve_ahead_leaves_general_spectra_alone(monkeypatch):
+    # t_eigenvalues of a non-symmetric tensor takes the general solver, so
+    # solving its Hermitian part ahead would solve members nobody asks for
+    a = gen_random((3, 3, 4), RngStream(94))
+    counts = _count_kernels(monkeypatch)
+    with core._trial_memo():
+        _solve_ahead(spectra=[a])
+        t_eigenvalues(a)
+    assert counts["jacobi"] == 0

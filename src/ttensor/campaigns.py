@@ -2,8 +2,10 @@
 
 A campaign draws hypothesis-valid instances (one counter-based substream per
 trial, so runs are reproducible and order-independent), invokes the matching
-certifier, and aggregates the certificates.  Certifiers are pure functions of
-the instance; the campaign stamps each certificate with its provenance, the
+certifier once, and aggregates the certificates; a norm inequality's
+certifier returns its Frobenius and its spectral certificates from that one
+call.  Certifiers are pure functions of the instance; the campaign stamps
+each certificate with its provenance, the
 campaign ``seed`` and ``"trial"`` as the first key of ``params``, in one
 place (:func:`_run_trial`).  Each trial runs in its own memo
 scope (:func:`ttensor.core._trial_memo`).  Within a trial, a tensor that
@@ -48,7 +50,7 @@ import numpy as np
 
 from . import inequalities as ineq
 from . import localization as loc
-from .certificates import DEFAULT_TOL, FROBENIUS, SPECTRAL, norm_certificate
+from .certificates import DEFAULT_TOL, FROBENIUS, norm_certificate
 from .core import (
     RngStream,
     Tensor3,
@@ -70,7 +72,6 @@ from .algebra import t_inverse, t_product
 
 __all__ = ["THEOREM_IDS", "CampaignResult", "run_campaign"]
 
-_NORMS = (FROBENIUS, SPECTRAL)
 _CONJUGATOR_DRAWS = 100
 _CONJUGATOR_MAX_COND = 1e4
 _WINDOW_TRIALS = 64
@@ -181,7 +182,7 @@ def _trial_am_gm(trial, stream, n, n3, tol, mode, params):
         a = gen_random((n, n, n3), g)
         x = gen_random((n, n, n3), g)
         b = gen_random((n, n, n3), g)
-    return [ineq.check_am_gm(a, x, b, tol, mode=mode, norm_kind=k) for k in _NORMS]
+    return ineq.check_am_gm(a, x, b, tol, mode=mode)
 
 
 def _trial_heinz_family(trial, stream, n, n3, tol, mode, params):
@@ -191,10 +192,7 @@ def _trial_heinz_family(trial, stream, n, n3, tol, mode, params):
     x = gen_random((n, n, n3), g)
     r = params.get("r", _grid([0.5, 0.75, 1.0, 1.25, 1.5], trial))
     t = params.get("t", _grid([-1.0, 0.0, 1.0, 2.0], trial // 5))
-    out = []
-    for k in _NORMS:
-        out.extend(ineq.check_heinz_family(a, x, b, r, t, tol, norm_kind=k))
-    return out
+    return ineq.check_heinz_family(a, x, b, r, t, tol)
 
 
 def _trial_holder(trial, stream, n, n3, tol, mode, params):
@@ -205,7 +203,7 @@ def _trial_holder(trial, stream, n, n3, tol, mode, params):
     r = params.get("r", _grid([0.5, 1.0, 2.0], trial))
     p = params.get("p", _grid([1.25, 2.0, 5.0], trial // 3))
     q = p / (p - 1.0)
-    return [ineq.check_holder(a, x, b, r, p, q, tol, norm_kind=k) for k in _NORMS]
+    return ineq.check_holder(a, x, b, r, p, q, tol)
 
 
 def _trial_holder_pairs(trial, stream, n, n3, tol, mode, params):
@@ -213,7 +211,7 @@ def _trial_holder_pairs(trial, stream, n, n3, tol, mode, params):
     a, b, c, d = (gen_random((n, n, n3), g) for _ in range(4))
     p = params.get("p", _grid([1.25, 2.0, 5.0], trial))
     q = p / (p - 1.0)
-    return [ineq.check_holder_pairs(a, b, c, d, p, q, tol, norm_kind=k) for k in _NORMS]
+    return ineq.check_holder_pairs(a, b, c, d, p, q, tol)
 
 
 def _trial_holder_corollary(trial, stream, n, n3, tol, mode, params):
@@ -223,14 +221,14 @@ def _trial_holder_corollary(trial, stream, n, n3, tol, mode, params):
     r = params.get("r", _grid([0.5, 1.0, 2.0], trial))
     p = params.get("p", _grid([1.25, 2.0, 5.0], trial // 3))
     q = p / (p - 1.0)
-    return [ineq.check_holder_corollary(a, b, r, p, q, tol, norm_kind=k) for k in _NORMS]
+    return ineq.check_holder_corollary(a, b, r, p, q, tol)
 
 
 def _trial_minkowski(trial, stream, n, n3, tol, mode, params):
     g = stream.generator()
     a1, a2, b1, b2 = (gen_random((n, n, n3), g) for _ in range(4))
     p = params.get("p", _grid([1.0, 1.5, 2.0, 3.0], trial))
-    return [ineq.check_minkowski(a1, a2, b1, b2, p, tol, norm_kind=k) for k in _NORMS]
+    return ineq.check_minkowski(a1, a2, b1, b2, p, tol)
 
 
 def _trial_schur(trial, stream, n, n3, tol, mode, params):

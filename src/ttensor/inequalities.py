@@ -16,6 +16,11 @@ evaluates the mathematically valid form:
   which fails for scalars; the corrected form is the exact identity
   ``||T||_F^2 = ||A||_F^2 + ||B||_F^2``.
 
+The norm inequalities (``am-gm``, ``heinz-family``, the three Hoelder forms
+and ``minkowski``) hold in every unitarily invariant norm, so each of these
+certifiers checks its hypotheses and forms its tensors once, then returns the
+Frobenius certificates followed by the spectral ones.
+
 A certifier that needs several slice spectra that do not depend on each
 other asks for them in waves: one :func:`ttensor.spectral._solve_ahead` line
 names a wave's PSD checks, powers, absolute values and Loewner gaps just
@@ -76,12 +81,19 @@ def power_order_counterexample() -> tuple[Tensor3, Tensor3]:
     return a, b
 
 
-def _norm(t, kind: str) -> float:
-    if kind == FROBENIUS:
-        return frobenius_norm(t)
-    if kind == SPECTRAL:
-        return spectral_norm(t)
-    raise ValueError(f"unknown norm kind {kind!r}")
+def _norm_certificates(theorem_id: str, dims, tol: float, *parts) -> list[InequalityCertificate]:
+    """Certificates of ``lhs <= rhs`` in the Frobenius and then the spectral
+    norm, each norm's parts in the order given.  A part is ``(params, sides)``
+    with ``sides(norm)`` giving ``(lhs, rhs)`` in that norm, so the tensors
+    under the norms are formed once for both."""
+    out = []
+    for kind, norm in ((FROBENIUS, frobenius_norm), (SPECTRAL, spectral_norm)):
+        for params, sides in parts:
+            lhs, rhs = sides(norm)
+            out.append(norm_certificate(
+                theorem_id, dims=dims, params=params, norm_kind=kind, lhs=lhs, rhs=rhs, tol=tol
+            ))
+    return out
 
 
 def _sym(t: Tensor3) -> Tensor3:
@@ -157,10 +169,8 @@ def check_hansen_power(
     _solve_ahead(psd=[x], power=[x])
     _require_psd(x, tol, "X")
     if mode == "contraction":
-        _require(
-            spectral_norm(q) <= 1.0 + tol,
-            f"Q is not a contraction: ||Q||_2 = {spectral_norm(q):.6f}",
-        )
+        q_norm = spectral_norm(q)
+        _require(q_norm <= 1.0 + tol, f"Q is not a contraction: ||Q||_2 = {q_norm:.6f}")
         left = transpose(q)
     elif mode == MODE_LITERAL:
         _require(bool(is_orthogonal(q, max(tol, PREDICATE_TOL))), "Q is not orthogonal")
@@ -242,10 +252,11 @@ def check_young_commuting(
         comm <= tol * (1 + frobenius_norm(a) * frobenius_norm(b)),
         f"pair does not commute: ||AB - BA|| = {comm:.3e}",
     )
-    _require_psd(_sym(ab), tol, "A * B")
+    lhs = _sym(ab)
+    _require_psd(lhs, tol, "A * B")
     rhs = (1.0 / p) * t_power(a, p) + (1.0 / q) * t_power(b, q)
     return loewner_certificate(
-        "young-commuting", _sym(ab), rhs, dims=a.shape, params={"p": p, "q": q}, tol=tol
+        "young-commuting", lhs, rhs, dims=a.shape, params={"p": p, "q": q}, tol=tol
     )
 
 
@@ -298,7 +309,8 @@ def check_complex_norm_bounds(
     base = {"variant": variant, "mode": mode}
     sa2, sb2 = spectral_norm(a) ** 2, spectral_norm(b) ** 2
     fa2, fb2 = frobenius_norm(a) ** 2, frobenius_norm(b) ** 2
-    st2, ft2 = spectral_norm(t) ** 2, frobenius_norm(t) ** 2
+    st, ft = spectral_norm(t), frobenius_norm(t)
+    st2, ft2 = st ** 2, ft ** 2
 
     def cert(claim: str, norm_kind: str, lhs: float, rhs: float) -> InequalityCertificate:
         return norm_certificate(
@@ -314,10 +326,11 @@ def check_complex_norm_bounds(
         out.append(cert("frobenius-lower", FROBENIUS, fa2 + fb2, ft2))
         out.append(cert("frobenius-upper", FROBENIUS, ft2, 4 * (fa2 + fb2)))
         root = t_power(_sym(t_product(a, a) + t_product(b, b)), 0.5)
-        out.append(cert("gram-root-spectral-lower", SPECTRAL, spectral_norm(root), spectral_norm(t)))
-        out.append(cert("gram-root-spectral-upper", SPECTRAL, spectral_norm(t), np.sqrt(2) * spectral_norm(root)))
-        out.append(cert("gram-root-frobenius-le", FROBENIUS, frobenius_norm(root), frobenius_norm(t)))
-        out.append(cert("gram-root-frobenius-ge", FROBENIUS, frobenius_norm(t), frobenius_norm(root)))
+        sr, fr = spectral_norm(root), frobenius_norm(root)
+        out.append(cert("gram-root-spectral-lower", SPECTRAL, sr, st))
+        out.append(cert("gram-root-spectral-upper", SPECTRAL, st, np.sqrt(2) * sr))
+        out.append(cert("gram-root-frobenius-le", FROBENIUS, fr, ft))
+        out.append(cert("gram-root-frobenius-ge", FROBENIUS, ft, fr))
     elif variant == "b":
         out.append(cert("spectral-upper", SPECTRAL, st2, sa2 + 2 * sb2))
         if mode == MODE_LITERAL:
@@ -337,25 +350,23 @@ def check_am_gm(
     b: Tensor3,
     tol: float = DEFAULT_TOL,
     mode: str = MODE_CORRECTED,
-    norm_kind: str = FROBENIUS,
-) -> InequalityCertificate:
+) -> list[InequalityCertificate]:
     """Arithmetic-geometric mean bound ||A*X*B^T|| <= 0.5 ||A^T*A*X + X*B^T*B||.
 
     ``literal`` mode drops the second A factor from the first right-hand
     term, matching the defective circulating statement; scalars already break
     it.
     """
-    lhs = _norm(t_product(t_product(a, x), transpose(b)), norm_kind)
+    left = t_product(t_product(a, x), transpose(b))
     if mode == MODE_CORRECTED:
         first = t_product(t_product(transpose(a), a), x)
     elif mode == MODE_LITERAL:
         first = t_product(transpose(a), x)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    rhs = 0.5 * _norm(first + t_product(x, t_product(transpose(b), b)), norm_kind)
-    return norm_certificate(
-        "am-gm", dims=a.shape, params={"mode": mode}, norm_kind=norm_kind,
-        lhs=lhs, rhs=rhs, tol=tol,
+    right = first + t_product(x, t_product(transpose(b), b))
+    return _norm_certificates(
+        "am-gm", a.shape, tol, ({"mode": mode}, lambda norm: (norm(left), 0.5 * norm(right)))
     )
 
 
@@ -366,12 +377,12 @@ def check_heinz_family(
     r: float,
     t: float,
     tol: float = DEFAULT_TOL,
-    norm_kind: str = FROBENIUS,
-) -> tuple[InequalityCertificate, InequalityCertificate]:
+) -> list[InequalityCertificate]:
     """Heinz-type bounds for positive semidefinite A, B.
 
     Part one: ``(2+t) ||A^r X B^(2-r) + A^(2-r) X B^r|| <= 2 ||A^2 X + t A X B + X B^2||``
     for 1 <= 2r <= 3 and -2 < t <= 2.  Part two: ``4 ||A*B|| <= ||(A+B)^2||``.
+    Returns both parts' Frobenius certificates, then their spectral ones.
     """
     _require(1.0 <= 2 * r <= 3.0, f"exponent r={r} outside [0.5, 1.5]")
     _require(-2.0 < t <= 2.0, f"weight t={t} outside (-2, 2]")
@@ -382,27 +393,19 @@ def check_heinz_family(
 
     ar, a2r = t_power(a, r), t_power(a, 2 - r)
     br, b2r = t_power(b, r), t_power(b, 2 - r)
-    lhs1 = (2 + t) * _norm(
-        t_product(t_product(ar, x), b2r) + t_product(t_product(a2r, x), br), norm_kind
-    )
-    rhs1 = 2 * _norm(
+    heinz = t_product(t_product(ar, x), b2r) + t_product(t_product(a2r, x), br)
+    quadratic = (
         t_product(t_product(a, a), x)
         + t * t_product(t_product(a, x), b)
-        + t_product(x, t_product(b, b)),
-        norm_kind,
-    )
-    cert1 = norm_certificate(
-        "heinz-family", dims=a.shape, params={**params, "part": "weighted"}, norm_kind=norm_kind,
-        lhs=lhs1, rhs=rhs1, tol=tol,
+        + t_product(x, t_product(b, b))
     )
     s = a + b
-    cert2 = norm_certificate(
-        "heinz-family", dims=a.shape, params={**params, "part": "product"}, norm_kind=norm_kind,
-        lhs=4 * _norm(t_product(a, b), norm_kind),
-        rhs=_norm(t_product(s, s), norm_kind),
-        tol=tol,
+    ab, s2 = t_product(a, b), t_product(s, s)
+    return _norm_certificates(
+        "heinz-family", a.shape, tol,
+        ({**params, "part": "weighted"}, lambda norm: ((2 + t) * norm(heinz), 2 * norm(quadratic))),
+        ({**params, "part": "product"}, lambda norm: (4 * norm(ab), norm(s2))),
     )
-    return cert1, cert2
 
 
 def check_holder(
@@ -413,8 +416,7 @@ def check_holder(
     p: float,
     q: float,
     tol: float = DEFAULT_TOL,
-    norm_kind: str = FROBENIUS,
-) -> InequalityCertificate:
+) -> list[InequalityCertificate]:
     """Mixed Hoelder bound ``|| |A X B|^r || <= || |A^p X|^r ||^(1/p) || |X B^q|^r ||^(1/q)``.
 
     A and B must be positive semidefinite; r, p, q positive with conjugate
@@ -429,14 +431,11 @@ def check_holder(
     axb = t_product(t_product(a, x), b)
     apx, xbq = t_product(t_power(a, p), x), t_product(x, t_power(b, q))
     _solve_ahead(absolute=[axb, apx, xbq])
-    lhs = _norm(_abs_power(axb, r), norm_kind)
-    rhs = (
-        _norm(_abs_power(apx, r), norm_kind) ** (1 / p)
-        * _norm(_abs_power(xbq, r), norm_kind) ** (1 / q)
-    )
-    return norm_certificate(
-        "holder", dims=a.shape, params={"r": r, "p": p, "q": q}, norm_kind=norm_kind,
-        lhs=lhs, rhs=rhs, tol=tol,
+    left, first, second = _abs_power(axb, r), _abs_power(apx, r), _abs_power(xbq, r)
+    return _norm_certificates(
+        "holder", a.shape, tol,
+        ({"r": r, "p": p, "q": q},
+         lambda norm: (norm(left), norm(first) ** (1 / p) * norm(second) ** (1 / q))),
     )
 
 
@@ -448,8 +447,7 @@ def check_holder_pairs(
     p: float,
     q: float,
     tol: float = DEFAULT_TOL,
-    norm_kind: str = FROBENIUS,
-) -> InequalityCertificate:
+) -> list[InequalityCertificate]:
     """Paired Hoelder bound with damping 2^(-|1/p - 1/2|) on the left.
 
     ``2^(-|1/p-1/2|) ||C^T A + D^T B|| <= || |A|^p + |B|^p ||^(1/p) || |C|^q + |D|^q ||^(1/q)``
@@ -459,16 +457,14 @@ def check_holder_pairs(
     _require(p > 1 and q > 1, f"infinite or unit exponents out of numeric scope: p={p}, q={q}")
     _require_conjugate(p, q)
     _solve_ahead(absolute=[a, b, c, d])
-    lhs = 2.0 ** (-abs(1 / p - 0.5)) * _norm(
-        t_product(transpose(c), a) + t_product(transpose(d), b), norm_kind
-    )
-    rhs = (
-        _norm(_abs_power(a, p) + _abs_power(b, p), norm_kind) ** (1 / p)
-        * _norm(_abs_power(c, q) + _abs_power(d, q), norm_kind) ** (1 / q)
-    )
-    return norm_certificate(
-        "holder-pairs", dims=a.shape, params={"p": p, "q": q}, norm_kind=norm_kind,
-        lhs=lhs, rhs=rhs, tol=tol,
+    cross = t_product(transpose(c), a) + t_product(transpose(d), b)
+    ab_p = _abs_power(a, p) + _abs_power(b, p)
+    cd_q = _abs_power(c, q) + _abs_power(d, q)
+    damping = 2.0 ** (-abs(1 / p - 0.5))
+    return _norm_certificates(
+        "holder-pairs", a.shape, tol,
+        ({"p": p, "q": q},
+         lambda norm: (damping * norm(cross), norm(ab_p) ** (1 / p) * norm(cd_q) ** (1 / q))),
     )
 
 
@@ -479,21 +475,17 @@ def check_holder_corollary(
     p: float,
     q: float,
     tol: float = DEFAULT_TOL,
-    norm_kind: str = FROBENIUS,
-) -> InequalityCertificate:
+) -> list[InequalityCertificate]:
     """Two-factor Hoelder corollary ``|| |A B|^r || <= || |A|^(pr) ||^(1/p) || |B|^(qr) ||^(1/q)``."""
     _require(r > 0 and p > 1 and q > 1, f"need r > 0 and finite conjugate p, q; got r={r}, p={p}, q={q}")
     _require_conjugate(p, q)
     ab = t_product(a, b)
     _solve_ahead(absolute=[ab, a, b])
-    lhs = _norm(_abs_power(ab, r), norm_kind)
-    rhs = (
-        _norm(_abs_power(a, p * r), norm_kind) ** (1 / p)
-        * _norm(_abs_power(b, q * r), norm_kind) ** (1 / q)
-    )
-    return norm_certificate(
-        "holder-corollary", dims=a.shape, params={"r": r, "p": p, "q": q}, norm_kind=norm_kind,
-        lhs=lhs, rhs=rhs, tol=tol,
+    left, first, second = _abs_power(ab, r), _abs_power(a, p * r), _abs_power(b, q * r)
+    return _norm_certificates(
+        "holder-corollary", a.shape, tol,
+        ({"r": r, "p": p, "q": q},
+         lambda norm: (norm(left), norm(first) ** (1 / p) * norm(second) ** (1 / q))),
     )
 
 
@@ -504,8 +496,7 @@ def check_minkowski(
     b2: Tensor3,
     p: float,
     tol: float = DEFAULT_TOL,
-    norm_kind: str = FROBENIUS,
-) -> InequalityCertificate:
+) -> list[InequalityCertificate]:
     """Minkowski-type bound with damping 2^(-|1/p - 1/2|) for 1 <= p < inf.
 
     ``2^(-|1/p-1/2|) || |A1+A2|^p + |B1+B2|^p ||^(1/p)
@@ -514,14 +505,13 @@ def check_minkowski(
     _require(1.0 <= p < np.inf, f"exponent p={p} outside [1, inf)")
     a12, b12 = a1 + a2, b1 + b2
     _solve_ahead(absolute=[a12, b12, a1, b1, a2, b2])
-    lhs = 2.0 ** (-abs(1 / p - 0.5)) * _norm(
-        _abs_power(a12, p) + _abs_power(b12, p), norm_kind
-    ) ** (1 / p)
-    rhs = (
-        _norm(_abs_power(a1, p) + _abs_power(b1, p), norm_kind) ** (1 / p)
-        + _norm(_abs_power(a2, p) + _abs_power(b2, p), norm_kind) ** (1 / p)
-    )
-    return norm_certificate(
-        "minkowski", dims=a1.shape, params={"p": p}, norm_kind=norm_kind,
-        lhs=lhs, rhs=rhs, tol=tol,
+    whole = _abs_power(a12, p) + _abs_power(b12, p)
+    first = _abs_power(a1, p) + _abs_power(b1, p)
+    second = _abs_power(a2, p) + _abs_power(b2, p)
+    damping = 2.0 ** (-abs(1 / p - 0.5))
+    return _norm_certificates(
+        "minkowski", a1.shape, tol,
+        ({"p": p},
+         lambda norm: (damping * norm(whole) ** (1 / p),
+                       norm(first) ** (1 / p) + norm(second) ** (1 / p))),
     )

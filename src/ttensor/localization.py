@@ -22,7 +22,7 @@ from .certificates import (
     norm_certificate,
 )
 from .core import ComplexTensor3, Tensor3, frobenius_norm, spectral_norm
-from .errors import HypothesisViolationError
+from .errors import HypothesisViolationError, ShapeMismatchError
 from .spectral import TEigenSpectrum, _solve_ahead, t_eigenvalues
 
 __all__ = [
@@ -103,7 +103,7 @@ def gershgorin_discs(a) -> list[GershgorinDisc]:
     """One disc per row: center a[i, i, 0], radius the full absolute row sum
     over all columns and slices minus |a[i, i, 0]|."""
     if a.n1 != a.n2:
-        raise HypothesisViolationError(f"discs require a square tensor, got {a.shape}")
+        raise ShapeMismatchError(f"discs require a square tensor, got {a.shape}")
     out = []
     row_mass = np.abs(a.data).sum(axis=(1, 2))
     for i in range(a.n1):

@@ -133,6 +133,13 @@ def test_certifiers_take_no_provenance():
             assert not {"seed", "trial"} & set(inspect.signature(fn).parameters), fn.__name__
 
 
+def test_certifiers_take_no_norm_kind():
+    # a norm inequality's certifier returns the certificates of both norms
+    for name in inequalities.__all__:
+        fn = getattr(inequalities, name)
+        assert "norm_kind" not in inspect.signature(fn).parameters, name
+
+
 def test_campaign_stamps_seed_and_trial():
     result = run_campaign("holder", n=2, n3=2, trials=2, seed=3)
     assert [c.seed for c in result.certificates] == [3, 3, 3, 3]
@@ -144,10 +151,27 @@ def test_campaign_stamps_seed_and_trial():
     a, b = gen_t_psd(2, 2, g), gen_t_psd(2, 2, g)
     x = gen_random((2, 2, 2), g)
     standalone = check_holder(a, x, b, 0.5, 1.25, 5.0)
-    assert standalone.seed == -1 and "trial" not in standalone.params
-    assert "trial" not in standalone.to_json_dict()["params"]
-    stamped = dataclasses.replace(standalone, seed=3, params={"trial": 0, **standalone.params})
-    assert stamped == result.certificates[0]
+    assert [c.norm_kind for c in standalone] == ["frobenius", "spectral"]
+    for cert, campaign_cert in zip(standalone, result.certificates[:2], strict=True):
+        assert cert.seed == -1 and "trial" not in cert.params
+        assert "trial" not in cert.to_json_dict()["params"]
+        stamped = dataclasses.replace(cert, seed=3, params={"trial": 0, **cert.params})
+        assert stamped == campaign_cert
+
+
+def test_holder_trial_takes_each_abs_power_once(monkeypatch):
+    # both norms' certificates come from one |AXB|^r, |A^p X|^r and |X B^q|^r
+    calls = []
+    abs_power = inequalities._abs_power
+
+    def counting_abs_power(x, r):
+        calls.append(r)
+        return abs_power(x, r)
+
+    monkeypatch.setattr(inequalities, "_abs_power", counting_abs_power)
+    result = run_campaign("holder", n=2, n3=2, trials=1, seed=3)
+    assert len(calls) == 3
+    assert [c.norm_kind for c in result.certificates] == ["frobenius", "spectral"]
 
 
 def test_literal_am_gm_finds_counterexample():

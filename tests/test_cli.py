@@ -187,6 +187,14 @@ def test_gershgorin_random_exit_0(tmp_path, capsys):
     assert main(["gershgorin", path]) == 0
 
 
+def test_non_square_tensor_is_a_usage_error_for_eig_and_gershgorin(tmp_path, capsys):
+    path = _write(tmp_path, "a.json", gen_random((2, 3, 2), RngStream(410)))
+    for command in ("eig", "gershgorin"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "square tensor, got (2, 3, 2)" in err
+
+
 def test_missing_file_exit_2():
     assert main(["eig", "/nonexistent/tensor.json"]) == 2
 

@@ -229,10 +229,11 @@ def test_am_gm_scalar_cases():
     a = 2.0 * identity(1, 1)
     x = identity(1, 1)
     b = identity(1, 1)
-    good = check_am_gm(a, x, b, mode="corrected")
-    assert good.holds and good.lhs == pytest.approx(2.0) and good.rhs == pytest.approx(2.5)
-    bad = check_am_gm(a, x, b, mode="literal")
-    assert not bad.holds and bad.rhs == pytest.approx(1.5)
+    # for scalars both norms are the absolute value
+    for good in check_am_gm(a, x, b, mode="corrected"):
+        assert good.holds and good.lhs == pytest.approx(2.0) and good.rhs == pytest.approx(2.5)
+    for bad in check_am_gm(a, x, b, mode="literal"):
+        assert not bad.holds and bad.rhs == pytest.approx(1.5)
 
 
 @pytest.mark.parametrize("norm_kind", ["frobenius", "spectral"])
@@ -240,25 +241,26 @@ def test_am_gm_corrected_random(norm_kind):
     for trial in range(100):
         g = RngStream(2300, trial).generator()
         a, x, b = (gen_random((3, 3, 2), g) for _ in range(3))
-        assert check_am_gm(a, x, b, norm_kind=norm_kind).holds
+        certs = {c.norm_kind: c for c in check_am_gm(a, x, b)}
+        assert certs[norm_kind].holds
 
 
 def test_heinz_identity_equality():
     eye = identity(2, 2)
     for r, t in ((0.5, -1.0), (1.0, 0.0), (1.5, 2.0)):
-        c1, c2 = check_heinz_family(eye, eye, eye, r, t, norm_kind="spectral")
+        f1, f2, c1, c2 = check_heinz_family(eye, eye, eye, r, t)
         assert c1.holds and abs(c1.margin) < 1e-9
         assert c1.lhs == pytest.approx(2 * (2 + t), rel=1e-10)
         assert c2.holds
-        f1, f2 = check_heinz_family(eye, eye, eye, r, t, norm_kind="frobenius")
         assert f1.holds and abs(f1.margin) < 1e-9 and f2.holds
 
 
 def test_heinz_equal_pair_part2_equality():
     a = gen_t_psd(2, 2, RngStream(219))
-    c1, c2 = check_heinz_family(a, a, a, 1.0, 0.0)
-    # 4 ||A^2|| == ||(2A)^2||
-    assert c2.holds and abs(c2.margin) <= 1e-9 * (1 + abs(c2.rhs))
+    _, f2, _, s2 = check_heinz_family(a, a, a, 1.0, 0.0)
+    # 4 ||A^2|| == ||(2A)^2|| in either norm
+    for c2 in (f2, s2):
+        assert c2.holds and abs(c2.margin) <= 1e-9 * (1 + abs(c2.rhs))
 
 
 def test_heinz_rejects_bad_parameters():
@@ -272,8 +274,7 @@ def test_heinz_rejects_bad_parameters():
 
 def test_holder_cauchy_schwarz_instance():
     a = gen_t_psd(2, 2, RngStream(222))
-    cert = check_holder(a, identity(2, 2), a, 1.0, 2.0, 2.0)
-    assert cert.holds
+    assert all(c.holds for c in check_holder(a, identity(2, 2), a, 1.0, 2.0, 2.0))
 
 
 def test_holder_prefactor_is_exactly_one():
@@ -298,10 +299,10 @@ def test_holder_corollary_scalar():
     a = 2.0 * identity(1, 1)
     b = 3.0 * identity(1, 1)
     for r, p in ((0.5, 2.0), (1.0, 1.25), (2.0, 5.0)):
-        cert = check_holder_corollary(a, b, r, p, p / (p - 1.0))
-        assert cert.holds
-        assert cert.lhs == pytest.approx(6.0**r, rel=1e-10)
-        assert abs(cert.margin) <= 1e-9 * (1 + cert.rhs)
+        for cert in check_holder_corollary(a, b, r, p, p / (p - 1.0)):
+            assert cert.holds
+            assert cert.lhs == pytest.approx(6.0**r, rel=1e-10)
+            assert abs(cert.margin) <= 1e-9 * (1 + cert.rhs)
 
 
 def test_holder_pairs_cauchy_schwarz_instance():
@@ -309,7 +310,7 @@ def test_holder_pairs_cauchy_schwarz_instance():
     a = gen_random((2, 2, 3), RngStream(230))
     c = gen_random((2, 2, 3), RngStream(231))
     z = Tensor3.zeros(2, 2, 3)
-    assert check_holder_pairs(a, z, c, z, 2.0, 2.0).holds
+    assert all(cert.holds for cert in check_holder_pairs(a, z, c, z, 2.0, 2.0))
 
 
 def test_minkowski_zero_second_pair():
@@ -317,16 +318,16 @@ def test_minkowski_zero_second_pair():
     b1 = gen_random((2, 2, 2), RngStream(225))
     z = Tensor3.zeros(2, 2, 2)
     for p in (1.0, 1.5, 2.0, 3.0):
-        assert check_minkowski(a1, z, b1, z, p).holds
+        assert all(c.holds for c in check_minkowski(a1, z, b1, z, p))
 
 
 def test_minkowski_scalar_triangle_equality():
     a1 = 3.0 * identity(1, 1)
     a2 = 4.0 * identity(1, 1)
     z = Tensor3.zeros(1, 1, 1)
-    cert = check_minkowski(a1, a2, z, z, 2.0)
     # sqrt(49) = 3 + 4
-    assert cert.holds and abs(cert.margin) < 1e-12
+    for cert in check_minkowski(a1, a2, z, z, 2.0):
+        assert cert.holds and abs(cert.margin) < 1e-12
 
 
 def test_scale_robustness_flips_no_verdict():
@@ -335,7 +336,9 @@ def test_scale_robustness_flips_no_verdict():
     assert check_loewner_heinz(a, b, 0.5).holds
     assert check_loewner_heinz(scale * a, scale * b, 0.5).holds
     x, y, zt = (gen_random((2, 2, 2), RngStream(227, k)) for k in range(3))
-    assert check_am_gm(x, y, zt).holds == check_am_gm(scale * x, scale * y, scale * zt).holds
+    assert [c.holds for c in check_am_gm(x, y, zt)] == [
+        c.holds for c in check_am_gm(scale * x, scale * y, scale * zt)
+    ]
 
 
 def test_scale_robustness_across_certifiers():
@@ -348,17 +351,49 @@ def test_scale_robustness_across_certifiers():
         check_heinz_family(scale * a, scale * x, scale * b, 1.0, 1.0),
     ]
     assert [c.holds for c in pairs[0]] == [c.holds for c in pairs[1]]
-    assert (
-        check_holder(a, x, b, 1.0, 2.0, 2.0).holds
-        == check_holder(scale * a, scale * x, scale * b, 1.0, 2.0, 2.0).holds
-    )
-    assert (
-        check_minkowski(a, b, x, x, 2.0).holds
-        == check_minkowski(scale * a, scale * b, scale * x, scale * x, 2.0).holds
-    )
+    assert [c.holds for c in check_holder(a, x, b, 1.0, 2.0, 2.0)] == [
+        c.holds for c in check_holder(scale * a, scale * x, scale * b, 1.0, 2.0, 2.0)
+    ]
+    assert [c.holds for c in check_minkowski(a, b, x, x, 2.0)] == [
+        c.holds for c in check_minkowski(scale * a, scale * b, scale * x, scale * x, 2.0)
+    ]
     big = check_complex_norm_bounds(scale * gen_symmetric(2, 2, RngStream(241)),
                                     scale * gen_symmetric(2, 2, RngStream(242)), "a")
     assert all(c.holds for c in big)
+
+
+def test_norm_certifiers_return_both_norms_in_report_order():
+    # one call per instance: the Frobenius certificates first, then the
+    # spectral ones, each norm's parts in the same order
+    g = RngStream(243).generator()
+    a, b = gen_t_psd(2, 3, g), gen_t_psd(2, 3, g)
+    x, c, d = (gen_random((2, 2, 3), g) for _ in range(3))
+    both = [("frobenius", None), ("spectral", None)]
+    cases = {
+        "am-gm": (check_am_gm(x, c, d), both),
+        "heinz-family": (
+            check_heinz_family(a, x, b, 1.0, 1.0),
+            [("frobenius", "weighted"), ("frobenius", "product"),
+             ("spectral", "weighted"), ("spectral", "product")],
+        ),
+        "holder": (check_holder(a, x, b, 1.0, 2.0, 2.0), both),
+        "holder-pairs": (check_holder_pairs(x, c, d, a, 2.0, 2.0), both),
+        "holder-corollary": (check_holder_corollary(x, c, 1.0, 2.0, 2.0), both),
+        "minkowski": (check_minkowski(x, c, d, a, 2.0), both),
+    }
+    for theorem_id, (certs, order) in cases.items():
+        assert isinstance(certs, list), theorem_id
+        assert [c.theorem_id for c in certs] == [theorem_id] * len(order)
+        assert [(c.norm_kind, c.params.get("part")) for c in certs] == order, theorem_id
+    # each certificate takes the norm its field names
+    from ttensor import frobenius_norm, spectral_norm, t_product, transpose
+
+    lhs = t_product(t_product(x, c), transpose(d))
+    fro, spec = cases["am-gm"][0]
+    assert (fro.lhs, spec.lhs) == (frobenius_norm(lhs), spectral_norm(lhs))
+    _, fro, _, spec = cases["heinz-family"][0]
+    ab = t_product(a, b)
+    assert (fro.lhs, spec.lhs) == (4 * frobenius_norm(ab), 4 * spectral_norm(ab))
 
 
 def test_certificate_margin_invariant():

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, frobenius_norm, identity, transpose
+from .core import Tensor3, _frobenius, _Stack, _transpose, frobenius_norm, identity, transpose
 from .errors import NotSymmetricError, ShapeMismatchError, SingularTensorError
-from .eigensolvers import hermitian_eig
-from .fourier import FourierSlices, from_fourier, to_fourier
+from .eigensolvers import HermitianEigen, hermitian_eig
+from .fourier import FourierSlices, _inverse, from_fourier, to_fourier
 
 __all__ = [
     "LoewnerVerdict",
@@ -63,12 +63,23 @@ class PredicateVerdict:
 
 def t_product(a: Tensor3, b: Tensor3) -> Tensor3:
     """t-product of compatible tensors via slicewise Fourier multiplication."""
-    if a.n2 != b.n1 or a.n3 != b.n3:
-        raise ShapeMismatchError(
-            f"cannot multiply {a.shape} by {b.shape}: need a.n2 == b.n1 and equal n3"
-        )
+    _require_product_shapes(a.shape, b.shape)
     product = to_fourier(a).slices @ to_fourier(b).slices
     return from_fourier(FourierSlices(a.n1, b.n2, a.n3, product, True))
+
+
+def _t_product(a: _Stack, b: _Stack) -> _Stack:
+    """:func:`t_product` of each pair of members; the slice products go to
+    BLAS one matrix at a time, so each member gets its lone product's bits."""
+    _require_product_shapes(a.shape, b.shape)
+    return _Stack(_inverse(a.slices @ b.slices))
+
+
+def _require_product_shapes(a: tuple, b: tuple) -> None:
+    if a[1] != b[0] or a[2] != b[2]:
+        raise ShapeMismatchError(
+            f"cannot multiply {a} by {b}: need a.n2 == b.n1 and equal n3"
+        )
 
 
 def t_inverse(a: Tensor3) -> Tensor3:
@@ -102,13 +113,17 @@ def _require_square(a) -> PredicateVerdict | None:
 
 def is_symmetric(a: Tensor3, tol: float = PREDICATE_TOL) -> PredicateVerdict:
     """a == transpose(a) within ``tol * (1 + ||a||_F)``."""
-    bad = _require_square(a)
-    if bad is not None:
-        return bad
-    residual = frobenius_norm(a - transpose(a))
-    if residual > tol * (1.0 + frobenius_norm(a)):
-        return PredicateVerdict(False, f"symmetry residual {residual:.3e}")
-    return PredicateVerdict(True)
+    reason = _asymmetry(_Stack.of(a), tol)[0]
+    return PredicateVerdict(not reason, reason)
+
+
+def _asymmetry(x: _Stack, tol: float) -> list[str]:
+    """Why each member fails :func:`is_symmetric`, or ``""`` if it passes."""
+    if x.shape[0] != x.shape[1]:
+        return [f"not square: {x.shape}"] * len(x)
+    residual = _frobenius(x.data - _transpose(x.data)).tolist()
+    bound = (tol * (1.0 + _frobenius(x.data))).tolist()
+    return [f"symmetry residual {r:.3e}" if r > b else "" for r, b in zip(residual, bound)]
 
 
 def is_orthogonal(q: Tensor3, tol: float = PREDICATE_TOL) -> PredicateVerdict:
@@ -157,17 +172,28 @@ def is_t_psd(a: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:
     verdict holds iff the smallest eigenvalue over all slices is at least
     ``-tol * (1 + largest eigenvalue magnitude)``.
     """
-    sym = is_symmetric(a, tol)
-    if not sym:
-        raise NotSymmetricError(f"is_t_psd requires a symmetric tensor: {sym.reason}")
-    min_eig, scale = _slice_eig_extremes(a)
-    tolerance = tol * (1.0 + scale)
-    return LoewnerVerdict(bool(min_eig >= -tolerance), float(min_eig), tolerance)
+    return next(_psd_verdicts(_Stack.of(a), tol))
 
 
-def _slice_eig_extremes(a: Tensor3) -> tuple[float, float]:
-    """``(smallest eigenvalue, largest eigenvalue magnitude)`` over the
-    Hermitian-symmetrized Fourier slices of ``a``.
+def _psd_verdicts(x: _Stack, tol: float, eig: HermitianEigen | None = None):
+    """:func:`is_t_psd` of each member, in member order, as a generator: a
+    member that is not symmetric raises :class:`NotSymmetricError` when its
+    turn comes, so a caller that acts on each verdict as it comes raises
+    where calling :func:`is_t_psd` member by member would.  ``eig`` may
+    hold the spectra of ``_psd_stack(x)``, solved with other stacks."""
+    reasons = _asymmetry(x, tol)
+    if x.shape[0] == x.shape[1]:  # else the first member raises below
+        mins, scales = _slice_eig_extremes(x, eig)
+    for i, reason in enumerate(reasons):
+        if reason:
+            raise NotSymmetricError(f"is_t_psd requires a symmetric tensor: {reason}")
+        tolerance = tol * (1.0 + scales[i])
+        yield LoewnerVerdict(bool(mins[i] >= -tolerance), mins[i], tolerance)
+
+
+def _slice_eig_extremes(x: _Stack, eig: HermitianEigen | None = None) -> tuple[list, list]:
+    """Each member's ``(smallest eigenvalue, largest eigenvalue magnitude)``
+    over its Hermitian-symmetrized Fourier slices, as two lists of floats.
 
     Conjugate slices share a spectrum, so only slices ``0..n3//2`` are
     decomposed, in one stacked solver call.  This is the one min-gap routine;
@@ -182,17 +208,18 @@ def _slice_eig_extremes(a: Tensor3) -> tuple[float, float]:
       ``gap >= -tol * (1 + ||R||_2)``, scaled by the spectral norm of the
       right-hand side ``R`` instead.
     """
-    w = hermitian_eig(_psd_stack(a)).values
-    return float(w[:, 0].min()), float(np.abs(w).max())
+    w = (eig or hermitian_eig(_psd_stack(x))).values.reshape(len(x), -1)
+    return w.min(axis=1).tolist(), np.abs(w).max(axis=1).tolist()
 
 
-def _psd_stack(a: Tensor3) -> np.ndarray:
-    """Hermitian-symmetrized Fourier slices ``0..n3//2`` of ``a``: the stack
-    whose spectra :func:`_slice_eig_extremes` (hence :func:`is_t_psd` and
-    every Loewner certificate) and the symmetric branch of
+def _psd_stack(x: _Stack) -> np.ndarray:
+    """Hermitian-symmetrized Fourier slices ``0..n3//2`` of each member, one
+    ``(b * (n3//2 + 1), n, n)`` stack: the stack whose spectra
+    :func:`_slice_eig_extremes` (hence :func:`is_t_psd` and every Loewner
+    certificate) and the symmetric branch of
     :func:`ttensor.spectral.t_eigenvalues` take."""
-    half = to_fourier(a).half()
-    return 0.5 * (half + half.conj().transpose(0, 2, 1))
+    half = x.slices[:, : x.n3 // 2 + 1]
+    return (0.5 * (half + half.conj().transpose(0, 1, 3, 2))).reshape(-1, *x.shape[:2])
 
 
 def loewner_ge(a: Tensor3, b: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:

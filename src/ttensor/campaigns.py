@@ -44,6 +44,7 @@ byte-identical to a lone serial run.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +56,7 @@ from .core import (
     RngStream,
     Tensor3,
     _Batcher,
+    _Stack,
     _trial_memo,
     frobenius_norm,
     gen_commuting_psd_pair,
@@ -171,64 +173,81 @@ def _complex_norm_trial(variant):
     return run
 
 
-def _trial_am_gm(trial, stream, n, n3, tol, mode, params):
+@dataclass(frozen=True)
+class _Stacked:
+    """A theorem whose campaign windows run as one stacked pass.
+
+    ``draw(trial, stream, n, n3, mode, params)`` gives a trial's instance:
+    its tensors and the scalar arguments that follow them.
+    ``certify(stacks, columns, tol, mode)`` certifies a stack of instances,
+    the ``k``-th tensors of the trials in ``stacks[k]`` and the ``k``-th
+    scalars in ``columns[k]``, and returns one certificate list per trial.
+    Called as a trial function, it certifies its one trial as a one-member
+    stack: the serial form of a window.
+    """
+
+    draw: Callable
+    certify: Callable
+
+    def __call__(self, trial, stream, n, n3, tol, mode, params):
+        tensors, scalars = self.draw(trial, stream, n, n3, mode, params)
+        return self.certify([_Stack.of(t) for t in tensors], [[v] for v in scalars], tol, mode)[0]
+
+
+def _stacked(certifier):
+    """``certify`` for a stacked certifier that takes the stacks, the scalar
+    columns, then ``tol``."""
+    return lambda stacks, columns, tol, mode: certifier(*stacks, *columns, tol)
+
+
+def _draw_am_gm(trial, stream, n, n3, mode, params):
     g = stream.generator()
     if mode == "literal" and trial == 0:
         # scalar counterexample family: a=2, x=1, b=1 gives 2 > 1.5
-        a = 2.0 * identity(1, 1)
-        x = identity(1, 1)
-        b = identity(1, 1)
-    else:
-        a = gen_random((n, n, n3), g)
-        x = gen_random((n, n, n3), g)
-        b = gen_random((n, n, n3), g)
-    return ineq.check_am_gm(a, x, b, tol, mode=mode)
+        return (2.0 * identity(1, 1), identity(1, 1), identity(1, 1)), ()
+    return tuple(gen_random((n, n, n3), g) for _ in range(3)), ()
 
 
-def _trial_heinz_family(trial, stream, n, n3, tol, mode, params):
+def _draw_heinz_family(trial, stream, n, n3, mode, params):
     g = stream.generator()
     a = gen_t_psd(n, n3, g)
     b = gen_t_psd(n, n3, g)
     x = gen_random((n, n, n3), g)
     r = params.get("r", _grid([0.5, 0.75, 1.0, 1.25, 1.5], trial))
     t = params.get("t", _grid([-1.0, 0.0, 1.0, 2.0], trial // 5))
-    return ineq.check_heinz_family(a, x, b, r, t, tol)
+    return (a, x, b), (r, t)
 
 
-def _trial_holder(trial, stream, n, n3, tol, mode, params):
+def _draw_holder(trial, stream, n, n3, mode, params):
     g = stream.generator()
     a = gen_t_psd(n, n3, g)
     b = gen_t_psd(n, n3, g)
     x = gen_random((n, n, n3), g)
     r = params.get("r", _grid([0.5, 1.0, 2.0], trial))
     p = params.get("p", _grid([1.25, 2.0, 5.0], trial // 3))
-    q = p / (p - 1.0)
-    return ineq.check_holder(a, x, b, r, p, q, tol)
+    return (a, x, b), (r, p, p / (p - 1.0))
 
 
-def _trial_holder_pairs(trial, stream, n, n3, tol, mode, params):
+def _draw_holder_pairs(trial, stream, n, n3, mode, params):
     g = stream.generator()
-    a, b, c, d = (gen_random((n, n, n3), g) for _ in range(4))
+    tensors = tuple(gen_random((n, n, n3), g) for _ in range(4))
     p = params.get("p", _grid([1.25, 2.0, 5.0], trial))
-    q = p / (p - 1.0)
-    return ineq.check_holder_pairs(a, b, c, d, p, q, tol)
+    return tensors, (p, p / (p - 1.0))
 
 
-def _trial_holder_corollary(trial, stream, n, n3, tol, mode, params):
+def _draw_holder_corollary(trial, stream, n, n3, mode, params):
     g = stream.generator()
     a = gen_random((n, n, n3), g)
     b = gen_random((n, n, n3), g)
     r = params.get("r", _grid([0.5, 1.0, 2.0], trial))
     p = params.get("p", _grid([1.25, 2.0, 5.0], trial // 3))
-    q = p / (p - 1.0)
-    return ineq.check_holder_corollary(a, b, r, p, q, tol)
+    return (a, b), (r, p, p / (p - 1.0))
 
 
-def _trial_minkowski(trial, stream, n, n3, tol, mode, params):
+def _draw_minkowski(trial, stream, n, n3, mode, params):
     g = stream.generator()
-    a1, a2, b1, b2 = (gen_random((n, n, n3), g) for _ in range(4))
-    p = params.get("p", _grid([1.0, 1.5, 2.0, 3.0], trial))
-    return ineq.check_minkowski(a1, a2, b1, b2, p, tol)
+    tensors = tuple(gen_random((n, n, n3), g) for _ in range(4))
+    return tensors, (params.get("p", _grid([1.0, 1.5, 2.0, 3.0], trial)),)
 
 
 def _trial_schur(trial, stream, n, n3, tol, mode, params):
@@ -312,12 +331,14 @@ _REGISTRY = {
     "complex-norm-a": _complex_norm_trial("a"),
     "complex-norm-b": _complex_norm_trial("b"),
     "complex-norm-c": _complex_norm_trial("c"),
-    "am-gm": _trial_am_gm,
-    "heinz-family": _trial_heinz_family,
-    "holder": _trial_holder,
-    "holder-pairs": _trial_holder_pairs,
-    "holder-corollary": _trial_holder_corollary,
-    "minkowski": _trial_minkowski,
+    "am-gm": _Stacked(
+        _draw_am_gm, lambda stacks, columns, tol, mode: ineq._am_gm(*stacks, tol, mode)
+    ),
+    "heinz-family": _Stacked(_draw_heinz_family, _stacked(ineq._heinz_family)),
+    "holder": _Stacked(_draw_holder, _stacked(ineq._holder)),
+    "holder-pairs": _Stacked(_draw_holder_pairs, _stacked(ineq._holder_pairs)),
+    "holder-corollary": _Stacked(_draw_holder_corollary, _stacked(ineq._holder_corollary)),
+    "minkowski": _Stacked(_draw_minkowski, _stacked(ineq._minkowski)),
     "schur": _trial_schur,
     "gershgorin": _trial_gershgorin,
     "bauer-fike": _trial_bauer_fike,
@@ -356,7 +377,12 @@ def run_campaign(
     certificates = []
     window = _window_size(n, n3)
     for start in range(0, trials, window):
-        for outcome in _Batcher(run_trial, range(start, min(start + window, trials))).run():
+        members = range(start, min(start + window, trials))
+        if isinstance(trial_fn, _Stacked):
+            outcomes = _run_stacked(trial_fn, members, seed, n, n3, tol, mode, params)
+        else:
+            outcomes = _Batcher(run_trial, members).run()
+        for outcome in outcomes:
             if isinstance(outcome, BaseException):
                 raise outcome  # the lowest failing trial's, as a serial loop raises
             certificates.extend(outcome)
@@ -364,11 +390,40 @@ def run_campaign(
 
 
 def _run_trial(trial_fn, trial, seed, n, n3, tol, mode, params) -> list:
-    """One trial in its own memo scope, its certificates stamped with their
-    provenance: ``seed`` set and ``"trial"`` put first in ``params``.  This
-    is the only place a certificate gets its seed and trial."""
+    """One trial in its own memo scope, its certificates stamped."""
     with _trial_memo():
         certificates = trial_fn(trial, RngStream(seed, trial), n, n3, tol, mode, params)
+    return _stamp(certificates, seed, trial)
+
+
+def _run_stacked(theorem: _Stacked, trials, seed, n, n3, tol, mode, params) -> list:
+    """Each trial's stamped certificates from one stacked pass over a window.
+
+    Each trial still draws its instance from its own stream; instances of
+    one shape are stacked and certified in one call.  If the pass raises,
+    the trials run again one by one, so the lowest failing trial raises the
+    error it raises in a serial loop.
+    """
+    try:
+        draws = [theorem.draw(t, RngStream(seed, t), n, n3, mode, params) for t in trials]
+        groups: dict[tuple, list[int]] = {}
+        for k, (tensors, _) in enumerate(draws):
+            groups.setdefault(tuple(x.shape for x in tensors), []).append(k)
+        outcomes = [None] * len(draws)
+        for ks in groups.values():
+            stacks = [_Stack.of(*column) for column in zip(*(draws[k][0] for k in ks))]
+            columns = [list(column) for column in zip(*(draws[k][1] for k in ks))]
+            for k, certificates in zip(ks, theorem.certify(stacks, columns, tol, mode)):
+                outcomes[k] = _stamp(certificates, seed, trials[k])
+        return outcomes
+    except Exception:  # find and raise the serial error below
+        return [_run_trial(theorem, t, seed, n, n3, tol, mode, params) for t in trials]
+
+
+def _stamp(certificates, seed, trial) -> list:
+    """The certificates stamped with their provenance: ``seed`` set and
+    ``"trial"`` put first in ``params``.  This is the only place a
+    certificate gets its seed and trial."""
     return [replace(c, seed=int(seed), params={"trial": trial, **c.params}) for c in certificates]
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _slice_eig_extremes
-from .core import Tensor3, spectral_norm, transpose
+from .core import Tensor3, _Stack, spectral_norm, transpose
 
 __all__ = [
     "InequalityCertificate",
@@ -119,7 +119,7 @@ def norm_certificate(
 
 def loewner_min_gap(lhs_tensor: Tensor3, rhs_tensor: Tensor3) -> float:
     """Smallest eigenvalue over the Fourier slices of ``rhs - lhs``."""
-    return _slice_eig_extremes(_gap_tensor(lhs_tensor, rhs_tensor))[0]
+    return _slice_eig_extremes(_Stack.of(_gap_tensor(lhs_tensor, rhs_tensor)))[0][0]
 
 
 def _gap_tensor(lhs_tensor: Tensor3, rhs_tensor: Tensor3) -> Tensor3:

@@ -32,6 +32,7 @@ directly.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from contextlib import contextmanager
@@ -365,6 +366,119 @@ class ComplexTensor3:
         return f"ComplexTensor3(shape={self.shape})"
 
 
+class _Stack:
+    """``b`` real tensors of one shape, member ``i`` at ``data[i]`` of one
+    read-only C-contiguous ``(b, n1, n2, n3)`` float64 array: the trial axis.
+
+    The shared primitives take stacks (:func:`_transpose`, :func:`_frobenius`,
+    :func:`ttensor.algebra._t_product`, :func:`ttensor.spectral._t_powers`,
+    ...), and each member's result is bit for bit what the public function
+    gives that member alone; the public functions are the ``b = 1`` case.
+
+    ``slices`` are the members' Fourier slices, ``(b, n3, n1, n2)``,
+    transformed on first use and kept, so a stack is transformed once however
+    often it is used.  A stack made by :meth:`cat` transforms the parts that
+    still need it in one call and hands each part its share; a one-tensor
+    stack made by :meth:`of` takes its slices from
+    :func:`ttensor.fourier.to_fourier`, so a trial memo scope still serves
+    its transform.  Entries must be finite, as for :class:`Tensor3`.
+    """
+
+    __slots__ = ("data", "_slices", "_parts")
+
+    def __init__(self, data, slices=None, parts=()):
+        data = np.ascontiguousarray(data, dtype=float)
+        if not np.isfinite(data).all():
+            raise ValueError("tensor entries must be finite (no NaN/Inf)")
+        data.flags.writeable = False
+        self.data, self._slices, self._parts = data, slices, parts
+
+    @classmethod
+    def of(cls, *tensors: Tensor3) -> "_Stack":
+        """The tensors, in order, as the members of one stack."""
+        for t in tensors[1:]:
+            _check_same_shape(tensors[0], t)
+        if len(tensors) == 1:
+            return cls(tensors[0].data[None], parts=tensors)
+        return cls(np.stack([t.data for t in tensors]))
+
+    @classmethod
+    def cat(cls, *stacks: "_Stack") -> "_Stack":
+        """The members of each stack in turn."""
+        for other in stacks[1:]:
+            _check_same_shape(stacks[0], other)
+        if len(stacks) == 1:
+            return stacks[0]
+        return cls(np.concatenate([s.data for s in stacks]), parts=stacks)
+
+    def split(self, parts: int) -> list["_Stack"]:
+        """Inverse of :meth:`cat` for ``parts`` stacks of equal size."""
+        if parts == 1:
+            return [self]
+        size = len(self) // parts
+        return [
+            _Stack(self.data[i:i + size],
+                   None if self._slices is None else self._slices[i:i + size])
+            for i in range(0, len(self), size)
+        ]
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """The shape of each member."""
+        return self.data.shape[1:]
+
+    @property
+    def n3(self) -> int:
+        return self.data.shape[3]
+
+    def __len__(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def slices(self) -> np.ndarray:
+        if self._slices is None:
+            from .fourier import _forward, to_fourier  # deferred import, see spectral_norm
+
+            parts = self._parts
+            if len(parts) == 1 and isinstance(parts[0], Tensor3):
+                self._slices = to_fourier(parts[0]).slices[None]
+            elif parts and all(p._slices is not None for p in parts):
+                self._slices = np.concatenate([p._slices for p in parts])
+            else:
+                self._slices = _forward(self.data)
+                hi = 0
+                for p in parts:
+                    lo, hi = hi, hi + len(p)
+                    if p._slices is None:
+                        p._slices = self._slices[lo:hi]
+        return self._slices
+
+    def member(self, i: int) -> Tensor3:
+        """Member ``i``, a read-only view, so a :class:`Tensor3` as it is."""
+        t = object.__new__(Tensor3)
+        object.__setattr__(t, "data", self.data[i])
+        return t
+
+    def transpose(self) -> "_Stack":
+        return _Stack(_transpose(self.data))
+
+    def __add__(self, other: "_Stack") -> "_Stack":
+        _check_same_shape(self, other)
+        return _Stack(self.data + other.data)
+
+    def __sub__(self, other: "_Stack") -> "_Stack":
+        _check_same_shape(self, other)
+        return _Stack(self.data - other.data)
+
+    def __mul__(self, scalar) -> "_Stack":
+        """Times a number, or member ``i`` times ``scalar[i]``."""
+        if np.ndim(scalar):
+            return _Stack(self.data * np.asarray(scalar, dtype=float)[:, None, None, None])
+        return _Stack(self.data * float(scalar))
+
+    __rmul__ = __mul__
+
+
 def _check_same_shape(a, b) -> None:
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
@@ -402,13 +516,18 @@ def _as_generator(rng) -> np.random.Generator:
 
 def transpose(a: Tensor3) -> Tensor3:
     """Tensor transpose: each slice transposed, slices 2..n3 in reversed order."""
-    d = a.data
-    out = np.empty((a.n2, a.n1, a.n3))
-    out[:, :, 0] = d[:, :, 0].T
-    if a.n3 > 1:
+    return Tensor3(_transpose(a.data[None])[0])
+
+
+def _transpose(d: np.ndarray) -> np.ndarray:
+    """:func:`transpose` of every member of a ``(b, n1, n2, n3)`` stack."""
+    b, n1, n2, n3 = d.shape
+    out = np.empty((b, n2, n1, n3))
+    out[..., 0] = d[..., 0].transpose(0, 2, 1)
+    if n3 > 1:
         # slice k of the result is slice (n3 - k) of the input, transposed
-        out[:, :, 1:] = d[:, :, :0:-1].transpose(1, 0, 2)
-    return Tensor3(out)
+        out[..., 1:] = d[..., :0:-1].transpose(0, 2, 1, 3)
+    return out
 
 
 def identity(n: int, n3: int) -> Tensor3:
@@ -428,7 +547,17 @@ def inner_product(x: Tensor3, y: Tensor3) -> float:
 
 def frobenius_norm(a) -> float:
     """Square root of the sum of squared entry magnitudes."""
-    return float(np.linalg.norm(a.data.ravel()))
+    return float(_frobenius(a.data[None])[0])
+
+
+def _frobenius(d: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each member of a real or complex stack: the bits of
+    ``np.linalg.norm`` on the member, which takes the same BLAS dot products
+    (of the real and the imaginary parts)."""
+    flat = d.reshape(d.shape[0], math.prod(d.shape[1:]))
+    if not np.iscomplexobj(flat):
+        return np.sqrt(np.vecdot(flat, flat))
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 def spectral_norm(a) -> float:
@@ -439,7 +568,14 @@ def spectral_norm(a) -> float:
     """
     from .fourier import to_fourier  # deferred: core must not import fourier at load
 
-    return float(np.linalg.svd(to_fourier(a).slices, compute_uv=False)[:, 0].max())
+    return float(_spectral(to_fourier(a).slices[None])[0])
+
+
+def _spectral(slices: np.ndarray) -> np.ndarray:
+    """:func:`spectral_norm` of each member of a ``(b, n3, n1, n2)`` stack of
+    Fourier slices; LAPACK takes each slice alone, so a member's norm does
+    not depend on the rest of the stack."""
+    return np.linalg.svd(slices, compute_uv=False)[..., 0].max(axis=1)
 
 
 # ---------------------------------------------------------------------------

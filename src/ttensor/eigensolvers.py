@@ -61,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _MEMO, _batched
+from .core import _MEMO, _batched, _frobenius
 from .errors import EigenConvergenceError, NotSymmetricError
 
 __all__ = ["HermitianEigen", "hermitian_eig", "general_eig"]
@@ -134,12 +134,6 @@ def hermitian_eig(m) -> HermitianEigen:
     if a.ndim == 2:
         return HermitianEigen(values[0], vectors[0])
     return HermitianEigen(values, vectors)
-
-
-def _frobenius(a: np.ndarray) -> np.ndarray:
-    """Per-member ``np.linalg.norm``, with the same BLAS dot products."""
-    flat = a.reshape(a.shape[0], int(np.prod(a.shape[1:])))
-    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
 def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

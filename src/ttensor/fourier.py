@@ -145,15 +145,21 @@ def _worst_symmetry_pair(s: FourierSlices) -> tuple[float, int, int]:
     itself as ``(0, 0)`` and measured by its imaginary part.  The lowest
     index wins ties, and a NaN residual never counts as the worst.
     """
-    sl = s.slices
-    half = s.n3 // 2
-    i = np.arange(1, half + 1)
-    res = np.empty(half + 1)
-    res[0] = np.abs(sl[0].imag).max()
-    res[1:] = np.abs(sl[s.n3 - i] - sl[i].conj()).max(axis=(1, 2))
-    res = np.fmax(res, 0.0)
+    res = _symmetry_residuals(s.slices[None])[0]
     k = int(np.argmax(res))
     return float(res[k]), k, (s.n3 - k) % s.n3
+
+
+def _symmetry_residuals(sl: np.ndarray) -> np.ndarray:
+    """``(b, n3//2 + 1)``: for each member of a ``(b, n3, n1, n2)`` stack,
+    the residual of each pair of :func:`_worst_symmetry_pair`, slice 0
+    first, NaN read as 0."""
+    n3 = sl.shape[1]
+    i = np.arange(1, n3 // 2 + 1)
+    res = np.empty((sl.shape[0], n3 // 2 + 1))
+    res[:, 0] = np.abs(sl[:, 0].imag).max(axis=(1, 2))
+    res[:, 1:] = np.abs(sl[:, n3 - i] - sl[:, i].conj()).max(axis=(2, 3))
+    return np.fmax(res, 0.0)
 
 
 def _self_conjugate_indices(n3: int) -> list:
@@ -165,8 +171,14 @@ def _self_conjugate_indices(n3: int) -> list:
 def _assemble_real_from_half(half, n3: int) -> Tensor3:
     """Mirror slices 1..(n3-1)//2 of a ``(n3//2 + 1, n1, n2)`` half spectrum
     as conjugates and inverse-transform."""
-    full = np.concatenate([half, half[(n3 - 1) // 2:0:-1].conj()])
+    full = _mirror_half(half[None], n3)[0]
     return from_fourier(FourierSlices(half.shape[1], half.shape[2], n3, full, True))
+
+
+def _mirror_half(half: np.ndarray, n3: int) -> np.ndarray:
+    """All ``n3`` slices of each member of a ``(b, n3//2 + 1, n1, n2)`` stack
+    of half spectra: slices 1..(n3-1)//2 mirrored as conjugates."""
+    return np.concatenate([half, half[:, (n3 - 1) // 2:0:-1].conj()], axis=1)
 
 
 @dataclass(frozen=True)
@@ -255,9 +267,17 @@ def to_fourier(a) -> FourierSlices:
 def _to_fourier(a) -> FourierSlices:
     n1, n2, n3 = a.shape
     if isinstance(a, Tensor3):
-        bar = np.einsum("tkc,ijt->kijc", _real_dft_kernel(n3), a.data).view(complex)[..., 0]
-        return FourierSlices(n1, n2, n3, bar, True)
+        return FourierSlices(n1, n2, n3, _forward(a.data[None])[0], True)
     return FourierSlices(n1, n2, n3, np.einsum("kt,ijt->kij", dft_matrix(n3), a.data), False)
+
+
+def _forward(data: np.ndarray) -> np.ndarray:
+    """Fourier slices ``(b, n3, n1, n2)``, C-contiguous, of each member of a
+    C-contiguous real ``(b, n1, n2, n3)`` stack.  einsum adds each member's
+    terms in ``t`` order whatever ``b`` is, so a member's slices are bit for
+    bit its own transform."""
+    kernel = _real_dft_kernel(data.shape[3])
+    return np.ascontiguousarray(np.einsum("tkc,bijt->bkijc", kernel, data).view(complex)[..., 0])
 
 
 def from_fourier(s: FourierSlices) -> Tensor3:
@@ -280,13 +300,23 @@ def from_fourier(s: FourierSlices) -> Tensor3:
 
 
 def _from_fourier(s: FourierSlices) -> Tensor3:
-    tol = _SYMMETRY_TOL * (1.0 + float(np.abs(s.slices).max()))
-    residual, i, j = _worst_symmetry_pair(s)
-    if residual > tol:
-        raise ConjugateSymmetryError(i, j, residual, tol)
-    tubes = np.conjugate(s.slices.transpose(1, 2, 0), order="C")
-    data = np.einsum("kt,ijt->ijk", dft_matrix(s.n3), tubes) / s.n3
-    return Tensor3(data.real)
+    return Tensor3(_inverse(s.slices[None])[0])
+
+
+def _inverse(slices: np.ndarray) -> np.ndarray:
+    """Real ``(b, n1, n2, n3)`` preimage of each member of a ``(b, n3, n1, n2)``
+    stack of Fourier slices; the lowest member without one raises
+    :class:`ConjugateSymmetryError` (see :func:`from_fourier`)."""
+    b, n3 = slices.shape[:2]
+    tol = _SYMMETRY_TOL * (1.0 + np.abs(slices).reshape(b, -1).max(axis=1))
+    res = _symmetry_residuals(slices)
+    bad = res.max(axis=1) > tol
+    if bad.any():
+        m = int(np.argmax(bad))
+        k = int(np.argmax(res[m]))
+        raise ConjugateSymmetryError(k, (n3 - k) % n3, float(res[m, k]), float(tol[m]))
+    tubes = np.conjugate(slices.transpose(0, 2, 3, 1), order="C")
+    return (np.einsum("kt,bijt->bijk", dft_matrix(n3), tubes) / n3).real
 
 
 def fourier_frobenius_norm(s: FourierSlices) -> float:

@@ -34,7 +34,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import PREDICATE_TOL, is_orthogonal, is_symmetric, is_t_psd, loewner_ge, t_product
+from .algebra import (
+    PREDICATE_TOL,
+    _psd_verdicts,
+    _t_product,
+    is_orthogonal,
+    is_symmetric,
+    loewner_ge,
+    t_product,
+)
 from .certificates import (
     DEFAULT_TOL,
     FROBENIUS,
@@ -45,9 +53,26 @@ from .certificates import (
     loewner_certificate,
     norm_certificate,
 )
-from .core import ComplexTensor3, Tensor3, frobenius_norm, spectral_norm, transpose
-from .errors import HypothesisViolationError
-from .spectral import _abs_power, _require_conjugate, _solve_ahead, t_power, young_witness
+from .core import (
+    ComplexTensor3,
+    Tensor3,
+    _frobenius,
+    _spectral,
+    _Stack,
+    frobenius_norm,
+    spectral_norm,
+    transpose,
+)
+from .errors import HypothesisViolationError, TtensorError
+from .spectral import (
+    _abs_powers,
+    _psd_and_power_spectra,
+    _require_conjugate,
+    _solve_ahead,
+    _t_powers,
+    t_power,
+    young_witness,
+)
 
 __all__ = [
     "power_order_counterexample",
@@ -81,19 +106,30 @@ def power_order_counterexample() -> tuple[Tensor3, Tensor3]:
     return a, b
 
 
-def _norm_certificates(theorem_id: str, dims, tol: float, *parts) -> list[InequalityCertificate]:
-    """Certificates of ``lhs <= rhs`` in the Frobenius and then the spectral
-    norm, each norm's parts in the order given.  A part is ``(params, sides)``
-    with ``sides(norm)`` giving ``(lhs, rhs)`` in that norm, so the tensors
-    under the norms are formed once for both."""
-    out = []
-    for kind, norm in ((FROBENIUS, frobenius_norm), (SPECTRAL, spectral_norm)):
-        for params, sides in parts:
-            lhs, rhs = sides(norm)
-            out.append(norm_certificate(
-                theorem_id, dims=dims, params=params, norm_kind=kind, lhs=lhs, rhs=rhs, tol=tol
-            ))
+def _norm_certificates(theorem_id: str, dims, tol: float, tensors, sides) -> list[list]:
+    """One list per stack member: the certificates of ``lhs <= rhs`` in the
+    Frobenius and then the spectral norm.  ``sides(i, norms)`` lists member
+    ``i``'s ``(params, lhs, rhs)`` in order, given ``norms``, member ``i``'s
+    norms of the stacks ``tensors`` as Python floats, so the tensors under
+    the norms are formed once for both norms and all members, and the
+    certificate arithmetic stays in Python floats (numpy's ``**`` rounds
+    differently)."""
+    out = [[] for _ in range(len(tensors[0]))]
+    for kind, norm in ((FROBENIUS, lambda t: _frobenius(t.data)), (SPECTRAL, lambda t: _spectral(t.slices))):
+        table = zip(*(norm(t).tolist() for t in tensors))
+        for i, (certs, norms) in enumerate(zip(out, table)):
+            certs.extend(
+                norm_certificate(
+                    theorem_id, dims=dims, params=params, norm_kind=kind, lhs=lhs, rhs=rhs, tol=tol
+                )
+                for params, lhs, rhs in sides(i, norms)
+            )
     return out
+
+
+def _stacks(*tensors: Tensor3) -> list[_Stack]:
+    """Each tensor as a one-member stack: a certifier's ``b = 1`` case."""
+    return [_Stack.of(t) for t in tensors]
 
 
 def _sym(t: Tensor3) -> Tensor3:
@@ -106,11 +142,33 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _require_psd(t: Tensor3, tol: float, name: str) -> None:
-    verdict = is_t_psd(t, tol)
-    _require(
-        verdict.holds,
-        f"{name} is not positive semidefinite (min gap {verdict.min_gap_eigenvalue:.3e})",
-    )
+    _require_psd_members(_stacks(t), [name], tol)
+
+
+def _require_psd_members(xs: list[_Stack], names: list[str], tol: float, eig=None) -> None:
+    """Every member of every stack is positive semidefinite, checked in
+    order, ``xs[k]``'s members under the name ``names[k]``; ``eig`` may hold
+    the spectra of their PSD stacks (see ``_psd_and_power_spectra``)."""
+    if len({x.shape for x in xs}) > 1:
+        for x, name in zip(xs, names):
+            _require_psd_members([x], [name], tol)
+        return
+    member_names = [name for x, name in zip(xs, names) for _ in range(len(x))]
+    for name, verdict in zip(member_names, _psd_verdicts(_Stack.cat(*xs), tol, eig)):
+        _require(
+            verdict.holds,
+            f"{name} is not positive semidefinite (min gap {verdict.min_gap_eigenvalue:.3e})",
+        )
+
+
+def _ahead(product):
+    """``product()``, formed ahead of the hypothesis checks; ``None`` if it
+    raises (a shape mismatch, an overflow), so that the caller forms it again
+    after the checks and its error comes where it always came."""
+    try:
+        return product()
+    except (TtensorError, ValueError):
+        return None
 
 
 def _require_order(a: Tensor3, b: Tensor3, tol: float, names: str) -> None:
@@ -166,15 +224,17 @@ def check_hansen_power(
     symmetrized.
     """
     _require(0.0 < r <= 2.0, f"exponent r={r} outside (0, 2]")
-    _solve_ahead(psd=[x], power=[x])
+    left = transpose(q) if mode == "contraction" else q
+    # the conjugated product is formed ahead of the checks, so that its power
+    # joins the first wave
+    sym_middle = _ahead(lambda: _sym(t_product(t_product(left, x), q)))
+    _solve_ahead(psd=[x], power=[x] + ([sym_middle] if sym_middle is not None else []))
     _require_psd(x, tol, "X")
     if mode == "contraction":
         q_norm = spectral_norm(q)
         _require(q_norm <= 1.0 + tol, f"Q is not a contraction: ||Q||_2 = {q_norm:.6f}")
-        left = transpose(q)
     elif mode == MODE_LITERAL:
         _require(bool(is_orthogonal(q, max(tol, PREDICATE_TOL))), "Q is not orthogonal")
-        left = q
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -243,7 +303,10 @@ def check_young_commuting(
 ) -> InequalityCertificate:
     """Young inequality A * B <= A^p / p + B^q / q for a commuting PSD pair."""
     _require_conjugate(p, q)
-    _solve_ahead(psd=[a, b], power=[a, b])
+    # A * B is formed ahead of the PSD checks, so that the check of its
+    # symmetric part joins the first wave
+    sym_ab = _ahead(lambda: _sym(t_product(a, b)))
+    _solve_ahead(psd=[a, b] + ([sym_ab] if sym_ab is not None else []), power=[a, b])
     _require_psd(a, tol, "A")
     _require_psd(b, tol, "B")
     ab = t_product(a, b)
@@ -357,16 +420,23 @@ def check_am_gm(
     term, matching the defective circulating statement; scalars already break
     it.
     """
-    left = t_product(t_product(a, x), transpose(b))
+    return _am_gm(*_stacks(a, x, b), tol, mode)[0]
+
+
+def _am_gm(a: _Stack, x: _Stack, b: _Stack, tol: float, mode: str) -> list[list]:
+    """:func:`check_am_gm` of each member."""
+    bt = b.transpose()
+    left = _t_product(_t_product(a, x), bt)
     if mode == MODE_CORRECTED:
-        first = t_product(t_product(transpose(a), a), x)
+        first = _t_product(_t_product(a.transpose(), a), x)
     elif mode == MODE_LITERAL:
-        first = t_product(transpose(a), x)
+        first = _t_product(a.transpose(), x)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    right = first + t_product(x, t_product(transpose(b), b))
+    right = first + _t_product(x, _t_product(bt, b))
     return _norm_certificates(
-        "am-gm", a.shape, tol, ({"mode": mode}, lambda norm: (norm(left), 0.5 * norm(right)))
+        "am-gm", a.shape, tol, [left, right],
+        lambda i, norms: [({"mode": mode}, norms[0], 0.5 * norms[1])],
     )
 
 
@@ -384,28 +454,35 @@ def check_heinz_family(
     for 1 <= 2r <= 3 and -2 < t <= 2.  Part two: ``4 ||A*B|| <= ||(A+B)^2||``.
     Returns both parts' Frobenius certificates, then their spectral ones.
     """
-    _require(1.0 <= 2 * r <= 3.0, f"exponent r={r} outside [0.5, 1.5]")
-    _require(-2.0 < t <= 2.0, f"weight t={t} outside (-2, 2]")
-    _solve_ahead(psd=[a, b], power=[a, b])
-    _require_psd(a, tol, "A")
-    _require_psd(b, tol, "B")
-    params = {"r": r, "t": t}
+    return _heinz_family(*_stacks(a, x, b), [r], [t], tol)[0]
 
-    ar, a2r = t_power(a, r), t_power(a, 2 - r)
-    br, b2r = t_power(b, r), t_power(b, 2 - r)
-    heinz = t_product(t_product(ar, x), b2r) + t_product(t_product(a2r, x), br)
+
+def _heinz_family(a: _Stack, x: _Stack, b: _Stack, r: list, t: list, tol: float) -> list[list]:
+    """:func:`check_heinz_family` of each member, member ``i`` at ``r[i]``, ``t[i]``."""
+    for ri, ti in zip(r, t):
+        _require(1.0 <= 2 * ri <= 3.0, f"exponent r={ri} outside [0.5, 1.5]")
+        _require(-2.0 < ti <= 2.0, f"weight t={ti} outside (-2, 2]")
+    psd_eig, power_eig = _psd_and_power_spectra([a, b])
+    _require_psd_members([a, b], ["A", "B"], tol, psd_eig)
+    r2 = [2 - ri for ri in r]
+    (ar, br), (a2r, b2r) = _t_powers([a, b], [r, r], [r2, r2], eig=power_eig)
+    heinz = _t_product(_t_product(ar, x), b2r) + _t_product(_t_product(a2r, x), br)
     quadratic = (
-        t_product(t_product(a, a), x)
-        + t * t_product(t_product(a, x), b)
-        + t_product(x, t_product(b, b))
+        _t_product(_t_product(a, a), x)
+        + t * _t_product(_t_product(a, x), b)
+        + _t_product(x, _t_product(b, b))
     )
     s = a + b
-    ab, s2 = t_product(a, b), t_product(s, s)
-    return _norm_certificates(
-        "heinz-family", a.shape, tol,
-        ({**params, "part": "weighted"}, lambda norm: ((2 + t) * norm(heinz), 2 * norm(quadratic))),
-        ({**params, "part": "product"}, lambda norm: (4 * norm(ab), norm(s2))),
-    )
+    ab, s2 = _t_product(a, b), _t_product(s, s)
+
+    def sides(i, norms):
+        params = {"r": r[i], "t": t[i]}
+        return [
+            ({**params, "part": "weighted"}, (2 + t[i]) * norms[0], 2 * norms[1]),
+            ({**params, "part": "product"}, 4 * norms[2], norms[3]),
+        ]
+
+    return _norm_certificates("heinz-family", a.shape, tol, [heinz, quadratic, ab, s2], sides)
 
 
 def check_holder(
@@ -423,19 +500,29 @@ def check_holder(
     (p, q).  The exponent on the left absolute value follows the scaling-
     consistent reading of the statement.
     """
-    _require(r > 0 and p > 1 and q > 1, f"need r > 0 and finite conjugate p, q; got r={r}, p={p}, q={q}")
-    _require_conjugate(p, q)
-    _solve_ahead(psd=[a, b], power=[a, b])
-    _require_psd(a, tol, "A")
-    _require_psd(b, tol, "B")
-    axb = t_product(t_product(a, x), b)
-    apx, xbq = t_product(t_power(a, p), x), t_product(x, t_power(b, q))
-    _solve_ahead(absolute=[axb, apx, xbq])
-    left, first, second = _abs_power(axb, r), _abs_power(apx, r), _abs_power(xbq, r)
+    return _holder(*_stacks(a, x, b), [r], [p], [q], tol)[0]
+
+
+def _holder(a: _Stack, x: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list[list]:
+    """:func:`check_holder` of each member, member ``i`` at ``r[i]``, ``p[i]``, ``q[i]``."""
+    for ri, pi, qi in zip(r, p, q):
+        _require(
+            ri > 0 and pi > 1 and qi > 1,
+            f"need r > 0 and finite conjugate p, q; got r={ri}, p={pi}, q={qi}",
+        )
+        _require_conjugate(pi, qi)
+    psd_eig, power_eig = _psd_and_power_spectra([a, b])
+    _require_psd_members([a, b], ["A", "B"], tol, psd_eig)
+    axb = _t_product(_t_product(a, x), b)
+    ((ap, bq),) = _t_powers([a, b], [p, q], eig=power_eig)
+    apx, xbq = _t_product(ap, x), _t_product(x, bq)
+    left, first, second = _abs_powers([axb, apx, xbq], [r, r, r])
     return _norm_certificates(
-        "holder", a.shape, tol,
-        ({"r": r, "p": p, "q": q},
-         lambda norm: (norm(left), norm(first) ** (1 / p) * norm(second) ** (1 / q))),
+        "holder", a.shape, tol, [left, first, second],
+        lambda i, norms: [(
+            {"r": r[i], "p": p[i], "q": q[i]},
+            norms[0], norms[1] ** (1 / p[i]) * norms[2] ** (1 / q[i]),
+        )],
     )
 
 
@@ -454,18 +541,28 @@ def check_holder_pairs(
     for arbitrary tensors and finite conjugate exponents (p = 1 or p = inf is
     out of numeric scope).
     """
-    _require(p > 1 and q > 1, f"infinite or unit exponents out of numeric scope: p={p}, q={q}")
-    _require_conjugate(p, q)
-    _solve_ahead(absolute=[a, b, c, d])
-    cross = t_product(transpose(c), a) + t_product(transpose(d), b)
-    ab_p = _abs_power(a, p) + _abs_power(b, p)
-    cd_q = _abs_power(c, q) + _abs_power(d, q)
-    damping = 2.0 ** (-abs(1 / p - 0.5))
-    return _norm_certificates(
-        "holder-pairs", a.shape, tol,
-        ({"p": p, "q": q},
-         lambda norm: (damping * norm(cross), norm(ab_p) ** (1 / p) * norm(cd_q) ** (1 / q))),
-    )
+    return _holder_pairs(*_stacks(a, b, c, d), [p], [q], tol)[0]
+
+
+def _holder_pairs(
+    a: _Stack, b: _Stack, c: _Stack, d: _Stack, p: list, q: list, tol: float
+) -> list[list]:
+    """:func:`check_holder_pairs` of each member, member ``i`` at ``p[i]``, ``q[i]``."""
+    for pi, qi in zip(p, q):
+        _require(pi > 1 and qi > 1, f"infinite or unit exponents out of numeric scope: p={pi}, q={qi}")
+        _require_conjugate(pi, qi)
+    cross = _t_product(c.transpose(), a) + _t_product(d.transpose(), b)
+    abs_a, abs_b, abs_c, abs_d = _abs_powers([a, b, c, d], [p, p, q, q])
+    ab_p, cd_q = abs_a + abs_b, abs_c + abs_d
+
+    def sides(i, norms):
+        damping = 2.0 ** (-abs(1 / p[i] - 0.5))
+        return [(
+            {"p": p[i], "q": q[i]},
+            damping * norms[0], norms[1] ** (1 / p[i]) * norms[2] ** (1 / q[i]),
+        )]
+
+    return _norm_certificates("holder-pairs", a.shape, tol, [cross, ab_p, cd_q], sides)
 
 
 def check_holder_corollary(
@@ -477,15 +574,27 @@ def check_holder_corollary(
     tol: float = DEFAULT_TOL,
 ) -> list[InequalityCertificate]:
     """Two-factor Hoelder corollary ``|| |A B|^r || <= || |A|^(pr) ||^(1/p) || |B|^(qr) ||^(1/q)``."""
-    _require(r > 0 and p > 1 and q > 1, f"need r > 0 and finite conjugate p, q; got r={r}, p={p}, q={q}")
-    _require_conjugate(p, q)
-    ab = t_product(a, b)
-    _solve_ahead(absolute=[ab, a, b])
-    left, first, second = _abs_power(ab, r), _abs_power(a, p * r), _abs_power(b, q * r)
+    return _holder_corollary(*_stacks(a, b), [r], [p], [q], tol)[0]
+
+
+def _holder_corollary(a: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list[list]:
+    """:func:`check_holder_corollary` of each member, member ``i`` at ``r[i]``, ``p[i]``, ``q[i]``."""
+    for ri, pi, qi in zip(r, p, q):
+        _require(
+            ri > 0 and pi > 1 and qi > 1,
+            f"need r > 0 and finite conjugate p, q; got r={ri}, p={pi}, q={qi}",
+        )
+        _require_conjugate(pi, qi)
+    ab = _t_product(a, b)
+    pr = [pi * ri for pi, ri in zip(p, r)]
+    qr = [qi * ri for qi, ri in zip(q, r)]
+    left, first, second = _abs_powers([ab, a, b], [r, pr, qr])
     return _norm_certificates(
-        "holder-corollary", a.shape, tol,
-        ({"r": r, "p": p, "q": q},
-         lambda norm: (norm(left), norm(first) ** (1 / p) * norm(second) ** (1 / q))),
+        "holder-corollary", a.shape, tol, [left, first, second],
+        lambda i, norms: [(
+            {"r": r[i], "p": p[i], "q": q[i]},
+            norms[0], norms[1] ** (1 / p[i]) * norms[2] ** (1 / q[i]),
+        )],
     )
 
 
@@ -502,16 +611,23 @@ def check_minkowski(
     ``2^(-|1/p-1/2|) || |A1+A2|^p + |B1+B2|^p ||^(1/p)
     <= || |A1|^p + |B1|^p ||^(1/p) + || |A2|^p + |B2|^p ||^(1/p)``.
     """
-    _require(1.0 <= p < np.inf, f"exponent p={p} outside [1, inf)")
+    return _minkowski(*_stacks(a1, a2, b1, b2), [p], tol)[0]
+
+
+def _minkowski(a1: _Stack, a2: _Stack, b1: _Stack, b2: _Stack, p: list, tol: float) -> list[list]:
+    """:func:`check_minkowski` of each member, member ``i`` at ``p[i]``."""
+    for pi in p:
+        _require(1.0 <= pi < np.inf, f"exponent p={pi} outside [1, inf)")
     a12, b12 = a1 + a2, b1 + b2
-    _solve_ahead(absolute=[a12, b12, a1, b1, a2, b2])
-    whole = _abs_power(a12, p) + _abs_power(b12, p)
-    first = _abs_power(a1, p) + _abs_power(b1, p)
-    second = _abs_power(a2, p) + _abs_power(b2, p)
-    damping = 2.0 ** (-abs(1 / p - 0.5))
-    return _norm_certificates(
-        "minkowski", a1.shape, tol,
-        ({"p": p},
-         lambda norm: (damping * norm(whole) ** (1 / p),
-                       norm(first) ** (1 / p) + norm(second) ** (1 / p))),
-    )
+    powers = _abs_powers([a12, b12, a1, b1, a2, b2], [p] * 6)
+    whole, first, second = (powers[k] + powers[k + 1] for k in (0, 2, 4))
+
+    def sides(i, norms):
+        damping = 2.0 ** (-abs(1 / p[i] - 0.5))
+        root = 1 / p[i]
+        return [(
+            {"p": p[i]},
+            damping * norms[0] ** root, norms[1] ** root + norms[2] ** root,
+        )]
+
+    return _norm_certificates("minkowski", a1.shape, tol, [whole, first, second], sides)

@@ -23,7 +23,7 @@ from .certificates import (
 )
 from .core import ComplexTensor3, Tensor3, frobenius_norm, spectral_norm
 from .errors import HypothesisViolationError, ShapeMismatchError
-from .spectral import TEigenSpectrum, _solve_ahead, t_eigenvalues
+from .spectral import TEigenSpectrum, _solve_ahead, _t_eigenvalues, t_eigenvalues
 
 __all__ = [
     "GershgorinDisc",
@@ -211,8 +211,7 @@ def bauer_fike(
         raise HypothesisViolationError(
             f"a is not reproduced by q^-1 * s * q (residual {residual:.3e})"
         )
-    lam = t_eigenvalues(a).values
-    mu = t_eigenvalues(b).values
+    lam, mu = (spectrum.values for spectrum in _t_eigenvalues(a, b))
     lhs = float(max(np.abs(mu - z).min() for z in lam))
     rhs = spectral_norm(q_inv) * spectral_norm(q) * spectral_norm(a - b)
     return norm_certificate(

@@ -27,8 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LoewnerVerdict, _psd_stack, is_symmetric, loewner_ge, t_product
-from .core import _MEMO, Tensor3, _as_generator, gen_random, transpose
+from .algebra import (
+    LoewnerVerdict,
+    _asymmetry,
+    _psd_stack,
+    _t_product,
+    is_symmetric,
+    loewner_ge,
+    t_product,
+)
+from .core import _MEMO, Tensor3, _as_generator, _Stack, gen_random, transpose
 from .eigensolvers import HermitianEigen, general_eig, hermitian_eig
 from .errors import (
     HypothesisViolationError,
@@ -38,7 +46,13 @@ from .errors import (
     SingularTensorError,
     TtensorError,
 )
-from .fourier import _assemble_real_from_half, _self_conjugate_indices, to_fourier
+from .fourier import (
+    _assemble_real_from_half,
+    _inverse,
+    _mirror_half,
+    _self_conjugate_indices,
+    to_fourier,
+)
 
 __all__ = [
     "TEigenSpectrum",
@@ -77,22 +91,46 @@ def t_eigenvalues(a) -> TEigenSpectrum:
     everything else through the general solver.  As a multiset the result
     equals the spectrum of the block-circulant unfolding.
     """
-    if a.n1 != a.n2:
-        raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {a.shape}")
-    fa = to_fourier(a)
-    if not isinstance(a, Tensor3):
-        values = general_eig(fa.slices).ravel()
-        return TEigenSpectrum(values, np.repeat(np.arange(a.n3), a.n1))
-    half = fa.half()
-    if _hermitian_spectrum(a):
-        w = hermitian_eig(_psd_stack(a)).values.astype(complex)
+    return _t_eigenvalues(a)[0]
+
+
+def _t_eigenvalues(*tensors) -> list[TEigenSpectrum]:
+    """:func:`t_eigenvalues` of each tensor.  The half spectra of the real
+    tensors that take the general solver go to it in one stacked call when
+    their slices share a shape (a member's values do not depend on the rest
+    of the stack), so several tensors' spectra cost one solver round."""
+    spectra = [None] * len(tensors)
+    general = []
+    for i, a in enumerate(tensors):
+        if a.n1 != a.n2:
+            raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {a.shape}")
+        fa = to_fourier(a)
+        if not isinstance(a, Tensor3):
+            values = general_eig(fa.slices).ravel()
+            spectra[i] = TEigenSpectrum(values, np.repeat(np.arange(a.n3), a.n1))
+        elif _hermitian_spectrum(a):
+            w = hermitian_eig(_psd_stack(_Stack.of(a))).values.astype(complex)
+            spectra[i] = _mirrored_spectrum(w, a.n3)
+        else:
+            general.append((i, fa.half()))
+    halves = [half for _, half in general]
+    if len({half.shape[1:] for half in halves}) == 1:
+        solved = np.split(general_eig(np.concatenate(halves)), np.cumsum([len(h) for h in halves[:-1]]))
     else:
-        w = general_eig(half)
-    # slice k, then its conjugate partner n3 - k when that is another slice
-    k = np.arange(len(half))
-    keep = np.stack([np.full(len(k), True), (0 < k) & (k < a.n3 - k)], axis=1)
+        solved = map(general_eig, halves)
+    for (i, half), w in zip(general, solved):
+        spectra[i] = _mirrored_spectrum(w, tensors[i].n3)
+    return spectra
+
+
+def _mirrored_spectrum(w: np.ndarray, n3: int) -> TEigenSpectrum:
+    """All t-eigenvalues from those of the half spectrum, ``w[k]`` for slice
+    ``k``: slice k, then its conjugate partner n3 - k when that is another
+    slice."""
+    k = np.arange(len(w))
+    keep = np.stack([np.full(len(k), True), (0 < k) & (k < n3 - k)], axis=1)
     values = np.stack([w, w.conj()], axis=1)[keep].ravel()
-    provenance = np.repeat(np.stack([k, a.n3 - k], axis=1)[keep], a.n1)
+    provenance = np.repeat(np.stack([k, n3 - k], axis=1)[keep], w.shape[1])
     return TEigenSpectrum(values, provenance)
 
 
@@ -125,19 +163,19 @@ def multiset_distance(u, v) -> float:
 # tensor functions through Fourier-slice eigendecompositions
 # ---------------------------------------------------------------------------
 
-def _power_stack(a: Tensor3) -> np.ndarray:
-    """The stack :func:`t_power` decomposes: Fourier slices 0..n3//2 of
-    ``a``, Hermitian-symmetrized.
+def _power_stack(x: _Stack) -> np.ndarray:
+    """The stack :func:`t_power` decomposes: Fourier slices 0..n3//2 of each
+    member, Hermitian-symmetrized, one ``(b * (n3//2 + 1), n, n)`` stack.
 
     Self-conjugate slices are clamped to their real symmetric part: for a
     symmetric real tensor they are real in exact arithmetic, and dropping the
     roundoff imaginary junk here keeps every function output exactly
     conjugate-symmetric after mirroring.
     """
-    half = to_fourier(a).half().copy()
-    real_idx = _self_conjugate_indices(a.n3)
-    half[real_idx] = half[real_idx].real
-    return 0.5 * (half + _herm_t(half))
+    half = x.slices[:, : x.n3 // 2 + 1].copy()
+    real_idx = _self_conjugate_indices(x.n3)
+    half[:, real_idx] = half[:, real_idx].real
+    return (0.5 * (half + _herm_t(half))).reshape(-1, *x.shape[:2])
 
 
 def t_power(a: Tensor3, r: float) -> Tensor3:
@@ -150,33 +188,85 @@ def t_power(a: Tensor3, r: float) -> Tensor3:
     ``_POWER_TOL * lambda_max``.  The input must be symmetric within
     ``_POWER_TOL``.
     """
-    sym = is_symmetric(a, _POWER_TOL)
-    if not sym:
-        raise NotSymmetricError(f"t_power requires a symmetric tensor: {sym.reason}")
-    eigs = hermitian_eig(_power_stack(a))
-    lam_max = float(eigs.values.max())
-    clamp_floor = _POWER_TOL * max(lam_max, 0.0)
-    min_eig = float(eigs.values.min())
-    if min_eig < -clamp_floor:
-        raise NotTPSDError(
-            f"t_power requires positive semidefiniteness: eigenvalue {min_eig:.6e} "
-            f"below -{clamp_floor:.3e}"
-        )
-    if r < 0 and (lam_max <= 0.0 or min_eig < _POWER_TOL * lam_max):
-        raise SingularTensorError(
-            -1, np.inf,
-            f"negative power needs strict definiteness: smallest eigenvalue {min_eig:.3e}",
-        )
+    return _t_powers([_Stack.of(a)], [[r]])[0][0].member(0)
+
+
+def _t_powers(xs: list[_Stack], *exponents, eig: HermitianEigen | None = None) -> list[list[_Stack]]:
+    """:func:`t_power` of every member of every stack in ``xs`` at each of its
+    exponents: ``exponents[j][k][i]`` is the ``j``-th exponent of member
+    ``i`` of ``xs[k]``, and ``result[j][k]`` is ``xs[k]`` at those exponents.
+
+    Stacks of one member shape are decomposed together, once whatever the
+    number of exponents, in one solver call, or not at all when ``eig``
+    holds the spectra of ``_power_stack`` of their concatenation.  Members
+    are checked in order, each as :func:`t_power` checks it, so the first
+    failing member raises the error it raises alone.  Each distinct exponent
+    is applied as one Python number: numpy's ``**`` takes its square and
+    square-root fast paths only for a scalar exponent, and those round
+    differently from the general power.
+    """
+    if len({x.shape for x in xs}) > 1:
+        alone = [_t_powers([x], *([e[k]] for e in exponents)) for k, x in enumerate(xs)]
+        return [[out[j][0] for out in alone] for j in range(len(exponents))]
+    x = _Stack.cat(*xs)
+    exponents = [[r for rs in e for r in rs] for e in exponents]
+    reasons = _asymmetry(x, _POWER_TOL)
+    if x.shape[0] != x.shape[1]:
+        raise NotSymmetricError(f"t_power requires a symmetric tensor: {reasons[0]}")
+    eigs = eig or hermitian_eig(_power_stack(x))
+    values = eigs.values.reshape(len(x), -1)
+    extremes = zip(reasons, values.max(axis=1).tolist(), values.min(axis=1).tolist())
+    for i, (reason, lam_max, min_eig) in enumerate(extremes):
+        if reason:
+            raise NotSymmetricError(f"t_power requires a symmetric tensor: {reason}")
+        clamp_floor = _POWER_TOL * max(lam_max, 0.0)
+        if min_eig < -clamp_floor:
+            raise NotTPSDError(
+                f"t_power requires positive semidefiniteness: eigenvalue {min_eig:.6e} "
+                f"below -{clamp_floor:.3e}"
+            )
+        if any(e[i] < 0 for e in exponents) and (lam_max <= 0.0 or min_eig < _POWER_TOL * lam_max):
+            raise SingularTensorError(
+                -1, np.inf,
+                f"negative power needs strict definiteness: smallest eigenvalue {min_eig:.3e}",
+            )
     w = np.clip(eigs.values, 0.0, None)
-    if r == 0:
-        pw = np.ones_like(w)
-    else:
+    half = x.n3 // 2 + 1
+    out = []
+    positive = w > 0
+    for e in exponents:
+        row_exponent = np.repeat(np.asarray(e, dtype=float), half)
         pw = np.zeros_like(w)
-        pos = w > 0
-        pw[pos] = w[pos] ** r
-    m = (eigs.vectors * pw[:, None, :]) @ _herm_t(eigs.vectors)
-    out = _assemble_real_from_half(0.5 * (m + _herm_t(m)), a.n3)
-    return 0.5 * (out + transpose(out))
+        for r in dict.fromkeys(e):
+            rows = row_exponent == r
+            if r == 0:
+                pw[rows] = 1.0
+            else:
+                pos = positive & rows[:, None]
+                pw[pos] = w[pos] ** r
+        m = (eigs.vectors * pw[:, None, :]) @ _herm_t(eigs.vectors)
+        m = (0.5 * (m + _herm_t(m))).reshape(len(x), half, *x.shape[:2])
+        power = _Stack(_inverse(_mirror_half(m, x.n3)))
+        out.append((0.5 * (power + power.transpose())).split(len(xs)))
+    return out
+
+
+def _psd_and_power_spectra(xs: list[_Stack]) -> tuple:
+    """The spectra that :func:`ttensor.algebra._psd_verdicts` and
+    :func:`_t_powers` of the stacks in ``xs`` take, from one solver call:
+    ``(psd, power)``, or ``(None, None)`` when the stacks differ in shape,
+    are not square or the call raises, and each later call then solves its
+    own stack and raises its own error where it would alone."""
+    if len({x.shape for x in xs}) > 1 or xs[0].shape[0] != xs[0].shape[1]:
+        return None, None
+    x = _Stack.cat(*xs)
+    psd = _psd_stack(x)
+    try:
+        e = hermitian_eig(np.concatenate([psd, _power_stack(x)]))
+    except TtensorError:
+        return None, None
+    k = len(psd)
+    return HermitianEigen(e.values[:k], e.vectors[:k]), HermitianEigen(e.values[k:], e.vectors[k:])
 
 
 def t_abs(a: Tensor3) -> Tensor3:
@@ -187,15 +277,25 @@ def t_abs(a: Tensor3) -> Tensor3:
 
 
 def _abs_power(x: Tensor3, r: float) -> Tensor3:
-    """``|x|^r``, computed as the power ``r / 2`` of the symmetrized Gram
-    ``x^T * x``; the one place every ``|X|^r`` in the package is taken."""
-    return t_power(_abs_gram(x), 0.5 * r)
+    """``|x|^r``; see :func:`_abs_powers`."""
+    return _abs_powers([_Stack.of(x)], [[r]])[0].member(0)
 
 
-def _abs_gram(x: Tensor3) -> Tensor3:
-    """The symmetrized Gram ``x^T * x`` whose powers give ``|x|^r``."""
-    gram = t_product(transpose(x), x)
-    return 0.5 * (gram + transpose(gram))
+def _abs_powers(xs: list[_Stack], rs) -> list[_Stack]:
+    """``|x|^r`` of every member of every stack in ``xs``, member ``i`` of
+    ``xs[k]`` at ``rs[k][i]``, computed as the power ``r / 2`` of the
+    symmetrized Gram ``x^T * x``; the one place every ``|X|^r`` in the
+    package is taken.  Stacks of one member shape are taken together."""
+    if len({x.shape for x in xs}) > 1:
+        return [_abs_powers([x], [r])[0] for x, r in zip(xs, rs)]
+    gram = _abs_gram(_Stack.cat(*xs))
+    return _t_powers([gram], [[0.5 * r for rk in rs for r in rk]])[0][0].split(len(xs))
+
+
+def _abs_gram(x: _Stack) -> _Stack:
+    """The symmetrized Grams ``x^T * x`` whose powers give ``|x|^r``."""
+    gram = _t_product(x.transpose(), x)
+    return 0.5 * (gram + gram.transpose())
 
 
 def _solve_ahead(*stacks, psd=(), order=(), power=(), absolute=(), spectra=()) -> None:
@@ -219,11 +319,11 @@ def _solve_ahead(*stacks, psd=(), order=(), power=(), absolute=(), spectra=()) -
     if _MEMO.get() is None:
         return
     try:
-        stacks = [*stacks, *map(_psd_stack, psd)]
-        stacks += [_psd_stack(a - b) for a, b in order]
-        stacks += map(_power_stack, power)
-        stacks += [_power_stack(_abs_gram(x)) for x in absolute]
-        stacks += [_psd_stack(t) for t in spectra if _hermitian_spectrum(t)]
+        stacks = [*stacks, *(_psd_stack(_Stack.of(a)) for a in psd)]
+        stacks += [_psd_stack(_Stack.of(a - b)) for a, b in order]
+        stacks += [_power_stack(_Stack.of(a)) for a in power]
+        stacks += [_power_stack(_abs_gram(_Stack.of(x))) for x in absolute]
+        stacks += [_psd_stack(_Stack.of(t)) for t in spectra if _hermitian_spectrum(t)]
         if stacks and len({s.shape[1:] for s in stacks}) == 1:
             hermitian_eig(np.concatenate(stacks))
     except TtensorError:

@@ -18,6 +18,7 @@ from ttensor import (
     HypothesisViolationError,
     NotSymmetricError,
     RngStream,
+    ShapeMismatchError,
     SingularTensorError,
     UnknownTheoremError,
     campaigns,
@@ -160,17 +161,18 @@ def test_campaign_stamps_seed_and_trial():
 
 
 def test_holder_trial_takes_each_abs_power_once(monkeypatch):
-    # both norms' certificates come from one |AXB|^r, |A^p X|^r and |X B^q|^r
+    # both norms' certificates come from one |AXB|^r, |A^p X|^r and |X B^q|^r,
+    # taken as the three members of one stacked call
     calls = []
-    abs_power = inequalities._abs_power
+    abs_powers = inequalities._abs_powers
 
-    def counting_abs_power(x, r):
-        calls.append(r)
-        return abs_power(x, r)
+    def counting_abs_powers(xs, rs):
+        calls.append([[len(x) for x in xs], [r for rk in rs for r in rk]])
+        return abs_powers(xs, rs)
 
-    monkeypatch.setattr(inequalities, "_abs_power", counting_abs_power)
+    monkeypatch.setattr(inequalities, "_abs_powers", counting_abs_powers)
     result = run_campaign("holder", n=2, n3=2, trials=1, seed=3)
-    assert len(calls) == 3
+    assert calls == [[[1, 1, 1], [0.5, 0.5, 0.5]]]
     assert [c.norm_kind for c in result.certificates] == ["frobenius", "spectral"]
 
 
@@ -451,20 +453,23 @@ def test_lockstep_merges_each_round_into_one_call(monkeypatch):
 
 # Jacobi kernel calls of one campaign at (4, 4, 4) and (3, 128, 1) without and
 # with the certifiers' solve-ahead calls: one call per wave of independent
-# solves instead of one per tensor, for the same members
+# solves instead of one per tensor, for the same members.  The norm family
+# (heinz-family, the three Hoelder forms, minkowski) has no solve-ahead
+# calls: a window runs as one stacked pass, whose PSD checks and powers take
+# one call and whose absolute values take one more, with or without them.
 _SOLVE_AHEAD_CALLS = {
     "complex-norm-c": (2, 1),
     "diag-spectrum": (2, 1),
     "furuta": (8, 3),
-    "hansen-power": (4, 3),
-    "heinz-family": (4, 1),
+    "hansen-power": (4, 2),
+    "heinz-family": (1, 1),
     "hoffman-wielandt": (2, 1),
-    "holder": (7, 2),
-    "holder-corollary": (3, 1),
-    "holder-pairs": (4, 1),
+    "holder": (2, 2),
+    "holder-corollary": (1, 1),
+    "holder-pairs": (1, 1),
     "loewner-heinz": (5, 2),
-    "minkowski": (6, 1),
-    "young-commuting": (6, 3),
+    "minkowski": (1, 1),
+    "young-commuting": (6, 2),
     "young-witness": (6, 3),
 }
 
@@ -649,3 +654,107 @@ def test_batcher_interrupt_in_merged_call_reaches_every_waiting_worker():
     assert not caller.is_alive()
     assert [type(o) for o in outcomes[:2]] == [KeyboardInterrupt, KeyboardInterrupt]
     assert outcomes[2] == "done"
+
+
+# --- stacked windows of the norm family ---------------------------------------
+
+_STACKED_IDS = ("am-gm", "heinz-family", "holder", "holder-pairs", "holder-corollary", "minkowski")
+_STACKED_CONFIGS = [(tid, "corrected") for tid in _STACKED_IDS] + [("am-gm", "literal")]
+
+
+def test_stacked_registry_entries():
+    stacked = {tid for tid, fn in campaigns._REGISTRY.items() if isinstance(fn, campaigns._Stacked)}
+    assert stacked == set(_STACKED_IDS)
+
+
+@pytest.mark.parametrize("n,n3,trials,seed", [(2, 2, 70, 1), (3, 5, 3, 0), (3, 127, 2, 1)])
+@pytest.mark.parametrize("theorem_id,mode", _STACKED_CONFIGS)
+def test_stacked_window_matches_serial_oracle(monkeypatch, theorem_id, mode, n, n3, trials, seed):
+    kwargs = dict(n=n, n3=n3, trials=trials, seed=seed, mode=mode)
+    serial = _report_bytes(run_campaign_serial(theorem_id, **kwargs))
+
+    def no_serial_rerun(*args):
+        raise AssertionError("the stacked pass raised and the window ran trial by trial")
+
+    monkeypatch.setattr(campaigns, "_run_trial", no_serial_rerun)
+    assert _report_bytes(run_campaign(theorem_id, **kwargs)) == serial
+
+
+def test_stacked_window_certifies_once_per_instance_shape(monkeypatch):
+    # literal am-gm draws a 1x1x1 instance for trial 0 and 4x4x4 ones after it
+    stacked = campaigns._REGISTRY["am-gm"]
+    sizes = []
+
+    def certify(stacks, columns, tol, mode):
+        sizes.append((len(stacks[0]), stacks[0].shape))
+        return stacked.certify(stacks, columns, tol, mode)
+
+    monkeypatch.setitem(
+        campaigns._REGISTRY, "am-gm", campaigns._Stacked(stacked.draw, certify)
+    )
+    run_campaign("am-gm", n=4, n3=4, trials=70, seed=0, mode="literal")
+    assert sizes == [(1, (1, 1, 1)), (63, (4, 4, 4)), (6, (4, 4, 4))]
+
+
+def _inject(monkeypatch, theorem_id, faults):
+    """Wrap a stacked theorem's draw: ``faults[trial]`` rewrites that
+    trial's ``(tensors, scalars)``, or raises."""
+    stacked = campaigns._REGISTRY[theorem_id]
+
+    def draw(trial, *args):
+        instance = stacked.draw(trial, *args)
+        return faults[trial](instance) if trial in faults else instance
+
+    monkeypatch.setitem(
+        campaigns._REGISTRY, theorem_id, campaigns._Stacked(draw, stacked.certify)
+    )
+
+
+def _negate_first(instance):
+    (a, *rest), scalars = instance
+    return (-1.0 * a, *rest), scalars
+
+
+def _refuse(instance):
+    raise ValueError("draw refused")
+
+
+_FAULTS = [
+    # a hypothesis fails in trial 2 only
+    ("heinz-family", {2: _negate_first}),
+    # the stacked pass meets trial 3's exponent check before trial 1's PSD
+    # check; a serial loop meets trial 1 first
+    ("heinz-family", {1: _negate_first, 3: lambda inst: (inst[0], (5.0, inst[1][1]))}),
+    ("minkowski", {0: lambda inst: (inst[0], (0.5,)), 2: lambda inst: (inst[0], (0.25,))}),
+    ("holder", {3: _negate_first}),
+    ("holder-pairs", {1: _refuse}),
+    # trial 2's B has another shape, so it is certified in a stack of its own
+    ("am-gm", {2: lambda inst: ((*inst[0][:2], gen_random((3, 3, 4), RngStream(0))), ())}),
+]
+
+
+@pytest.mark.parametrize("theorem_id,faults", _FAULTS)
+def test_stacked_window_raises_serial_error(monkeypatch, theorem_id, faults):
+    _inject(monkeypatch, theorem_id, faults)
+    kwargs = dict(n=4, n3=4, trials=6, seed=2)
+    expected = _raised(run_campaign_serial, theorem_id, **kwargs)
+    assert expected[0] in (HypothesisViolationError, ShapeMismatchError, ValueError)
+    assert _raised(run_campaign, theorem_id, **kwargs) == expected
+    assert core._MEMO.get() is None
+
+
+def test_stacked_window_error_is_the_lowest_failing_trial(monkeypatch):
+    _inject(monkeypatch, "heinz-family", {1: _negate_first, 3: lambda inst: (inst[0], (5.0, 0.0))})
+    raised = _raised(run_campaign, "heinz-family", n=4, n3=4, trials=6, seed=2)
+    assert raised[0] is HypothesisViolationError
+    assert raised[1].startswith("A is not positive semidefinite")
+
+
+def test_bauer_fike_takes_both_spectra_in_one_general_solve(monkeypatch):
+    calls = _count_general_kernel(monkeypatch)
+    run_campaign("bauer-fike", n=4, n3=4, trials=4, seed=5)
+    # one call per window: 4 trials x 2 tensors x 3 half slices
+    assert calls == [24]
+    del calls[:]
+    run_campaign_serial("bauer-fike", n=4, n3=4, trials=2, seed=5)
+    assert calls == [6, 6]

@@ -6,6 +6,7 @@ import pytest
 from ttensor import (
     HypothesisViolationError,
     RngStream,
+    ShapeMismatchError,
     Tensor3,
     check_am_gm,
     check_complex_norm_bounds,
@@ -151,6 +152,28 @@ def test_young_commuting_rejects_noncommuting():
     if frobenius_norm(t_product(a, b) - t_product(b, a)) > 1e-6:
         with pytest.raises(HypothesisViolationError):
             check_young_commuting(a, b, 2.0, 2.0)
+
+
+def test_young_commuting_checks_hypotheses_before_shapes():
+    # A * B is formed ahead of the PSD checks only when the shapes allow it
+    a = gen_t_psd(3, 4, RngStream(212))
+    b = gen_t_psd(2, 4, RngStream(213))
+    with pytest.raises(HypothesisViolationError, match=r"^B is not positive semidefinite"):
+        check_young_commuting(a, -1.0 * b, 2.0, 2.0)
+    with pytest.raises(ShapeMismatchError):
+        check_young_commuting(a, b, 2.0, 2.0)
+
+
+def test_hansen_checks_hypotheses_before_shapes():
+    # Q^T X Q is formed ahead of the checks only when the shapes allow it
+    x = gen_t_psd(3, 4, RngStream(214))
+    q = identity(2, 4)
+    with pytest.raises(HypothesisViolationError, match=r"^Q is not a contraction"):
+        check_hansen_power(3.0 * q, x, 0.5)
+    with pytest.raises(HypothesisViolationError, match=r"^X is not positive semidefinite"):
+        check_hansen_power(q, -1.0 * x, 0.5)
+    with pytest.raises(ShapeMismatchError):
+        check_hansen_power(q, x, 0.5)
 
 
 @pytest.mark.parametrize("p,q", [(2.0, 3.0), (1.0, 1e13), (0.5, -1.0)])

@@ -30,6 +30,7 @@ from ttensor import (
     loewner_certificate,
     loewner_ge,
     multiset_distance,
+    spectral,
     spectral_norm,
     t_abs,
     t_eigenvalues,
@@ -311,3 +312,68 @@ def test_solve_ahead_leaves_general_spectra_alone(monkeypatch):
         _solve_ahead(spectra=[a])
         t_eigenvalues(a)
     assert counts["jacobi"] == 0
+
+
+# --- the trial axis ------------------------------------------------------------
+
+# exponents whose numpy power takes the square-root, identity, square and
+# general paths, mixed in one stack
+_MIXED_EXPONENTS = [0.5, 1, 2, 1.25, 0.625]
+
+
+@pytest.mark.parametrize("n,n3", [(3, 4), (2, 5), (3, 127), (1, 2)])
+def test_stacked_t_power_members_are_bit_equal_to_lone_calls(n, n3):
+    xs = [gen_t_psd(n, n3, RngStream(200 + i)) for i in range(len(_MIXED_EXPONENTS))]
+    stack = core._Stack.of(*xs)
+    (powers,), (again,) = spectral._t_powers([stack], [_MIXED_EXPONENTS], [_MIXED_EXPONENTS[::-1]])
+    for i, x in enumerate(xs):
+        assert powers.data[i].tobytes() == t_power(x, _MIXED_EXPONENTS[i]).data.tobytes()
+        assert again.data[i].tobytes() == t_power(x, _MIXED_EXPONENTS[-1 - i]).data.tobytes()
+
+
+@pytest.mark.parametrize("n,n3", [(3, 4), (2, 5), (3, 128)])
+def test_stacked_abs_power_members_are_bit_equal_to_lone_calls(n, n3):
+    xs = [gen_random((n, n, n3), RngStream(300 + i)) for i in range(len(_MIXED_EXPONENTS))]
+    (powers,) = spectral._abs_powers([core._Stack.of(*xs)], [_MIXED_EXPONENTS])
+    for x, r, member in zip(xs, _MIXED_EXPONENTS, powers.data, strict=True):
+        assert member.tobytes() == spectral._abs_power(x, r).data.tobytes()
+
+
+def test_stacked_powers_of_several_stacks_split_per_stack():
+    # stacks of one shape are decomposed together and handed back apart;
+    # stacks of two shapes are each taken alone
+    a = [gen_t_psd(3, 4, RngStream(400 + i)) for i in range(2)]
+    b = [gen_t_psd(3, 4, RngStream(410 + i)) for i in range(2)]
+    c = gen_t_psd(2, 4, RngStream(420))
+    stacks = [core._Stack.of(*a), core._Stack.of(*b), core._Stack.of(c)]
+    (pa, pb, pc), = spectral._t_powers(stacks, [[0.5, 2], [1.25, 1], [0.625]])
+    expected = [t_power(a[0], 0.5), t_power(a[1], 2), t_power(b[0], 1.25), t_power(b[1], 1),
+                t_power(c, 0.625)]
+    got = [pa.member(0), pa.member(1), pb.member(0), pb.member(1), pc.member(0)]
+    assert [t.data.tobytes() for t in got] == [t.data.tobytes() for t in expected]
+
+
+def test_stacked_t_power_raises_the_first_failing_members_error():
+    good = gen_t_psd(3, 4, RngStream(500))
+    bad = -1.0 * gen_t_psd(3, 4, RngStream(501))
+    with pytest.raises(NotTPSDError) as alone:
+        t_power(bad, 0.5)
+    with pytest.raises(NotTPSDError) as stacked:
+        spectral._t_powers([core._Stack.of(good, bad, good)], [[0.5, 0.5, 0.5]])
+    assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("n,n3", [(3, 4), (2, 5), (3, 128)])
+def test_stacked_norms_are_bit_equal_to_lone_calls(n, n3):
+    xs = [gen_random((n, n, n3), RngStream(600 + i)) * (1.0 + i) for i in range(4)]
+    stack = core._Stack.of(*xs)
+    assert core._frobenius(stack.data).tolist() == [frobenius_norm(x) for x in xs]
+    assert core._spectral(stack.slices).tolist() == [spectral_norm(x) for x in xs]
+    # a stack made of stacks takes its parts' slices, and hands its own out
+    parts = [core._Stack.of(x) for x in xs[:2]]
+    whole = core._Stack.cat(*parts)
+    assert whole.slices.tobytes() == np.concatenate([p.slices for p in parts]).tobytes()
+    fresh = [core._Stack.of(*xs[:2]), core._Stack.of(*xs[2:])]
+    joined = core._Stack.cat(*fresh)
+    assert joined.slices.tobytes() == stack.slices.tobytes()
+    assert all(p._slices is not None for p in fresh)

@@ -6,6 +6,12 @@ array call over the stacked slices; the block-circulant route
 only.  The positive-semidefinite order on symmetric tensors is decided per
 Fourier slice: a symmetric tensor is t-PSD exactly when every
 (Hermitian-symmetrized) Fourier slice is positive semidefinite.
+
+:func:`_t_product`, :func:`_asymmetry` and :func:`_psd_verdicts` take stacks
+of tensors along a leading trial axis (:class:`ttensor.core._Stack`);
+:func:`is_symmetric` and :func:`is_t_psd` are their one-member case, and
+:func:`t_product` is the same slice product on one pair, with its
+transforms taken through the trial memo.
 """
 
 from __future__ import annotations

@@ -2,44 +2,51 @@
 
 A campaign draws hypothesis-valid instances (one counter-based substream per
 trial, so runs are reproducible and order-independent), invokes the matching
-certifier once, and aggregates the certificates; a norm inequality's
-certifier returns its Frobenius and its spectral certificates from that one
-call.  Certifiers are pure functions of the instance; the campaign stamps
-each certificate with its provenance, the
-campaign ``seed`` and ``"trial"`` as the first key of ``params``, in one
-place (:func:`_run_trial`).  Each trial runs in its own memo
-scope (:func:`ttensor.core._trial_memo`).  Within a trial, a tensor that
-comes back is transformed to the Fourier domain once, slices that come back
-are inverse-transformed once, and a repeated Fourier slice is
-eigendecomposed once (see :mod:`ttensor.fourier` and
-:mod:`ttensor.eigensolvers` for the keys); nothing is shared between trials
-or calls, and errors are never stored.  A hit returns the very result the
-computation would have given, so reports are byte-identical with or without
-the memo.
+certifier, and aggregates the certificates; a norm inequality's certifier
+returns its Frobenius and its spectral certificates from one call.
+Certifiers are pure functions of the instance; the campaign stamps each
+certificate with its provenance, the campaign ``seed`` and ``"trial"`` as
+the first key of ``params``, in one place (:func:`_stamp`).
 
-Trials run in windows of lockstep workers (:class:`ttensor.core._Batcher`),
-so the eigensolver calls of a window's trials are merged into one stacked
-call per round: the Jacobi solves of every theorem that takes powers, PSD
-checks or symmetric spectra, and the Hessenberg + QR solves of the theorems
-on the t-eigenvalues of non-symmetric tensors (``gershgorin``,
-``bauer-fike``, ``schur``).  Within a trial, the certifiers hand each wave
-of independent Hermitian solves to :func:`ttensor.spectral._solve_ahead`, so
-a round holds one call per wave and trial rather than one per tensor.  At
-small ``n`` a stacked call costs about as much for one member as for dozens.
-The workers are threads used as coroutines, one running at a time, not for
-parallelism.  The calling thread runs the first trial, and a trial gets a
-thread of its own only when the one before it waits in a solver call, so a
-one-trial campaign, or one whose trials never call an eigensolver
-(``am-gm``), starts no thread.  A window
-holds at most 64 trials and at most 4096 tensor entries (``n * n * n3`` a
-trial), but at least one trial; the bound keeps the memos a window holds at
-once small.  There is no setting.  A merged call gives every trial the bits
-it would get alone, so reports are byte-identical to running the trials one
-after another; a trial's error reaches only that trial, and the campaign
-raises the error of the lowest failing trial, as a serial loop would.  The
-memo and the batcher are context variables, so :func:`run_campaign` may be
-called from several threads at once and each call's report is
-byte-identical to a lone serial run.
+Trials run in windows of at most 64 trials and at most 4096 tensor entries
+(``n * n * n3`` a trial), but at least one trial; the bound keeps the
+memory a window holds at once small.  There is no setting.  A window runs
+in one of two ways.
+
+* **Stacked** (the six norm inequalities: ``am-gm``, ``heinz-family``,
+  ``holder``, ``holder-pairs``, ``holder-corollary``, ``minkowski``; the
+  registry holds a :class:`_Stacked` for each).  Each trial still draws its
+  instance from ``RngStream(seed, trial)``; the instances are stacked along
+  a leading trial axis (instances of another shape, such as literal
+  ``am-gm``'s 1x1x1 trial 0, in a stack of their own) and certified in one
+  pass of array calls (:func:`_run_stacked`), and the certificates are
+  split per trial.  If the pass raises, the window's trials run again one
+  by one, so the campaign raises the error the lowest failing trial raises
+  in a serial loop.
+* **Lockstep** (the other 13 theorems).  The window's trials run as workers
+  of :class:`ttensor.core._Batcher`, each in its own memo scope
+  (:func:`ttensor.core._trial_memo`), and the eigensolver calls of the
+  window's trials are merged into one stacked call per round: the Jacobi
+  solves of every theorem that takes powers, PSD checks or symmetric
+  spectra, and the Hessenberg + QR solves of the theorems on the
+  t-eigenvalues of non-symmetric tensors (``gershgorin``, ``bauer-fike``,
+  ``schur``).  Within a trial, the certifiers hand each wave of independent
+  Hermitian solves to :func:`ttensor.spectral._solve_ahead`, so a round
+  holds one call per wave and trial rather than one per tensor.  The
+  workers are threads used as coroutines, one running at a time, not for
+  parallelism; the calling thread runs the first trial, and a trial gets a
+  thread of its own only when the one before it waits in a solver call.
+  Within a trial, a tensor that comes back is transformed once, and a
+  repeated Fourier slice is eigendecomposed once (see
+  :mod:`ttensor.fourier` and :mod:`ttensor.eigensolvers` for the keys);
+  nothing is shared between trials or calls.
+
+Either way every member of a stacked call gets the bits it would get alone,
+so reports are byte-identical to running the trials one after another, and
+a trial's error is the one a serial loop raises.  The memo and the batcher
+are context variables, so :func:`run_campaign` may be called from several
+threads at once and each call's report is byte-identical to a lone serial
+run.
 """
 
 from __future__ import annotations

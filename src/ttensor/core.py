@@ -6,6 +6,12 @@ A :class:`Tensor3` stores its entries as a read-only float64 array of shape
 serialization order used by files and oracles is slice-major with row-major
 slices: flat index ``(k * n1 + i) * n2 + j`` for 0-based ``(i, j, k)``.
 
+:class:`_Stack` holds ``b`` tensors of one shape along a leading trial axis,
+``(b, n1, n2, n3)``.  The shared primitives (transpose, the norms, the
+transforms, the t-product, the symmetry and PSD checks, the powers) act on
+stacks, and the public scalar functions are their ``b = 1`` case: a
+member's result never depends on the rest of its stack.
+
 This module also owns the per-trial memo, :func:`_trial_memo`: a scope in
 which the Fourier transforms (:mod:`ttensor.fourier`) and the Hermitian
 eigensolver (:mod:`ttensor.eigensolvers`) return their stored result when
@@ -465,10 +471,6 @@ class _Stack:
     def __add__(self, other: "_Stack") -> "_Stack":
         _check_same_shape(self, other)
         return _Stack(self.data + other.data)
-
-    def __sub__(self, other: "_Stack") -> "_Stack":
-        _check_same_shape(self, other)
-        return _Stack(self.data - other.data)
 
     def __mul__(self, scalar) -> "_Stack":
         """Times a number, or member ``i`` times ``scalar[i]``."""

@@ -19,15 +19,28 @@ evaluates the mathematically valid form:
 The norm inequalities (``am-gm``, ``heinz-family``, the three Hoelder forms
 and ``minkowski``) hold in every unitarily invariant norm, so each of these
 certifiers checks its hypotheses and forms its tensors once, then returns the
-Frobenius certificates followed by the spectral ones.
+Frobenius certificates followed by the spectral ones.  Each is the ``b = 1``
+case of a stacked certifier (``_am_gm``, ``_heinz_family``, ...) that takes
+its tensors as stacks along a leading trial axis
+(:class:`ttensor.core._Stack`) and its scalars as one list per argument, and
+returns one certificate list per member; a campaign certifies a whole window
+with one call.  A stacked certifier also stacks its own independent tensors:
+the PSD checks and powers of ``A`` and ``B`` take one solver call
+(``spectral._psd_and_power_spectra``), and every ``|X|^r`` of a bound is one
+member of one ``spectral._abs_powers`` call.  Hypotheses are checked member
+by member, each in the order the scalar certifier checks them, and the
+certificate arithmetic (``** (1/p)``, the damping, ``(2 + t) *``) stays in
+Python floats per member, so each member's certificates are bit for bit
+those of the scalar call.
 
-A certifier that needs several slice spectra that do not depend on each
-other asks for them in waves: one :func:`ttensor.spectral._solve_ahead` line
-names a wave's PSD checks, powers, absolute values and Loewner gaps just
-before the calls that take them, after the scalar hypothesis checks.  Inside
-a campaign trial the wave is solved in one stacked call and the calls find
-their spectra stored; elsewhere the line does nothing.  Either way the
-calls compute exactly what they would without it, so results are unchanged.
+The other certifiers take one instance.  One that needs several slice
+spectra that do not depend on each other asks for them in waves: one
+:func:`ttensor.spectral._solve_ahead` line names a wave's PSD checks,
+powers, absolute values and Loewner gaps just before the calls that take
+them, after the scalar hypothesis checks.  Inside a campaign trial the wave
+is solved in one stacked call and the calls find their spectra stored;
+elsewhere the line does nothing.  Either way the calls compute exactly what
+they would without it, so results are unchanged.
 """
 
 from __future__ import annotations

@@ -7,8 +7,19 @@ slice.  For real tensors only slices ``0 .. n3//2`` are decomposed, all of them
 in one stacked solver call; the rest are mirrored as complex conjugates, which
 makes every function output exactly real after the inverse transform.
 
-The slice spectra of different tensors are independent, so a caller that will
-need several of them can have them solved in one stacked call first:
+Fourier slices are independent across slices, across tensors and across
+trials (Kilmer & Martin, *Factorization strategies for third-order
+tensors*, 2011), so the tensor functions also take stacks of tensors along a
+leading trial axis (:class:`ttensor.core._Stack`): :func:`_t_powers` and
+:func:`_abs_powers` take every member, each at its own exponents, with one
+solver call per member shape, and :func:`t_power`, :func:`_abs_power` and
+:func:`t_abs` are their one-member case.  Each member's result is bit for
+bit its lone result: every step acts on each slice alone, and each distinct
+exponent is applied as one Python number.  :func:`_t_eigenvalues` likewise
+takes the general spectra of several tensors in one solver call.
+
+A caller of the one-tensor functions that will need several spectra can
+have them solved in one stacked call first:
 :func:`_solve_ahead` builds the very stacks that :func:`t_power`,
 :func:`_abs_power`, :func:`ttensor.algebra.is_t_psd`, the Loewner
 certificates and :func:`t_eigenvalues` will ask for, and solves them together
@@ -97,8 +108,8 @@ def t_eigenvalues(a) -> TEigenSpectrum:
 def _t_eigenvalues(*tensors) -> list[TEigenSpectrum]:
     """:func:`t_eigenvalues` of each tensor.  The half spectra of the real
     tensors that take the general solver go to it in one stacked call when
-    their slices share a shape (a member's values do not depend on the rest
-    of the stack), so several tensors' spectra cost one solver round."""
+    they share a shape (a member's values do not depend on the rest of the
+    stack), so several tensors' spectra cost one solver round."""
     spectra = [None] * len(tensors)
     general = []
     for i, a in enumerate(tensors):
@@ -114,11 +125,11 @@ def _t_eigenvalues(*tensors) -> list[TEigenSpectrum]:
         else:
             general.append((i, fa.half()))
     halves = [half for _, half in general]
-    if len({half.shape[1:] for half in halves}) == 1:
-        solved = np.split(general_eig(np.concatenate(halves)), np.cumsum([len(h) for h in halves[:-1]]))
+    if len({half.shape for half in halves}) == 1:
+        solved = np.split(general_eig(np.concatenate(halves)), len(halves))
     else:
         solved = map(general_eig, halves)
-    for (i, half), w in zip(general, solved):
+    for (i, _), w in zip(general, solved):
         spectra[i] = _mirrored_spectrum(w, tensors[i].n3)
     return spectra
 

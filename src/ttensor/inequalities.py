@@ -518,12 +518,7 @@ def check_holder(
 
 def _holder(a: _Stack, x: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list[list]:
     """:func:`check_holder` of each member, member ``i`` at ``r[i]``, ``p[i]``, ``q[i]``."""
-    for ri, pi, qi in zip(r, p, q):
-        _require(
-            ri > 0 and pi > 1 and qi > 1,
-            f"need r > 0 and finite conjugate p, q; got r={ri}, p={pi}, q={qi}",
-        )
-        _require_conjugate(pi, qi)
+    _require_holder_exponents(r, p, q)
     psd_eig, power_eig = _psd_and_power_spectra([a, b])
     _require_psd_members([a, b], ["A", "B"], tol, psd_eig)
     axb = _t_product(_t_product(a, x), b)
@@ -531,12 +526,26 @@ def _holder(a: _Stack, x: _Stack, b: _Stack, r: list, p: list, q: list, tol: flo
     apx, xbq = _t_product(ap, x), _t_product(x, bq)
     left, first, second = _abs_powers([axb, apx, xbq], [r, r, r])
     return _norm_certificates(
-        "holder", a.shape, tol, [left, first, second],
-        lambda i, norms: [(
-            {"r": r[i], "p": p[i], "q": q[i]},
-            norms[0], norms[1] ** (1 / p[i]) * norms[2] ** (1 / q[i]),
-        )],
+        "holder", a.shape, tol, [left, first, second], _holder_sides(r, p, q)
     )
+
+
+def _require_holder_exponents(r: list, p: list, q: list) -> None:
+    for ri, pi, qi in zip(r, p, q):
+        _require(
+            ri > 0 and pi > 1 and qi > 1,
+            f"need r > 0 and finite conjugate p, q; got r={ri}, p={pi}, q={qi}",
+        )
+        _require_conjugate(pi, qi)
+
+
+def _holder_sides(r: list, p: list, q: list):
+    """Member ``i``'s sides of ``||L|| <= ||F||^(1/p) ||S||^(1/q)`` from the
+    norms of ``(L, F, S)``, for :func:`_norm_certificates`."""
+    return lambda i, norms: [(
+        {"r": r[i], "p": p[i], "q": q[i]},
+        norms[0], norms[1] ** (1 / p[i]) * norms[2] ** (1 / q[i]),
+    )]
 
 
 def check_holder_pairs(
@@ -592,22 +601,13 @@ def check_holder_corollary(
 
 def _holder_corollary(a: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list[list]:
     """:func:`check_holder_corollary` of each member, member ``i`` at ``r[i]``, ``p[i]``, ``q[i]``."""
-    for ri, pi, qi in zip(r, p, q):
-        _require(
-            ri > 0 and pi > 1 and qi > 1,
-            f"need r > 0 and finite conjugate p, q; got r={ri}, p={pi}, q={qi}",
-        )
-        _require_conjugate(pi, qi)
+    _require_holder_exponents(r, p, q)
     ab = _t_product(a, b)
     pr = [pi * ri for pi, ri in zip(p, r)]
     qr = [qi * ri for qi, ri in zip(q, r)]
     left, first, second = _abs_powers([ab, a, b], [r, pr, qr])
     return _norm_certificates(
-        "holder-corollary", a.shape, tol, [left, first, second],
-        lambda i, norms: [(
-            {"r": r[i], "p": p[i], "q": q[i]},
-            norms[0], norms[1] ** (1 / p[i]) * norms[2] ** (1 / q[i]),
-        )],
+        "holder-corollary", a.shape, tol, [left, first, second], _holder_sides(r, p, q)
     )
 
 

@@ -27,10 +27,10 @@ from ttensor import THEOREM_IDS, cli, run_campaign
 DIGEST_FILE = Path(__file__).resolve().parent / "report_digests.json"
 SEED = 0
 # (n, n3, trials): short tubes of both middle-slice parities with two
-# trials, long tubes of both parities with one, and 20 trials at (4, 4),
-# which cover every (r, t) pair of heinz-family and every (r, p) pair of
-# holder
-SHAPES = ((4, 4, 2), (3, 5, 2), (3, 127, 1), (3, 128, 1), (4, 4, 20))
+# trials, long tubes of both parities with one, 20 trials at (4, 4), which
+# cover every (r, t) pair of heinz-family and every (r, p) pair of holder,
+# and one full long-tube window of three trials with an odd middle slice
+SHAPES = ((4, 4, 2), (3, 5, 2), (3, 127, 1), (3, 128, 1), (4, 4, 20), (3, 127, 3))
 COUNTEREXAMPLES = (
     ("am-gm", "literal", None),
     ("complex-norm-a", "literal", None),

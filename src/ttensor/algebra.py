@@ -7,11 +7,13 @@ only.  The positive-semidefinite order on symmetric tensors is decided per
 Fourier slice: a symmetric tensor is t-PSD exactly when every
 (Hermitian-symmetrized) Fourier slice is positive semidefinite.
 
-:func:`_t_product`, :func:`_asymmetry` and :func:`_psd_verdicts` take stacks
-of tensors along a leading trial axis (:class:`ttensor.core._Stack`);
-:func:`is_symmetric` and :func:`is_t_psd` are their one-member case, and
-:func:`t_product` is the same slice product on one pair, with its
-transforms taken through the trial memo.
+The products, the inverse, the structural predicates and the PSD verdicts
+take stacks of tensors along a leading trial axis
+(:class:`ttensor.core._Stack`): :func:`_t_product`, :func:`_t_inverse`,
+:func:`_asymmetry`, :func:`_orthogonality`, :func:`_normality` and
+:func:`_psd_verdicts`, with :func:`t_product`, :func:`t_inverse`,
+:func:`is_symmetric`, :func:`is_orthogonal`, :func:`is_normal` and
+:func:`is_t_psd` their one-member case.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, _frobenius, _Stack, _transpose, frobenius_norm, identity, transpose
+from .core import Tensor3, _frobenius, _Stack, _transpose, frobenius_norm, identity
 from .errors import NotSymmetricError, ShapeMismatchError, SingularTensorError
 from .eigensolvers import HermitianEigen, hermitian_eig
-from .fourier import FourierSlices, _inverse, from_fourier, to_fourier
+from .fourier import _inverse
 
 __all__ = [
     "LoewnerVerdict",
@@ -69,16 +71,16 @@ class PredicateVerdict:
 
 def t_product(a: Tensor3, b: Tensor3) -> Tensor3:
     """t-product of compatible tensors via slicewise Fourier multiplication."""
-    _require_product_shapes(a.shape, b.shape)
-    product = to_fourier(a).slices @ to_fourier(b).slices
-    return from_fourier(FourierSlices(a.n1, b.n2, a.n3, product, True))
+    return _t_product(_Stack.of(a), _Stack.of(b)).member(0)
 
 
 def _t_product(a: _Stack, b: _Stack) -> _Stack:
     """:func:`t_product` of each pair of members; the slice products go to
     BLAS one matrix at a time, so each member gets its lone product's bits."""
     _require_product_shapes(a.shape, b.shape)
-    return _Stack(_inverse(a.slices @ b.slices))
+    product = a.slices @ b.slices
+    del a, b  # so that the one-off stacks of t_product free their slices here
+    return _Stack(_inverse(product))
 
 
 def _require_product_shapes(a: tuple, b: tuple) -> None:
@@ -95,27 +97,28 @@ def t_inverse(a: Tensor3) -> Tensor3:
     exceed ``INVERSE_TOL`` times its largest.  Otherwise the worst slice index
     and its condition estimate are reported.
     """
-    if a.n1 != a.n2:
-        raise ShapeMismatchError(f"inverse requires a square tensor, got {a.shape}")
-    slices = to_fourier(a).slices
-    sv = np.linalg.svd(slices, compute_uv=False)
-    ratio = np.zeros(a.n3)  # sigma_min / sigma_max per slice; 0 for an all-zero slice
-    np.divide(sv[:, -1], sv[:, 0], out=ratio, where=sv[:, 0] > 0)
-    worst = int(np.argmin(ratio))
-    if ratio[worst] <= INVERSE_TOL:
-        cond = 1.0 / ratio[worst] if ratio[worst] > 0 else np.inf
-        raise SingularTensorError(worst, float(cond))
-    return from_fourier(FourierSlices(a.n1, a.n2, a.n3, np.linalg.inv(slices), True))
+    return _t_inverse(_Stack.of(a)).member(0)
+
+
+def _t_inverse(x: _Stack) -> _Stack:
+    """:func:`t_inverse` of each member; the lowest member with a singular
+    slice raises.  LAPACK takes each slice alone."""
+    if x.shape[0] != x.shape[1]:
+        raise ShapeMismatchError(f"inverse requires a square tensor, got {x.shape}")
+    sv = np.linalg.svd(x.slices, compute_uv=False)
+    ratio = np.zeros(sv.shape[:2])  # sigma_min / sigma_max per slice; 0 for an all-zero slice
+    np.divide(sv[..., -1], sv[..., 0], out=ratio, where=sv[..., 0] > 0)
+    for member in ratio:
+        worst = int(np.argmin(member))
+        if member[worst] <= INVERSE_TOL:
+            cond = 1.0 / member[worst] if member[worst] > 0 else np.inf
+            raise SingularTensorError(worst, float(cond))
+    return _Stack(_inverse(np.linalg.inv(x.slices)))
 
 
 # ---------------------------------------------------------------------------
 # structural predicates
 # ---------------------------------------------------------------------------
-
-def _require_square(a) -> PredicateVerdict | None:
-    if a.n1 != a.n2:
-        return PredicateVerdict(False, f"not square: {a.shape}")
-    return None
 
 def is_symmetric(a: Tensor3, tol: float = PREDICATE_TOL) -> PredicateVerdict:
     """a == transpose(a) within ``tol * (1 + ||a||_F)``."""
@@ -134,27 +137,41 @@ def _asymmetry(x: _Stack, tol: float) -> list[str]:
 
 def is_orthogonal(q: Tensor3, tol: float = PREDICATE_TOL) -> PredicateVerdict:
     """Both q^T * q and q * q^T equal the identity within ``tol``."""
-    bad = _require_square(q)
-    if bad is not None:
-        return bad
-    eye = identity(q.n1, q.n3)
-    r1 = frobenius_norm(t_product(transpose(q), q) - eye)
-    r2 = frobenius_norm(t_product(q, transpose(q)) - eye)
-    if max(r1, r2) > tol:
-        return PredicateVerdict(False, f"orthogonality residual {max(r1, r2):.3e}")
-    return PredicateVerdict(True)
+    reason = _orthogonality(_Stack.of(q), tol)[0]
+    return PredicateVerdict(not reason, reason)
+
+
+def _orthogonality(x: _Stack, tol: float) -> list[str]:
+    """Why each member fails :func:`is_orthogonal`, or ``""`` if it passes."""
+    if x.shape[0] != x.shape[1]:
+        return [f"not square: {x.shape}"] * len(x)
+    eye = _Stack.of(identity(x.shape[0], x.n3))
+    xt = x.transpose()
+    r1 = _frobenius((_t_product(xt, x) - eye).data).tolist()
+    r2 = _frobenius((_t_product(x, xt) - eye).data).tolist()
+    return [
+        f"orthogonality residual {max(a, b):.3e}" if max(a, b) > tol else ""
+        for a, b in zip(r1, r2)
+    ]
 
 
 def is_normal(a: Tensor3, tol: float = PREDICATE_TOL) -> PredicateVerdict:
     """a^T * a == a * a^T within ``tol * (1 + ||a||_F^2)``."""
-    bad = _require_square(a)
-    if bad is not None:
-        return bad
-    at = transpose(a)
-    residual = frobenius_norm(t_product(at, a) - t_product(a, at))
-    if residual > tol * (1.0 + frobenius_norm(a) ** 2):
-        return PredicateVerdict(False, f"normality residual {residual:.3e}")
-    return PredicateVerdict(True)
+    reason = _normality(_Stack.of(a), tol)[0]
+    return PredicateVerdict(not reason, reason)
+
+
+def _normality(x: _Stack, tol: float) -> list[str]:
+    """Why each member fails :func:`is_normal`, or ``""`` if it passes."""
+    if x.shape[0] != x.shape[1]:
+        return [f"not square: {x.shape}"] * len(x)
+    xt = x.transpose()
+    residual = _frobenius((_t_product(xt, x) - _t_product(x, xt)).data).tolist()
+    norms = _frobenius(x.data).tolist()
+    return [
+        f"normality residual {r:.3e}" if r > tol * (1.0 + f ** 2) else ""
+        for r, f in zip(residual, norms)
+    ]
 
 
 def is_f_diagonal(a, tol: float = PREDICATE_TOL) -> PredicateVerdict:

@@ -10,43 +10,25 @@ the first key of ``params``, in one place (:func:`_stamp`).
 
 Trials run in windows of at most 64 trials and at most 4096 tensor entries
 (``n * n * n3`` a trial), but at least one trial; the bound keeps the
-memory a window holds at once small.  There is no setting.  A window runs
-in one of two ways.
+memory a window's stacks hold at once small.  There is no setting.  Each
+theorem's registry entry is a :class:`_Stacked`: a draw and a stacked
+certifier.  Each trial of a window still draws its instance from
+``RngStream(seed, trial)``, rejection loops included; the instances are
+stacked along a leading trial axis (instances of another shape, such as
+literal ``am-gm``'s 1x1x1 trial 0, in a stack of their own) and certified in
+one pass of array calls (:func:`_run_stacked`), and the certificates are
+split per trial.  The certifier takes each wave of independent slice spectra
+of the whole window in one solver call: Jacobi for the powers, PSD checks,
+Loewner gaps and symmetric spectra, Hessenberg + QR for the t-eigenvalues of
+non-symmetric tensors (``gershgorin``, ``bauer-fike``, ``schur``).  If the
+pass raises, the window's trials run again one by one, so the campaign
+raises the error the lowest failing trial raises in a serial loop.
 
-* **Stacked** (the six norm inequalities: ``am-gm``, ``heinz-family``,
-  ``holder``, ``holder-pairs``, ``holder-corollary``, ``minkowski``; the
-  registry holds a :class:`_Stacked` for each).  Each trial still draws its
-  instance from ``RngStream(seed, trial)``; the instances are stacked along
-  a leading trial axis (instances of another shape, such as literal
-  ``am-gm``'s 1x1x1 trial 0, in a stack of their own) and certified in one
-  pass of array calls (:func:`_run_stacked`), and the certificates are
-  split per trial.  If the pass raises, the window's trials run again one
-  by one, so the campaign raises the error the lowest failing trial raises
-  in a serial loop.
-* **Lockstep** (the other 13 theorems).  The window's trials run as workers
-  of :class:`ttensor.core._Batcher`, each in its own memo scope
-  (:func:`ttensor.core._trial_memo`), and the eigensolver calls of the
-  window's trials are merged into one stacked call per round: the Jacobi
-  solves of every theorem that takes powers, PSD checks or symmetric
-  spectra, and the Hessenberg + QR solves of the theorems on the
-  t-eigenvalues of non-symmetric tensors (``gershgorin``, ``bauer-fike``,
-  ``schur``).  Within a trial, the certifiers hand each wave of independent
-  Hermitian solves to :func:`ttensor.spectral._solve_ahead`, so a round
-  holds one call per wave and trial rather than one per tensor.  The
-  workers are threads used as coroutines, one running at a time, not for
-  parallelism; the calling thread runs the first trial, and a trial gets a
-  thread of its own only when the one before it waits in a solver call.
-  Within a trial, a tensor that comes back is transformed once, and a
-  repeated Fourier slice is eigendecomposed once (see
-  :mod:`ttensor.fourier` and :mod:`ttensor.eigensolvers` for the keys);
-  nothing is shared between trials or calls.
-
-Either way every member of a stacked call gets the bits it would get alone,
-so reports are byte-identical to running the trials one after another, and
-a trial's error is the one a serial loop raises.  The memo and the batcher
-are context variables, so :func:`run_campaign` may be called from several
-threads at once and each call's report is byte-identical to a lone serial
-run.
+Every member of a stacked call gets the bits it would get alone, so reports
+are byte-identical to running the trials one after another.  A campaign
+keeps no state outside its call and starts no thread, so
+:func:`run_campaign` may be called from several threads at once and each
+call's report is byte-identical to a lone serial run.
 """
 
 from __future__ import annotations
@@ -62,9 +44,7 @@ from .certificates import DEFAULT_TOL, FROBENIUS, norm_certificate
 from .core import (
     RngStream,
     Tensor3,
-    _Batcher,
     _Stack,
-    _trial_memo,
     frobenius_norm,
     gen_commuting_psd_pair,
     gen_loewner_pair,
@@ -76,7 +56,7 @@ from .core import (
     transpose,
 )
 from .errors import HypothesisViolationError, SingularTensorError, UnknownTheoremError
-from .spectral import t_eigenvalues
+from .spectral import _t_eigenvalues
 from .algebra import t_inverse, t_product
 
 __all__ = ["THEOREM_IDS", "CampaignResult", "run_campaign"]
@@ -100,84 +80,6 @@ class CampaignResult:
 
 def _grid(values, trial):
     return values[trial % len(values)]
-
-
-# --- per-theorem trial functions ------------------------------------------
-# each returns the list of certificates for one trial
-
-def _trial_loewner_heinz(trial, stream, n, n3, tol, mode, params):
-    r = params.get("r", _grid([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], trial))
-    exploratory = bool(params.get("exploratory", r > 1.0))
-    if exploratory and trial == 0:
-        a, b = ineq.power_order_counterexample()
-        extra = {"instance": "power-order-counterexample"}
-    else:
-        a, b = gen_loewner_pair(n, n3, stream)
-        extra = None
-    return [ineq.check_loewner_heinz(a, b, r, tol, exploratory=exploratory, extra_params=extra)]
-
-
-def _householder_tensor(n, n3, g) -> Tensor3:
-    """Symmetric orthogonal tensor I - 2 v (v^T v)^-1 v^T for a random lateral v."""
-    v = gen_random((n, 1, n3), g)
-    gram_inv = t_inverse(t_product(transpose(v), v))
-    h = identity(n, n3) - 2.0 * t_product(t_product(v, gram_inv), transpose(v))
-    return 0.5 * (h + transpose(h))
-
-
-def _trial_hansen_power(trial, stream, n, n3, tol, mode, params):
-    g = stream.generator()
-    x = gen_t_psd(n, n3, g)
-    r = params.get("r", _grid([0.25, 0.5, 0.75, 1.25, 1.5, 2.0], trial))
-    if mode == "literal":
-        # as printed the conjugation is untransposed, so the middle product is
-        # only symmetric for symmetric orthogonal Q; generic orthogonal Q is
-        # rejected by the certifier, hence this campaign draws Householder-type
-        # conjugators (for which the statement reduces to an equality case)
-        q = _householder_tensor(n, n3, g)
-        hansen_mode = "literal"
-    else:
-        raw = gen_random((n, n, n3), g)
-        q = raw * (1.0 / (spectral_norm(raw) * float(g.uniform(1.0, 2.0))))
-        hansen_mode = "contraction"
-    return [ineq.check_hansen_power(q, x, r, tol, mode=hansen_mode)]
-
-
-def _trial_furuta(trial, stream, n, n3, tol, mode, params):
-    g = stream.generator()
-    a, b = gen_loewner_pair(n, n3, g)
-    while True:
-        r = float(g.uniform(0.0, 2.0))
-        p = float(g.uniform(0.0, 4.0))
-        q = float(g.uniform(1.0, 4.0))
-        if (1 + 2 * r) * q >= p + 2 * r:
-            break
-    return list(ineq.check_furuta(a, b, r, p, q, tol))
-
-
-def _trial_young_commuting(trial, stream, n, n3, tol, mode, params):
-    a, b = gen_commuting_psd_pair(n, n3, stream)
-    p = params.get("p", _grid([1.5, 2.0, 4.0], trial))
-    q = p / (p - 1.0)
-    return [ineq.check_young_commuting(a, b, p, q, tol)]
-
-
-def _trial_young_witness(trial, stream, n, n3, tol, mode, params):
-    g = stream.generator()
-    a = gen_random((n, n, n3), g)
-    b = gen_random((n, n, n3), g)
-    p = params.get("p", _grid([1.5, 2.0, 3.0], trial))
-    q = p / (p - 1.0)
-    return [ineq.check_young_witness(a, b, p, q, tol)]
-
-
-def _complex_norm_trial(variant):
-    def run(trial, stream, n, n3, tol, mode, params):
-        g = stream.generator()
-        a = gen_t_psd(n, n3, g) if variant in ("b", "c") else gen_symmetric(n, n3, g)
-        b = gen_t_psd(n, n3, g) if variant == "c" else gen_symmetric(n, n3, g)
-        return ineq.check_complex_norm_bounds(a, b, variant, tol, mode=mode)
-    return run
 
 
 @dataclass(frozen=True)
@@ -205,6 +107,88 @@ def _stacked(certifier):
     """``certify`` for a stacked certifier that takes the stacks, the scalar
     columns, then ``tol``."""
     return lambda stacks, columns, tol, mode: certifier(*stacks, *columns, tol)
+
+
+# --- per-theorem draws and stacked certifiers ---------------------------------
+# a draw returns one trial's (tensors, scalars)
+
+def _draw_loewner_heinz(trial, stream, n, n3, mode, params):
+    r = params.get("r", _grid([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], trial))
+    exploratory = bool(params.get("exploratory", r > 1.0))
+    if exploratory and trial == 0:
+        a, b = ineq.power_order_counterexample()
+        extra = {"instance": "power-order-counterexample"}
+    else:
+        a, b = gen_loewner_pair(n, n3, stream)
+        extra = None
+    return (a, b), (r, exploratory, extra)
+
+
+def _householder_tensor(n, n3, g) -> Tensor3:
+    """Symmetric orthogonal tensor I - 2 v (v^T v)^-1 v^T for a random lateral v."""
+    v = gen_random((n, 1, n3), g)
+    gram_inv = t_inverse(t_product(transpose(v), v))
+    h = identity(n, n3) - 2.0 * t_product(t_product(v, gram_inv), transpose(v))
+    return 0.5 * (h + transpose(h))
+
+
+def _draw_hansen_power(trial, stream, n, n3, mode, params):
+    g = stream.generator()
+    x = gen_t_psd(n, n3, g)
+    r = params.get("r", _grid([0.25, 0.5, 0.75, 1.25, 1.5, 2.0], trial))
+    if mode == "literal":
+        # as printed the conjugation is untransposed, so the middle product is
+        # only symmetric for symmetric orthogonal Q; generic orthogonal Q is
+        # rejected by the certifier, hence this campaign draws Householder-type
+        # conjugators (for which the statement reduces to an equality case)
+        q = _householder_tensor(n, n3, g)
+    else:
+        raw = gen_random((n, n, n3), g)
+        q = raw * (1.0 / (spectral_norm(raw) * float(g.uniform(1.0, 2.0))))
+    return (q, x), (r,)
+
+
+def _certify_hansen_power(stacks, columns, tol, mode):
+    return ineq._hansen_power(*stacks, *columns, tol, "literal" if mode == "literal" else "contraction")
+
+
+def _draw_furuta(trial, stream, n, n3, mode, params):
+    g = stream.generator()
+    a, b = gen_loewner_pair(n, n3, g)
+    while True:
+        r = float(g.uniform(0.0, 2.0))
+        p = float(g.uniform(0.0, 4.0))
+        q = float(g.uniform(1.0, 4.0))
+        if (1 + 2 * r) * q >= p + 2 * r:
+            break
+    return (a, b), (r, p, q)
+
+
+def _draw_young_commuting(trial, stream, n, n3, mode, params):
+    a, b = gen_commuting_psd_pair(n, n3, stream)
+    p = params.get("p", _grid([1.5, 2.0, 4.0], trial))
+    return (a, b), (p, p / (p - 1.0))
+
+
+def _draw_young_witness(trial, stream, n, n3, mode, params):
+    g = stream.generator()
+    a = gen_random((n, n, n3), g)
+    b = gen_random((n, n, n3), g)
+    p = params.get("p", _grid([1.5, 2.0, 3.0], trial))
+    return (a, b), (p, p / (p - 1.0))
+
+
+def _complex_norm(variant) -> _Stacked:
+    def draw(trial, stream, n, n3, mode, params):
+        g = stream.generator()
+        a = gen_t_psd(n, n3, g) if variant in ("b", "c") else gen_symmetric(n, n3, g)
+        b = gen_t_psd(n, n3, g) if variant == "c" else gen_symmetric(n, n3, g)
+        return (a, b), ()
+
+    def certify(stacks, columns, tol, mode):
+        return ineq._complex_norm_bounds(*stacks, variant, tol, mode)
+
+    return _Stacked(draw, certify)
 
 
 def _draw_am_gm(trial, stream, n, n3, mode, params):
@@ -257,30 +241,34 @@ def _draw_minkowski(trial, stream, n, n3, mode, params):
     return tensors, (params.get("p", _grid([1.0, 1.5, 2.0, 3.0], trial)),)
 
 
-def _trial_schur(trial, stream, n, n3, tol, mode, params):
-    a = gen_random((n, n, n3), stream)
-    return [loc.schur_bound(a, tol)]
+def _draw_random(trial, stream, n, n3, mode, params):
+    return (gen_random((n, n, n3), stream),), ()
 
 
-def _trial_gershgorin(trial, stream, n, n3, tol, mode, params):
-    a = gen_random((n, n, n3), stream)
-    discs = loc.gershgorin_discs(a)
-    spectrum = t_eigenvalues(a)
-    gaps, _, scale = loc.gershgorin_gaps(discs, spectrum)
-    contain = norm_certificate(
-        "gershgorin", dims=a.shape, params={"claim": "containment"}, norm_kind="n/a",
-        lhs=float(gaps.max()) / scale, rhs=0.0, tol=tol,
-    )
-    components = loc.gershgorin_component_count(discs, spectrum, tol)
-    miscount = max(abs(c.eigenvalue_count - c.disc_count) for c in components)
-    counting = norm_certificate(
-        "gershgorin", dims=a.shape, params={"claim": "component-count"}, norm_kind="n/a",
-        lhs=float(miscount), rhs=0.0, tol=tol,
-    )
-    return [contain, counting]
+def _certify_gershgorin(stacks, columns, tol, mode):
+    """The containment and component-count certificates of each member;
+    the spectra of the whole stack take one solver call, the discs and
+    their components are found member by member."""
+    (x,) = stacks
+    out = []
+    for i, spectrum in enumerate(_t_eigenvalues(x)):
+        discs = loc.gershgorin_discs(x.member(i))
+        gaps, _, scale = loc.gershgorin_gaps(discs, spectrum)
+        contain = norm_certificate(
+            "gershgorin", dims=x.shape, params={"claim": "containment"}, norm_kind="n/a",
+            lhs=float(gaps.max()) / scale, rhs=0.0, tol=tol,
+        )
+        components = loc.gershgorin_component_count(discs, spectrum, tol)
+        miscount = max(abs(c.eigenvalue_count - c.disc_count) for c in components)
+        counting = norm_certificate(
+            "gershgorin", dims=x.shape, params={"claim": "component-count"}, norm_kind="n/a",
+            lhs=float(miscount), rhs=0.0, tol=tol,
+        )
+        out.append([contain, counting])
+    return out
 
 
-def _trial_bauer_fike(trial, stream, n, n3, tol, mode, params):
+def _draw_bauer_fike(trial, stream, n, n3, mode, params):
     g = stream.generator()
     for _ in range(_CONJUGATOR_DRAWS):
         q = gen_random((n, n, n3), g)
@@ -303,41 +291,43 @@ def _trial_bauer_fike(trial, stream, n, n3, tol, mode, params):
     a = t_product(t_product(q_inv, s), q)
     e = gen_random((n, n, n3), g)
     b = a + (0.3 * (1.0 + frobenius_norm(a)) / (1.0 + frobenius_norm(e))) * e
-    return [loc.bauer_fike(a, b, q, s, tol)]
+    return (a, b, q, s), ()
 
 
-def _trial_hoffman_wielandt(trial, stream, n, n3, tol, mode, params):
+def _draw_symmetric_pair(trial, stream, n, n3, mode, params):
     g = stream.generator()
-    a = gen_symmetric(n, n3, g)
-    b = gen_symmetric(n, n3, g)
-    report, cert_sqrt, cert_stated = loc.hoffman_wielandt(a, b, tol)
-    sorted_dist = loc.sorted_pairing_distance(a, b)
-    sorted_certs = [
-        norm_certificate(
-            "hoffman-wielandt", dims=a.shape, params={"pairing": "sorted", "constant": const},
-            norm_kind=FROBENIUS, lhs=sorted_dist, rhs=rhs, tol=tol,
-        )
-        for const, rhs in (("sqrt-n3", report.bound_sqrt), ("n3", report.bound_stated))
-    ]
-    return [cert_sqrt, cert_stated, *sorted_certs]
+    return (gen_symmetric(n, n3, g), gen_symmetric(n, n3, g)), ()
 
 
-def _trial_diag_spectrum(trial, stream, n, n3, tol, mode, params):
-    g = stream.generator()
-    a = gen_symmetric(n, n3, g)
-    b = gen_symmetric(n, n3, g)
-    return loc.diag_spectrum_bound(a, b, tol)
+def _certify_hoffman_wielandt(stacks, columns, tol, mode):
+    """The optimal-pairing certificates of each member, then those of the
+    sorted pairing, which reuses the optimal pairing's spectra."""
+    a, b = stacks
+    matched, spectra = loc._hoffman_wielandt(a, b, tol)
+    out = []
+    for (report, cert_sqrt, cert_stated), dist in zip(
+        matched, loc._sorted_pairing_distances(a, b, spectra)
+    ):
+        sorted_certs = [
+            norm_certificate(
+                "hoffman-wielandt", dims=a.shape, params={"pairing": "sorted", "constant": const},
+                norm_kind=FROBENIUS, lhs=dist, rhs=rhs, tol=tol,
+            )
+            for const, rhs in (("sqrt-n3", report.bound_sqrt), ("n3", report.bound_stated))
+        ]
+        out.append([cert_sqrt, cert_stated, *sorted_certs])
+    return out
 
 
 _REGISTRY = {
-    "loewner-heinz": _trial_loewner_heinz,
-    "hansen-power": _trial_hansen_power,
-    "furuta": _trial_furuta,
-    "young-commuting": _trial_young_commuting,
-    "young-witness": _trial_young_witness,
-    "complex-norm-a": _complex_norm_trial("a"),
-    "complex-norm-b": _complex_norm_trial("b"),
-    "complex-norm-c": _complex_norm_trial("c"),
+    "loewner-heinz": _Stacked(_draw_loewner_heinz, _stacked(ineq._loewner_heinz)),
+    "hansen-power": _Stacked(_draw_hansen_power, _certify_hansen_power),
+    "furuta": _Stacked(_draw_furuta, _stacked(ineq._furuta)),
+    "young-commuting": _Stacked(_draw_young_commuting, _stacked(ineq._young_commuting)),
+    "young-witness": _Stacked(_draw_young_witness, _stacked(ineq._young_witness_certificates)),
+    "complex-norm-a": _complex_norm("a"),
+    "complex-norm-b": _complex_norm("b"),
+    "complex-norm-c": _complex_norm("c"),
     "am-gm": _Stacked(
         _draw_am_gm, lambda stacks, columns, tol, mode: ineq._am_gm(*stacks, tol, mode)
     ),
@@ -346,11 +336,11 @@ _REGISTRY = {
     "holder-pairs": _Stacked(_draw_holder_pairs, _stacked(ineq._holder_pairs)),
     "holder-corollary": _Stacked(_draw_holder_corollary, _stacked(ineq._holder_corollary)),
     "minkowski": _Stacked(_draw_minkowski, _stacked(ineq._minkowski)),
-    "schur": _trial_schur,
-    "gershgorin": _trial_gershgorin,
-    "bauer-fike": _trial_bauer_fike,
-    "hoffman-wielandt": _trial_hoffman_wielandt,
-    "diag-spectrum": _trial_diag_spectrum,
+    "schur": _Stacked(_draw_random, _stacked(loc._schur)),
+    "gershgorin": _Stacked(_draw_random, _certify_gershgorin),
+    "bauer-fike": _Stacked(_draw_bauer_fike, _stacked(loc._bauer_fike)),
+    "hoffman-wielandt": _Stacked(_draw_symmetric_pair, _certify_hoffman_wielandt),
+    "diag-spectrum": _Stacked(_draw_symmetric_pair, _stacked(loc._diag_spectrum)),
 }
 
 THEOREM_IDS = tuple(sorted(_REGISTRY))
@@ -375,32 +365,20 @@ def run_campaign(
         raise UnknownTheoremError(
             f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}"
         )
-    trial_fn = _REGISTRY[theorem_id]
+    theorem = _REGISTRY[theorem_id]
     params = dict(params or {})
-
-    def run_trial(trial):
-        return _run_trial(trial_fn, trial, seed, n, n3, tol, mode, params)
-
     certificates = []
     window = _window_size(n, n3)
     for start in range(0, trials, window):
         members = range(start, min(start + window, trials))
-        if isinstance(trial_fn, _Stacked):
-            outcomes = _run_stacked(trial_fn, members, seed, n, n3, tol, mode, params)
-        else:
-            outcomes = _Batcher(run_trial, members).run()
-        for outcome in outcomes:
-            if isinstance(outcome, BaseException):
-                raise outcome  # the lowest failing trial's, as a serial loop raises
+        for outcome in _run_stacked(theorem, members, seed, n, n3, tol, mode, params):
             certificates.extend(outcome)
     return _campaign_result(theorem_id, n, n3, trials, seed, mode, certificates)
 
 
-def _run_trial(trial_fn, trial, seed, n, n3, tol, mode, params) -> list:
-    """One trial in its own memo scope, its certificates stamped."""
-    with _trial_memo():
-        certificates = trial_fn(trial, RngStream(seed, trial), n, n3, tol, mode, params)
-    return _stamp(certificates, seed, trial)
+def _run_trial(theorem: _Stacked, trial, seed, n, n3, tol, mode, params) -> list:
+    """One trial alone, its certificates stamped."""
+    return _stamp(theorem(trial, RngStream(seed, trial), n, n3, tol, mode, params), seed, trial)
 
 
 def _run_stacked(theorem: _Stacked, trials, seed, n, n3, tol, mode, params) -> list:
@@ -437,7 +415,7 @@ def _stamp(certificates, seed, trial) -> list:
 def _window_size(n: int, n3: int) -> int:
     """Trials run at once: at most ``_WINDOW_TRIALS``, and at most
     ``_WINDOW_ENTRIES`` tensor entries (``n * n * n3`` a trial) across the
-    window, which bounds the memory the window's trial memos hold at once."""
+    window, which bounds the memory the window's stacks hold at once."""
     return max(1, min(_WINDOW_TRIALS, _WINDOW_ENTRIES // max(1, n * n * n3)))
 
 

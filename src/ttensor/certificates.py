@@ -16,6 +16,10 @@ Two tolerance policies, both relative:
 * semidefinite-order inequalities ``L <= R``: the margin is the smallest
   eigenvalue over the Fourier slices of ``R - L`` and must be at least
   ``-tol * (1 + lambda_max(R))``.
+
+:func:`loewner_certificate` is the one-member case of
+:func:`_loewner_certificates`, which certifies every member of a stack of
+pairs (:class:`ttensor.core._Stack`) with one solver call for the gaps.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _slice_eig_extremes
-from .core import Tensor3, _Stack, spectral_norm, transpose
+from .core import Tensor3, _spectral, _Stack
 
 __all__ = [
     "InequalityCertificate",
@@ -119,13 +123,13 @@ def norm_certificate(
 
 def loewner_min_gap(lhs_tensor: Tensor3, rhs_tensor: Tensor3) -> float:
     """Smallest eigenvalue over the Fourier slices of ``rhs - lhs``."""
-    return _slice_eig_extremes(_Stack.of(_gap_tensor(lhs_tensor, rhs_tensor)))[0][0]
+    return _slice_eig_extremes(_gap(_Stack.of(lhs_tensor), _Stack.of(rhs_tensor)))[0][0]
 
 
-def _gap_tensor(lhs_tensor: Tensor3, rhs_tensor: Tensor3) -> Tensor3:
+def _gap(lhs: _Stack, rhs: _Stack) -> _Stack:
     """The symmetrized ``rhs - lhs`` whose slice spectra give the min gap."""
-    diff = rhs_tensor - lhs_tensor
-    return 0.5 * (diff + transpose(diff))
+    diff = rhs - lhs
+    return 0.5 * (diff + diff.transpose())
 
 
 def loewner_certificate(
@@ -138,9 +142,23 @@ def loewner_certificate(
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Certificate for ``lhs_tensor <= rhs_tensor`` in the semidefinite order."""
-    gap = loewner_min_gap(lhs_tensor, rhs_tensor)
-    effective = tol * (1.0 + spectral_norm(rhs_tensor))
-    return InequalityCertificate(
-        theorem_id, -1, tuple(int(d) for d in dims), dict(params),
-        NO_NORM, -gap, 0.0, gap, effective, bool(gap >= -effective),
-    )
+    return _loewner_certificates(
+        theorem_id, _Stack.of(lhs_tensor), _Stack.of(rhs_tensor), dims=dims, params=[params], tol=tol
+    )[0]
+
+
+def _loewner_certificates(
+    theorem_id: str, lhs: _Stack, rhs: _Stack, *, dims, params: list, tol: float
+) -> list[InequalityCertificate]:
+    """:func:`loewner_certificate` of each member pair, member ``i`` with
+    ``params[i]``; the gaps' slice spectra take one solver call."""
+    gaps, _ = _slice_eig_extremes(_gap(lhs, rhs))
+    norms = _spectral(rhs.slices).tolist()
+    dims = tuple(int(d) for d in dims)
+    out = []
+    for gap, norm, p in zip(gaps, norms, params):
+        effective = tol * (1.0 + norm)
+        out.append(InequalityCertificate(
+            theorem_id, -1, dims, dict(p), NO_NORM, -gap, 0.0, gap, effective, bool(gap >= -effective),
+        ))
+    return out

@@ -11,38 +11,11 @@ slices: flat index ``(k * n1 + i) * n2 + j`` for 0-based ``(i, j, k)``.
 transforms, the t-product, the symmetry and PSD checks, the powers) act on
 stacks, and the public scalar functions are their ``b = 1`` case: a
 member's result never depends on the rest of its stack.
-
-This module also owns the per-trial memo, :func:`_trial_memo`: a scope in
-which the Fourier transforms (:mod:`ttensor.fourier`) and the Hermitian
-eigensolver (:mod:`ttensor.eigensolvers`) return their stored result when
-exactly the same input comes back.  Each layer keys its entries by a tag,
-the input's shape (and type, for the forward transform) and its bytes; see
-those modules for the keys.  Errors are never stored.  Campaigns open one
-scope per trial, so nothing is shared between trials or calls; outside a
-scope every call computes afresh.  The memo is a context variable, so
-concurrent callers each see only their own scope.
-
-It also owns the lockstep batcher, :class:`_Batcher`, through which a
-campaign merges the stacked eigensolver calls of the trials it runs at once.
-The batcher runs each trial as a worker; the workers take turns, one at a
-time, and a kernel called through :func:`_batched` waits until every live
-worker is waiting in a kernel call.  The pending stacks are then grouped by
-kernel and member shape, each group is solved in one call, and each worker
-gets its own rows back.  The kernel must treat the members of a stack
-independently, so a merged call gives every member the bits a lone call
-gives; if a merged call raises, each stack of the group is solved alone, so
-an error reaches only the worker whose stack caused it.  The batcher is a
-context variable too; outside a batcher :func:`_batched` calls the kernel
-directly.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import deque
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,185 +39,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-
-_MEMO: ContextVar[dict | None] = ContextVar("ttensor_trial_memo", default=None)
-
-
-@contextmanager
-def _trial_memo():
-    """Scope in which repeated transform and eigensolver inputs reuse results."""
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
-
-
-_BATCH: ContextVar[tuple[_Batcher, object] | None] = ContextVar("ttensor_batcher", default=None)
-
-
-def _batched(kernel, stack: np.ndarray) -> tuple:
-    """``kernel(stack)``; in a :class:`_Batcher` worker, merged with the
-    other workers' calls.  ``kernel`` returns a tuple of arrays with one row
-    per member of ``stack``."""
-    entry = _BATCH.get()
-    if entry is None:
-        return kernel(stack)
-    batcher, worker = entry
-    return batcher.solve(worker, kernel, stack)
-
-
-class _Request:
-    __slots__ = ("worker", "kernel", "stack", "result", "error")
-
-    def __init__(self, worker, kernel, stack):
-        self.worker, self.kernel, self.stack = worker, kernel, stack
-        self.result = self.error = None
-
-
-class _Batcher:
-    """Runs ``run(w)`` for each of a fixed list of workers in lockstep and
-    merges the kernel calls they make through :func:`_batched`.
-
-    The workers take turns like coroutines: exactly one holds the turn and
-    runs, and the others wait on their own lock, so their threads never
-    contend for the interpreter.  A worker that calls a kernel or finishes
-    hands the turn to the next ready worker, in worker order.  When no worker
-    is ready, every live worker is waiting in a call, and the pending calls
-    are solved together before the turn moves on.  So the calls merged in
-    round ``r`` are every live worker's ``r``-th call, whatever the thread
-    schedule.
-
-    Threads carry the workers.  The calling thread starts with the first
-    worker; a thread whose worker finishes goes on with the next worker if
-    that one has not started yet, and a worker that has not started gets a
-    new thread only when the turn reaches it while the worker before it waits
-    in a call.  Workers that make no kernel call all run on the calling
-    thread.
-    """
-
-    def __init__(self, run, workers):
-        self._run = run
-        self._workers = list(workers)
-        self._outcomes: dict = {}
-        self._lock = threading.Lock()
-        self._turn: dict = {}  # started worker -> lock it waits on for the turn
-        self._holder = self._workers[0]
-        self._ready = deque(self._workers[1:])  # may run, in worker order
-        self._pending: list[_Request] = []  # the calls of waiting workers
-        self._threads: list[threading.Thread] = []
-
-    def run(self) -> list:
-        """Each worker's return value, or the exception it raised, in worker
-        order.  Every thread the batcher started has ended on return."""
-        try:
-            self._start(self._holder)
-            self._carry(self._holder)
-        finally:
-            for thread in self._threads:  # threads append to it until they end
-                thread.join()
-        return [self._outcomes[w] for w in self._workers]
-
-    def _carry(self, worker) -> None:
-        while worker is not None:
-            token = _BATCH.set((self, worker))
-            try:
-                self._outcomes[worker] = self._run(worker)
-            except BaseException as exc:  # returned by run(), in worker order
-                self._outcomes[worker] = exc
-            finally:
-                _BATCH.reset(token)
-            worker = self._retire(worker)
-
-    def _start(self, worker) -> bool:
-        """Give ``worker`` its turn lock, held; false if it has one already."""
-        if worker in self._turn:
-            return False
-        self._turn[worker] = turn = threading.Lock()
-        turn.acquire()
-        return True
-
-    def _retire(self, worker):
-        """Count ``worker`` as done and pass the turn on if it held it;
-        returns the next worker when the calling thread should carry it."""
-        with self._lock:
-            if worker in self._ready:
-                self._ready.remove(worker)
-            self._pending = [r for r in self._pending if r.worker != worker]
-            if worker != self._holder:  # it left while waiting
-                return None
-            successor = self._pass_turn()
-            if successor is None or self._start(successor):
-                return successor
-        self._turn[successor].release()
-        return None
-
-    def solve(self, worker, kernel, stack: np.ndarray) -> tuple:
-        request = _Request(worker, kernel, stack)
-        with self._lock:
-            self._pending.append(request)
-            successor = self._pass_turn()
-            fresh = self._start(successor)
-        if successor != worker:
-            if fresh:
-                self._spawn(successor, worker)
-            else:
-                self._turn[successor].release()
-            self._turn[worker].acquire()
-        if request.error is not None:
-            raise request.error
-        return request.result
-
-    def _spawn(self, worker, caller) -> None:
-        thread = threading.Thread(target=self._carry, args=(worker,))
-        try:
-            thread.start()
-        except BaseException:  # the turn stays with the caller, whose call fails
-            with self._lock:
-                del self._turn[worker]
-                self._ready.appendleft(worker)
-                self._holder = caller
-            raise
-        self._threads.append(thread)
-
-    def _pass_turn(self):
-        """The worker that runs next, or ``None`` when all are done; when no
-        worker is ready, the pending calls are solved first.  Called by the
-        holder of the turn, with the lock held."""
-        if not self._ready and self._pending:
-            pending, self._pending = self._pending, []
-            try:
-                groups: dict[tuple, list[_Request]] = {}
-                for r in pending:
-                    groups.setdefault((r.kernel, r.stack.shape[1:]), []).append(r)
-                for (kernel, _), requests in groups.items():
-                    _solve_group(kernel, requests)
-            except BaseException as exc:  # an interrupt: every waiting worker raises it
-                for r in pending:
-                    r.result, r.error = None, exc
-            self._ready.extend(r.worker for r in pending)
-        self._holder = self._ready.popleft() if self._ready else None
-        return self._holder
-
-
-def _solve_group(kernel, requests: list[_Request]) -> None:
-    """One call for all stacks, or, if that raises, one call per stack."""
-    if len(requests) > 1:
-        try:
-            outs = kernel(np.concatenate([r.stack for r in requests]))
-        except Exception:  # solve each stack alone below: an error is per worker
-            pass
-        else:
-            hi = 0
-            for r in requests:
-                lo, hi = hi, hi + len(r.stack)
-                r.result = tuple(out[lo:hi] for out in outs)
-            return
-    for r in requests:
-        try:
-            r.result = kernel(r.stack)
-        except Exception as exc:
-            r.error = exc
 
 
 def _validated(arr: np.ndarray, dtype) -> np.ndarray:
@@ -384,10 +178,8 @@ class _Stack:
     ``slices`` are the members' Fourier slices, ``(b, n3, n1, n2)``,
     transformed on first use and kept, so a stack is transformed once however
     often it is used.  A stack made by :meth:`cat` transforms the parts that
-    still need it in one call and hands each part its share; a one-tensor
-    stack made by :meth:`of` takes its slices from
-    :func:`ttensor.fourier.to_fourier`, so a trial memo scope still serves
-    its transform.  Entries must be finite, as for :class:`Tensor3`.
+    still need it in one call and hands each part its share.  Entries must be
+    finite, as for :class:`Tensor3`.
     """
 
     __slots__ = ("data", "_slices", "_parts")
@@ -404,8 +196,8 @@ class _Stack:
         """The tensors, in order, as the members of one stack."""
         for t in tensors[1:]:
             _check_same_shape(tensors[0], t)
-        if len(tensors) == 1:
-            return cls(tensors[0].data[None], parts=tensors)
+        if len(tensors) == 1:  # a view: a tensor's data is read-only already
+            return cls(tensors[0].data[None])
         return cls(np.stack([t.data for t in tensors]))
 
     @classmethod
@@ -443,12 +235,10 @@ class _Stack:
     @property
     def slices(self) -> np.ndarray:
         if self._slices is None:
-            from .fourier import _forward, to_fourier  # deferred import, see spectral_norm
+            from .fourier import _forward  # deferred import, see spectral_norm
 
             parts = self._parts
-            if len(parts) == 1 and isinstance(parts[0], Tensor3):
-                self._slices = to_fourier(parts[0]).slices[None]
-            elif parts and all(p._slices is not None for p in parts):
+            if parts and all(p._slices is not None for p in parts):
                 self._slices = np.concatenate([p._slices for p in parts])
             else:
                 self._slices = _forward(self.data)
@@ -471,6 +261,10 @@ class _Stack:
     def __add__(self, other: "_Stack") -> "_Stack":
         _check_same_shape(self, other)
         return _Stack(self.data + other.data)
+
+    def __sub__(self, other: "_Stack") -> "_Stack":
+        _check_same_shape(self, other)
+        return _Stack(self.data - other.data)
 
     def __mul__(self, scalar) -> "_Stack":
         """Times a number, or member ``i`` times ``scalar[i]``."""

@@ -30,28 +30,12 @@ bit-reproducible.  Both reject a matrix or stack holding NaN or Inf on entry
 with :class:`EigenConvergenceError`, naming the lowest such member, since no
 iteration converges on it.
 
-Inside a per-trial memo scope (:func:`ttensor.core._trial_memo`),
-:func:`hermitian_eig` remembers each decomposition keyed by
-``("eig", n, bytes of the complex128 matrix)``, one entry per
-stack member, and returns the stored, read-only :class:`HermitianEigen` when
-exactly the same matrix comes back; only members not yet stored are solved,
-a member repeated within one stack is solved once, and errors are never
-stored.  Campaigns open one scope per trial, because one trial often
-decomposes the same Fourier slice several times (a tensor's power at several
-exponents, a PSD check followed by a power).  A scope holds about one
-decomposition per distinct slice matrix and is freed when the trial ends.
-Outside a scope every call solves afresh.  There is no setting: a hit returns
-the very result the kernel would have computed.  A caller that knows which
-independent decompositions come next can store them all with one stacked
-call first (:func:`ttensor.spectral._solve_ahead`).
-
-Both solvers reach their kernels through the lockstep batcher
-(:func:`ttensor.core._batched`): the members :func:`hermitian_eig` does solve
-go to the Jacobi kernel, and every :func:`general_eig` stack goes to the QR
-kernel.  Inside a campaign window, the stacks of the window's trials are
-merged into one kernel call per solver and member shape; since every
-member's result is independent of the rest of its stack, each trial gets the
-bits it would get alone.  Outside a campaign the kernel is called directly.
+Every call solves afresh; nothing is cached.  Since every member's result is
+independent of the rest of its stack, a caller may put the independent
+stacks it needs at one point into one call: :func:`_hermitian_eigs` solves
+several stacks at once and hands each its share, so a certifier makes one
+Jacobi call per wave of independent spectra, for a whole campaign window
+(:mod:`ttensor.campaigns`).
 """
 
 from __future__ import annotations
@@ -61,8 +45,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _MEMO, _batched, _frobenius
-from .errors import EigenConvergenceError, NotSymmetricError
+from .core import _frobenius
+from .errors import EigenConvergenceError, NotSymmetricError, TtensorError
 
 __all__ = ["HermitianEigen", "hermitian_eig", "general_eig"]
 
@@ -89,8 +73,7 @@ def _square_stack(m) -> np.ndarray:
 
     A NaN or infinite entry raises :class:`EigenConvergenceError` naming the
     lowest member that holds one.  No iteration converges on such a member,
-    so it fails here, before the memo and the batcher see it, instead of
-    after its whole iteration budget inside a merged campaign call.
+    so it fails here instead of after its whole iteration budget.
     """
     a = np.array(m, dtype=complex, order="C")
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -110,30 +93,32 @@ def hermitian_eig(m) -> HermitianEigen:
     symmetrized before iterating.  A stack with a non-Hermitian member reports
     the first such member.  Ties in the ascending eigenvalue sort are broken
     by original position (stable sort), which keeps the output deterministic
-    across platforms.  Inside a per-trial memo scope a repeated matrix returns
-    the stored, read-only result.
+    across platforms.
     """
     a = _square_stack(m)
-    stack = a if a.ndim == 3 else a[None]
-    memo = _MEMO.get()
-    if memo is None:
-        values, vectors = _batched(_jacobi, stack)
-    else:
-        keys = [("eig", stack.shape[1], s.tobytes()) for s in stack]
-        todo = {key: i for i, key in enumerate(keys) if key not in memo}
-        if todo:
-            values, vectors = _batched(_jacobi, stack[list(todo.values())])
-            values.flags.writeable = False
-            vectors.flags.writeable = False
-            for j, key in enumerate(todo):
-                memo[key] = HermitianEigen(values[j], vectors[j])
-        if a.ndim == 2:
-            return memo[keys[0]]
-        values = np.stack([memo[key].values for key in keys])
-        vectors = np.stack([memo[key].vectors for key in keys])
+    values, vectors = _jacobi(a if a.ndim == 3 else a[None])
     if a.ndim == 2:
         return HermitianEigen(values[0], vectors[0])
     return HermitianEigen(values, vectors)
+
+
+def _hermitian_eigs(stacks: list) -> list:
+    """:func:`hermitian_eig` of each ``(m, n, n)`` stack in ``stacks``, from
+    one solver call: the independent spectra a certifier needs at one point.
+
+    All ``None`` when the stacks are not square stacks of one member shape,
+    or when the call raises; each caller then solves its own stack and
+    raises the error it raises alone, where it raises it.
+    """
+    if len({s.shape[1:] for s in stacks}) > 1 or stacks[0].shape[1] != stacks[0].shape[2]:
+        return [None] * len(stacks)
+    try:
+        e = hermitian_eig(np.concatenate(stacks))
+    except TtensorError:
+        return [None] * len(stacks)
+    bounds = np.cumsum([len(s) for s in stacks])[:-1]
+    values, vectors = np.split(e.values, bounds), np.split(e.vectors, bounds)
+    return [HermitianEigen(v, w) for v, w in zip(values, vectors)]
 
 
 def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +236,7 @@ def general_eig(m) -> np.ndarray:
     reported.
     """
     a = _square_stack(m)
-    (values,) = _batched(_qr_eig, a if a.ndim == 3 else a[None])
+    (values,) = _qr_eig(a if a.ndim == 3 else a[None])
     return values if a.ndim == 3 else values[0]
 
 

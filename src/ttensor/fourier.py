@@ -54,22 +54,15 @@ What breaks or slows this:
 
 Both directions take stacks too: :func:`_forward` maps ``(b, n1, n2, n3)``
 real tensors to ``(b, n3, n1, n2)`` slices with the einsum
-``"tkc,bijt->bkijc"``, and :func:`_inverse` maps them back with
-``"kt,bijt->bijk"``, checking each member's conjugate symmetry.  einsum adds
-each member's terms in the same order whatever ``b`` is, so a member's
-result is bit for bit its lone transform, and :func:`to_fourier` and
-:func:`from_fourier` of a real tensor are the ``b = 1`` case (bit-equal and
-as fast as the unstacked einsums at 8x8x1024, 8x8x512, 16x16x128 and
-3x3x128).
-
-Inside a per-trial memo scope (:func:`ttensor.core._trial_memo`) both
-directions return their stored result when exactly the same input comes
-back.  :func:`to_fourier` keys by ``("fwd", type, shape, data bytes)``; the
-type and shape are part of the key because a real ``(2, 2, 4)`` tensor and a
-complex ``(2, 2, 2)`` one can hold equal bytes.  :func:`from_fourier` keys by
-``("inv", (n1, n2, n3), slice bytes)``.  Stored results are
-immutable (read-only arrays), and a :class:`ConjugateSymmetryError` is never
-stored, so a repeat raises it again.  Outside a scope nothing is cached.
+``"tkc,bijt->bkijc"`` (complex tensors with ``"kt,bijt->bkij"`` over ``F``),
+and :func:`_inverse` maps them back with ``"kt,bijt->bijk"``, checking each
+member's conjugate symmetry.  einsum adds each member's terms in the same
+order whatever ``b`` is, so a member's result is bit for bit its lone
+transform, and :func:`to_fourier` and :func:`from_fourier` are the ``b = 1``
+case (bit-equal and as fast as the unstacked einsums at 8x8x1024, 8x8x512,
+16x16x128 and 3x3x128; the complex einsum was checked on 2800 members with
+``n`` up to 8, ``n3`` up to 128 and stacks of up to 64).  Every call
+transforms afresh: nothing is cached but the kernel.
 
 A real tensor's slices come in conjugate pairs, so slices ``0 .. n3//2`` (the
 half spectrum, :meth:`FourierSlices.half`) determine the rest; this module
@@ -84,7 +77,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _MEMO, Tensor3
+from .core import Tensor3
 from .errors import ConjugateSymmetryError, ShapeMismatchError
 
 __all__ = [
@@ -262,31 +255,20 @@ def to_fourier(a) -> FourierSlices:
 
     Accepts real and complex tensors; ``origin_real`` is set for real input,
     and the output then carries the conjugate-symmetry pattern by construction.
-    Inside a per-trial memo scope a repeated tensor returns the stored slices.
     """
-    memo = _MEMO.get()
-    if memo is None:
-        return _to_fourier(a)
-    key = ("fwd", type(a), a.shape, a.data.tobytes())
-    s = memo.get(key)
-    if s is None:
-        s = memo[key] = _to_fourier(a)
-    return s
-
-
-def _to_fourier(a) -> FourierSlices:
     n1, n2, n3 = a.shape
-    if isinstance(a, Tensor3):
-        return FourierSlices(n1, n2, n3, _forward(a.data[None])[0], True)
-    return FourierSlices(n1, n2, n3, np.einsum("kt,ijt->kij", dft_matrix(n3), a.data), False)
+    return FourierSlices(n1, n2, n3, _forward(a.data[None])[0], isinstance(a, Tensor3))
 
 
 def _forward(data: np.ndarray) -> np.ndarray:
-    """Fourier slices ``(b, n3, n1, n2)``, C-contiguous, of each member of a
-    C-contiguous real ``(b, n1, n2, n3)`` stack.  einsum adds each member's
-    terms in ``t`` order whatever ``b`` is, so a member's slices are bit for
-    bit its own transform."""
-    kernel = _real_dft_kernel(data.shape[3])
+    """Fourier slices ``(b, n3, n1, n2)`` of each member of a C-contiguous
+    ``(b, n1, n2, n3)`` stack, C-contiguous for real data.  einsum adds each
+    member's terms in ``t`` order whatever ``b`` is, so a member's slices are
+    bit for bit its own transform."""
+    n3 = data.shape[3]
+    if np.iscomplexobj(data):
+        return np.einsum("kt,bijt->bkij", dft_matrix(n3), data)
+    kernel = _real_dft_kernel(n3)
     return np.ascontiguousarray(np.einsum("tkc,bijt->bkijc", kernel, data).view(complex)[..., 0])
 
 
@@ -297,19 +279,7 @@ def from_fourier(s: FourierSlices) -> Tensor3:
     ``_SYMMETRY_TOL * (1 + max slice magnitude)``; otherwise the data has no
     real preimage and :class:`ConjugateSymmetryError` reports the worst slice
     pair.
-    Inside a per-trial memo scope repeated slices return the stored tensor.
     """
-    memo = _MEMO.get()
-    if memo is None:
-        return _from_fourier(s)
-    key = ("inv", (s.n1, s.n2, s.n3), s.slices.tobytes())
-    a = memo.get(key)
-    if a is None:
-        a = memo[key] = _from_fourier(s)
-    return a
-
-
-def _from_fourier(s: FourierSlices) -> Tensor3:
     return Tensor3(_inverse(s.slices[None])[0])
 
 

@@ -19,28 +19,24 @@ evaluates the mathematically valid form:
 The norm inequalities (``am-gm``, ``heinz-family``, the three Hoelder forms
 and ``minkowski``) hold in every unitarily invariant norm, so each of these
 certifiers checks its hypotheses and forms its tensors once, then returns the
-Frobenius certificates followed by the spectral ones.  Each is the ``b = 1``
-case of a stacked certifier (``_am_gm``, ``_heinz_family``, ...) that takes
-its tensors as stacks along a leading trial axis
-(:class:`ttensor.core._Stack`) and its scalars as one list per argument, and
-returns one certificate list per member; a campaign certifies a whole window
-with one call.  A stacked certifier also stacks its own independent tensors:
-the PSD checks and powers of ``A`` and ``B`` take one solver call
-(``spectral._psd_and_power_spectra``), and every ``|X|^r`` of a bound is one
-member of one ``spectral._abs_powers`` call.  Hypotheses are checked member
-by member, each in the order the scalar certifier checks them, and the
-certificate arithmetic (``** (1/p)``, the damping, ``(2 + t) *``) stays in
-Python floats per member, so each member's certificates are bit for bit
-those of the scalar call.
+Frobenius certificates followed by the spectral ones.
 
-The other certifiers take one instance.  One that needs several slice
-spectra that do not depend on each other asks for them in waves: one
-:func:`ttensor.spectral._solve_ahead` line names a wave's PSD checks,
-powers, absolute values and Loewner gaps just before the calls that take
-them, after the scalar hypothesis checks.  Inside a campaign trial the wave
-is solved in one stacked call and the calls find their spectra stored;
-elsewhere the line does nothing.  Either way the calls compute exactly what
-they would without it, so results are unchanged.
+Every public certifier is the ``b = 1`` case of a stacked certifier
+(``_loewner_heinz``, ``_furuta``, ``_am_gm``, ...) that takes its tensors as
+stacks along a leading trial axis (:class:`ttensor.core._Stack`) and its
+scalars as one list per argument, and returns one certificate list per
+member; a campaign certifies a whole window with one call.  A stacked
+certifier also stacks its own independent slice spectra, one solver call per
+wave (:func:`ttensor.eigensolvers._hermitian_eigs`): ``furuta`` takes the
+PSD check of B, the order gap A - B and the decompositions of B and A in one
+call, both sandwich powers in a second and both Loewner gaps in a third.  A
+product a wave needs (``Q^T X Q``, ``A B``) is formed ahead of the checks
+only when the shapes are equal and square, so a shape error still comes
+after the hypothesis errors.  Hypotheses are checked member by member, each
+in the order the scalar certifier checks them, and the certificate
+arithmetic (``** (1/p)``, the damping, ``(2 + t) *``) stays in Python floats
+per member, so each member's certificates are bit for bit those of the
+scalar call.
 """
 
 from __future__ import annotations
@@ -49,12 +45,11 @@ import numpy as np
 
 from .algebra import (
     PREDICATE_TOL,
+    _asymmetry,
+    _orthogonality,
+    _psd_stack,
     _psd_verdicts,
     _t_product,
-    is_orthogonal,
-    is_symmetric,
-    loewner_ge,
-    t_product,
 )
 from .certificates import (
     DEFAULT_TOL,
@@ -62,29 +57,19 @@ from .certificates import (
     NO_NORM,
     SPECTRAL,
     InequalityCertificate,
-    _gap_tensor,
-    loewner_certificate,
+    _loewner_certificates,
     norm_certificate,
 )
-from .core import (
-    ComplexTensor3,
-    Tensor3,
-    _frobenius,
-    _spectral,
-    _Stack,
-    frobenius_norm,
-    spectral_norm,
-    transpose,
-)
-from .errors import HypothesisViolationError, TtensorError
+from .core import Tensor3, _check_same_shape, _frobenius, _spectral, _Stack
+from .eigensolvers import _hermitian_eigs
+from .errors import HypothesisViolationError, ShapeMismatchError
+from .fourier import _forward
 from .spectral import (
     _abs_powers,
-    _psd_and_power_spectra,
+    _power_stack,
     _require_conjugate,
-    _solve_ahead,
     _t_powers,
-    t_power,
-    young_witness,
+    _young_witness,
 )
 
 __all__ = [
@@ -145,8 +130,8 @@ def _stacks(*tensors: Tensor3) -> list[_Stack]:
     return [_Stack.of(t) for t in tensors]
 
 
-def _sym(t: Tensor3) -> Tensor3:
-    return 0.5 * (t + transpose(t))
+def _sym(t: _Stack) -> _Stack:
+    return 0.5 * (t + t.transpose())
 
 
 def _require(condition: bool, message: str) -> None:
@@ -154,14 +139,10 @@ def _require(condition: bool, message: str) -> None:
         raise HypothesisViolationError(message)
 
 
-def _require_psd(t: Tensor3, tol: float, name: str) -> None:
-    _require_psd_members(_stacks(t), [name], tol)
-
-
 def _require_psd_members(xs: list[_Stack], names: list[str], tol: float, eig=None) -> None:
     """Every member of every stack is positive semidefinite, checked in
     order, ``xs[k]``'s members under the name ``names[k]``; ``eig`` may hold
-    the spectra of their PSD stacks (see ``_psd_and_power_spectra``)."""
+    the spectra of ``_psd_stack`` of their concatenation."""
     if len({x.shape for x in xs}) > 1:
         for x, name in zip(xs, names):
             _require_psd_members([x], [name], tol)
@@ -174,22 +155,41 @@ def _require_psd_members(xs: list[_Stack], names: list[str], tol: float, eig=Non
         )
 
 
-def _ahead(product):
-    """``product()``, formed ahead of the hypothesis checks; ``None`` if it
-    raises (a shape mismatch, an overflow), so that the caller forms it again
-    after the checks and its error comes where it always came."""
-    try:
-        return product()
-    except (TtensorError, ValueError):
-        return None
+def _same_square(*xs: _Stack) -> bool:
+    """Whether the stacks share one square member shape, so that their slice
+    spectra can join one solver call."""
+    return len({x.shape for x in xs}) == 1 and xs[0].shape[0] == xs[0].shape[1]
 
 
-def _require_order(a: Tensor3, b: Tensor3, tol: float, names: str) -> None:
-    verdict = loewner_ge(a, b, tol)
-    _require(
-        verdict.holds,
-        f"order hypothesis {names} fails (min gap {verdict.min_gap_eigenvalue:.3e})",
-    )
+def _psd_and_power_spectra(xs: list[_Stack]) -> list:
+    """The spectra that :func:`_require_psd_members` and :func:`_t_powers` of
+    the stacks in ``xs`` take, from one solver call; Nones when the stacks
+    cannot share one (see :func:`ttensor.eigensolvers._hermitian_eigs`)."""
+    if not _same_square(*xs):
+        return [None, None]
+    x = _Stack.cat(*xs)
+    return _hermitian_eigs([_psd_stack(x), _power_stack(x)])
+
+
+def _loewner_pair_powers(a: _Stack, b: _Stack, tol: float, *exponents) -> list[list[_Stack]]:
+    """Check ``A >= B >= 0`` for each member pair, B's PSD check first and
+    then the order (as :func:`ttensor.algebra.loewner_ge`), and return
+    ``[B, A]`` at each list of exponents in ``exponents``.  The checks and
+    the decompositions of B and A take one solver call."""
+    diff = a - b if a.shape == b.shape else None
+    psd = order = power = None
+    if _same_square(a, b):
+        powers = _power_stack(_Stack.cat(b, a))  # first, so B is transformed once
+        psd, order, power = _hermitian_eigs([_psd_stack(b), _psd_stack(diff), powers])
+    _require_psd_members([b], ["B"], tol, psd)
+    if diff is None:
+        raise ShapeMismatchError(f"order comparison needs equal shapes: {a.shape} vs {b.shape}")
+    for verdict in _psd_verdicts(diff, tol, order):
+        _require(
+            verdict.holds,
+            f"order hypothesis A >= B fails (min gap {verdict.min_gap_eigenvalue:.3e})",
+        )
+    return _t_powers([b, a], *([e, e] for e in exponents), eig=power)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +209,24 @@ def check_loewner_heinz(
     ``exploratory`` lifts the exponent-range hypothesis so out-of-range
     exponents (where the implication is known to fail) can be probed.
     """
-    if not exploratory:
-        _require(0.0 <= r <= 1.0, f"exponent r={r} outside [0, 1]")
-    _solve_ahead(psd=[b], order=[(a, b)], power=[b, a])
-    _require_psd(b, tol, "B")
-    _require_order(a, b, tol, "A >= B")
-    params = {"r": r, "exploratory": exploratory, **(extra_params or {})}
-    return loewner_certificate(
-        "loewner-heinz", t_power(b, r), t_power(a, r), dims=a.shape, params=params, tol=tol
-    )
+    return _loewner_heinz(*_stacks(a, b), [r], [exploratory], [extra_params], tol)[0][0]
+
+
+def _loewner_heinz(
+    a: _Stack, b: _Stack, r: list, exploratory: list, extra_params: list, tol: float
+) -> list[list]:
+    """:func:`check_loewner_heinz` of each member, member ``i`` at ``r[i]``,
+    ``exploratory[i]`` and ``extra_params[i]``."""
+    for ri, ex in zip(r, exploratory):
+        if not ex:
+            _require(0.0 <= ri <= 1.0, f"exponent r={ri} outside [0, 1]")
+    ((br, ar),) = _loewner_pair_powers(a, b, tol, r)
+    params = [
+        {"r": ri, "exploratory": ex, **(extra or {})}
+        for ri, ex, extra in zip(r, exploratory, extra_params)
+    ]
+    certs = _loewner_certificates("loewner-heinz", br, ar, dims=a.shape, params=params, tol=tol)
+    return [[c] for c in certs]
 
 
 def check_hansen_power(
@@ -236,38 +245,49 @@ def check_hansen_power(
     generally non-symmetric, which is reported rather than silently
     symmetrized.
     """
-    _require(0.0 < r <= 2.0, f"exponent r={r} outside (0, 2]")
-    left = transpose(q) if mode == "contraction" else q
-    # the conjugated product is formed ahead of the checks, so that its power
-    # joins the first wave
-    sym_middle = _ahead(lambda: _sym(t_product(t_product(left, x), q)))
-    _solve_ahead(psd=[x], power=[x] + ([sym_middle] if sym_middle is not None else []))
-    _require_psd(x, tol, "X")
+    return _hansen_power(*_stacks(q, x), [r], tol, mode)[0][0]
+
+
+def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[list]:
+    """:func:`check_hansen_power` of each member, member ``i`` at ``r[i]``."""
+    for ri in r:
+        _require(0.0 < ri <= 2.0, f"exponent r={ri} outside (0, 2]")
+    left = q.transpose() if mode == "contraction" else q
+    # the conjugated product is formed ahead of the checks when the shapes
+    # allow it, so that its power joins the first solver call
+    middle = sym_middle = psd = power = None
+    if _same_square(q, x):
+        middle = _t_product(_t_product(left, x), q)
+        sym_middle = _sym(middle)
+        powers = _power_stack(_Stack.cat(x, sym_middle))  # first, so X is transformed once
+        psd, power = _hermitian_eigs([_psd_stack(x), powers])
+    _require_psd_members([x], ["X"], tol, psd)
     if mode == "contraction":
-        q_norm = spectral_norm(q)
-        _require(q_norm <= 1.0 + tol, f"Q is not a contraction: ||Q||_2 = {q_norm:.6f}")
+        for q_norm in _spectral(q.slices).tolist():
+            _require(q_norm <= 1.0 + tol, f"Q is not a contraction: ||Q||_2 = {q_norm:.6f}")
     elif mode == MODE_LITERAL:
-        _require(bool(is_orthogonal(q, max(tol, PREDICATE_TOL))), "Q is not orthogonal")
+        for reason in _orthogonality(q, max(tol, PREDICATE_TOL)):
+            _require(not reason, "Q is not orthogonal")
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    middle = t_product(t_product(left, x), q)
-    sym = is_symmetric(middle, tol)
-    if not sym:
-        raise HypothesisViolationError(
-            f"conjugated product is not symmetric in {mode} mode ({sym.reason}); "
-            "the power of a non-symmetric tensor is undefined"
-        )
-    conj_pow = t_product(t_product(left, t_power(x, r)), q)
-    pow_conj = t_power(_sym(middle), r)
-    params = {"r": r, "mode": mode}
-    if r <= 1.0:
-        lhs, rhs = _sym(conj_pow), pow_conj
-    else:
-        lhs, rhs = pow_conj, _sym(conj_pow)
-    return loewner_certificate(
-        "hansen-power", lhs, rhs, dims=q.shape, params=params, tol=tol
-    )
+    if middle is None:
+        middle = _t_product(_t_product(left, x), q)
+        sym_middle = _sym(middle)
+    for reason in _asymmetry(middle, tol):
+        if reason:
+            raise HypothesisViolationError(
+                f"conjugated product is not symmetric in {mode} mode ({reason}); "
+                "the power of a non-symmetric tensor is undefined"
+            )
+    ((x_r, pow_conj),) = _t_powers([x, sym_middle], [r, r], eig=power)
+    conj_pow = _sym(_t_product(_t_product(left, x_r), q))
+    low = np.array([ri <= 1.0 for ri in r])[:, None, None, None]
+    lhs = _Stack(np.where(low, conj_pow.data, pow_conj.data))
+    rhs = _Stack(np.where(low, pow_conj.data, conj_pow.data))
+    params = [{"r": ri, "mode": mode} for ri in r]
+    certs = _loewner_certificates("hansen-power", lhs, rhs, dims=q.shape, params=params, tol=tol)
+    return [[c] for c in certs]
 
 
 def check_furuta(
@@ -284,27 +304,28 @@ def check_furuta(
     ``(B^r * A^p * B^r)^(1/q) >= B^((p+2r)/q)`` and
     ``A^((p+2r)/q) >= (A^r * B^p * A^r)^(1/q)``.
     """
-    _require(r >= 0 and p >= 0 and q >= 1, f"parameters out of range: r={r}, p={p}, q={q}")
-    _require((1 + 2 * r) * q >= p + 2 * r - 1e-12, f"(1+2r)q >= p+2r fails: r={r}, p={p}, q={q}")
-    _solve_ahead(psd=[b], order=[(a, b)], power=[b, a])
-    _require_psd(b, tol, "B")
-    _require_order(a, b, tol, "A >= B")
-    params = {"r": r, "p": p, "q": q}
+    return tuple(_furuta(*_stacks(a, b), [r], [p], [q], tol)[0])
 
-    br, ar = t_power(b, r), t_power(a, r)
-    sandwich_b = _sym(t_product(t_product(br, t_power(a, p)), br))
-    sandwich_a = _sym(t_product(t_product(ar, t_power(b, p)), ar))
-    _solve_ahead(power=[sandwich_b, sandwich_a])
-    lower = t_power(b, (p + 2 * r) / q), t_power(sandwich_b, 1.0 / q)
-    upper = t_power(sandwich_a, 1.0 / q), t_power(a, (p + 2 * r) / q)
-    _solve_ahead(psd=[_gap_tensor(*lower), _gap_tensor(*upper)])
-    cert_lower = loewner_certificate(
-        "furuta", *lower, dims=a.shape, params={**params, "side": "lower"}, tol=tol
-    )
-    cert_upper = loewner_certificate(
-        "furuta", *upper, dims=a.shape, params={**params, "side": "upper"}, tol=tol
-    )
-    return cert_lower, cert_upper
+
+def _furuta(a: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list[list]:
+    """:func:`check_furuta` of each member, member ``i`` at ``r[i]``,
+    ``p[i]``, ``q[i]``: three solver calls for the whole stack."""
+    for ri, pi, qi in zip(r, p, q):
+        _require(ri >= 0 and pi >= 0 and qi >= 1, f"parameters out of range: r={ri}, p={pi}, q={qi}")
+        _require(
+            (1 + 2 * ri) * qi >= pi + 2 * ri - 1e-12, f"(1+2r)q >= p+2r fails: r={ri}, p={pi}, q={qi}"
+        )
+    s = [(pi + 2 * ri) / qi for ri, pi, qi in zip(r, p, q)]
+    (br, ar), (bp, ap), (bs, as_) = _loewner_pair_powers(a, b, tol, r, p, s)
+    sandwich_b = _sym(_t_product(_t_product(br, ap), br))
+    sandwich_a = _sym(_t_product(_t_product(ar, bp), ar))
+    inverse_q = [1.0 / qi for qi in q]
+    ((lower_rhs, upper_lhs),) = _t_powers([sandwich_b, sandwich_a], [inverse_q, inverse_q])
+    params = [{"r": ri, "p": pi, "q": qi} for ri, pi, qi in zip(r, p, q)]
+    sides = [{**pm, "side": "lower"} for pm in params] + [{**pm, "side": "upper"} for pm in params]
+    lhs, rhs = _Stack.cat(bs, upper_lhs), _Stack.cat(lower_rhs, as_)
+    certs = _loewner_certificates("furuta", lhs, rhs, dims=a.shape, params=sides, tol=tol)
+    return [[certs[i], certs[len(a) + i]] for i in range(len(a))]
 
 
 def check_young_commuting(
@@ -315,25 +336,35 @@ def check_young_commuting(
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Young inequality A * B <= A^p / p + B^q / q for a commuting PSD pair."""
-    _require_conjugate(p, q)
-    # A * B is formed ahead of the PSD checks, so that the check of its
-    # symmetric part joins the first wave
-    sym_ab = _ahead(lambda: _sym(t_product(a, b)))
-    _solve_ahead(psd=[a, b] + ([sym_ab] if sym_ab is not None else []), power=[a, b])
-    _require_psd(a, tol, "A")
-    _require_psd(b, tol, "B")
-    ab = t_product(a, b)
-    comm = frobenius_norm(ab - t_product(b, a))
-    _require(
-        comm <= tol * (1 + frobenius_norm(a) * frobenius_norm(b)),
-        f"pair does not commute: ||AB - BA|| = {comm:.3e}",
-    )
-    lhs = _sym(ab)
-    _require_psd(lhs, tol, "A * B")
-    rhs = (1.0 / p) * t_power(a, p) + (1.0 / q) * t_power(b, q)
-    return loewner_certificate(
-        "young-commuting", lhs, rhs, dims=a.shape, params={"p": p, "q": q}, tol=tol
-    )
+    return _young_commuting(*_stacks(a, b), [p], [q], tol)[0][0]
+
+
+def _young_commuting(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> list[list]:
+    """:func:`check_young_commuting` of each member, member ``i`` at ``p[i]``, ``q[i]``."""
+    for pi, qi in zip(p, q):
+        _require_conjugate(pi, qi)
+    # A * B is formed ahead of the PSD checks when the shapes allow it, so
+    # that the check of its symmetric part joins the first solver call
+    ab = lhs = psd = lhs_psd = power = None
+    if _same_square(a, b):
+        ab = _t_product(a, b)
+        lhs = _sym(ab)
+        pair = _Stack.cat(a, b)
+        psd, lhs_psd, power = _hermitian_eigs([_psd_stack(pair), _psd_stack(lhs), _power_stack(pair)])
+    _require_psd_members([a, b], ["A", "B"], tol, psd)
+    if ab is None:
+        ab = _t_product(a, b)
+        lhs = _sym(ab)
+    comm = _frobenius((ab - _t_product(b, a)).data).tolist()
+    norms = zip(_frobenius(a.data).tolist(), _frobenius(b.data).tolist())
+    for c, (fa, fb) in zip(comm, norms):
+        _require(c <= tol * (1 + fa * fb), f"pair does not commute: ||AB - BA|| = {c:.3e}")
+    _require_psd_members([lhs], ["A * B"], tol, lhs_psd)
+    ((ap, bq),) = _t_powers([a, b], [p, q], eig=power)
+    rhs = ap * [1.0 / pi for pi in p] + bq * [1.0 / qi for qi in q]
+    params = [{"p": pi, "q": qi} for pi, qi in zip(p, q)]
+    certs = _loewner_certificates("young-commuting", lhs, rhs, dims=a.shape, params=params, tol=tol)
+    return [[c] for c in certs]
 
 
 def check_young_witness(
@@ -344,12 +375,19 @@ def check_young_witness(
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Certificate form of the constructive generalized Young inequality."""
-    _, verdict = young_witness(a, b, p, q, tol)
-    return InequalityCertificate(
-        "young-witness", -1, tuple(a.shape), {"p": p, "q": q}, NO_NORM,
-        -verdict.min_gap_eigenvalue, 0.0, verdict.min_gap_eigenvalue,
-        verdict.tolerance_used, verdict.holds,
-    )
+    return _young_witness_certificates(*_stacks(a, b), [p], [q], tol)[0][0]
+
+
+def _young_witness_certificates(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> list[list]:
+    """:func:`check_young_witness` of each member, member ``i`` at ``p[i]``, ``q[i]``."""
+    _, verdicts = _young_witness(a, b, p, q, tol)
+    return [
+        [InequalityCertificate(
+            "young-witness", -1, tuple(a.shape), {"p": pi, "q": qi}, NO_NORM,
+            -v.min_gap_eigenvalue, 0.0, v.min_gap_eigenvalue, v.tolerance_used, v.holds,
+        )]
+        for v, pi, qi in zip(verdicts, p, q)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +407,33 @@ def check_complex_norm_bounds(
     symmetric; (c) A, B positive semidefinite.  One certificate is emitted per
     claimed inequality, spectral and Frobenius separately.
     """
+    return _complex_norm_bounds(*_stacks(a, b), variant, tol, mode)[0]
+
+
+def _complex_norm_bounds(a: _Stack, b: _Stack, variant: str, tol: float, mode: str) -> list[list]:
+    """:func:`check_complex_norm_bounds` of each member.  The norms of
+    ``T = A + iB`` come from the complex transform of the stacked members."""
     _require(variant in ("a", "b", "c"), f"unknown variant {variant!r}")
     if mode not in (MODE_CORRECTED, MODE_LITERAL):
         raise ValueError(f"unknown mode {mode!r}")
-    _require(bool(is_symmetric(a, tol)), "A is not symmetric")
-    _require(bool(is_symmetric(b, tol)), "B is not symmetric")
-    if variant == "c":
-        _solve_ahead(psd=[a, b])
+    for x, name in ((a, "A"), (b, "B")):
+        for reason in _asymmetry(x, tol):
+            _require(not reason, f"{name} is not symmetric")
     if variant in ("b", "c"):
-        _require_psd(a, tol, "A")
-    if variant == "c":
-        _require_psd(b, tol, "B")
+        psd = [a, b] if variant == "c" else [a]
+        _require_psd_members(psd, ["A", "B"][: len(psd)], tol)
 
-    t = ComplexTensor3.from_parts(a, b)
+    _check_same_shape(a, b)
+    t = a.data + 1j * b.data
+    sa2 = [v ** 2 for v in _spectral(a.slices).tolist()]
+    sb2 = [v ** 2 for v in _spectral(b.slices).tolist()]
+    fa2 = [v ** 2 for v in _frobenius(a.data).tolist()]
+    fb2 = [v ** 2 for v in _frobenius(b.data).tolist()]
+    st, ft = _spectral(_forward(t)).tolist(), _frobenius(t).tolist()
+    if variant == "a":
+        (root,) = _t_powers([_sym(_t_product(a, a) + _t_product(b, b))], [[0.5] * len(a)])[0]
+        sr, fr = _spectral(root.slices).tolist(), _frobenius(root.data).tolist()
     base = {"variant": variant, "mode": mode}
-    sa2, sb2 = spectral_norm(a) ** 2, spectral_norm(b) ** 2
-    fa2, fb2 = frobenius_norm(a) ** 2, frobenius_norm(b) ** 2
-    st, ft = spectral_norm(t), frobenius_norm(t)
-    st2, ft2 = st ** 2, ft ** 2
 
     def cert(claim: str, norm_kind: str, lhs: float, rhs: float) -> InequalityCertificate:
         return norm_certificate(
@@ -395,28 +442,35 @@ def check_complex_norm_bounds(
         )
 
     out = []
-    if variant == "a":
-        lower = sa2 + sb2 if mode == MODE_LITERAL else 0.5 * (sa2 + sb2)
-        out.append(cert("spectral-lower", SPECTRAL, lower, st2))
-        out.append(cert("spectral-upper", SPECTRAL, st2, 2 * (sa2 + sb2)))
-        out.append(cert("frobenius-lower", FROBENIUS, fa2 + fb2, ft2))
-        out.append(cert("frobenius-upper", FROBENIUS, ft2, 4 * (fa2 + fb2)))
-        root = t_power(_sym(t_product(a, a) + t_product(b, b)), 0.5)
-        sr, fr = spectral_norm(root), frobenius_norm(root)
-        out.append(cert("gram-root-spectral-lower", SPECTRAL, sr, st))
-        out.append(cert("gram-root-spectral-upper", SPECTRAL, st, np.sqrt(2) * sr))
-        out.append(cert("gram-root-frobenius-le", FROBENIUS, fr, ft))
-        out.append(cert("gram-root-frobenius-ge", FROBENIUS, ft, fr))
-    elif variant == "b":
-        out.append(cert("spectral-upper", SPECTRAL, st2, sa2 + 2 * sb2))
-        if mode == MODE_LITERAL:
-            out.append(cert("frobenius-lower", FROBENIUS, fa2 + 2 * fb2, ft2))
+    for i in range(len(a)):
+        st2, ft2 = st[i] ** 2, ft[i] ** 2
+        if variant == "a":
+            s_sum = sa2[i] + sb2[i]
+            lower = s_sum if mode == MODE_LITERAL else 0.5 * s_sum
+            out.append([
+                cert("spectral-lower", SPECTRAL, lower, st2),
+                cert("spectral-upper", SPECTRAL, st2, 2 * s_sum),
+                cert("frobenius-lower", FROBENIUS, fa2[i] + fb2[i], ft2),
+                cert("frobenius-upper", FROBENIUS, ft2, 4 * (fa2[i] + fb2[i])),
+                cert("gram-root-spectral-lower", SPECTRAL, sr[i], st[i]),
+                cert("gram-root-spectral-upper", SPECTRAL, st[i], np.sqrt(2) * sr[i]),
+                cert("gram-root-frobenius-le", FROBENIUS, fr[i], ft[i]),
+                cert("gram-root-frobenius-ge", FROBENIUS, ft[i], fr[i]),
+            ])
+        elif variant == "b":
+            if mode == MODE_LITERAL:
+                frobenius = [cert("frobenius-lower", FROBENIUS, fa2[i] + 2 * fb2[i], ft2)]
+            else:
+                frobenius = [
+                    cert("frobenius-identity-le", FROBENIUS, ft2, fa2[i] + fb2[i]),
+                    cert("frobenius-identity-ge", FROBENIUS, fa2[i] + fb2[i], ft2),
+                ]
+            out.append([cert("spectral-upper", SPECTRAL, st2, sa2[i] + 2 * sb2[i]), *frobenius])
         else:
-            out.append(cert("frobenius-identity-le", FROBENIUS, ft2, fa2 + fb2))
-            out.append(cert("frobenius-identity-ge", FROBENIUS, fa2 + fb2, ft2))
-    else:
-        out.append(cert("spectral-upper", SPECTRAL, st2, sa2 + sb2))
-        out.append(cert("frobenius-upper", FROBENIUS, ft2, fa2 + fb2))
+            out.append([
+                cert("spectral-upper", SPECTRAL, st2, sa2[i] + sb2[i]),
+                cert("frobenius-upper", FROBENIUS, ft2, fa2[i] + fb2[i]),
+            ])
     return out
 
 

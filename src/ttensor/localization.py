@@ -5,6 +5,13 @@ perturbation bound for diagonalizable tensors, and the optimal-matching bound
 for normal pairs.  Matching bounds are certified against two constants: the
 stated ``n3 * ||B - A||_F`` and the tighter ``sqrt(n3) * ||B - A||_F`` that
 the unfolding identity ``||bcirc(X)||_F = sqrt(n3) * ||X||_F`` yields.
+
+The certifiers are the ``b = 1`` case of stacked ones (``_schur``,
+``_bauer_fike``, ``_hoffman_wielandt``, ``_diag_spectrum``) that take their
+tensors as stacks along a leading trial axis (:class:`ttensor.core._Stack`)
+and return one result per member; the spectra of a whole stack take one
+solver call (:func:`ttensor.spectral._t_eigenvalues`), while the matchings
+and the disc components are found member by member.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PREDICATE_TOL, is_f_diagonal, is_normal, is_symmetric, t_inverse, t_product
+from .algebra import PREDICATE_TOL, _asymmetry, _normality, _t_inverse, _t_product, is_f_diagonal
 from .certificates import (
     DEFAULT_TOL,
     FROBENIUS,
@@ -21,9 +28,10 @@ from .certificates import (
     InequalityCertificate,
     norm_certificate,
 )
-from .core import ComplexTensor3, Tensor3, frobenius_norm, spectral_norm
+from .core import Tensor3, _frobenius, _spectral, _Stack, frobenius_norm
 from .errors import HypothesisViolationError, ShapeMismatchError
-from .spectral import TEigenSpectrum, _solve_ahead, _t_eigenvalues, t_eigenvalues
+from .fourier import _forward
+from .spectral import TEigenSpectrum, _t_eigenvalues, t_eigenvalues
 
 __all__ = [
     "GershgorinDisc",
@@ -91,11 +99,25 @@ class ComponentCount:
 
 def schur_bound(a, tol: float = DEFAULT_TOL) -> InequalityCertificate:
     """Quadratic spectral-sum bound: sum |lambda_i|^2 <= n3 * ||A||_F^2."""
-    spectrum = t_eigenvalues(a)
+    if isinstance(a, Tensor3):
+        return _schur(_Stack.of(a), tol)[0][0]
+    return _schur_certificate(a.shape, t_eigenvalues(a), frobenius_norm(a), tol)
+
+
+def _schur(x: _Stack, tol: float) -> list[list]:
+    """:func:`schur_bound` of each member of a real stack."""
+    norms = _frobenius(x.data).tolist()
+    return [
+        [_schur_certificate(x.shape, spectrum, norm, tol)]
+        for spectrum, norm in zip(_t_eigenvalues(x), norms)
+    ]
+
+
+def _schur_certificate(dims, spectrum: TEigenSpectrum, norm: float, tol: float) -> InequalityCertificate:
     lhs = float(np.sum(np.abs(spectrum.values) ** 2))
-    rhs = a.n3 * frobenius_norm(a) ** 2
+    rhs = dims[2] * norm ** 2
     return norm_certificate(
-        "schur", dims=a.shape, params={}, norm_kind=FROBENIUS, lhs=lhs, rhs=rhs, tol=tol
+        "schur", dims=dims, params={}, norm_kind=FROBENIUS, lhs=lhs, rhs=rhs, tol=tol
     )
 
 
@@ -200,23 +222,35 @@ def bauer_fike(
     Certifies that every t-eigenvalue of ``a`` has a t-eigenvalue of ``b``
     within ``||q^-1||_2 * ||q||_2 * ||a - b||_2``.
     """
+    return _bauer_fike(*(_Stack.of(t) for t in (a, b, q, s)), tol)[0][0]
+
+
+def _bauer_fike(a: _Stack, b: _Stack, q: _Stack, s: _Stack, tol: float) -> list[list]:
+    """:func:`bauer_fike` of each member; both spectra of every member take
+    one solver call."""
     hypothesis_tol = max(tol, PREDICATE_TOL)
-    fd = is_f_diagonal(s, hypothesis_tol)
-    if not fd:
-        raise HypothesisViolationError(f"S is not f-diagonal: {fd.reason}")
-    q_inv = t_inverse(q)
-    recon = t_product(t_product(q_inv, s), q)
-    residual = frobenius_norm(a - recon)
-    if residual > hypothesis_tol * (1.0 + frobenius_norm(a)):
-        raise HypothesisViolationError(
-            f"a is not reproduced by q^-1 * s * q (residual {residual:.3e})"
-        )
-    lam, mu = (spectrum.values for spectrum in _t_eigenvalues(a, b))
-    lhs = float(max(np.abs(mu - z).min() for z in lam))
-    rhs = spectral_norm(q_inv) * spectral_norm(q) * spectral_norm(a - b)
-    return norm_certificate(
-        "bauer-fike", dims=a.shape, params={}, norm_kind=SPECTRAL, lhs=lhs, rhs=rhs, tol=tol
-    )
+    for i in range(len(s)):
+        fd = is_f_diagonal(s.member(i), hypothesis_tol)
+        if not fd:
+            raise HypothesisViolationError(f"S is not f-diagonal: {fd.reason}")
+    q_inv = _t_inverse(q)
+    recon = _t_product(_t_product(q_inv, s), q)
+    residual = _frobenius((a - recon).data).tolist()
+    for res, norm in zip(residual, _frobenius(a.data).tolist()):
+        if res > hypothesis_tol * (1.0 + norm):
+            raise HypothesisViolationError(
+                f"a is not reproduced by q^-1 * s * q (residual {res:.3e})"
+            )
+    spectra = _t_eigenvalues(a, b)
+    norms = zip(*(_spectral(x.slices).tolist() for x in (q_inv, q, a - b)))
+    out = []
+    for lam, mu, (n_inv, n_q, n_diff) in zip(spectra, spectra[len(a):], norms):
+        lhs = float(max(np.abs(mu.values - z).min() for z in lam.values))
+        out.append([norm_certificate(
+            "bauer-fike", dims=a.shape, params={}, norm_kind=SPECTRAL, lhs=lhs,
+            rhs=n_inv * n_q * n_diff, tol=tol,
+        )])
+    return out
 
 
 def _matched_distance(lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, float]:
@@ -238,37 +272,55 @@ def hoffman_wielandt(
     certificates against the stated constant (``n3``) and the tightened
     constant (``sqrt(n3)``).
     """
-    for name, t in (("A", a), ("B", b)):
-        nv = is_normal(t, max(tol, PREDICATE_TOL))
-        if not nv:
-            raise HypothesisViolationError(f"{name} is not normal: {nv.reason}")
-    _solve_ahead(spectra=[a, b])
-    lam = t_eigenvalues(a).values
-    mu = t_eigenvalues(b).values
-    perm, dist = _matched_distance(lam, mu)
-    diff = frobenius_norm(b - a)
-    report = MatchingReport(
-        tuple(int(i) for i in perm), dist,
-        float(np.sqrt(a.n3) * diff), float(a.n3 * diff),
-    )
-    cert_sqrt, cert_stated = (
-        norm_certificate(
-            "hoffman-wielandt", dims=a.shape, params={"pairing": "optimal", "constant": const},
-            norm_kind=FROBENIUS, lhs=dist, rhs=rhs, tol=tol,
+    return _hoffman_wielandt(_Stack.of(a), _Stack.of(b), tol)[0][0]
+
+
+def _hoffman_wielandt(a: _Stack, b: _Stack, tol: float) -> tuple[list, list]:
+    """:func:`hoffman_wielandt` of each member, and the spectra it matched
+    (those of ``a``'s members, then ``b``'s), from one solver call."""
+    for name, x in (("A", a), ("B", b)):
+        for reason in _normality(x, max(tol, PREDICATE_TOL)):
+            if reason:
+                raise HypothesisViolationError(f"{name} is not normal: {reason}")
+    spectra = _t_eigenvalues(a, b)
+    diffs = _frobenius((b - a).data).tolist()
+    out = []
+    for lam, mu, diff in zip(spectra, spectra[len(a):], diffs):
+        perm, dist = _matched_distance(lam.values, mu.values)
+        n3 = a.n3
+        report = MatchingReport(
+            tuple(int(i) for i in perm), dist,
+            float(np.sqrt(n3) * diff), float(n3 * diff),
         )
-        for const, rhs in (("sqrt-n3", report.bound_sqrt), ("n3", report.bound_stated))
-    )
-    return report, cert_sqrt, cert_stated
+        cert_sqrt, cert_stated = (
+            norm_certificate(
+                "hoffman-wielandt", dims=a.shape, params={"pairing": "optimal", "constant": const},
+                norm_kind=FROBENIUS, lhs=dist, rhs=rhs, tol=tol,
+            )
+            for const, rhs in (("sqrt-n3", report.bound_sqrt), ("n3", report.bound_stated))
+        )
+        out.append((report, cert_sqrt, cert_stated))
+    return out, spectra
 
 
 def sorted_pairing_distance(a: Tensor3, b: Tensor3) -> float:
     """Distance of the ascending-sorted pairing of two real (symmetric) spectra."""
-    for name, t in (("A", a), ("B", b)):
-        if not is_symmetric(t):
+    return _sorted_pairing_distances(_Stack.of(a), _Stack.of(b))[0]
+
+
+def _sorted_pairing_distances(a: _Stack, b: _Stack, spectra: list | None = None) -> list[float]:
+    """:func:`sorted_pairing_distance` of each member pair; ``spectra`` may
+    hold the members' t-eigenvalues, ``a``'s then ``b``'s, taken before."""
+    for name, x in (("A", a), ("B", b)):
+        if any(_asymmetry(x, PREDICATE_TOL)):
             raise HypothesisViolationError(f"{name} must be symmetric for sorted pairing")
-    lam = np.sort(t_eigenvalues(a).values.real)
-    mu = np.sort(t_eigenvalues(b).values.real)
-    return float(np.sqrt(((mu - lam) ** 2).sum()))
+    if spectra is None:
+        spectra = _t_eigenvalues(a, b)
+    out = []
+    for lam, mu in zip(spectra, spectra[len(a):]):
+        lam, mu = np.sort(lam.values.real), np.sort(mu.values.real)
+        out.append(float(np.sqrt(((mu - lam) ** 2).sum())))
+    return out
 
 
 def diag_spectrum_bound(
@@ -281,22 +333,21 @@ def diag_spectrum_bound(
     ``max_k sqrt(alpha_k^2 + beta_k^2) <= sqrt(2) ||T||_2``, and the tightened
     Frobenius variant with prefactor 1/sqrt(n3).
     """
-    for name, t in (("A", a), ("B", b)):
-        sv = is_symmetric(t, max(tol, PREDICATE_TOL))
-        if not sv:
-            raise HypothesisViolationError(f"{name} is not symmetric: {sv.reason}")
+    return _diag_spectrum(_Stack.of(a), _Stack.of(b), tol)[0]
+
+
+def _diag_spectrum(a: _Stack, b: _Stack, tol: float) -> list[list]:
+    """:func:`diag_spectrum_bound` of each member; the spectra take one
+    solver call, and the norms of ``T = A + iB`` one complex transform."""
+    for name, x in (("A", a), ("B", b)):
+        for reason in _asymmetry(x, max(tol, PREDICATE_TOL)):
+            if reason:
+                raise HypothesisViolationError(f"{name} is not symmetric: {reason}")
     if a.shape != b.shape:
         raise HypothesisViolationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    _solve_ahead(spectra=[a, b])
-    alpha = t_eigenvalues(a).values.real
-    beta = t_eigenvalues(b).values.real
-    alpha = alpha[np.argsort(-np.abs(alpha), kind="stable")]
-    beta = beta[np.argsort(-np.abs(beta), kind="stable")]
-    t_complex = ComplexTensor3.from_parts(a, b)
-    ft = frobenius_norm(t_complex)
-    st = spectral_norm(t_complex)
-    paired = np.sqrt(alpha**2 + beta**2)
-    diag_fro = float(np.sqrt((paired**2).sum()))
+    spectra = _t_eigenvalues(a, b)
+    t = a.data + 1j * b.data
+    n3 = a.n3
 
     def cert(claim, norm_kind, lhs, rhs):
         return norm_certificate(
@@ -304,8 +355,17 @@ def diag_spectrum_bound(
             lhs=lhs, rhs=rhs, tol=tol,
         )
 
-    return [
-        cert("frobenius-stated", FROBENIUS, diag_fro / a.n3, np.sqrt(2) * ft),
-        cert("spectral", SPECTRAL, float(paired.max()), np.sqrt(2) * st),
-        cert("frobenius-tight", FROBENIUS, diag_fro / np.sqrt(a.n3), np.sqrt(2) * ft),
-    ]
+    out = []
+    norms = zip(_frobenius(t).tolist(), _spectral(_forward(t)).tolist())
+    for alpha, beta, (ft, st) in zip(spectra, spectra[len(a):], norms):
+        alpha, beta = alpha.values.real, beta.values.real
+        alpha = alpha[np.argsort(-np.abs(alpha), kind="stable")]
+        beta = beta[np.argsort(-np.abs(beta), kind="stable")]
+        paired = np.sqrt(alpha**2 + beta**2)
+        diag_fro = float(np.sqrt((paired**2).sum()))
+        out.append([
+            cert("frobenius-stated", FROBENIUS, diag_fro / n3, np.sqrt(2) * ft),
+            cert("spectral", SPECTRAL, float(paired.max()), np.sqrt(2) * st),
+            cert("frobenius-tight", FROBENIUS, diag_fro / np.sqrt(n3), np.sqrt(2) * ft),
+        ])
+    return out

@@ -15,21 +15,12 @@ leading trial axis (:class:`ttensor.core._Stack`): :func:`_t_powers` and
 solver call per member shape, and :func:`t_power`, :func:`_abs_power` and
 :func:`t_abs` are their one-member case.  Each member's result is bit for
 bit its lone result: every step acts on each slice alone, and each distinct
-exponent is applied as one Python number.  :func:`_t_eigenvalues` likewise
-takes the general spectra of several tensors in one solver call.
-
-A caller of the one-tensor functions that will need several spectra can
-have them solved in one stacked call first:
-:func:`_solve_ahead` builds the very stacks that :func:`t_power`,
-:func:`_abs_power`, :func:`ttensor.algebra.is_t_psd`, the Loewner
-certificates and :func:`t_eigenvalues` will ask for, and solves them together
-inside a per-trial memo scope (:func:`ttensor.core._trial_memo`), where the
-later calls find them stored.  A certifier calls it once per wave of
-independent solves, so a campaign trial makes one solver call per wave rather
-than one per tensor, and the lockstep batcher still merges each wave across
-the trials of a window.  Outside a memo scope it does nothing.  A hint only
-moves work earlier: the later calls compute exactly what they would have, and
-a missing or stale hint costs speed, never a different result.
+exponent is applied as one Python number.  Both may also be handed spectra
+solved beforehand, together with other independent stacks
+(:func:`ttensor.eigensolvers._hermitian_eigs`).  :func:`_t_eigenvalues`
+takes the spectra of every member of several stacks with at most one call
+of each solver, and :func:`_young_witness` builds the witnesses of a stack
+of pairs in three Jacobi calls.
 """
 
 from __future__ import annotations
@@ -39,23 +30,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    PREDICATE_TOL,
     LoewnerVerdict,
     _asymmetry,
     _psd_stack,
+    _psd_verdicts,
     _t_product,
-    is_symmetric,
-    loewner_ge,
-    t_product,
 )
-from .core import _MEMO, Tensor3, _as_generator, _Stack, gen_random, transpose
-from .eigensolvers import HermitianEigen, general_eig, hermitian_eig
+from .core import Tensor3, _as_generator, _Stack, gen_random
+from .eigensolvers import HermitianEigen, _hermitian_eigs, general_eig, hermitian_eig
 from .errors import (
     HypothesisViolationError,
     NotSymmetricError,
     NotTPSDError,
     ShapeMismatchError,
     SingularTensorError,
-    TtensorError,
 )
 from .fourier import (
     _assemble_real_from_half,
@@ -102,36 +91,46 @@ def t_eigenvalues(a) -> TEigenSpectrum:
     everything else through the general solver.  As a multiset the result
     equals the spectrum of the block-circulant unfolding.
     """
-    return _t_eigenvalues(a)[0]
+    if isinstance(a, Tensor3):
+        return _t_eigenvalues(_Stack.of(a))[0]
+    if a.n1 != a.n2:
+        raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {a.shape}")
+    values = general_eig(to_fourier(a).slices).ravel()
+    return TEigenSpectrum(values, np.repeat(np.arange(a.n3), a.n1))
 
 
-def _t_eigenvalues(*tensors) -> list[TEigenSpectrum]:
-    """:func:`t_eigenvalues` of each tensor.  The half spectra of the real
-    tensors that take the general solver go to it in one stacked call when
-    they share a shape (a member's values do not depend on the rest of the
-    stack), so several tensors' spectra cost one solver round."""
-    spectra = [None] * len(tensors)
-    general = []
-    for i, a in enumerate(tensors):
-        if a.n1 != a.n2:
-            raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {a.shape}")
-        fa = to_fourier(a)
-        if not isinstance(a, Tensor3):
-            values = general_eig(fa.slices).ravel()
-            spectra[i] = TEigenSpectrum(values, np.repeat(np.arange(a.n3), a.n1))
-        elif _hermitian_spectrum(a):
-            w = hermitian_eig(_psd_stack(_Stack.of(a))).values.astype(complex)
-            spectra[i] = _mirrored_spectrum(w, a.n3)
-        else:
-            general.append((i, fa.half()))
-    halves = [half for _, half in general]
-    if len({half.shape for half in halves}) == 1:
-        solved = np.split(general_eig(np.concatenate(halves)), len(halves))
-    else:
-        solved = map(general_eig, halves)
-    for (i, _), w in zip(general, solved):
-        spectra[i] = _mirrored_spectrum(w, tensors[i].n3)
-    return spectra
+def _t_eigenvalues(*xs: _Stack) -> list[TEigenSpectrum]:
+    """:func:`t_eigenvalues` of every member of every stack, stack by stack.
+    The half spectra of the members symmetric within ``PREDICATE_TOL`` take
+    the Hermitian solver, the others the general one, and each solver takes
+    all of its half spectra in one call when they share a shape (a member's
+    values do not depend on the rest of the stack)."""
+    for x in xs:
+        if x.shape[0] != x.shape[1]:
+            raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {x.shape}")
+    kinds, hermitian, general = [], [], []
+    for x in xs:
+        half = x.n3 // 2 + 1
+        symmetric = [not reason for reason in _asymmetry(x, PREDICATE_TOL)]
+        psd = _psd_stack(x).reshape(len(x), half, *x.shape[:2]) if any(symmetric) else None
+        for i, sym in enumerate(symmetric):
+            kinds.append((sym, x.n3))
+            if sym:
+                hermitian.append(psd[i])
+            else:
+                general.append(x.slices[i, :half])
+    solved = {
+        True: iter(_solve_halves(hermitian, lambda m: hermitian_eig(m).values.astype(complex))),
+        False: iter(_solve_halves(general, general_eig)),
+    }
+    return [_mirrored_spectrum(next(solved[sym]), n3) for sym, n3 in kinds]
+
+
+def _solve_halves(halves: list, solve) -> list:
+    """``solve`` of each half spectrum, in one call when they share a shape."""
+    if len({h.shape for h in halves}) > 1:
+        return [solve(h) for h in halves]
+    return np.split(solve(np.concatenate(halves)), len(halves)) if halves else []
 
 
 def _mirrored_spectrum(w: np.ndarray, n3: int) -> TEigenSpectrum:
@@ -143,12 +142,6 @@ def _mirrored_spectrum(w: np.ndarray, n3: int) -> TEigenSpectrum:
     values = np.stack([w, w.conj()], axis=1)[keep].ravel()
     provenance = np.repeat(np.stack([k, n3 - k], axis=1)[keep], w.shape[1])
     return TEigenSpectrum(values, provenance)
-
-
-def _hermitian_spectrum(a) -> bool:
-    """Whether :func:`t_eigenvalues` takes ``a``'s spectrum from the
-    Hermitian solver: a real tensor, symmetric within ``PREDICATE_TOL``."""
-    return isinstance(a, Tensor3) and bool(is_symmetric(a))
 
 
 def multiset_distance(u, v) -> float:
@@ -262,24 +255,6 @@ def _t_powers(xs: list[_Stack], *exponents, eig: HermitianEigen | None = None) -
     return out
 
 
-def _psd_and_power_spectra(xs: list[_Stack]) -> tuple:
-    """The spectra that :func:`ttensor.algebra._psd_verdicts` and
-    :func:`_t_powers` of the stacks in ``xs`` take, from one solver call:
-    ``(psd, power)``, or ``(None, None)`` when the stacks differ in shape,
-    are not square or the call raises, and each later call then solves its
-    own stack and raises its own error where it would alone."""
-    if len({x.shape for x in xs}) > 1 or xs[0].shape[0] != xs[0].shape[1]:
-        return None, None
-    x = _Stack.cat(*xs)
-    psd = _psd_stack(x)
-    try:
-        e = hermitian_eig(np.concatenate([psd, _power_stack(x)]))
-    except TtensorError:
-        return None, None
-    k = len(psd)
-    return HermitianEigen(e.values[:k], e.vectors[:k]), HermitianEigen(e.values[k:], e.vectors[k:])
-
-
 def t_abs(a: Tensor3) -> Tensor3:
     """Absolute value (a^T * a)^(1/2); symmetric positive semidefinite."""
     if a.n1 != a.n2:
@@ -292,53 +267,24 @@ def _abs_power(x: Tensor3, r: float) -> Tensor3:
     return _abs_powers([_Stack.of(x)], [[r]])[0].member(0)
 
 
-def _abs_powers(xs: list[_Stack], rs) -> list[_Stack]:
+def _abs_powers(xs: list[_Stack], rs, gram: _Stack | None = None, eig=None) -> list[_Stack]:
     """``|x|^r`` of every member of every stack in ``xs``, member ``i`` of
     ``xs[k]`` at ``rs[k][i]``, computed as the power ``r / 2`` of the
     symmetrized Gram ``x^T * x``; the one place every ``|X|^r`` in the
-    package is taken.  Stacks of one member shape are taken together."""
+    package is taken.  Stacks of one member shape are taken together;
+    ``gram`` and ``eig`` may hold :func:`_abs_gram` of their concatenation
+    and the spectra of its :func:`_power_stack`, solved with other stacks."""
     if len({x.shape for x in xs}) > 1:
         return [_abs_powers([x], [r])[0] for x, r in zip(xs, rs)]
-    gram = _abs_gram(_Stack.cat(*xs))
-    return _t_powers([gram], [[0.5 * r for rk in rs for r in rk]])[0][0].split(len(xs))
+    if gram is None:
+        gram = _abs_gram(_Stack.cat(*xs))
+    return _t_powers([gram], [[0.5 * r for rk in rs for r in rk]], eig=eig)[0][0].split(len(xs))
 
 
 def _abs_gram(x: _Stack) -> _Stack:
     """The symmetrized Grams ``x^T * x`` whose powers give ``|x|^r``."""
     gram = _t_product(x.transpose(), x)
     return 0.5 * (gram + gram.transpose())
-
-
-def _solve_ahead(*stacks, psd=(), order=(), power=(), absolute=(), spectra=()) -> None:
-    """Solve now, in one stacked Hermitian solver call, the slice spectra
-    that later calls in the same memo scope will ask for.
-
-    Besides the raw ``stacks``, each keyword names the calls to prepare:
-    ``psd`` for :func:`ttensor.algebra.is_t_psd` of each tensor (and for the
-    Loewner certificates, given their gap tensor), ``order`` for
-    :func:`ttensor.algebra.loewner_ge` of each pair ``(a, b)``, ``power`` for
-    :func:`t_power` of each tensor, ``absolute`` for :func:`_abs_power` of
-    each tensor and ``spectra`` for :func:`t_eigenvalues` of each tensor that
-    takes the Hermitian solver.  Each stack is built by the very function that
-    call uses, so the later call finds every member stored in the memo.
-
-    Outside a memo scope nothing is stored for later, so nothing is built or
-    solved.  An error while building or solving (a shape mismatch, a
-    non-finite slice) is swallowed: the memo never stores one, so the later
-    call raises it again at its own point in program order.
-    """
-    if _MEMO.get() is None:
-        return
-    try:
-        stacks = [*stacks, *(_psd_stack(_Stack.of(a)) for a in psd)]
-        stacks += [_psd_stack(_Stack.of(a - b)) for a, b in order]
-        stacks += [_power_stack(_Stack.of(a)) for a in power]
-        stacks += [_power_stack(_abs_gram(_Stack.of(x))) for x in absolute]
-        stacks += [_psd_stack(_Stack.of(t)) for t in spectra if _hermitian_spectrum(t)]
-        if stacks and len({s.shape[1:] for s in stacks}) == 1:
-            hermitian_eig(np.concatenate(stacks))
-    except TtensorError:
-        pass
 
 
 def gen_orthogonal(n: int, n3: int, rng) -> Tensor3:
@@ -372,34 +318,61 @@ def young_witness(
     for ``|A|^p / p + |B|^q / q >= U^T * |A * B^T| * U``; a dominance failure
     shows up as a failed verdict rather than an exception.
     """
-    if a.shape != b.shape or a.n1 != a.n2:
+    u, verdicts = _young_witness(_Stack.of(a), _Stack.of(b), [p], [q], tol)
+    return u.member(0), verdicts[0]
+
+
+def _young_witness(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> tuple[_Stack, list]:
+    """:func:`young_witness` of each member pair, member ``i`` at ``p[i]``,
+    ``q[i]``: the witnesses as one stack and the verdicts in member order.
+    The slice Grams and the absolute values take one solver call, the
+    aligned sums one more, and the verdicts a third."""
+    if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(
             f"young_witness needs equal square shapes, got {a.shape} and {b.shape}"
         )
-    _require_conjugate(p, q)
-
-    sa = to_fourier(a).half()
-    sb = to_fourier(b).half()
+    for pi, qi in zip(p, q):
+        _require_conjugate(pi, qi)
+    n, n3 = a.shape[0], a.n3
+    half = n3 // 2 + 1
+    sa, sb = a.slices[:, :half], b.slices[:, :half]
     grams = _young_grams(sa, sb)
     # self-conjugate slices are clamped to their real parts, in real arithmetic
-    for k in _self_conjugate_indices(a.n3):
-        for g, real_g in zip(grams, _young_grams(sa[k].real, sb[k].real)):
-            g[k] = real_g
-    grams = np.concatenate(grams)
-    ab_t = t_product(a, transpose(b))
-    _solve_ahead(grams, absolute=[a, b, ab_t])
-    e = hermitian_eig(grams)  # |A_k B_k^H| = V sqrt(w) V^H
-    e_c, e_a, e_b = map(HermitianEigen, np.split(e.values, 3), np.split(e.vectors, 3))
-
-    def power(e, r):  # V clip(w)^r V^H per slice
-        return (e.vectors * np.clip(e.values, 0.0, None)[:, None, :] ** r) @ _herm_t(e.vectors)
-    d = power(e_a, p / 2) / p + power(e_b, q / 2) / q
+    for k in _self_conjugate_indices(n3):
+        for g, real_g in zip(grams, _young_grams(sa[:, k].real, sb[:, k].real)):
+            g[:, k] = real_g
+    ab_t = _t_product(a, b.transpose())
+    abs_gram = _abs_gram(_Stack.cat(a, b, ab_t))
+    stacks = [g.reshape(-1, n, n) for g in grams] + [_power_stack(abs_gram)]
+    eigs = _hermitian_eigs(stacks)
+    # |A_k B_k^H| = V sqrt(w) V^H
+    e_c, e_a, e_b = (e or hermitian_eig(s) for e, s in zip(eigs[:3], stacks))
+    rows = np.repeat(np.arange(len(a)), half)  # the member of each half slice
+    p_rows, q_rows = np.asarray(p, dtype=float)[rows], np.asarray(q, dtype=float)[rows]
+    d = (
+        _clipped_power(e_a, [pi / 2 for pi in p], rows) / p_rows[:, None, None]
+        + _clipped_power(e_b, [qi / 2 for qi in q], rows) / q_rows[:, None, None]
+    )
     e_d = hermitian_eig(0.5 * (d + _herm_t(d)))
-    u = _assemble_real_from_half(e_c.vectors @ _herm_t(e_d.vectors), a.n3)
-    rhs = (1.0 / p) * _abs_power(a, p) + (1.0 / q) * _abs_power(b, q)
-    conjugated = t_product(t_product(transpose(u), t_abs(ab_t)), u)
-    verdict = loewner_ge(rhs, 0.5 * (conjugated + transpose(conjugated)), tol)
-    return u, verdict
+    u_half = (e_c.vectors @ _herm_t(e_d.vectors)).reshape(len(a), half, n, n)
+    u = _Stack(_inverse(_mirror_half(u_half, n3)))
+    abs_a, abs_b, abs_ab = _abs_powers(
+        [a, b, ab_t], [p, q, [1.0] * len(a)], gram=abs_gram, eig=eigs[3]
+    )
+    rhs = abs_a * [1.0 / pi for pi in p] + abs_b * [1.0 / qi for qi in q]
+    conjugated = _t_product(_t_product(u.transpose(), abs_ab), u)
+    return u, list(_psd_verdicts(rhs - 0.5 * (conjugated + conjugated.transpose()), tol))
+
+
+def _clipped_power(e: HermitianEigen, exponents: list, rows: np.ndarray) -> np.ndarray:
+    """``V clip(w)^r V^H`` per slice, the slices of member ``i`` at
+    ``exponents[i]``, each distinct exponent applied as one Python number."""
+    w = np.clip(e.values, 0.0, None)
+    row_exponent = np.asarray(exponents, dtype=float)[rows]
+    for r in dict.fromkeys(exponents):
+        same = row_exponent == r
+        w[same] = w[same] ** r
+    return (e.vectors * w[:, None, :]) @ _herm_t(e.vectors)
 
 
 def _require_conjugate(p: float, q: float) -> None:

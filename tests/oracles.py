@@ -8,7 +8,7 @@ kept here as the references the stacked solvers must match bit for bit, the
 complex-kernel forward DFT as the reference for the real-arithmetic one in
 ``to_fourier``, the slice-major inverse DFT as the reference for the
 tube-major one in ``from_fourier``, and the serial trial loop as the
-reference for the lockstep windows of ``run_campaign``.
+reference for the stacked windows of ``run_campaign``.
 """
 
 import numpy as np
@@ -324,11 +324,11 @@ def run_campaign_serial(theorem_id, n=3, n3=3, trials=200, seed=0, tol=None,
                         mode="corrected", params=None):
     """``ttensor.run_campaign`` as one serial loop over the trials.
 
-    Each trial runs on the calling thread through the program's own
-    ``campaigns._run_trial`` (memo scope and provenance stamping), in trial
-    order, with no batcher, so every eigensolver call solves its own stack
-    alone; the first failing trial's exception propagates.  The lockstep
-    windows must reproduce its reports byte for byte, and its exceptions.
+    Each trial runs alone through the program's own ``campaigns._run_trial``
+    (its certifier on one-member stacks, then provenance stamping), in trial
+    order, so every solver call holds that trial's stacks only; the first
+    failing trial's exception propagates.  The stacked windows must
+    reproduce its reports byte for byte, and its exceptions.
     """
     from ttensor import campaigns
 

@@ -1,14 +1,12 @@
-"""Campaign driver: registry, determinism, concurrent callers, lockstep
+"""Campaign driver: registry, determinism, concurrent callers, stacked
 windows against the serial oracle."""
 
-import contextlib
 import dataclasses
 import inspect
 import json
 import sys
 import threading
 
-import numpy as np
 import pytest
 
 from oracles import run_campaign_serial
@@ -24,11 +22,12 @@ from ttensor import (
     campaigns,
     certificates,
     check_holder,
-    core,
     eigensolvers,
     fourier,
     gen_random,
+    gen_symmetric,
     gen_t_psd,
+    identity,
     inequalities,
     localization,
     run_campaign,
@@ -86,9 +85,8 @@ def _concurrent_reports(order, run=run_campaign):
 
 
 def test_campaign_concurrent_callers_match_serial():
-    # the per-trial memo and the batcher are context variables, so campaigns
-    # run at once from two caller threads neither share nor clobber each
-    # other's memo or merge each other's solver calls
+    # a campaign keeps no state outside its call, so campaigns run at once
+    # from two caller threads give their lone serial reports
     serial = _concurrent_reports(_CONCURRENT_CAMPAIGNS, run_campaign_serial)
     orders = (_CONCURRENT_CAMPAIGNS, _CONCURRENT_CAMPAIGNS[::-1])
     barrier = threading.Barrier(len(orders))
@@ -98,7 +96,6 @@ def test_campaign_concurrent_callers_match_serial():
         try:
             barrier.wait()
             results[i] = _concurrent_reports(orders[i])
-            assert core._MEMO.get() is None and core._BATCH.get() is None
         except BaseException as exc:  # re-raised on the main thread
             errors.append(exc)
 
@@ -201,62 +198,62 @@ def test_summary_fields():
     assert "worst_margin" in s and "worst_params" in s
 
 
+def _solve_each_stack_alone(patch):
+    """Give every wave of independent slice spectra no shared solver call:
+    each stack of the wave is then solved by the call that takes it."""
+    for module in (inequalities, spectral):
+        patch.setattr(module, "_hermitian_eigs", lambda stacks: [None] * len(stacks))
+    patch.setattr(
+        spectral, "_solve_halves", lambda halves, solve: [solve(h) for h in halves]
+    )
+
+
 @pytest.mark.parametrize("n,n3", [(3, 4), (2, 5)])
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
 def test_eig_memo_leaves_reports_unchanged(monkeypatch, theorem_id, n, n3):
-    # the trial memo covers the transforms as well as the eigensolver; turning
-    # it off turns both off
-    memo_on = run_campaign(theorem_id, n=n, n3=n3, trials=2, seed=3)
-    monkeypatch.setattr(campaigns, "_trial_memo", contextlib.nullcontext)
-    memo_off = run_campaign(theorem_id, n=n, n3=n3, trials=2, seed=3)
-    assert _report_bytes(memo_on) == _report_bytes(memo_off)
+    # spectra that a window needs at one point share a solver call; solving
+    # each stack alone instead leaves the reports as they are
+    shared = run_campaign(theorem_id, n=n, n3=n3, trials=2, seed=3)
+    with monkeypatch.context() as patch:
+        _solve_each_stack_alone(patch)
+        alone = run_campaign(theorem_id, n=n, n3=n3, trials=2, seed=3)
+    assert _report_bytes(shared) == _report_bytes(alone)
 
 
 def test_eig_memo_scope_is_per_trial(monkeypatch):
+    # nothing is kept between calls: a repeated campaign solves the same
+    # members in the same calls
     solved = []
     kernel = eigensolvers._jacobi
 
     def counting_kernel(stack):
-        solved.extend(m.tobytes() for m in stack)
+        solved.append([m.tobytes() for m in stack])
         return kernel(stack)
 
     monkeypatch.setattr(eigensolvers, "_jacobi", counting_kernel)
     run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
-    assert core._MEMO.get() is None
     first = list(solved)
-    assert len(first) == len(set(first))  # each distinct slice solved once
+    assert len(first) == 3  # the three waves of furuta
     run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
-    assert solved[len(first):] == first  # nothing survives the trial
-    monkeypatch.setattr(campaigns, "_trial_memo", contextlib.nullcontext)
-    del solved[:]
-    run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
-    assert len(solved) > len(first)
+    assert solved[len(first):] == first
 
 
 def test_transform_memo_scope_is_per_trial(monkeypatch):
+    # nothing is kept between calls: a repeated campaign transforms the same
+    # stacks again
     computed = []
-    forward, inverse = fourier._to_fourier, fourier._from_fourier
+    forward = fourier._forward
 
-    def counting_forward(a):
-        computed.append(("fwd", type(a), a.shape, a.data.tobytes()))
-        return forward(a)
+    def counting_forward(data):
+        computed.append(data.tobytes())
+        return forward(data)
 
-    def counting_inverse(s):
-        computed.append(("inv", s.slices.shape, s.slices.tobytes()))
-        return inverse(s)
-
-    monkeypatch.setattr(fourier, "_to_fourier", counting_forward)
-    monkeypatch.setattr(fourier, "_from_fourier", counting_inverse)
+    monkeypatch.setattr(fourier, "_forward", counting_forward)
     run_campaign("furuta", n=3, n3=5, trials=1, seed=5)
-    assert core._MEMO.get() is None
     first = list(computed)
-    assert len(first) == len(set(first))  # each distinct input transformed once
+    assert first
     run_campaign("furuta", n=3, n3=5, trials=1, seed=5)
-    assert computed[len(first):] == first  # nothing survives the trial
-    monkeypatch.setattr(campaigns, "_trial_memo", contextlib.nullcontext)
-    del computed[:]
-    run_campaign("furuta", n=3, n3=5, trials=1, seed=5)
-    assert len(computed) > len(first)
+    assert computed[len(first):] == first
 
 
 def test_bauer_fike_all_draws_singular(monkeypatch):
@@ -274,7 +271,7 @@ def test_bauer_fike_no_well_conditioned_draw(monkeypatch):
         run_campaign("bauer-fike", n=2, n3=2, trials=1, seed=8)
 
 
-# --- lockstep windows against the serial oracle ----------------------------
+# --- stacked windows against the serial oracle ------------------------------
 
 _COUNTEREXAMPLES = (
     ("am-gm", "literal", None),
@@ -319,30 +316,37 @@ def _raised(run, *args, **kwargs):
 
 
 def _track_trials(monkeypatch, theorem_id, fail=None, before_solving=False):
-    """Wrap a registered trial function: record the thread and live thread
-    count of each trial and whether it returned; trial ``fail`` raises,
-    before or after its own work."""
+    """Wrap a registered theorem: record each trial drawn and whether its
+    certificates came back; trial ``fail`` raises, in its draw or after the
+    certifier ran on the stack that holds it."""
     real = campaigns._REGISTRY[theorem_id]
     log = {}
 
-    def trial_fn(trial, *args):
-        log[trial] = {"thread": threading.current_thread(), "ok": False}
+    def draw(trial, *args):
+        log[trial] = {"ok": False}
         if trial == fail and before_solving:
             raise ValueError(f"trial {trial} refused")
-        out = real(trial, *args)
-        log[trial]["threads"] = threading.active_count()
-        if trial == fail:
-            raise ValueError(f"trial {trial} refused")
-        log[trial]["ok"] = True
+        tensors, scalars = real.draw(trial, *args)
+        return tensors, (*scalars, trial)
+
+    def certify(stacks, columns, tol, mode):
+        *columns, trials = columns
+        out = real.certify(stacks, columns, tol, mode)
+        if fail in trials:
+            raise ValueError(f"trial {fail} refused")
+        for trial in trials:
+            log[trial]["ok"] = True
         return out
 
-    monkeypatch.setitem(campaigns._REGISTRY, theorem_id, trial_fn)
+    monkeypatch.setitem(campaigns._REGISTRY, theorem_id, campaigns._Stacked(draw, certify))
     return log
 
 
-def _assert_no_leftovers(threads_before):
-    assert threading.active_count() == threads_before
-    assert core._MEMO.get() is None and core._BATCH.get() is None
+def _no_thread_starts(monkeypatch):
+    def refuse(thread):
+        raise AssertionError("a campaign started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
 
 
 @pytest.mark.parametrize("before_solving", [True, False])
@@ -354,11 +358,10 @@ def test_failing_trial_raises_serial_error(monkeypatch, fail, before_solving):
     log.clear()
     assert _raised(run_campaign, "furuta", n=3, n3=4, trials=4, seed=3) == expected
     assert expected == (ValueError, f"trial {fail} refused")
-    _assert_no_leftovers(threads_before)
-    # trial 0 runs on the calling thread, trial 2 on a thread of its own,
-    # and every other trial still runs to the end
-    assert (log[fail]["thread"] is threading.current_thread()) == (fail == 0)
-    assert [t for t in sorted(log) if log[t]["ok"]] == [t for t in range(4) if t != fail]
+    assert threading.active_count() == threads_before
+    # the window's pass raised, and its trials ran again one by one up to
+    # the failing one
+    assert [t for t in sorted(log) if log[t]["ok"]] == list(range(fail))
 
 
 def test_every_trial_failing_raises_trial_zero_error(monkeypatch):
@@ -377,17 +380,17 @@ def _solved_per_trial(monkeypatch, theorem_id, **kwargs):
     real = campaigns._REGISTRY[theorem_id]
     kernel = eigensolvers._jacobi
 
-    def trial_fn(trial, *args):
+    def draw(trial, *args):
         current[0] = trial
         stacks[trial] = []
-        return real(trial, *args)
+        return real.draw(trial, *args)
 
     def recording_kernel(stack):
         stacks[current[0]].append(stack.copy())
         return kernel(stack)
 
     with monkeypatch.context() as patch:
-        patch.setitem(campaigns._REGISTRY, theorem_id, trial_fn)
+        patch.setitem(campaigns._REGISTRY, theorem_id, campaigns._Stacked(draw, real.certify))
         patch.setattr(eigensolvers, "_jacobi", recording_kernel)
         run_campaign_serial(theorem_id, **kwargs)
     return stacks
@@ -411,27 +414,25 @@ def test_merged_call_error_reaches_only_its_trial(monkeypatch):
     log = _track_trials(monkeypatch, "furuta")
     expected = _raised(run_campaign_serial, "furuta", **kwargs)
     assert expected == (NotSymmetricError, "poisoned member")
-    # alone, trial 2 first meets the poisoned member in its first wave's
-    # solve-ahead call, which swallows the error and stores nothing; the
-    # first call that needs the member then solves its own stack and raises
-    poisoned_stack = next(len(s) for s in stacks[2] if any(m.tobytes() == poison for m in s))
+    # alone, trial 2 first meets the poisoned member in the shared call of
+    # its first wave, which gives each stack back to the call that takes it;
+    # that call then raises
     alone = list(raised_sizes)
-    assert len(alone) == 2 and alone[0] == poisoned_stack > alone[1]
+    assert len(alone) == 2 and alone[0] > alone[1]
     log.clear()
     del raised_sizes[:]
     threads_before = threading.active_count()
     assert _raised(run_campaign, "furuta", **kwargs) == expected
-    _assert_no_leftovers(threads_before)
-    # each of those stacks raised first inside a larger merged call, then
-    # alone; the other trials went on
-    assert raised_sizes[1::2] == alone
-    assert all(merged > size for merged, size in zip(raised_sizes[0::2], alone))
-    assert [t for t in sorted(log) if log[t]["ok"]] == [0, 1, 3]
+    assert threading.active_count() == threads_before
+    # the window met it the same way, with all four trials in each call;
+    # then the serial rerun met it as trial 2 alone, after trials 0 and 1
+    assert raised_sizes == [4 * alone[0], 4 * alone[1], *alone]
+    assert [t for t in sorted(log) if log[t]["ok"]] == [0, 1]
 
 
 def test_lockstep_merges_each_round_into_one_call(monkeypatch):
-    # furuta solves only 4x4 stacks, so round r
-    # is one kernel call holding every live trial's r-th stack
+    # furuta solves only 4x4 stacks, so wave r of the window
+    # is one kernel call holding every trial's r-th stack
     kwargs = dict(n=4, n3=4, trials=8, seed=0)
     per_trial = _solved_per_trial(monkeypatch, "furuta", **kwargs)
     calls = []
@@ -444,43 +445,40 @@ def test_lockstep_merges_each_round_into_one_call(monkeypatch):
     monkeypatch.setattr(eigensolvers, "_jacobi", counting_kernel)
     threads_before = threading.active_count()
     run_campaign("furuta", **kwargs)
-    _assert_no_leftovers(threads_before)
+    assert threading.active_count() == threads_before
     assert len(calls) == max(len(s) for s in per_trial.values())
     assert sum(calls) == sum(len(s) for t in per_trial.values() for s in t)
 
 
-# --- solving each wave of a trial ahead --------------------------------------
+# --- sharing a solver call across each wave ----------------------------------
 
-# Jacobi kernel calls of one campaign at (4, 4, 4) and (3, 128, 1) without and
-# with the certifiers' solve-ahead calls: one call per wave of independent
-# solves instead of one per tensor, for the same members.  The norm family
-# (heinz-family, the three Hoelder forms, minkowski) has no solve-ahead
-# calls: a window runs as one stacked pass, whose PSD checks and powers take
-# one call and whose absolute values take one more, with or without them.
+# Jacobi kernel calls of one campaign at (4, 4, 4) and at (3, 128, 1), with
+# each stack solved alone and with each wave of independent stacks in one
+# call, for the same members.  Solving alone, diag-spectrum and
+# hoffman-wielandt take each half spectrum in a call of its own.
 _SOLVE_AHEAD_CALLS = {
-    "complex-norm-c": (2, 1),
-    "diag-spectrum": (2, 1),
-    "furuta": (8, 3),
-    "hansen-power": (4, 2),
-    "heinz-family": (1, 1),
-    "hoffman-wielandt": (2, 1),
-    "holder": (2, 2),
-    "holder-corollary": (1, 1),
-    "holder-pairs": (1, 1),
-    "loewner-heinz": (5, 2),
-    "minkowski": (1, 1),
-    "young-commuting": (6, 2),
-    "young-witness": (6, 3),
+    "complex-norm-c": ((1, 1), (1, 1)),
+    "diag-spectrum": ((8, 1), (2, 1)),
+    "furuta": ((5, 3), (5, 3)),
+    "hansen-power": ((3, 2), (3, 2)),
+    "heinz-family": ((2, 1), (2, 1)),
+    "hoffman-wielandt": ((8, 1), (2, 1)),
+    "holder": ((3, 2), (3, 2)),
+    "holder-corollary": ((1, 1), (1, 1)),
+    "holder-pairs": ((1, 1), (1, 1)),
+    "loewner-heinz": ((4, 2), (4, 2)),
+    "minkowski": ((1, 1), (1, 1)),
+    "young-commuting": ((4, 2), (4, 2)),
+    "young-witness": ((6, 3), (6, 3)),
 }
 
 
 def _without_solve_ahead(patch):
-    for module in (inequalities, localization, spectral):
-        patch.setattr(module, "_solve_ahead", lambda *stacks, **kinds: None)
+    _solve_each_stack_alone(patch)
 
 
 def _solved_members(monkeypatch, theorem_id, solve_ahead, **kwargs):
-    """Kernel calls of one lockstep campaign, and the members they solved."""
+    """Kernel calls of one campaign, and the members they solved."""
     calls, members = [], []
     kernel = eigensolvers._jacobi
 
@@ -503,7 +501,7 @@ def test_solve_ahead_kernel_calls(monkeypatch, theorem_id, n, n3, trials, seed):
     kwargs = dict(n=n, n3=n3, trials=trials, seed=seed)
     plain, plain_calls, plain_members = _solved_members(monkeypatch, theorem_id, False, **kwargs)
     ahead, ahead_calls, ahead_members = _solved_members(monkeypatch, theorem_id, True, **kwargs)
-    assert (plain_calls, ahead_calls) == _SOLVE_AHEAD_CALLS[theorem_id]
+    assert (plain_calls, ahead_calls) == _SOLVE_AHEAD_CALLS[theorem_id][n == 3]
     assert ahead_members == plain_members
     assert _report_bytes(ahead) == _report_bytes(plain)
 
@@ -547,7 +545,7 @@ def _count_general_kernel(monkeypatch):
 @pytest.mark.parametrize("theorem_id", ["gershgorin", "bauer-fike", "schur"])
 def test_lockstep_merges_general_eig_solves(monkeypatch, theorem_id, n, n3, trials):
     # each trial takes the t-eigenvalues of the same number of non-symmetric
-    # tensors, so round r merges every trial's r-th general solve
+    # tensors, so a window takes every trial's general solves in one call
     kwargs = dict(n=n, n3=n3, trials=trials, seed=0)
     calls = _count_general_kernel(monkeypatch)
     serial = _report_bytes(run_campaign_serial(theorem_id, **kwargs))
@@ -557,7 +555,7 @@ def test_lockstep_merges_general_eig_solves(monkeypatch, theorem_id, n, n3, tria
     del calls[:]
     assert _report_bytes(run_campaign(theorem_id, **kwargs)) == serial
     windows = -(-trials // campaigns._window_size(n, n3))
-    assert len(calls) == per_trial * windows and sum(calls) == solved
+    assert len(calls) == windows and sum(calls) == solved
 
 
 def test_merged_general_eig_failure_reaches_only_its_trial(monkeypatch):
@@ -572,99 +570,80 @@ def test_merged_general_eig_failure_reaches_only_its_trial(monkeypatch):
     log.clear()
     threads_before = threading.active_count()
     assert _raised(run_campaign, "gershgorin", **kwargs) == expected
-    _assert_no_leftovers(threads_before)
-    # the merged call of all 8 half spectra (2 slices each) raised, then each
-    # trial's stack was solved alone; every other trial ran to the end
-    assert calls == [16] + [2] * 8
-    assert [t for t in sorted(log) if log[t]["ok"]] == [0, 1, 2, 4, 5, 6, 7]
+    assert threading.active_count() == threads_before
+    # the window's call of all 8 half spectra (2 slices each) raised, then
+    # the trials ran again one by one up to trial 3
+    assert calls == [16] + [2] * 4
+    assert [t for t in sorted(log) if log[t]["ok"]] == [0, 1, 2]
 
 
 def test_lockstep_starts_threads_only_for_waiting_trials(monkeypatch):
-    # one trial (a long tube) and trials that never call an eigensolver run
-    # on the calling thread alone
+    # no trial waits for another: a window is one pass on the calling thread
+    _no_thread_starts(monkeypatch)
     threads_before = threading.active_count()
-    for theorem_id, n, n3, trials in (("furuta", 3, 128, 1), ("am-gm", 3, 3, 8)):
-        log = _track_trials(monkeypatch, theorem_id)
+    for theorem_id, n, n3, trials in (
+        ("furuta", 3, 128, 1), ("am-gm", 3, 3, 8), ("furuta", 3, 3, 8), ("schur", 3, 3, 8)
+    ):
         run_campaign(theorem_id, n=n, n3=n3, trials=trials, seed=1)
-        assert all(e["thread"] is threading.current_thread() for e in log.values())
-        assert all(e["threads"] == threads_before for e in log.values())
-    # trials that wait in a Hermitian or a general solve get a thread each
-    for theorem_id in ("furuta", "schur"):
-        log = _track_trials(monkeypatch, theorem_id)
-        run_campaign(theorem_id, n=3, n3=3, trials=8, seed=1)
-        assert len({e["thread"] for e in log.values()}) == 8
-    _assert_no_leftovers(threads_before)
+    assert threading.active_count() == threads_before
 
 
-class _InterruptedTurn:
-    """A turn lock whose next wait raises, as an interrupt would."""
+_ALL_CONFIGS = [(tid, "corrected", None) for tid in THEOREM_IDS] + list(_COUNTEREXAMPLES)
 
-    def __init__(self, lock):
-        self.lock = lock
 
-    def acquire(self):
+def test_campaigns_start_no_thread(monkeypatch):
+    _no_thread_starts(monkeypatch)
+    for theorem_id, mode, params in _ALL_CONFIGS:
+        run_campaign(theorem_id, n=4, n3=4, trials=4, seed=4, mode=mode, params=params)
+
+
+def test_interrupt_in_a_window_is_not_rerun(monkeypatch):
+    # an interrupt is not an error of a trial: it leaves the window at once
+    calls = []
+
+    def interrupted(stack):
+        calls.append(len(stack))
         raise KeyboardInterrupt
 
-    def release(self):
-        self.lock.release()
+    monkeypatch.setattr(eigensolvers, "_jacobi", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign("furuta", n=3, n3=4, trials=4, seed=0)
+    assert len(calls) == 1
 
 
-def test_batcher_interrupted_wait_leaves_no_worker_blocked():
-    solved = []
-
-    def kernel(stack):
-        solved.append(stack[:, 0].tolist())
-        return (2.0 * stack,)
-
-    def run(worker):
-        first = core._batched(kernel, np.full((1, 1), float(worker)))
-        if worker == 0:
-            batcher._turn[0] = _InterruptedTurn(batcher._turn[0])
-        second = core._batched(kernel, np.full((1, 1), 10.0 + worker))
-        return first[0][0, 0], second[0][0, 0]
-
-    batcher = core._Batcher(run, range(3))
-    outcomes = []
-    caller = threading.Thread(target=lambda: outcomes.extend(batcher.run()))
-    caller.start()
-    caller.join(timeout=30)
-    assert not caller.is_alive()
-    assert isinstance(outcomes[0], KeyboardInterrupt)
-    assert outcomes[1:] == [(2.0, 22.0), (4.0, 24.0)]
-    # round 1 merged all three calls; worker 0's second call was withdrawn
-    assert solved == [[0.0, 1.0, 2.0], [11.0, 12.0]]
-    assert len(batcher._threads) == 2
-    assert not any(t.is_alive() for t in batcher._threads)
+# Solver calls of one window at (n, n3, trials) = (4, 4, 4), seed 1: one call
+# per wave of independent spectra, whatever the number of trials
+_WINDOW_JACOBI_CALLS = {
+    "furuta": 3, "young-witness": 3, "hansen-power": 2, "young-commuting": 2,
+    "loewner-heinz": 2, "hoffman-wielandt": 1, "diag-spectrum": 1,
+    "complex-norm-a": 1, "complex-norm-b": 1, "complex-norm-c": 1,
+}
+_WINDOW_QR_CALLS = {"schur": 1, "gershgorin": 1, "bauer-fike": 1}
 
 
-def test_batcher_interrupt_in_merged_call_reaches_every_waiting_worker():
-    # the last worker finishes without a call, so the merged call runs as it
-    # retires; the interrupt must reach both waiting workers, not strand them
-    def kernel(stack):
-        raise KeyboardInterrupt
-
-    def run(worker):
-        return "done" if worker == 2 else core._batched(kernel, np.zeros((1, 1)))
-
-    batcher = core._Batcher(run, range(3))
-    outcomes = []
-    caller = threading.Thread(target=lambda: outcomes.extend(batcher.run()))
-    caller.start()
-    caller.join(timeout=30)
-    assert not caller.is_alive()
-    assert [type(o) for o in outcomes[:2]] == [KeyboardInterrupt, KeyboardInterrupt]
-    assert outcomes[2] == "done"
+@pytest.mark.parametrize("theorem_id", sorted({**_WINDOW_JACOBI_CALLS, **_WINDOW_QR_CALLS}))
+def test_window_solver_calls(monkeypatch, theorem_id):
+    jacobi = []
+    kernel = eigensolvers._jacobi
+    monkeypatch.setattr(eigensolvers, "_jacobi", lambda stack: jacobi.append(len(stack)) or kernel(stack))
+    qr = _count_general_kernel(monkeypatch)
+    run_campaign(theorem_id, n=4, n3=4, trials=4, seed=1)
+    assert (len(jacobi), len(qr)) == (
+        _WINDOW_JACOBI_CALLS.get(theorem_id, 0), _WINDOW_QR_CALLS.get(theorem_id, 0)
+    )
 
 
-# --- stacked windows of the norm family ---------------------------------------
+# --- stacked windows ------------------------------------------------------------
 
-_STACKED_IDS = ("am-gm", "heinz-family", "holder", "holder-pairs", "holder-corollary", "minkowski")
-_STACKED_CONFIGS = [(tid, "corrected") for tid in _STACKED_IDS] + [("am-gm", "literal")]
+_STACKED_CONFIGS = [(tid, "corrected") for tid in THEOREM_IDS] + [
+    ("am-gm", "literal"), ("complex-norm-a", "literal"), ("complex-norm-b", "literal"),
+    ("hansen-power", "literal"),
+]
 
 
 def test_stacked_registry_entries():
     stacked = {tid for tid, fn in campaigns._REGISTRY.items() if isinstance(fn, campaigns._Stacked)}
-    assert stacked == set(_STACKED_IDS)
+    assert stacked == set(THEOREM_IDS)
 
 
 @pytest.mark.parametrize("n,n3,trials,seed", [(2, 2, 70, 1), (3, 5, 3, 0), (3, 127, 2, 1)])
@@ -710,14 +689,34 @@ def _inject(monkeypatch, theorem_id, faults):
     )
 
 
-def _negate_first(instance):
-    (a, *rest), scalars = instance
-    return (-1.0 * a, *rest), scalars
+def _negate(k):
+    """A fault: the instance's ``k``-th tensor negated."""
+    def fault(instance):
+        tensors, scalars = instance
+        return (*tensors[:k], -1.0 * tensors[k], *tensors[k + 1:]), scalars
+    return fault
+
+
+def _replace(k, tensor):
+    """A fault: the instance's ``k``-th tensor replaced by ``tensor``."""
+    def fault(instance):
+        tensors, scalars = instance
+        return (*tensors[:k], tensor, *tensors[k + 1:]), scalars
+    return fault
+
+
+def _scalars(*values):
+    """A fault: the instance's leading scalars replaced by ``values``."""
+    return lambda instance: (instance[0], (*values, *instance[1][len(values):]))
 
 
 def _refuse(instance):
     raise ValueError("draw refused")
 
+
+_negate_first = _negate(0)
+_RANDOM = gen_random((4, 4, 4), RngStream(0))
+_OFF_DIAGONAL = 1e-3 * gen_random((4, 4, 4), RngStream(1))
 
 _FAULTS = [
     # a hypothesis fails in trial 2 only
@@ -730,6 +729,27 @@ _FAULTS = [
     ("holder-pairs", {1: _refuse}),
     # trial 2's B has another shape, so it is certified in a stack of its own
     ("am-gm", {2: lambda inst: ((*inst[0][:2], gen_random((3, 3, 4), RngStream(0))), ())}),
+    ("loewner-heinz", {2: _negate_first}),  # the order A >= B fails
+    ("loewner-heinz", {1: _scalars(1.5), 3: _negate(1)}),  # exponent, then B >= 0
+    ("hansen-power", {1: _negate(1), 4: _scalars(3.0)}),  # X >= 0, then exponent
+    ("hansen-power", {2: _replace(0, 3.0 * _RANDOM)}),  # Q is not a contraction
+    ("furuta", {3: _scalars(-1.0)}),
+    ("furuta", {0: _replace(1, -1.0 * identity(4, 4)), 5: _scalars(1.0, 4.0, 1.0)}),
+    ("young-commuting", {2: _negate_first}),
+    ("young-commuting", {1: _replace(1, _RANDOM)}),  # B is not even symmetric
+    ("young-witness", {1: _scalars(0.5)}),
+    ("young-witness", {2: _replace(0, gen_random((4, 3, 4), RngStream(2)))}),
+    ("complex-norm-a", {2: _replace(0, _RANDOM)}),
+    ("complex-norm-b", {1: _negate_first}),
+    ("complex-norm-c", {3: _negate(1)}),
+    ("schur", {2: _refuse}),
+    ("gershgorin", {1: _replace(0, gen_random((4, 3, 4), RngStream(2)))}),
+    ("bauer-fike", {2: lambda inst: ((*inst[0][:3], inst[0][3] + _OFF_DIAGONAL), ())}),
+    ("bauer-fike", {1: _replace(0, _RANDOM)}),  # a is not q^-1 s q
+    ("hoffman-wielandt", {1: _replace(0, _RANDOM)}),
+    ("hoffman-wielandt", {3: _replace(1, gen_random((3, 3, 4), RngStream(3)))}),
+    ("diag-spectrum", {3: _replace(1, _RANDOM)}),
+    ("diag-spectrum", {0: _replace(1, gen_symmetric(3, 4, RngStream(3)))}),
 ]
 
 
@@ -738,9 +758,8 @@ def test_stacked_window_raises_serial_error(monkeypatch, theorem_id, faults):
     _inject(monkeypatch, theorem_id, faults)
     kwargs = dict(n=4, n3=4, trials=6, seed=2)
     expected = _raised(run_campaign_serial, theorem_id, **kwargs)
-    assert expected[0] in (HypothesisViolationError, ShapeMismatchError, ValueError)
+    assert expected[0] in (HypothesisViolationError, NotSymmetricError, ShapeMismatchError, ValueError)
     assert _raised(run_campaign, theorem_id, **kwargs) == expected
-    assert core._MEMO.get() is None
 
 
 def test_stacked_window_error_is_the_lowest_failing_trial(monkeypatch):

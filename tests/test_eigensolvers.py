@@ -11,7 +11,6 @@ from scipy.optimize import linear_sum_assignment
 from oracles import general_eig_reference, jacobi_eig_reference
 from ttensor import EigenConvergenceError, NotSymmetricError, general_eig, hermitian_eig
 from ttensor import eigensolvers
-from ttensor.core import _MEMO, _trial_memo
 
 
 def _random_hermitian(rng, n, real=False):
@@ -110,39 +109,21 @@ def test_determinism():
     assert np.array_equal(e1.vectors, e2.vectors)
 
 
-def test_memo_returns_stored_read_only_result():
-    h = _random_hermitian(np.random.default_rng(4), 4)
-    with _trial_memo():
-        e1 = hermitian_eig(h)
-        e2 = hermitian_eig(h.copy())
-        assert e2 is e1
-        with pytest.raises(ValueError):
-            e1.values[0] = 0.0
-        with pytest.raises(ValueError):
-            e1.vectors[0, 0] = 0.0
-    fresh = hermitian_eig(h)
-    assert np.array_equal(fresh.values, e1.values)
-    assert np.array_equal(fresh.vectors, e1.vectors)
-
-
 def test_memo_off_outside_scope():
+    # nothing is cached: every call solves afresh and returns its own,
+    # writable result
     h = _random_hermitian(np.random.default_rng(5), 3)
-    assert _MEMO.get() is None
-    with _trial_memo():
-        assert _MEMO.get() == {}
-    assert _MEMO.get() is None
     e1, e2 = hermitian_eig(h), hermitian_eig(h)
     assert e1 is not e2
-    e1.values[0] = 0.0  # results outside a scope stay private and writable
+    e1.values[0] = 0.0
+    assert e2.values[0] != 0.0
 
 
 def test_memo_never_stores_errors():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with _trial_memo():
-        for _ in range(3):
-            with pytest.raises(NotSymmetricError):
-                hermitian_eig(bad)
-        assert _MEMO.get() == {}
+    for _ in range(3):
+        with pytest.raises(NotSymmetricError):
+            hermitian_eig(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -257,44 +238,27 @@ def _count_solved(monkeypatch):
     return solved
 
 
-def test_memo_solves_duplicate_stack_member_once(monkeypatch):
-    rng = np.random.default_rng(46)
-    h0, h1 = _random_hermitian(rng, 3), _random_hermitian(rng, 3)
-    stack = np.stack([h0, h1, h0, h0])
-    solved = _count_solved(monkeypatch)
-    with _trial_memo():
-        e = hermitian_eig(stack)
-    assert len(solved) == 2
-    _assert_matches_reference(stack, e)
-
-
 def test_memo_partly_cached_stack_matches_fresh_solve(monkeypatch):
+    # a stack solved in parts gives each member the bits of the whole, and
+    # every call solves all of its members
     rng = np.random.default_rng(47)
     stack = np.stack([_random_hermitian(rng, 4) for _ in range(5)])
     fresh = hermitian_eig(stack)
     solved = _count_solved(monkeypatch)
-    with _trial_memo():
-        hermitian_eig(stack[1])
-        hermitian_eig(stack[3:])
-        del solved[:]
-        e = hermitian_eig(stack)
-    assert solved == [stack[0].tobytes(), stack[2].tobytes()]
-    assert np.array_equal(e.values, fresh.values)
-    assert np.array_equal(e.vectors, fresh.vectors)
+    parts = [hermitian_eig(stack[:1]), hermitian_eig(stack[1:3]), hermitian_eig(stack[3:])]
+    assert solved == [m.tobytes() for m in stack]
+    assert np.array_equal(np.concatenate([e.values for e in parts]), fresh.values)
+    assert np.array_equal(np.concatenate([e.vectors for e in parts]), fresh.vectors)
 
 
 def test_memo_two_dimensional_hit_after_stack_returns_stored_result():
+    # a matrix alone gets the bits it gets as a member of a stack
     rng = np.random.default_rng(48)
     stack = np.stack([_random_hermitian(rng, 3) for _ in range(3)])
-    with _trial_memo():
-        hermitian_eig(stack)
-        e1 = hermitian_eig(stack[1].copy())
-        assert isinstance(e1, eigensolvers.HermitianEigen)
-        assert hermitian_eig(stack[1]) is e1
-        with pytest.raises(ValueError):
-            e1.values[0] = 0.0
-        with pytest.raises(ValueError):
-            e1.vectors[0, 0] = 0.0
+    whole = hermitian_eig(stack)
+    e1 = hermitian_eig(stack[1].copy())
+    assert isinstance(e1, eigensolvers.HermitianEigen)
+    assert np.array_equal(e1.values, whole.values[1]) and np.array_equal(e1.vectors, whole.vectors[1])
     values, vectors = jacobi_eig_reference(stack[1])
     assert np.array_equal(e1.values, values) and np.array_equal(e1.vectors, vectors)
 
@@ -483,10 +447,8 @@ def test_non_finite_input_fails_before_any_kernel(solver, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # rejected before any arithmetic warns
         for m, where in cases:
-            with _trial_memo():
-                with pytest.raises(EigenConvergenceError) as err:
-                    solve(m)
-                assert _MEMO.get() == {}
+            with pytest.raises(EigenConvergenceError) as err:
+                solve(m)
             assert str(err.value) == f"{where} has a non-finite entry (NaN or Inf)"
 
 

@@ -29,7 +29,6 @@ from oracles import (
     forward_dft_reference,
     inverse_dft_slice_major,
 )
-from ttensor.core import _MEMO, _trial_memo
 from ttensor.fourier import (
     _KERNEL_CACHE_SIZE,
     _SYMMETRY_TOL,
@@ -355,22 +354,22 @@ def test_inverse_matches_slice_major_layout_bit_for_bit(n3):
 
 
 # ---------------------------------------------------------------------------
-# per-trial memo
+# no memo: every call transforms afresh
 # ---------------------------------------------------------------------------
 
 def test_memo_returns_stored_transforms():
+    # results are read-only, and a repeated input gives equal results
     a = gen_random((3, 2, 5), RngStream(45))
-    with _trial_memo():
-        fs = to_fourier(a)
-        assert to_fourier(Tensor3(a.data.copy())) is fs
-        back = from_fourier(fs)
-        assert from_fourier(FourierSlices(3, 2, 5, fs.slices.copy(), True)) is back
-        assert not fs.slices.flags.writeable and not back.data.flags.writeable
-    assert np.array_equal(to_fourier(a).slices, fs.slices)
-    assert np.array_equal(from_fourier(fs).data, back.data)
+    fs = to_fourier(a)
+    back = from_fourier(fs)
+    assert not fs.slices.flags.writeable and not back.data.flags.writeable
+    assert np.array_equal(to_fourier(Tensor3(a.data.copy())).slices, fs.slices)
+    assert np.array_equal(from_fourier(FourierSlices(3, 2, 5, fs.slices.copy(), True)).data, back.data)
 
 
 def test_memo_tells_equal_bytes_apart():
+    # tensors holding equal bytes in other types or shapes get their own
+    # transforms
     data = np.random.default_rng(46).normal(size=(2, 2, 4))
     tensors = [
         Tensor3(data),
@@ -379,43 +378,26 @@ def test_memo_tells_equal_bytes_apart():
         Tensor3(data.reshape(2, 4, 2)),
     ]
     assert len({t.data.tobytes() for t in tensors}) == 1
-    with _trial_memo():
-        inside = [to_fourier(t) for t in tensors]
-    for t, fs in zip(tensors, inside):
-        fresh = to_fourier(t)
-        assert (fs.n1, fs.n2, fs.n3, fs.origin_real) == (
-            fresh.n1, fresh.n2, fresh.n3, fresh.origin_real)
-        assert np.array_equal(fs.slices, fresh.slices)
+    for t in tensors:
+        fs = to_fourier(t)
+        assert (fs.n1, fs.n2, fs.n3, fs.origin_real) == (*t.shape, isinstance(t, Tensor3))
+        assert np.allclose(fs.slices, forward_dft_reference(t.data), atol=1e-12)
     slices = to_fourier(Tensor3(data.reshape(2, 4, 2))).slices  # (2, 2, 4) slices
     same_bytes = [FourierSlices(2, 4, 2, slices, True),
                   FourierSlices(4, 2, 2, slices.reshape(2, 4, 2), True)]
-    with _trial_memo():
-        inside = [from_fourier(s) for s in same_bytes]
-    for s, a in zip(same_bytes, inside):
-        assert a.shape == (s.n1, s.n2, s.n3)
-        assert np.array_equal(a.data, from_fourier(s).data)
+    for s in same_bytes:
+        assert from_fourier(s).shape == (s.n1, s.n2, s.n3)
 
 
 def test_memo_never_stores_conjugate_symmetry_errors():
     bad = FourierSlices.from_list([np.array([[1.0 + 0j]]), np.array([[1j]])], True)
-    with _trial_memo():
-        for _ in range(3):
-            with pytest.raises(ConjugateSymmetryError):
-                from_fourier(bad)
-        assert _MEMO.get() == {}
+    for _ in range(3):
+        with pytest.raises(ConjugateSymmetryError):
+            from_fourier(bad)
 
 
 def test_transforms_are_not_cached_outside_a_scope():
     a = gen_random((2, 3, 4), RngStream(47))
-    assert _MEMO.get() is None
     fs = to_fourier(a)
     assert to_fourier(a) is not fs
     assert from_fourier(fs) is not from_fourier(fs)
-    with _trial_memo():
-        inside = to_fourier(a)
-        back = from_fourier(inside)
-    assert _MEMO.get() is None
-    with _trial_memo():  # a new trial starts empty
-        assert _MEMO.get() == {}
-        assert to_fourier(a) is not inside
-        assert from_fourier(inside) is not back

@@ -12,11 +12,9 @@ from ttensor import (
     RngStream,
     SingularTensorError,
     Tensor3,
-    ShapeMismatchError,
     bcirc,
     core,
     eigensolvers,
-    fourier,
     frobenius_norm,
     gen_orthogonal,
     gen_loewner_pair,
@@ -40,8 +38,12 @@ from ttensor import (
     transpose,
     young_witness,
 )
-from ttensor.certificates import _gap_tensor
-from ttensor.spectral import _abs_power, _solve_ahead
+from ttensor.algebra import PREDICATE_TOL, _psd_stack, _psd_verdicts, _slice_eig_extremes
+from ttensor.certificates import _gap
+from ttensor.core import _Stack
+from ttensor.eigensolvers import _hermitian_eigs
+from ttensor.localization import diag_spectrum_bound, hoffman_wielandt, sorted_pairing_distance
+from ttensor.spectral import _abs_gram, _abs_power, _abs_powers, _power_stack, _t_powers
 from oracles import brute_bcirc
 
 
@@ -225,30 +227,23 @@ def test_function_outputs_are_exactly_real():
     assert fs.symmetry_residual() <= 1e-10 * (1 + frobenius_norm(a))
 
 
-# --- solving slice spectra ahead --------------------------------------------
+# --- one solver call for a wave of independent spectra ----------------------
 
 def _count_kernels(monkeypatch):
-    counts = {"jacobi": 0, "forward": 0}
-    jacobi, forward = eigensolvers._jacobi, fourier._to_fourier
+    counts = {"jacobi": 0, "general": 0}
+    jacobi, qr = eigensolvers._jacobi, eigensolvers._qr_eig
 
     def counting_jacobi(stack):
         counts["jacobi"] += 1
         return jacobi(stack)
 
-    def counting_forward(a):
-        counts["forward"] += 1
-        return forward(a)
+    def counting_qr(stack):
+        counts["general"] += 1
+        return qr(stack)
 
     monkeypatch.setattr(eigensolvers, "_jacobi", counting_jacobi)
-    monkeypatch.setattr(fourier, "_to_fourier", counting_forward)
+    monkeypatch.setattr(eigensolvers, "_qr_eig", counting_qr)
     return counts
-
-
-def _every_kind(a, b):
-    """One solve-ahead request of each kind, for the calls of _later_calls."""
-    return dict(
-        psd=[a, _gap_tensor(b, a)], order=[(a, b)], power=[a, b], absolute=[a - b], spectra=[a]
-    )
 
 
 def _later_calls(a, b):
@@ -258,60 +253,74 @@ def _later_calls(a, b):
         t_power(a, 0.5).data.tobytes(),
         t_power(b, 1.5).data.tobytes(),
         _abs_power(a - b, 0.7).data.tobytes(),
-        t_eigenvalues(a).values.tobytes(),
-        loewner_certificate("t", b, a, dims=a.shape, params={}).to_json_dict(),
+        loewner_certificate("t", b, a, dims=a.shape, params={}).margin,
     ]
-
-
-def test_solve_ahead_outside_a_memo_scope_does_nothing(monkeypatch):
-    a, b = gen_loewner_pair(3, 4, RngStream(90))
-    counts = _count_kernels(monkeypatch)
-    _solve_ahead(np.eye(3, dtype=complex)[None], **_every_kind(a, b))
-    assert counts == {"jacobi": 0, "forward": 0}
 
 
 @pytest.mark.parametrize("n3", [4, 5])
 def test_solve_ahead_solves_every_later_stack_in_one_call(monkeypatch, n3):
+    # the stacks of a PSD check, an order check, powers, an absolute value
+    # and a Loewner gap share one call, and each call given its share
+    # computes what it computes alone
     a, b = gen_loewner_pair(3, n3, RngStream(91))
     alone = _later_calls(a, b)
     counts = _count_kernels(monkeypatch)
-    with core._trial_memo():
-        _solve_ahead(**_every_kind(a, b))
-        assert counts["jacobi"] == 1
-        assert _later_calls(a, b) == alone
+    x, y = _Stack.of(a), _Stack.of(b)
+    gap = _gap(y, x)
+    psd, order, power, absolute, gap_eig = _hermitian_eigs([
+        _psd_stack(x), _psd_stack(x - y), _power_stack(_Stack.cat(x, y)),
+        _power_stack(_abs_gram(x - y)), _psd_stack(gap),
+    ])
     assert counts["jacobi"] == 1
+    (xp, yp), = _t_powers([x, y], [[0.5], [1.5]], eig=power)
+    shared = [
+        next(_psd_verdicts(x, PREDICATE_TOL, psd)).min_gap_eigenvalue,
+        next(_psd_verdicts(x - y, PREDICATE_TOL, order)).min_gap_eigenvalue,
+        xp.data.tobytes(),
+        yp.data.tobytes(),
+        _abs_powers([x - y], [[0.7]], eig=absolute)[0].data.tobytes(),
+        _slice_eig_extremes(gap, gap_eig)[0][0],
+    ]
+    assert counts["jacobi"] == 1
+    assert shared == alone
 
 
 def test_solve_ahead_swallows_errors_and_stores_nothing(monkeypatch):
-    a, b = gen_loewner_pair(3, 4, RngStream(92))
+    # a wave that cannot share a call hands every stack back to the call
+    # that takes it, which raises its own error where it raises alone
+    a = gen_t_psd(3, 4, RngStream(92))
     small = gen_t_psd(2, 4, RngStream(93))
+    x = _Stack.of(a)
     counts = _count_kernels(monkeypatch)
-    with core._trial_memo():
-        _solve_ahead(psd=[a], order=[(a, small)])  # a shape mismatch while building
-        _solve_ahead(psd=[a, small])  # stacks of two member shapes
-        assert counts["jacobi"] == 0
-        with pytest.raises(ShapeMismatchError):
-            loewner_ge(a, small)
+    assert _hermitian_eigs([_psd_stack(x), _psd_stack(_Stack.of(small))]) == [None, None]
+    assert _hermitian_eigs([np.ones((2, 2, 3))]) == [None]  # not square
+    assert counts["jacobi"] == 0
     monkeypatch.setattr(eigensolvers, "_MAX_SWEEPS", 1)
     with pytest.raises(EigenConvergenceError) as alone:
         t_power(a, 0.5)
-    with core._trial_memo():
-        _solve_ahead(power=[a])  # the solve itself fails
-        assert not [key for key in core._MEMO.get() if key[0] == "eig"]
-        with pytest.raises(EigenConvergenceError) as after:
-            t_power(a, 0.5)
+    assert _hermitian_eigs([_psd_stack(x), _power_stack(x)]) == [None, None]  # the call fails
+    with pytest.raises(EigenConvergenceError) as after:
+        _t_powers([x], [[0.5]], eig=None)
     assert str(after.value) == str(alone.value)
 
 
 def test_solve_ahead_leaves_general_spectra_alone(monkeypatch):
-    # t_eigenvalues of a non-symmetric tensor takes the general solver, so
-    # solving its Hermitian part ahead would solve members nobody asks for
+    # t_eigenvalues of a non-symmetric tensor takes the general solver only
     a = gen_random((3, 3, 4), RngStream(94))
     counts = _count_kernels(monkeypatch)
-    with core._trial_memo():
-        _solve_ahead(spectra=[a])
-        t_eigenvalues(a)
-    assert counts["jacobi"] == 0
+    t_eigenvalues(a)
+    assert counts == {"jacobi": 0, "general": 1}
+
+
+def test_symmetric_pair_spectra_take_one_call(monkeypatch):
+    # both Hermitian spectra of a pair go to the Jacobi kernel together
+    a = gen_symmetric(3, 4, RngStream(95))
+    b = gen_symmetric(3, 4, RngStream(96))
+    counts = _count_kernels(monkeypatch)
+    for certify in (hoffman_wielandt, diag_spectrum_bound, sorted_pairing_distance):
+        certify(a, b)
+        assert counts == {"jacobi": 1, "general": 0}, certify.__name__
+        counts["jacobi"] = 0
 
 
 # --- the trial axis ------------------------------------------------------------

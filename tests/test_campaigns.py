@@ -473,10 +473,6 @@ _SOLVE_AHEAD_CALLS = {
 }
 
 
-def _without_solve_ahead(patch):
-    _solve_each_stack_alone(patch)
-
-
 def _solved_members(monkeypatch, theorem_id, solve_ahead, **kwargs):
     """Kernel calls of one campaign, and the members they solved."""
     calls, members = [], []
@@ -490,7 +486,7 @@ def _solved_members(monkeypatch, theorem_id, solve_ahead, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(eigensolvers, "_jacobi", recording_kernel)
         if not solve_ahead:
-            _without_solve_ahead(patch)
+            _solve_each_stack_alone(patch)
         result = run_campaign(theorem_id, **kwargs)
     return result, len(calls), sorted(members)
 
@@ -523,7 +519,7 @@ def test_solve_ahead_matches_serial_oracle_without_it(
     kwargs = dict(n=n, n3=n3, trials=trials, seed=seed, mode=mode, params=params)
     ahead = run_campaign(theorem_id, **kwargs)
     with monkeypatch.context() as patch:
-        _without_solve_ahead(patch)
+        _solve_each_stack_alone(patch)
         serial = run_campaign_serial(theorem_id, **kwargs)
     assert _report_bytes(ahead) == _report_bytes(serial)
 

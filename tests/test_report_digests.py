@@ -11,6 +11,13 @@ roundoff on purpose re-records the file and says why:
 
 Float bytes depend on the numpy build and the machine, so the file records
 both and the check runs only where they match.
+
+The direct outputs of the library's tensor functions (``t_product``,
+``t_inverse``, ``t_power`` at several exponents, ``t_abs``,
+``gen_orthogonal``, ``young_witness``) are pinned the same way, outside any
+campaign, in ``direct_digests.json``; record that file alone with
+
+    PYTHONPATH=src python tests/test_report_digests.py direct
 """
 
 import hashlib
@@ -22,9 +29,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttensor import THEOREM_IDS, cli, run_campaign
+from ttensor import (
+    THEOREM_IDS,
+    RngStream,
+    cli,
+    gen_orthogonal,
+    gen_random,
+    gen_t_psd,
+    identity,
+    run_campaign,
+    spectral_norm,
+    t_abs,
+    t_inverse,
+    t_power,
+    t_product,
+    young_witness,
+)
 
 DIGEST_FILE = Path(__file__).resolve().parent / "report_digests.json"
+DIRECT_FILE = Path(__file__).resolve().parent / "direct_digests.json"
 SEED = 0
 # (n, n3, trials): short tubes of both middle-slice parities with two
 # trials, long tubes of both parities with one, 20 trials at (4, 4), which
@@ -65,12 +88,56 @@ def report_digest(config, shape) -> str:
     return hashlib.sha256(report_bytes(result)).hexdigest()
 
 
+# (n, n3) of the direct outputs: both middle-slice parities, short and long
+# tubes
+DIRECT_SHAPES = ((4, 4), (3, 5), (3, 127), (3, 128))
+# exponents whose numpy power takes the reciprocal, the zero, the
+# square-root, the identity, the general and the square paths
+DIRECT_POWERS = (-1.0, 0.0, 0.5, 1.0, 1.25, 2.0)
+
+
+def _direct_cases(n: int, n3: int) -> dict:
+    """Name -> call of each direct output at ``(n, n3)``."""
+    a = gen_random((n, n, n3), RngStream(SEED, 1))
+    b = gen_random((n, n, n3), RngStream(SEED, 2))
+    psd = gen_t_psd(n, n3, RngStream(SEED, 3))
+    # every Fourier slice of a + 2 ||a||_2 I has condition at most 3
+    well_conditioned = a + 2.0 * spectral_norm(a) * identity(n, n3)
+    return {
+        "t_product": lambda: t_product(a, b),
+        "t_inverse": lambda: t_inverse(well_conditioned),
+        **{f"t_power r={r}": lambda r=r: t_power(psd, r) for r in DIRECT_POWERS},
+        "t_abs": lambda: t_abs(a),
+        "gen_orthogonal": lambda: gen_orthogonal(n, n3, RngStream(SEED, 4)),
+        "young_witness": lambda: young_witness(a, b, 3.0, 1.5),
+    }
+
+
+DIRECT_GRID = [(name, shape) for shape in DIRECT_SHAPES for name in _direct_cases(1, 1)]
+
+
+def direct_key(name: str, shape) -> str:
+    n, n3 = shape
+    return f"{name}|n={n}|n3={n3}|seed={SEED}"
+
+
+def direct_digest(name: str, shape) -> str:
+    out = _direct_cases(*shape)[name]()
+    if isinstance(out, tuple):  # young_witness: the witness and its verdict
+        u, verdict = out
+        fields = [verdict.holds, verdict.min_gap_eigenvalue, verdict.tolerance_used]
+        data = u.data.tobytes() + json.dumps(fields).encode()
+    else:
+        data = out.data.tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
 def _platform() -> dict:
     return {"numpy": np.__version__, "machine": platform.machine()}
 
 
-def _recorded() -> dict:
-    with open(DIGEST_FILE) as fh:
+def _recorded(path: Path = DIGEST_FILE) -> dict:
+    with open(path) as fh:
         recorded = json.load(fh)
     if recorded["platform"] != _platform():
         pytest.skip(f"digests recorded on {recorded['platform']}, running on {_platform()}")
@@ -96,12 +163,24 @@ def test_report_bytes_are_what_the_cli_prints(capsysbinary):
     assert capsysbinary.readouterr().out == report_bytes(result)
 
 
-def record() -> None:
-    digests = {config_key(c, s): report_digest(c, s) for c, s in GRID}
+@pytest.mark.parametrize(
+    "name,shape", DIRECT_GRID, ids=[direct_key(n, s).replace("|", " ") for n, s in DIRECT_GRID]
+)
+def test_direct_digest_unchanged(name, shape):
+    assert direct_digest(name, shape) == _recorded(DIRECT_FILE)[direct_key(name, shape)]
+
+
+def test_direct_grid_is_the_recorded_grid():
+    assert sorted(_recorded(DIRECT_FILE)) == sorted(direct_key(n, s) for n, s in DIRECT_GRID)
+
+
+def record(path: Path, digests: dict) -> None:
     doc = {"platform": _platform(), "digests": digests}
-    DIGEST_FILE.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {DIGEST_FILE}", file=sys.stderr)
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {path}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    record()
+    if sys.argv[1:] != ["direct"]:
+        record(DIGEST_FILE, {config_key(c, s): report_digest(c, s) for c, s in GRID})
+    record(DIRECT_FILE, {direct_key(n, s): direct_digest(n, s) for n, s in DIRECT_GRID})

@@ -25,7 +25,7 @@ import numpy as np
 from .core import Tensor3, _frobenius, _Stack, _transpose, frobenius_norm, identity
 from .errors import NotSymmetricError, ShapeMismatchError, SingularTensorError
 from .eigensolvers import HermitianEigen, hermitian_eig
-from .fourier import _inverse
+from .fourier import _half_size, _inverse
 
 __all__ = [
     "LoewnerVerdict",
@@ -94,8 +94,10 @@ def t_inverse(a: Tensor3) -> Tensor3:
     """Multiplicative inverse, computed by slicewise inversion.
 
     Every Fourier slice must be invertible: its smallest singular value must
-    exceed ``INVERSE_TOL`` times its largest.  Otherwise the worst slice index
-    and its condition estimate are reported.
+    exceed ``INVERSE_TOL`` times its largest.  Otherwise
+    :class:`SingularTensorError` reports the worst slice index and its
+    condition estimate; it is the only failure a slice can cause, however
+    ill-conditioned the invertible slices are.
     """
     return _t_inverse(_Stack.of(a)).member(0)
 
@@ -241,7 +243,7 @@ def _psd_stack(x: _Stack) -> np.ndarray:
     :func:`_slice_eig_extremes` (hence :func:`is_t_psd` and every Loewner
     certificate) and the symmetric branch of
     :func:`ttensor.spectral.t_eigenvalues` take."""
-    half = x.slices[:, : x.n3 // 2 + 1]
+    half = x.slices[:, : _half_size(x.n3)]
     return (0.5 * (half + half.conj().transpose(0, 1, 3, 2))).reshape(-1, *x.shape[:2])
 
 

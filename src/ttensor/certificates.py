@@ -128,8 +128,7 @@ def loewner_min_gap(lhs_tensor: Tensor3, rhs_tensor: Tensor3) -> float:
 
 def _gap(lhs: _Stack, rhs: _Stack) -> _Stack:
     """The symmetrized ``rhs - lhs`` whose slice spectra give the min gap."""
-    diff = rhs - lhs
-    return 0.5 * (diff + diff.transpose())
+    return (rhs - lhs).sym()
 
 
 def loewner_certificate(

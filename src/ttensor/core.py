@@ -177,19 +177,19 @@ class _Stack:
 
     ``slices`` are the members' Fourier slices, ``(b, n3, n1, n2)``,
     transformed on first use and kept, so a stack is transformed once however
-    often it is used.  A stack made by :meth:`cat` transforms the parts that
-    still need it in one call and hands each part its share.  Entries must be
-    finite, as for :class:`Tensor3`.
+    often it is used.  Stacks share no slices: one made by :meth:`cat` or
+    :meth:`split` transforms its own members when they are first needed.
+    Entries must be finite, as for :class:`Tensor3`.
     """
 
-    __slots__ = ("data", "_slices", "_parts")
+    __slots__ = ("data", "_slices")
 
-    def __init__(self, data, slices=None, parts=()):
+    def __init__(self, data):
         data = np.ascontiguousarray(data, dtype=float)
         if not np.isfinite(data).all():
             raise ValueError("tensor entries must be finite (no NaN/Inf)")
         data.flags.writeable = False
-        self.data, self._slices, self._parts = data, slices, parts
+        self.data, self._slices = data, None
 
     @classmethod
     def of(cls, *tensors: Tensor3) -> "_Stack":
@@ -207,18 +207,14 @@ class _Stack:
             _check_same_shape(stacks[0], other)
         if len(stacks) == 1:
             return stacks[0]
-        return cls(np.concatenate([s.data for s in stacks]), parts=stacks)
+        return cls(np.concatenate([s.data for s in stacks]))
 
     def split(self, parts: int) -> list["_Stack"]:
         """Inverse of :meth:`cat` for ``parts`` stacks of equal size."""
         if parts == 1:
             return [self]
         size = len(self) // parts
-        return [
-            _Stack(self.data[i:i + size],
-                   None if self._slices is None else self._slices[i:i + size])
-            for i in range(0, len(self), size)
-        ]
+        return [_Stack(self.data[i:i + size]) for i in range(0, len(self), size)]
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -237,16 +233,7 @@ class _Stack:
         if self._slices is None:
             from .fourier import _forward  # deferred import, see spectral_norm
 
-            parts = self._parts
-            if parts and all(p._slices is not None for p in parts):
-                self._slices = np.concatenate([p._slices for p in parts])
-            else:
-                self._slices = _forward(self.data)
-                hi = 0
-                for p in parts:
-                    lo, hi = hi, hi + len(p)
-                    if p._slices is None:
-                        p._slices = self._slices[lo:hi]
+            self._slices = _forward(self.data)
         return self._slices
 
     def member(self, i: int) -> Tensor3:
@@ -257,6 +244,10 @@ class _Stack:
 
     def transpose(self) -> "_Stack":
         return _Stack(_transpose(self.data))
+
+    def sym(self) -> "_Stack":
+        """The symmetric part ``(x + x^T) / 2`` of each member."""
+        return 0.5 * (self + self.transpose())
 
     def __add__(self, other: "_Stack") -> "_Stack":
         _check_same_shape(self, other)
@@ -372,6 +363,15 @@ def _spectral(slices: np.ndarray) -> np.ndarray:
     Fourier slices; LAPACK takes each slice alone, so a member's norm does
     not depend on the rest of the stack."""
     return np.linalg.svd(slices, compute_uv=False)[..., 0].max(axis=1)
+
+
+def _cartesian_norms(a: _Stack, b: _Stack) -> tuple[list, list]:
+    """Each member's Frobenius and spectral norms of ``T = A + iB``, as lists
+    of floats; the spectral norms take one complex transform."""
+    from .fourier import _forward  # deferred import, see spectral_norm
+
+    t = a.data + 1j * b.data
+    return _frobenius(t).tolist(), _spectral(_forward(t)).tolist()
 
 
 # ---------------------------------------------------------------------------

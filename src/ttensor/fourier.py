@@ -55,19 +55,27 @@ What breaks or slows this:
 Both directions take stacks too: :func:`_forward` maps ``(b, n1, n2, n3)``
 real tensors to ``(b, n3, n1, n2)`` slices with the einsum
 ``"tkc,bijt->bkijc"`` (complex tensors with ``"kt,bijt->bkij"`` over ``F``),
-and :func:`_inverse` maps them back with ``"kt,bijt->bijk"``, checking each
-member's conjugate symmetry.  einsum adds each member's terms in the same
-order whatever ``b`` is, so a member's result is bit for bit its lone
-transform, and :func:`to_fourier` and :func:`from_fourier` are the ``b = 1``
+and :func:`_inverse` maps them back with ``"kt,bijt->bijk"``.  einsum adds
+each member's terms in the same order whatever ``b`` is, so a member's
+result is bit for bit its lone transform, and :func:`to_fourier` and :func:`from_fourier` are the ``b = 1``
 case (bit-equal and as fast as the unstacked einsums at 8x8x1024, 8x8x512,
 16x16x128 and 3x3x128; the complex einsum was checked on 2800 members with
 ``n`` up to 8, ``n3`` up to 128 and stacks of up to 64).  Every call
 transforms afresh: nothing is cached but the kernel.
 
 A real tensor's slices come in conjugate pairs, so slices ``0 .. n3//2`` (the
-half spectrum, :meth:`FourierSlices.half`) determine the rest; this module
-owns that convention, including which half slices are their own conjugate
-and how a half spectrum is mirrored back into a real tensor.
+half spectrum, :meth:`FourierSlices.half`, :func:`_half_size` of them)
+determine the rest; this module owns that convention, including which half
+slices are their own conjugate and how a half spectrum is mirrored back into
+a real tensor.
+
+Only :func:`from_fourier` checks conjugate symmetry, for slices from outside
+the program.  The slices the library inverts itself (products, inverses,
+powers, witnesses) inherit the pairing from real factors or get it exactly
+from :func:`_mirror_half`, so :func:`_inverse` takes them unchecked: a check
+there rejected the inverse of an ill-conditioned tensor, whose slices
+``inv`` returns with the transform's roundoff asymmetry amplified by the
+slice condition.
 """
 
 from __future__ import annotations
@@ -134,11 +142,16 @@ class FourierSlices:
 
     def half(self) -> np.ndarray:
         """Slices ``0 .. n3//2``: for real-origin data the rest are their conjugates."""
-        return self.slices[: self.n3 // 2 + 1]
+        return self.slices[: _half_size(self.n3)]
 
     def symmetry_residual(self) -> float:
         """Largest deviation from the conjugate-symmetry pattern of a real tensor."""
         return _worst_symmetry_pair(self)[0]
+
+
+def _half_size(n3: int) -> int:
+    """The number of half-spectrum slices, ``0 .. n3//2``."""
+    return n3 // 2 + 1
 
 
 def _worst_symmetry_pair(s: FourierSlices) -> tuple[float, int, int]:
@@ -148,34 +161,20 @@ def _worst_symmetry_pair(s: FourierSlices) -> tuple[float, int, int]:
     itself as ``(0, 0)`` and measured by its imaginary part.  The lowest
     index wins ties, and a NaN residual never counts as the worst.
     """
-    res = _symmetry_residuals(s.slices[None])[0]
+    sl, n3 = s.slices, s.n3
+    i = np.arange(1, _half_size(n3))
+    res = np.empty(_half_size(n3))
+    res[0] = np.abs(sl[0].imag).max()
+    res[1:] = np.abs(sl[n3 - i] - sl[i].conj()).max(axis=(1, 2))
+    res = np.fmax(res, 0.0)
     k = int(np.argmax(res))
-    return float(res[k]), k, (s.n3 - k) % s.n3
-
-
-def _symmetry_residuals(sl: np.ndarray) -> np.ndarray:
-    """``(b, n3//2 + 1)``: for each member of a ``(b, n3, n1, n2)`` stack,
-    the residual of each pair of :func:`_worst_symmetry_pair`, slice 0
-    first, NaN read as 0."""
-    n3 = sl.shape[1]
-    i = np.arange(1, n3 // 2 + 1)
-    res = np.empty((sl.shape[0], n3 // 2 + 1))
-    res[:, 0] = np.abs(sl[:, 0].imag).max(axis=(1, 2))
-    res[:, 1:] = np.abs(sl[:, n3 - i] - sl[:, i].conj()).max(axis=(2, 3))
-    return np.fmax(res, 0.0)
+    return float(res[k]), k, (n3 - k) % n3
 
 
 def _self_conjugate_indices(n3: int) -> list:
     """Half-spectrum slices that are their own conjugate, hence real for a
     real tensor: 0 and, for even n3, the middle slice n3//2."""
     return [0, n3 // 2] if n3 % 2 == 0 else [0]
-
-
-def _assemble_real_from_half(half, n3: int) -> Tensor3:
-    """Mirror slices 1..(n3-1)//2 of a ``(n3//2 + 1, n1, n2)`` half spectrum
-    as conjugates and inverse-transform."""
-    full = _mirror_half(half[None], n3)[0]
-    return from_fourier(FourierSlices(half.shape[1], half.shape[2], n3, full, True))
 
 
 def _mirror_half(half: np.ndarray, n3: int) -> np.ndarray:
@@ -280,21 +279,18 @@ def from_fourier(s: FourierSlices) -> Tensor3:
     real preimage and :class:`ConjugateSymmetryError` reports the worst slice
     pair.
     """
+    tol = _SYMMETRY_TOL * (1.0 + np.abs(s.slices).max())
+    residual, i, j = _worst_symmetry_pair(s)
+    if residual > tol:
+        raise ConjugateSymmetryError(i, j, residual, float(tol))
     return Tensor3(_inverse(s.slices[None])[0])
 
 
 def _inverse(slices: np.ndarray) -> np.ndarray:
     """Real ``(b, n1, n2, n3)`` preimage of each member of a ``(b, n3, n1, n2)``
-    stack of Fourier slices; the lowest member without one raises
-    :class:`ConjugateSymmetryError` (see :func:`from_fourier`)."""
-    b, n3 = slices.shape[:2]
-    tol = _SYMMETRY_TOL * (1.0 + np.abs(slices).reshape(b, -1).max(axis=1))
-    res = _symmetry_residuals(slices)
-    bad = res.max(axis=1) > tol
-    if bad.any():
-        m = int(np.argmax(bad))
-        k = int(np.argmax(res[m]))
-        raise ConjugateSymmetryError(k, (n3 - k) % n3, float(res[m, k]), float(tol[m]))
+    stack of conjugate-symmetric Fourier slices (unchecked: see the module
+    docstring): the real part of the inverse transform."""
+    n3 = slices.shape[1]
     tubes = np.conjugate(slices.transpose(0, 2, 3, 1), order="C")
     return (np.einsum("kt,bijt->bijk", dft_matrix(n3), tubes) / n3).real
 

@@ -60,10 +60,9 @@ from .certificates import (
     _loewner_certificates,
     norm_certificate,
 )
-from .core import Tensor3, _check_same_shape, _frobenius, _spectral, _Stack
+from .core import Tensor3, _cartesian_norms, _check_same_shape, _frobenius, _spectral, _Stack
 from .eigensolvers import _hermitian_eigs
 from .errors import HypothesisViolationError, ShapeMismatchError
-from .fourier import _forward
 from .spectral import (
     _abs_powers,
     _power_stack,
@@ -130,10 +129,6 @@ def _stacks(*tensors: Tensor3) -> list[_Stack]:
     return [_Stack.of(t) for t in tensors]
 
 
-def _sym(t: _Stack) -> _Stack:
-    return 0.5 * (t + t.transpose())
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise HypothesisViolationError(message)
@@ -179,8 +174,9 @@ def _loewner_pair_powers(a: _Stack, b: _Stack, tol: float, *exponents) -> list[l
     diff = a - b if a.shape == b.shape else None
     psd = order = power = None
     if _same_square(a, b):
-        powers = _power_stack(_Stack.cat(b, a))  # first, so B is transformed once
-        psd, order, power = _hermitian_eigs([_psd_stack(b), _psd_stack(diff), powers])
+        psd, order, power = _hermitian_eigs(
+            [_psd_stack(b), _psd_stack(diff), _power_stack(_Stack.cat(b, a))]
+        )
     _require_psd_members([b], ["B"], tol, psd)
     if diff is None:
         raise ShapeMismatchError(f"order comparison needs equal shapes: {a.shape} vs {b.shape}")
@@ -258,9 +254,8 @@ def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[
     middle = sym_middle = psd = power = None
     if _same_square(q, x):
         middle = _t_product(_t_product(left, x), q)
-        sym_middle = _sym(middle)
-        powers = _power_stack(_Stack.cat(x, sym_middle))  # first, so X is transformed once
-        psd, power = _hermitian_eigs([_psd_stack(x), powers])
+        sym_middle = middle.sym()
+        psd, power = _hermitian_eigs([_psd_stack(x), _power_stack(_Stack.cat(x, sym_middle))])
     _require_psd_members([x], ["X"], tol, psd)
     if mode == "contraction":
         for q_norm in _spectral(q.slices).tolist():
@@ -273,7 +268,7 @@ def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[
 
     if middle is None:
         middle = _t_product(_t_product(left, x), q)
-        sym_middle = _sym(middle)
+        sym_middle = middle.sym()
     for reason in _asymmetry(middle, tol):
         if reason:
             raise HypothesisViolationError(
@@ -281,7 +276,7 @@ def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[
                 "the power of a non-symmetric tensor is undefined"
             )
     ((x_r, pow_conj),) = _t_powers([x, sym_middle], [r, r], eig=power)
-    conj_pow = _sym(_t_product(_t_product(left, x_r), q))
+    conj_pow = _t_product(_t_product(left, x_r), q).sym()
     low = np.array([ri <= 1.0 for ri in r])[:, None, None, None]
     lhs = _Stack(np.where(low, conj_pow.data, pow_conj.data))
     rhs = _Stack(np.where(low, pow_conj.data, conj_pow.data))
@@ -317,8 +312,8 @@ def _furuta(a: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list
         )
     s = [(pi + 2 * ri) / qi for ri, pi, qi in zip(r, p, q)]
     (br, ar), (bp, ap), (bs, as_) = _loewner_pair_powers(a, b, tol, r, p, s)
-    sandwich_b = _sym(_t_product(_t_product(br, ap), br))
-    sandwich_a = _sym(_t_product(_t_product(ar, bp), ar))
+    sandwich_b = _t_product(_t_product(br, ap), br).sym()
+    sandwich_a = _t_product(_t_product(ar, bp), ar).sym()
     inverse_q = [1.0 / qi for qi in q]
     ((lower_rhs, upper_lhs),) = _t_powers([sandwich_b, sandwich_a], [inverse_q, inverse_q])
     params = [{"r": ri, "p": pi, "q": qi} for ri, pi, qi in zip(r, p, q)]
@@ -348,13 +343,13 @@ def _young_commuting(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> list
     ab = lhs = psd = lhs_psd = power = None
     if _same_square(a, b):
         ab = _t_product(a, b)
-        lhs = _sym(ab)
+        lhs = ab.sym()
         pair = _Stack.cat(a, b)
         psd, lhs_psd, power = _hermitian_eigs([_psd_stack(pair), _psd_stack(lhs), _power_stack(pair)])
     _require_psd_members([a, b], ["A", "B"], tol, psd)
     if ab is None:
         ab = _t_product(a, b)
-        lhs = _sym(ab)
+        lhs = ab.sym()
     comm = _frobenius((ab - _t_product(b, a)).data).tolist()
     norms = zip(_frobenius(a.data).tolist(), _frobenius(b.data).tolist())
     for c, (fa, fb) in zip(comm, norms):
@@ -424,14 +419,13 @@ def _complex_norm_bounds(a: _Stack, b: _Stack, variant: str, tol: float, mode: s
         _require_psd_members(psd, ["A", "B"][: len(psd)], tol)
 
     _check_same_shape(a, b)
-    t = a.data + 1j * b.data
+    ft, st = _cartesian_norms(a, b)
     sa2 = [v ** 2 for v in _spectral(a.slices).tolist()]
     sb2 = [v ** 2 for v in _spectral(b.slices).tolist()]
     fa2 = [v ** 2 for v in _frobenius(a.data).tolist()]
     fb2 = [v ** 2 for v in _frobenius(b.data).tolist()]
-    st, ft = _spectral(_forward(t)).tolist(), _frobenius(t).tolist()
     if variant == "a":
-        (root,) = _t_powers([_sym(_t_product(a, a) + _t_product(b, b))], [[0.5] * len(a)])[0]
+        (root,) = _t_powers([(_t_product(a, a) + _t_product(b, b)).sym()], [[0.5] * len(a)])[0]
         sr, fr = _spectral(root.slices).tolist(), _frobenius(root.data).tolist()
     base = {"variant": variant, "mode": mode}
 

@@ -28,9 +28,8 @@ from .certificates import (
     InequalityCertificate,
     norm_certificate,
 )
-from .core import Tensor3, _frobenius, _spectral, _Stack, frobenius_norm
+from .core import Tensor3, _cartesian_norms, _frobenius, _spectral, _Stack, frobenius_norm
 from .errors import HypothesisViolationError, ShapeMismatchError
-from .fourier import _forward
 from .spectral import TEigenSpectrum, _t_eigenvalues, t_eigenvalues
 
 __all__ = [
@@ -346,7 +345,6 @@ def _diag_spectrum(a: _Stack, b: _Stack, tol: float) -> list[list]:
     if a.shape != b.shape:
         raise HypothesisViolationError(f"shape mismatch: {a.shape} vs {b.shape}")
     spectra = _t_eigenvalues(a, b)
-    t = a.data + 1j * b.data
     n3 = a.n3
 
     def cert(claim, norm_kind, lhs, rhs):
@@ -356,7 +354,7 @@ def _diag_spectrum(a: _Stack, b: _Stack, tol: float) -> list[list]:
         )
 
     out = []
-    norms = zip(_frobenius(t).tolist(), _spectral(_forward(t)).tolist())
+    norms = zip(*_cartesian_norms(a, b))
     for alpha, beta, (ft, st) in zip(spectra, spectra[len(a):], norms):
         alpha, beta = alpha.values.real, beta.values.real
         alpha = alpha[np.argsort(-np.abs(alpha), kind="stable")]

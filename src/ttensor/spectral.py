@@ -12,11 +12,12 @@ trials (Kilmer & Martin, *Factorization strategies for third-order
 tensors*, 2011), so the tensor functions also take stacks of tensors along a
 leading trial axis (:class:`ttensor.core._Stack`): :func:`_t_powers` and
 :func:`_abs_powers` take every member, each at its own exponents, with one
-solver call per member shape, and :func:`t_power`, :func:`_abs_power` and
-:func:`t_abs` are their one-member case.  Each member's result is bit for
-bit its lone result: every step acts on each slice alone, and each distinct
-exponent is applied as one Python number.  Both may also be handed spectra
-solved beforehand, together with other independent stacks
+solver call per member shape, and :func:`t_power` and :func:`t_abs` are
+their one-member case.  Each member's result is bit for bit its lone
+result: every step acts on each slice alone, and each distinct exponent is
+applied as one Python number (:func:`_clipped_power`, the one power
+kernel).  :func:`_t_powers` may also be handed spectra solved beforehand,
+together with other independent stacks
 (:func:`ttensor.eigensolvers._hermitian_eigs`).  :func:`_t_eigenvalues`
 takes the spectra of every member of several stacks with at most one call
 of each solver, and :func:`_young_witness` builds the witnesses of a stack
@@ -47,7 +48,7 @@ from .errors import (
     SingularTensorError,
 )
 from .fourier import (
-    _assemble_real_from_half,
+    _half_size,
     _inverse,
     _mirror_half,
     _self_conjugate_indices,
@@ -110,7 +111,7 @@ def _t_eigenvalues(*xs: _Stack) -> list[TEigenSpectrum]:
             raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {x.shape}")
     kinds, hermitian, general = [], [], []
     for x in xs:
-        half = x.n3 // 2 + 1
+        half = _half_size(x.n3)
         symmetric = [not reason for reason in _asymmetry(x, PREDICATE_TOL)]
         psd = _psd_stack(x).reshape(len(x), half, *x.shape[:2]) if any(symmetric) else None
         for i, sym in enumerate(symmetric):
@@ -168,18 +169,17 @@ def multiset_distance(u, v) -> float:
 # ---------------------------------------------------------------------------
 
 def _power_stack(x: _Stack) -> np.ndarray:
-    """The stack :func:`t_power` decomposes: Fourier slices 0..n3//2 of each
-    member, Hermitian-symmetrized, one ``(b * (n3//2 + 1), n, n)`` stack.
+    """The stack :func:`t_power` decomposes: :func:`ttensor.algebra._psd_stack`
+    with each member's self-conjugate slices set to their real part.
 
-    Self-conjugate slices are clamped to their real symmetric part: for a
-    symmetric real tensor they are real in exact arithmetic, and dropping the
-    roundoff imaginary junk here keeps every function output exactly
-    conjugate-symmetric after mirroring.
+    For a symmetric real tensor those slices are real in exact arithmetic,
+    and dropping the roundoff imaginary junk here keeps every function output
+    exactly conjugate-symmetric after mirroring.
     """
-    half = x.slices[:, : x.n3 // 2 + 1].copy()
+    half = _psd_stack(x).reshape(len(x), _half_size(x.n3), *x.shape[:2])
     real_idx = _self_conjugate_indices(x.n3)
     half[:, real_idx] = half[:, real_idx].real
-    return (0.5 * (half + _herm_t(half))).reshape(-1, *x.shape[:2])
+    return half.reshape(-1, *x.shape[:2])
 
 
 def t_power(a: Tensor3, r: float) -> Tensor3:
@@ -234,57 +234,54 @@ def _t_powers(xs: list[_Stack], *exponents, eig: HermitianEigen | None = None) -
                 -1, np.inf,
                 f"negative power needs strict definiteness: smallest eigenvalue {min_eig:.3e}",
             )
-    w = np.clip(eigs.values, 0.0, None)
-    half = x.n3 // 2 + 1
+    half = _half_size(x.n3)
+    rows = np.repeat(np.arange(len(x)), half)  # the member of each half slice
     out = []
-    positive = w > 0
     for e in exponents:
-        row_exponent = np.repeat(np.asarray(e, dtype=float), half)
-        pw = np.zeros_like(w)
-        for r in dict.fromkeys(e):
-            rows = row_exponent == r
-            if r == 0:
-                pw[rows] = 1.0
-            else:
-                pos = positive & rows[:, None]
-                pw[pos] = w[pos] ** r
-        m = (eigs.vectors * pw[:, None, :]) @ _herm_t(eigs.vectors)
+        m = _clipped_power(eigs, e, rows)
         m = (0.5 * (m + _herm_t(m))).reshape(len(x), half, *x.shape[:2])
         power = _Stack(_inverse(_mirror_half(m, x.n3)))
-        out.append((0.5 * (power + power.transpose())).split(len(xs)))
+        out.append(power.sym().split(len(xs)))
     return out
+
+
+def _clipped_power(e: HermitianEigen, exponents: list, rows: np.ndarray) -> np.ndarray:
+    """``V clip(w)^r V^H`` per slice, the slices of member ``i`` at
+    ``exponents[i]``, each distinct exponent applied as one Python number.
+
+    Eigenvalues are clipped at 0 first, so ``0**r = 0`` for ``r > 0`` and
+    ``w**0 = 1``; a negative exponent needs a strictly positive spectrum,
+    which :func:`_t_powers` checks."""
+    w = np.clip(e.values, 0.0, None)
+    row_exponent = np.asarray(exponents, dtype=float)[rows]
+    for r in dict.fromkeys(exponents):
+        same = row_exponent == r
+        w[same] = w[same] ** r
+    return (e.vectors * w[:, None, :]) @ _herm_t(e.vectors)
 
 
 def t_abs(a: Tensor3) -> Tensor3:
     """Absolute value (a^T * a)^(1/2); symmetric positive semidefinite."""
     if a.n1 != a.n2:
         raise ShapeMismatchError(f"t_abs requires a square tensor, got {a.shape}")
-    return _abs_power(a, 1.0)
+    return _abs_powers([_Stack.of(a)], [[1.0]])[0].member(0)
 
 
-def _abs_power(x: Tensor3, r: float) -> Tensor3:
-    """``|x|^r``; see :func:`_abs_powers`."""
-    return _abs_powers([_Stack.of(x)], [[r]])[0].member(0)
-
-
-def _abs_powers(xs: list[_Stack], rs, gram: _Stack | None = None, eig=None) -> list[_Stack]:
+def _abs_powers(xs: list[_Stack], rs) -> list[_Stack]:
     """``|x|^r`` of every member of every stack in ``xs``, member ``i`` of
     ``xs[k]`` at ``rs[k][i]``, computed as the power ``r / 2`` of the
-    symmetrized Gram ``x^T * x``; the one place every ``|X|^r`` in the
-    package is taken.  Stacks of one member shape are taken together;
-    ``gram`` and ``eig`` may hold :func:`_abs_gram` of their concatenation
-    and the spectra of its :func:`_power_stack`, solved with other stacks."""
+    symmetrized Gram ``x^T * x`` (:func:`_abs_gram`).  Stacks of one member
+    shape are taken together.  :func:`_young_witness` takes the same powers
+    of its Grams itself, with their spectra solved in its first wave."""
     if len({x.shape for x in xs}) > 1:
         return [_abs_powers([x], [r])[0] for x, r in zip(xs, rs)]
-    if gram is None:
-        gram = _abs_gram(_Stack.cat(*xs))
-    return _t_powers([gram], [[0.5 * r for rk in rs for r in rk]], eig=eig)[0][0].split(len(xs))
+    gram = _abs_gram(_Stack.cat(*xs))
+    return _t_powers([gram], [[0.5 * r for rk in rs for r in rk]])[0][0].split(len(xs))
 
 
 def _abs_gram(x: _Stack) -> _Stack:
     """The symmetrized Grams ``x^T * x`` whose powers give ``|x|^r``."""
-    gram = _t_product(x.transpose(), x)
-    return 0.5 * (gram + gram.transpose())
+    return _t_product(x.transpose(), x).sym()
 
 
 def gen_orthogonal(n: int, n3: int, rng) -> Tensor3:
@@ -303,7 +300,7 @@ def gen_orthogonal(n: int, n3: int, rng) -> Tensor3:
         d = np.diagonal(rr).copy()
         d[d == 0] = 1.0
         q_half[k] = q * (d / np.abs(d))
-    return _assemble_real_from_half(q_half, n3)
+    return Tensor3(_inverse(_mirror_half(q_half[None], n3))[0])
 
 
 def young_witness(
@@ -334,7 +331,7 @@ def _young_witness(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> tuple[
     for pi, qi in zip(p, q):
         _require_conjugate(pi, qi)
     n, n3 = a.shape[0], a.n3
-    half = n3 // 2 + 1
+    half = _half_size(n3)
     sa, sb = a.slices[:, :half], b.slices[:, :half]
     grams = _young_grams(sa, sb)
     # self-conjugate slices are clamped to their real parts, in real arithmetic
@@ -356,23 +353,12 @@ def _young_witness(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> tuple[
     e_d = hermitian_eig(0.5 * (d + _herm_t(d)))
     u_half = (e_c.vectors @ _herm_t(e_d.vectors)).reshape(len(a), half, n, n)
     u = _Stack(_inverse(_mirror_half(u_half, n3)))
-    abs_a, abs_b, abs_ab = _abs_powers(
-        [a, b, ab_t], [p, q, [1.0] * len(a)], gram=abs_gram, eig=eigs[3]
-    )
+    # |A|^p, |B|^q and |A B^T| as the powers p/2, q/2 and 1/2 of their Grams
+    halves = [0.5 * r for r in [*p, *q, *[1.0] * len(a)]]
+    abs_a, abs_b, abs_ab = _t_powers([abs_gram], [halves], eig=eigs[3])[0][0].split(3)
     rhs = abs_a * [1.0 / pi for pi in p] + abs_b * [1.0 / qi for qi in q]
     conjugated = _t_product(_t_product(u.transpose(), abs_ab), u)
-    return u, list(_psd_verdicts(rhs - 0.5 * (conjugated + conjugated.transpose()), tol))
-
-
-def _clipped_power(e: HermitianEigen, exponents: list, rows: np.ndarray) -> np.ndarray:
-    """``V clip(w)^r V^H`` per slice, the slices of member ``i`` at
-    ``exponents[i]``, each distinct exponent applied as one Python number."""
-    w = np.clip(e.values, 0.0, None)
-    row_exponent = np.asarray(exponents, dtype=float)[rows]
-    for r in dict.fromkeys(exponents):
-        same = row_exponent == r
-        w[same] = w[same] ** r
-    return (e.vectors * w[:, None, :]) @ _herm_t(e.vectors)
+    return u, list(_psd_verdicts(rhs - conjugated.sym(), tol))
 
 
 def _require_conjugate(p: float, q: float) -> None:

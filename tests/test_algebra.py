@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from ttensor import (
+    FourierSlices,
     NotSymmetricError,
     RngStream,
     ShapeMismatchError,
     SingularTensorError,
     Tensor3,
+    from_fourier,
     frobenius_norm,
     gen_loewner_pair,
     gen_random,
@@ -26,9 +28,13 @@ from ttensor import (
     power_order_counterexample,
     t_inverse,
     t_product,
+    to_fourier,
     transpose,
 )
 from oracles import brute_bcirc, quadratic_form_min
+from ttensor.fourier import _mirror_half
+
+EPS = np.finfo(float).eps
 
 
 def test_t_product_identity_law():
@@ -102,6 +108,34 @@ def test_t_inverse_residual(seed):
     a = gen_t_psd(3, 3, RngStream(800, seed))
     res = t_product(a, t_inverse(a)) - identity(3, 3)
     assert frobenius_norm(res) <= 1e-8
+
+
+def _one_ill_conditioned_slice(seed: int, n: int, n3: int, cond: float) -> Tensor3:
+    """A real tensor whose Fourier slice 1 (and its conjugate n3 - 1) has
+    singular values spread log-evenly from 1 down to ``1 / cond``; the other
+    slices are Gaussian."""
+    rng = np.random.default_rng(seed)
+    h = n3 // 2 + 1
+    half = rng.normal(size=(h, n, n)) + 1j * rng.normal(size=(h, n, n))
+    half[0], half[n3 // 2] = half[0].real, half[n3 // 2].real
+    u, _, vh = np.linalg.svd(half[1])
+    half[1] = (u * np.logspace(0, -np.log10(cond), n)) @ vh
+    return from_fourier(FourierSlices(n, n, n3, _mirror_half(half[None], n3)[0], True))
+
+
+def test_t_inverse_of_an_ill_conditioned_slice_is_accurate():
+    # inv amplifies the transform's roundoff asymmetry between conjugate
+    # slices by the slice condition; the inverse is still as accurate as a
+    # backward-stable slicewise inverse allows, so nothing may reject it
+    n, n3 = 4, 8
+    for seed in range(10):
+        a = _one_ill_conditioned_slice(seed, n, n3, 1e8)
+        sv = np.linalg.svd(to_fourier(a).slices, compute_uv=False)
+        kappa = sv.max() / sv.min()  # of the block-circulant operator
+        assert kappa > 1e8
+        x = t_inverse(a)
+        residual = frobenius_norm(t_product(a, x) - identity(n, n3))
+        assert residual <= (n + n3) * EPS * kappa, seed
 
 
 def test_t_inverse_singular_reports_slice():

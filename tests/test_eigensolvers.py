@@ -109,7 +109,7 @@ def test_determinism():
     assert np.array_equal(e1.vectors, e2.vectors)
 
 
-def test_memo_off_outside_scope():
+def test_hermitian_eig_returns_fresh_writable_results():
     # nothing is cached: every call solves afresh and returns its own,
     # writable result
     h = _random_hermitian(np.random.default_rng(5), 3)
@@ -119,7 +119,7 @@ def test_memo_off_outside_scope():
     assert e2.values[0] != 0.0
 
 
-def test_memo_never_stores_errors():
+def test_hermitian_eig_raises_on_every_call():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     for _ in range(3):
         with pytest.raises(NotSymmetricError):

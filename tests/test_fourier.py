@@ -32,7 +32,8 @@ from oracles import (
 from ttensor.fourier import (
     _KERNEL_CACHE_SIZE,
     _SYMMETRY_TOL,
-    _assemble_real_from_half,
+    _half_size,
+    _mirror_half,
     _real_dft_kernel,
     dft_matrix,
 )
@@ -254,8 +255,8 @@ def test_symmetry_check_ties_go_to_lower_index(n3):
 def test_half_spectrum_mirrors_back_to_the_tensor(n3):
     a = gen_random((3, 2, n3), RngStream(23, n3))
     half = to_fourier(a).half()
-    assert len(half) == n3 // 2 + 1
-    back = _assemble_real_from_half(half, n3)
+    assert len(half) == n3 // 2 + 1 == _half_size(n3)
+    back = from_fourier(FourierSlices(3, 2, n3, _mirror_half(half[None], n3)[0], True))
     assert np.abs(back.data - a.data).max() <= 1e-12
 
 
@@ -357,7 +358,7 @@ def test_inverse_matches_slice_major_layout_bit_for_bit(n3):
 # no memo: every call transforms afresh
 # ---------------------------------------------------------------------------
 
-def test_memo_returns_stored_transforms():
+def test_transforms_are_read_only_and_repeatable():
     # results are read-only, and a repeated input gives equal results
     a = gen_random((3, 2, 5), RngStream(45))
     fs = to_fourier(a)
@@ -367,7 +368,7 @@ def test_memo_returns_stored_transforms():
     assert np.array_equal(from_fourier(FourierSlices(3, 2, 5, fs.slices.copy(), True)).data, back.data)
 
 
-def test_memo_tells_equal_bytes_apart():
+def test_transforms_tell_equal_bytes_apart():
     # tensors holding equal bytes in other types or shapes get their own
     # transforms
     data = np.random.default_rng(46).normal(size=(2, 2, 4))
@@ -389,7 +390,7 @@ def test_memo_tells_equal_bytes_apart():
         assert from_fourier(s).shape == (s.n1, s.n2, s.n3)
 
 
-def test_memo_never_stores_conjugate_symmetry_errors():
+def test_from_fourier_raises_conjugate_symmetry_error_on_every_call():
     bad = FourierSlices.from_list([np.array([[1.0 + 0j]]), np.array([[1j]])], True)
     for _ in range(3):
         with pytest.raises(ConjugateSymmetryError):

@@ -43,7 +43,7 @@ from ttensor.certificates import _gap
 from ttensor.core import _Stack
 from ttensor.eigensolvers import _hermitian_eigs
 from ttensor.localization import diag_spectrum_bound, hoffman_wielandt, sorted_pairing_distance
-from ttensor.spectral import _abs_gram, _abs_power, _abs_powers, _power_stack, _t_powers
+from ttensor.spectral import _abs_gram, _abs_powers, _power_stack, _t_powers
 from oracles import brute_bcirc
 
 
@@ -252,7 +252,7 @@ def _later_calls(a, b):
         loewner_ge(a, b).min_gap_eigenvalue,
         t_power(a, 0.5).data.tobytes(),
         t_power(b, 1.5).data.tobytes(),
-        _abs_power(a - b, 0.7).data.tobytes(),
+        _abs_powers([_Stack.of(a - b)], [[0.7]])[0].member(0).data.tobytes(),
         loewner_certificate("t", b, a, dims=a.shape, params={}).margin,
     ]
 
@@ -278,7 +278,7 @@ def test_solve_ahead_solves_every_later_stack_in_one_call(monkeypatch, n3):
         next(_psd_verdicts(x - y, PREDICATE_TOL, order)).min_gap_eigenvalue,
         xp.data.tobytes(),
         yp.data.tobytes(),
-        _abs_powers([x - y], [[0.7]], eig=absolute)[0].data.tobytes(),
+        _t_powers([_abs_gram(x - y)], [[0.5 * 0.7]], eig=absolute)[0][0].data.tobytes(),
         _slice_eig_extremes(gap, gap_eig)[0][0],
     ]
     assert counts["jacobi"] == 1
@@ -345,7 +345,8 @@ def test_stacked_abs_power_members_are_bit_equal_to_lone_calls(n, n3):
     xs = [gen_random((n, n, n3), RngStream(300 + i)) for i in range(len(_MIXED_EXPONENTS))]
     (powers,) = spectral._abs_powers([core._Stack.of(*xs)], [_MIXED_EXPONENTS])
     for x, r, member in zip(xs, _MIXED_EXPONENTS, powers.data, strict=True):
-        assert member.tobytes() == spectral._abs_power(x, r).data.tobytes()
+        alone = spectral._abs_powers([core._Stack.of(x)], [[r]])[0]
+        assert member.tobytes() == alone.data.tobytes()
 
 
 def test_stacked_powers_of_several_stacks_split_per_stack():
@@ -378,11 +379,12 @@ def test_stacked_norms_are_bit_equal_to_lone_calls(n, n3):
     stack = core._Stack.of(*xs)
     assert core._frobenius(stack.data).tolist() == [frobenius_norm(x) for x in xs]
     assert core._spectral(stack.slices).tolist() == [spectral_norm(x) for x in xs]
-    # a stack made of stacks takes its parts' slices, and hands its own out
+    # a stack made of stacks transforms its members as they transform alone,
+    # and hands no slices to its parts
     parts = [core._Stack.of(x) for x in xs[:2]]
     whole = core._Stack.cat(*parts)
     assert whole.slices.tobytes() == np.concatenate([p.slices for p in parts]).tobytes()
     fresh = [core._Stack.of(*xs[:2]), core._Stack.of(*xs[2:])]
     joined = core._Stack.cat(*fresh)
     assert joined.slices.tobytes() == stack.slices.tobytes()
-    assert all(p._slices is not None for p in fresh)
+    assert all(p._slices is None for p in fresh)

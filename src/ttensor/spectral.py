@@ -190,7 +190,7 @@ def t_power(a: Tensor3, r: float) -> Tensor3:
     window is a genuine violation and raises.  Negative exponents additionally
     require strict definiteness: every eigenvalue at least
     ``_POWER_TOL * lambda_max``.  The input must be symmetric within
-    ``_POWER_TOL``.
+    ``_POWER_TOL``, and the exponent finite (else :class:`ValueError`).
     """
     return _t_powers([_Stack.of(a)], [[r]])[0][0].member(0)
 
@@ -234,6 +234,8 @@ def _t_powers(xs: list[_Stack], *exponents, eig: HermitianEigen | None = None) -
                 -1, np.inf,
                 f"negative power needs strict definiteness: smallest eigenvalue {min_eig:.3e}",
             )
+        if not all(np.isfinite(e[i]) for e in exponents):
+            raise ValueError(f"t_power requires finite exponents, got {[e[i] for e in exponents]}")
     half = _half_size(x.n3)
     rows = np.repeat(np.arange(len(x)), half)  # the member of each half slice
     out = []

@@ -115,6 +115,13 @@ def test_t_power_rejects_indefinite():
         t_power(Tensor3.zeros(2, 2, 2), -1.0)
 
 
+def test_t_power_rejects_non_finite_exponents():
+    a = gen_t_psd(2, 3, RngStream(1))
+    for r in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite exponents"):
+            t_power(a, r)
+
+
 def test_t_power_spectral_mapping():
     a = gen_t_psd(3, 3, RngStream(77))
     for r in (0.5, 2.0, 1.5):
@@ -379,12 +386,10 @@ def test_stacked_norms_are_bit_equal_to_lone_calls(n, n3):
     stack = core._Stack.of(*xs)
     assert core._frobenius(stack.data).tolist() == [frobenius_norm(x) for x in xs]
     assert core._spectral(stack.slices).tolist() == [spectral_norm(x) for x in xs]
-    # a stack made of stacks transforms its members as they transform alone,
-    # and hands no slices to its parts
+    # a stack made of stacks transforms its members as they transform alone
     parts = [core._Stack.of(x) for x in xs[:2]]
     whole = core._Stack.cat(*parts)
     assert whole.slices.tobytes() == np.concatenate([p.slices for p in parts]).tobytes()
     fresh = [core._Stack.of(*xs[:2]), core._Stack.of(*xs[2:])]
     joined = core._Stack.cat(*fresh)
     assert joined.slices.tobytes() == stack.slices.tobytes()
-    assert all(p._slices is None for p in fresh)

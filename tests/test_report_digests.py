@@ -89,8 +89,8 @@ def report_digest(config, shape) -> str:
 
 
 # (n, n3) of the direct outputs: both middle-slice parities, short and long
-# tubes
-DIRECT_SHAPES = ((4, 4), (3, 5), (3, 127), (3, 128))
+# tubes, and one shape whose transforms are large enough to run on two threads
+DIRECT_SHAPES = ((4, 4), (3, 5), (3, 127), (3, 128), (8, 256))
 # exponents whose numpy power takes the reciprocal, the zero, the
 # square-root, the identity, the general and the square paths
 DIRECT_POWERS = (-1.0, 0.0, 0.5, 1.0, 1.25, 2.0)

@@ -26,7 +26,9 @@ raises the error the lowest failing trial raises in a serial loop.
 
 Every member of a stacked call gets the bits it would get alone, so reports
 are byte-identical to running the trials one after another.  A campaign
-keeps no state outside its call and starts no thread, so
+keeps no state outside its call.  A window whose transforms stay below
+``fourier._SPLIT_WORK`` starts no thread; above it the one transform worker
+that :mod:`ttensor.fourier` shares starts once per process.
 :func:`run_campaign` may be called from several threads at once and each
 call's report is byte-identical to a lone serial run.
 """

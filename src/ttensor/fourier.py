@@ -63,6 +63,37 @@ case (bit-equal and as fast as the unstacked einsums at 8x8x1024, 8x8x512,
 ``n`` up to 8, ``n3`` up to 128 and stacks of up to 64).  Every call
 transforms afresh: nothing is cached but the kernel.
 
+Large transforms run on two threads (:func:`_slicewise_einsum`).  When the
+work ``b * n1 * n2 * n3**2`` is above ``_SPLIT_WORK`` and the process may
+run on two or more CPUs, each of the three einsums is cut in two blocks of
+the kernel's ``k`` rows, the output slice index, never ``t``, the index
+summed over.  The calling thread computes the first block, one persistent
+worker thread the second, and the blocks are joined along the slice axis.
+numpy's einsum releases the GIL in its loops, so the blocks run at once.
+An output element depends only on its own kernel row, whose terms einsum
+adds in the same ``t`` order whichever block the row sits in, so the
+result is bit for bit the single einsum (the tests force the split on real
+and complex forwards and inverses, ``n3`` 1 to 1023, and compare bytes).
+
+* The threshold, ``2**21`` (1-3 ms of one einsum), was measured on the
+  shared 2-core box by timing each direction split and whole, best of
+  many runs, ``b * n1 * n2 * n3**2`` from ``2**15`` to ``2**26``.  The
+  worker's round trip costs about 25 us.  With the other core idle the
+  split ran 1.05-1.75x at ``2**20`` and 1.2-2.0x from ``2**21`` up; with
+  it busy the split lost at every size, 0.4-0.98x below ``2**21`` and down
+  to 0.88x above.  One-trial campaign windows at 3x3x128 stay below it
+  (at most ``2**19.75``, ``minkowski``); with three trials a window,
+  ``minkowski`` reaches ``2**21.3`` and splits.
+* One worker, started on the first split and shared by every caller: a
+  process holds at most one extra thread however many threads call in, and
+  calls from several threads queue their second blocks on it.  A thread
+  started per call ran as fast on ``tube-algebra`` and peaked at about the
+  same RSS in one measurement (77.6-78.0 MB against 77.3-77.4 MB), but
+  peaked at 91 MB in another, and it adds a thread per concurrent caller.
+* A forked child gets a new, unstarted worker (``os.register_at_fork``):
+  the parent's worker thread does not exist there, so a job handed to the
+  inherited one would never run.
+
 A real tensor's slices come in conjugate pairs, so slices ``0 .. n3//2`` (the
 half spectrum, :meth:`FourierSlices.half`, :func:`_half_size` of them)
 determine the rest; this module owns that convention, including which half
@@ -80,6 +111,8 @@ slice condition.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -201,6 +234,26 @@ _KERNEL_CACHE_SIZE = 8
 # Relative conjugate-symmetry residual below which slices have a real preimage.
 _SYMMETRY_TOL = 1e-9
 
+# Work ``b * n1 * n2 * n3**2`` of a transform above which its slices are
+# computed in two blocks on two threads (measured: see the module docstring).
+_SPLIT_WORK = 2**21
+
+# Whether the process may run on two or more CPUs.
+_SPLIT = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+) >= 2
+
+
+def _new_worker() -> None:
+    """Make the one worker; ThreadPoolExecutor starts its thread on the first
+    submit.  Run again in a forked child, which has no worker thread."""
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ttensor-dft")
+
+
+_new_worker()
+os.register_at_fork(after_in_child=_new_worker)
+
 
 @lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def dft_matrix(n: int) -> np.ndarray:
@@ -266,9 +319,10 @@ def _forward(data: np.ndarray) -> np.ndarray:
     bit for bit its own transform."""
     n3 = data.shape[3]
     if np.iscomplexobj(data):
-        return np.einsum("kt,bijt->bkij", dft_matrix(n3), data)
+        return _slicewise_einsum("kt,bijt->bkij", dft_matrix(n3), data)
     kernel = _real_dft_kernel(n3)
-    return np.ascontiguousarray(np.einsum("tkc,bijt->bkijc", kernel, data).view(complex)[..., 0])
+    parts = _slicewise_einsum("tkc,bijt->bkijc", kernel, data)
+    return np.ascontiguousarray(parts.view(complex)[..., 0])
 
 
 def from_fourier(s: FourierSlices) -> Tensor3:
@@ -292,7 +346,29 @@ def _inverse(slices: np.ndarray) -> np.ndarray:
     docstring): the real part of the inverse transform."""
     n3 = slices.shape[1]
     tubes = np.conjugate(slices.transpose(0, 2, 3, 1), order="C")
-    return (np.einsum("kt,bijt->bijk", dft_matrix(n3), tubes) / n3).real
+    return (_slicewise_einsum("kt,bijt->bijk", dft_matrix(n3), tubes) / n3).real
+
+
+def _slicewise_einsum(subscripts: str, kernel: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, kernel, operand)``, where ``k`` in
+    ``subscripts`` is the slice index.
+
+    Above ``_SPLIT_WORK``, on two or more CPUs, the worker computes the
+    second block of the kernel's ``k`` rows while the caller computes the
+    first, and the blocks are joined along the output's ``k`` axis: the
+    same bytes (module docstring).
+    """
+    n3 = operand.shape[-1]  # t, as long as k
+    if not _SPLIT or operand.size * n3 <= _SPLIT_WORK:
+        return np.einsum(subscripts, kernel, operand)
+    inputs, output = subscripts.split("->")
+    head, tail = np.split(kernel, [n3 // 2], axis=inputs.index("k"))
+    second = _worker.submit(np.einsum, subscripts, tail, operand)
+    try:
+        first = np.einsum(subscripts, head, operand)
+    finally:
+        rest = second.result()  # also when the first block raised
+    return np.concatenate([first, rest], axis=output.index("k"))
 
 
 def fourier_frobenius_norm(s: FourierSlices) -> float:

@@ -6,6 +6,7 @@ import inspect
 import json
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -347,6 +348,10 @@ def _no_thread_starts(monkeypatch):
         raise AssertionError("a campaign started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
+    # a split transform would have to start this worker's thread, also on a
+    # one-CPU machine and after earlier tests started the shared worker
+    monkeypatch.setattr(fourier, "_SPLIT", True)
+    monkeypatch.setattr(fourier, "_worker", ThreadPoolExecutor(max_workers=1))
 
 
 @pytest.mark.parametrize("before_solving", [True, False])
@@ -573,8 +578,9 @@ def test_merged_general_eig_failure_reaches_only_its_trial(monkeypatch):
     assert [t for t in sorted(log) if log[t]["ok"]] == [0, 1, 2]
 
 
-def test_lockstep_starts_threads_only_for_waiting_trials(monkeypatch):
-    # no trial waits for another: a window is one pass on the calling thread
+def test_small_windows_start_no_thread(monkeypatch):
+    # a window is one pass on the calling thread, and these windows'
+    # transforms stay below the split threshold
     _no_thread_starts(monkeypatch)
     threads_before = threading.active_count()
     for theorem_id, n, n3, trials in (

@@ -1,5 +1,9 @@
 """Block-circulant unfolding and the DFT block diagonalization."""
 
+import hashlib
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -29,10 +33,13 @@ from oracles import (
     forward_dft_reference,
     inverse_dft_slice_major,
 )
+from ttensor import fourier
 from ttensor.fourier import (
     _KERNEL_CACHE_SIZE,
     _SYMMETRY_TOL,
+    _forward,
     _half_size,
+    _inverse,
     _mirror_half,
     _real_dft_kernel,
     dft_matrix,
@@ -402,3 +409,108 @@ def test_transforms_are_not_cached_outside_a_scope():
     fs = to_fourier(a)
     assert to_fourier(a) is not fs
     assert from_fourier(fs) is not from_fourier(fs)
+
+
+# ---------------------------------------------------------------------------
+# large transforms: two blocks of slices on two threads
+# ---------------------------------------------------------------------------
+
+# (n3, n, b) = (1023, 8, 64) is left out: 2**32 multiply-adds a transform
+_SPLIT_GRID = [
+    (n3, n, b)
+    for n3 in (1, 2, 3, 4, 5, 8, 17, 127, 128, 1023)
+    for n in (1, 3, 8)
+    for b in (1, 64)
+    if (n3, n, b) != (1023, 8, 64)
+]
+
+
+@pytest.mark.parametrize("n3,n,b", _SPLIT_GRID)
+def test_split_transforms_are_the_single_einsum_bit_for_bit(monkeypatch, n3, n, b):
+    rng = np.random.default_rng([n3, n, b])
+    real = rng.normal(size=(b, n, n, n3))
+    cases = [
+        (_forward, real),
+        (_forward, real + 1j * rng.normal(size=real.shape)),
+        (_inverse, _forward(real)),
+    ]
+    monkeypatch.setattr(fourier, "_SPLIT", False)
+    whole = [transform(x) for transform, x in cases]
+    monkeypatch.setattr(fourier, "_SPLIT", True)
+    monkeypatch.setattr(fourier, "_SPLIT_WORK", 0)
+    for (transform, x), want in zip(cases, whole):
+        got = transform(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def _large_pair(stream):
+    # 8x8x256: work 2**22 a transform, above the split threshold
+    assert 8 * 8 * 256**2 > fourier._SPLIT_WORK
+    return gen_random((8, 8, 256), RngStream(stream, 1)), gen_random((8, 8, 256), RngStream(stream, 2))
+
+
+def _product_digest(a, b, conn):
+    conn.send(hashlib.sha256(t_product(a, b).data.tobytes()).hexdigest())
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_forked_child_runs_large_transforms(monkeypatch):
+    # the parent's worker thread is running when it forks; the child's split
+    # transforms must not wait on that thread, which the child does not have
+    monkeypatch.setattr(fourier, "_SPLIT", True)
+    a, b = _large_pair(62)
+    want = hashlib.sha256(t_product(a, b).data.tobytes()).hexdigest()
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_product_digest, args=(a, b, send))
+    child.start()
+    try:
+        assert receive.poll(60), "a split transform hung in a forked child"
+        assert receive.recv() == want
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+
+
+def test_concurrent_callers_get_the_lone_bytes_and_one_worker(monkeypatch):
+    monkeypatch.setattr(fourier, "_SPLIT", True)
+    a, b = _large_pair(63)
+    einsum, counts = np.einsum, []
+
+    def counting_einsum(*args, **kwargs):  # runs on every thread of a split
+        counts.append(threading.active_count())
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    start = threading.active_count()
+    lone = t_product(a, b).data.tobytes()
+    assert counts and max(counts) <= start + 1
+
+    # more callers than cores, switching threads as often as they can
+    counts.clear()
+    callers = 4
+    results = [None] * callers
+    ready = threading.Barrier(callers)
+
+    def call(i):
+        ready.wait()
+        results[i] = t_product(a, b).data.tobytes()
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(callers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [lone] * callers
+    # the callers are the test's own threads: beside them, one worker
+    assert counts and max(counts) <= start + callers + 1

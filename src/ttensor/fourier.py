@@ -64,10 +64,10 @@ case (bit-equal and as fast as the unstacked einsums at 8x8x1024, 8x8x512,
 transforms afresh: nothing is cached but the kernel.
 
 Large transforms run on two threads (:func:`_slicewise_einsum`).  When the
-work ``b * n1 * n2 * n3**2`` is above ``_SPLIT_WORK`` and the process may
-run on two or more CPUs, each of the three einsums is cut in two blocks of
-the kernel's ``k`` rows, the output slice index, never ``t``, the index
-summed over.  The calling thread computes the first block, one persistent
+work ``b * n1 * n2 * n3**2`` is above ``_SPLIT_WORK``, the process may run
+on two or more CPUs and the worker is idle, each of the three einsums is cut
+in two blocks of the kernel's ``k`` rows, the output slice index, never
+``t``, the index summed over.  The calling thread computes the first block, one persistent
 worker thread the second, and the blocks are joined along the slice axis.
 numpy's einsum releases the GIL in its loops, so the blocks run at once.
 An output element depends only on its own kernel row, whose terms einsum
@@ -85,14 +85,24 @@ and complex forwards and inverses, ``n3`` 1 to 1023, and compare bytes).
   (at most ``2**19.75``, ``minkowski``); with three trials a window,
   ``minkowski`` reaches ``2**21.3`` and splits.
 * One worker, started on the first split and shared by every caller: a
-  process holds at most one extra thread however many threads call in, and
-  calls from several threads queue their second blocks on it.  A thread
-  started per call ran as fast on ``tube-algebra`` and peaked at about the
-  same RSS in one measurement (77.6-78.0 MB against 77.3-77.4 MB), but
-  peaked at 91 MB in another, and it adds a thread per concurrent caller.
+  process holds at most one extra thread however many threads call in.  A
+  split takes the worker only while it is idle (``_idle``, a lock tried
+  without waiting); a caller that finds it busy computes its whole einsum
+  itself, the same bytes.  When every caller queued its second block on
+  the worker instead, the worker held half of all the work: four threads
+  making the ``tube-algebra`` benchmark's calls at once ran 0.77x the calls
+  per second of the single einsum, two threads 0.81x; taken only while
+  idle, 0.97x for both (medians of three 10 s runs on the shared 2-core
+  box).  A thread started per call ran as fast on ``tube-algebra`` and
+  peaked at about the same RSS in one measurement (77.6-78.0 MB against
+  77.3-77.4 MB), but peaked at 91 MB in another, and it adds a thread per
+  concurrent caller.
 * A forked child gets a new, unstarted worker (``os.register_at_fork``):
   the parent's worker thread does not exist there, so a job handed to the
   inherited one would never run.
+* Once the interpreter starts shutting down, ``concurrent.futures`` takes
+  no new jobs, so a transform in a thread that outlives the main thread or
+  in an ``atexit`` handler computes its whole einsum on the calling thread.
 
 A real tensor's slices come in conjugate pairs, so slices ``0 .. n3//2`` (the
 half spectrum, :meth:`FourierSlices.half`, :func:`_half_size` of them)
@@ -112,6 +122,7 @@ slice condition.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -245,10 +256,12 @@ _SPLIT = (
 
 
 def _new_worker() -> None:
-    """Make the one worker; ThreadPoolExecutor starts its thread on the first
-    submit.  Run again in a forked child, which has no worker thread."""
-    global _worker
+    """Make the one worker and the lock a split holds while it has the worker;
+    ThreadPoolExecutor starts its thread on the first submit.  Run again in a
+    forked child, which has no worker thread."""
+    global _worker, _idle
     _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ttensor-dft")
+    _idle = threading.Lock()
 
 
 _new_worker()
@@ -353,22 +366,28 @@ def _slicewise_einsum(subscripts: str, kernel: np.ndarray, operand: np.ndarray) 
     """``np.einsum(subscripts, kernel, operand)``, where ``k`` in
     ``subscripts`` is the slice index.
 
-    Above ``_SPLIT_WORK``, on two or more CPUs, the worker computes the
-    second block of the kernel's ``k`` rows while the caller computes the
-    first, and the blocks are joined along the output's ``k`` axis: the
-    same bytes (module docstring).
+    Above ``_SPLIT_WORK``, on two or more CPUs and while no other split
+    holds the worker, the worker computes the second block of the kernel's
+    ``k`` rows while the caller computes the first, and the blocks are
+    joined along the output's ``k`` axis: the same bytes (module docstring).
     """
     n3 = operand.shape[-1]  # t, as long as k
-    if not _SPLIT or operand.size * n3 <= _SPLIT_WORK:
+    if not _SPLIT or operand.size * n3 <= _SPLIT_WORK or not _idle.acquire(blocking=False):
         return np.einsum(subscripts, kernel, operand)
-    inputs, output = subscripts.split("->")
-    head, tail = np.split(kernel, [n3 // 2], axis=inputs.index("k"))
-    second = _worker.submit(np.einsum, subscripts, tail, operand)
     try:
-        first = np.einsum(subscripts, head, operand)
+        inputs, output = subscripts.split("->")
+        head, tail = np.split(kernel, [n3 // 2], axis=inputs.index("k"))
+        try:
+            second = _worker.submit(np.einsum, subscripts, tail, operand)
+        except RuntimeError:  # the interpreter is shutting down
+            return np.einsum(subscripts, kernel, operand)
+        try:
+            first = np.einsum(subscripts, head, operand)
+        finally:
+            rest = second.result()  # also when the first block raised
+        return np.concatenate([first, rest], axis=output.index("k"))
     finally:
-        rest = second.result()  # also when the first block raised
-    return np.concatenate([first, rest], axis=output.index("k"))
+        _idle.release()
 
 
 def fourier_frobenius_norm(s: FourierSlices) -> float:

@@ -2,7 +2,9 @@
 
 import hashlib
 import multiprocessing
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 
@@ -514,3 +516,50 @@ def test_concurrent_callers_get_the_lone_bytes_and_one_worker(monkeypatch):
     assert results == [lone] * callers
     # the callers are the test's own threads: beside them, one worker
     assert counts and max(counts) <= start + callers + 1
+
+
+def test_busy_worker_leaves_the_caller_the_whole_einsum(monkeypatch):
+    # while another split holds the worker, a caller queues nothing on it
+    class Refuse:
+        def submit(self, *args):
+            raise AssertionError("a caller queued a block on a busy worker")
+
+    monkeypatch.setattr(fourier, "_SPLIT", True)
+    monkeypatch.setattr(fourier, "_SPLIT_WORK", 0)
+    real = np.random.default_rng(64).normal(size=(2, 3, 3, 17))
+    cases = [(_forward, real), (_forward, real + 1j * real[::-1]), (_inverse, _forward(real))]
+    monkeypatch.setattr(fourier, "_worker", Refuse())
+    assert fourier._idle.acquire(blocking=False)
+    try:
+        got = [transform(x) for transform, x in cases]
+    finally:
+        fourier._idle.release()
+    monkeypatch.setattr(fourier, "_SPLIT", False)
+    for (transform, x), g in zip(cases, got):
+        assert g.tobytes() == transform(x).tobytes()
+
+
+# after the main thread returns, concurrent.futures refuses new jobs
+_LATE_CALLERS = {
+    "thread": "threading.Thread(target=lambda: (time.sleep(0.2), product())).start()",
+    "atexit": "atexit.register(product)",
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_LATE_CALLERS))
+def test_large_transforms_run_while_the_interpreter_shuts_down(caller):
+    code = textwrap.dedent(
+        """
+        import atexit, hashlib, threading, time
+        from ttensor import RngStream, fourier, gen_random, t_product
+        fourier._SPLIT = True
+        a, b = (gen_random((8, 8, 256), RngStream(64, i)) for i in (1, 2))
+        def product():
+            print(hashlib.sha256(t_product(a, b).data.tobytes()).hexdigest(), flush=True)
+        product()
+        """
+    ) + _LATE_CALLERS[caller]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and out.stderr == ""
+    lines = out.stdout.split()
+    assert len(lines) == 2 and lines[0] == lines[1]

@@ -14,8 +14,9 @@ both and the check runs only where they match.
 
 The direct outputs of the library's tensor functions (``t_product``,
 ``t_inverse``, ``t_power`` at several exponents, ``t_abs``,
-``gen_orthogonal``, ``young_witness``) are pinned the same way, outside any
-campaign, in ``direct_digests.json``; record that file alone with
+``gen_orthogonal``, ``young_witness``) and of the instance generators
+(``gen_loewner_pair``, ``gen_commuting_psd_pair``) are pinned the same way,
+outside any campaign, in ``direct_digests.json``; record that file alone with
 
     PYTHONPATH=src python tests/test_report_digests.py direct
 """
@@ -31,8 +32,11 @@ import pytest
 
 from ttensor import (
     THEOREM_IDS,
+    LoewnerVerdict,
     RngStream,
     cli,
+    gen_commuting_psd_pair,
+    gen_loewner_pair,
     gen_orthogonal,
     gen_random,
     gen_t_psd,
@@ -110,6 +114,8 @@ def _direct_cases(n: int, n3: int) -> dict:
         "t_abs": lambda: t_abs(a),
         "gen_orthogonal": lambda: gen_orthogonal(n, n3, RngStream(SEED, 4)),
         "young_witness": lambda: young_witness(a, b, 3.0, 1.5),
+        "gen_loewner_pair": lambda: gen_loewner_pair(n, n3, RngStream(SEED, 5)),
+        "gen_commuting_psd_pair": lambda: gen_commuting_psd_pair(n, n3, RngStream(SEED, 6)),
     }
 
 
@@ -121,15 +127,18 @@ def direct_key(name: str, shape) -> str:
     return f"{name}|n={n}|n3={n3}|seed={SEED}"
 
 
+def _output_bytes(out) -> bytes:
+    """A tensor's entries; a tuple's parts in turn (a generated pair, or
+    young_witness's witness and verdict); a verdict's fields as JSON."""
+    if isinstance(out, tuple):
+        return b"".join(_output_bytes(part) for part in out)
+    if isinstance(out, LoewnerVerdict):
+        return json.dumps([out.holds, out.min_gap_eigenvalue, out.tolerance_used]).encode()
+    return out.data.tobytes()
+
+
 def direct_digest(name: str, shape) -> str:
-    out = _direct_cases(*shape)[name]()
-    if isinstance(out, tuple):  # young_witness: the witness and its verdict
-        u, verdict = out
-        fields = [verdict.holds, verdict.min_gap_eigenvalue, verdict.tolerance_used]
-        data = u.data.tobytes() + json.dumps(fields).encode()
-    else:
-        data = out.data.tobytes()
-    return hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(_output_bytes(_direct_cases(*shape)[name]())).hexdigest()
 
 
 def _platform() -> dict:

@@ -12,16 +12,23 @@ Trials run in windows of at most 64 trials and at most 4096 tensor entries
 (``n * n * n3`` a trial), but at least one trial; the bound keeps the
 memory a window's stacks hold at once small.  There is no setting.  Each
 theorem's registry entry is a :class:`_Stacked`: a draw and a stacked
-certifier.  Each trial of a window still draws its instance from
-``RngStream(seed, trial)``, rejection loops included; the instances are
-stacked along a leading trial axis (instances of another shape, such as
-literal ``am-gm``'s 1x1x1 trial 0, in a stack of their own) and certified in
-one pass of array calls (:func:`_run_stacked`), and the certificates are
-split per trial.  The certifier takes each wave of independent slice spectra
-of the whole window in one solver call: Jacobi for the powers, PSD checks,
-Loewner gaps and symmetric spectra, Hessenberg + QR for the t-eigenvalues of
-non-symmetric tensors (``gershgorin``, ``bauer-fike``, ``schur``).  If the
-pass raises, the window's trials run again one by one, so the campaign
+certifier.  A window is drawn in two phases.  Each trial first takes its
+raw numbers (uniforms, exponents, polynomial coefficients, lateral slices)
+from its own generator, ``RngStream(seed, trial)``, in the order a lone
+trial takes them (:class:`_Window`); then the window's tensors are built as
+stacks along a leading trial axis, all of its ``R^T * R + delta * I`` in
+one t-product, one shift and one symmetrization (:func:`ttensor.core._t_psd`
+and the other stacked builders, whose one-trial case the public generators
+are).  ``bauer-fike`` tests every trial's first conjugator in one stacked
+inverse and norm call; only a trial whose candidate fails draws on alone.
+A fixed instance (literal ``am-gm``'s 1x1x1 trial 0) is certified in a
+stack of its own, the window's other trials in one pass of array calls
+(:func:`_certified`), and the certificates are split per trial.  The
+certifier takes each wave of independent slice spectra of the whole window
+in one solver call: Jacobi for the powers, PSD checks, Loewner gaps and
+symmetric spectra, Hessenberg + QR for the t-eigenvalues of non-symmetric
+tensors (``gershgorin``, ``bauer-fike``, ``schur``).  If the pass raises,
+drawing included, the window's trials run again one by one, so the campaign
 raises the error the lowest failing trial raises in a serial loop.
 
 Every member of a stacked call gets the bits it would get alone, so reports
@@ -36,30 +43,19 @@ call's report is byte-identical to a lone serial run.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import inequalities as ineq
 from . import localization as loc
-from .certificates import DEFAULT_TOL, FROBENIUS, norm_certificate
+from .algebra import _t_inverse, _t_product
+from .certificates import DEFAULT_TOL, InequalityCertificate, norm_certificate
 from .core import (
-    RngStream,
-    Tensor3,
-    _Stack,
-    frobenius_norm,
-    gen_commuting_psd_pair,
-    gen_loewner_pair,
-    gen_random,
-    gen_symmetric,
-    gen_t_psd,
-    identity,
-    spectral_norm,
-    transpose,
+    RngStream, _commuting_psd_pairs, _frobenius, _loewner_pairs, _spectral, _Stack, _t_psd, identity,
 )
 from .errors import HypothesisViolationError, SingularTensorError, UnknownTheoremError
 from .spectral import _t_eigenvalues
-from .algebra import t_inverse, t_product
 
 __all__ = ["THEOREM_IDS", "CampaignResult", "run_campaign"]
 
@@ -80,29 +76,55 @@ class CampaignResult:
         return self.summary["violations"]
 
 
-def _grid(values, trial):
-    return values[trial % len(values)]
+class _Window:
+    """A window's trials, each with its own generator.  Each draw takes one
+    number or array from every trial's generator, so each trial takes its
+    numbers in the order its lone draw takes them, whatever the window."""
+
+    def __init__(self, seed: int, trials, n: int, n3: int, generators=None):
+        self.seed, self.trials, self.n, self.n3 = seed, list(trials), n, n3
+        self.generators = generators or [RngStream(seed, t).generator() for t in self.trials]
+
+    def part(self, lo: int, hi: int) -> "_Window":
+        """Trials ``lo..hi-1`` of the window, their generators as they stand."""
+        return _Window(self.seed, self.trials[lo:hi], self.n, self.n3, self.generators[lo:hi])
+
+    def uniform(self, low: float, high: float, size=None) -> np.ndarray:
+        """Each trial's ``uniform(low, high, size)``, along a leading trial axis."""
+        return np.array([g.uniform(low, high, size) for g in self.generators])
+
+    def random(self, *dims: int) -> _Stack:
+        """Each trial's :func:`ttensor.core.gen_random` tensor, ``n x n x n3`` by default."""
+        return _Stack(self.uniform(-1.0, 1.0, dims or (self.n, self.n, self.n3)))
+
+    def grid(self, params: dict, key: str, values: list, every: int = 1) -> list:
+        """Each trial's ``params[key]``, else ``values[(trial // every) % len(values)]``."""
+        return [params.get(key, values[(t // every) % len(values)]) for t in self.trials]
+
+    def group(self, stacks, *columns) -> list:
+        """The window's instances as one group (see :class:`_Stacked`)."""
+        return [(self.trials, list(stacks), list(columns))]
+
+    def with_fixed_zero(self, tensors, scalars, draw, mode, params) -> list:
+        """The groups of a window whose trial 0 takes the fixed instance
+        ``(tensors, scalars)``: trial 0 alone, the others drawn by ``draw``."""
+        fixed = ([0], [_Stack.of(t) for t in tensors], [[v] for v in scalars])
+        return [fixed, *(draw(self.part(1, None), mode, params) if len(self.trials) > 1 else [])]
 
 
 @dataclass(frozen=True)
 class _Stacked:
     """A theorem whose campaign windows run as one stacked pass.
 
-    ``draw(trial, stream, n, n3, mode, params)`` gives a trial's instance:
-    its tensors and the scalar arguments that follow them.
-    ``certify(stacks, columns, tol, mode)`` certifies a stack of instances,
-    the ``k``-th tensors of the trials in ``stacks[k]`` and the ``k``-th
-    scalars in ``columns[k]``, and returns one certificate list per trial.
-    Called as a trial function, it certifies its one trial as a one-member
-    stack: the serial form of a window.
+    ``draw(window, mode, params)`` gives the window's instances as groups
+    ``(trials, stacks, columns)``: the ``k``-th tensors of the trials in
+    ``stacks[k]``, their ``k``-th scalars in ``columns[k]``.
+    ``certify(stacks, columns, tol, mode)`` gives one certificate list per
+    trial of a group.
     """
 
     draw: Callable
     certify: Callable
-
-    def __call__(self, trial, stream, n, n3, tol, mode, params):
-        tensors, scalars = self.draw(trial, stream, n, n3, mode, params)
-        return self.certify([_Stack.of(t) for t in tensors], [[v] for v in scalars], tol, mode)[0]
 
 
 def _stacked(certifier):
@@ -112,80 +134,75 @@ def _stacked(certifier):
 
 
 # --- per-theorem draws and stacked certifiers ---------------------------------
-# a draw returns one trial's (tensors, scalars)
 
-def _draw_loewner_heinz(trial, stream, n, n3, mode, params):
-    r = params.get("r", _grid([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], trial))
-    exploratory = bool(params.get("exploratory", r > 1.0))
-    if exploratory and trial == 0:
-        a, b = ineq.power_order_counterexample()
-        extra = {"instance": "power-order-counterexample"}
-    else:
-        a, b = gen_loewner_pair(n, n3, stream)
-        extra = None
-    return (a, b), (r, exploratory, extra)
+def _conjugate(p: list) -> list:
+    return [pi / (pi - 1.0) for pi in p]
 
 
-def _householder_tensor(n, n3, g) -> Tensor3:
-    """Symmetric orthogonal tensor I - 2 v (v^T v)^-1 v^T for a random lateral v."""
-    v = gen_random((n, 1, n3), g)
-    gram_inv = t_inverse(t_product(transpose(v), v))
-    h = identity(n, n3) - 2.0 * t_product(t_product(v, gram_inv), transpose(v))
-    return 0.5 * (h + transpose(h))
+def _draw_loewner_heinz(w, mode, params):
+    r = w.grid(params, "r", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+    exploratory = [bool(params.get("exploratory", ri > 1.0)) for ri in r]
+    if exploratory[0] and w.trials[0] == 0:
+        scalars = (r[0], True, {"instance": "power-order-counterexample"})
+        counterexample = ineq.power_order_counterexample()
+        return w.with_fixed_zero(counterexample, scalars, _draw_loewner_heinz, mode, params)
+    return w.group(_loewner_pairs(w.random(), w.random()), r, exploratory, [None] * len(r))
 
 
-def _draw_hansen_power(trial, stream, n, n3, mode, params):
-    g = stream.generator()
-    x = gen_t_psd(n, n3, g)
-    r = params.get("r", _grid([0.25, 0.5, 0.75, 1.25, 1.5, 2.0], trial))
+def _draw_hansen_power(w, mode, params):
+    x = _t_psd(w.random())
+    r = w.grid(params, "r", [0.25, 0.5, 0.75, 1.25, 1.5, 2.0])
     if mode == "literal":
         # as printed the conjugation is untransposed, so the middle product is
         # only symmetric for symmetric orthogonal Q; generic orthogonal Q is
         # rejected by the certifier, hence this campaign draws Householder-type
-        # conjugators (for which the statement reduces to an equality case)
-        q = _householder_tensor(n, n3, g)
+        # conjugators I - 2 v (v^T v)^-1 v^T (for which the statement reduces
+        # to an equality case)
+        v = w.random(w.n, 1, w.n3)
+        vv = _t_product(v, _t_inverse(_t_product(v.transpose(), v)))
+        q = (_Stack.of(identity(w.n, w.n3)) - 2.0 * _t_product(vv, v.transpose())).sym()
     else:
-        raw = gen_random((n, n, n3), g)
-        q = raw * (1.0 / (spectral_norm(raw) * float(g.uniform(1.0, 2.0))))
-    return (q, x), (r,)
+        raw = w.random()
+        q = raw * (1.0 / (_spectral(raw.slices) * w.uniform(1.0, 2.0)))
+    return w.group((q, x), r)
 
 
 def _certify_hansen_power(stacks, columns, tol, mode):
     return ineq._hansen_power(*stacks, *columns, tol, "literal" if mode == "literal" else "contraction")
 
 
-def _draw_furuta(trial, stream, n, n3, mode, params):
-    g = stream.generator()
-    a, b = gen_loewner_pair(n, n3, g)
+def _furuta_exponents(g) -> tuple[float, float, float]:
     while True:
         r = float(g.uniform(0.0, 2.0))
         p = float(g.uniform(0.0, 4.0))
         q = float(g.uniform(1.0, 4.0))
         if (1 + 2 * r) * q >= p + 2 * r:
-            break
-    return (a, b), (r, p, q)
+            return r, p, q
 
 
-def _draw_young_commuting(trial, stream, n, n3, mode, params):
-    a, b = gen_commuting_psd_pair(n, n3, stream)
-    p = params.get("p", _grid([1.5, 2.0, 4.0], trial))
-    return (a, b), (p, p / (p - 1.0))
+def _draw_furuta(w, mode, params):
+    a, b = _loewner_pairs(w.random(), w.random())
+    r, p, q = map(list, zip(*map(_furuta_exponents, w.generators)))
+    return w.group((a, b), r, p, q)
 
 
-def _draw_young_witness(trial, stream, n, n3, mode, params):
-    g = stream.generator()
-    a = gen_random((n, n, n3), g)
-    b = gen_random((n, n, n3), g)
-    p = params.get("p", _grid([1.5, 2.0, 3.0], trial))
-    return (a, b), (p, p / (p - 1.0))
+def _draw_young_commuting(w, mode, params):
+    pair = _commuting_psd_pairs(w.random(), w.uniform(0.0, 1.0, 4), w.uniform(0.0, 1.0, 4))
+    p = w.grid(params, "p", [1.5, 2.0, 4.0])
+    return w.group(pair, p, _conjugate(p))
+
+
+def _draw_young_witness(w, mode, params):
+    p = w.grid(params, "p", [1.5, 2.0, 3.0])
+    return w.group((w.random(), w.random()), p, _conjugate(p))
 
 
 def _complex_norm(variant) -> _Stacked:
-    def draw(trial, stream, n, n3, mode, params):
-        g = stream.generator()
-        a = gen_t_psd(n, n3, g) if variant in ("b", "c") else gen_symmetric(n, n3, g)
-        b = gen_t_psd(n, n3, g) if variant == "c" else gen_symmetric(n, n3, g)
-        return (a, b), ()
+    def draw(w, mode, params):
+        a, b = w.random(), w.random()
+        if variant == "c":
+            return w.group(_t_psd(_Stack.cat(a, b)).split(2))
+        return w.group((_t_psd(a) if variant == "b" else a.sym(), b.sym()))
 
     def certify(stacks, columns, tol, mode):
         return ineq._complex_norm_bounds(*stacks, variant, tol, mode)
@@ -193,58 +210,45 @@ def _complex_norm(variant) -> _Stacked:
     return _Stacked(draw, certify)
 
 
-def _draw_am_gm(trial, stream, n, n3, mode, params):
-    g = stream.generator()
-    if mode == "literal" and trial == 0:
+def _draw_am_gm(w, mode, params):
+    if mode == "literal" and w.trials[0] == 0:
         # scalar counterexample family: a=2, x=1, b=1 gives 2 > 1.5
-        return (2.0 * identity(1, 1), identity(1, 1), identity(1, 1)), ()
-    return tuple(gen_random((n, n, n3), g) for _ in range(3)), ()
+        one = identity(1, 1)
+        return w.with_fixed_zero((2.0 * one, one, one), (), _draw_am_gm, mode, params)
+    return w.group([w.random() for _ in range(3)])
 
 
-def _draw_heinz_family(trial, stream, n, n3, mode, params):
-    g = stream.generator()
-    a = gen_t_psd(n, n3, g)
-    b = gen_t_psd(n, n3, g)
-    x = gen_random((n, n, n3), g)
-    r = params.get("r", _grid([0.5, 0.75, 1.0, 1.25, 1.5], trial))
-    t = params.get("t", _grid([-1.0, 0.0, 1.0, 2.0], trial // 5))
-    return (a, x, b), (r, t)
+def _draw_heinz_family(w, mode, params):
+    r = w.grid(params, "r", [0.5, 0.75, 1.0, 1.25, 1.5])
+    t = w.grid(params, "t", [-1.0, 0.0, 1.0, 2.0], every=5)
+    a, b = _t_psd(_Stack.cat(w.random(), w.random())).split(2)
+    return w.group((a, w.random(), b), r, t)
 
 
-def _draw_holder(trial, stream, n, n3, mode, params):
-    g = stream.generator()
-    a = gen_t_psd(n, n3, g)
-    b = gen_t_psd(n, n3, g)
-    x = gen_random((n, n, n3), g)
-    r = params.get("r", _grid([0.5, 1.0, 2.0], trial))
-    p = params.get("p", _grid([1.25, 2.0, 5.0], trial // 3))
-    return (a, x, b), (r, p, p / (p - 1.0))
+def _draw_holder(w, mode, params):
+    r = w.grid(params, "r", [0.5, 1.0, 2.0])
+    p = w.grid(params, "p", [1.25, 2.0, 5.0], every=3)
+    a, b = _t_psd(_Stack.cat(w.random(), w.random())).split(2)
+    return w.group((a, w.random(), b), r, p, _conjugate(p))
 
 
-def _draw_holder_pairs(trial, stream, n, n3, mode, params):
-    g = stream.generator()
-    tensors = tuple(gen_random((n, n, n3), g) for _ in range(4))
-    p = params.get("p", _grid([1.25, 2.0, 5.0], trial))
-    return tensors, (p, p / (p - 1.0))
+def _draw_holder_pairs(w, mode, params):
+    p = w.grid(params, "p", [1.25, 2.0, 5.0])
+    return w.group([w.random() for _ in range(4)], p, _conjugate(p))
 
 
-def _draw_holder_corollary(trial, stream, n, n3, mode, params):
-    g = stream.generator()
-    a = gen_random((n, n, n3), g)
-    b = gen_random((n, n, n3), g)
-    r = params.get("r", _grid([0.5, 1.0, 2.0], trial))
-    p = params.get("p", _grid([1.25, 2.0, 5.0], trial // 3))
-    return (a, b), (r, p, p / (p - 1.0))
+def _draw_holder_corollary(w, mode, params):
+    r = w.grid(params, "r", [0.5, 1.0, 2.0])
+    p = w.grid(params, "p", [1.25, 2.0, 5.0], every=3)
+    return w.group((w.random(), w.random()), r, p, _conjugate(p))
 
 
-def _draw_minkowski(trial, stream, n, n3, mode, params):
-    g = stream.generator()
-    tensors = tuple(gen_random((n, n, n3), g) for _ in range(4))
-    return tensors, (params.get("p", _grid([1.0, 1.5, 2.0, 3.0], trial)),)
+def _draw_minkowski(w, mode, params):
+    return w.group([w.random() for _ in range(4)], w.grid(params, "p", [1.0, 1.5, 2.0, 3.0]))
 
 
-def _draw_random(trial, stream, n, n3, mode, params):
-    return (gen_random((n, n, n3), stream),), ()
+def _draw_random(w, mode, params):
+    return w.group([w.random()])
 
 
 def _certify_gershgorin(stacks, columns, tol, mode):
@@ -256,49 +260,60 @@ def _certify_gershgorin(stacks, columns, tol, mode):
     for i, spectrum in enumerate(_t_eigenvalues(x)):
         discs = loc.gershgorin_discs(x.member(i))
         gaps, _, scale = loc.gershgorin_gaps(discs, spectrum)
-        contain = norm_certificate(
-            "gershgorin", dims=x.shape, params={"claim": "containment"}, norm_kind="n/a",
-            lhs=float(gaps.max()) / scale, rhs=0.0, tol=tol,
-        )
         components = loc.gershgorin_component_count(discs, spectrum, tol)
         miscount = max(abs(c.eigenvalue_count - c.disc_count) for c in components)
-        counting = norm_certificate(
-            "gershgorin", dims=x.shape, params={"claim": "component-count"}, norm_kind="n/a",
-            lhs=float(miscount), rhs=0.0, tol=tol,
-        )
-        out.append([contain, counting])
+        out.append([
+            norm_certificate(
+                "gershgorin", dims=x.shape, params={"claim": claim}, norm_kind="n/a",
+                lhs=lhs, rhs=0.0, tol=tol,
+            )
+            for claim, lhs in (("containment", float(gaps.max()) / scale), ("component-count", miscount))
+        ])
     return out
 
 
-def _draw_bauer_fike(trial, stream, n, n3, mode, params):
-    g = stream.generator()
-    for _ in range(_CONJUGATOR_DRAWS):
-        q = gen_random((n, n, n3), g)
-        try:
-            q_inv = t_inverse(q)
-        except SingularTensorError:
-            continue
-        if spectral_norm(q) * spectral_norm(q_inv) <= _CONJUGATOR_MAX_COND:
-            break
-    else:
-        raise HypothesisViolationError(
-            f"bauer-fike: no invertible conjugator with condition <= "
-            f"{_CONJUGATOR_MAX_COND:.0e} in {_CONJUGATOR_DRAWS} draws "
-            f"(seed={stream.seed}, trial={trial})"
-        )
-    diag = np.zeros((n, n, n3))
-    idx = np.arange(n)
-    diag[idx, idx, :] = g.uniform(-1.0, 1.0, size=(n, n3))
-    s = Tensor3(diag)
-    a = t_product(t_product(q_inv, s), q)
-    e = gen_random((n, n, n3), g)
-    b = a + (0.3 * (1.0 + frobenius_norm(a)) / (1.0 + frobenius_norm(e))) * e
-    return (a, b, q, s), ()
+def _conjugators(w: _Window, q: _Stack, tries: int = _CONJUGATOR_DRAWS) -> tuple[_Stack, _Stack]:
+    """Each trial's conjugator and its inverse, from its candidate in ``q``: the
+    candidates are tested in one stacked inverse and norm call, and a trial
+    whose candidate is singular or has ``||q||_2 ||q^-1||_2`` above
+    ``_CONJUGATOR_MAX_COND`` goes on alone, drawing from where its stream
+    stands, ``tries`` candidates in all."""
+    try:
+        q_inv = _t_inverse(q)
+        norms = zip(_spectral(q.slices).tolist(), _spectral(q_inv.slices).tolist())
+        passed = [a * b <= _CONJUGATOR_MAX_COND for a, b in norms]
+    except SingularTensorError:  # a candidate is singular: each is tested alone
+        q_inv, passed = q, [False] * len(q)
+    if all(passed):
+        return q, q_inv
+    if len(q) == 1:
+        if tries == 1:
+            raise HypothesisViolationError(
+                f"bauer-fike: no invertible conjugator with condition <= "
+                f"{_CONJUGATOR_MAX_COND:.0e} in {_CONJUGATOR_DRAWS} draws "
+                f"(seed={w.seed}, trial={w.trials[0]})"
+            )
+        return _conjugators(w, w.random(), tries - 1)
+    q_data, inv_data = q.data.copy(), q_inv.data.copy()
+    for i in (i for i, ok in enumerate(passed) if not ok):
+        q_i, inv_i = _conjugators(w.part(i, i + 1), _Stack(q.data[i:i + 1]), tries)
+        q_data[i], inv_data[i] = q_i.data[0], inv_i.data[0]
+    return _Stack(q_data), _Stack(inv_data)
 
 
-def _draw_symmetric_pair(trial, stream, n, n3, mode, params):
-    g = stream.generator()
-    return (gen_symmetric(n, n3, g), gen_symmetric(n, n3, g)), ()
+def _draw_bauer_fike(w, mode, params):
+    q, q_inv = _conjugators(w, w.random())
+    diag = np.zeros((len(q), w.n, w.n, w.n3))
+    diag[:, range(w.n), range(w.n), :] = w.uniform(-1.0, 1.0, (w.n, w.n3))
+    s = _Stack(diag)
+    a = _t_product(_t_product(q_inv, s), q)
+    e = w.random()
+    b = a + e * (0.3 * (1.0 + _frobenius(a.data)) / (1.0 + _frobenius(e.data)))
+    return w.group((a, b, q, s))
+
+
+def _draw_symmetric_pair(w, mode, params):
+    return w.group(_Stack.cat(w.random(), w.random()).sym().split(2))
 
 
 def _certify_hoffman_wielandt(stacks, columns, tol, mode):
@@ -306,19 +321,10 @@ def _certify_hoffman_wielandt(stacks, columns, tol, mode):
     sorted pairing, which reuses the optimal pairing's spectra."""
     a, b = stacks
     matched, spectra = loc._hoffman_wielandt(a, b, tol)
-    out = []
-    for (report, cert_sqrt, cert_stated), dist in zip(
-        matched, loc._sorted_pairing_distances(a, b, spectra)
-    ):
-        sorted_certs = [
-            norm_certificate(
-                "hoffman-wielandt", dims=a.shape, params={"pairing": "sorted", "constant": const},
-                norm_kind=FROBENIUS, lhs=dist, rhs=rhs, tol=tol,
-            )
-            for const, rhs in (("sqrt-n3", report.bound_sqrt), ("n3", report.bound_stated))
-        ]
-        out.append([cert_sqrt, cert_stated, *sorted_certs])
-    return out
+    return [
+        [*certs, *loc._matching_certificates(a.shape, "sorted", dist, report, tol)]
+        for (report, *certs), dist in zip(matched, loc._sorted_pairing_distances(a, b, spectra))
+    ]
 
 
 _REGISTRY = {
@@ -373,45 +379,38 @@ def run_campaign(
     window = _window_size(n, n3)
     for start in range(0, trials, window):
         members = range(start, min(start + window, trials))
-        for outcome in _run_stacked(theorem, members, seed, n, n3, tol, mode, params):
+        try:
+            outcomes = _certified(theorem, members, seed, n, n3, tol, mode, params)
+        except Exception:  # one by one, so the lowest failing trial raises its serial error
+            outcomes = [_run_trial(theorem, t, seed, n, n3, tol, mode, params) for t in members]
+        for outcome in outcomes:
             certificates.extend(outcome)
     return _campaign_result(theorem_id, n, n3, trials, seed, mode, certificates)
 
 
 def _run_trial(theorem: _Stacked, trial, seed, n, n3, tol, mode, params) -> list:
-    """One trial alone, its certificates stamped."""
-    return _stamp(theorem(trial, RngStream(seed, trial), n, n3, tol, mode, params), seed, trial)
+    """One trial alone, its certificates stamped: a window of one trial."""
+    return _certified(theorem, [trial], seed, n, n3, tol, mode, params)[0]
 
 
-def _run_stacked(theorem: _Stacked, trials, seed, n, n3, tol, mode, params) -> list:
-    """Each trial's stamped certificates from one stacked pass over a window.
-
-    Each trial still draws its instance from its own stream; instances of
-    one shape are stacked and certified in one call.  If the pass raises,
-    the trials run again one by one, so the lowest failing trial raises the
-    error it raises in a serial loop.
-    """
-    try:
-        draws = [theorem.draw(t, RngStream(seed, t), n, n3, mode, params) for t in trials]
-        groups: dict[tuple, list[int]] = {}
-        for k, (tensors, _) in enumerate(draws):
-            groups.setdefault(tuple(x.shape for x in tensors), []).append(k)
-        outcomes = [None] * len(draws)
-        for ks in groups.values():
-            stacks = [_Stack.of(*column) for column in zip(*(draws[k][0] for k in ks))]
-            columns = [list(column) for column in zip(*(draws[k][1] for k in ks))]
-            for k, certificates in zip(ks, theorem.certify(stacks, columns, tol, mode)):
-                outcomes[k] = _stamp(certificates, seed, trials[k])
-        return outcomes
-    except Exception:  # find and raise the serial error below
-        return [_run_trial(theorem, t, seed, n, n3, tol, mode, params) for t in trials]
+def _certified(theorem: _Stacked, trials, seed, n, n3, tol, mode, params) -> list:
+    """Each trial's stamped certificates: the window's instances are drawn
+    as stacks, and each group of them is certified in one call."""
+    out = {}
+    for group, stacks, columns in theorem.draw(_Window(seed, trials, n, n3), mode, params):
+        for trial, certificates in zip(group, theorem.certify(stacks, columns, tol, mode)):
+            out[trial] = _stamp(certificates, seed, trial)
+    return [out[t] for t in trials]
 
 
 def _stamp(certificates, seed, trial) -> list:
-    """The certificates stamped with their provenance: ``seed`` set and
-    ``"trial"`` put first in ``params``.  This is the only place a
-    certificate gets its seed and trial."""
-    return [replace(c, seed=int(seed), params={"trial": trial, **c.params}) for c in certificates]
+    """The certificates stamped with their provenance, ``seed`` set and ``"trial"``
+    first in ``params``: the only place a certificate gets its seed and trial."""
+    return [
+        InequalityCertificate(c.theorem_id, int(seed), c.dims, {"trial": trial, **c.params},
+                              c.norm_kind, c.lhs, c.rhs, c.margin, c.tol, c.holds)
+        for c in certificates
+    ]
 
 
 def _window_size(n: int, n3: int) -> int:

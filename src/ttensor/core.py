@@ -7,9 +7,9 @@ serialization order used by files and oracles is slice-major with row-major
 slices: flat index ``(k * n1 + i) * n2 + j`` for 0-based ``(i, j, k)``.
 
 :class:`_Stack` holds ``b`` tensors of one shape along a leading trial axis,
-``(b, n1, n2, n3)``.  The shared primitives (transpose, the norms, the
-transforms, the t-product, the symmetry and PSD checks, the powers) act on
-stacks, and the public scalar functions are their ``b = 1`` case: a
+``(b, n1, n2, n3)``.  The shared primitives (transpose, norms, transforms,
+t-product, symmetry and PSD checks, powers, the PSD generators' builders)
+act on stacks, and the public functions are their ``b = 1`` case: a
 member's result never depends on the rest of its stack.
 """
 
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_DELTA = 1e-3  # the default identity shift of the positive semidefinite generators
 
 
 def _validated(arr: np.ndarray, dtype) -> np.ndarray:
@@ -53,16 +54,17 @@ def _validated(arr: np.ndarray, dtype) -> np.ndarray:
     return arr
 
 
-class Tensor3:
-    """Dense real third-order tensor; immutable after construction."""
+class _Dense:
+    """A dense third-order tensor of ``_dtype`` entries; immutable."""
 
     __slots__ = ("data",)
+    _dtype = float
 
     def __init__(self, data):
-        object.__setattr__(self, "data", _validated(data, float))
+        object.__setattr__(self, "data", _validated(data, self._dtype))
 
     def __setattr__(self, name, value):
-        raise AttributeError("Tensor3 is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def n1(self) -> int:
@@ -83,6 +85,15 @@ class Tensor3:
     def slice(self, k: int) -> np.ndarray:
         """Frontal slice ``k`` (0-based) as an ``(n1, n2)`` array."""
         return self.data[:, :, k]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(shape={self.shape})"
+
+
+class Tensor3(_Dense):
+    """Dense real third-order tensor; immutable after construction."""
+
+    __slots__ = ()
 
     def to_flat(self) -> np.ndarray:
         """Entries in the canonical slice-major / row-major flat order."""
@@ -122,48 +133,18 @@ class Tensor3:
 
     __rmul__ = __mul__
 
-    def __repr__(self) -> str:
-        return f"Tensor3(shape={self.shape})"
 
-
-class ComplexTensor3:
+class ComplexTensor3(_Dense):
     """Complex third-order tensor; used for Cartesian assemblies ``A + iB``."""
 
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        object.__setattr__(self, "data", _validated(data, complex))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexTensor3 is immutable")
-
-    @property
-    def n1(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n2(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def n3(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-    def slice(self, k: int) -> np.ndarray:
-        return self.data[:, :, k]
+    __slots__ = ()
+    _dtype = complex
 
     @classmethod
     def from_parts(cls, real: Tensor3, imag: Tensor3) -> "ComplexTensor3":
         """Assemble ``real + 1j * imag`` from two real tensors of equal shape."""
         _check_same_shape(real, imag)
         return cls(real.data + 1j * imag.data)
-
-    def __repr__(self) -> str:
-        return f"ComplexTensor3(shape={self.shape})"
 
 
 class _Stack:
@@ -387,53 +368,62 @@ def gen_random(dims: tuple[int, int, int], rng) -> Tensor3:
 
 def gen_symmetric(n: int, n3: int, rng) -> Tensor3:
     """Symmetric tensor (R + R^T)/2; the symmetry is exact in floating point."""
-    r = gen_random((n, n, n3), rng)
-    return 0.5 * (r + transpose(r))
+    return _Stack.of(gen_random((n, n, n3), rng)).sym().member(0)
 
 
-def gen_t_psd(n: int, n3: int, rng, delta: float = 1e-3) -> Tensor3:
+def gen_t_psd(n: int, n3: int, rng, delta: float = _DELTA) -> Tensor3:
     """Positive semidefinite tensor R^T * R + delta * I.
 
     ``delta > 0`` keeps all Fourier-slice eigenvalues away from zero so that
     fractional powers are well conditioned.
     """
-    from .algebra import t_product  # deferred import, see spectral_norm
-
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    r = gen_random((n, n, n3), rng)
-    s = t_product(transpose(r), r) + delta * identity(n, n3)
-    # symmetrize away transform roundoff so downstream symmetry checks are exact
-    return 0.5 * (s + transpose(s))
+    return _t_psd(_Stack.of(gen_random((n, n, n3), rng)), delta).member(0)
 
 
-def gen_loewner_pair(n: int, n3: int, rng, delta: float = 1e-3) -> tuple[Tensor3, Tensor3]:
+def gen_loewner_pair(n: int, n3: int, rng, delta: float = _DELTA) -> tuple[Tensor3, Tensor3]:
     """Pair (A, B) with A >= B >= 0: B and A - B both positive semidefinite."""
     g = _as_generator(rng)
-    b = gen_t_psd(n, n3, g, delta)
-    p = gen_t_psd(n, n3, g, delta)
-    return b + p, b
+    pair = _loewner_pairs(*(_Stack.of(gen_random((n, n, n3), g)) for _ in range(2)), delta)
+    return tuple(x.member(0) for x in pair)
 
 
-def gen_commuting_psd_pair(n: int, n3: int, rng, delta: float = 1e-3) -> tuple[Tensor3, Tensor3]:
+def gen_commuting_psd_pair(n: int, n3: int, rng, delta: float = _DELTA) -> tuple[Tensor3, Tensor3]:
     """Commuting positive semidefinite pair (p1(C), p2(C)).
 
     Both factors are random cubic polynomials of one positive semidefinite
     tensor C, with nonnegative coefficients, evaluated under the t-product;
     hence they commute and their product is positive semidefinite.
     """
-    from .algebra import t_product  # deferred import, see spectral_norm
-
     g = _as_generator(rng)
-    c = gen_t_psd(n, n3, g, delta)
-    c2 = t_product(c, c)
-    c3 = t_product(c2, c)
-    powers = [identity(n, n3), c, c2, c3]
+    r = _Stack.of(gen_random((n, n, n3), g))
+    w1, w2 = (g.uniform(0.0, 1.0, (1, 4)) for _ in range(2))
+    return tuple(x.member(0) for x in _commuting_psd_pairs(r, w1, w2, delta))
 
-    def poly(coeffs):
-        acc = Tensor3.zeros(n, n, n3)
-        for w, p in zip(coeffs, powers):
-            acc = acc + float(w) * p
-        return 0.5 * (acc + transpose(acc))
 
-    return poly(g.uniform(0.0, 1.0, 4)), poly(g.uniform(0.0, 1.0, 4))
+def _t_psd(r: _Stack, delta: float = _DELTA) -> _Stack:
+    """:func:`gen_t_psd` of each member's uniforms ``r``: one t-product, one
+    shift and one symmetrization (which removes the transform roundoff, so
+    downstream symmetry checks are exact) for the whole stack."""
+    from .algebra import _t_product  # deferred import, see spectral_norm
+
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+    return _Stack(_t_product(r.transpose(), r).data + delta * identity(r.shape[0], r.n3).data).sym()
+
+
+def _loewner_pairs(r_b: _Stack, r_p: _Stack, delta: float = _DELTA) -> tuple[_Stack, _Stack]:
+    """:func:`gen_loewner_pair` of each member's two draws of uniforms."""
+    b, p = _t_psd(_Stack.cat(r_b, r_p), delta).split(2)
+    return b + p, b
+
+
+def _commuting_psd_pairs(r: _Stack, w1, w2, delta: float = _DELTA) -> tuple[_Stack, _Stack]:
+    """:func:`gen_commuting_psd_pair` of each member's uniforms ``r`` and
+    polynomial coefficients ``w1[i]``, ``w2[i]``, summed in order from 0."""
+    from .algebra import _t_product  # deferred import, see spectral_norm
+
+    c = _t_psd(r, delta)
+    c2 = _t_product(c, c)
+    powers = [_Stack.of(identity(*c.shape[1:])), c, c2, _t_product(c2, c)]
+    zero = _Stack(np.zeros_like(c.data))
+    return tuple(sum((p * w[:, k] for k, p in enumerate(powers)), zero).sym() for w in (w1, w2))

@@ -106,18 +106,24 @@ def _hermitian_eigs(stacks: list) -> list:
     """:func:`hermitian_eig` of each ``(m, n, n)`` stack in ``stacks``, from
     one solver call: the independent spectra a certifier needs at one point.
 
+    Members equal byte for byte are solved once: ``_psd_stack`` and
+    ``_power_stack`` of a tensor share all but their self-conjugate slices.
+
     All ``None`` when the stacks are not square stacks of one member shape,
     or when the call raises; each caller then solves its own stack and
     raises the error it raises alone, where it raises it.
     """
     if len({s.shape[1:] for s in stacks}) > 1 or stacks[0].shape[1] != stacks[0].shape[2]:
         return [None] * len(stacks)
+    a = np.concatenate(stacks)
+    keys = a.reshape(len(a), -1).view(np.dtype((np.void, a[0].nbytes))).ravel()
+    _, first, where = np.unique(keys, return_index=True, return_inverse=True)
     try:
-        e = hermitian_eig(np.concatenate(stacks))
+        e = hermitian_eig(a[first])
     except TtensorError:
         return [None] * len(stacks)
     bounds = np.cumsum([len(s) for s in stacks])[:-1]
-    values, vectors = np.split(e.values, bounds), np.split(e.vectors, bounds)
+    values, vectors = np.split(e.values[where], bounds), np.split(e.vectors[where], bounds)
     return [HermitianEigen(v, w) for v, w in zip(values, vectors)]
 
 

@@ -291,15 +291,20 @@ def _hoffman_wielandt(a: _Stack, b: _Stack, tol: float) -> tuple[list, list]:
             tuple(int(i) for i in perm), dist,
             float(np.sqrt(n3) * diff), float(n3 * diff),
         )
-        cert_sqrt, cert_stated = (
-            norm_certificate(
-                "hoffman-wielandt", dims=a.shape, params={"pairing": "optimal", "constant": const},
-                norm_kind=FROBENIUS, lhs=dist, rhs=rhs, tol=tol,
-            )
-            for const, rhs in (("sqrt-n3", report.bound_sqrt), ("n3", report.bound_stated))
-        )
-        out.append((report, cert_sqrt, cert_stated))
+        out.append((report, *_matching_certificates(a.shape, "optimal", dist, report, tol)))
     return out, spectra
+
+
+def _matching_certificates(dims, pairing: str, dist: float, report: MatchingReport, tol: float) -> list:
+    """The certificates of a pairing's distance against both bounds of
+    ``report``: the ``sqrt(n3)`` one, then the stated ``n3`` one."""
+    return [
+        norm_certificate(
+            "hoffman-wielandt", dims=dims, params={"pairing": pairing, "constant": const},
+            norm_kind=FROBENIUS, lhs=dist, rhs=rhs, tol=tol,
+        )
+        for const, rhs in (("sqrt-n3", report.bound_sqrt), ("n3", report.bound_stated))
+    ]
 
 
 def sorted_pairing_distance(a: Tensor3, b: Tensor3) -> float:

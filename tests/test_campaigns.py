@@ -8,6 +8,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from oracles import run_campaign_serial
@@ -34,6 +35,8 @@ from ttensor import (
     run_campaign,
     spectral,
 )
+from ttensor import core
+from ttensor.core import _commuting_psd_pairs, _loewner_pairs, _Stack, _t_psd
 
 
 def _report_bytes(result) -> bytes:
@@ -221,7 +224,7 @@ def test_eig_memo_leaves_reports_unchanged(monkeypatch, theorem_id, n, n3):
     assert _report_bytes(shared) == _report_bytes(alone)
 
 
-def test_eig_memo_scope_is_per_trial(monkeypatch):
+def test_repeated_campaign_solves_the_same_members(monkeypatch):
     # nothing is kept between calls: a repeated campaign solves the same
     # members in the same calls
     solved = []
@@ -239,7 +242,7 @@ def test_eig_memo_scope_is_per_trial(monkeypatch):
     assert solved[len(first):] == first
 
 
-def test_transform_memo_scope_is_per_trial(monkeypatch):
+def test_repeated_campaign_transforms_the_same_stacks(monkeypatch):
     # nothing is kept between calls: a repeated campaign transforms the same
     # stacks again
     computed = []
@@ -261,15 +264,106 @@ def test_bauer_fike_all_draws_singular(monkeypatch):
     def singular(q):
         raise SingularTensorError(0, float("inf"))
 
-    monkeypatch.setattr(campaigns, "t_inverse", singular)
+    monkeypatch.setattr(campaigns, "_t_inverse", singular)
     with pytest.raises(HypothesisViolationError, match=r"seed=7, trial=0"):
         run_campaign("bauer-fike", n=2, n3=2, trials=1, seed=7)
 
 
 def test_bauer_fike_no_well_conditioned_draw(monkeypatch):
-    monkeypatch.setattr(campaigns, "spectral_norm", lambda a: 1e3)
+    monkeypatch.setattr(campaigns, "_spectral", lambda slices: np.full(len(slices), 1e3))
     with pytest.raises(HypothesisViolationError, match=r"seed=8, trial=0"):
         run_campaign("bauer-fike", n=2, n3=2, trials=1, seed=8)
+
+
+def _no_serial_rerun(*args):
+    raise AssertionError("the stacked pass raised and the window ran trial by trial")
+
+
+def test_bauer_fike_rejected_first_conjugators_draw_on_alone(monkeypatch):
+    # at a bound of 10 about half of the first candidates at (3, 3) fail:
+    # those trials draw on alone, each from where its own stream stands
+    monkeypatch.setattr(campaigns, "_CONJUGATOR_MAX_COND", 10.0)
+    kwargs = dict(n=3, n3=3, trials=16, seed=2)
+    serial = _report_bytes(run_campaign_serial("bauer-fike", **kwargs))
+    lone, real = set(), campaigns._conjugators
+
+    def conjugators(w, q, *args):
+        if len(w.trials) == 1:
+            lone.add(w.trials[0])
+        return real(w, q, *args)
+
+    monkeypatch.setattr(campaigns, "_conjugators", conjugators)
+    monkeypatch.setattr(campaigns, "_run_trial", _no_serial_rerun)
+    assert _report_bytes(run_campaign("bauer-fike", **kwargs)) == serial
+    assert 0 < len(lone) < 16
+
+
+def test_bauer_fike_singular_first_candidate_tests_each_alone(monkeypatch):
+    # a singular member makes the stacked inverse raise; every trial then
+    # tests its first candidate alone
+    kwargs = dict(n=3, n3=3, trials=8, seed=2)
+    serial = _report_bytes(run_campaign_serial("bauer-fike", **kwargs))
+    real = campaigns._t_inverse
+
+    def stacked_singular(q):
+        if len(q) > 1:
+            raise SingularTensorError(0, float("inf"))
+        return real(q)
+
+    monkeypatch.setattr(campaigns, "_t_inverse", stacked_singular)
+    monkeypatch.setattr(campaigns, "_run_trial", _no_serial_rerun)
+    assert _report_bytes(run_campaign("bauer-fike", **kwargs)) == serial
+
+
+@pytest.mark.parametrize("b", [1, 4, 64])
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 127, 128])
+def test_stacked_builders_match_public_generators(n3, b):
+    # each trial draws from its own stream, so a window's stacked build
+    # gives every member the bytes of the public generator called alone
+    n, seed = 3, 11
+
+    def build(name):
+        w = campaigns._Window(seed, range(b), n, n3)
+        r = w.random(n, n, n3)
+        if name == "gen_symmetric":
+            return [r.sym()]
+        if name == "gen_t_psd":
+            return [_t_psd(r)]
+        if name == "gen_loewner_pair":
+            return list(_loewner_pairs(r, w.random(n, n, n3)))
+        return list(_commuting_psd_pairs(r, w.uniform(0.0, 1.0, 4), w.uniform(0.0, 1.0, 4)))
+
+    for name in ("gen_symmetric", "gen_t_psd", "gen_loewner_pair", "gen_commuting_psd_pair"):
+        stacks = build(name)
+        for t in range(b):
+            alone = getattr(core, name)(n, n3, RngStream(seed, t))
+            alone = alone if isinstance(alone, tuple) else (alone,)
+            assert [x.data[t].tobytes() for x in stacks] == [x.data.tobytes() for x in alone], (name, t)
+
+
+def test_build_fault_raises_the_lowest_failing_trials_serial_error(monkeypatch):
+    # trials 1 and 3 refuse their PSD build; the stacked build meets trial
+    # 3 first, a serial loop meets trial 1
+    n, n3, seed = 4, 4, 2
+    poisoned = {
+        campaigns._Window(seed, [t], n, n3).random().data[0].tobytes(): t for t in (1, 3)
+    }
+    build, raised = campaigns._t_psd, []
+
+    def refusing_build(r, *args):
+        for member in r.data[::-1]:
+            if member.tobytes() in poisoned:
+                raised.append(f"trial {poisoned[member.tobytes()]} refused")
+                raise ValueError(raised[-1])
+        return build(r, *args)
+
+    monkeypatch.setattr(campaigns, "_t_psd", refusing_build)
+    kwargs = dict(n=n, n3=n3, trials=6, seed=seed)
+    expected = _raised(run_campaign_serial, "heinz-family", **kwargs)
+    assert expected == (ValueError, "trial 1 refused")
+    del raised[:]
+    assert _raised(run_campaign, "heinz-family", **kwargs) == expected
+    assert raised == ["trial 3 refused", "trial 1 refused"]
 
 
 # --- stacked windows against the serial oracle ------------------------------
@@ -323,12 +417,11 @@ def _track_trials(monkeypatch, theorem_id, fail=None, before_solving=False):
     real = campaigns._REGISTRY[theorem_id]
     log = {}
 
-    def draw(trial, *args):
-        log[trial] = {"ok": False}
-        if trial == fail and before_solving:
-            raise ValueError(f"trial {trial} refused")
-        tensors, scalars = real.draw(trial, *args)
-        return tensors, (*scalars, trial)
+    def draw(window, *args):
+        log.update((trial, {"ok": False}) for trial in window.trials)
+        if fail in window.trials and before_solving:
+            raise ValueError(f"trial {fail} refused")
+        return [(trials, stacks, [*columns, trials]) for trials, stacks, columns in real.draw(window, *args)]
 
     def certify(stacks, columns, tol, mode):
         *columns, trials = columns
@@ -373,7 +466,7 @@ def test_every_trial_failing_raises_trial_zero_error(monkeypatch):
     def singular(q):
         raise SingularTensorError(0, float("inf"))
 
-    monkeypatch.setattr(campaigns, "t_inverse", singular)
+    monkeypatch.setattr(campaigns, "_t_inverse", singular)
     expected = _raised(run_campaign_serial, "bauer-fike", n=2, n3=2, trials=5, seed=7)
     assert expected[0] is HypothesisViolationError and "trial=0)" in expected[1]
     assert _raised(run_campaign, "bauer-fike", n=2, n3=2, trials=5, seed=7) == expected
@@ -385,10 +478,10 @@ def _solved_per_trial(monkeypatch, theorem_id, **kwargs):
     real = campaigns._REGISTRY[theorem_id]
     kernel = eigensolvers._jacobi
 
-    def draw(trial, *args):
-        current[0] = trial
-        stacks[trial] = []
-        return real.draw(trial, *args)
+    def draw(window, *args):
+        (current[0],) = window.trials  # the serial oracle draws one trial a window
+        stacks[current[0]] = []
+        return real.draw(window, *args)
 
     def recording_kernel(stack):
         stacks[current[0]].append(stack.copy())
@@ -503,7 +596,8 @@ def test_solve_ahead_kernel_calls(monkeypatch, theorem_id, n, n3, trials, seed):
     plain, plain_calls, plain_members = _solved_members(monkeypatch, theorem_id, False, **kwargs)
     ahead, ahead_calls, ahead_members = _solved_members(monkeypatch, theorem_id, True, **kwargs)
     assert (plain_calls, ahead_calls) == _SOLVE_AHEAD_CALLS[theorem_id][n == 3]
-    assert ahead_members == plain_members
+    # a member that several stacks of one wave hold is solved once
+    assert ahead_members == sorted(set(plain_members))
     assert _report_bytes(ahead) == _report_bytes(plain)
 
 
@@ -653,11 +747,7 @@ def test_stacked_registry_entries():
 def test_stacked_window_matches_serial_oracle(monkeypatch, theorem_id, mode, n, n3, trials, seed):
     kwargs = dict(n=n, n3=n3, trials=trials, seed=seed, mode=mode)
     serial = _report_bytes(run_campaign_serial(theorem_id, **kwargs))
-
-    def no_serial_rerun(*args):
-        raise AssertionError("the stacked pass raised and the window ran trial by trial")
-
-    monkeypatch.setattr(campaigns, "_run_trial", no_serial_rerun)
+    monkeypatch.setattr(campaigns, "_run_trial", _no_serial_rerun)
     assert _report_bytes(run_campaign(theorem_id, **kwargs)) == serial
 
 
@@ -677,14 +767,32 @@ def test_stacked_window_certifies_once_per_instance_shape(monkeypatch):
     assert sizes == [(1, (1, 1, 1)), (63, (4, 4, 4)), (6, (4, 4, 4))]
 
 
+def _grouped(instances: dict) -> list:
+    """Each trial's ``(tensors, scalars)`` as draw groups: the trials whose
+    tensors share their shapes in one group, in trial order."""
+    groups = {}
+    for trial, (tensors, _) in instances.items():
+        groups.setdefault(tuple(x.shape for x in tensors), []).append(trial)
+    return [
+        (trials,
+         [_Stack.of(*column) for column in zip(*(instances[t][0] for t in trials))],
+         [list(column) for column in zip(*(instances[t][1] for t in trials))])
+        for trials in groups.values()
+    ]
+
+
 def _inject(monkeypatch, theorem_id, faults):
     """Wrap a stacked theorem's draw: ``faults[trial]`` rewrites that
     trial's ``(tensors, scalars)``, or raises."""
     stacked = campaigns._REGISTRY[theorem_id]
 
-    def draw(trial, *args):
-        instance = stacked.draw(trial, *args)
-        return faults[trial](instance) if trial in faults else instance
+    def draw(window, *args):
+        instances = {}
+        for trials, stacks, columns in stacked.draw(window, *args):
+            for i, trial in enumerate(trials):
+                instance = (tuple(x.member(i) for x in stacks), tuple(c[i] for c in columns))
+                instances[trial] = faults[trial](instance) if trial in faults else instance
+        return _grouped(instances)
 
     monkeypatch.setitem(
         campaigns._REGISTRY, theorem_id, campaigns._Stacked(draw, stacked.certify)

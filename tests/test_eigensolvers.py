@@ -238,7 +238,7 @@ def _count_solved(monkeypatch):
     return solved
 
 
-def test_memo_partly_cached_stack_matches_fresh_solve(monkeypatch):
+def test_stack_solved_in_parts_matches_whole_solve(monkeypatch):
     # a stack solved in parts gives each member the bits of the whole, and
     # every call solves all of its members
     rng = np.random.default_rng(47)
@@ -251,7 +251,7 @@ def test_memo_partly_cached_stack_matches_fresh_solve(monkeypatch):
     assert np.array_equal(np.concatenate([e.vectors for e in parts]), fresh.vectors)
 
 
-def test_memo_two_dimensional_hit_after_stack_returns_stored_result():
+def test_lone_matrix_gets_its_stack_member_result():
     # a matrix alone gets the bits it gets as a member of a stack
     rng = np.random.default_rng(48)
     stack = np.stack([_random_hermitian(rng, 3) for _ in range(3)])

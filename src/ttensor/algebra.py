@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import Tensor3, _frobenius, _Stack, _transpose, frobenius_norm, identity
 from .errors import NotSymmetricError, ShapeMismatchError, SingularTensorError
-from .eigensolvers import HermitianEigen, hermitian_eig
+from .eigensolvers import HermitianEigen, _herm_t, hermitian_eig
 from .fourier import _half_size, _inverse
 
 __all__ = [
@@ -42,6 +42,13 @@ __all__ = [
 
 PREDICATE_TOL = 1e-9
 INVERSE_TOL = 1e-12
+
+
+def _hypothesis_tol(tol: float) -> float:
+    """The tolerance of a certifier's structural hypotheses (orthogonal,
+    normal, symmetric, f-diagonal, ``a = q^-1 * s * q``): ``tol``, floored
+    at ``PREDICATE_TOL``."""
+    return max(tol, PREDICATE_TOL)
 
 
 @dataclass(frozen=True)
@@ -244,7 +251,7 @@ def _psd_stack(x: _Stack) -> np.ndarray:
     certificate) and the symmetric branch of
     :func:`ttensor.spectral.t_eigenvalues` take."""
     half = x.slices[:, : _half_size(x.n3)]
-    return (0.5 * (half + half.conj().transpose(0, 1, 3, 2))).reshape(-1, *x.shape[:2])
+    return (0.5 * (half + _herm_t(half))).reshape(-1, *x.shape[:2])
 
 
 def loewner_ge(a: Tensor3, b: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:

@@ -8,13 +8,12 @@ Certifiers are pure functions of the instance; the campaign stamps each
 certificate with its provenance, the campaign ``seed`` and ``"trial"`` as
 the first key of ``params``, in one place (:func:`_stamp`).
 
-Trials run in windows of at most 64 trials and at most 4096 tensor entries
-(``n * n * n3`` a trial), but at least one trial; the bound keeps the
-memory a window's stacks hold at once small.  There is no setting.  Each
-theorem's registry entry is a :class:`_Stacked`: a draw and a stacked
-certifier.  A window is drawn in two phases.  Each trial first takes its
-raw numbers (uniforms, exponents, polynomial coefficients, lateral slices)
-from its own generator, ``RngStream(seed, trial)``, in the order a lone
+Trials run in windows of at most 4096 tensor entries (``n * n * n3`` a
+trial), but at least one trial; the bound keeps the memory a window's
+stacks hold at once small.  There is no setting.  Each theorem's registry
+entry is a :class:`_Stacked`: a draw and a stacked certifier.  A window
+is drawn in two phases.  Each trial first takes its raw numbers (uniforms,
+exponents, polynomial coefficients, lateral slices) from its own generator, ``RngStream(seed, trial)``, in the order a lone
 trial takes them (:class:`_Window`); then the window's tensors are built as
 stacks along a leading trial axis, all of its ``R^T * R + delta * I`` in
 one t-product, one shift and one symmetrization (:func:`ttensor.core._t_psd`
@@ -54,14 +53,13 @@ from .certificates import DEFAULT_TOL, InequalityCertificate, norm_certificate
 from .core import (
     RngStream, _commuting_psd_pairs, _frobenius, _loewner_pairs, _spectral, _Stack, _t_psd, identity,
 )
-from .errors import HypothesisViolationError, SingularTensorError, UnknownTheoremError
+from .errors import SingularTensorError, UnknownTheoremError, _require
 from .spectral import _t_eigenvalues
 
 __all__ = ["THEOREM_IDS", "CampaignResult", "run_campaign"]
 
 _CONJUGATOR_DRAWS = 100
 _CONJUGATOR_MAX_COND = 1e4
-_WINDOW_TRIALS = 64
 _WINDOW_ENTRIES = 4096
 
 
@@ -287,12 +285,12 @@ def _conjugators(w: _Window, q: _Stack, tries: int = _CONJUGATOR_DRAWS) -> tuple
     if all(passed):
         return q, q_inv
     if len(q) == 1:
-        if tries == 1:
-            raise HypothesisViolationError(
-                f"bauer-fike: no invertible conjugator with condition <= "
-                f"{_CONJUGATOR_MAX_COND:.0e} in {_CONJUGATOR_DRAWS} draws "
-                f"(seed={w.seed}, trial={w.trials[0]})"
-            )
+        _require(
+            tries > 1,
+            f"bauer-fike: no invertible conjugator with condition <= "
+            f"{_CONJUGATOR_MAX_COND:.0e} in {_CONJUGATOR_DRAWS} draws "
+            f"(seed={w.seed}, trial={w.trials[0]})",
+        )
         return _conjugators(w, w.random(), tries - 1)
     q_data, inv_data = q.data.copy(), q_inv.data.copy()
     for i in (i for i, ok in enumerate(passed) if not ok):
@@ -414,10 +412,10 @@ def _stamp(certificates, seed, trial) -> list:
 
 
 def _window_size(n: int, n3: int) -> int:
-    """Trials run at once: at most ``_WINDOW_TRIALS``, and at most
-    ``_WINDOW_ENTRIES`` tensor entries (``n * n * n3`` a trial) across the
-    window, which bounds the memory the window's stacks hold at once."""
-    return max(1, min(_WINDOW_TRIALS, _WINDOW_ENTRIES // max(1, n * n * n3)))
+    """Trials run at once: at most ``_WINDOW_ENTRIES`` tensor entries
+    (``n * n * n3`` a trial) across the window, which bounds the memory the
+    window's stacks hold at once, but at least one trial."""
+    return max(1, _WINDOW_ENTRIES // max(1, n * n * n3))
 
 
 def _campaign_result(theorem_id, n, n3, trials, seed, mode, certificates) -> CampaignResult:

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .campaigns import THEOREM_IDS, run_campaign
+from .certificates import DEFAULT_TOL
 from .core import ComplexTensor3, Tensor3, frobenius_norm
 from .errors import ShapeMismatchError, TtensorError, UnknownTheoremError
 from .localization import gershgorin_discs, gershgorin_gaps
@@ -65,23 +66,23 @@ def read_tensor(path: str):
             flat = re + 1j * im
             if flat.size != n1 * n2 * n3:
                 raise FileFormatError(f"{path}: data length {flat.size} != {n1 * n2 * n3}")
-            return ComplexTensor3(flat.reshape(n3, n1, n2).transpose(1, 2, 0))
-        return Tensor3.from_flat(np.asarray(doc["data"], dtype=float), n1, n2, n3)
+            return ComplexTensor3.from_flat(flat, n1, n2, n3)
+        return Tensor3.from_flat(doc["data"], n1, n2, n3)
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def write_tensor(path: str, tensor) -> None:
     dims = [tensor.n1, tensor.n2, tensor.n3]
+    flat = tensor.to_flat()
     if isinstance(tensor, ComplexTensor3):
-        flat = tensor.data.transpose(2, 0, 1).ravel()
         doc = {
             "dims": dims,
             "data_re": [float(v) for v in flat.real],
             "data_im": [float(v) for v in flat.imag],
         }
     else:
-        doc = {"dims": dims, "data": [float(v) for v in tensor.to_flat()]}
+        doc = {"dims": dims, "data": [float(v) for v in flat]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
@@ -217,14 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--n3", type=int, default=3, help="tube length (default 3)")
     p_check.add_argument("--trials", type=int, default=200)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--tol", type=float, default=1e-8)
+    p_check.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_check.add_argument("--mode", choices=("corrected", "literal"), default="corrected")
     p_check.add_argument("--json", action="store_true", help="one JSON line per certificate")
     p_check.set_defaults(fn=cmd_check)
 
     p_g = sub.add_parser("gershgorin", help="disc localization of t-eigenvalues")
     p_g.add_argument("file")
-    p_g.add_argument("--tol", type=float, default=1e-8)
+    p_g.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_g.add_argument("--json", action="store_true")
     p_g.set_defaults(fn=cmd_gershgorin)
 

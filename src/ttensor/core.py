@@ -4,7 +4,9 @@ seeded random instance generation.
 A :class:`Tensor3` stores its entries as a read-only float64 array of shape
 ``(n1, n2, n3)``; ``data[:, :, k]`` is frontal slice ``k`` (0-based).  The flat
 serialization order used by files and oracles is slice-major with row-major
-slices: flat index ``(k * n1 + i) * n2 + j`` for 0-based ``(i, j, k)``.
+slices: flat index ``(k * n1 + i) * n2 + j`` for 0-based ``(i, j, k)``, for
+real and complex tensors alike (``to_flat`` / ``from_flat``, its one
+definition).
 
 :class:`_Stack` holds ``b`` tensors of one shape along a leading trial axis,
 ``(b, n1, n2, n3)``.  The shared primitives (transpose, norms, transforms,
@@ -86,6 +88,20 @@ class _Dense:
         """Frontal slice ``k`` (0-based) as an ``(n1, n2)`` array."""
         return self.data[:, :, k]
 
+    def to_flat(self) -> np.ndarray:
+        """Entries in the canonical slice-major / row-major flat order."""
+        return self.data.transpose(2, 0, 1).ravel()
+
+    @classmethod
+    def from_flat(cls, flat, n1: int, n2: int, n3: int):
+        """Inverse of :meth:`to_flat`; requires exactly ``n1 * n2 * n3`` entries."""
+        flat = np.asarray(flat, dtype=cls._dtype)
+        if flat.size != n1 * n2 * n3:
+            raise ShapeMismatchError(
+                f"flat data has {flat.size} entries, expected {n1 * n2 * n3}"
+            )
+        return cls(flat.reshape(n3, n1, n2).transpose(1, 2, 0))
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape={self.shape})"
 
@@ -94,19 +110,6 @@ class Tensor3(_Dense):
     """Dense real third-order tensor; immutable after construction."""
 
     __slots__ = ()
-
-    def to_flat(self) -> np.ndarray:
-        """Entries in the canonical slice-major / row-major flat order."""
-        return self.data.transpose(2, 0, 1).ravel()
-
-    @classmethod
-    def from_flat(cls, flat, n1: int, n2: int, n3: int) -> "Tensor3":
-        flat = np.asarray(flat, dtype=float)
-        if flat.size != n1 * n2 * n3:
-            raise ShapeMismatchError(
-                f"flat data has {flat.size} entries, expected {n1 * n2 * n3}"
-            )
-        return cls(flat.reshape(n3, n1, n2).transpose(1, 2, 0))
 
     @classmethod
     def zeros(cls, n1: int, n2: int, n3: int) -> "Tensor3":

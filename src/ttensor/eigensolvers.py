@@ -68,6 +68,11 @@ class HermitianEigen:
     vectors: np.ndarray
 
 
+def _herm_t(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of every matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def _square_stack(m) -> np.ndarray:
     """``m`` as a C-ordered complex matrix or ``(b, n, n)`` stack.
 
@@ -136,7 +141,7 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     b, n, _ = a.shape
     norm = _frobenius(a)
-    herm_residual = _frobenius(a - a.conj().transpose(0, 2, 1))
+    herm_residual = _frobenius(a - _herm_t(a))
     bad = np.flatnonzero(herm_residual > _HERMITIAN_PRE_TOL * (1.0 + norm))
     if bad.size:
         raise NotSymmetricError(
@@ -144,7 +149,7 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"exceeds {_HERMITIAN_PRE_TOL:.1e} * (1 + ||M||_F)"
         )
     w = np.empty((b, 2 * n, n), dtype=complex)
-    w[:, :n] = 0.5 * (a + a.conj().transpose(0, 2, 1))
+    w[:, :n] = 0.5 * (a + _herm_t(a))
     w[:, n:] = np.eye(n)
     threshold = _OFFDIAG_FACTOR * norm
     live = np.arange(b if n > 1 else 0)  # members still sweeping
@@ -242,12 +247,13 @@ def general_eig(m) -> np.ndarray:
     reported.
     """
     a = _square_stack(m)
-    (values,) = _qr_eig(a if a.ndim == 3 else a[None])
+    values = _qr_eig(a if a.ndim == 3 else a[None])
     return values if a.ndim == 3 else values[0]
 
 
-def _qr_eig(a: np.ndarray) -> tuple[np.ndarray]:
-    """Hessenberg reduction and shifted QR on a ``(b, n, n)`` stack; ``(values,)``.
+def _qr_eig(a: np.ndarray) -> np.ndarray:
+    """Hessenberg reduction and shifted QR on a ``(b, n, n)`` stack; the
+    ``(b, n)`` eigenvalues, each member's in the order they deflate.
 
     Each member keeps its own state: the end of its unreduced part, its QR
     step count and its stall count since the last deflation.  A round scans
@@ -308,7 +314,7 @@ def _qr_eig(a: np.ndarray) -> tuple[np.ndarray]:
         live = live[end[live] > 0]
     if failures:
         raise EigenConvergenceError(failures[min(failures)])
-    return (values,)
+    return values
 
 
 def _shifted_qr_steps(h, m, lo, end, exceptional) -> None:

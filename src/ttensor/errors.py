@@ -1,4 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the hypothesis gate.
+
+:func:`_require` and :func:`_require_each` are the only code that raises
+:class:`HypothesisViolationError`: every certifier checks its theorem's
+hypotheses (positive semidefiniteness, symmetry, normality, f-diagonality,
+conjugate exponents, ...) through them before it evaluates either side.
+"""
+
+__all__ = [
+    "TtensorError",
+    "ShapeMismatchError",
+    "ConjugateSymmetryError",
+    "SingularTensorError",
+    "NotSymmetricError",
+    "NotTPSDError",
+    "EigenConvergenceError",
+    "HypothesisViolationError",
+    "UnknownTheoremError",
+]
 
 
 class TtensorError(Exception):
@@ -59,3 +77,18 @@ class HypothesisViolationError(TtensorError):
 
 class UnknownTheoremError(TtensorError):
     """Requested theorem id is not in the registry."""
+
+
+def _require(condition: bool, message: str) -> None:
+    """Raise :class:`HypothesisViolationError` with ``message`` unless ``condition``."""
+    if not condition:
+        raise HypothesisViolationError(message)
+
+
+def _require_each(reasons, message: str) -> None:
+    """Raise :class:`HypothesisViolationError` at the first non-empty reason,
+    with ``message.format(reason)``: ``reasons`` are a predicate's per-member
+    failure reasons, ``""`` for a member that passes, in member order."""
+    for reason in reasons:
+        if reason:
+            raise HypothesisViolationError(message.format(reason))

@@ -302,7 +302,7 @@ def bcirc(a) -> BlockCirculantMatrix:
 
 def unfold(a: Tensor3) -> np.ndarray:
     """Stack the frontal slices vertically into an (n1*n3, n2) matrix."""
-    return a.data.transpose(2, 0, 1).reshape(a.n1 * a.n3, a.n2)
+    return a.to_flat().reshape(a.n1 * a.n3, a.n2)
 
 
 def fold(m, n1: int, n3: int) -> Tensor3:
@@ -312,7 +312,7 @@ def fold(m, n1: int, n3: int) -> Tensor3:
         raise ShapeMismatchError(
             f"cannot fold shape {m.shape} into n1={n1}, n3={n3} slices"
         )
-    return Tensor3(m.reshape(n3, n1, m.shape[1]).transpose(1, 2, 0))
+    return Tensor3.from_flat(m, n1, m.shape[1], n3)
 
 
 def to_fourier(a) -> FourierSlices:

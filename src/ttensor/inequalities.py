@@ -1,8 +1,8 @@
 """One certifier per operator / norm inequality.
 
 Every certifier validates its own hypotheses (raising
-:class:`HypothesisViolationError` on unverified instances) before evaluating
-both sides.  Certifiers whose circulating statement is defective carry a
+:class:`HypothesisViolationError` on unverified instances, through
+:func:`ttensor.errors._require`) before evaluating both sides.  Certifiers whose circulating statement is defective carry a
 ``literal`` mode that evaluates the statement as printed (useful for
 recording counterexamples) next to the default ``corrected`` mode that
 evaluates the mathematically valid form:
@@ -44,8 +44,8 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import (
-    PREDICATE_TOL,
     _asymmetry,
+    _hypothesis_tol,
     _orthogonality,
     _psd_stack,
     _psd_verdicts,
@@ -62,7 +62,7 @@ from .certificates import (
 )
 from .core import Tensor3, _cartesian_norms, _check_same_shape, _frobenius, _spectral, _Stack
 from .eigensolvers import _hermitian_eigs
-from .errors import HypothesisViolationError, ShapeMismatchError
+from .errors import ShapeMismatchError, _require, _require_each
 from .spectral import (
     _abs_powers,
     _power_stack,
@@ -127,11 +127,6 @@ def _norm_certificates(theorem_id: str, dims, tol: float, tensors, sides) -> lis
 def _stacks(*tensors: Tensor3) -> list[_Stack]:
     """Each tensor as a one-member stack: a certifier's ``b = 1`` case."""
     return [_Stack.of(t) for t in tensors]
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise HypothesisViolationError(message)
 
 
 def _require_psd_members(xs: list[_Stack], names: list[str], tol: float, eig=None) -> None:
@@ -261,20 +256,18 @@ def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[
         for q_norm in _spectral(q.slices).tolist():
             _require(q_norm <= 1.0 + tol, f"Q is not a contraction: ||Q||_2 = {q_norm:.6f}")
     elif mode == MODE_LITERAL:
-        for reason in _orthogonality(q, max(tol, PREDICATE_TOL)):
-            _require(not reason, "Q is not orthogonal")
+        _require_each(_orthogonality(q, _hypothesis_tol(tol)), "Q is not orthogonal")
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     if middle is None:
         middle = _t_product(_t_product(left, x), q)
         sym_middle = middle.sym()
-    for reason in _asymmetry(middle, tol):
-        if reason:
-            raise HypothesisViolationError(
-                f"conjugated product is not symmetric in {mode} mode ({reason}); "
-                "the power of a non-symmetric tensor is undefined"
-            )
+    _require_each(
+        _asymmetry(middle, tol),
+        f"conjugated product is not symmetric in {mode} mode ({{}}); "
+        "the power of a non-symmetric tensor is undefined",
+    )
     ((x_r, pow_conj),) = _t_powers([x, sym_middle], [r, r], eig=power)
     conj_pow = _t_product(_t_product(left, x_r), q).sym()
     low = np.array([ri <= 1.0 for ri in r])[:, None, None, None]
@@ -412,8 +405,7 @@ def _complex_norm_bounds(a: _Stack, b: _Stack, variant: str, tol: float, mode: s
     if mode not in (MODE_CORRECTED, MODE_LITERAL):
         raise ValueError(f"unknown mode {mode!r}")
     for x, name in ((a, "A"), (b, "B")):
-        for reason in _asymmetry(x, tol):
-            _require(not reason, f"{name} is not symmetric")
+        _require_each(_asymmetry(x, tol), f"{name} is not symmetric")
     if variant in ("b", "c"):
         psd = [a, b] if variant == "c" else [a]
         _require_psd_members(psd, ["A", "B"][: len(psd)], tol)

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PREDICATE_TOL, _asymmetry, _normality, _t_inverse, _t_product, is_f_diagonal
+from .algebra import (
+    PREDICATE_TOL, _asymmetry, _hypothesis_tol, _normality, _t_inverse, _t_product, is_f_diagonal,
+)
 from .certificates import (
     DEFAULT_TOL,
     FROBENIUS,
@@ -29,7 +31,7 @@ from .certificates import (
     norm_certificate,
 )
 from .core import Tensor3, _cartesian_norms, _frobenius, _spectral, _Stack, frobenius_norm
-from .errors import HypothesisViolationError, ShapeMismatchError
+from .errors import ShapeMismatchError, _require, _require_each
 from .spectral import TEigenSpectrum, _t_eigenvalues, t_eigenvalues
 
 __all__ = [
@@ -171,10 +173,7 @@ def gershgorin_component_count(
     n = len(discs)
     if n == 0:
         return []
-    if len(values) % n != 0:
-        raise HypothesisViolationError(
-            f"{len(values)} eigenvalues cannot be grouped by {n} discs"
-        )
+    _require(len(values) % n == 0, f"{len(values)} eigenvalues cannot be grouped by {n} discs")
     n3 = len(values) // n
     gaps, nearest, scale = gershgorin_gaps(discs, values)
     slack = tol * scale
@@ -197,10 +196,12 @@ def gershgorin_component_count(
     for i in range(n):
         members.setdefault(find(i), []).append(i)
 
+    _require_each(
+        (f"{z} escapes every disc by {gap:.3e}" if gap > slack else "" for z, gap in zip(values, gaps)),
+        "eigenvalue {}",
+    )
     counts = {root: 0 for root in members}
-    for z, gap, best in zip(values, gaps, nearest):
-        if gap > slack:
-            raise HypothesisViolationError(f"eigenvalue {z} escapes every disc by {gap:.3e}")
+    for best in nearest:
         counts[find(int(best))] += 1
 
     return [
@@ -227,19 +228,19 @@ def bauer_fike(
 def _bauer_fike(a: _Stack, b: _Stack, q: _Stack, s: _Stack, tol: float) -> list[list]:
     """:func:`bauer_fike` of each member; both spectra of every member take
     one solver call."""
-    hypothesis_tol = max(tol, PREDICATE_TOL)
-    for i in range(len(s)):
-        fd = is_f_diagonal(s.member(i), hypothesis_tol)
-        if not fd:
-            raise HypothesisViolationError(f"S is not f-diagonal: {fd.reason}")
+    hypothesis_tol = _hypothesis_tol(tol)
+    _require_each(
+        (is_f_diagonal(s.member(i), hypothesis_tol).reason for i in range(len(s))),
+        "S is not f-diagonal: {}",
+    )
     q_inv = _t_inverse(q)
     recon = _t_product(_t_product(q_inv, s), q)
     residual = _frobenius((a - recon).data).tolist()
     for res, norm in zip(residual, _frobenius(a.data).tolist()):
-        if res > hypothesis_tol * (1.0 + norm):
-            raise HypothesisViolationError(
-                f"a is not reproduced by q^-1 * s * q (residual {res:.3e})"
-            )
+        _require(
+            not res > hypothesis_tol * (1.0 + norm),
+            f"a is not reproduced by q^-1 * s * q (residual {res:.3e})",
+        )
     spectra = _t_eigenvalues(a, b)
     norms = zip(*(_spectral(x.slices).tolist() for x in (q_inv, q, a - b)))
     out = []
@@ -278,9 +279,7 @@ def _hoffman_wielandt(a: _Stack, b: _Stack, tol: float) -> tuple[list, list]:
     """:func:`hoffman_wielandt` of each member, and the spectra it matched
     (those of ``a``'s members, then ``b``'s), from one solver call."""
     for name, x in (("A", a), ("B", b)):
-        for reason in _normality(x, max(tol, PREDICATE_TOL)):
-            if reason:
-                raise HypothesisViolationError(f"{name} is not normal: {reason}")
+        _require_each(_normality(x, _hypothesis_tol(tol)), f"{name} is not normal: {{}}")
     spectra = _t_eigenvalues(a, b)
     diffs = _frobenius((b - a).data).tolist()
     out = []
@@ -316,8 +315,7 @@ def _sorted_pairing_distances(a: _Stack, b: _Stack, spectra: list | None = None)
     """:func:`sorted_pairing_distance` of each member pair; ``spectra`` may
     hold the members' t-eigenvalues, ``a``'s then ``b``'s, taken before."""
     for name, x in (("A", a), ("B", b)):
-        if any(_asymmetry(x, PREDICATE_TOL)):
-            raise HypothesisViolationError(f"{name} must be symmetric for sorted pairing")
+        _require_each(_asymmetry(x, PREDICATE_TOL), f"{name} must be symmetric for sorted pairing")
     if spectra is None:
         spectra = _t_eigenvalues(a, b)
     out = []
@@ -344,11 +342,8 @@ def _diag_spectrum(a: _Stack, b: _Stack, tol: float) -> list[list]:
     """:func:`diag_spectrum_bound` of each member; the spectra take one
     solver call, and the norms of ``T = A + iB`` one complex transform."""
     for name, x in (("A", a), ("B", b)):
-        for reason in _asymmetry(x, max(tol, PREDICATE_TOL)):
-            if reason:
-                raise HypothesisViolationError(f"{name} is not symmetric: {reason}")
-    if a.shape != b.shape:
-        raise HypothesisViolationError(f"shape mismatch: {a.shape} vs {b.shape}")
+        _require_each(_asymmetry(x, _hypothesis_tol(tol)), f"{name} is not symmetric: {{}}")
+    _require(a.shape == b.shape, f"shape mismatch: {a.shape} vs {b.shape}")
     spectra = _t_eigenvalues(a, b)
     n3 = a.n3
 

@@ -39,13 +39,13 @@ from .algebra import (
     _t_product,
 )
 from .core import Tensor3, _as_generator, _Stack, gen_random
-from .eigensolvers import HermitianEigen, _hermitian_eigs, general_eig, hermitian_eig
+from .eigensolvers import HermitianEigen, _herm_t, _hermitian_eigs, general_eig, hermitian_eig
 from .errors import (
-    HypothesisViolationError,
     NotSymmetricError,
     NotTPSDError,
     ShapeMismatchError,
     SingularTensorError,
+    _require,
 )
 from .fourier import (
     _half_size,
@@ -78,11 +78,6 @@ class TEigenSpectrum:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def _herm_t(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix, or of every matrix in a stack."""
-    return m.conj().swapaxes(-1, -2)
 
 
 def t_eigenvalues(a) -> TEigenSpectrum:
@@ -371,8 +366,10 @@ def _require_conjugate(p: float, q: float) -> None:
     Hoelder bounds it also makes the tube-count prefactor
     ``n3^(1/(2p) + 1/(2q) - 1/2)`` identically 1, so they leave it out.
     """
-    if not (p > 1 and q > 1 and abs(1.0 / p + 1.0 / q - 1.0) <= _CONJUGATE_TOL):
-        raise HypothesisViolationError(f"exponents p={p}, q={q} are not conjugate")
+    _require(
+        p > 1 and q > 1 and abs(1.0 / p + 1.0 / q - 1.0) <= _CONJUGATE_TOL,
+        f"exponents p={p}, q={q} are not conjugate",
+    )
 
 
 def _young_grams(sa, sb):

@@ -1,0 +1,87 @@
+"""The package namespace, and one definition per concept in the source."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import ttensor
+from ttensor import certificates
+
+MODULES = (
+    "core", "fourier", "eigensolvers", "algebra", "spectral", "certificates", "inequalities",
+    "localization", "campaigns", "errors",
+)
+
+SOURCE = Path(ttensor.__file__).parent
+
+
+def test_package_all_is_the_modules_all_in_order():
+    modules = [importlib.import_module(f"ttensor.{name}") for name in MODULES]
+    assert ttensor.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(ttensor.__all__)) == len(ttensor.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(ttensor, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from ttensor import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(ttensor.__all__)
+    assert ttensor.loewner_min_gap is certificates.loewner_min_gap
+    assert namespace["loewner_min_gap"] is certificates.loewner_min_gap
+    assert "HypothesisViolationError" in ttensor.errors.__all__
+
+
+def _enclosing(tree: ast.Module) -> dict:
+    """Each line's innermost enclosing class or function, as a dotted name."""
+    owner = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}" if prefix else child.name
+                for line in range(child.lineno, child.end_lineno + 1):
+                    owner[line] = name
+            visit(child, name)
+
+    visit(tree, "")
+    return owner
+
+
+# pattern -> the one place, "module" or "module:Owner", allowed to spell it
+ONE_DEFINITION = {
+    r"raise HypothesisViolationError\b": "errors",
+    r"conj\(\)\.(transpose|swapaxes)": "eigensolvers:_herm_t",
+    r"transpose\((2, 0, 1|1, 2, 0)\)": "core:_Dense",
+    r"\b1e-8\b": "certificates",  # DEFAULT_TOL
+}
+
+
+def test_each_concept_is_spelled_in_one_place():
+    found, homes = [], set()
+    for path in sorted(SOURCE.glob("*.py")):
+        text = path.read_text()
+        owner = _enclosing(ast.parse(text))
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for pattern, home in ONE_DEFINITION.items():
+                if not re.search(pattern, line):
+                    continue
+                module, _, scope = home.partition(":")
+                inside = owner.get(lineno, "")
+                if path.stem != module or (scope and inside.split(".")[0] != scope):
+                    found.append(f"{path.name}:{lineno} ({inside or 'module level'}): {line.strip()}")
+                else:
+                    homes.add(pattern)
+    assert not found, "spelled outside its one definition:\n" + "\n".join(found)
+    assert homes == set(ONE_DEFINITION)  # each one definition still exists
+
+
+def test_cli_tolerance_defaults_are_default_tol():
+    from ttensor.cli import build_parser
+
+    parser = build_parser()
+    for argv in (["check", "furuta"], ["gershgorin", "a.json"]):
+        assert parser.parse_args(argv).tol == certificates.DEFAULT_TOL

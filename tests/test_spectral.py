@@ -265,7 +265,7 @@ def _later_calls(a, b):
 
 
 @pytest.mark.parametrize("n3", [4, 5])
-def test_solve_ahead_solves_every_later_stack_in_one_call(monkeypatch, n3):
+def test_wave_in_one_jacobi_call_matches_each_call_alone(monkeypatch, n3):
     # the stacks of a PSD check, an order check, powers, an absolute value
     # and a Loewner gap share one call, and each call given its share
     # computes what it computes alone
@@ -292,7 +292,7 @@ def test_solve_ahead_solves_every_later_stack_in_one_call(monkeypatch, n3):
     assert shared == alone
 
 
-def test_solve_ahead_swallows_errors_and_stores_nothing(monkeypatch):
+def test_unshareable_wave_leaves_each_stack_to_its_own_call(monkeypatch):
     # a wave that cannot share a call hands every stack back to the call
     # that takes it, which raises its own error where it raises alone
     a = gen_t_psd(3, 4, RngStream(92))
@@ -311,7 +311,7 @@ def test_solve_ahead_swallows_errors_and_stores_nothing(monkeypatch):
     assert str(after.value) == str(alone.value)
 
 
-def test_solve_ahead_leaves_general_spectra_alone(monkeypatch):
+def test_non_symmetric_t_eigenvalues_take_only_the_general_solver(monkeypatch):
     # t_eigenvalues of a non-symmetric tensor takes the general solver only
     a = gen_random((3, 3, 4), RngStream(94))
     counts = _count_kernels(monkeypatch)

@@ -57,18 +57,19 @@ def read_tensor(path: str):
     if not (isinstance(dims, list) and len(dims) == 3 and all(isinstance(d, int) and d >= 1 for d in dims)):
         raise FileFormatError(f"{path}: dims must be three positive integers")
     n1, n2, n3 = dims
+    for key in ("data_re", "data_im") if complex_input else ("data",):
+        values = doc[key]
+        if not (
+            isinstance(values, list) and len(values) == n1 * n2 * n3
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+        ):
+            raise FileFormatError(f"{path}: {key} must be a flat array of {n1 * n2 * n3} numbers")
     try:
         if complex_input:
-            re = np.asarray(doc["data_re"], dtype=float)
-            im = np.asarray(doc["data_im"], dtype=float)
-            if re.shape != im.shape:
-                raise FileFormatError(f"{path}: data_re and data_im lengths differ")
-            flat = re + 1j * im
-            if flat.size != n1 * n2 * n3:
-                raise FileFormatError(f"{path}: data length {flat.size} != {n1 * n2 * n3}")
-            return ComplexTensor3.from_flat(flat, n1, n2, n3)
+            re, im = (np.asarray(doc[key], dtype=float) for key in ("data_re", "data_im"))
+            return ComplexTensor3.from_flat(re + 1j * im, n1, n2, n3)
         return Tensor3.from_flat(doc["data"], n1, n2, n3)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 

@@ -254,6 +254,14 @@ def _bauer_fike(a: _Stack, b: _Stack, q: _Stack, s: _Stack, tol: float) -> list[
 
 
 def _matched_distance(lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, float]:
+    """An optimal pairing ``lam[i] -> mu[perm[i]]`` and its distance.
+
+    Real spectra (every imaginary part exactly zero, as for symmetric
+    tensors) take the sorted pairing, which is optimal for them
+    (Hoffman-Wielandt); complex ones take a minimum-cost assignment.
+    """
+    if not (np.any(lam.imag) or np.any(mu.imag)):
+        return _sorted_pairing(lam.real, mu.real)
     from scipy.optimize import linear_sum_assignment  # deferred: scipy loads slowly
 
     cost = np.abs(mu[None, :] - lam[:, None]) ** 2
@@ -318,11 +326,19 @@ def _sorted_pairing_distances(a: _Stack, b: _Stack, spectra: list | None = None)
         _require_each(_asymmetry(x, PREDICATE_TOL), f"{name} must be symmetric for sorted pairing")
     if spectra is None:
         spectra = _t_eigenvalues(a, b)
-    out = []
-    for lam, mu in zip(spectra, spectra[len(a):]):
-        lam, mu = np.sort(lam.values.real), np.sort(mu.values.real)
-        out.append(float(np.sqrt(((mu - lam) ** 2).sum())))
-    return out
+    return [
+        _sorted_pairing(lam.values.real, mu.values.real)[1]
+        for lam, mu in zip(spectra, spectra[len(a):])
+    ]
+
+
+def _sorted_pairing(lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, float]:
+    """The ascending-sorted pairing ``lam[i] -> mu[perm[i]]`` of two real
+    spectra and its distance."""
+    i, j = np.argsort(lam, kind="stable"), np.argsort(mu, kind="stable")
+    perm = np.empty_like(i)
+    perm[i] = j
+    return perm, float(np.sqrt(((mu[j] - lam[i]) ** 2).sum()))
 
 
 def diag_spectrum_bound(

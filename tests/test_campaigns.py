@@ -214,7 +214,7 @@ def _solve_each_stack_alone(patch):
 
 @pytest.mark.parametrize("n,n3", [(3, 4), (2, 5)])
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
-def test_eig_memo_leaves_reports_unchanged(monkeypatch, theorem_id, n, n3):
+def test_shared_wave_solves_leave_reports_unchanged(monkeypatch, theorem_id, n, n3):
     # spectra that a window needs at one point share a solver call; solving
     # each stack alone instead leaves the reports as they are
     shared = run_campaign(theorem_id, n=n, n3=n3, trials=2, seed=3)

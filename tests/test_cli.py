@@ -52,10 +52,33 @@ def test_file_rejects_bad_lengths(tmp_path):
     assert main(["eig", str(path)]) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"dims": [1, 1, 2], "data": [1.0]},
+    {"dims": [1, 1, 2], "data_re": [1.0], "data_im": [0.0]},
+    {"dims": [1, 1, 2], "data_re": [1.0, 2.0, 3.0], "data_im": [0.0, 0.0]},
+    {"dims": [1, 1, 2], "data": [[1.0], [2.0]]},
+], ids=["real-short", "complex-short", "complex-long-re", "nested"])
+def test_file_rejects_data_that_is_not_a_flat_array_of_the_dims(tmp_path, capsys, doc):
+    # every data array is checked the same way, and the message names the file
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(cli.FileFormatError, match="bad.json: data.* must be a flat array of 2 numbers"):
+        read_tensor(str(path))
+    assert main(["eig", str(path)]) == 2
+    assert "bad.json" in capsys.readouterr().err
+
+
 def test_file_rejects_nonfinite(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"dims": [1, 1, 1], "data": [NaN]}')
     assert main(["eig", str(path)]) == 2
+
+
+def test_file_rejects_integer_beyond_float_range(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dims": [1, 1, 1], "data": [1' + "0" * 400 + ']}')
+    assert main(["eig", str(path)]) == 2
+    assert "bad.json" in capsys.readouterr().err
 
 
 def test_complex_tensor_file_round_trip(tmp_path):

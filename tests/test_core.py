@@ -185,3 +185,18 @@ def test_import_leaves_scipy_optimize_unloaded():
     code = "import sys, ttensor; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert "scipy.optimize" not in out.stdout
+
+
+def test_campaigns_leave_scipy_optimize_unloaded():
+    # real spectra are paired by sorting, so no campaign and no matching of a
+    # symmetric pair loads the assignment solver
+    code = (
+        "import sys, ttensor as tt\n"
+        "for tid in tt.THEOREM_IDS:\n"
+        "    tt.run_campaign(tid, n=3, n3=4, trials=2, seed=0)\n"
+        "a, b = (tt.gen_symmetric(3, 4, tt.RngStream(s)) for s in (1, 2))\n"
+        "tt.hoffman_wielandt(a, b)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert "scipy.optimize" not in out.stdout

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from ttensor import (
     HypothesisViolationError,
@@ -9,6 +10,7 @@ from ttensor import (
     Tensor3,
     bauer_fike,
     diag_spectrum_bound,
+    gen_orthogonal,
     gen_random,
     gen_symmetric,
     gershgorin_component_count,
@@ -23,6 +25,7 @@ from ttensor import (
     t_inverse,
     t_product,
 )
+from ttensor import campaigns
 from oracles import brute_bcirc
 
 
@@ -174,17 +177,63 @@ def test_hoffman_wielandt_rejects_non_normal():
         hoffman_wielandt(bad, sym)
 
 
-@pytest.mark.parametrize("trial", range(50))
-def test_hoffman_wielandt_bounds_and_optimality(trial):
-    a = gen_symmetric(3, 2, RngStream(311, trial))
-    b = gen_symmetric(3, 2, RngStream(312, trial))
+def _assignment_cost(lam, mu) -> float:
+    """Oracle: the squared distance of a minimum-cost assignment."""
+    cost = np.abs(mu[None, :] - lam[:, None]) ** 2
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())
+
+
+def _symmetric_campaign_pair(n, n3, seed):
+    """Trial 0's pair of the ``hoffman-wielandt`` campaign."""
+    window = campaigns._Window(seed, [0], n, n3)
+    ((_, (a, b), _),) = campaigns._draw_symmetric_pair(window, "corrected", {})
+    return a.member(0), b.member(0)
+
+
+def _pairs_for_optimality():
+    for trial in range(50):
+        yield pytest.param(
+            gen_symmetric(3, 2, RngStream(311, trial)), gen_symmetric(3, 2, RngStream(312, trial)),
+            id=str(trial),
+        )
+    # conjugate slices give every eigenvalue twice, so the sorted and the
+    # assignment pairing tie and sum in different orders
+    yield pytest.param(*_symmetric_campaign_pair(3, 127, 0), id="campaign-n=3-n3=127-seed=0")
+
+
+@pytest.mark.parametrize("a,b", _pairs_for_optimality())
+def test_hoffman_wielandt_bounds_and_optimality(a, b):
     report, cert_sqrt, cert_stated = hoffman_wielandt(a, b)
     sorted_dist = sorted_pairing_distance(a, b)
-    # optimal assignment <= sorted pairing; both under the tightened bound
-    assert report.matched_distance <= sorted_dist + 1e-10
-    assert report.matched_distance == pytest.approx(sorted_dist, abs=1e-8)  # real spectra
+    # real spectra take the sorted pairing: one distance for both certificates
+    assert report.matched_distance == sorted_dist
+    lam, mu = t_eigenvalues(a).values, t_eigenvalues(b).values
+    assert not (np.any(lam.imag) or np.any(mu.imag))
+    lam, mu = lam.real, mu.real
+    # the permutation pairs the values in ascending order
+    assert np.all(np.diff(mu[np.asarray(report.permutation)][np.argsort(lam, kind="stable")]) >= 0)
+    # the sorted pairing is optimal: its squared cost is the assignment's up to one rounding
+    oracle = _assignment_cost(lam, mu)
+    assert abs(np.sum((np.sort(mu) - np.sort(lam)) ** 2) - oracle) <= np.spacing(oracle)
     assert sorted_dist <= report.bound_sqrt + 1e-8 * (1 + report.bound_sqrt)
     assert report.bound_sqrt <= report.bound_stated
+    assert cert_sqrt.holds and cert_stated.holds
+
+
+def test_hoffman_wielandt_complex_spectra_take_the_assignment():
+    # orthogonal tensors are normal but not symmetric: their spectra lie on
+    # the unit circle, off the real line
+    a = gen_orthogonal(3, 4, RngStream(315))
+    b = gen_orthogonal(3, 4, RngStream(316))
+    lam, mu = t_eigenvalues(a).values, t_eigenvalues(b).values
+    assert np.any(lam.imag) and np.any(mu.imag)
+    report, cert_sqrt, cert_stated = hoffman_wielandt(a, b)
+    oracle = _assignment_cost(lam, mu)
+    assert report.matched_distance == pytest.approx(np.sqrt(oracle), rel=1e-12)
+    perm = np.asarray(report.permutation)
+    assert sorted(perm) == list(range(len(lam)))
+    assert np.sum(np.abs(mu[perm] - lam) ** 2) == pytest.approx(oracle, rel=1e-12)
     assert cert_sqrt.holds and cert_stated.holds
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Tensor3, _frobenius, _Stack, _transpose, frobenius_norm, identity
-from .errors import NotSymmetricError, ShapeMismatchError, SingularTensorError
+from .errors import NotSymmetricError, ShapeMismatchError, SingularTensorError, _require_each
 from .eigensolvers import HermitianEigen, _herm_t, hermitian_eig
 from .fourier import _half_size, _inverse
 
@@ -45,9 +45,9 @@ INVERSE_TOL = 1e-12
 
 
 def _hypothesis_tol(tol: float) -> float:
-    """The tolerance of a certifier's structural hypotheses (orthogonal,
-    normal, symmetric, f-diagonal, ``a = q^-1 * s * q``): ``tol``, floored
-    at ``PREDICATE_TOL``."""
+    """The tolerance of every structural hypothesis of a certifier
+    (orthogonal, normal, symmetric, f-diagonal, commuting,
+    ``a = q^-1 * s * q``): ``tol``, floored at ``PREDICATE_TOL``."""
     return max(tol, PREDICATE_TOL)
 
 
@@ -142,6 +142,13 @@ def _asymmetry(x: _Stack, tol: float) -> list[str]:
     residual = _frobenius(x.data - _transpose(x.data)).tolist()
     bound = (tol * (1.0 + _frobenius(x.data))).tolist()
     return [f"symmetry residual {r:.3e}" if r > b else "" for r, b in zip(residual, bound)]
+
+
+def _require_symmetric(tol: float, **stacks: _Stack) -> None:
+    """Every member of each named stack, in order, is symmetric within
+    ``_hypothesis_tol(tol)``, else a hypothesis violation naming the stack and its residual."""
+    for name, x in stacks.items():
+        _require_each(_asymmetry(x, _hypothesis_tol(tol)), f"{name} is not symmetric: {{}}")
 
 
 def is_orthogonal(q: Tensor3, tol: float = PREDICATE_TOL) -> PredicateVerdict:

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import inequalities as ineq
 from . import localization as loc
-from .algebra import _t_inverse, _t_product
+from .algebra import PREDICATE_TOL, _require_symmetric, _t_inverse, _t_product
 from .certificates import DEFAULT_TOL, InequalityCertificate, norm_certificate
 from .core import (
     RngStream, _commuting_psd_pairs, _frobenius, _loewner_pairs, _spectral, _Stack, _t_psd, identity,
@@ -315,13 +315,14 @@ def _draw_symmetric_pair(w, mode, params):
 
 
 def _certify_hoffman_wielandt(stacks, columns, tol, mode):
-    """The optimal-pairing certificates of each member, then those of the
-    sorted pairing, which reuses the optimal pairing's spectra."""
+    """The optimal-pairing certificates of each member, then the sorted pairing's:
+    a symmetric pair's spectra are real, so its optimal pairing is the sorted one."""
     a, b = stacks
-    matched, spectra = loc._hoffman_wielandt(a, b, tol)
+    matched = loc._hoffman_wielandt(a, b, tol)
+    _require_symmetric(PREDICATE_TOL, A=a, B=b)
     return [
-        [*certs, *loc._matching_certificates(a.shape, "sorted", dist, report, tol)]
-        for (report, *certs), dist in zip(matched, loc._sorted_pairing_distances(a, b, spectra))
+        [*certs, *loc._matching_certificates(a.shape, "sorted", report.matched_distance, report, tol)]
+        for report, *certs in matched
     ]
 
 
@@ -371,6 +372,8 @@ def run_campaign(
         raise UnknownTheoremError(
             f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}"
         )
+    if mode not in (ineq.MODE_CORRECTED, ineq.MODE_LITERAL):
+        raise ValueError(f"unknown mode {mode!r}")
     theorem = _REGISTRY[theorem_id]
     params = dict(params or {})
     certificates = []

@@ -49,6 +49,7 @@ from .algebra import (
     _orthogonality,
     _psd_stack,
     _psd_verdicts,
+    _require_symmetric,
     _t_product,
 )
 from .certificates import (
@@ -193,14 +194,13 @@ def check_loewner_heinz(
     r: float,
     tol: float = DEFAULT_TOL,
     exploratory: bool = False,
-    extra_params: dict | None = None,
 ) -> InequalityCertificate:
     """Power monotonicity A >= B >= 0  =>  A^r >= B^r for 0 <= r <= 1.
 
     ``exploratory`` lifts the exponent-range hypothesis so out-of-range
     exponents (where the implication is known to fail) can be probed.
     """
-    return _loewner_heinz(*_stacks(a, b), [r], [exploratory], [extra_params], tol)[0][0]
+    return _loewner_heinz(*_stacks(a, b), [r], [exploratory], [None], tol)[0][0]
 
 
 def _loewner_heinz(
@@ -264,7 +264,7 @@ def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[
         middle = _t_product(_t_product(left, x), q)
         sym_middle = middle.sym()
     _require_each(
-        _asymmetry(middle, tol),
+        _asymmetry(middle, _hypothesis_tol(tol)),
         f"conjugated product is not symmetric in {mode} mode ({{}}); "
         "the power of a non-symmetric tensor is undefined",
     )
@@ -346,7 +346,7 @@ def _young_commuting(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> list
     comm = _frobenius((ab - _t_product(b, a)).data).tolist()
     norms = zip(_frobenius(a.data).tolist(), _frobenius(b.data).tolist())
     for c, (fa, fb) in zip(comm, norms):
-        _require(c <= tol * (1 + fa * fb), f"pair does not commute: ||AB - BA|| = {c:.3e}")
+        _require(c <= _hypothesis_tol(tol) * (1 + fa * fb), f"pair does not commute: ||AB - BA|| = {c:.3e}")
     _require_psd_members([lhs], ["A * B"], tol, lhs_psd)
     ((ap, bq),) = _t_powers([a, b], [p, q], eig=power)
     rhs = ap * [1.0 / pi for pi in p] + bq * [1.0 / qi for qi in q]
@@ -404,8 +404,7 @@ def _complex_norm_bounds(a: _Stack, b: _Stack, variant: str, tol: float, mode: s
     _require(variant in ("a", "b", "c"), f"unknown variant {variant!r}")
     if mode not in (MODE_CORRECTED, MODE_LITERAL):
         raise ValueError(f"unknown mode {mode!r}")
-    for x, name in ((a, "A"), (b, "B")):
-        _require_each(_asymmetry(x, tol), f"{name} is not symmetric")
+    _require_symmetric(tol, A=a, B=b)
     if variant in ("b", "c"):
         psd = [a, b] if variant == "c" else [a]
         _require_psd_members(psd, ["A", "B"][: len(psd)], tol)
@@ -572,11 +571,8 @@ def _holder(a: _Stack, x: _Stack, b: _Stack, r: list, p: list, q: list, tol: flo
 
 def _require_holder_exponents(r: list, p: list, q: list) -> None:
     for ri, pi, qi in zip(r, p, q):
-        _require(
-            ri > 0 and pi > 1 and qi > 1,
-            f"need r > 0 and finite conjugate p, q; got r={ri}, p={pi}, q={qi}",
-        )
         _require_conjugate(pi, qi)
+        _require(ri > 0, f"exponent r={ri} is not positive")
 
 
 def _holder_sides(r: list, p: list, q: list):
@@ -600,8 +596,8 @@ def check_holder_pairs(
     """Paired Hoelder bound with damping 2^(-|1/p - 1/2|) on the left.
 
     ``2^(-|1/p-1/2|) ||C^T A + D^T B|| <= || |A|^p + |B|^p ||^(1/p) || |C|^q + |D|^q ||^(1/q)``
-    for arbitrary tensors and finite conjugate exponents (p = 1 or p = inf is
-    out of numeric scope).
+    for arbitrary tensors and conjugate exponents, checked as for every Young
+    and Hoelder certifier (:func:`ttensor.spectral._require_conjugate`).
     """
     return _holder_pairs(*_stacks(a, b, c, d), [p], [q], tol)[0]
 
@@ -611,7 +607,6 @@ def _holder_pairs(
 ) -> list[list]:
     """:func:`check_holder_pairs` of each member, member ``i`` at ``p[i]``, ``q[i]``."""
     for pi, qi in zip(p, q):
-        _require(pi > 1 and qi > 1, f"infinite or unit exponents out of numeric scope: p={pi}, q={qi}")
         _require_conjugate(pi, qi)
     cross = _t_product(c.transpose(), a) + _t_product(d.transpose(), b)
     abs_a, abs_b, abs_c, abs_d = _abs_powers([a, b, c, d], [p, p, q, q])

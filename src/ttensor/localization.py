@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    PREDICATE_TOL, _asymmetry, _hypothesis_tol, _normality, _t_inverse, _t_product, is_f_diagonal,
+    PREDICATE_TOL, _hypothesis_tol, _normality, _require_symmetric, _t_inverse, _t_product, is_f_diagonal,
 )
 from .certificates import (
     DEFAULT_TOL,
@@ -245,7 +245,8 @@ def _bauer_fike(a: _Stack, b: _Stack, q: _Stack, s: _Stack, tol: float) -> list[
     norms = zip(*(_spectral(x.slices).tolist() for x in (q_inv, q, a - b)))
     out = []
     for lam, mu, (n_inv, n_q, n_diff) in zip(spectra, spectra[len(a):], norms):
-        lhs = float(max(np.abs(mu.values - z).min() for z in lam.values))
+        blocks = np.split(lam.values, range(64, len(lam.values), 64))  # each block's matrix: 64 x n*n3
+        lhs = float(max(np.abs(mu.values - z[:, None]).min(axis=1).max() for z in blocks))
         out.append([norm_certificate(
             "bauer-fike", dims=a.shape, params={}, norm_kind=SPECTRAL, lhs=lhs,
             rhs=n_inv * n_q * n_diff, tol=tol,
@@ -280,12 +281,11 @@ def hoffman_wielandt(
     certificates against the stated constant (``n3``) and the tightened
     constant (``sqrt(n3)``).
     """
-    return _hoffman_wielandt(_Stack.of(a), _Stack.of(b), tol)[0][0]
+    return _hoffman_wielandt(_Stack.of(a), _Stack.of(b), tol)[0]
 
 
-def _hoffman_wielandt(a: _Stack, b: _Stack, tol: float) -> tuple[list, list]:
-    """:func:`hoffman_wielandt` of each member, and the spectra it matched
-    (those of ``a``'s members, then ``b``'s), from one solver call."""
+def _hoffman_wielandt(a: _Stack, b: _Stack, tol: float) -> list:
+    """:func:`hoffman_wielandt` of each member; the spectra take one solver call."""
     for name, x in (("A", a), ("B", b)):
         _require_each(_normality(x, _hypothesis_tol(tol)), f"{name} is not normal: {{}}")
     spectra = _t_eigenvalues(a, b)
@@ -293,13 +293,12 @@ def _hoffman_wielandt(a: _Stack, b: _Stack, tol: float) -> tuple[list, list]:
     out = []
     for lam, mu, diff in zip(spectra, spectra[len(a):], diffs):
         perm, dist = _matched_distance(lam.values, mu.values)
-        n3 = a.n3
         report = MatchingReport(
             tuple(int(i) for i in perm), dist,
-            float(np.sqrt(n3) * diff), float(n3 * diff),
+            float(np.sqrt(a.n3) * diff), float(a.n3 * diff),
         )
         out.append((report, *_matching_certificates(a.shape, "optimal", dist, report, tol)))
-    return out, spectra
+    return out
 
 
 def _matching_certificates(dims, pairing: str, dist: float, report: MatchingReport, tol: float) -> list:
@@ -319,13 +318,10 @@ def sorted_pairing_distance(a: Tensor3, b: Tensor3) -> float:
     return _sorted_pairing_distances(_Stack.of(a), _Stack.of(b))[0]
 
 
-def _sorted_pairing_distances(a: _Stack, b: _Stack, spectra: list | None = None) -> list[float]:
-    """:func:`sorted_pairing_distance` of each member pair; ``spectra`` may
-    hold the members' t-eigenvalues, ``a``'s then ``b``'s, taken before."""
-    for name, x in (("A", a), ("B", b)):
-        _require_each(_asymmetry(x, PREDICATE_TOL), f"{name} must be symmetric for sorted pairing")
-    if spectra is None:
-        spectra = _t_eigenvalues(a, b)
+def _sorted_pairing_distances(a: _Stack, b: _Stack) -> list[float]:
+    """:func:`sorted_pairing_distance` of each member pair."""
+    _require_symmetric(PREDICATE_TOL, A=a, B=b)
+    spectra = _t_eigenvalues(a, b)
     return [
         _sorted_pairing(lam.values.real, mu.values.real)[1]
         for lam, mu in zip(spectra, spectra[len(a):])
@@ -357,8 +353,7 @@ def diag_spectrum_bound(
 def _diag_spectrum(a: _Stack, b: _Stack, tol: float) -> list[list]:
     """:func:`diag_spectrum_bound` of each member; the spectra take one
     solver call, and the norms of ``T = A + iB`` one complex transform."""
-    for name, x in (("A", a), ("B", b)):
-        _require_each(_asymmetry(x, _hypothesis_tol(tol)), f"{name} is not symmetric: {{}}")
+    _require_symmetric(tol, A=a, B=b)
     _require(a.shape == b.shape, f"shape mismatch: {a.shape} vs {b.shape}")
     spectra = _t_eigenvalues(a, b)
     n3 = a.n3

@@ -61,6 +61,32 @@ def test_unknown_theorem():
         run_campaign("nosuch", trials=1)
 
 
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_unknown_mode(theorem_id):
+    # one check for every theorem, not only those whose certifier has modes
+    with pytest.raises(ValueError, match=r"^unknown mode 'bogus'$"):
+        run_campaign(theorem_id, n=2, n3=2, trials=1, mode="bogus")
+
+
+def test_hoffman_wielandt_pairs_each_member_once(monkeypatch):
+    # a symmetric pair's optimal pairing is the sorted one, so the sorted
+    # certificates take its distance instead of sorting the spectra again
+    calls = []
+    pairing = localization._sorted_pairing
+
+    def counting_pairing(lam, mu):
+        calls.append(len(lam))
+        return pairing(lam, mu)
+
+    monkeypatch.setattr(localization, "_sorted_pairing", counting_pairing)
+    result = run_campaign("hoffman-wielandt", n=3, n3=5, trials=3, seed=0)
+    assert calls == [15] * 3
+    for trial in range(3):
+        optimal, _, sorted_sqrt, _ = result.certificates[4 * trial: 4 * trial + 4]
+        assert sorted_sqrt.params["pairing"] == "sorted"
+        assert sorted_sqrt.lhs == optimal.lhs
+
+
 def test_zero_trials():
     result = run_campaign("schur", trials=0)
     assert result.certificates == [] and result.violations == 0
@@ -554,7 +580,7 @@ def test_lockstep_merges_each_round_into_one_call(monkeypatch):
 # each stack solved alone and with each wave of independent stacks in one
 # call, for the same members.  Solving alone, diag-spectrum and
 # hoffman-wielandt take each half spectrum in a call of its own.
-_SOLVE_AHEAD_CALLS = {
+_SHARED_WAVE_CALLS = {
     "complex-norm-c": ((1, 1), (1, 1)),
     "diag-spectrum": ((8, 1), (2, 1)),
     "furuta": ((5, 3), (5, 3)),
@@ -590,18 +616,18 @@ def _solved_members(monkeypatch, theorem_id, solve_ahead, **kwargs):
 
 
 @pytest.mark.parametrize("n,n3,trials,seed", [(4, 4, 4, 5), (3, 128, 1, 7)])
-@pytest.mark.parametrize("theorem_id", sorted(_SOLVE_AHEAD_CALLS))
-def test_solve_ahead_kernel_calls(monkeypatch, theorem_id, n, n3, trials, seed):
+@pytest.mark.parametrize("theorem_id", sorted(_SHARED_WAVE_CALLS))
+def test_shared_wave_kernel_calls(monkeypatch, theorem_id, n, n3, trials, seed):
     kwargs = dict(n=n, n3=n3, trials=trials, seed=seed)
     plain, plain_calls, plain_members = _solved_members(monkeypatch, theorem_id, False, **kwargs)
     ahead, ahead_calls, ahead_members = _solved_members(monkeypatch, theorem_id, True, **kwargs)
-    assert (plain_calls, ahead_calls) == _SOLVE_AHEAD_CALLS[theorem_id][n == 3]
+    assert (plain_calls, ahead_calls) == _SHARED_WAVE_CALLS[theorem_id][n == 3]
     # a member that several stacks of one wave hold is solved once
     assert ahead_members == sorted(set(plain_members))
     assert _report_bytes(ahead) == _report_bytes(plain)
 
 
-_SOLVE_AHEAD_CONFIGS = [(tid, "corrected", None) for tid in sorted(_SOLVE_AHEAD_CALLS)] + [
+_SOLVE_AHEAD_CONFIGS = [(tid, "corrected", None) for tid in sorted(_SHARED_WAVE_CALLS)] + [
     ("hansen-power", "literal", None),
     ("loewner-heinz", "corrected", {"r": 2.0}),
 ]

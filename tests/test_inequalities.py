@@ -1,5 +1,7 @@
 """Certifier-level checks: worked instances, errata counterexamples, hypotheses."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from ttensor import (
     check_minkowski,
     check_young_commuting,
     check_young_witness,
+    diag_spectrum_bound,
     gen_loewner_pair,
     gen_random,
     gen_symmetric,
@@ -176,16 +179,65 @@ def test_hansen_checks_hypotheses_before_shapes():
         check_hansen_power(q, x, 0.5)
 
 
+# each Young and Hoelder certifier at exponents (p, q), its other arguments valid
+_EXPONENT_CERTIFIERS = (
+    check_young_witness,
+    check_young_commuting,
+    lambda a, b, p, q: check_holder(a, a, b, 1.0, p, q),
+    lambda a, b, p, q: check_holder_pairs(a, b, a, b, p, q),
+    lambda a, b, p, q: check_holder_corollary(a, b, 1.0, p, q),
+)
+
+
 @pytest.mark.parametrize("p,q", [(2.0, 3.0), (1.0, 1e13), (0.5, -1.0)])
 def test_young_certifiers_share_the_exponent_check(p, q):
     # one rule and one error for every Young and Hoelder statement
     a = gen_t_psd(2, 2, RngStream(224))
     raised = []
-    for check in (check_young_witness, check_young_commuting):
+    for check in _EXPONENT_CERTIFIERS:
         with pytest.raises(HypothesisViolationError) as info:
             check(a, a, p, q)
         raised.append(str(info.value))
-    assert raised == [f"exponents p={p}, q={q} are not conjugate"] * 2
+    assert raised == [f"exponents p={p}, q={q} are not conjugate"] * len(_EXPONENT_CERTIFIERS)
+
+
+def _hoelder_accepts(r, p, q) -> bool:
+    """The Hoelder certifiers' accepted exponents, spelled out: r > 0 and
+    conjugate p, q > 1 with |1/p + 1/q - 1| <= 1e-12."""
+    return r > 0 and p > 1 and q > 1 and abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12
+
+
+def _passes_gate(check, *args) -> bool:
+    """Whether ``check(*args)`` gets past its hypothesis checks; the evaluation
+    after them refuses an infinite exponent (``t_power`` takes finite ones)."""
+    try:
+        check(*args)
+    except HypothesisViolationError:
+        return False
+    except ValueError as error:
+        assert "finite exponents" in str(error)
+    return True
+
+
+def test_hoelder_certifiers_accept_exactly_the_conjugate_exponents():
+    values = (-1.0, 0.0, 0.5, 1.0, 1.0 + 1e-13, 1.25, 2.0, 5.0, np.inf, np.nan)
+    one = identity(1, 1)  # every power of it is itself, so any accepted exponent evaluates
+    certifiers = {
+        "holder": lambda r, p, q: check_holder(one, one, one, r, p, q),
+        "holder-corollary": lambda r, p, q: check_holder_corollary(one, one, r, p, q),
+        "holder-pairs": lambda r, p, q: check_holder_pairs(one, one, one, one, p, q),
+    }
+    accepted = []
+    for name, check in certifiers.items():
+        for r, p, q in itertools.product(values, repeat=3):
+            if name == "holder-pairs" and r != 1.0:
+                continue
+            ok = _passes_gate(check, r, p, q)
+            assert ok == _hoelder_accepts(r, p, q), (name, r, p, q)
+            accepted.append(ok)
+    # (2, 2), (1.25, 5), (5, 1.25) and, within the 1e-12 band, (1 + 1e-13, inf)
+    # and (inf, 1 + 1e-13), at each of the seven positive r (holder-pairs: once)
+    assert sum(accepted) == 5 * 7 * 2 + 5
 
 
 def test_complex_norm_variant_a_b_zero():
@@ -246,6 +298,39 @@ def test_complex_norm_validates_hypotheses():
     if not is_t_psd(sym).holds:
         with pytest.raises(HypothesisViolationError):
             check_complex_norm_bounds(sym, sym, "c")
+
+
+def test_symmetric_hypothesis_has_one_gate_at_small_tol():
+    # complex-norm and diag-spectrum check A, B symmetric through one gate,
+    # floored at PREDICATE_TOL, so at tol = 1e-12 they agree on a pair that
+    # misses symmetry by a 2.8e-11 residual, and name the residual of a worse one
+    b = gen_symmetric(3, 4, RngStream(226))
+    checks = (
+        lambda a: check_complex_norm_bounds(a, b, "a", tol=1e-12),
+        lambda a: diag_spectrum_bound(a, b, tol=1e-12),
+    )
+    data = gen_symmetric(3, 4, RngStream(225)).data.copy()
+    data[0, 1, 2] += 2e-11
+    for check in checks:
+        assert all(c.holds for c in check(Tensor3(data)))
+    data[0, 1, 2] += 1e-3
+    for check in checks:
+        with pytest.raises(HypothesisViolationError) as info:
+            check(Tensor3(data))
+        assert str(info.value) == "A is not symmetric: symmetry residual 1.414e-03"
+
+
+def test_young_commuting_commutation_check_floors_at_predicate_tol():
+    # diagonal A and a B whose off-diagonal eps makes ||AB - BA||_F = sqrt(2) eps
+    a = Tensor3.from_slices([np.diag([1.0, 2.0])])
+    for eps, floored in ((1e-10, True), (1e-6, False)):
+        b = Tensor3.from_slices([np.array([[3.0, eps], [eps, 4.0]])])
+        for tol in (1e-12, 1e-9):
+            if floored:
+                assert check_young_commuting(a, b, 2.0, 2.0, tol=tol).holds
+            else:
+                with pytest.raises(HypothesisViolationError, match="^pair does not commute"):
+                    check_young_commuting(a, b, 2.0, 2.0, tol=tol)
 
 
 def test_am_gm_scalar_cases():

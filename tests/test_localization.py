@@ -151,6 +151,19 @@ def test_bauer_fike_reconstruction_check_scales_with_tol():
     assert cert.holds and cert.lhs == 0.0
 
 
+@pytest.mark.parametrize("n,n3,seed", [(3, 128, 0), (3, 127, 1), (2, 5, 2), (5, 64, 3)])
+def test_bauer_fike_distance_matches_the_loop_over_eigenvalues(n, n3, seed):
+    # the nearest-eigenvalue distance is taken a block of 64 eigenvalues of a
+    # at a time; min and max are exact, so it equals the loop over each
+    # eigenvalue bit for bit, whether the last block is full (3 x 128) or not
+    window = campaigns._Window(seed, [0], n, n3)
+    ((_, stacks, _),) = campaigns._draw_bauer_fike(window, "corrected", {})
+    a, b, q, s = (x.member(0) for x in stacks)
+    lam, mu = t_eigenvalues(a).values, t_eigenvalues(b).values
+    assert np.any(lam.imag)
+    assert bauer_fike(a, b, q, s).lhs == float(max(np.abs(mu - z).min() for z in lam))
+
+
 def test_hoffman_wielandt_uniform_shift_equality():
     n, n3, c = 3, 2, 0.5
     a = gen_symmetric(n, n3, RngStream(307))

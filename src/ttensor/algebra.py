@@ -10,10 +10,11 @@ Fourier slice: a symmetric tensor is t-PSD exactly when every
 The products, the inverse, the structural predicates and the PSD verdicts
 take stacks of tensors along a leading trial axis
 (:class:`ttensor.core._Stack`): :func:`_t_product`, :func:`_t_inverse`,
-:func:`_asymmetry`, :func:`_orthogonality`, :func:`_normality` and
-:func:`_psd_verdicts`, with :func:`t_product`, :func:`t_inverse`,
-:func:`is_symmetric`, :func:`is_orthogonal`, :func:`is_normal` and
-:func:`is_t_psd` their one-member case.
+:func:`_asymmetry`, :func:`_orthogonality`, :func:`_normality`,
+:func:`_off_diagonality` and :func:`_psd_verdicts`, with :func:`t_product`,
+:func:`t_inverse`, :func:`is_symmetric`, :func:`is_orthogonal`,
+:func:`is_normal`, :func:`is_f_diagonal` and :func:`is_t_psd` their
+one-member case.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, _frobenius, _Stack, _transpose, frobenius_norm, identity
-from .errors import NotSymmetricError, ShapeMismatchError, SingularTensorError, _require_each
+from .core import Tensor3, _frobenius, _Stack, _transpose, identity
+from .errors import NotSymmetricError, ShapeMismatchError, SingularTensorError, _require, _require_each
 from .eigensolvers import HermitianEigen, _herm_t, hermitian_eig
 from .fourier import _half_size, _inverse
 
@@ -192,11 +193,16 @@ def _normality(x: _Stack, tol: float) -> list[str]:
 
 def is_f_diagonal(a, tol: float = PREDICATE_TOL) -> PredicateVerdict:
     """Every frontal slice is diagonal within ``tol * (1 + ||a||_F)``."""
-    mask = ~np.eye(a.n1, a.n2, dtype=bool)[:, :, None]
-    off = float(np.linalg.norm(np.broadcast_to(mask, a.shape) * a.data))
-    if off > tol * (1.0 + frobenius_norm(a)):
-        return PredicateVerdict(False, f"off-diagonal mass {off:.3e}")
-    return PredicateVerdict(True)
+    reason = _off_diagonality(a.data[None], tol)[0]
+    return PredicateVerdict(not reason, reason)
+
+
+def _off_diagonality(d: np.ndarray, tol: float) -> list[str]:
+    """Why each member of the real or complex ``(b, n1, n2, n3)`` data
+    fails :func:`is_f_diagonal`, or ``""`` if it passes."""
+    off = _frobenius(d * ~np.eye(*d.shape[1:3], dtype=bool)[:, :, None]).tolist()
+    bound = (tol * (1.0 + _frobenius(d))).tolist()
+    return [f"off-diagonal mass {m:.3e}" if m > b else "" for m, b in zip(off, bound)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,23 +217,35 @@ def is_t_psd(a: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:
     verdict holds iff the smallest eigenvalue over all slices is at least
     ``-tol * (1 + largest eigenvalue magnitude)``.
     """
-    return next(_psd_verdicts(_Stack.of(a), tol))
+    x = _Stack.of(a)
+    reason = _asymmetry(x, tol)[0]
+    if reason:
+        raise NotSymmetricError(f"is_t_psd requires a symmetric tensor: {reason}")
+    return _psd_verdicts(x, tol)[0]
 
 
-def _psd_verdicts(x: _Stack, tol: float, eig: HermitianEigen | None = None):
-    """:func:`is_t_psd` of each member, in member order, as a generator: a
-    member that is not symmetric raises :class:`NotSymmetricError` when its
-    turn comes, so a caller that acts on each verdict as it comes raises
-    where calling :func:`is_t_psd` member by member would.  ``eig`` may
-    hold the spectra of ``_psd_stack(x)``, solved with other stacks."""
-    reasons = _asymmetry(x, tol)
-    if x.shape[0] == x.shape[1]:  # else the first member raises below
-        mins, scales = _slice_eig_extremes(x, eig)
-    for i, reason in enumerate(reasons):
-        if reason:
-            raise NotSymmetricError(f"is_t_psd requires a symmetric tensor: {reason}")
-        tolerance = tol * (1.0 + scales[i])
-        yield LoewnerVerdict(bool(mins[i] >= -tolerance), mins[i], tolerance)
+def _psd_verdicts(x: _Stack, tol: float, eig: HermitianEigen | None = None) -> list[LoewnerVerdict]:
+    """:func:`is_t_psd` of each member, whose symmetry the caller has
+    checked.  ``eig`` may hold the spectra of ``_psd_stack(x)``, solved with
+    other stacks."""
+    mins, scales = _slice_eig_extremes(x, eig)
+    tolerances = [tol * (1.0 + scale) for scale in scales]
+    return [LoewnerVerdict(bool(m >= -t), m, t) for m, t in zip(mins, tolerances)]
+
+
+def _require_psd(tol: float, eig: HermitianEigen | None = None, **stacks: _Stack) -> None:
+    """Every named stack is symmetric (:func:`_require_symmetric`), and then
+    each member, in order, is PSD as :func:`is_t_psd` decides at ``tol``, else
+    a hypothesis violation naming the stack.  ``eig`` may hold the spectra of
+    ``_psd_stack`` of their concatenation; mixed shapes go one by one."""
+    _require_symmetric(tol, **stacks)
+    if len({x.shape for x in stacks.values()}) > 1:
+        for name, x in stacks.items():
+            _require_psd(tol, **{name: x})
+        return
+    names = [name for name, x in stacks.items() for _ in range(len(x))]
+    for name, v in zip(names, _psd_verdicts(_Stack.cat(*stacks.values()), tol, eig)):
+        _require(v.holds, f"{name} is not positive semidefinite (min gap {v.min_gap_eigenvalue:.3e})")
 
 
 def _slice_eig_extremes(x: _Stack, eig: HermitianEigen | None = None) -> tuple[list, list]:

@@ -3,7 +3,9 @@
 :func:`_require` and :func:`_require_each` are the only code that raises
 :class:`HypothesisViolationError`: every certifier checks its theorem's
 hypotheses (positive semidefiniteness, symmetry, normality, f-diagonality,
-conjugate exponents, ...) through them before it evaluates either side.
+conjugate exponents, ...) through them before it evaluates either side, so a
+failed hypothesis raises this error, not the :class:`NotSymmetricError` or
+``ValueError`` that ``is_t_psd`` and ``t_power`` raise for their own inputs.
 """
 
 __all__ = [

@@ -1,11 +1,12 @@
 """One certifier per operator / norm inequality.
 
-Every certifier validates its own hypotheses (raising
-:class:`HypothesisViolationError` on unverified instances, through
-:func:`ttensor.errors._require`) before evaluating both sides.  Certifiers whose circulating statement is defective carry a
-``literal`` mode that evaluates the statement as printed (useful for
-recording counterexamples) next to the default ``corrected`` mode that
-evaluates the mathematically valid form:
+Every certifier checks its hypotheses before evaluating either side and
+raises :class:`HypothesisViolationError` on an unverified instance; PSD
+operands and the order ``A >= B`` (``A - B`` PSD) go through one gate,
+:func:`ttensor.algebra._require_psd`.  Certifiers whose circulating
+statement is defective carry a ``literal`` mode that evaluates the
+statement as printed (useful for recording counterexamples) next to the
+default ``corrected`` mode that evaluates the mathematically valid form:
 
 * ``am-gm`` literal omits one factor on the right-hand side
   (``||A^T * X + ...||`` instead of ``||A^T * A * X + ...||``);
@@ -48,7 +49,7 @@ from .algebra import (
     _hypothesis_tol,
     _orthogonality,
     _psd_stack,
-    _psd_verdicts,
+    _require_psd,
     _require_symmetric,
     _t_product,
 )
@@ -130,22 +131,6 @@ def _stacks(*tensors: Tensor3) -> list[_Stack]:
     return [_Stack.of(t) for t in tensors]
 
 
-def _require_psd_members(xs: list[_Stack], names: list[str], tol: float, eig=None) -> None:
-    """Every member of every stack is positive semidefinite, checked in
-    order, ``xs[k]``'s members under the name ``names[k]``; ``eig`` may hold
-    the spectra of ``_psd_stack`` of their concatenation."""
-    if len({x.shape for x in xs}) > 1:
-        for x, name in zip(xs, names):
-            _require_psd_members([x], [name], tol)
-        return
-    member_names = [name for x, name in zip(xs, names) for _ in range(len(x))]
-    for name, verdict in zip(member_names, _psd_verdicts(_Stack.cat(*xs), tol, eig)):
-        _require(
-            verdict.holds,
-            f"{name} is not positive semidefinite (min gap {verdict.min_gap_eigenvalue:.3e})",
-        )
-
-
 def _same_square(*xs: _Stack) -> bool:
     """Whether the stacks share one square member shape, so that their slice
     spectra can join one solver call."""
@@ -153,8 +138,8 @@ def _same_square(*xs: _Stack) -> bool:
 
 
 def _psd_and_power_spectra(xs: list[_Stack]) -> list:
-    """The spectra that :func:`_require_psd_members` and :func:`_t_powers` of
-    the stacks in ``xs`` take, from one solver call; Nones when the stacks
+    """The spectra that :func:`_require_psd` and :func:`_t_powers` of the
+    stacks in ``xs`` take, from one solver call; Nones when the stacks
     cannot share one (see :func:`ttensor.eigensolvers._hermitian_eigs`)."""
     if not _same_square(*xs):
         return [None, None]
@@ -164,23 +149,19 @@ def _psd_and_power_spectra(xs: list[_Stack]) -> list:
 
 def _loewner_pair_powers(a: _Stack, b: _Stack, tol: float, *exponents) -> list[list[_Stack]]:
     """Check ``A >= B >= 0`` for each member pair, B's PSD check first and
-    then the order (as :func:`ttensor.algebra.loewner_ge`), and return
-    ``[B, A]`` at each list of exponents in ``exponents``.  The checks and
-    the decompositions of B and A take one solver call."""
+    then the order as ``A - B`` PSD (:func:`ttensor.algebra.loewner_ge`), and
+    return ``[B, A]`` at each list of exponents in ``exponents``.  The checks
+    and the decompositions of B and A take one solver call."""
     diff = a - b if a.shape == b.shape else None
     psd = order = power = None
     if _same_square(a, b):
         psd, order, power = _hermitian_eigs(
             [_psd_stack(b), _psd_stack(diff), _power_stack(_Stack.cat(b, a))]
         )
-    _require_psd_members([b], ["B"], tol, psd)
+    _require_psd(tol, psd, B=b)
     if diff is None:
         raise ShapeMismatchError(f"order comparison needs equal shapes: {a.shape} vs {b.shape}")
-    for verdict in _psd_verdicts(diff, tol, order):
-        _require(
-            verdict.holds,
-            f"order hypothesis A >= B fails (min gap {verdict.min_gap_eigenvalue:.3e})",
-        )
+    _require_psd(tol, order, **{"A - B": diff})
     return _t_powers([b, a], *([e, e] for e in exponents), eig=power)
 
 
@@ -251,7 +232,7 @@ def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[
         middle = _t_product(_t_product(left, x), q)
         sym_middle = middle.sym()
         psd, power = _hermitian_eigs([_psd_stack(x), _power_stack(_Stack.cat(x, sym_middle))])
-    _require_psd_members([x], ["X"], tol, psd)
+    _require_psd(tol, psd, X=x)
     if mode == "contraction":
         for q_norm in _spectral(q.slices).tolist():
             _require(q_norm <= 1.0 + tol, f"Q is not a contraction: ||Q||_2 = {q_norm:.6f}")
@@ -299,7 +280,8 @@ def _furuta(a: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list
     """:func:`check_furuta` of each member, member ``i`` at ``r[i]``,
     ``p[i]``, ``q[i]``: three solver calls for the whole stack."""
     for ri, pi, qi in zip(r, p, q):
-        _require(ri >= 0 and pi >= 0 and qi >= 1, f"parameters out of range: r={ri}, p={pi}, q={qi}")
+        in_range = 0 <= ri < np.inf and 0 <= pi < np.inf and qi >= 1
+        _require(in_range, f"parameters out of range: r={ri}, p={pi}, q={qi}")
         _require(
             (1 + 2 * ri) * qi >= pi + 2 * ri - 1e-12, f"(1+2r)q >= p+2r fails: r={ri}, p={pi}, q={qi}"
         )
@@ -339,7 +321,7 @@ def _young_commuting(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> list
         lhs = ab.sym()
         pair = _Stack.cat(a, b)
         psd, lhs_psd, power = _hermitian_eigs([_psd_stack(pair), _psd_stack(lhs), _power_stack(pair)])
-    _require_psd_members([a, b], ["A", "B"], tol, psd)
+    _require_psd(tol, psd, A=a, B=b)
     if ab is None:
         ab = _t_product(a, b)
         lhs = ab.sym()
@@ -347,7 +329,7 @@ def _young_commuting(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> list
     norms = zip(_frobenius(a.data).tolist(), _frobenius(b.data).tolist())
     for c, (fa, fb) in zip(comm, norms):
         _require(c <= _hypothesis_tol(tol) * (1 + fa * fb), f"pair does not commute: ||AB - BA|| = {c:.3e}")
-    _require_psd_members([lhs], ["A * B"], tol, lhs_psd)
+    _require_psd(tol, lhs_psd, **{"A * B": lhs})
     ((ap, bq),) = _t_powers([a, b], [p, q], eig=power)
     rhs = ap * [1.0 / pi for pi in p] + bq * [1.0 / qi for qi in q]
     params = [{"p": pi, "q": qi} for pi, qi in zip(p, q)]
@@ -406,8 +388,7 @@ def _complex_norm_bounds(a: _Stack, b: _Stack, variant: str, tol: float, mode: s
         raise ValueError(f"unknown mode {mode!r}")
     _require_symmetric(tol, A=a, B=b)
     if variant in ("b", "c"):
-        psd = [a, b] if variant == "c" else [a]
-        _require_psd_members(psd, ["A", "B"][: len(psd)], tol)
+        _require_psd(tol, A=a, **({"B": b} if variant == "c" else {}))
 
     _check_same_shape(a, b)
     ft, st = _cartesian_norms(a, b)
@@ -515,7 +496,7 @@ def _heinz_family(a: _Stack, x: _Stack, b: _Stack, r: list, t: list, tol: float)
         _require(1.0 <= 2 * ri <= 3.0, f"exponent r={ri} outside [0.5, 1.5]")
         _require(-2.0 < ti <= 2.0, f"weight t={ti} outside (-2, 2]")
     psd_eig, power_eig = _psd_and_power_spectra([a, b])
-    _require_psd_members([a, b], ["A", "B"], tol, psd_eig)
+    _require_psd(tol, psd_eig, A=a, B=b)
     r2 = [2 - ri for ri in r]
     (ar, br), (a2r, b2r) = _t_powers([a, b], [r, r], [r2, r2], eig=power_eig)
     heinz = _t_product(_t_product(ar, x), b2r) + _t_product(_t_product(a2r, x), br)
@@ -559,7 +540,7 @@ def _holder(a: _Stack, x: _Stack, b: _Stack, r: list, p: list, q: list, tol: flo
     """:func:`check_holder` of each member, member ``i`` at ``r[i]``, ``p[i]``, ``q[i]``."""
     _require_holder_exponents(r, p, q)
     psd_eig, power_eig = _psd_and_power_spectra([a, b])
-    _require_psd_members([a, b], ["A", "B"], tol, psd_eig)
+    _require_psd(tol, psd_eig, A=a, B=b)
     axb = _t_product(_t_product(a, x), b)
     ((ap, bq),) = _t_powers([a, b], [p, q], eig=power_eig)
     apx, xbq = _t_product(ap, x), _t_product(x, bq)
@@ -572,7 +553,7 @@ def _holder(a: _Stack, x: _Stack, b: _Stack, r: list, p: list, q: list, tol: flo
 def _require_holder_exponents(r: list, p: list, q: list) -> None:
     for ri, pi, qi in zip(r, p, q):
         _require_conjugate(pi, qi)
-        _require(ri > 0, f"exponent r={ri} is not positive")
+        _require(0 < ri < np.inf, f"exponent r={ri} outside (0, inf)")
 
 
 def _holder_sides(r: list, p: list, q: list):

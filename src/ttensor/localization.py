@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    PREDICATE_TOL, _hypothesis_tol, _normality, _require_symmetric, _t_inverse, _t_product, is_f_diagonal,
+    PREDICATE_TOL, _hypothesis_tol, _normality, _off_diagonality, _require_symmetric, _t_inverse, _t_product,
 )
 from .certificates import (
     DEFAULT_TOL,
@@ -229,10 +229,7 @@ def _bauer_fike(a: _Stack, b: _Stack, q: _Stack, s: _Stack, tol: float) -> list[
     """:func:`bauer_fike` of each member; both spectra of every member take
     one solver call."""
     hypothesis_tol = _hypothesis_tol(tol)
-    _require_each(
-        (is_f_diagonal(s.member(i), hypothesis_tol).reason for i in range(len(s))),
-        "S is not f-diagonal: {}",
-    )
+    _require_each(_off_diagonality(s.data, hypothesis_tol), "S is not f-diagonal: {}")
     q_inv = _t_inverse(q)
     recon = _t_product(_t_product(q_inv, s), q)
     residual = _frobenius((a - recon).data).tolist()

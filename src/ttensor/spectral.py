@@ -355,19 +355,19 @@ def _young_witness(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> tuple[
     abs_a, abs_b, abs_ab = _t_powers([abs_gram], [halves], eig=eigs[3])[0][0].split(3)
     rhs = abs_a * [1.0 / pi for pi in p] + abs_b * [1.0 / qi for qi in q]
     conjugated = _t_product(_t_product(u.transpose(), abs_ab), u)
-    return u, list(_psd_verdicts(rhs - conjugated.sym(), tol))
+    return u, _psd_verdicts(rhs - conjugated.sym(), tol)
 
 
 def _require_conjugate(p: float, q: float) -> None:
-    """Require conjugate exponents: ``p, q > 1`` and ``1/p + 1/q = 1`` within
-    ``_CONJUGATE_TOL``, else :class:`HypothesisViolationError`.
+    """Require conjugate exponents: finite ``p, q > 1`` and ``1/p + 1/q = 1``
+    within ``_CONJUGATE_TOL``, else :class:`HypothesisViolationError`.
 
     The one exponent check of the Young and Hoelder statements.  For the
     Hoelder bounds it also makes the tube-count prefactor
     ``n3^(1/(2p) + 1/(2q) - 1/2)`` identically 1, so they leave it out.
     """
     _require(
-        p > 1 and q > 1 and abs(1.0 / p + 1.0 / q - 1.0) <= _CONJUGATE_TOL,
+        1 < p < np.inf and 1 < q < np.inf and abs(1.0 / p + 1.0 / q - 1.0) <= _CONJUGATE_TOL,
         f"exponents p={p}, q={q} are not conjugate",
     )
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ttensor import (
+    ComplexTensor3,
     FourierSlices,
     NotSymmetricError,
     RngStream,
@@ -32,6 +33,8 @@ from ttensor import (
     transpose,
 )
 from oracles import brute_bcirc, quadratic_form_min
+from ttensor.algebra import _off_diagonality
+from ttensor.core import _frobenius
 from ttensor.fourier import _mirror_half
 
 EPS = np.finfo(float).eps
@@ -181,6 +184,36 @@ def test_f_diagonal_predicate():
     assert is_f_diagonal(Tensor3(data))
     data[0, 1, 0] = 0.5
     assert not is_f_diagonal(Tensor3(data))
+
+
+def test_off_diagonal_mass_is_the_norm_of_the_masked_data():
+    # the stacked f-diagonal predicate takes the masked data's norm with the
+    # stacked Frobenius norm, which gives np.linalg.norm's bits, real or complex
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        shape = tuple(int(k) for k in rng.integers(1, 9, size=3))
+        scale = 10.0 ** rng.uniform(-12, 2)
+        real = scale * rng.normal(size=shape)
+        mask = ~np.eye(*shape[:2], dtype=bool)[:, :, None]
+        for data in (real, real + 1j * scale * rng.normal(size=shape)):
+            masked = np.broadcast_to(mask, shape) * data
+            assert _frobenius(masked[None])[0] == np.linalg.norm(masked)
+    complex_diagonal = ComplexTensor3.from_parts(identity(3, 2), 2.0 * identity(3, 2))
+    assert is_f_diagonal(complex_diagonal)
+    data = complex_diagonal.data.copy()
+    data[0, 2, 1] = 1e-3j
+    assert is_f_diagonal(ComplexTensor3(data)).reason == "off-diagonal mass 1.000e-03"
+
+
+def test_off_diagonality_of_a_stack_is_each_member_alone():
+    rng = np.random.default_rng(62)
+    stack = np.zeros((4, 3, 3, 2))
+    stack[:, [0, 1, 2], [0, 1, 2], :] = rng.normal(size=(4, 3, 2))
+    stack[1, 0, 2, 1] = 0.5
+    stack[3, 1, 0, 0] = 1e-12
+    reasons = _off_diagonality(stack, 1e-9)
+    assert reasons == [is_f_diagonal(Tensor3(member), 1e-9).reason for member in stack]
+    assert [bool(r) for r in reasons] == [False, True, False, False]
 
 
 @pytest.mark.parametrize("seed", range(200))

@@ -1,6 +1,7 @@
 """Certifier-level checks: worked instances, errata counterexamples, hypotheses."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -202,20 +203,18 @@ def test_young_certifiers_share_the_exponent_check(p, q):
 
 
 def _hoelder_accepts(r, p, q) -> bool:
-    """The Hoelder certifiers' accepted exponents, spelled out: r > 0 and
-    conjugate p, q > 1 with |1/p + 1/q - 1| <= 1e-12."""
-    return r > 0 and p > 1 and q > 1 and abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12
+    """The Hoelder certifiers' accepted exponents, spelled out: finite r > 0
+    and finite conjugate p, q > 1 with |1/p + 1/q - 1| <= 1e-12."""
+    finite = all(np.isfinite(e) for e in (r, p, q))
+    return finite and r > 0 and p > 1 and q > 1 and abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12
 
 
 def _passes_gate(check, *args) -> bool:
-    """Whether ``check(*args)`` gets past its hypothesis checks; the evaluation
-    after them refuses an infinite exponent (``t_power`` takes finite ones)."""
+    """Whether ``check(*args)`` gets past its hypothesis checks."""
     try:
         check(*args)
     except HypothesisViolationError:
         return False
-    except ValueError as error:
-        assert "finite exponents" in str(error)
     return True
 
 
@@ -235,9 +234,105 @@ def test_hoelder_certifiers_accept_exactly_the_conjugate_exponents():
             ok = _passes_gate(check, r, p, q)
             assert ok == _hoelder_accepts(r, p, q), (name, r, p, q)
             accepted.append(ok)
-    # (2, 2), (1.25, 5), (5, 1.25) and, within the 1e-12 band, (1 + 1e-13, inf)
-    # and (inf, 1 + 1e-13), at each of the seven positive r (holder-pairs: once)
-    assert sum(accepted) == 5 * 7 * 2 + 5
+    # (2, 2), (1.25, 5) and (5, 1.25), at each of the six finite positive r
+    # (holder-pairs: once); (1 + 1e-13, inf) is within the 1e-12 band but infinite
+    assert sum(accepted) == 3 * 6 * 2 + 3
+
+
+_EXPONENT_GRID = (-1.0, 0.0, 0.5, 1.0, 1.0 + 1e-13, 1.25, 2.0, 5.0, np.inf, np.nan)
+_ONE = identity(1, 1)  # every power of it is itself, so any accepted exponent evaluates
+
+# each exponent-taking certifier: its number of exponents, the call, and how
+# many exponent tuples from the grid it accepts
+_EXPONENT_GATES = {
+    "furuta": (3, lambda r, p, q: check_furuta(_ONE, _ONE, r, p, q), 235),
+    "holder": (3, lambda r, p, q: check_holder(_ONE, _ONE, _ONE, r, p, q), 18),
+    "holder-corollary": (3, lambda r, p, q: check_holder_corollary(_ONE, _ONE, r, p, q), 18),
+    "holder-pairs": (2, lambda p, q: check_holder_pairs(_ONE, _ONE, _ONE, _ONE, p, q), 3),
+    "young-commuting": (2, lambda p, q: check_young_commuting(_ONE, _ONE, p, q), 3),
+    "young-witness": (2, lambda p, q: check_young_witness(_ONE, _ONE, p, q), 3),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(_EXPONENT_GATES))
+def test_exponent_certifiers_fail_only_at_their_gate(theorem):
+    # every exponent tuple either evaluates or is refused as a hypothesis
+    # violation; none gets past the gate to an error of the evaluation
+    # (t_power refuses infinite exponents)
+    arity, check, expected = _EXPONENT_GATES[theorem]
+    accepted = 0
+    for exponents in itertools.product(_EXPONENT_GRID, repeat=arity):
+        try:
+            check(*exponents)
+        except HypothesisViolationError:
+            continue
+        accepted += 1
+    assert accepted == expected
+
+
+def _off_symmetric(x: Tensor3, residual: float) -> Tensor3:
+    """``x`` with entry ``(0, 1, 2)`` moved so that its symmetry residual,
+    against its transpose partner ``(1, 0, n3 - 2)``, is ``residual``."""
+    data = x.data.copy()
+    data[0, 1, 2] += residual / np.sqrt(2)
+    return Tensor3(data)
+
+
+_A, _B = gen_loewner_pair(3, 4, RngStream(227))  # A >= B >= 0
+_X = gen_random((3, 3, 4), RngStream(228))
+_HALF = 0.5 * identity(3, 4)
+
+# each PSD or order hypothesis of the eight certifiers that have one, by
+# (certifier, the stack its gate names): the valid tensor of that stack, and
+# the certifier called with it replaced by ``t``, its other arguments valid
+_PSD_SLOTS = {
+    ("loewner-heinz", "B"): (_B, lambda t, tol: check_loewner_heinz(_A, t, 0.5, tol=tol)),
+    ("loewner-heinz", "A - B"): (_A, lambda t, tol: check_loewner_heinz(t, _B, 0.5, tol=tol)),
+    ("furuta", "B"): (_B, lambda t, tol: check_furuta(_A, t, 1.0, 2.0, 2.0, tol=tol)),
+    ("furuta", "A - B"): (_A, lambda t, tol: check_furuta(t, _B, 1.0, 2.0, 2.0, tol=tol)),
+    ("hansen-power", "X"): (_A, lambda t, tol: check_hansen_power(_HALF, t, 0.5, tol=tol)),
+    ("young-commuting", "A"): (_A, lambda t, tol: check_young_commuting(t, _A, 2.0, 2.0, tol=tol)),
+    ("young-commuting", "B"): (_A, lambda t, tol: check_young_commuting(_A, t, 2.0, 2.0, tol=tol)),
+    ("heinz-family", "A"): (_A, lambda t, tol: check_heinz_family(t, _X, _B, 0.75, 1.0, tol=tol)),
+    ("heinz-family", "B"): (_B, lambda t, tol: check_heinz_family(_A, _X, t, 0.75, 1.0, tol=tol)),
+    ("holder", "A"): (_A, lambda t, tol: check_holder(t, _X, _B, 1.0, 2.0, 2.0, tol=tol)),
+    ("holder", "B"): (_B, lambda t, tol: check_holder(_A, _X, t, 1.0, 2.0, 2.0, tol=tol)),
+    ("complex-norm-b", "A"): (_A, lambda t, tol: check_complex_norm_bounds(t, _B, "b", tol=tol)),
+    ("complex-norm-c", "A"): (_A, lambda t, tol: check_complex_norm_bounds(t, _B, "c", tol=tol)),
+    ("complex-norm-c", "B"): (_B, lambda t, tol: check_complex_norm_bounds(_A, t, "c", tol=tol)),
+}
+_PSD_SLOT_IDS = [f"{theorem}-{name.replace(' ', '')}" for theorem, name in _PSD_SLOTS]
+
+
+@pytest.mark.parametrize("slot", list(_PSD_SLOTS), ids=_PSD_SLOT_IDS)
+def test_psd_hypothesis_off_symmetric_is_a_hypothesis_violation(slot):
+    valid, call = _PSD_SLOTS[slot]
+    name = re.escape(slot[1])
+    with pytest.raises(HypothesisViolationError, match=rf"^{name} is not symmetric: symmetry residual 4\.50\de-06$"):
+        call(_off_symmetric(valid, 4.5e-6), 1e-8)
+
+
+@pytest.mark.parametrize("slot", list(_PSD_SLOTS), ids=_PSD_SLOT_IDS)
+def test_psd_hypothesis_names_the_min_gap(slot):
+    valid, call = _PSD_SLOTS[slot]
+    name = re.escape(slot[1])
+    with pytest.raises(
+        HypothesisViolationError, match=rf"^{name} is not positive semidefinite \(min gap -\d\.\d{{3}}e[+-]\d\d\)$"
+    ):
+        call(-1.0 * valid, 1e-8)
+
+
+@pytest.mark.parametrize("slot", list(_PSD_SLOTS), ids=_PSD_SLOT_IDS)
+def test_psd_hypothesis_symmetry_floors_at_predicate_tol(slot):
+    # at tol = 1e-12 the symmetry of a PSD operand is checked at PREDICATE_TOL,
+    # as complex-norm-a and diag-spectrum check their symmetric operands
+    valid, call = _PSD_SLOTS[slot]
+    assert call(_off_symmetric(valid, 4.5e-11), 1e-12)
+
+
+def test_psd_gate_checks_every_stack_symmetric_first():
+    with pytest.raises(HypothesisViolationError, match="^B is not symmetric"):
+        check_holder(-1.0 * _A, _X, _off_symmetric(_B, 4.5e-6), 1.0, 2.0, 2.0)
 
 
 def test_complex_norm_variant_a_b_zero():

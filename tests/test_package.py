@@ -57,8 +57,10 @@ ONE_DEFINITION = {
     r"conj\(\)\.(transpose|swapaxes)": "eigensolvers:_herm_t",
     r"transpose\((2, 0, 1|1, 2, 0)\)": "core:_Dense",
     r"\b1e-8\b": "certificates",  # DEFAULT_TOL
-    r"\w+ > 1 and \w+ > 1": "spectral:_require_conjugate",  # conjugate exponents
+    r"1 < \w+ < np\.inf and 1 < \w+ < np\.inf": "spectral:_require_conjugate",  # conjugate exponents
     r"[\"'](\{\w+\}|[A-Z]\w*) (is not|must be) symmetric": "algebra:_require_symmetric",  # symmetric pairs
+    r"is not positive semidefinite": "algebra:_require_psd",  # PSD and order hypotheses
+    r"is_t_psd requires a symmetric": "algebra:is_t_psd",
 }
 
 

@@ -281,8 +281,8 @@ def test_wave_in_one_jacobi_call_matches_each_call_alone(monkeypatch, n3):
     assert counts["jacobi"] == 1
     (xp, yp), = _t_powers([x, y], [[0.5], [1.5]], eig=power)
     shared = [
-        next(_psd_verdicts(x, PREDICATE_TOL, psd)).min_gap_eigenvalue,
-        next(_psd_verdicts(x - y, PREDICATE_TOL, order)).min_gap_eigenvalue,
+        _psd_verdicts(x, PREDICATE_TOL, psd)[0].min_gap_eigenvalue,
+        _psd_verdicts(x - y, PREDICATE_TOL, order)[0].min_gap_eigenvalue,
         xp.data.tobytes(),
         yp.data.tobytes(),
         _t_powers([_abs_gram(x - y)], [[0.5 * 0.7]], eig=absolute)[0][0].data.tobytes(),

@@ -14,7 +14,8 @@ take stacks of tensors along a leading trial axis
 :func:`_off_diagonality` and :func:`_psd_verdicts`, with :func:`t_product`,
 :func:`t_inverse`, :func:`is_symmetric`, :func:`is_orthogonal`,
 :func:`is_normal`, :func:`is_f_diagonal` and :func:`is_t_psd` their
-one-member case.
+one-member case.  A PSD verdict reads the slice spectra its stack keeps
+(:meth:`ttensor.core._Stack.spectra`), perhaps solved with other stacks.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, _frobenius, _Stack, _transpose, identity
+from .core import Tensor3, _frobenius, _solve_together, _Stack, _transpose, identity
 from .errors import NotSymmetricError, ShapeMismatchError, SingularTensorError, _require, _require_each
-from .eigensolvers import HermitianEigen, _herm_t, hermitian_eig
-from .fourier import _half_size, _inverse
+from .fourier import _inverse
 
 __all__ = [
     "LoewnerVerdict",
@@ -224,39 +224,33 @@ def is_t_psd(a: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:
     return _psd_verdicts(x, tol)[0]
 
 
-def _psd_verdicts(x: _Stack, tol: float, eig: HermitianEigen | None = None) -> list[LoewnerVerdict]:
-    """:func:`is_t_psd` of each member, whose symmetry the caller has
-    checked.  ``eig`` may hold the spectra of ``_psd_stack(x)``, solved with
-    other stacks."""
-    mins, scales = _slice_eig_extremes(x, eig)
+def _psd_verdicts(x: _Stack, tol: float) -> list[LoewnerVerdict]:
+    """:func:`is_t_psd` of each member, whose symmetry the caller has checked."""
+    mins, scales = _slice_eig_extremes(x)
     tolerances = [tol * (1.0 + scale) for scale in scales]
     return [LoewnerVerdict(bool(m >= -t), m, t) for m, t in zip(mins, tolerances)]
 
 
-def _require_psd(tol: float, eig: HermitianEigen | None = None, **stacks: _Stack) -> None:
+def _require_psd(tol: float, **stacks: _Stack) -> None:
     """Every named stack is symmetric (:func:`_require_symmetric`), and then
     each member, in order, is PSD as :func:`is_t_psd` decides at ``tol``, else
-    a hypothesis violation naming the stack.  ``eig`` may hold the spectra of
-    ``_psd_stack`` of their concatenation; mixed shapes go one by one."""
+    a hypothesis violation naming the stack.  The stacks' spectra take one
+    solver call (:func:`ttensor.core._solve_together`)."""
     _require_symmetric(tol, **stacks)
-    if len({x.shape for x in stacks.values()}) > 1:
-        for name, x in stacks.items():
-            _require_psd(tol, **{name: x})
-        return
-    names = [name for name, x in stacks.items() for _ in range(len(x))]
-    for name, v in zip(names, _psd_verdicts(_Stack.cat(*stacks.values()), tol, eig)):
-        _require(v.holds, f"{name} is not positive semidefinite (min gap {v.min_gap_eigenvalue:.3e})")
+    _solve_together(*((x, False) for x in stacks.values()))
+    for name, x in stacks.items():
+        for v in _psd_verdicts(x, tol):
+            _require(v.holds, f"{name} is not positive semidefinite (min gap {v.min_gap_eigenvalue:.3e})")
 
 
-def _slice_eig_extremes(x: _Stack, eig: HermitianEigen | None = None) -> tuple[list, list]:
+def _slice_eig_extremes(x: _Stack) -> tuple[list, list]:
     """Each member's ``(smallest eigenvalue, largest eigenvalue magnitude)``
-    over its Hermitian-symmetrized Fourier slices, as two lists of floats.
+    over its Hermitian-symmetrized Fourier slices (``x.spectra(False)``), as
+    two lists of floats.
 
-    Conjugate slices share a spectrum, so only slices ``0..n3//2`` are
-    decomposed, in one stacked solver call.  This is the one min-gap routine;
-    its callers keep their own tolerance scales, which are deliberately not
-    reconciled because moving either can flip verdicts that sit near the band
-    edge:
+    This is the one min-gap routine; its callers keep their own tolerance
+    scales, which are deliberately not reconciled because moving either can
+    flip verdicts that sit near the band edge:
 
     * :func:`is_t_psd` accepts ``min >= -tol * (1 + max |eig|)``, using the
       magnitude returned here for the tensor under test;
@@ -265,18 +259,8 @@ def _slice_eig_extremes(x: _Stack, eig: HermitianEigen | None = None) -> tuple[l
       ``gap >= -tol * (1 + ||R||_2)``, scaled by the spectral norm of the
       right-hand side ``R`` instead.
     """
-    w = (eig or hermitian_eig(_psd_stack(x))).values.reshape(len(x), -1)
+    w = x.spectra(False).values.reshape(len(x), -1)
     return w.min(axis=1).tolist(), np.abs(w).max(axis=1).tolist()
-
-
-def _psd_stack(x: _Stack) -> np.ndarray:
-    """Hermitian-symmetrized Fourier slices ``0..n3//2`` of each member, one
-    ``(b * (n3//2 + 1), n, n)`` stack: the stack whose spectra
-    :func:`_slice_eig_extremes` (hence :func:`is_t_psd` and every Loewner
-    certificate) and the symmetric branch of
-    :func:`ttensor.spectral.t_eigenvalues` take."""
-    half = x.slices[:, : _half_size(x.n3)]
-    return (0.5 * (half + _herm_t(half))).reshape(-1, *x.shape[:2])
 
 
 def loewner_ge(a: Tensor3, b: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:

@@ -49,7 +49,7 @@ import numpy as np
 from . import inequalities as ineq
 from . import localization as loc
 from .algebra import PREDICATE_TOL, _require_symmetric, _t_inverse, _t_product
-from .certificates import DEFAULT_TOL, InequalityCertificate, norm_certificate
+from .certificates import DEFAULT_TOL, NO_NORM, InequalityCertificate, norm_certificate
 from .core import (
     RngStream, _commuting_psd_pairs, _frobenius, _loewner_pairs, _spectral, _Stack, _t_psd, identity,
 )
@@ -262,7 +262,7 @@ def _certify_gershgorin(stacks, columns, tol, mode):
         miscount = max(abs(c.eigenvalue_count - c.disc_count) for c in components)
         out.append([
             norm_certificate(
-                "gershgorin", dims=x.shape, params={"claim": claim}, norm_kind="n/a",
+                "gershgorin", dims=x.shape, params={"claim": claim}, norm_kind=NO_NORM,
                 lhs=lhs, rhs=0.0, tol=tol,
             )
             for claim, lhs in (("containment", float(gaps.max()) / scale), ("component-count", miscount))

@@ -12,7 +12,9 @@ definition).
 ``(b, n1, n2, n3)``.  The shared primitives (transpose, norms, transforms,
 t-product, symmetry and PSD checks, powers, the PSD generators' builders)
 act on stacks, and the public functions are their ``b = 1`` case: a
-member's result never depends on the rest of its stack.
+member's result never depends on the rest of its stack.  A stack keeps its
+Fourier slices and the spectra of its half slices (:meth:`_Stack.spectra`);
+:func:`_solve_together` solves those of several stacks in one call.
 """
 
 from __future__ import annotations
@@ -161,19 +163,20 @@ class _Stack:
 
     ``slices`` are the members' Fourier slices, ``(b, n3, n1, n2)``,
     transformed on first use and kept, so a stack is transformed once however
-    often it is used.  Stacks share no slices: one made by :meth:`cat` or
-    :meth:`split` transforms its own members when they are first needed.
-    Entries must be finite, as for :class:`Tensor3`.
+    often it is used; :meth:`spectra` keeps its slice spectra in the same
+    way.  Stacks share no slices and no spectra: one made by :meth:`cat` or
+    :meth:`split` transforms and solves its own members when they are first
+    needed.  Entries must be finite, as for :class:`Tensor3`.
     """
 
-    __slots__ = ("data", "_slices")
+    __slots__ = ("data", "_slices", "_spectra")
 
     def __init__(self, data):
         data = np.ascontiguousarray(data, dtype=float)
         if not np.isfinite(data).all():
             raise ValueError("tensor entries must be finite (no NaN/Inf)")
         data.flags.writeable = False
-        self.data, self._slices = data, None
+        self.data, self._slices, self._spectra = data, None, {}
 
     @classmethod
     def of(cls, *tensors: Tensor3) -> "_Stack":
@@ -220,6 +223,33 @@ class _Stack:
             self._slices = _forward(self.data)
         return self._slices
 
+    def halves(self, power: bool) -> np.ndarray:
+        """Hermitian-symmetrized Fourier slices ``0..n3//2`` (conjugate slices
+        share a spectrum) of each square member, one ``(b * (n3//2 + 1), n,
+        n)`` stack: the slices of the PSD checks and of the symmetric branch
+        of :func:`ttensor.spectral.t_eigenvalues`.  With ``power``, those of
+        the powers: each member's self-conjugate slices, real in exact
+        arithmetic, are set to their real part, which keeps every power
+        exactly conjugate-symmetric after mirroring."""
+        from .eigensolvers import _herm_t  # deferred import, see spectral_norm
+        from .fourier import _half_size, _self_conjugate_indices
+
+        half = self.slices[:, : _half_size(self.n3)]
+        half = 0.5 * (half + _herm_t(half))
+        if power:
+            real_idx = _self_conjugate_indices(self.n3)
+            half[:, real_idx] = half[:, real_idx].real
+        return half.reshape(-1, *self.shape[:2])
+
+    def spectra(self, power: bool):
+        """:func:`ttensor.eigensolvers.hermitian_eig` of :meth:`halves`,
+        solved on first use (or by :func:`_solve_together`) and kept."""
+        if self._spectra.get(power) is None:
+            from .eigensolvers import hermitian_eig  # deferred import, see spectral_norm
+
+            self._spectra[power] = hermitian_eig(self.halves(power))
+        return self._spectra[power]
+
     def member(self, i: int) -> Tensor3:
         """Member ``i``, a read-only view, so a :class:`Tensor3` as it is."""
         t = object.__new__(Tensor3)
@@ -253,6 +283,32 @@ class _Stack:
 def _check_same_shape(a, b) -> None:
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
+
+
+def _same_square(*xs: _Stack) -> bool:
+    """Whether the stacks share one square member shape, so that their slice
+    spectra can join one solver call."""
+    return len({x.shape for x in xs}) == 1 and xs[0].shape[0] == xs[0].shape[1]
+
+
+def _solve_together(*wave: tuple[_Stack, bool], arrays: tuple = ()) -> list:
+    """Solve a wave of independent Hermitian spectra in one deduplicated
+    solver call (:func:`ttensor.eigensolvers._hermitian_eigs`): each
+    ``(stack, power)`` not yet solved keeps ``stack.spectra(power)``, and the
+    spectra of ``arrays``, ``(m, n, n)`` Hermitian stacks, are returned.
+    When they cannot share a call (fewer than two, stacks of two shapes or
+    not square, or a call that raises), the arrays get Nones and each stack
+    is solved, and raises its own error, where it is used; a stack of a
+    failed call does not join a wave again."""
+    from .eigensolvers import _hermitian_eigs  # deferred import, see spectral_norm
+
+    pending = [(x, power) for x, power in wave if power not in x._spectra]
+    if len(pending) + len(arrays) < 2 or (pending and not _same_square(*(x for x, _ in pending))):
+        return [None] * len(arrays)
+    solved = _hermitian_eigs([x.halves(power) for x, power in pending] + list(arrays))
+    for (x, power), e in zip(pending, solved):
+        x._spectra[power] = e  # None after a failed call: solved where it is used
+    return solved[len(pending):]
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,13 @@ bit-reproducible.  Both reject a matrix or stack holding NaN or Inf on entry
 with :class:`EigenConvergenceError`, naming the lowest such member, since no
 iteration converges on it.
 
-Every call solves afresh; nothing is cached.  Since every member's result is
-independent of the rest of its stack, a caller may put the independent
-stacks it needs at one point into one call: :func:`_hermitian_eigs` solves
-several stacks at once and hands each its share, so a certifier makes one
-Jacobi call per wave of independent spectra, for a whole campaign window
+Every call solves afresh; nothing is cached here, though a tensor stack
+keeps the spectra of its own half slices (:meth:`ttensor.core._Stack.spectra`).
+Since every member's result is independent of the rest of its stack, a
+caller may put the independent stacks it needs at one point into one call:
+:func:`_hermitian_eigs` solves several stacks at once and hands each its
+share, so a certifier makes one Jacobi call per wave of independent spectra
+(:func:`ttensor.core._solve_together`), for a whole campaign window
 (:mod:`ttensor.campaigns`).
 """
 
@@ -111,8 +113,9 @@ def _hermitian_eigs(stacks: list) -> list:
     """:func:`hermitian_eig` of each ``(m, n, n)`` stack in ``stacks``, from
     one solver call: the independent spectra a certifier needs at one point.
 
-    Members equal byte for byte are solved once: ``_psd_stack`` and
-    ``_power_stack`` of a tensor share all but their self-conjugate slices.
+    Members equal byte for byte are solved once: the two half-slice stacks of
+    a tensor (:meth:`ttensor.core._Stack.halves`) share all but their
+    self-conjugate slices.
 
     All ``None`` when the stacks are not square stacks of one member shape,
     or when the call raises; each caller then solves its own stack and

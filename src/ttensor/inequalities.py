@@ -28,12 +28,14 @@ stacks along a leading trial axis (:class:`ttensor.core._Stack`) and its
 scalars as one list per argument, and returns one certificate list per
 member; a campaign certifies a whole window with one call.  A stacked
 certifier also stacks its own independent slice spectra, one solver call per
-wave (:func:`ttensor.eigensolvers._hermitian_eigs`): ``furuta`` takes the
-PSD check of B, the order gap A - B and the decompositions of B and A in one
-call, both sandwich powers in a second and both Loewner gaps in a third.  A
-product a wave needs (``Q^T X Q``, ``A B``) is formed ahead of the checks
-only when the shapes are equal and square, so a shape error still comes
-after the hypothesis errors.  Hypotheses are checked member by member, each
+wave: it names the ``(stack, power)`` spectra a wave needs in one request
+(:func:`ttensor.core._solve_together`), and each stack keeps its share for
+the gates and the powers that read it.  ``furuta`` takes the PSD check of B,
+the order gap A - B and the decompositions of B and A in one call, both
+sandwich powers in a second and both Loewner gaps in a third.  A product a
+wave needs (``Q^T X Q``, ``A B``) is formed ahead of the checks only when
+the shapes are equal and square, so a shape error still comes after the
+hypothesis errors.  Hypotheses are checked member by member, each
 in the order the scalar certifier checks them, and the certificate
 arithmetic (``** (1/p)``, the damping, ``(2 + t) *``) stays in Python floats
 per member, so each member's certificates are bit for bit those of the
@@ -48,7 +50,6 @@ from .algebra import (
     _asymmetry,
     _hypothesis_tol,
     _orthogonality,
-    _psd_stack,
     _require_psd,
     _require_symmetric,
     _t_product,
@@ -62,16 +63,11 @@ from .certificates import (
     _loewner_certificates,
     norm_certificate,
 )
-from .core import Tensor3, _cartesian_norms, _check_same_shape, _frobenius, _spectral, _Stack
-from .eigensolvers import _hermitian_eigs
-from .errors import ShapeMismatchError, _require, _require_each
-from .spectral import (
-    _abs_powers,
-    _power_stack,
-    _require_conjugate,
-    _t_powers,
-    _young_witness,
+from .core import (
+    Tensor3, _cartesian_norms, _check_same_shape, _frobenius, _same_square, _solve_together, _spectral, _Stack,
 )
+from .errors import ShapeMismatchError, _require, _require_each
+from .spectral import _abs_powers, _require_conjugate, _t_powers, _young_witness
 
 __all__ = [
     "power_order_counterexample",
@@ -131,38 +127,19 @@ def _stacks(*tensors: Tensor3) -> list[_Stack]:
     return [_Stack.of(t) for t in tensors]
 
 
-def _same_square(*xs: _Stack) -> bool:
-    """Whether the stacks share one square member shape, so that their slice
-    spectra can join one solver call."""
-    return len({x.shape for x in xs}) == 1 and xs[0].shape[0] == xs[0].shape[1]
-
-
-def _psd_and_power_spectra(xs: list[_Stack]) -> list:
-    """The spectra that :func:`_require_psd` and :func:`_t_powers` of the
-    stacks in ``xs`` take, from one solver call; Nones when the stacks
-    cannot share one (see :func:`ttensor.eigensolvers._hermitian_eigs`)."""
-    if not _same_square(*xs):
-        return [None, None]
-    x = _Stack.cat(*xs)
-    return _hermitian_eigs([_psd_stack(x), _power_stack(x)])
-
-
 def _loewner_pair_powers(a: _Stack, b: _Stack, tol: float, *exponents) -> list[list[_Stack]]:
     """Check ``A >= B >= 0`` for each member pair, B's PSD check first and
     then the order as ``A - B`` PSD (:func:`ttensor.algebra.loewner_ge`), and
     return ``[B, A]`` at each list of exponents in ``exponents``.  The checks
     and the decompositions of B and A take one solver call."""
     diff = a - b if a.shape == b.shape else None
-    psd = order = power = None
-    if _same_square(a, b):
-        psd, order, power = _hermitian_eigs(
-            [_psd_stack(b), _psd_stack(diff), _power_stack(_Stack.cat(b, a))]
-        )
-    _require_psd(tol, psd, B=b)
+    if diff is not None:
+        _solve_together((b, False), (diff, False), (b, True), (a, True))
+    _require_psd(tol, B=b)
     if diff is None:
         raise ShapeMismatchError(f"order comparison needs equal shapes: {a.shape} vs {b.shape}")
-    _require_psd(tol, order, **{"A - B": diff})
-    return _t_powers([b, a], *([e, e] for e in exponents), eig=power)
+    _require_psd(tol, **{"A - B": diff})
+    return _t_powers([b, a], *([e, e] for e in exponents))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +156,8 @@ def check_loewner_heinz(
     """Power monotonicity A >= B >= 0  =>  A^r >= B^r for 0 <= r <= 1.
 
     ``exploratory`` lifts the exponent-range hypothesis so out-of-range
-    exponents (where the implication is known to fail) can be probed.
+    exponents (where the implication is known to fail) can be probed; ``r``
+    must still be finite.
     """
     return _loewner_heinz(*_stacks(a, b), [r], [exploratory], [None], tol)[0][0]
 
@@ -190,7 +168,9 @@ def _loewner_heinz(
     """:func:`check_loewner_heinz` of each member, member ``i`` at ``r[i]``,
     ``exploratory[i]`` and ``extra_params[i]``."""
     for ri, ex in zip(r, exploratory):
-        if not ex:
+        if ex:
+            _require(np.isfinite(ri), f"exponent r={ri} is not finite")
+        else:
             _require(0.0 <= ri <= 1.0, f"exponent r={ri} outside [0, 1]")
     ((br, ar),) = _loewner_pair_powers(a, b, tol, r)
     params = [
@@ -227,12 +207,12 @@ def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[
     left = q.transpose() if mode == "contraction" else q
     # the conjugated product is formed ahead of the checks when the shapes
     # allow it, so that its power joins the first solver call
-    middle = sym_middle = psd = power = None
+    middle = sym_middle = None
     if _same_square(q, x):
         middle = _t_product(_t_product(left, x), q)
         sym_middle = middle.sym()
-        psd, power = _hermitian_eigs([_psd_stack(x), _power_stack(_Stack.cat(x, sym_middle))])
-    _require_psd(tol, psd, X=x)
+        _solve_together((x, False), (x, True), (sym_middle, True))
+    _require_psd(tol, X=x)
     if mode == "contraction":
         for q_norm in _spectral(q.slices).tolist():
             _require(q_norm <= 1.0 + tol, f"Q is not a contraction: ||Q||_2 = {q_norm:.6f}")
@@ -249,7 +229,7 @@ def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[
         f"conjugated product is not symmetric in {mode} mode ({{}}); "
         "the power of a non-symmetric tensor is undefined",
     )
-    ((x_r, pow_conj),) = _t_powers([x, sym_middle], [r, r], eig=power)
+    ((x_r, pow_conj),) = _t_powers([x, sym_middle], [r, r])
     conj_pow = _t_product(_t_product(left, x_r), q).sym()
     low = np.array([ri <= 1.0 for ri in r])[:, None, None, None]
     lhs = _Stack(np.where(low, conj_pow.data, pow_conj.data))
@@ -315,13 +295,12 @@ def _young_commuting(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> list
         _require_conjugate(pi, qi)
     # A * B is formed ahead of the PSD checks when the shapes allow it, so
     # that the check of its symmetric part joins the first solver call
-    ab = lhs = psd = lhs_psd = power = None
+    ab = lhs = None
     if _same_square(a, b):
         ab = _t_product(a, b)
         lhs = ab.sym()
-        pair = _Stack.cat(a, b)
-        psd, lhs_psd, power = _hermitian_eigs([_psd_stack(pair), _psd_stack(lhs), _power_stack(pair)])
-    _require_psd(tol, psd, A=a, B=b)
+        _solve_together((a, False), (b, False), (lhs, False), (a, True), (b, True))
+    _require_psd(tol, A=a, B=b)
     if ab is None:
         ab = _t_product(a, b)
         lhs = ab.sym()
@@ -329,8 +308,8 @@ def _young_commuting(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> list
     norms = zip(_frobenius(a.data).tolist(), _frobenius(b.data).tolist())
     for c, (fa, fb) in zip(comm, norms):
         _require(c <= _hypothesis_tol(tol) * (1 + fa * fb), f"pair does not commute: ||AB - BA|| = {c:.3e}")
-    _require_psd(tol, lhs_psd, **{"A * B": lhs})
-    ((ap, bq),) = _t_powers([a, b], [p, q], eig=power)
+    _require_psd(tol, **{"A * B": lhs})
+    ((ap, bq),) = _t_powers([a, b], [p, q])
     rhs = ap * [1.0 / pi for pi in p] + bq * [1.0 / qi for qi in q]
     params = [{"p": pi, "q": qi} for pi, qi in zip(p, q)]
     certs = _loewner_certificates("young-commuting", lhs, rhs, dims=a.shape, params=params, tol=tol)
@@ -495,10 +474,10 @@ def _heinz_family(a: _Stack, x: _Stack, b: _Stack, r: list, t: list, tol: float)
     for ri, ti in zip(r, t):
         _require(1.0 <= 2 * ri <= 3.0, f"exponent r={ri} outside [0.5, 1.5]")
         _require(-2.0 < ti <= 2.0, f"weight t={ti} outside (-2, 2]")
-    psd_eig, power_eig = _psd_and_power_spectra([a, b])
-    _require_psd(tol, psd_eig, A=a, B=b)
+    _solve_together((a, False), (b, False), (a, True), (b, True))
+    _require_psd(tol, A=a, B=b)
     r2 = [2 - ri for ri in r]
-    (ar, br), (a2r, b2r) = _t_powers([a, b], [r, r], [r2, r2], eig=power_eig)
+    (ar, br), (a2r, b2r) = _t_powers([a, b], [r, r], [r2, r2])
     heinz = _t_product(_t_product(ar, x), b2r) + _t_product(_t_product(a2r, x), br)
     quadratic = (
         _t_product(_t_product(a, a), x)
@@ -539,10 +518,10 @@ def check_holder(
 def _holder(a: _Stack, x: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list[list]:
     """:func:`check_holder` of each member, member ``i`` at ``r[i]``, ``p[i]``, ``q[i]``."""
     _require_holder_exponents(r, p, q)
-    psd_eig, power_eig = _psd_and_power_spectra([a, b])
-    _require_psd(tol, psd_eig, A=a, B=b)
+    _solve_together((a, False), (b, False), (a, True), (b, True))
+    _require_psd(tol, A=a, B=b)
     axb = _t_product(_t_product(a, x), b)
-    ((ap, bq),) = _t_powers([a, b], [p, q], eig=power_eig)
+    ((ap, bq),) = _t_powers([a, b], [p, q])
     apx, xbq = _t_product(ap, x), _t_product(x, bq)
     left, first, second = _abs_powers([axb, apx, xbq], [r, r, r])
     return _norm_certificates(

@@ -32,7 +32,7 @@ from .certificates import (
 )
 from .core import Tensor3, _cartesian_norms, _frobenius, _spectral, _Stack, frobenius_norm
 from .errors import ShapeMismatchError, _require, _require_each
-from .spectral import TEigenSpectrum, _t_eigenvalues, t_eigenvalues
+from .spectral import TEigenSpectrum, _matched_distance, _sorted_pairing, _t_eigenvalues, t_eigenvalues
 
 __all__ = [
     "GershgorinDisc",
@@ -251,24 +251,6 @@ def _bauer_fike(a: _Stack, b: _Stack, q: _Stack, s: _Stack, tol: float) -> list[
     return out
 
 
-def _matched_distance(lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, float]:
-    """An optimal pairing ``lam[i] -> mu[perm[i]]`` and its distance.
-
-    Real spectra (every imaginary part exactly zero, as for symmetric
-    tensors) take the sorted pairing, which is optimal for them
-    (Hoffman-Wielandt); complex ones take a minimum-cost assignment.
-    """
-    if not (np.any(lam.imag) or np.any(mu.imag)):
-        return _sorted_pairing(lam.real, mu.real)
-    from scipy.optimize import linear_sum_assignment  # deferred: scipy loads slowly
-
-    cost = np.abs(mu[None, :] - lam[:, None]) ** 2
-    rows, cols = linear_sum_assignment(cost)
-    order = np.argsort(rows)
-    perm = cols[order]
-    return perm, float(np.sqrt(cost[rows, cols].sum()))
-
-
 def hoffman_wielandt(
     a: Tensor3, b: Tensor3, tol: float = DEFAULT_TOL
 ) -> tuple[MatchingReport, InequalityCertificate, InequalityCertificate]:
@@ -323,15 +305,6 @@ def _sorted_pairing_distances(a: _Stack, b: _Stack) -> list[float]:
         _sorted_pairing(lam.values.real, mu.values.real)[1]
         for lam, mu in zip(spectra, spectra[len(a):])
     ]
-
-
-def _sorted_pairing(lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, float]:
-    """The ascending-sorted pairing ``lam[i] -> mu[perm[i]]`` of two real
-    spectra and its distance."""
-    i, j = np.argsort(lam, kind="stable"), np.argsort(mu, kind="stable")
-    perm = np.empty_like(i)
-    perm[i] = j
-    return perm, float(np.sqrt(((mu[j] - lam[i]) ** 2).sum()))
 
 
 def diag_spectrum_bound(

@@ -16,12 +16,13 @@ solver call per member shape, and :func:`t_power` and :func:`t_abs` are
 their one-member case.  Each member's result is bit for bit its lone
 result: every step acts on each slice alone, and each distinct exponent is
 applied as one Python number (:func:`_clipped_power`, the one power
-kernel).  :func:`_t_powers` may also be handed spectra solved beforehand,
-together with other independent stacks
-(:func:`ttensor.eigensolvers._hermitian_eigs`).  :func:`_t_eigenvalues`
-takes the spectra of every member of several stacks with at most one call
-of each solver, and :func:`_young_witness` builds the witnesses of a stack
-of pairs in three Jacobi calls.
+kernel).  :func:`_t_powers` reads the spectra each stack keeps
+(:meth:`ttensor.core._Stack.spectra`), and trusts its operands: a
+certifier's hypothesis gate has checked their symmetry and
+semidefiniteness, and :func:`t_power` checks its own argument.
+:func:`_t_eigenvalues` takes the spectra of every member of several stacks
+with at most one call of each solver, and :func:`_young_witness` builds the
+witnesses of a stack of pairs in three Jacobi calls.
 """
 
 from __future__ import annotations
@@ -30,16 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    PREDICATE_TOL,
-    LoewnerVerdict,
-    _asymmetry,
-    _psd_stack,
-    _psd_verdicts,
-    _t_product,
-)
-from .core import Tensor3, _as_generator, _Stack, gen_random
-from .eigensolvers import HermitianEigen, _herm_t, _hermitian_eigs, general_eig, hermitian_eig
+from .algebra import PREDICATE_TOL, LoewnerVerdict, _asymmetry, _psd_verdicts, _t_product
+from .core import Tensor3, _as_generator, _solve_together, _Stack, gen_random
+from .eigensolvers import HermitianEigen, _herm_t, general_eig, hermitian_eig
 from .errors import (
     NotSymmetricError,
     NotTPSDError,
@@ -108,7 +102,7 @@ def _t_eigenvalues(*xs: _Stack) -> list[TEigenSpectrum]:
     for x in xs:
         half = _half_size(x.n3)
         symmetric = [not reason for reason in _asymmetry(x, PREDICATE_TOL)]
-        psd = _psd_stack(x).reshape(len(x), half, *x.shape[:2]) if any(symmetric) else None
+        psd = x.halves(False).reshape(len(x), half, *x.shape[:2]) if any(symmetric) else None
         for i, sym in enumerate(symmetric):
             kinds.append((sym, x.n3))
             if sym:
@@ -141,41 +135,48 @@ def _mirrored_spectrum(w: np.ndarray, n3: int) -> TEigenSpectrum:
 
 
 def multiset_distance(u, v) -> float:
-    """Largest matched |difference| under a minimum-cost optimal assignment.
-
-    Complex spectra admit no perturbation-stable total order, so multiset
-    comparisons pair values by optimal assignment instead of sorting.
-    """
+    """Largest matched |difference| under the optimal pairing of
+    :func:`_matched_distance`, so the result does not depend on the order of
+    either multiset."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape:
         raise ShapeMismatchError("multisets must have equal cardinality")
     if len(u) == 0:
         return 0.0
+    perm, _ = _matched_distance(u, v)
+    return float(np.abs(v[perm] - u).max())
+
+
+def _matched_distance(lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, float]:
+    """An optimal pairing ``lam[i] -> mu[perm[i]]`` and its distance.
+
+    Real spectra (every imaginary part exactly zero, as for symmetric
+    tensors) take the sorted pairing, which is optimal for them
+    (Hoffman-Wielandt); complex ones, which admit no perturbation-stable
+    total order, take a minimum-cost assignment of the squared differences.
+    """
+    if not (np.any(lam.imag) or np.any(mu.imag)):
+        return _sorted_pairing(lam.real, mu.real)
     from scipy.optimize import linear_sum_assignment  # deferred: scipy loads slowly
 
-    cost = np.abs(u[:, None] - v[None, :])
+    cost = np.abs(mu[None, :] - lam[:, None]) ** 2
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    return cols[np.argsort(rows)], float(np.sqrt(cost[rows, cols].sum()))
+
+
+def _sorted_pairing(lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, float]:
+    """The ascending-sorted pairing ``lam[i] -> mu[perm[i]]`` of two real
+    spectra and its distance."""
+    i, j = np.argsort(lam, kind="stable"), np.argsort(mu, kind="stable")
+    perm = np.empty_like(i)
+    perm[i] = j
+    return perm, float(np.sqrt(((mu[j] - lam[i]) ** 2).sum()))
 
 
 # ---------------------------------------------------------------------------
 # tensor functions through Fourier-slice eigendecompositions
 # ---------------------------------------------------------------------------
-
-def _power_stack(x: _Stack) -> np.ndarray:
-    """The stack :func:`t_power` decomposes: :func:`ttensor.algebra._psd_stack`
-    with each member's self-conjugate slices set to their real part.
-
-    For a symmetric real tensor those slices are real in exact arithmetic,
-    and dropping the roundoff imaginary junk here keeps every function output
-    exactly conjugate-symmetric after mirroring.
-    """
-    half = _psd_stack(x).reshape(len(x), _half_size(x.n3), *x.shape[:2])
-    real_idx = _self_conjugate_indices(x.n3)
-    half[:, real_idx] = half[:, real_idx].real
-    return half.reshape(-1, *x.shape[:2])
-
 
 def t_power(a: Tensor3, r: float) -> Tensor3:
     """Real power of a symmetric positive semidefinite tensor.
@@ -187,57 +188,60 @@ def t_power(a: Tensor3, r: float) -> Tensor3:
     ``_POWER_TOL * lambda_max``.  The input must be symmetric within
     ``_POWER_TOL``, and the exponent finite (else :class:`ValueError`).
     """
-    return _t_powers([_Stack.of(a)], [[r]])[0][0].member(0)
+    x = _Stack.of(a)
+    reason = _asymmetry(x, _POWER_TOL)[0]
+    if reason:
+        raise NotSymmetricError(f"t_power requires a symmetric tensor: {reason}")
+    w = x.spectra(True).values
+    lam_max, min_eig = float(w.max()), float(w.min())
+    clamp_floor = _POWER_TOL * max(lam_max, 0.0)
+    if min_eig < -clamp_floor:
+        raise NotTPSDError(
+            f"t_power requires positive semidefiniteness: eigenvalue {min_eig:.6e} "
+            f"below -{clamp_floor:.3e}"
+        )
+    if not np.isfinite(r):
+        raise ValueError(f"t_power requires finite exponents, got {[r]}")
+    return _t_powers([x], [[r]])[0][0].member(0)
 
 
-def _t_powers(xs: list[_Stack], *exponents, eig: HermitianEigen | None = None) -> list[list[_Stack]]:
+def _t_powers(xs: list[_Stack], *exponents) -> list[list[_Stack]]:
     """:func:`t_power` of every member of every stack in ``xs`` at each of its
     exponents: ``exponents[j][k][i]`` is the ``j``-th exponent of member
     ``i`` of ``xs[k]``, and ``result[j][k]`` is ``xs[k]`` at those exponents.
 
-    Stacks of one member shape are decomposed together, once whatever the
-    number of exponents, in one solver call, or not at all when ``eig``
-    holds the spectra of ``_power_stack`` of their concatenation.  Members
-    are checked in order, each as :func:`t_power` checks it, so the first
-    failing member raises the error it raises alone.  Each distinct exponent
-    is applied as one Python number: numpy's ``**`` takes its square and
-    square-root fast paths only for a scalar exponent, and those round
-    differently from the general power.
+    The members are symmetric and PSD, as a hypothesis gate has certified,
+    and eigenvalues below zero are clipped; only a member at a negative
+    exponent is checked, for strict definiteness, so the first that fails
+    raises the error it raises alone.  Stacks of one member shape take the
+    spectra they keep, the missing ones solved in one call, and each is
+    decomposed once whatever the number of exponents.  Each distinct
+    exponent is applied as one Python number: numpy's ``**`` takes its
+    square and square-root fast paths only for a scalar exponent, and those
+    round differently from the general power.
     """
     if len({x.shape for x in xs}) > 1:
         alone = [_t_powers([x], *([e[k]] for e in exponents)) for k, x in enumerate(xs)]
         return [[out[j][0] for out in alone] for j in range(len(exponents))]
-    x = _Stack.cat(*xs)
+    _solve_together(*((x, True) for x in xs))
+    b, (n, _, n3) = sum(map(len, xs)), xs[0].shape
     exponents = [[r for rs in e for r in rs] for e in exponents]
-    reasons = _asymmetry(x, _POWER_TOL)
-    if x.shape[0] != x.shape[1]:
-        raise NotSymmetricError(f"t_power requires a symmetric tensor: {reasons[0]}")
-    eigs = eig or hermitian_eig(_power_stack(x))
-    values = eigs.values.reshape(len(x), -1)
-    extremes = zip(reasons, values.max(axis=1).tolist(), values.min(axis=1).tolist())
-    for i, (reason, lam_max, min_eig) in enumerate(extremes):
-        if reason:
-            raise NotSymmetricError(f"t_power requires a symmetric tensor: {reason}")
-        clamp_floor = _POWER_TOL * max(lam_max, 0.0)
-        if min_eig < -clamp_floor:
-            raise NotTPSDError(
-                f"t_power requires positive semidefiniteness: eigenvalue {min_eig:.6e} "
-                f"below -{clamp_floor:.3e}"
-            )
-        if any(e[i] < 0 for e in exponents) and (lam_max <= 0.0 or min_eig < _POWER_TOL * lam_max):
+    spectra = [x.spectra(True) for x in xs]
+    eigs = HermitianEigen(np.concatenate([e.values for e in spectra]), np.concatenate([e.vectors for e in spectra]))
+    values = eigs.values.reshape(b, -1)
+    for rs, lam_max, min_eig in zip(zip(*exponents), values.max(axis=1).tolist(), values.min(axis=1).tolist()):
+        if any(r < 0 for r in rs) and (lam_max <= 0.0 or min_eig < _POWER_TOL * lam_max):
             raise SingularTensorError(
                 -1, np.inf,
                 f"negative power needs strict definiteness: smallest eigenvalue {min_eig:.3e}",
             )
-        if not all(np.isfinite(e[i]) for e in exponents):
-            raise ValueError(f"t_power requires finite exponents, got {[e[i] for e in exponents]}")
-    half = _half_size(x.n3)
-    rows = np.repeat(np.arange(len(x)), half)  # the member of each half slice
+    half = _half_size(n3)
+    rows = np.repeat(np.arange(b), half)  # the member of each half slice
     out = []
     for e in exponents:
         m = _clipped_power(eigs, e, rows)
-        m = (0.5 * (m + _herm_t(m))).reshape(len(x), half, *x.shape[:2])
-        power = _Stack(_inverse(_mirror_half(m, x.n3)))
+        m = (0.5 * (m + _herm_t(m))).reshape(b, half, n, n)
+        power = _Stack(_inverse(_mirror_half(m, n3)))
         out.append(power.sym().split(len(xs)))
     return out
 
@@ -337,10 +341,10 @@ def _young_witness(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> tuple[
             g[:, k] = real_g
     ab_t = _t_product(a, b.transpose())
     abs_gram = _abs_gram(_Stack.cat(a, b, ab_t))
-    stacks = [g.reshape(-1, n, n) for g in grams] + [_power_stack(abs_gram)]
-    eigs = _hermitian_eigs(stacks)
+    grams = [g.reshape(-1, n, n) for g in grams]
     # |A_k B_k^H| = V sqrt(w) V^H
-    e_c, e_a, e_b = (e or hermitian_eig(s) for e, s in zip(eigs[:3], stacks))
+    solved = _solve_together((abs_gram, True), arrays=grams)
+    e_c, e_a, e_b = (e or hermitian_eig(g) for e, g in zip(solved, grams))
     rows = np.repeat(np.arange(len(a)), half)  # the member of each half slice
     p_rows, q_rows = np.asarray(p, dtype=float)[rows], np.asarray(q, dtype=float)[rows]
     d = (
@@ -352,7 +356,7 @@ def _young_witness(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> tuple[
     u = _Stack(_inverse(_mirror_half(u_half, n3)))
     # |A|^p, |B|^q and |A B^T| as the powers p/2, q/2 and 1/2 of their Grams
     halves = [0.5 * r for r in [*p, *q, *[1.0] * len(a)]]
-    abs_a, abs_b, abs_ab = _t_powers([abs_gram], [halves], eig=eigs[3])[0][0].split(3)
+    abs_a, abs_b, abs_ab = _t_powers([abs_gram], [halves])[0][0].split(3)
     rhs = abs_a * [1.0 / pi for pi in p] + abs_b * [1.0 / qi for qi in q]
     conjugated = _t_product(_t_product(u.transpose(), abs_ab), u)
     return u, _psd_verdicts(rhs - conjugated.sym(), tol)

@@ -72,13 +72,13 @@ def test_hoffman_wielandt_pairs_each_member_once(monkeypatch):
     # a symmetric pair's optimal pairing is the sorted one, so the sorted
     # certificates take its distance instead of sorting the spectra again
     calls = []
-    pairing = localization._sorted_pairing
+    pairing = spectral._sorted_pairing
 
     def counting_pairing(lam, mu):
         calls.append(len(lam))
         return pairing(lam, mu)
 
-    monkeypatch.setattr(localization, "_sorted_pairing", counting_pairing)
+    monkeypatch.setattr(spectral, "_sorted_pairing", counting_pairing)
     result = run_campaign("hoffman-wielandt", n=3, n3=5, trials=3, seed=0)
     assert calls == [15] * 3
     for trial in range(3):
@@ -230,9 +230,8 @@ def test_summary_fields():
 
 def _solve_each_stack_alone(patch):
     """Give every wave of independent slice spectra no shared solver call:
-    each stack of the wave is then solved by the call that takes it."""
-    for module in (inequalities, spectral):
-        patch.setattr(module, "_hermitian_eigs", lambda stacks: [None] * len(stacks))
+    each stack of the wave is then solved where it is used."""
+    patch.setattr(eigensolvers, "_hermitian_eigs", lambda stacks: [None] * len(stacks))
     patch.setattr(
         spectral, "_solve_halves", lambda halves, solve: [solve(h) for h in halves]
     )
@@ -554,7 +553,7 @@ def test_merged_call_error_reaches_only_its_trial(monkeypatch):
     assert [t for t in sorted(log) if log[t]["ok"]] == [0, 1]
 
 
-def test_lockstep_merges_each_round_into_one_call(monkeypatch):
+def test_window_merges_each_wave_into_one_call(monkeypatch):
     # furuta solves only 4x4 stacks, so wave r of the window
     # is one kernel call holding every trial's r-th stack
     kwargs = dict(n=4, n3=4, trials=8, seed=0)
@@ -578,21 +577,23 @@ def test_lockstep_merges_each_round_into_one_call(monkeypatch):
 
 # Jacobi kernel calls of one campaign at (4, 4, 4) and at (3, 128, 1), with
 # each stack solved alone and with each wave of independent stacks in one
-# call, for the same members.  Solving alone, diag-spectrum and
-# hoffman-wielandt take each half spectrum in a call of its own.
+# call, for the same members.  Solving alone, each stack solves each of its
+# two half-slice stacks in a call of its own where it is used, and
+# diag-spectrum and hoffman-wielandt take each half spectrum in a call of
+# its own.
 _SHARED_WAVE_CALLS = {
-    "complex-norm-c": ((1, 1), (1, 1)),
+    "complex-norm-c": ((2, 1), (2, 1)),
     "diag-spectrum": ((8, 1), (2, 1)),
-    "furuta": ((5, 3), (5, 3)),
-    "hansen-power": ((3, 2), (3, 2)),
-    "heinz-family": ((2, 1), (2, 1)),
+    "furuta": ((7, 3), (7, 3)),
+    "hansen-power": ((4, 2), (4, 2)),
+    "heinz-family": ((4, 1), (4, 1)),
     "hoffman-wielandt": ((8, 1), (2, 1)),
-    "holder": ((3, 2), (3, 2)),
+    "holder": ((5, 2), (5, 2)),
     "holder-corollary": ((1, 1), (1, 1)),
     "holder-pairs": ((1, 1), (1, 1)),
-    "loewner-heinz": ((4, 2), (4, 2)),
+    "loewner-heinz": ((5, 2), (5, 2)),
     "minkowski": ((1, 1), (1, 1)),
-    "young-commuting": ((4, 2), (4, 2)),
+    "young-commuting": ((6, 2), (6, 2)),
     "young-witness": ((6, 3), (6, 3)),
 }
 
@@ -664,7 +665,7 @@ def _count_general_kernel(monkeypatch):
 
 @pytest.mark.parametrize("n,n3,trials", [(4, 4, 16), (3, 5, 3), (2, 2, 70)])
 @pytest.mark.parametrize("theorem_id", ["gershgorin", "bauer-fike", "schur"])
-def test_lockstep_merges_general_eig_solves(monkeypatch, theorem_id, n, n3, trials):
+def test_window_merges_general_eig_solves(monkeypatch, theorem_id, n, n3, trials):
     # each trial takes the t-eigenvalues of the same number of non-symmetric
     # tensors, so a window takes every trial's general solves in one call
     kwargs = dict(n=n, n3=n3, trials=trials, seed=0)

@@ -8,8 +8,10 @@ import pytest
 
 from ttensor import (
     HypothesisViolationError,
+    InequalityCertificate,
     RngStream,
     ShapeMismatchError,
+    SingularTensorError,
     Tensor3,
     check_am_gm,
     check_complex_norm_bounds,
@@ -28,8 +30,11 @@ from ttensor import (
     gen_random,
     gen_symmetric,
     gen_t_psd,
+    frobenius_norm,
     identity,
+    is_t_psd,
     power_order_counterexample,
+    t_eigenvalues,
 )
 
 
@@ -245,6 +250,8 @@ _ONE = identity(1, 1)  # every power of it is itself, so any accepted exponent e
 # each exponent-taking certifier: its number of exponents, the call, and how
 # many exponent tuples from the grid it accepts
 _EXPONENT_GATES = {
+    "loewner-heinz": (1, lambda r: check_loewner_heinz(_ONE, _ONE, r), 3),
+    "loewner-heinz-exploratory": (1, lambda r: check_loewner_heinz(_ONE, _ONE, r, exploratory=True), 8),
     "furuta": (3, lambda r, p, q: check_furuta(_ONE, _ONE, r, p, q), 235),
     "holder": (3, lambda r, p, q: check_holder(_ONE, _ONE, _ONE, r, p, q), 18),
     "holder-corollary": (3, lambda r, p, q: check_holder_corollary(_ONE, _ONE, r, p, q), 18),
@@ -258,7 +265,7 @@ _EXPONENT_GATES = {
 def test_exponent_certifiers_fail_only_at_their_gate(theorem):
     # every exponent tuple either evaluates or is refused as a hypothesis
     # violation; none gets past the gate to an error of the evaluation
-    # (t_power refuses infinite exponents)
+    # (a non-finite power is not a finite tensor)
     arity, check, expected = _EXPONENT_GATES[theorem]
     accepted = 0
     for exponents in itertools.product(_EXPONENT_GRID, repeat=arity):
@@ -328,6 +335,53 @@ def test_psd_hypothesis_symmetry_floors_at_predicate_tol(slot):
     # as complex-norm-a and diag-spectrum check their symmetric operands
     valid, call = _PSD_SLOTS[slot]
     assert call(_off_symmetric(valid, 4.5e-11), 1e-12)
+
+
+def test_exploratory_negative_power_of_a_singular_b_is_singular():
+    a, b = power_order_counterexample()  # B's first slice is diag(1, 0)
+    with pytest.raises(SingularTensorError, match="negative power needs strict definiteness"):
+        check_loewner_heinz(a, b, -1.0, exploratory=True)
+
+
+def _skewed(x: Tensor3) -> Tensor3:
+    """``x`` with a skew part of ``3e-9 (1 + ||x||_F)``: inside the symmetry
+    gate at the default tol, outside ``t_power``'s own ``1e-9``."""
+    return _off_symmetric(x, 3e-9 * (1 + frobenius_norm(x)))
+
+
+def _dented(x: Tensor3) -> Tensor3:
+    """``x`` shifted to a smallest slice eigenvalue of ``-3e-9 (1 + max |w|)``:
+    inside the PSD gate at the default tol, below ``t_power``'s clamp floor
+    ``-1e-9 max w``."""
+    w = t_eigenvalues(x).values.real
+    shift = (w.min() + 3e-9 * (1 + w.max())) / (1 - 3e-9)
+    return x - shift * identity(x.n1, x.n3)
+
+
+# each certifier that powers a PSD operand: the valid operand, and the
+# certifier called with it replaced by ``t``, its other arguments valid
+_POWERED = {
+    "loewner-heinz": (_B, lambda t: check_loewner_heinz(_A, t, 0.5)),
+    "furuta": (_B, lambda t: check_furuta(_A, t, 1.0, 2.0, 2.0)),
+    "hansen-power": (_A, lambda t: check_hansen_power(_HALF, t, 0.5)),
+    "young-commuting": (_A, lambda t: check_young_commuting(t, _A, 2.0, 2.0)),
+    "heinz-family": (_A, lambda t: check_heinz_family(t, _X, _B, 0.75, 1.0)),
+    "holder": (_A, lambda t: check_holder(t, _X, _B, 1.0, 2.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("perturb", [_skewed, _dented], ids=["skewed", "dented"])
+@pytest.mark.parametrize("theorem", sorted(_POWERED))
+def test_gate_accepted_operand_is_powered(theorem, perturb):
+    # an operand the hypothesis gate accepts at the default tol is powered
+    # as it is, however tighter t_power's own checks are
+    valid, call = _POWERED[theorem]
+    operand = perturb(valid)
+    if perturb is _dented:
+        verdict = is_t_psd(operand, 1e-8)
+        assert verdict.holds and verdict.min_gap_eigenvalue < -2e-9 * (1 + np.abs(t_eigenvalues(operand).values).max())
+    certs = call(operand)
+    assert all(isinstance(c, InequalityCertificate) for c in (certs if isinstance(certs, (list, tuple)) else [certs]))
 
 
 def test_psd_gate_checks_every_stack_symmetric_first():

@@ -61,6 +61,10 @@ ONE_DEFINITION = {
     r"[\"'](\{\w+\}|[A-Z]\w*) (is not|must be) symmetric": "algebra:_require_symmetric",  # symmetric pairs
     r"is not positive semidefinite": "algebra:_require_psd",  # PSD and order hypotheses
     r"is_t_psd requires a symmetric": "algebra:is_t_psd",
+    # the Hermitian half slices, and the real self-conjugate ones of the powers
+    r"\.slices\[:, : ?_half_size\(|\[:, real_idx\]\.real": "core:_Stack",
+    r"t_power requires": "spectral:t_power",  # the kernel trusts the hypothesis gates
+    r"[\"']n/a[\"']": "certificates",  # NO_NORM
 }
 
 

@@ -38,12 +38,11 @@ from ttensor import (
     transpose,
     young_witness,
 )
-from ttensor.algebra import PREDICATE_TOL, _psd_stack, _psd_verdicts, _slice_eig_extremes
+from ttensor.algebra import PREDICATE_TOL, _psd_verdicts, _slice_eig_extremes
 from ttensor.certificates import _gap
-from ttensor.core import _Stack
-from ttensor.eigensolvers import _hermitian_eigs
+from ttensor.core import _solve_together, _Stack
 from ttensor.localization import diag_spectrum_bound, hoffman_wielandt, sorted_pairing_distance
-from ttensor.spectral import _abs_gram, _abs_powers, _power_stack, _t_powers
+from ttensor.spectral import _abs_gram, _abs_powers, _t_powers
 from oracles import brute_bcirc
 
 
@@ -66,6 +65,16 @@ def test_t_eigenvalues_match_bcirc_spectrum():
         mine = t_eigenvalues(a).values
         ref = general_eig(brute_bcirc(a.data).astype(complex))
         assert multiset_distance(mine, ref) <= 1e-8
+
+
+def test_multiset_distance_does_not_depend_on_input_order():
+    assert multiset_distance([0, 1], [1, 2]) == multiset_distance([1, 0], [1, 2]) == 1.0
+    g = np.random.default_rng(7)
+    for u in (g.normal(size=8), g.normal(size=8) + 1j * g.normal(size=8)):
+        v = u + 0.1 * g.normal(size=8)
+        expected = multiset_distance(u, v)
+        for _ in range(5):
+            assert multiset_distance(g.permutation(u), g.permutation(v)) == expected
 
 
 def test_t_eigenvalues_complex_tensor():
@@ -266,49 +275,48 @@ def _later_calls(a, b):
 
 @pytest.mark.parametrize("n3", [4, 5])
 def test_wave_in_one_jacobi_call_matches_each_call_alone(monkeypatch, n3):
-    # the stacks of a PSD check, an order check, powers, an absolute value
-    # and a Loewner gap share one call, and each call given its share
-    # computes what it computes alone
+    # the half spectra of a PSD check, an order check, powers, an absolute
+    # value and a Loewner gap share one call, each stack keeps its share, and
+    # each call that reads them computes what it computes alone
     a, b = gen_loewner_pair(3, n3, RngStream(91))
     alone = _later_calls(a, b)
     counts = _count_kernels(monkeypatch)
     x, y = _Stack.of(a), _Stack.of(b)
-    gap = _gap(y, x)
-    psd, order, power, absolute, gap_eig = _hermitian_eigs([
-        _psd_stack(x), _psd_stack(x - y), _power_stack(_Stack.cat(x, y)),
-        _power_stack(_abs_gram(x - y)), _psd_stack(gap),
-    ])
+    diff, gram, gap = x - y, _abs_gram(x - y), _gap(y, x)
+    _solve_together((x, False), (diff, False), (x, True), (y, True), (gram, True), (gap, False))
     assert counts["jacobi"] == 1
-    (xp, yp), = _t_powers([x, y], [[0.5], [1.5]], eig=power)
+    (xp, yp), = _t_powers([x, y], [[0.5], [1.5]])
     shared = [
-        _psd_verdicts(x, PREDICATE_TOL, psd)[0].min_gap_eigenvalue,
-        _psd_verdicts(x - y, PREDICATE_TOL, order)[0].min_gap_eigenvalue,
+        _psd_verdicts(x, PREDICATE_TOL)[0].min_gap_eigenvalue,
+        _psd_verdicts(diff, PREDICATE_TOL)[0].min_gap_eigenvalue,
         xp.data.tobytes(),
         yp.data.tobytes(),
-        _t_powers([_abs_gram(x - y)], [[0.5 * 0.7]], eig=absolute)[0][0].data.tobytes(),
-        _slice_eig_extremes(gap, gap_eig)[0][0],
+        _t_powers([gram], [[0.5 * 0.7]])[0][0].data.tobytes(),
+        _slice_eig_extremes(gap)[0][0],
     ]
     assert counts["jacobi"] == 1
     assert shared == alone
 
 
 def test_unshareable_wave_leaves_each_stack_to_its_own_call(monkeypatch):
-    # a wave that cannot share a call hands every stack back to the call
-    # that takes it, which raises its own error where it raises alone
+    # a wave that cannot share a call leaves every stack to the call that
+    # reads it, which raises its own error where it raises alone
     a = gen_t_psd(3, 4, RngStream(92))
     small = gen_t_psd(2, 4, RngStream(93))
     x = _Stack.of(a)
     counts = _count_kernels(monkeypatch)
-    assert _hermitian_eigs([_psd_stack(x), _psd_stack(_Stack.of(small))]) == [None, None]
-    assert _hermitian_eigs([np.ones((2, 2, 3))]) == [None]  # not square
+    _solve_together((x, False), (_Stack.of(small), False))  # two shapes
+    _solve_together((x, True))  # a lone stack
     assert counts["jacobi"] == 0
     monkeypatch.setattr(eigensolvers, "_MAX_SWEEPS", 1)
     with pytest.raises(EigenConvergenceError) as alone:
         t_power(a, 0.5)
-    assert _hermitian_eigs([_psd_stack(x), _power_stack(x)]) == [None, None]  # the call fails
+    _solve_together((x, False), (x, True))  # the call fails, and nothing is kept
+    assert counts["jacobi"] == 2
     with pytest.raises(EigenConvergenceError) as after:
-        _t_powers([x], [[0.5]], eig=None)
+        _t_powers([x], [[0.5]])
     assert str(after.value) == str(alone.value)
+    assert counts["jacobi"] == 3  # not tried in a wave again
 
 
 def test_non_symmetric_t_eigenvalues_take_only_the_general_solver(monkeypatch):
@@ -371,13 +379,24 @@ def test_stacked_powers_of_several_stacks_split_per_stack():
 
 
 def test_stacked_t_power_raises_the_first_failing_members_error():
+    # a negative power needs strict definiteness, member by member
     good = gen_t_psd(3, 4, RngStream(500))
-    bad = -1.0 * gen_t_psd(3, 4, RngStream(501))
-    with pytest.raises(NotTPSDError) as alone:
-        t_power(bad, 0.5)
-    with pytest.raises(NotTPSDError) as stacked:
-        spectral._t_powers([core._Stack.of(good, bad, good)], [[0.5, 0.5, 0.5]])
+    r = gen_random((2, 3, 4), RngStream(501))
+    singular = [t_product(transpose(r), r), Tensor3.zeros(3, 3, 4)]
+    with pytest.raises(SingularTensorError) as alone:
+        t_power(singular[0], -0.5)
+    with pytest.raises(SingularTensorError) as stacked:
+        spectral._t_powers([core._Stack.of(good, singular[0], good, singular[1])], [[-0.5] * 4])
     assert str(stacked.value) == str(alone.value)
+
+
+def test_stacked_t_power_trusts_its_operands():
+    # symmetry and semidefiniteness are the hypothesis gates' to check: the
+    # kernel powers the symmetric part, with the eigenvalues clipped at 0
+    minus = core._Stack.of(-1.0 * identity(2, 3))
+    assert not spectral._t_powers([minus], [[0.5]])[0][0].data.any()
+    with pytest.raises(NotTPSDError):
+        t_power(minus.member(0), 0.5)
 
 
 @pytest.mark.parametrize("n,n3", [(3, 4), (2, 5), (3, 128)])

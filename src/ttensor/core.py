@@ -295,7 +295,8 @@ def _solve_together(*wave: tuple[_Stack, bool], arrays: tuple = ()) -> list:
     """Solve a wave of independent Hermitian spectra in one deduplicated
     solver call (:func:`ttensor.eigensolvers._hermitian_eigs`): each
     ``(stack, power)`` not yet solved keeps ``stack.spectra(power)``, and the
-    spectra of ``arrays``, ``(m, n, n)`` Hermitian stacks, are returned.
+    spectra of ``arrays``, Hermitian stacks of the stacks' ``(n, n)``
+    member shape, are returned.
     When they cannot share a call (fewer than two, stacks of two shapes or
     not square, or a call that raises), the arrays get Nones and each stack
     is solved, and raises its own error, where it is used; a stack of a

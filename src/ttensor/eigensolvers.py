@@ -117,12 +117,9 @@ def _hermitian_eigs(stacks: list) -> list:
     a tensor (:meth:`ttensor.core._Stack.halves`) share all but their
     self-conjugate slices.
 
-    All ``None`` when the stacks are not square stacks of one member shape,
-    or when the call raises; each caller then solves its own stack and
-    raises the error it raises alone, where it raises it.
+    All ``None`` when the call raises; each caller then solves its own stack
+    and raises the error it raises alone, where it raises it.
     """
-    if len({s.shape[1:] for s in stacks}) > 1 or stacks[0].shape[1] != stacks[0].shape[2]:
-        return [None] * len(stacks)
     a = np.concatenate(stacks)
     keys = a.reshape(len(a), -1).view(np.dtype((np.void, a[0].nbytes))).ravel()
     _, first, where = np.unique(keys, return_index=True, return_inverse=True)

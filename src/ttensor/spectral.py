@@ -136,10 +136,11 @@ def _mirrored_spectrum(w: np.ndarray, n3: int) -> TEigenSpectrum:
 
 def multiset_distance(u, v) -> float:
     """Largest matched |difference| under the optimal pairing of
-    :func:`_matched_distance`, so the result does not depend on the order of
-    either multiset."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    :func:`_matched_distance`.  Both multisets are sorted first, since tied
+    optimal pairings can differ in their largest difference, so the result
+    does not depend on the order of either multiset."""
+    u = np.sort(np.asarray(u, dtype=complex))
+    v = np.sort(np.asarray(v, dtype=complex))
     if u.shape != v.shape:
         raise ShapeMismatchError("multisets must have equal cardinality")
     if len(u) == 0:

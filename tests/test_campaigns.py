@@ -79,6 +79,7 @@ def test_hoffman_wielandt_pairs_each_member_once(monkeypatch):
         return pairing(lam, mu)
 
     monkeypatch.setattr(spectral, "_sorted_pairing", counting_pairing)
+    monkeypatch.setattr(localization, "_sorted_pairing", counting_pairing)
     result = run_campaign("hoffman-wielandt", n=3, n3=5, trials=3, seed=0)
     assert calls == [15] * 3
     for trial in range(3):

@@ -69,6 +69,9 @@ def test_t_eigenvalues_match_bcirc_spectrum():
 
 def test_multiset_distance_does_not_depend_on_input_order():
     assert multiset_distance([0, 1], [1, 2]) == multiset_distance([1, 0], [1, 2]) == 1.0
+    # two optimal assignments tie at squared cost 25 with largest differences 4 and 5
+    tied = {multiset_distance(u, v) for u in ([0, 3], [3, 0]) for v in ([4j, 0], [0, 4j])}
+    assert len(tied) == 1
     g = np.random.default_rng(7)
     for u in (g.normal(size=8), g.normal(size=8) + 1j * g.normal(size=8)):
         v = u + 0.1 * g.normal(size=8)

@@ -7,15 +7,17 @@ only.  The positive-semidefinite order on symmetric tensors is decided per
 Fourier slice: a symmetric tensor is t-PSD exactly when every
 (Hermitian-symmetrized) Fourier slice is positive semidefinite.
 
-The products, the inverse, the structural predicates and the PSD verdicts
-take stacks of tensors along a leading trial axis
-(:class:`ttensor.core._Stack`): :func:`_t_product`, :func:`_t_inverse`,
-:func:`_asymmetry`, :func:`_orthogonality`, :func:`_normality`,
-:func:`_off_diagonality` and :func:`_psd_verdicts`, with :func:`t_product`,
-:func:`t_inverse`, :func:`is_symmetric`, :func:`is_orthogonal`,
-:func:`is_normal`, :func:`is_f_diagonal` and :func:`is_t_psd` their
-one-member case.  A PSD verdict reads the slice spectra its stack keeps
-(:meth:`ttensor.core._Stack.spectra`), perhaps solved with other stacks.
+The product is the stacks' ``x @ y`` (:class:`ttensor.core._Stack`), and
+the inverse, the structural predicates and the PSD verdicts take stacks of
+tensors along a leading trial axis: :func:`_t_inverse`, :func:`_asymmetry`,
+:func:`_orthogonality`, :func:`_normality`, :func:`_off_diagonality` and
+:func:`_psd_verdicts`, with :func:`t_product`, :func:`t_inverse`,
+:func:`is_symmetric`, :func:`is_orthogonal`, :func:`is_normal`,
+:func:`is_f_diagonal` and :func:`is_t_psd` their one-member case.  The
+gates (:func:`_asymmetry`, :func:`_require_symmetric`, :func:`_require_psd`
+and :func:`_psd_verdicts`) call only the stack methods, so they run on any
+stack type; a PSD verdict reads the min gaps of :meth:`_Stack.extremes`,
+whose spectra a float stack keeps, perhaps solved with other stacks.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, _frobenius, _solve_together, _Stack, _transpose, identity
+from .core import Tensor3, _frobenius, _solve_together, _Stack, identity
 from .errors import NotSymmetricError, ShapeMismatchError, SingularTensorError, _require, _require_each
 from .fourier import _inverse
 
@@ -79,23 +81,7 @@ class PredicateVerdict:
 
 def t_product(a: Tensor3, b: Tensor3) -> Tensor3:
     """t-product of compatible tensors via slicewise Fourier multiplication."""
-    return _t_product(_Stack.of(a), _Stack.of(b)).member(0)
-
-
-def _t_product(a: _Stack, b: _Stack) -> _Stack:
-    """:func:`t_product` of each pair of members; the slice products go to
-    BLAS one matrix at a time, so each member gets its lone product's bits."""
-    _require_product_shapes(a.shape, b.shape)
-    product = a.slices @ b.slices
-    del a, b  # so that the one-off stacks of t_product free their slices here
-    return _Stack(_inverse(product))
-
-
-def _require_product_shapes(a: tuple, b: tuple) -> None:
-    if a[1] != b[0] or a[2] != b[2]:
-        raise ShapeMismatchError(
-            f"cannot multiply {a} by {b}: need a.n2 == b.n1 and equal n3"
-        )
+    return (_Stack.of(a) @ _Stack.of(b)).member(0)
 
 
 def t_inverse(a: Tensor3) -> Tensor3:
@@ -140,8 +126,8 @@ def _asymmetry(x: _Stack, tol: float) -> list[str]:
     """Why each member fails :func:`is_symmetric`, or ``""`` if it passes."""
     if x.shape[0] != x.shape[1]:
         return [f"not square: {x.shape}"] * len(x)
-    residual = _frobenius(x.data - _transpose(x.data)).tolist()
-    bound = (tol * (1.0 + _frobenius(x.data))).tolist()
+    residual = (x - x.transpose()).frobenius()
+    bound = [tol * (1.0 + f) for f in x.frobenius()]
     return [f"symmetry residual {r:.3e}" if r > b else "" for r, b in zip(residual, bound)]
 
 
@@ -164,8 +150,8 @@ def _orthogonality(x: _Stack, tol: float) -> list[str]:
         return [f"not square: {x.shape}"] * len(x)
     eye = _Stack.of(identity(x.shape[0], x.n3))
     xt = x.transpose()
-    r1 = _frobenius((_t_product(xt, x) - eye).data).tolist()
-    r2 = _frobenius((_t_product(x, xt) - eye).data).tolist()
+    r1 = (xt @ x - eye).frobenius()
+    r2 = (x @ xt - eye).frobenius()
     return [
         f"orthogonality residual {max(a, b):.3e}" if max(a, b) > tol else ""
         for a, b in zip(r1, r2)
@@ -183,8 +169,8 @@ def _normality(x: _Stack, tol: float) -> list[str]:
     if x.shape[0] != x.shape[1]:
         return [f"not square: {x.shape}"] * len(x)
     xt = x.transpose()
-    residual = _frobenius((_t_product(xt, x) - _t_product(x, xt)).data).tolist()
-    norms = _frobenius(x.data).tolist()
+    residual = (xt @ x - x @ xt).frobenius()
+    norms = x.frobenius()
     return [
         f"normality residual {r:.3e}" if r > tol * (1.0 + f ** 2) else ""
         for r, f in zip(residual, norms)
@@ -226,7 +212,7 @@ def is_t_psd(a: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:
 
 def _psd_verdicts(x: _Stack, tol: float) -> list[LoewnerVerdict]:
     """:func:`is_t_psd` of each member, whose symmetry the caller has checked."""
-    mins, scales = _slice_eig_extremes(x)
+    mins, scales = x.extremes()
     tolerances = [tol * (1.0 + scale) for scale in scales]
     return [LoewnerVerdict(bool(m >= -t), m, t) for m, t in zip(mins, tolerances)]
 
@@ -241,26 +227,6 @@ def _require_psd(tol: float, **stacks: _Stack) -> None:
     for name, x in stacks.items():
         for v in _psd_verdicts(x, tol):
             _require(v.holds, f"{name} is not positive semidefinite (min gap {v.min_gap_eigenvalue:.3e})")
-
-
-def _slice_eig_extremes(x: _Stack) -> tuple[list, list]:
-    """Each member's ``(smallest eigenvalue, largest eigenvalue magnitude)``
-    over its Hermitian-symmetrized Fourier slices (``x.spectra(False)``), as
-    two lists of floats.
-
-    This is the one min-gap routine; its callers keep their own tolerance
-    scales, which are deliberately not reconciled because moving either can
-    flip verdicts that sit near the band edge:
-
-    * :func:`is_t_psd` accepts ``min >= -tol * (1 + max |eig|)``, using the
-      magnitude returned here for the tensor under test;
-    * :func:`ttensor.certificates.loewner_certificate` passes ``rhs - lhs``
-      through :func:`ttensor.certificates.loewner_min_gap` and accepts
-      ``gap >= -tol * (1 + ||R||_2)``, scaled by the spectral norm of the
-      right-hand side ``R`` instead.
-    """
-    w = x.spectra(False).values.reshape(len(x), -1)
-    return w.min(axis=1).tolist(), np.abs(w).max(axis=1).tolist()
 
 
 def loewner_ge(a: Tensor3, b: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import inequalities as ineq
 from . import localization as loc
-from .algebra import PREDICATE_TOL, _require_symmetric, _t_inverse, _t_product
+from .algebra import PREDICATE_TOL, _require_symmetric, _t_inverse
 from .certificates import DEFAULT_TOL, NO_NORM, InequalityCertificate, norm_certificate
 from .core import (
     RngStream, _commuting_psd_pairs, _frobenius, _loewner_pairs, _spectral, _Stack, _t_psd, identity,
@@ -157,8 +157,8 @@ def _draw_hansen_power(w, mode, params):
         # conjugators I - 2 v (v^T v)^-1 v^T (for which the statement reduces
         # to an equality case)
         v = w.random(w.n, 1, w.n3)
-        vv = _t_product(v, _t_inverse(_t_product(v.transpose(), v)))
-        q = (_Stack.of(identity(w.n, w.n3)) - 2.0 * _t_product(vv, v.transpose())).sym()
+        vv = v @ _t_inverse(v.transpose() @ v)
+        q = (_Stack.of(identity(w.n, w.n3)) - 2.0 * (vv @ v.transpose())).sym()
     else:
         raw = w.random()
         q = raw * (1.0 / (_spectral(raw.slices) * w.uniform(1.0, 2.0)))
@@ -304,7 +304,7 @@ def _draw_bauer_fike(w, mode, params):
     diag = np.zeros((len(q), w.n, w.n, w.n3))
     diag[:, range(w.n), range(w.n), :] = w.uniform(-1.0, 1.0, (w.n, w.n3))
     s = _Stack(diag)
-    a = _t_product(_t_product(q_inv, s), q)
+    a = q_inv @ s @ q
     e = w.random()
     b = a + e * (0.3 * (1.0 + _frobenius(a.data)) / (1.0 + _frobenius(e.data)))
     return w.group((a, b, q, s))
@@ -366,7 +366,8 @@ def run_campaign(
     """Run ``trials`` seeded instances of one registered theorem.
 
     Trial ``i`` draws its instance from ``RngStream(seed, i)``, so the full
-    certificate list is a pure function of the arguments.
+    certificate list is a pure function of the arguments.  ``n`` and ``n3``
+    must be at least 1 and ``trials`` at least 0, else :class:`ValueError`.
     """
     if theorem_id not in _REGISTRY:
         raise UnknownTheoremError(
@@ -374,6 +375,8 @@ def run_campaign(
         )
     if mode not in (ineq.MODE_CORRECTED, ineq.MODE_LITERAL):
         raise ValueError(f"unknown mode {mode!r}")
+    if n < 1 or n3 < 1 or trials < 0:
+        raise ValueError(f"need n >= 1, n3 >= 1 and trials >= 0, got n={n}, n3={n3}, trials={trials}")
     theorem = _REGISTRY[theorem_id]
     params = dict(params or {})
     certificates = []

@@ -19,7 +19,9 @@ Two tolerance policies, both relative:
 
 :func:`loewner_certificate` is the one-member case of
 :func:`_loewner_certificates`, which certifies every member of a stack of
-pairs (:class:`ttensor.core._Stack`) with one solver call for the gaps.
+pairs (:class:`ttensor.core._Stack`) with one solver call for the gaps.  It
+calls only the stack methods (the min gaps of :meth:`_Stack.extremes` and
+the norms of :meth:`_Stack.spectral`), so it certifies any stack type.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _slice_eig_extremes
-from .core import Tensor3, _spectral, _Stack
+from .core import Tensor3, _Stack
 
 __all__ = [
     "InequalityCertificate",
@@ -123,12 +124,7 @@ def norm_certificate(
 
 def loewner_min_gap(lhs_tensor: Tensor3, rhs_tensor: Tensor3) -> float:
     """Smallest eigenvalue over the Fourier slices of ``rhs - lhs``."""
-    return _slice_eig_extremes(_gap(_Stack.of(lhs_tensor), _Stack.of(rhs_tensor)))[0][0]
-
-
-def _gap(lhs: _Stack, rhs: _Stack) -> _Stack:
-    """The symmetrized ``rhs - lhs`` whose slice spectra give the min gap."""
-    return (rhs - lhs).sym()
+    return (_Stack.of(rhs_tensor) - _Stack.of(lhs_tensor)).sym().extremes()[0][0]
 
 
 def loewner_certificate(
@@ -151,8 +147,8 @@ def _loewner_certificates(
 ) -> list[InequalityCertificate]:
     """:func:`loewner_certificate` of each member pair, member ``i`` with
     ``params[i]``; the gaps' slice spectra take one solver call."""
-    gaps, _ = _slice_eig_extremes(_gap(lhs, rhs))
-    norms = _spectral(rhs.slices).tolist()
+    gaps, _ = (rhs - lhs).sym().extremes()
+    norms = rhs.spectral()
     dims = tuple(int(d) for d in dims)
     out = []
     for gap, norm, p in zip(gaps, norms, params):

@@ -9,12 +9,18 @@ real and complex tensors alike (``to_flat`` / ``from_flat``, its one
 definition).
 
 :class:`_Stack` holds ``b`` tensors of one shape along a leading trial axis,
-``(b, n1, n2, n3)``.  The shared primitives (transpose, norms, transforms,
-t-product, symmetry and PSD checks, powers, the PSD generators' builders)
-act on stacks, and the public functions are their ``b = 1`` case: a
-member's result never depends on the rest of its stack.  A stack keeps its
-Fourier slices and the spectra of its half slices (:meth:`_Stack.spectra`);
-:func:`_solve_together` solves those of several stacks in one call.
+``(b, n1, n2, n3)``.  Its methods are the stack algebra the certifiers are
+written in: the t-product ``x @ y``, transpose, ``sym``, sums and scalings,
+powers, ``|X|^r``, the Frobenius and spectral norms, the min gaps
+(:meth:`_Stack.extremes`), the norms of ``A + iB``, and ``cat``, ``split``
+and ``where``.  The kernels behind them stay in their modules
+(:mod:`ttensor.fourier`, :func:`ttensor.spectral._t_power`), reached
+through deferred imports, so a certifier body that calls only these methods
+runs on any stack type that has them.  The public functions are the ``b =
+1`` case: a member's result never depends on the rest of its stack.  A stack
+keeps its Fourier slices and the spectra of its half slices
+(:meth:`_Stack.spectra`); :func:`_solve_together` solves those of several
+stacks in one call.
 """
 
 from __future__ import annotations
@@ -156,27 +162,32 @@ class _Stack:
     """``b`` real tensors of one shape, member ``i`` at ``data[i]`` of one
     read-only C-contiguous ``(b, n1, n2, n3)`` float64 array: the trial axis.
 
-    The shared primitives take stacks (:func:`_transpose`, :func:`_frobenius`,
-    :func:`ttensor.algebra._t_product`, :func:`ttensor.spectral._t_powers`,
-    ...), and each member's result is bit for bit what the public function
-    gives that member alone; the public functions are the ``b = 1`` case.
+    Its methods are the algebra the certifiers are written in: ``x @ y``,
+    :meth:`transpose`, :meth:`sym`, ``+``, ``-`` and ``*``, :meth:`power`,
+    :meth:`abs_power`, :meth:`frobenius`, :meth:`spectral`,
+    :meth:`extremes`, :meth:`cartesian_norms`, :meth:`cat`, :meth:`split`
+    and :meth:`where`.  A certifier body that calls only these runs on any
+    stack type that has them.  Each member's result is bit for bit what the
+    public function gives that member alone; the public functions are the
+    ``b = 1`` case.
 
     ``slices`` are the members' Fourier slices, ``(b, n3, n1, n2)``,
     transformed on first use and kept, so a stack is transformed once however
     often it is used; :meth:`spectra` keeps its slice spectra in the same
-    way.  Stacks share no slices and no spectra: one made by :meth:`cat` or
-    :meth:`split` transforms and solves its own members when they are first
-    needed.  Entries must be finite, as for :class:`Tensor3`.
+    way.  A stack made by :meth:`cat` takes its spectra from its parts (so
+    one power application covers a wave of stacks); otherwise stacks share
+    no slices and no spectra.  Entries must be finite, as for
+    :class:`Tensor3`.
     """
 
-    __slots__ = ("data", "_slices", "_spectra")
+    __slots__ = ("data", "_slices", "_spectra", "_parts")
 
     def __init__(self, data):
         data = np.ascontiguousarray(data, dtype=float)
         if not np.isfinite(data).all():
             raise ValueError("tensor entries must be finite (no NaN/Inf)")
         data.flags.writeable = False
-        self.data, self._slices, self._spectra = data, None, {}
+        self.data, self._slices, self._spectra, self._parts = data, None, {}, ()
 
     @classmethod
     def of(cls, *tensors: Tensor3) -> "_Stack":
@@ -187,14 +198,15 @@ class _Stack:
             return cls(tensors[0].data[None])
         return cls(np.stack([t.data for t in tensors]))
 
-    @classmethod
-    def cat(cls, *stacks: "_Stack") -> "_Stack":
-        """The members of each stack in turn."""
-        for other in stacks[1:]:
-            _check_same_shape(stacks[0], other)
-        if len(stacks) == 1:
-            return stacks[0]
-        return cls(np.concatenate([s.data for s in stacks]))
+    def cat(self, *others: "_Stack") -> "_Stack":
+        """The members of this stack and then of each other stack in turn."""
+        for other in others:
+            _check_same_shape(self, other)
+        if not others:
+            return self
+        out = _Stack(np.concatenate([s.data for s in (self, *others)]))
+        out._parts = (self, *others)
+        return out
 
     def split(self, parts: int) -> list["_Stack"]:
         """Inverse of :meth:`cat` for ``parts`` stacks of equal size."""
@@ -202,6 +214,11 @@ class _Stack:
             return [self]
         size = len(self) // parts
         return [_Stack(self.data[i:i + size]) for i in range(0, len(self), size)]
+
+    def where(self, mask, other: "_Stack") -> "_Stack":
+        """Member ``i`` of this stack where ``mask[i]``, else of ``other``."""
+        _check_same_shape(self, other)
+        return _Stack(np.where(np.asarray(mask)[:, None, None, None], self.data, other.data))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -243,11 +260,20 @@ class _Stack:
 
     def spectra(self, power: bool):
         """:func:`ttensor.eigensolvers.hermitian_eig` of :meth:`halves`,
-        solved on first use (or by :func:`_solve_together`) and kept."""
+        solved on first use (or by :func:`_solve_together`) and kept.  A
+        stack made by :meth:`cat` joins its parts' spectra, the missing ones
+        solved together."""
         if self._spectra.get(power) is None:
-            from .eigensolvers import hermitian_eig  # deferred import, see spectral_norm
+            from .eigensolvers import HermitianEigen, hermitian_eig  # deferred import, see spectral_norm
 
-            self._spectra[power] = hermitian_eig(self.halves(power))
+            if self._parts:
+                _solve_together(*((x, power) for x in self._parts))
+                parts = [x.spectra(power) for x in self._parts]
+                self._spectra[power] = HermitianEigen(
+                    np.concatenate([e.values for e in parts]), np.concatenate([e.vectors for e in parts])
+                )
+            else:
+                self._spectra[power] = hermitian_eig(self.halves(power))
         return self._spectra[power]
 
     def member(self, i: int) -> Tensor3:
@@ -279,6 +305,65 @@ class _Stack:
 
     __rmul__ = __mul__
 
+    def __matmul__(self, other: "_Stack") -> "_Stack":
+        """The t-product of each pair of members; the slice products go to
+        BLAS one matrix at a time, so each member gets its lone product's bits."""
+        from .fourier import _inverse  # deferred import, see spectral_norm
+
+        a, b = self.shape, other.shape
+        if a[1] != b[0] or a[2] != b[2]:
+            raise ShapeMismatchError(f"cannot multiply {a} by {b}: need a.n2 == b.n1 and equal n3")
+        return _Stack(_inverse(self.slices @ other.slices))
+
+    def power(self, r) -> "_Stack":
+        """Each member to the power ``r``, or member ``i`` to ``r[i]``
+        (:func:`ttensor.spectral._t_power`, which trusts that a hypothesis
+        gate has found the members symmetric and PSD)."""
+        from .spectral import _t_power  # deferred import, see spectral_norm
+
+        return _t_power(self, list(r) if np.ndim(r) else [r] * len(self))
+
+    def abs_power(self, r) -> "_Stack":
+        """``|x|^r`` of each member, or of member ``i`` at ``r[i]``: the power
+        ``r / 2`` of the symmetrized Gram ``x^T x``."""
+        half = [0.5 * ri for ri in r] if np.ndim(r) else 0.5 * r
+        return (self.transpose() @ self).sym().power(half)
+
+    def frobenius(self) -> list:
+        """Each member's :func:`frobenius_norm`, as a list of floats."""
+        return _frobenius(self.data).tolist()
+
+    def spectral(self) -> list:
+        """Each member's :func:`spectral_norm`, as a list of floats."""
+        return _spectral(self.slices).tolist()
+
+    def extremes(self) -> tuple[list, list]:
+        """Each member's ``(smallest eigenvalue, largest eigenvalue magnitude)``
+        over its Hermitian-symmetrized Fourier slices (``spectra(False)``), as
+        two lists of floats.
+
+        This is the one min-gap routine; its callers keep their own tolerance
+        scales, which are deliberately not reconciled because moving either can
+        flip verdicts that sit near the band edge:
+
+        * :func:`ttensor.algebra.is_t_psd` accepts ``min >= -tol * (1 + max
+          |eig|)``, using the magnitude returned here for the tensor under test;
+        * :func:`ttensor.certificates.loewner_certificate` takes the min of
+          ``rhs - lhs`` and accepts ``gap >= -tol * (1 + ||R||_2)``, scaled by
+          the spectral norm of the right-hand side ``R`` instead.
+        """
+        w = self.spectra(False).values.reshape(len(self), -1)
+        return w.min(axis=1).tolist(), np.abs(w).max(axis=1).tolist()
+
+    def cartesian_norms(self, other: "_Stack") -> tuple[list, list]:
+        """Each member's Frobenius and spectral norms of ``T = self + i other``,
+        as lists of floats; the spectral norms take one complex transform."""
+        from .fourier import _forward  # deferred import, see spectral_norm
+
+        _check_same_shape(self, other)
+        t = self.data + 1j * other.data
+        return _frobenius(t).tolist(), _spectral(_forward(t)).tolist()
+
 
 def _check_same_shape(a, b) -> None:
     if a.shape != b.shape:
@@ -300,10 +385,11 @@ def _solve_together(*wave: tuple[_Stack, bool], arrays: tuple = ()) -> list:
     When they cannot share a call (fewer than two, stacks of two shapes or
     not square, or a call that raises), the arrays get Nones and each stack
     is solved, and raises its own error, where it is used; a stack of a
-    failed call does not join a wave again."""
+    failed call does not join a wave again.  Stacks of another type keep
+    no spectra and ignore the request."""
     from .eigensolvers import _hermitian_eigs  # deferred import, see spectral_norm
 
-    pending = [(x, power) for x, power in wave if power not in x._spectra]
+    pending = [(x, power) for x, power in wave if isinstance(x, _Stack) and power not in x._spectra]
     if len(pending) + len(arrays) < 2 or (pending and not _same_square(*(x for x, _ in pending))):
         return [None] * len(arrays)
     solved = _hermitian_eigs([x.halves(power) for x, power in pending] + list(arrays))
@@ -406,15 +492,6 @@ def _spectral(slices: np.ndarray) -> np.ndarray:
     return np.linalg.svd(slices, compute_uv=False)[..., 0].max(axis=1)
 
 
-def _cartesian_norms(a: _Stack, b: _Stack) -> tuple[list, list]:
-    """Each member's Frobenius and spectral norms of ``T = A + iB``, as lists
-    of floats; the spectral norms take one complex transform."""
-    from .fourier import _forward  # deferred import, see spectral_norm
-
-    t = a.data + 1j * b.data
-    return _frobenius(t).tolist(), _spectral(_forward(t)).tolist()
-
-
 # ---------------------------------------------------------------------------
 # seeded instance generators
 # ---------------------------------------------------------------------------
@@ -464,11 +541,9 @@ def _t_psd(r: _Stack, delta: float = _DELTA) -> _Stack:
     """:func:`gen_t_psd` of each member's uniforms ``r``: one t-product, one
     shift and one symmetrization (which removes the transform roundoff, so
     downstream symmetry checks are exact) for the whole stack."""
-    from .algebra import _t_product  # deferred import, see spectral_norm
-
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    return _Stack(_t_product(r.transpose(), r).data + delta * identity(r.shape[0], r.n3).data).sym()
+    return _Stack((r.transpose() @ r).data + delta * identity(r.shape[0], r.n3).data).sym()
 
 
 def _loewner_pairs(r_b: _Stack, r_p: _Stack, delta: float = _DELTA) -> tuple[_Stack, _Stack]:
@@ -480,10 +555,8 @@ def _loewner_pairs(r_b: _Stack, r_p: _Stack, delta: float = _DELTA) -> tuple[_St
 def _commuting_psd_pairs(r: _Stack, w1, w2, delta: float = _DELTA) -> tuple[_Stack, _Stack]:
     """:func:`gen_commuting_psd_pair` of each member's uniforms ``r`` and
     polynomial coefficients ``w1[i]``, ``w2[i]``, summed in order from 0."""
-    from .algebra import _t_product  # deferred import, see spectral_norm
-
     c = _t_psd(r, delta)
-    c2 = _t_product(c, c)
-    powers = [_Stack.of(identity(*c.shape[1:])), c, c2, _t_product(c2, c)]
+    c2 = c @ c
+    powers = [_Stack.of(identity(*c.shape[1:])), c, c2, c2 @ c]
     zero = _Stack(np.zeros_like(c.data))
     return tuple(sum((p * w[:, k] for k, p in enumerate(powers)), zero).sym() for w in (w1, w2))

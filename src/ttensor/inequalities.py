@@ -26,11 +26,19 @@ Every public certifier is the ``b = 1`` case of a stacked certifier
 (``_loewner_heinz``, ``_furuta``, ``_am_gm``, ...) that takes its tensors as
 stacks along a leading trial axis (:class:`ttensor.core._Stack`) and its
 scalars as one list per argument, and returns one certificate list per
-member; a campaign certifies a whole window with one call.  A stacked
+member; a campaign certifies a whole window with one call.  Except
+``_young_witness_certificates``, the stacked certifiers call only the stack
+algebra of :class:`ttensor.core._Stack` (``@``, ``transpose``, ``sym``,
+``power``, ``abs_power``, the norms, ``extremes``, ``cat``, ``split``,
+``where``) and the gates built on it, so the same bodies run on any stack
+type that has those methods.  The tensors under ``|X|^r`` in one
+certifier are concatenated and so must share one shape.  A stacked
 certifier also stacks its own independent slice spectra, one solver call per
 wave: it names the ``(stack, power)`` spectra a wave needs in one request
-(:func:`ttensor.core._solve_together`), and each stack keeps its share for
-the gates and the powers that read it.  ``furuta`` takes the PSD check of B,
+(:func:`ttensor.core._solve_together`, which only the float stack acts on),
+each stack keeps its share for the gates and the powers that read it, and
+the stacks a wave powers are concatenated so that one power application
+covers them.  ``furuta`` takes the PSD check of B,
 the order gap A - B and the decompositions of B and A in one call, both
 sandwich powers in a second and both Loewner gaps in a third.  A product a
 wave needs (``Q^T X Q``, ``A B``) is formed ahead of the checks only when
@@ -46,14 +54,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (
-    _asymmetry,
-    _hypothesis_tol,
-    _orthogonality,
-    _require_psd,
-    _require_symmetric,
-    _t_product,
-)
+from .algebra import _asymmetry, _hypothesis_tol, _orthogonality, _require_psd, _require_symmetric
 from .certificates import (
     DEFAULT_TOL,
     FROBENIUS,
@@ -63,11 +64,9 @@ from .certificates import (
     _loewner_certificates,
     norm_certificate,
 )
-from .core import (
-    Tensor3, _cartesian_norms, _check_same_shape, _frobenius, _same_square, _solve_together, _spectral, _Stack,
-)
+from .core import Tensor3, _same_square, _solve_together, _Stack
 from .errors import ShapeMismatchError, _require, _require_each
-from .spectral import _abs_powers, _require_conjugate, _t_powers, _young_witness
+from .spectral import _require_conjugate, _young_witness
 
 __all__ = [
     "power_order_counterexample",
@@ -108,10 +107,11 @@ def _norm_certificates(theorem_id: str, dims, tol: float, tensors, sides) -> lis
     norms of the stacks ``tensors`` as Python floats, so the tensors under
     the norms are formed once for both norms and all members, and the
     certificate arithmetic stays in Python floats (numpy's ``**`` rounds
-    differently)."""
+    differently).  Each norm kind is the name of the stack method that
+    takes it."""
     out = [[] for _ in range(len(tensors[0]))]
-    for kind, norm in ((FROBENIUS, lambda t: _frobenius(t.data)), (SPECTRAL, lambda t: _spectral(t.slices))):
-        table = zip(*(norm(t).tolist() for t in tensors))
+    for kind in (FROBENIUS, SPECTRAL):
+        table = zip(*(getattr(t, kind)() for t in tensors))
         for i, (certs, norms) in enumerate(zip(out, table)):
             certs.extend(
                 norm_certificate(
@@ -131,7 +131,8 @@ def _loewner_pair_powers(a: _Stack, b: _Stack, tol: float, *exponents) -> list[l
     """Check ``A >= B >= 0`` for each member pair, B's PSD check first and
     then the order as ``A - B`` PSD (:func:`ttensor.algebra.loewner_ge`), and
     return ``[B, A]`` at each list of exponents in ``exponents``.  The checks
-    and the decompositions of B and A take one solver call."""
+    and the decompositions of B and A take one solver call, and each list
+    of exponents one power application."""
     diff = a - b if a.shape == b.shape else None
     if diff is not None:
         _solve_together((b, False), (diff, False), (b, True), (a, True))
@@ -139,7 +140,8 @@ def _loewner_pair_powers(a: _Stack, b: _Stack, tol: float, *exponents) -> list[l
     if diff is None:
         raise ShapeMismatchError(f"order comparison needs equal shapes: {a.shape} vs {b.shape}")
     _require_psd(tol, **{"A - B": diff})
-    return _t_powers([b, a], *([e, e] for e in exponents))
+    pair = b.cat(a)
+    return [pair.power(e + e).split(2) for e in exponents]
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +211,12 @@ def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[
     # allow it, so that its power joins the first solver call
     middle = sym_middle = None
     if _same_square(q, x):
-        middle = _t_product(_t_product(left, x), q)
+        middle = left @ x @ q
         sym_middle = middle.sym()
         _solve_together((x, False), (x, True), (sym_middle, True))
     _require_psd(tol, X=x)
     if mode == "contraction":
-        for q_norm in _spectral(q.slices).tolist():
+        for q_norm in q.spectral():
             _require(q_norm <= 1.0 + tol, f"Q is not a contraction: ||Q||_2 = {q_norm:.6f}")
     elif mode == MODE_LITERAL:
         _require_each(_orthogonality(q, _hypothesis_tol(tol)), "Q is not orthogonal")
@@ -222,18 +224,18 @@ def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[
         raise ValueError(f"unknown mode {mode!r}")
 
     if middle is None:
-        middle = _t_product(_t_product(left, x), q)
+        middle = left @ x @ q
         sym_middle = middle.sym()
     _require_each(
         _asymmetry(middle, _hypothesis_tol(tol)),
         f"conjugated product is not symmetric in {mode} mode ({{}}); "
         "the power of a non-symmetric tensor is undefined",
     )
-    ((x_r, pow_conj),) = _t_powers([x, sym_middle], [r, r])
-    conj_pow = _t_product(_t_product(left, x_r), q).sym()
-    low = np.array([ri <= 1.0 for ri in r])[:, None, None, None]
-    lhs = _Stack(np.where(low, conj_pow.data, pow_conj.data))
-    rhs = _Stack(np.where(low, pow_conj.data, conj_pow.data))
+    # Q^T X Q has X's shape only for a square Q, so each is powered alone
+    x_r, pow_conj = x.power(r), sym_middle.power(r)
+    conj_pow = (left @ x_r @ q).sym()
+    low = [ri <= 1.0 for ri in r]
+    lhs, rhs = conj_pow.where(low, pow_conj), pow_conj.where(low, conj_pow)
     params = [{"r": ri, "mode": mode} for ri in r]
     certs = _loewner_certificates("hansen-power", lhs, rhs, dims=q.shape, params=params, tol=tol)
     return [[c] for c in certs]
@@ -267,13 +269,13 @@ def _furuta(a: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list
         )
     s = [(pi + 2 * ri) / qi for ri, pi, qi in zip(r, p, q)]
     (br, ar), (bp, ap), (bs, as_) = _loewner_pair_powers(a, b, tol, r, p, s)
-    sandwich_b = _t_product(_t_product(br, ap), br).sym()
-    sandwich_a = _t_product(_t_product(ar, bp), ar).sym()
+    sandwich_b = (br @ ap @ br).sym()
+    sandwich_a = (ar @ bp @ ar).sym()
     inverse_q = [1.0 / qi for qi in q]
-    ((lower_rhs, upper_lhs),) = _t_powers([sandwich_b, sandwich_a], [inverse_q, inverse_q])
+    lower_rhs, upper_lhs = sandwich_b.cat(sandwich_a).power(inverse_q + inverse_q).split(2)
     params = [{"r": ri, "p": pi, "q": qi} for ri, pi, qi in zip(r, p, q)]
     sides = [{**pm, "side": "lower"} for pm in params] + [{**pm, "side": "upper"} for pm in params]
-    lhs, rhs = _Stack.cat(bs, upper_lhs), _Stack.cat(lower_rhs, as_)
+    lhs, rhs = bs.cat(upper_lhs), lower_rhs.cat(as_)
     certs = _loewner_certificates("furuta", lhs, rhs, dims=a.shape, params=sides, tol=tol)
     return [[certs[i], certs[len(a) + i]] for i in range(len(a))]
 
@@ -297,19 +299,17 @@ def _young_commuting(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> list
     # that the check of its symmetric part joins the first solver call
     ab = lhs = None
     if _same_square(a, b):
-        ab = _t_product(a, b)
+        ab = a @ b
         lhs = ab.sym()
         _solve_together((a, False), (b, False), (lhs, False), (a, True), (b, True))
     _require_psd(tol, A=a, B=b)
     if ab is None:
-        ab = _t_product(a, b)
+        ab = a @ b
         lhs = ab.sym()
-    comm = _frobenius((ab - _t_product(b, a)).data).tolist()
-    norms = zip(_frobenius(a.data).tolist(), _frobenius(b.data).tolist())
-    for c, (fa, fb) in zip(comm, norms):
+    for c, fa, fb in zip((ab - b @ a).frobenius(), a.frobenius(), b.frobenius()):
         _require(c <= _hypothesis_tol(tol) * (1 + fa * fb), f"pair does not commute: ||AB - BA|| = {c:.3e}")
     _require_psd(tol, **{"A * B": lhs})
-    ((ap, bq),) = _t_powers([a, b], [p, q])
+    ap, bq = a.cat(b).power(p + q).split(2)
     rhs = ap * [1.0 / pi for pi in p] + bq * [1.0 / qi for qi in q]
     params = [{"p": pi, "q": qi} for pi, qi in zip(p, q)]
     certs = _loewner_certificates("young-commuting", lhs, rhs, dims=a.shape, params=params, tol=tol)
@@ -369,15 +369,14 @@ def _complex_norm_bounds(a: _Stack, b: _Stack, variant: str, tol: float, mode: s
     if variant in ("b", "c"):
         _require_psd(tol, A=a, **({"B": b} if variant == "c" else {}))
 
-    _check_same_shape(a, b)
-    ft, st = _cartesian_norms(a, b)
-    sa2 = [v ** 2 for v in _spectral(a.slices).tolist()]
-    sb2 = [v ** 2 for v in _spectral(b.slices).tolist()]
-    fa2 = [v ** 2 for v in _frobenius(a.data).tolist()]
-    fb2 = [v ** 2 for v in _frobenius(b.data).tolist()]
+    ft, st = a.cartesian_norms(b)
+    sa2 = [v ** 2 for v in a.spectral()]
+    sb2 = [v ** 2 for v in b.spectral()]
+    fa2 = [v ** 2 for v in a.frobenius()]
+    fb2 = [v ** 2 for v in b.frobenius()]
     if variant == "a":
-        (root,) = _t_powers([(_t_product(a, a) + _t_product(b, b)).sym()], [[0.5] * len(a)])[0]
-        sr, fr = _spectral(root.slices).tolist(), _frobenius(root.data).tolist()
+        root = (a @ a + b @ b).sym().power(0.5)
+        sr, fr = root.spectral(), root.frobenius()
     base = {"variant": variant, "mode": mode}
 
     def cert(claim: str, norm_kind: str, lhs: float, rhs: float) -> InequalityCertificate:
@@ -438,14 +437,14 @@ def check_am_gm(
 def _am_gm(a: _Stack, x: _Stack, b: _Stack, tol: float, mode: str) -> list[list]:
     """:func:`check_am_gm` of each member."""
     bt = b.transpose()
-    left = _t_product(_t_product(a, x), bt)
+    left = a @ x @ bt
     if mode == MODE_CORRECTED:
-        first = _t_product(_t_product(a.transpose(), a), x)
+        first = a.transpose() @ a @ x
     elif mode == MODE_LITERAL:
-        first = _t_product(a.transpose(), x)
+        first = a.transpose() @ x
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    right = first + _t_product(x, _t_product(bt, b))
+    right = first + x @ (bt @ b)
     return _norm_certificates(
         "am-gm", a.shape, tol, [left, right],
         lambda i, norms: [({"mode": mode}, norms[0], 0.5 * norms[1])],
@@ -477,15 +476,12 @@ def _heinz_family(a: _Stack, x: _Stack, b: _Stack, r: list, t: list, tol: float)
     _solve_together((a, False), (b, False), (a, True), (b, True))
     _require_psd(tol, A=a, B=b)
     r2 = [2 - ri for ri in r]
-    (ar, br), (a2r, b2r) = _t_powers([a, b], [r, r], [r2, r2])
-    heinz = _t_product(_t_product(ar, x), b2r) + _t_product(_t_product(a2r, x), br)
-    quadratic = (
-        _t_product(_t_product(a, a), x)
-        + t * _t_product(_t_product(a, x), b)
-        + _t_product(x, _t_product(b, b))
-    )
+    pair = a.cat(b)
+    (ar, br), (a2r, b2r) = (pair.power(e + e).split(2) for e in (r, r2))
+    heinz = ar @ x @ b2r + a2r @ x @ br
+    quadratic = a @ a @ x + t * (a @ x @ b) + x @ (b @ b)
     s = a + b
-    ab, s2 = _t_product(a, b), _t_product(s, s)
+    ab, s2 = a @ b, s @ s
 
     def sides(i, norms):
         params = {"r": r[i], "t": t[i]}
@@ -520,10 +516,10 @@ def _holder(a: _Stack, x: _Stack, b: _Stack, r: list, p: list, q: list, tol: flo
     _require_holder_exponents(r, p, q)
     _solve_together((a, False), (b, False), (a, True), (b, True))
     _require_psd(tol, A=a, B=b)
-    axb = _t_product(_t_product(a, x), b)
-    ((ap, bq),) = _t_powers([a, b], [p, q])
-    apx, xbq = _t_product(ap, x), _t_product(x, bq)
-    left, first, second = _abs_powers([axb, apx, xbq], [r, r, r])
+    axb = a @ x @ b
+    # A and B may differ in size (A X B with a rectangular X): each is powered alone
+    apx, xbq = a.power(p) @ x, x @ b.power(q)
+    left, first, second = axb.cat(apx, xbq).abs_power(r + r + r).split(3)
     return _norm_certificates(
         "holder", a.shape, tol, [left, first, second], _holder_sides(r, p, q)
     )
@@ -568,8 +564,8 @@ def _holder_pairs(
     """:func:`check_holder_pairs` of each member, member ``i`` at ``p[i]``, ``q[i]``."""
     for pi, qi in zip(p, q):
         _require_conjugate(pi, qi)
-    cross = _t_product(c.transpose(), a) + _t_product(d.transpose(), b)
-    abs_a, abs_b, abs_c, abs_d = _abs_powers([a, b, c, d], [p, p, q, q])
+    cross = c.transpose() @ a + d.transpose() @ b
+    abs_a, abs_b, abs_c, abs_d = a.cat(b, c, d).abs_power(p + p + q + q).split(4)
     ab_p, cd_q = abs_a + abs_b, abs_c + abs_d
 
     def sides(i, norms):
@@ -597,10 +593,9 @@ def check_holder_corollary(
 def _holder_corollary(a: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list[list]:
     """:func:`check_holder_corollary` of each member, member ``i`` at ``r[i]``, ``p[i]``, ``q[i]``."""
     _require_holder_exponents(r, p, q)
-    ab = _t_product(a, b)
     pr = [pi * ri for pi, ri in zip(p, r)]
     qr = [qi * ri for qi, ri in zip(q, r)]
-    left, first, second = _abs_powers([ab, a, b], [r, pr, qr])
+    left, first, second = (a @ b).cat(a, b).abs_power(r + pr + qr).split(3)
     return _norm_certificates(
         "holder-corollary", a.shape, tol, [left, first, second], _holder_sides(r, p, q)
     )
@@ -626,8 +621,7 @@ def _minkowski(a1: _Stack, a2: _Stack, b1: _Stack, b2: _Stack, p: list, tol: flo
     """:func:`check_minkowski` of each member, member ``i`` at ``p[i]``."""
     for pi in p:
         _require(1.0 <= pi < np.inf, f"exponent p={pi} outside [1, inf)")
-    a12, b12 = a1 + a2, b1 + b2
-    powers = _abs_powers([a12, b12, a1, b1, a2, b2], [p] * 6)
+    powers = (a1 + a2).cat(b1 + b2, a1, b1, a2, b2).abs_power(p * 6).split(6)
     whole, first, second = (powers[k] + powers[k + 1] for k in (0, 2, 4))
 
     def sides(i, norms):

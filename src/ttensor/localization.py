@@ -20,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    PREDICATE_TOL, _hypothesis_tol, _normality, _off_diagonality, _require_symmetric, _t_inverse, _t_product,
-)
+from .algebra import PREDICATE_TOL, _hypothesis_tol, _normality, _off_diagonality, _require_symmetric, _t_inverse
 from .certificates import (
     DEFAULT_TOL,
     FROBENIUS,
@@ -30,7 +28,7 @@ from .certificates import (
     InequalityCertificate,
     norm_certificate,
 )
-from .core import Tensor3, _cartesian_norms, _frobenius, _spectral, _Stack, frobenius_norm
+from .core import Tensor3, _check_same_shape, _Stack, frobenius_norm
 from .errors import ShapeMismatchError, _require, _require_each
 from .spectral import TEigenSpectrum, _matched_distance, _sorted_pairing, _t_eigenvalues, t_eigenvalues
 
@@ -107,10 +105,9 @@ def schur_bound(a, tol: float = DEFAULT_TOL) -> InequalityCertificate:
 
 def _schur(x: _Stack, tol: float) -> list[list]:
     """:func:`schur_bound` of each member of a real stack."""
-    norms = _frobenius(x.data).tolist()
     return [
         [_schur_certificate(x.shape, spectrum, norm, tol)]
-        for spectrum, norm in zip(_t_eigenvalues(x), norms)
+        for spectrum, norm in zip(_t_eigenvalues(x), x.frobenius())
     ]
 
 
@@ -231,15 +228,13 @@ def _bauer_fike(a: _Stack, b: _Stack, q: _Stack, s: _Stack, tol: float) -> list[
     hypothesis_tol = _hypothesis_tol(tol)
     _require_each(_off_diagonality(s.data, hypothesis_tol), "S is not f-diagonal: {}")
     q_inv = _t_inverse(q)
-    recon = _t_product(_t_product(q_inv, s), q)
-    residual = _frobenius((a - recon).data).tolist()
-    for res, norm in zip(residual, _frobenius(a.data).tolist()):
+    for res, norm in zip((a - q_inv @ s @ q).frobenius(), a.frobenius()):
         _require(
             not res > hypothesis_tol * (1.0 + norm),
             f"a is not reproduced by q^-1 * s * q (residual {res:.3e})",
         )
     spectra = _t_eigenvalues(a, b)
-    norms = zip(*(_spectral(x.slices).tolist() for x in (q_inv, q, a - b)))
+    norms = zip(*(x.spectral() for x in (q_inv, q, a - b)))
     out = []
     for lam, mu, (n_inv, n_q, n_diff) in zip(spectra, spectra[len(a):], norms):
         blocks = np.split(lam.values, range(64, len(lam.values), 64))  # each block's matrix: 64 x n*n3
@@ -268,9 +263,8 @@ def _hoffman_wielandt(a: _Stack, b: _Stack, tol: float) -> list:
     for name, x in (("A", a), ("B", b)):
         _require_each(_normality(x, _hypothesis_tol(tol)), f"{name} is not normal: {{}}")
     spectra = _t_eigenvalues(a, b)
-    diffs = _frobenius((b - a).data).tolist()
     out = []
-    for lam, mu, diff in zip(spectra, spectra[len(a):], diffs):
+    for lam, mu, diff in zip(spectra, spectra[len(a):], (b - a).frobenius()):
         perm, dist = _matched_distance(lam.values, mu.values)
         report = MatchingReport(
             tuple(int(i) for i in perm), dist,
@@ -299,6 +293,7 @@ def sorted_pairing_distance(a: Tensor3, b: Tensor3) -> float:
 
 def _sorted_pairing_distances(a: _Stack, b: _Stack) -> list[float]:
     """:func:`sorted_pairing_distance` of each member pair."""
+    _check_same_shape(a, b)
     _require_symmetric(PREDICATE_TOL, A=a, B=b)
     spectra = _t_eigenvalues(a, b)
     return [
@@ -335,7 +330,7 @@ def _diag_spectrum(a: _Stack, b: _Stack, tol: float) -> list[list]:
         )
 
     out = []
-    norms = zip(*_cartesian_norms(a, b))
+    norms = zip(*a.cartesian_norms(b))
     for alpha, beta, (ft, st) in zip(spectra, spectra[len(a):], norms):
         alpha, beta = alpha.values.real, beta.values.real
         alpha = alpha[np.argsort(-np.abs(alpha), kind="stable")]

@@ -9,20 +9,22 @@ makes every function output exactly real after the inverse transform.
 
 Fourier slices are independent across slices, across tensors and across
 trials (Kilmer & Martin, *Factorization strategies for third-order
-tensors*, 2011), so the tensor functions also take stacks of tensors along a
-leading trial axis (:class:`ttensor.core._Stack`): :func:`_t_powers` and
-:func:`_abs_powers` take every member, each at its own exponents, with one
-solver call per member shape, and :func:`t_power` and :func:`t_abs` are
-their one-member case.  Each member's result is bit for bit its lone
-result: every step acts on each slice alone, and each distinct exponent is
-applied as one Python number (:func:`_clipped_power`, the one power
-kernel).  :func:`_t_powers` reads the spectra each stack keeps
-(:meth:`ttensor.core._Stack.spectra`), and trusts its operands: a
-certifier's hypothesis gate has checked their symmetry and
-semidefiniteness, and :func:`t_power` checks its own argument.
-:func:`_t_eigenvalues` takes the spectra of every member of several stacks
-with at most one call of each solver, and :func:`_young_witness` builds the
-witnesses of a stack of pairs in three Jacobi calls.
+tensors*, 2011), so the tensor functions also act on stacks of tensors along
+a leading trial axis (:class:`ttensor.core._Stack`): :func:`_t_power` is the
+kernel of :meth:`_Stack.power` (and so of :meth:`_Stack.abs_power`), one
+stack at a time, each member at its own exponent, and :func:`t_power` and
+:func:`t_abs` are its one-member case.  A wave of stacks is powered in one
+application by powering their :meth:`_Stack.cat`, which takes the spectra
+its parts keep.  Each member's result is bit for bit its lone result: every
+step acts on each slice alone, and each distinct exponent is applied as one
+Python number (:func:`_clipped_power`, the one power kernel).
+:func:`_t_power` reads the spectra its stack keeps
+(:meth:`ttensor.core._Stack.spectra`), and trusts its operand: a
+certifier's hypothesis gate has checked its symmetry and semidefiniteness,
+and :func:`t_power` checks its own argument.  :func:`_t_eigenvalues` takes
+the spectra of every member of several stacks with at most one call of each
+solver, and :func:`_young_witness` builds the witnesses of a stack of pairs
+in three Jacobi calls.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PREDICATE_TOL, LoewnerVerdict, _asymmetry, _psd_verdicts, _t_product
+from .algebra import PREDICATE_TOL, LoewnerVerdict, _asymmetry, _psd_verdicts
 from .core import Tensor3, _as_generator, _solve_together, _Stack, gen_random
 from .eigensolvers import HermitianEigen, _herm_t, general_eig, hermitian_eig
 from .errors import (
@@ -203,48 +205,35 @@ def t_power(a: Tensor3, r: float) -> Tensor3:
         )
     if not np.isfinite(r):
         raise ValueError(f"t_power requires finite exponents, got {[r]}")
-    return _t_powers([x], [[r]])[0][0].member(0)
+    return x.power(r).member(0)
 
 
-def _t_powers(xs: list[_Stack], *exponents) -> list[list[_Stack]]:
-    """:func:`t_power` of every member of every stack in ``xs`` at each of its
-    exponents: ``exponents[j][k][i]`` is the ``j``-th exponent of member
-    ``i`` of ``xs[k]``, and ``result[j][k]`` is ``xs[k]`` at those exponents.
+def _t_power(x: _Stack, exponents: list) -> _Stack:
+    """:func:`t_power` of each member of ``x``, member ``i`` at
+    ``exponents[i]``: the kernel of :meth:`ttensor.core._Stack.power`.
 
     The members are symmetric and PSD, as a hypothesis gate has certified,
     and eigenvalues below zero are clipped; only a member at a negative
     exponent is checked, for strict definiteness, so the first that fails
-    raises the error it raises alone.  Stacks of one member shape take the
-    spectra they keep, the missing ones solved in one call, and each is
-    decomposed once whatever the number of exponents.  Each distinct
-    exponent is applied as one Python number: numpy's ``**`` takes its
-    square and square-root fast paths only for a scalar exponent, and those
-    round differently from the general power.
+    raises the error it raises alone.  The stack is decomposed through the
+    spectra it keeps.  Each distinct exponent is applied as one Python
+    number: numpy's ``**`` takes its square and square-root fast paths only
+    for a scalar exponent, and those round differently from the general
+    power.
     """
-    if len({x.shape for x in xs}) > 1:
-        alone = [_t_powers([x], *([e[k]] for e in exponents)) for k, x in enumerate(xs)]
-        return [[out[j][0] for out in alone] for j in range(len(exponents))]
-    _solve_together(*((x, True) for x in xs))
-    b, (n, _, n3) = sum(map(len, xs)), xs[0].shape
-    exponents = [[r for rs in e for r in rs] for e in exponents]
-    spectra = [x.spectra(True) for x in xs]
-    eigs = HermitianEigen(np.concatenate([e.values for e in spectra]), np.concatenate([e.vectors for e in spectra]))
+    b, (n, _, n3) = len(x), x.shape
+    eigs = x.spectra(True)
     values = eigs.values.reshape(b, -1)
-    for rs, lam_max, min_eig in zip(zip(*exponents), values.max(axis=1).tolist(), values.min(axis=1).tolist()):
-        if any(r < 0 for r in rs) and (lam_max <= 0.0 or min_eig < _POWER_TOL * lam_max):
+    for r, lam_max, min_eig in zip(exponents, values.max(axis=1).tolist(), values.min(axis=1).tolist()):
+        if r < 0 and (lam_max <= 0.0 or min_eig < _POWER_TOL * lam_max):
             raise SingularTensorError(
                 -1, np.inf,
                 f"negative power needs strict definiteness: smallest eigenvalue {min_eig:.3e}",
             )
     half = _half_size(n3)
-    rows = np.repeat(np.arange(b), half)  # the member of each half slice
-    out = []
-    for e in exponents:
-        m = _clipped_power(eigs, e, rows)
-        m = (0.5 * (m + _herm_t(m))).reshape(b, half, n, n)
-        power = _Stack(_inverse(_mirror_half(m, n3)))
-        out.append(power.sym().split(len(xs)))
-    return out
+    m = _clipped_power(eigs, exponents, np.repeat(np.arange(b), half))  # the member of each half slice
+    m = (0.5 * (m + _herm_t(m))).reshape(b, half, n, n)
+    return _Stack(_inverse(_mirror_half(m, n3))).sym()
 
 
 def _clipped_power(e: HermitianEigen, exponents: list, rows: np.ndarray) -> np.ndarray:
@@ -253,7 +242,7 @@ def _clipped_power(e: HermitianEigen, exponents: list, rows: np.ndarray) -> np.n
 
     Eigenvalues are clipped at 0 first, so ``0**r = 0`` for ``r > 0`` and
     ``w**0 = 1``; a negative exponent needs a strictly positive spectrum,
-    which :func:`_t_powers` checks."""
+    which :func:`_t_power` checks."""
     w = np.clip(e.values, 0.0, None)
     row_exponent = np.asarray(exponents, dtype=float)[rows]
     for r in dict.fromkeys(exponents):
@@ -266,24 +255,7 @@ def t_abs(a: Tensor3) -> Tensor3:
     """Absolute value (a^T * a)^(1/2); symmetric positive semidefinite."""
     if a.n1 != a.n2:
         raise ShapeMismatchError(f"t_abs requires a square tensor, got {a.shape}")
-    return _abs_powers([_Stack.of(a)], [[1.0]])[0].member(0)
-
-
-def _abs_powers(xs: list[_Stack], rs) -> list[_Stack]:
-    """``|x|^r`` of every member of every stack in ``xs``, member ``i`` of
-    ``xs[k]`` at ``rs[k][i]``, computed as the power ``r / 2`` of the
-    symmetrized Gram ``x^T * x`` (:func:`_abs_gram`).  Stacks of one member
-    shape are taken together.  :func:`_young_witness` takes the same powers
-    of its Grams itself, with their spectra solved in its first wave."""
-    if len({x.shape for x in xs}) > 1:
-        return [_abs_powers([x], [r])[0] for x, r in zip(xs, rs)]
-    gram = _abs_gram(_Stack.cat(*xs))
-    return _t_powers([gram], [[0.5 * r for rk in rs for r in rk]])[0][0].split(len(xs))
-
-
-def _abs_gram(x: _Stack) -> _Stack:
-    """The symmetrized Grams ``x^T * x`` whose powers give ``|x|^r``."""
-    return _t_product(x.transpose(), x).sym()
+    return _Stack.of(a).abs_power(1.0).member(0)
 
 
 def gen_orthogonal(n: int, n3: int, rng) -> Tensor3:
@@ -340,8 +312,8 @@ def _young_witness(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> tuple[
     for k in _self_conjugate_indices(n3):
         for g, real_g in zip(grams, _young_grams(sa[:, k].real, sb[:, k].real)):
             g[:, k] = real_g
-    ab_t = _t_product(a, b.transpose())
-    abs_gram = _abs_gram(_Stack.cat(a, b, ab_t))
+    factors = a.cat(b, a @ b.transpose())  # their Grams' spectra join the first wave
+    abs_gram = (factors.transpose() @ factors).sym()
     grams = [g.reshape(-1, n, n) for g in grams]
     # |A_k B_k^H| = V sqrt(w) V^H
     solved = _solve_together((abs_gram, True), arrays=grams)
@@ -356,10 +328,9 @@ def _young_witness(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> tuple[
     u_half = (e_c.vectors @ _herm_t(e_d.vectors)).reshape(len(a), half, n, n)
     u = _Stack(_inverse(_mirror_half(u_half, n3)))
     # |A|^p, |B|^q and |A B^T| as the powers p/2, q/2 and 1/2 of their Grams
-    halves = [0.5 * r for r in [*p, *q, *[1.0] * len(a)]]
-    abs_a, abs_b, abs_ab = _t_powers([abs_gram], [halves])[0][0].split(3)
+    abs_a, abs_b, abs_ab = abs_gram.power([0.5 * r for r in [*p, *q, *[1.0] * len(a)]]).split(3)
     rhs = abs_a * [1.0 / pi for pi in p] + abs_b * [1.0 / qi for qi in q]
-    conjugated = _t_product(_t_product(u.transpose(), abs_ab), u)
+    conjugated = u.transpose() @ abs_ab @ u
     return u, _psd_verdicts(rhs - conjugated.sym(), tol)
 
 

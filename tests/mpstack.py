@@ -1,0 +1,180 @@
+"""A 50-digit stack type that runs the certifier bodies.
+
+:class:`_MpStack` has the stack algebra of :class:`ttensor.core._Stack`
+(``@``, ``transpose``, ``sym``, ``+``, ``-``, ``*``, ``power``,
+``abs_power``, ``frobenius``, ``spectral``, ``extremes``,
+``cartesian_norms``, ``cat``, ``split``, ``where``), so the stacked
+certifiers of :mod:`ttensor.inequalities` and the gates of
+:mod:`ttensor.algebra` run on it unchanged.  It holds each member's half
+spectrum, Fourier slices ``0 .. n3//2`` as mpmath matrices, from a 50-digit
+DFT of the same float inputs; the other slices are their conjugates, so the
+half spectrum carries the whole member (Kilmer & Martin, LAA 2011).
+
+Per half slice it multiplies, takes conjugate transposes, powers and min
+gaps through ``eighe`` of the Hermitian part, and spectral norms through
+``svd_c``; Frobenius norms come from Parseval.  A power is taken of the
+formed product (no factored form), which 50 digits make accurate enough.
+The norms and gaps are rounded to float64 at the end, which moves a margin
+by about 1e-16 of its scale, far below every certificate's tolerance.
+mpmath is imported on first use.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+
+from ttensor.core import _check_same_shape
+from ttensor.errors import ShapeMismatchError
+
+DIGITS = 50
+
+
+@lru_cache(maxsize=None)
+def _mp():
+    """A private mpmath context at ``DIGITS`` digits."""
+    import mpmath
+
+    ctx = mpmath.MPContext()
+    ctx.dps = DIGITS
+    return ctx
+
+
+def _per_member(value, b: int) -> list:
+    return list(value) if np.ndim(value) else [value] * b
+
+
+class _MpStack:
+    """``b`` real tensors of shape ``(n1, n2, n3)``; ``halves[i][k]`` is
+    Fourier slice ``k`` of member ``i``, for ``k`` in ``0 .. n3//2``."""
+
+    def __init__(self, halves: list, shape: tuple):
+        self.halves, self.shape = halves, tuple(shape)
+
+    @classmethod
+    def of(cls, x) -> "_MpStack":
+        """The members of the float stack ``x``, transformed at 50 digits."""
+        mp = _mp()
+        _, n1, n2, n3 = x.data.shape
+        roots = [[mp.expjpi(mp.mpf(-2 * k * t) / n3) for t in range(n3)] for k in range(n3 // 2 + 1)]
+        halves = []
+        for member in x.data:
+            tubes = [[[mp.mpf(float(v)) for v in member[i, j]] for j in range(n2)] for i in range(n1)]
+            halves.append([
+                mp.matrix([[mp.fdot(w, tubes[i][j]) for j in range(n2)] for i in range(n1)]) for w in roots
+            ])
+        return cls(halves, (n1, n2, n3))
+
+    @property
+    def n3(self) -> int:
+        return self.shape[2]
+
+    def __len__(self) -> int:
+        return len(self.halves)
+
+    def _map(self, f, *others, shape=None) -> "_MpStack":
+        """``f`` of each half slice and the same slices of ``others``."""
+        members = zip(self.halves, *(o.halves for o in others))
+        return _MpStack([[f(*s) for s in zip(*m)] for m in members], shape or self.shape)
+
+    def _weights(self) -> list:
+        """Each half slice's count among all slices: 1 if self-conjugate, else 2."""
+        return [1 if k == 0 or 2 * k == self.n3 else 2 for k in range(len(self.halves[0]))]
+
+    # --- the stack algebra --------------------------------------------------
+
+    def cat(self, *others: "_MpStack") -> "_MpStack":
+        for o in others:
+            _check_same_shape(self, o)
+        return _MpStack([m for x in (self, *others) for m in x.halves], self.shape)
+
+    def split(self, parts: int) -> list:
+        size = len(self) // parts
+        return [_MpStack(self.halves[i:i + size], self.shape) for i in range(0, len(self), size)]
+
+    def where(self, mask, other: "_MpStack") -> "_MpStack":
+        _check_same_shape(self, other)
+        return _MpStack([x if m else y for m, x, y in zip(mask, self.halves, other.halves)], self.shape)
+
+    def transpose(self) -> "_MpStack":
+        n1, n2, n3 = self.shape
+        return self._map(lambda s: s.H, shape=(n2, n1, n3))
+
+    def sym(self) -> "_MpStack":
+        return (self + self.transpose()) * 0.5
+
+    def __add__(self, other: "_MpStack") -> "_MpStack":
+        _check_same_shape(self, other)
+        return self._map(lambda s, t: s + t, other)
+
+    def __sub__(self, other: "_MpStack") -> "_MpStack":
+        _check_same_shape(self, other)
+        return self._map(lambda s, t: s - t, other)
+
+    def __mul__(self, scalar) -> "_MpStack":
+        mp = _mp()
+        c = [mp.mpf(float(v)) for v in _per_member(scalar, len(self))]
+        return _MpStack([[s * ci for s in m] for m, ci in zip(self.halves, c)], self.shape)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other: "_MpStack") -> "_MpStack":
+        a, b = self.shape, other.shape
+        if a[1] != b[0] or a[2] != b[2]:
+            raise ShapeMismatchError(f"cannot multiply {a} by {b}")
+        return self._map(lambda s, t: s * t, other, shape=(a[0], b[1], a[2]))
+
+    def power(self, r) -> "_MpStack":
+        """Each member's Hermitian half slices at ``r`` (or ``r[i]``), the
+        eigenvalues clipped at 0 as in the float kernel."""
+        mp = _mp()
+
+        def slice_power(s, ri):
+            e, q = mp.eighe((s + s.H) * 0.5)
+            return q * mp.diag([max(v, 0) ** ri for v in e]) * q.H
+
+        rs = [mp.mpf(float(v)) for v in _per_member(r, len(self))]
+        return _MpStack([[slice_power(s, ri) for s in m] for m, ri in zip(self.halves, rs)], self.shape)
+
+    def abs_power(self, r) -> "_MpStack":
+        return (self.transpose() @ self).sym().power([0.5 * v for v in _per_member(r, len(self))])
+
+    def frobenius(self) -> list:
+        mp = _mp()
+        weights = self._weights()
+        return [
+            float(mp.sqrt(mp.fsum(w * mp.mnorm(s, "f") ** 2 for w, s in zip(weights, m)) / self.n3))
+            for m in self.halves
+        ]
+
+    def spectral(self) -> list:
+        return [float(max(_sigma_max(s) for s in m)) for m in self.halves]
+
+    def extremes(self) -> tuple[list, list]:
+        mp = _mp()
+        mins, scales = [], []
+        for m in self.halves:
+            w = [v for s in m for v in mp.eighe((s + s.H) * 0.5, eigvals_only=True)]
+            mins.append(float(min(w)))
+            scales.append(float(max(abs(v) for v in w)))
+        return mins, scales
+
+    def cartesian_norms(self, other: "_MpStack") -> tuple[list, list]:
+        """The norms of ``T = A + iB`` from all ``n3`` slices of ``T``: a
+        mirrored slice of ``T`` is ``conj(A_k) + i conj(B_k)``."""
+        mp = _mp()
+        _check_same_shape(self, other)
+        weights = self._weights()
+        frobenius, spectral = [], []
+        for ma, mb in zip(self.halves, other.halves):
+            slices = [a + b * 1j for a, b in zip(ma, mb)]
+            slices += [a.conjugate() + b.conjugate() * 1j for w, a, b in zip(weights, ma, mb) if w == 2]
+            total = mp.fsum(mp.mnorm(t, "f") ** 2 for t in slices)
+            frobenius.append(float(mp.sqrt(total / self.n3)))
+            spectral.append(float(max(_sigma_max(t) for t in slices)))
+        return frobenius, spectral
+
+
+def _sigma_max(s):
+    return max(_mp().svd_c(s, compute_uv=False))

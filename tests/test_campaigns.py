@@ -62,6 +62,16 @@ def test_unknown_theorem():
 
 
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_campaign_sizes_are_checked(theorem_id):
+    # a size no tensor or trial count can take is refused before any draw
+    for sizes in (dict(n=0), dict(n3=0), dict(n=-2, n3=-2), dict(trials=-5)):
+        with pytest.raises(ValueError, match=r"^need n >= 1, n3 >= 1 and trials >= 0"):
+            run_campaign(theorem_id, **{"trials": 1, **sizes})
+    empty = run_campaign(theorem_id, n=1, n3=1, trials=0)
+    assert empty.certificates == [] and empty.summary["trials"] == 0
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
 def test_unknown_mode(theorem_id):
     # one check for every theorem, not only those whose certifier has modes
     with pytest.raises(ValueError, match=r"^unknown mode 'bogus'$"):
@@ -192,13 +202,13 @@ def test_holder_trial_takes_each_abs_power_once(monkeypatch):
     # both norms' certificates come from one |AXB|^r, |A^p X|^r and |X B^q|^r,
     # taken as the three members of one stacked call
     calls = []
-    abs_powers = inequalities._abs_powers
+    abs_power = core._Stack.abs_power
 
-    def counting_abs_powers(xs, rs):
-        calls.append([[len(x) for x in xs], [r for rk in rs for r in rk]])
-        return abs_powers(xs, rs)
+    def counting_abs_power(x, r):
+        calls.append([[len(part) for part in x._parts], list(r)])
+        return abs_power(x, r)
 
-    monkeypatch.setattr(inequalities, "_abs_powers", counting_abs_powers)
+    monkeypatch.setattr(core._Stack, "abs_power", counting_abs_power)
     result = run_campaign("holder", n=2, n3=2, trials=1, seed=3)
     assert calls == [[[1, 1, 1], [0.5, 0.5, 0.5]]]
     assert [c.norm_kind for c in result.certificates] == ["frobenius", "spectral"]

@@ -176,6 +176,14 @@ def test_check_unknown_theorem_exit_2(capsys):
     assert main(["check", "nosuch"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["am-gm", "--n3", "0"], ["schur", "--n", "0"], ["schur", "--trials", "-5"],
+])
+def test_check_sizes_out_of_range_exit_2(capsys, argv):
+    assert main(["check", *argv]) == 2
+    assert "need n >= 1, n3 >= 1 and trials >= 0" in capsys.readouterr().err
+
+
 def test_check_json_reproducible_across_processes(tmp_path):
     args = ["check", "schur", "--n", "2", "--n3", "2", "--trials", "12", "--seed", "3", "--json"]
     r1 = run_cli(args)

@@ -7,6 +7,7 @@ from scipy.optimize import linear_sum_assignment
 from ttensor import (
     HypothesisViolationError,
     RngStream,
+    ShapeMismatchError,
     Tensor3,
     bauer_fike,
     diag_spectrum_bound,
@@ -213,6 +214,13 @@ def _pairs_for_optimality():
     # conjugate slices give every eigenvalue twice, so the sorted and the
     # assignment pairing tie and sum in different orders
     yield pytest.param(*_symmetric_campaign_pair(3, 127, 0), id="campaign-n=3-n3=127-seed=0")
+
+
+@pytest.mark.parametrize("pairing", [hoffman_wielandt, sorted_pairing_distance])
+def test_pairings_of_two_shapes_are_shape_errors(pairing):
+    a, b = gen_symmetric(2, 3, RngStream(313)), gen_symmetric(3, 3, RngStream(314))
+    with pytest.raises(ShapeMismatchError):
+        pairing(a, b)
 
 
 @pytest.mark.parametrize("a,b", _pairs_for_optimality())

@@ -87,6 +87,24 @@ def test_each_concept_is_spelled_in_one_place():
     assert homes == set(ONE_DEFINITION)  # each one definition still exists
 
 
+# the certifier modules are written in the stack algebra (core._Stack's
+# methods), so the same bodies run on any stack type
+STACK_ALGEBRA_MODULES = ("inequalities", "certificates")
+FLOAT_STACK_SPELLINGS = (
+    ".data", ".slices", "_frobenius(", "_spectral(", "_t_product(", "_t_powers(", "_abs_powers(",
+)
+
+
+def test_certifier_modules_use_only_the_stack_algebra():
+    found = [
+        f"{name}.py:{lineno}: {line.strip()}"
+        for name in STACK_ALGEBRA_MODULES
+        for lineno, line in enumerate((SOURCE / f"{name}.py").read_text().splitlines(), 1)
+        if any(spelling in line for spelling in FLOAT_STACK_SPELLINGS)
+    ]
+    assert not found, "reaches into the float stack:\n" + "\n".join(found)
+
+
 def test_cli_tolerance_defaults_are_default_tol():
     from ttensor.cli import build_parser
 

@@ -38,11 +38,9 @@ from ttensor import (
     transpose,
     young_witness,
 )
-from ttensor.algebra import PREDICATE_TOL, _psd_verdicts, _slice_eig_extremes
-from ttensor.certificates import _gap
+from ttensor.algebra import PREDICATE_TOL, _psd_verdicts
 from ttensor.core import _solve_together, _Stack
 from ttensor.localization import diag_spectrum_bound, hoffman_wielandt, sorted_pairing_distance
-from ttensor.spectral import _abs_gram, _abs_powers, _t_powers
 from oracles import brute_bcirc
 
 
@@ -271,7 +269,7 @@ def _later_calls(a, b):
         loewner_ge(a, b).min_gap_eigenvalue,
         t_power(a, 0.5).data.tobytes(),
         t_power(b, 1.5).data.tobytes(),
-        _abs_powers([_Stack.of(a - b)], [[0.7]])[0].member(0).data.tobytes(),
+        _Stack.of(a - b).abs_power(0.7).member(0).data.tobytes(),
         loewner_certificate("t", b, a, dims=a.shape, params={}).margin,
     ]
 
@@ -285,17 +283,17 @@ def test_wave_in_one_jacobi_call_matches_each_call_alone(monkeypatch, n3):
     alone = _later_calls(a, b)
     counts = _count_kernels(monkeypatch)
     x, y = _Stack.of(a), _Stack.of(b)
-    diff, gram, gap = x - y, _abs_gram(x - y), _gap(y, x)
+    diff, gram, gap = x - y, ((x - y).transpose() @ (x - y)).sym(), (x - y).sym()
     _solve_together((x, False), (diff, False), (x, True), (y, True), (gram, True), (gap, False))
     assert counts["jacobi"] == 1
-    (xp, yp), = _t_powers([x, y], [[0.5], [1.5]])
+    xp, yp = x.cat(y).power([0.5, 1.5]).split(2)
     shared = [
         _psd_verdicts(x, PREDICATE_TOL)[0].min_gap_eigenvalue,
         _psd_verdicts(diff, PREDICATE_TOL)[0].min_gap_eigenvalue,
         xp.data.tobytes(),
         yp.data.tobytes(),
-        _t_powers([gram], [[0.5 * 0.7]])[0][0].data.tobytes(),
-        _slice_eig_extremes(gap)[0][0],
+        gram.power(0.5 * 0.7).data.tobytes(),
+        gap.extremes()[0][0],
     ]
     assert counts["jacobi"] == 1
     assert shared == alone
@@ -317,7 +315,7 @@ def test_unshareable_wave_leaves_each_stack_to_its_own_call(monkeypatch):
     _solve_together((x, False), (x, True))  # the call fails, and nothing is kept
     assert counts["jacobi"] == 2
     with pytest.raises(EigenConvergenceError) as after:
-        _t_powers([x], [[0.5]])
+        x.power(0.5)
     assert str(after.value) == str(alone.value)
     assert counts["jacobi"] == 3  # not tried in a wave again
 
@@ -352,7 +350,7 @@ _MIXED_EXPONENTS = [0.5, 1, 2, 1.25, 0.625]
 def test_stacked_t_power_members_are_bit_equal_to_lone_calls(n, n3):
     xs = [gen_t_psd(n, n3, RngStream(200 + i)) for i in range(len(_MIXED_EXPONENTS))]
     stack = core._Stack.of(*xs)
-    (powers,), (again,) = spectral._t_powers([stack], [_MIXED_EXPONENTS], [_MIXED_EXPONENTS[::-1]])
+    powers, again = stack.power(_MIXED_EXPONENTS), stack.power(_MIXED_EXPONENTS[::-1])
     for i, x in enumerate(xs):
         assert powers.data[i].tobytes() == t_power(x, _MIXED_EXPONENTS[i]).data.tobytes()
         assert again.data[i].tobytes() == t_power(x, _MIXED_EXPONENTS[-1 - i]).data.tobytes()
@@ -361,9 +359,9 @@ def test_stacked_t_power_members_are_bit_equal_to_lone_calls(n, n3):
 @pytest.mark.parametrize("n,n3", [(3, 4), (2, 5), (3, 128)])
 def test_stacked_abs_power_members_are_bit_equal_to_lone_calls(n, n3):
     xs = [gen_random((n, n, n3), RngStream(300 + i)) for i in range(len(_MIXED_EXPONENTS))]
-    (powers,) = spectral._abs_powers([core._Stack.of(*xs)], [_MIXED_EXPONENTS])
+    powers = core._Stack.of(*xs).abs_power(_MIXED_EXPONENTS)
     for x, r, member in zip(xs, _MIXED_EXPONENTS, powers.data, strict=True):
-        alone = spectral._abs_powers([core._Stack.of(x)], [[r]])[0]
+        alone = core._Stack.of(x).abs_power(r)
         assert member.tobytes() == alone.data.tobytes()
 
 
@@ -374,7 +372,8 @@ def test_stacked_powers_of_several_stacks_split_per_stack():
     b = [gen_t_psd(3, 4, RngStream(410 + i)) for i in range(2)]
     c = gen_t_psd(2, 4, RngStream(420))
     stacks = [core._Stack.of(*a), core._Stack.of(*b), core._Stack.of(c)]
-    (pa, pb, pc), = spectral._t_powers(stacks, [[0.5, 2], [1.25, 1], [0.625]])
+    pa, pb = stacks[0].cat(stacks[1]).power([0.5, 2, 1.25, 1]).split(2)
+    pc = stacks[2].power([0.625])
     expected = [t_power(a[0], 0.5), t_power(a[1], 2), t_power(b[0], 1.25), t_power(b[1], 1),
                 t_power(c, 0.625)]
     got = [pa.member(0), pa.member(1), pb.member(0), pb.member(1), pc.member(0)]
@@ -389,7 +388,7 @@ def test_stacked_t_power_raises_the_first_failing_members_error():
     with pytest.raises(SingularTensorError) as alone:
         t_power(singular[0], -0.5)
     with pytest.raises(SingularTensorError) as stacked:
-        spectral._t_powers([core._Stack.of(good, singular[0], good, singular[1])], [[-0.5] * 4])
+        core._Stack.of(good, singular[0], good, singular[1]).power(-0.5)
     assert str(stacked.value) == str(alone.value)
 
 
@@ -397,7 +396,7 @@ def test_stacked_t_power_trusts_its_operands():
     # symmetry and semidefiniteness are the hypothesis gates' to check: the
     # kernel powers the symmetric part, with the eigenvalues clipped at 0
     minus = core._Stack.of(-1.0 * identity(2, 3))
-    assert not spectral._t_powers([minus], [[0.5]])[0][0].data.any()
+    assert not minus.power(0.5).data.any()
     with pytest.raises(NotTPSDError):
         t_power(minus.member(0), 0.5)
 
@@ -406,8 +405,8 @@ def test_stacked_t_power_trusts_its_operands():
 def test_stacked_norms_are_bit_equal_to_lone_calls(n, n3):
     xs = [gen_random((n, n, n3), RngStream(600 + i)) * (1.0 + i) for i in range(4)]
     stack = core._Stack.of(*xs)
-    assert core._frobenius(stack.data).tolist() == [frobenius_norm(x) for x in xs]
-    assert core._spectral(stack.slices).tolist() == [spectral_norm(x) for x in xs]
+    assert stack.frobenius() == [frobenius_norm(x) for x in xs]
+    assert stack.spectral() == [spectral_norm(x) for x in xs]
     # a stack made of stacks transforms its members as they transform alone
     parts = [core._Stack.of(x) for x in xs[:2]]
     whole = core._Stack.cat(*parts)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, _frobenius, _solve_together, _Stack, identity
+from .core import Tensor3, _check_product_shapes, _frobenius, _solve_together, _Stack, identity
 from .errors import NotSymmetricError, ShapeMismatchError, SingularTensorError, _require, _require_each
 from .fourier import _inverse
 
@@ -80,8 +80,13 @@ class PredicateVerdict:
 
 
 def t_product(a: Tensor3, b: Tensor3) -> Tensor3:
-    """t-product of compatible tensors via slicewise Fourier multiplication."""
-    return (_Stack.of(a) @ _Stack.of(b)).member(0)
+    """t-product of compatible tensors via slicewise Fourier multiplication.
+
+    This is ``x @ y`` of one-member stacks, written out so that nothing
+    keeps the operands' slices while the inverse transform runs."""
+    _check_product_shapes(a, b)
+    product = _Stack.of(a).slices @ _Stack.of(b).slices
+    return _Stack(_inverse(product)).member(0)
 
 
 def t_inverse(a: Tensor3) -> Tensor3:

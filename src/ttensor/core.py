@@ -174,20 +174,20 @@ class _Stack:
     ``slices`` are the members' Fourier slices, ``(b, n3, n1, n2)``,
     transformed on first use and kept, so a stack is transformed once however
     often it is used; :meth:`spectra` keeps its slice spectra in the same
-    way.  A stack made by :meth:`cat` takes its spectra from its parts (so
-    one power application covers a wave of stacks); otherwise stacks share
-    no slices and no spectra.  Entries must be finite, as for
-    :class:`Tensor3`.
+    way.  A stack made by :meth:`cat` starts with the spectra that all of
+    its parts were asked for (so one power application covers a wave of
+    stacks solved together); otherwise stacks share no slices and no
+    spectra.  Entries must be finite, as for :class:`Tensor3`.
     """
 
-    __slots__ = ("data", "_slices", "_spectra", "_parts")
+    __slots__ = ("data", "_slices", "_spectra")
 
     def __init__(self, data):
         data = np.ascontiguousarray(data, dtype=float)
         if not np.isfinite(data).all():
             raise ValueError("tensor entries must be finite (no NaN/Inf)")
         data.flags.writeable = False
-        self.data, self._slices, self._spectra, self._parts = data, None, {}, ()
+        self.data, self._slices, self._spectra = data, None, {}
 
     @classmethod
     def of(cls, *tensors: Tensor3) -> "_Stack":
@@ -199,13 +199,23 @@ class _Stack:
         return cls(np.stack([t.data for t in tensors]))
 
     def cat(self, *others: "_Stack") -> "_Stack":
-        """The members of this stack and then of each other stack in turn."""
+        """The members of this stack and then of each other stack in turn,
+        with the spectra that every one of them was asked for (by
+        :func:`_solve_together`, or solved and kept)."""
+        from .eigensolvers import HermitianEigen  # deferred import, see spectral_norm
+
         for other in others:
             _check_same_shape(self, other)
         if not others:
             return self
-        out = _Stack(np.concatenate([s.data for s in (self, *others)]))
-        out._parts = (self, *others)
+        parts = (self, *others)
+        out = _Stack(np.concatenate([x.data for x in parts]))
+        for power in (False, True):
+            if all(power in x._spectra for x in parts):  # each was asked for in a wave
+                held = [x.spectra(power) for x in parts]  # solved alone after a failed wave
+                out._spectra[power] = HermitianEigen(
+                    np.concatenate([e.values for e in held]), np.concatenate([e.vectors for e in held])
+                )
         return out
 
     def split(self, parts: int) -> list["_Stack"]:
@@ -260,20 +270,11 @@ class _Stack:
 
     def spectra(self, power: bool):
         """:func:`ttensor.eigensolvers.hermitian_eig` of :meth:`halves`,
-        solved on first use (or by :func:`_solve_together`) and kept.  A
-        stack made by :meth:`cat` joins its parts' spectra, the missing ones
-        solved together."""
+        solved on first use (or by :func:`_solve_together`) and kept."""
         if self._spectra.get(power) is None:
-            from .eigensolvers import HermitianEigen, hermitian_eig  # deferred import, see spectral_norm
+            from .eigensolvers import hermitian_eig  # deferred import, see spectral_norm
 
-            if self._parts:
-                _solve_together(*((x, power) for x in self._parts))
-                parts = [x.spectra(power) for x in self._parts]
-                self._spectra[power] = HermitianEigen(
-                    np.concatenate([e.values for e in parts]), np.concatenate([e.vectors for e in parts])
-                )
-            else:
-                self._spectra[power] = hermitian_eig(self.halves(power))
+            self._spectra[power] = hermitian_eig(self.halves(power))
         return self._spectra[power]
 
     def member(self, i: int) -> Tensor3:
@@ -310,9 +311,7 @@ class _Stack:
         BLAS one matrix at a time, so each member gets its lone product's bits."""
         from .fourier import _inverse  # deferred import, see spectral_norm
 
-        a, b = self.shape, other.shape
-        if a[1] != b[0] or a[2] != b[2]:
-            raise ShapeMismatchError(f"cannot multiply {a} by {b}: need a.n2 == b.n1 and equal n3")
+        _check_product_shapes(self, other)
         return _Stack(_inverse(self.slices @ other.slices))
 
     def power(self, r) -> "_Stack":
@@ -368,6 +367,12 @@ class _Stack:
 def _check_same_shape(a, b) -> None:
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
+
+
+def _check_product_shapes(a, b) -> None:
+    a, b = a.shape, b.shape
+    if a[1] != b[0] or a[2] != b[2]:
+        raise ShapeMismatchError(f"cannot multiply {a} by {b}: need a.n2 == b.n1 and equal n3")
 
 
 def _same_square(*xs: _Stack) -> bool:

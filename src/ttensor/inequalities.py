@@ -32,14 +32,14 @@ algebra of :class:`ttensor.core._Stack` (``@``, ``transpose``, ``sym``,
 ``power``, ``abs_power``, the norms, ``extremes``, ``cat``, ``split``,
 ``where``) and the gates built on it, so the same bodies run on any stack
 type that has those methods.  The tensors under ``|X|^r`` in one
-certifier are concatenated and so must share one shape.  A stacked
-certifier also stacks its own independent slice spectra, one solver call per
-wave: it names the ``(stack, power)`` spectra a wave needs in one request
-(:func:`ttensor.core._solve_together`, which only the float stack acts on),
-each stack keeps its share for the gates and the powers that read it, and
-the stacks a wave powers are concatenated so that one power application
-covers them.  ``furuta`` takes the PSD check of B,
-the order gap A - B and the decompositions of B and A in one call, both
+certifier are powered together when they share a shape (:func:`_powers`).
+A stacked certifier also stacks its own independent slice spectra, one
+solver call per wave: it names the ``(stack, power)`` spectra a wave needs
+in one request (:func:`ttensor.core._solve_together`, which only the float
+stack acts on), each stack keeps its share for the gates and the powers
+that read it, and the stacks a wave powers are concatenated so that one
+power application covers them.  ``furuta`` takes the PSD check of B, the
+order gap A - B and the decompositions of B and A in one call, both
 sandwich powers in a second and both Loewner gaps in a third.  A product a
 wave needs (``Q^T X Q``, ``A B``) is formed ahead of the checks only when
 the shapes are equal and square, so a shape error still comes after the
@@ -125,6 +125,16 @@ def _norm_certificates(theorem_id: str, dims, tol: float, tensors, sides) -> lis
 def _stacks(*tensors: Tensor3) -> list[_Stack]:
     """Each tensor as a one-member stack: a certifier's ``b = 1`` case."""
     return [_Stack.of(t) for t in tensors]
+
+
+def _powers(method: str, xs: list, rs: list) -> list:
+    """``x.power(r)`` or ``x.abs_power(r)`` (``method``) of each stack ``x``
+    in ``xs``, its member ``i`` at ``r[i]`` for its list ``r`` in ``rs``: one
+    application on their :meth:`~ttensor.core._Stack.cat` when they share a
+    member shape, else each stack alone."""
+    if len({x.shape for x in xs}) > 1:
+        return [getattr(x, method)(r) for x, r in zip(xs, rs)]
+    return getattr(xs[0].cat(*xs[1:]), method)(sum(rs, [])).split(len(xs))
 
 
 def _loewner_pair_powers(a: _Stack, b: _Stack, tol: float, *exponents) -> list[list[_Stack]]:
@@ -231,8 +241,7 @@ def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[
         f"conjugated product is not symmetric in {mode} mode ({{}}); "
         "the power of a non-symmetric tensor is undefined",
     )
-    # Q^T X Q has X's shape only for a square Q, so each is powered alone
-    x_r, pow_conj = x.power(r), sym_middle.power(r)
+    x_r, pow_conj = _powers("power", [x, sym_middle], [r, r])
     conj_pow = (left @ x_r @ q).sym()
     low = [ri <= 1.0 for ri in r]
     lhs, rhs = conj_pow.where(low, pow_conj), pow_conj.where(low, conj_pow)
@@ -272,6 +281,7 @@ def _furuta(a: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list
     sandwich_b = (br @ ap @ br).sym()
     sandwich_a = (ar @ bp @ ar).sym()
     inverse_q = [1.0 / qi for qi in q]
+    _solve_together((sandwich_b, True), (sandwich_a, True))
     lower_rhs, upper_lhs = sandwich_b.cat(sandwich_a).power(inverse_q + inverse_q).split(2)
     params = [{"r": ri, "p": pi, "q": qi} for ri, pi, qi in zip(r, p, q)]
     sides = [{**pm, "side": "lower"} for pm in params] + [{**pm, "side": "upper"} for pm in params]
@@ -517,8 +527,8 @@ def _holder(a: _Stack, x: _Stack, b: _Stack, r: list, p: list, q: list, tol: flo
     _solve_together((a, False), (b, False), (a, True), (b, True))
     _require_psd(tol, A=a, B=b)
     axb = a @ x @ b
-    # A and B may differ in size (A X B with a rectangular X): each is powered alone
-    apx, xbq = a.power(p) @ x, x @ b.power(q)
+    ap, bq = _powers("power", [a, b], [p, q])
+    apx, xbq = ap @ x, x @ bq
     left, first, second = axb.cat(apx, xbq).abs_power(r + r + r).split(3)
     return _norm_certificates(
         "holder", a.shape, tol, [left, first, second], _holder_sides(r, p, q)
@@ -565,7 +575,7 @@ def _holder_pairs(
     for pi, qi in zip(p, q):
         _require_conjugate(pi, qi)
     cross = c.transpose() @ a + d.transpose() @ b
-    abs_a, abs_b, abs_c, abs_d = a.cat(b, c, d).abs_power(p + p + q + q).split(4)
+    abs_a, abs_b, abs_c, abs_d = _powers("abs_power", [a, b, c, d], [p, p, q, q])
     ab_p, cd_q = abs_a + abs_b, abs_c + abs_d
 
     def sides(i, norms):
@@ -595,7 +605,7 @@ def _holder_corollary(a: _Stack, b: _Stack, r: list, p: list, q: list, tol: floa
     _require_holder_exponents(r, p, q)
     pr = [pi * ri for pi, ri in zip(p, r)]
     qr = [qi * ri for qi, ri in zip(q, r)]
-    left, first, second = (a @ b).cat(a, b).abs_power(r + pr + qr).split(3)
+    left, first, second = _powers("abs_power", [a @ b, a, b], [r, pr, qr])
     return _norm_certificates(
         "holder-corollary", a.shape, tol, [left, first, second], _holder_sides(r, p, q)
     )
@@ -621,7 +631,7 @@ def _minkowski(a1: _Stack, a2: _Stack, b1: _Stack, b2: _Stack, p: list, tol: flo
     """:func:`check_minkowski` of each member, member ``i`` at ``p[i]``."""
     for pi in p:
         _require(1.0 <= pi < np.inf, f"exponent p={pi} outside [1, inf)")
-    powers = (a1 + a2).cat(b1 + b2, a1, b1, a2, b2).abs_power(p * 6).split(6)
+    powers = _powers("abs_power", [a1 + a2, b1 + b2, a1, b1, a2, b2], [p] * 6)
     whole, first, second = (powers[k] + powers[k + 1] for k in (0, 2, 4))
 
     def sides(i, norms):

@@ -14,10 +14,11 @@ a leading trial axis (:class:`ttensor.core._Stack`): :func:`_t_power` is the
 kernel of :meth:`_Stack.power` (and so of :meth:`_Stack.abs_power`), one
 stack at a time, each member at its own exponent, and :func:`t_power` and
 :func:`t_abs` are its one-member case.  A wave of stacks is powered in one
-application by powering their :meth:`_Stack.cat`, which takes the spectra
-its parts keep.  Each member's result is bit for bit its lone result: every
-step acts on each slice alone, and each distinct exponent is applied as one
-Python number (:func:`_clipped_power`, the one power kernel).
+application by powering their :meth:`_Stack.cat`, which starts with the
+spectra that all of its parts were asked for.  Each member's result is bit
+for bit its lone result: every step acts on each slice alone, and each
+distinct exponent is applied as one Python number (:func:`_clipped_power`,
+the one power kernel).
 :func:`_t_power` reads the spectra its stack keeps
 (:meth:`ttensor.core._Stack.spectra`), and trusts its operand: a
 certifier's hypothesis gate has checked its symmetry and semidefiniteness,

@@ -185,18 +185,22 @@ def test_hansen_checks_hypotheses_before_shapes():
         check_hansen_power(q, x, 0.5)
 
 
-def test_absolute_values_of_one_certifier_share_one_shape():
-    # the tensors under |X|^r are concatenated into one stack, so a shape
-    # the others do not share is a shape error; A X B with A and B of two
-    # sizes is not concatenated and is certified
+def test_absolute_values_of_two_shapes_are_certified():
+    # the tensors under |X|^r (or X^r) of one certifier are powered together
+    # when they share a shape and one at a time when they do not
     wide, square = gen_random((2, 3, 4), RngStream(217)), gen_random((3, 3, 4), RngStream(218))
-    with pytest.raises(ShapeMismatchError):
-        check_holder_corollary(wide, square, 1.0, 2.0, 2.0)
-    with pytest.raises(ShapeMismatchError):
-        check_holder_pairs(wide, wide, square, square, 2.0, 2.0)
+    tall, wider = gen_random((4, 3, 4), RngStream(221)), gen_random((2, 4, 4), RngStream(222))
     a, b = gen_t_psd(2, 4, RngStream(219)), gen_t_psd(3, 4, RngStream(220))
-    certs = check_holder(a, wide, b, 1.0, 2.0, 2.0)
-    assert [c.norm_kind for c in certs] == ["frobenius", "spectral"] and all(c.holds for c in certs)
+    for certs in (
+        check_holder_corollary(wide, square, 1.0, 2.0, 2.0),
+        check_holder_pairs(wide, wide, wider, wider, 2.0, 2.0),
+        check_minkowski(wide, wide, tall, tall, 2.0),
+        check_holder(a, wide, b, 1.0, 2.0, 2.0),
+    ):
+        assert [c.norm_kind for c in certs] == ["frobenius", "spectral"] and all(c.holds for c in certs)
+    # Q^T X Q with a rectangular contraction Q is smaller than X
+    contraction = 0.2 * gen_random((3, 2, 4), RngStream(223))
+    assert check_hansen_power(contraction, gen_t_psd(3, 4, RngStream(224)), 0.5).holds
 
 
 # each Young and Hoelder certifier at exponents (p, q), its other arguments valid

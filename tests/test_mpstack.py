@@ -8,8 +8,6 @@ from mpstack import _MpStack
 from ttensor import campaigns, run_campaign
 from ttensor.certificates import DEFAULT_TOL
 
-pytest.importorskip("mpmath")
-
 # the theorems whose certifiers are written in the stack algebra
 STACK_ALGEBRA_IDS = (
     "loewner-heinz", "hansen-power", "furuta", "young-commuting",

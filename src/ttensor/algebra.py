@@ -228,7 +228,7 @@ def _require_psd(tol: float, **stacks: _Stack) -> None:
     a hypothesis violation naming the stack.  The stacks' spectra take one
     solver call (:func:`ttensor.core._solve_together`)."""
     _require_symmetric(tol, **stacks)
-    _solve_together(*((x, False) for x in stacks.values()))
+    _solve_together(*stacks.values())
     for name, x in stacks.items():
         for v in _psd_verdicts(x, tol):
             _require(v.holds, f"{name} is not positive semidefinite (min gap {v.min_gap_eigenvalue:.3e})")

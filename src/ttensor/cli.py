@@ -54,7 +54,10 @@ def read_tensor(path: str):
             f"{path}: expected keys dims+data or dims+data_re+data_im, got {sorted(keys)}"
         )
     dims = doc["dims"]
-    if not (isinstance(dims, list) and len(dims) == 3 and all(isinstance(d, int) and d >= 1 for d in dims)):
+    if not (
+        isinstance(dims, list) and len(dims) == 3
+        and all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
+    ):
         raise FileFormatError(f"{path}: dims must be three positive integers")
     n1, n2, n3 = dims
     for key in ("data_re", "data_im") if complex_input else ("data",):

@@ -11,16 +11,18 @@ definition).
 :class:`_Stack` holds ``b`` tensors of one shape along a leading trial axis,
 ``(b, n1, n2, n3)``.  Its methods are the stack algebra the certifiers are
 written in: the t-product ``x @ y``, transpose, ``sym``, sums and scalings,
-powers, ``|X|^r``, the Frobenius and spectral norms, the min gaps
+powers, ``|X|^r``, the eigenbasis alignment of the Young witness
+(:meth:`_Stack.align`), the Frobenius and spectral norms, the min gaps
 (:meth:`_Stack.extremes`), the norms of ``A + iB``, and ``cat``, ``split``
 and ``where``.  The kernels behind them stay in their modules
 (:mod:`ttensor.fourier`, :func:`ttensor.spectral._t_power`), reached
 through deferred imports, so a certifier body that calls only these methods
 runs on any stack type that has them.  The public functions are the ``b =
 1`` case: a member's result never depends on the rest of its stack.  A stack
-keeps its Fourier slices and the spectra of its half slices
-(:meth:`_Stack.spectra`); :func:`_solve_together` solves those of several
-stacks in one call.
+keeps its Fourier slices and one decomposition of its Hermitian half slices,
+whose self-conjugate slices are real (:meth:`_Stack.spectra`), for its PSD
+checks and its powers alike; :func:`_solve_together` solves those of
+several stacks in one call.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ class _Stack:
 
     Its methods are the algebra the certifiers are written in: ``x @ y``,
     :meth:`transpose`, :meth:`sym`, ``+``, ``-`` and ``*``, :meth:`power`,
-    :meth:`abs_power`, :meth:`frobenius`, :meth:`spectral`,
+    :meth:`abs_power`, :meth:`align`, :meth:`frobenius`, :meth:`spectral`,
     :meth:`extremes`, :meth:`cartesian_norms`, :meth:`cat`, :meth:`split`
     and :meth:`where`.  A certifier body that calls only these runs on any
     stack type that has them.  Each member's result is bit for bit what the
@@ -173,11 +175,11 @@ class _Stack:
 
     ``slices`` are the members' Fourier slices, ``(b, n3, n1, n2)``,
     transformed on first use and kept, so a stack is transformed once however
-    often it is used; :meth:`spectra` keeps its slice spectra in the same
-    way.  A stack made by :meth:`cat` starts with the spectra that all of
-    its parts were asked for (so one power application covers a wave of
-    stacks solved together); otherwise stacks share no slices and no
-    spectra.  Entries must be finite, as for :class:`Tensor3`.
+    often it is used; :meth:`spectra` keeps the one decomposition of its
+    half slices in the same way.  A stack made by :meth:`cat` starts with the
+    spectra that all of its parts were asked for (so one power application
+    covers a wave of stacks solved together); otherwise stacks share no
+    slices and no spectra.  Entries must be finite, as for :class:`Tensor3`.
     """
 
     __slots__ = ("data", "_slices", "_spectra")
@@ -187,7 +189,7 @@ class _Stack:
         if not np.isfinite(data).all():
             raise ValueError("tensor entries must be finite (no NaN/Inf)")
         data.flags.writeable = False
-        self.data, self._slices, self._spectra = data, None, {}
+        self.data, self._slices, self._spectra = data, None, None
 
     @classmethod
     def of(cls, *tensors: Tensor3) -> "_Stack":
@@ -200,7 +202,7 @@ class _Stack:
 
     def cat(self, *others: "_Stack") -> "_Stack":
         """The members of this stack and then of each other stack in turn,
-        with the spectra that every one of them was asked for (by
+        with the spectra if every one of them was asked for (by
         :func:`_solve_together`, or solved and kept)."""
         from .eigensolvers import HermitianEigen  # deferred import, see spectral_norm
 
@@ -210,12 +212,11 @@ class _Stack:
             return self
         parts = (self, *others)
         out = _Stack(np.concatenate([x.data for x in parts]))
-        for power in (False, True):
-            if all(power in x._spectra for x in parts):  # each was asked for in a wave
-                held = [x.spectra(power) for x in parts]  # solved alone after a failed wave
-                out._spectra[power] = HermitianEigen(
-                    np.concatenate([e.values for e in held]), np.concatenate([e.vectors for e in held])
-                )
+        if all(x._spectra is not None for x in parts):  # each was asked for in a wave
+            held = [x.spectra() for x in parts]  # solved alone after a failed wave
+            out._spectra = HermitianEigen(
+                np.concatenate([e.values for e in held]), np.concatenate([e.vectors for e in held])
+            )
         return out
 
     def split(self, parts: int) -> list["_Stack"]:
@@ -250,32 +251,44 @@ class _Stack:
             self._slices = _forward(self.data)
         return self._slices
 
-    def halves(self, power: bool) -> np.ndarray:
+    def halves(self) -> np.ndarray:
         """Hermitian-symmetrized Fourier slices ``0..n3//2`` (conjugate slices
         share a spectrum) of each square member, one ``(b * (n3//2 + 1), n,
-        n)`` stack: the slices of the PSD checks and of the symmetric branch
-        of :func:`ttensor.spectral.t_eigenvalues`.  With ``power``, those of
-        the powers: each member's self-conjugate slices, real in exact
-        arithmetic, are set to their real part, which keeps every power
-        exactly conjugate-symmetric after mirroring."""
+        n)`` stack: the slices of the PSD checks, the powers and the
+        symmetric branch of :func:`ttensor.spectral.t_eigenvalues`.  Each
+        member's self-conjugate slices, real in exact arithmetic, are set to
+        their real part, which keeps every power exactly conjugate-symmetric
+        after mirroring."""
         from .eigensolvers import _herm_t  # deferred import, see spectral_norm
         from .fourier import _half_size, _self_conjugate_indices
 
         half = self.slices[:, : _half_size(self.n3)]
         half = 0.5 * (half + _herm_t(half))
-        if power:
-            real_idx = _self_conjugate_indices(self.n3)
-            half[:, real_idx] = half[:, real_idx].real
+        real_idx = _self_conjugate_indices(self.n3)
+        half[:, real_idx] = half[:, real_idx].real
         return half.reshape(-1, *self.shape[:2])
 
-    def spectra(self, power: bool):
+    def spectra(self):
         """:func:`ttensor.eigensolvers.hermitian_eig` of :meth:`halves`,
         solved on first use (or by :func:`_solve_together`) and kept."""
-        if self._spectra.get(power) is None:
+        if not self._spectra:  # None before any request, False after a failed wave
             from .eigensolvers import hermitian_eig  # deferred import, see spectral_norm
 
-            self._spectra[power] = hermitian_eig(self.halves(power))
-        return self._spectra[power]
+            self._spectra = hermitian_eig(self.halves())
+        return self._spectra
+
+    def align(self, other: "_Stack") -> "_Stack":
+        """Each member's tensor whose half slice ``k`` is ``V_k W_k^H``, with
+        ``V`` and ``W`` the eigenvectors of this stack's and ``other``'s
+        :meth:`spectra`: the unitary per slice that carries ``other``'s
+        eigenbasis onto this stack's, eigenvalues in ascending order."""
+        from .eigensolvers import _herm_t  # deferred import, see spectral_norm
+        from .fourier import _half_size, _inverse, _mirror_half
+
+        _check_same_shape(self, other)
+        u = self.spectra().vectors @ _herm_t(other.spectra().vectors)
+        u = u.reshape(len(self), _half_size(self.n3), *self.shape[:2])
+        return _Stack(_inverse(_mirror_half(u, self.n3)))
 
     def member(self, i: int) -> Tensor3:
         """Member ``i``, a read-only view, so a :class:`Tensor3` as it is."""
@@ -338,7 +351,7 @@ class _Stack:
 
     def extremes(self) -> tuple[list, list]:
         """Each member's ``(smallest eigenvalue, largest eigenvalue magnitude)``
-        over its Hermitian-symmetrized Fourier slices (``spectra(False)``), as
+        over its Hermitian-symmetrized Fourier slices (:meth:`spectra`), as
         two lists of floats.
 
         This is the one min-gap routine; its callers keep their own tolerance
@@ -351,7 +364,7 @@ class _Stack:
           ``rhs - lhs`` and accepts ``gap >= -tol * (1 + ||R||_2)``, scaled by
           the spectral norm of the right-hand side ``R`` instead.
         """
-        w = self.spectra(False).values.reshape(len(self), -1)
+        w = self.spectra().values.reshape(len(self), -1)
         return w.min(axis=1).tolist(), np.abs(w).max(axis=1).tolist()
 
     def cartesian_norms(self, other: "_Stack") -> tuple[list, list]:
@@ -381,26 +394,22 @@ def _same_square(*xs: _Stack) -> bool:
     return len({x.shape for x in xs}) == 1 and xs[0].shape[0] == xs[0].shape[1]
 
 
-def _solve_together(*wave: tuple[_Stack, bool], arrays: tuple = ()) -> list:
-    """Solve a wave of independent Hermitian spectra in one deduplicated
-    solver call (:func:`ttensor.eigensolvers._hermitian_eigs`): each
-    ``(stack, power)`` not yet solved keeps ``stack.spectra(power)``, and the
-    spectra of ``arrays``, Hermitian stacks of the stacks' ``(n, n)``
-    member shape, are returned.
-    When they cannot share a call (fewer than two, stacks of two shapes or
-    not square, or a call that raises), the arrays get Nones and each stack
+def _solve_together(*wave: _Stack) -> None:
+    """Solve the spectra of a wave of independent stacks in one solver call
+    (:func:`ttensor.eigensolvers._hermitian_eigs`); each stack not yet
+    asked for them keeps its :meth:`_Stack.spectra`, and a stack named
+    twice is solved once.  When they cannot share a call (fewer than two,
+    stacks of two shapes or not square, or a call that raises), each stack
     is solved, and raises its own error, where it is used; a stack of a
-    failed call does not join a wave again.  Stacks of another type keep
-    no spectra and ignore the request."""
+    failed call does not join a wave again.  Stacks of another type keep no
+    spectra and ignore the request."""
     from .eigensolvers import _hermitian_eigs  # deferred import, see spectral_norm
 
-    pending = [(x, power) for x, power in wave if isinstance(x, _Stack) and power not in x._spectra]
-    if len(pending) + len(arrays) < 2 or (pending and not _same_square(*(x for x, _ in pending))):
-        return [None] * len(arrays)
-    solved = _hermitian_eigs([x.halves(power) for x, power in pending] + list(arrays))
-    for (x, power), e in zip(pending, solved):
-        x._spectra[power] = e  # None after a failed call: solved where it is used
-    return solved[len(pending):]
+    pending = list(dict.fromkeys(x for x in wave if isinstance(x, _Stack) and x._spectra is None))
+    if len(pending) < 2 or not _same_square(*pending):
+        return
+    for x, e in zip(pending, _hermitian_eigs([x.halves() for x in pending])):
+        x._spectra = e or False  # False after a failed call: solved where it is used
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,12 @@ with :class:`EigenConvergenceError`, naming the lowest such member, since no
 iteration converges on it.
 
 Every call solves afresh; nothing is cached here, though a tensor stack
-keeps the spectra of its own half slices (:meth:`ttensor.core._Stack.spectra`).
-Since every member's result is independent of the rest of its stack, a
-caller may put the independent stacks it needs at one point into one call:
-:func:`_hermitian_eigs` solves several stacks at once and hands each its
-share, so a certifier makes one Jacobi call per wave of independent spectra
+keeps the one decomposition of its half slices
+(:meth:`ttensor.core._Stack.spectra`).  Since every member's result is
+independent of the rest of its stack, a caller may put the independent
+stacks it needs at one point into one call: :func:`_hermitian_eigs` solves
+several stacks at once and hands each its share, so a certifier makes one
+Jacobi call per wave of independent spectra
 (:func:`ttensor.core._solve_together`), for a whole campaign window
 (:mod:`ttensor.campaigns`).
 """
@@ -113,23 +114,15 @@ def _hermitian_eigs(stacks: list) -> list:
     """:func:`hermitian_eig` of each ``(m, n, n)`` stack in ``stacks``, from
     one solver call: the independent spectra a certifier needs at one point.
 
-    Members equal byte for byte are solved once: the two half-slice stacks of
-    a tensor (:meth:`ttensor.core._Stack.halves`) share all but their
-    self-conjugate slices.
-
     All ``None`` when the call raises; each caller then solves its own stack
     and raises the error it raises alone, where it raises it.
     """
-    a = np.concatenate(stacks)
-    keys = a.reshape(len(a), -1).view(np.dtype((np.void, a[0].nbytes))).ravel()
-    _, first, where = np.unique(keys, return_index=True, return_inverse=True)
     try:
-        e = hermitian_eig(a[first])
+        e = hermitian_eig(np.concatenate(stacks))
     except TtensorError:
         return [None] * len(stacks)
     bounds = np.cumsum([len(s) for s in stacks])[:-1]
-    values, vectors = np.split(e.values[where], bounds), np.split(e.vectors[where], bounds)
-    return [HermitianEigen(v, w) for v, w in zip(values, vectors)]
+    return [HermitianEigen(v, w) for v, w in zip(np.split(e.values, bounds), np.split(e.vectors, bounds))]
 
 
 def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

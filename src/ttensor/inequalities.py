@@ -26,24 +26,24 @@ Every public certifier is the ``b = 1`` case of a stacked certifier
 (``_loewner_heinz``, ``_furuta``, ``_am_gm``, ...) that takes its tensors as
 stacks along a leading trial axis (:class:`ttensor.core._Stack`) and its
 scalars as one list per argument, and returns one certificate list per
-member; a campaign certifies a whole window with one call.  Except
-``_young_witness_certificates``, the stacked certifiers call only the stack
-algebra of :class:`ttensor.core._Stack` (``@``, ``transpose``, ``sym``,
-``power``, ``abs_power``, the norms, ``extremes``, ``cat``, ``split``,
-``where``) and the gates built on it, so the same bodies run on any stack
-type that has those methods.  The tensors under ``|X|^r`` in one
-certifier are powered together when they share a shape (:func:`_powers`).
-A stacked certifier also stacks its own independent slice spectra, one
-solver call per wave: it names the ``(stack, power)`` spectra a wave needs
-in one request (:func:`ttensor.core._solve_together`, which only the float
-stack acts on), each stack keeps its share for the gates and the powers
-that read it, and the stacks a wave powers are concatenated so that one
-power application covers them.  ``furuta`` takes the PSD check of B, the
-order gap A - B and the decompositions of B and A in one call, both
-sandwich powers in a second and both Loewner gaps in a third.  A product a
-wave needs (``Q^T X Q``, ``A B``) is formed ahead of the checks only when
-the shapes are equal and square, so a shape error still comes after the
-hypothesis errors.  Hypotheses are checked member by member, each
+member; a campaign certifies a whole window with one call.  The stacked
+certifiers call only the stack algebra of :class:`ttensor.core._Stack`
+(``@``, ``transpose``, ``sym``, ``power``, ``abs_power``, the norms,
+``extremes``, ``cat``, ``split``, ``where``) and the gates and the Young
+witness built on it, so the same bodies run on any stack type that has
+those methods.  The tensors under ``|X|^r`` in one certifier are powered
+together when they share a shape (:func:`_powers`).  A stacked certifier
+also stacks its own independent slice spectra, one solver call per wave: it
+names the stacks whose spectra a wave needs in one request
+(:func:`ttensor.core._solve_together`, which only the float stack acts on),
+each stack keeps its decomposition for the gates and the powers that read
+it, and the stacks a wave powers are concatenated so that one power
+application covers them.  ``furuta`` takes the decompositions of B (for
+its PSD check and its powers), of the order gap A - B and of A in one call,
+both sandwich powers in a second and both Loewner gaps in a third.  A
+product a wave needs (``Q^T X Q``, ``A B``) is formed ahead of the checks
+only when the shapes are equal and square, so a shape error still comes
+after the hypothesis errors.  Hypotheses are checked member by member, each
 in the order the scalar certifier checks them, and the certificate
 arithmetic (``** (1/p)``, the damping, ``(2 + t) *``) stays in Python floats
 per member, so each member's certificates are bit for bit those of the
@@ -145,7 +145,7 @@ def _loewner_pair_powers(a: _Stack, b: _Stack, tol: float, *exponents) -> list[l
     of exponents one power application."""
     diff = a - b if a.shape == b.shape else None
     if diff is not None:
-        _solve_together((b, False), (diff, False), (b, True), (a, True))
+        _solve_together(b, diff, a)
     _require_psd(tol, B=b)
     if diff is None:
         raise ShapeMismatchError(f"order comparison needs equal shapes: {a.shape} vs {b.shape}")
@@ -223,7 +223,7 @@ def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[
     if _same_square(q, x):
         middle = left @ x @ q
         sym_middle = middle.sym()
-        _solve_together((x, False), (x, True), (sym_middle, True))
+        _solve_together(x, sym_middle)
     _require_psd(tol, X=x)
     if mode == "contraction":
         for q_norm in q.spectral():
@@ -281,7 +281,7 @@ def _furuta(a: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list
     sandwich_b = (br @ ap @ br).sym()
     sandwich_a = (ar @ bp @ ar).sym()
     inverse_q = [1.0 / qi for qi in q]
-    _solve_together((sandwich_b, True), (sandwich_a, True))
+    _solve_together(sandwich_b, sandwich_a)
     lower_rhs, upper_lhs = sandwich_b.cat(sandwich_a).power(inverse_q + inverse_q).split(2)
     params = [{"r": ri, "p": pi, "q": qi} for ri, pi, qi in zip(r, p, q)]
     sides = [{**pm, "side": "lower"} for pm in params] + [{**pm, "side": "upper"} for pm in params]
@@ -311,7 +311,7 @@ def _young_commuting(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> list
     if _same_square(a, b):
         ab = a @ b
         lhs = ab.sym()
-        _solve_together((a, False), (b, False), (lhs, False), (a, True), (b, True))
+        _solve_together(a, b, lhs)
     _require_psd(tol, A=a, B=b)
     if ab is None:
         ab = a @ b
@@ -483,7 +483,7 @@ def _heinz_family(a: _Stack, x: _Stack, b: _Stack, r: list, t: list, tol: float)
     for ri, ti in zip(r, t):
         _require(1.0 <= 2 * ri <= 3.0, f"exponent r={ri} outside [0.5, 1.5]")
         _require(-2.0 < ti <= 2.0, f"weight t={ti} outside (-2, 2]")
-    _solve_together((a, False), (b, False), (a, True), (b, True))
+    _solve_together(a, b)
     _require_psd(tol, A=a, B=b)
     r2 = [2 - ri for ri in r]
     pair = a.cat(b)
@@ -524,7 +524,7 @@ def check_holder(
 def _holder(a: _Stack, x: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list[list]:
     """:func:`check_holder` of each member, member ``i`` at ``r[i]``, ``p[i]``, ``q[i]``."""
     _require_holder_exponents(r, p, q)
-    _solve_together((a, False), (b, False), (a, True), (b, True))
+    _solve_together(a, b)
     _require_psd(tol, A=a, B=b)
     axb = a @ x @ b
     ap, bq = _powers("power", [a, b], [p, q])

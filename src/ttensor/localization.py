@@ -319,7 +319,7 @@ def _diag_spectrum(a: _Stack, b: _Stack, tol: float) -> list[list]:
     """:func:`diag_spectrum_bound` of each member; the spectra take one
     solver call, and the norms of ``T = A + iB`` one complex transform."""
     _require_symmetric(tol, A=a, B=b)
-    _require(a.shape == b.shape, f"shape mismatch: {a.shape} vs {b.shape}")
+    _check_same_shape(a, b)
     spectra = _t_eigenvalues(a, b)
     n3 = a.n3
 

@@ -24,8 +24,10 @@ the one power kernel).
 certifier's hypothesis gate has checked its symmetry and semidefiniteness,
 and :func:`t_power` checks its own argument.  :func:`_t_eigenvalues` takes
 the spectra of every member of several stacks with at most one call of each
-solver, and :func:`_young_witness` builds the witnesses of a stack of pairs
-in three Jacobi calls.
+solver.  :func:`_young_witness` builds the witnesses of a stack of pairs in
+the stack algebra, in three Jacobi calls: it powers the Grams of ``A``,
+``B`` and ``A B^T``, solved in one wave, through their ``cat``, and takes
+the witness from :meth:`ttensor.core._Stack.align`.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def _t_eigenvalues(*xs: _Stack) -> list[TEigenSpectrum]:
     for x in xs:
         half = _half_size(x.n3)
         symmetric = [not reason for reason in _asymmetry(x, PREDICATE_TOL)]
-        psd = x.halves(False).reshape(len(x), half, *x.shape[:2]) if any(symmetric) else None
+        psd = x.halves().reshape(len(x), half, *x.shape[:2]) if any(symmetric) else None
         for i, sym in enumerate(symmetric):
             kinds.append((sym, x.n3))
             if sym:
@@ -196,7 +198,7 @@ def t_power(a: Tensor3, r: float) -> Tensor3:
     reason = _asymmetry(x, _POWER_TOL)[0]
     if reason:
         raise NotSymmetricError(f"t_power requires a symmetric tensor: {reason}")
-    w = x.spectra(True).values
+    w = x.spectra().values
     lam_max, min_eig = float(w.max()), float(w.min())
     clamp_floor = _POWER_TOL * max(lam_max, 0.0)
     if min_eig < -clamp_floor:
@@ -223,7 +225,7 @@ def _t_power(x: _Stack, exponents: list) -> _Stack:
     power.
     """
     b, (n, _, n3) = len(x), x.shape
-    eigs = x.spectra(True)
+    eigs = x.spectra()
     values = eigs.values.reshape(b, -1)
     for r, lam_max, min_eig in zip(exponents, values.max(axis=1).tolist(), values.min(axis=1).tolist()):
         if r < 0 and (lam_max <= 0.0 or min_eig < _POWER_TOL * lam_max):
@@ -297,40 +299,22 @@ def young_witness(
 def _young_witness(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> tuple[_Stack, list]:
     """:func:`young_witness` of each member pair, member ``i`` at ``p[i]``,
     ``q[i]``: the witnesses as one stack and the verdicts in member order.
-    The slice Grams and the absolute values take one solver call, the
-    aligned sums one more, and the verdicts a third."""
+    The Grams of ``A``, ``B`` and ``A B^T`` take one solver call, the
+    right-hand side one more, and the verdicts a third."""
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(
             f"young_witness needs equal square shapes, got {a.shape} and {b.shape}"
         )
     for pi, qi in zip(p, q):
         _require_conjugate(pi, qi)
-    n, n3 = a.shape[0], a.n3
-    half = _half_size(n3)
-    sa, sb = a.slices[:, :half], b.slices[:, :half]
-    grams = _young_grams(sa, sb)
-    # self-conjugate slices are clamped to their real parts, in real arithmetic
-    for k in _self_conjugate_indices(n3):
-        for g, real_g in zip(grams, _young_grams(sa[:, k].real, sb[:, k].real)):
-            g[:, k] = real_g
-    factors = a.cat(b, a @ b.transpose())  # their Grams' spectra join the first wave
-    abs_gram = (factors.transpose() @ factors).sym()
-    grams = [g.reshape(-1, n, n) for g in grams]
-    # |A_k B_k^H| = V sqrt(w) V^H
-    solved = _solve_together((abs_gram, True), arrays=grams)
-    e_c, e_a, e_b = (e or hermitian_eig(g) for e, g in zip(solved, grams))
-    rows = np.repeat(np.arange(len(a)), half)  # the member of each half slice
-    p_rows, q_rows = np.asarray(p, dtype=float)[rows], np.asarray(q, dtype=float)[rows]
-    d = (
-        _clipped_power(e_a, [pi / 2 for pi in p], rows) / p_rows[:, None, None]
-        + _clipped_power(e_b, [qi / 2 for qi in q], rows) / q_rows[:, None, None]
-    )
-    e_d = hermitian_eig(0.5 * (d + _herm_t(d)))
-    u_half = (e_c.vectors @ _herm_t(e_d.vectors)).reshape(len(a), half, n, n)
-    u = _Stack(_inverse(_mirror_half(u_half, n3)))
+    g_a, g_b, g_ab = ((x.transpose() @ x).sym() for x in (a, b, a @ b.transpose()))
+    _solve_together(g_a, g_b, g_ab)
     # |A|^p, |B|^q and |A B^T| as the powers p/2, q/2 and 1/2 of their Grams
-    abs_a, abs_b, abs_ab = abs_gram.power([0.5 * r for r in [*p, *q, *[1.0] * len(a)]]).split(3)
+    abs_a, abs_b, abs_ab = g_a.cat(g_b, g_ab).power([0.5 * r for r in [*p, *q, *[1.0] * len(a)]]).split(3)
     rhs = abs_a * [1.0 / pi for pi in p] + abs_b * [1.0 / qi for qi in q]
+    # U carries the right-hand side's eigenbasis onto that of |A B^T|, slice by
+    # slice, so U^T |A B^T| U has |A B^T|'s eigenvalues in the right-hand side's basis
+    u = g_ab.align(rhs)
     conjugated = u.transpose() @ abs_ab @ u
     return u, _psd_verdicts(rhs - conjugated.sym(), tol)
 
@@ -347,9 +331,3 @@ def _require_conjugate(p: float, q: float) -> None:
         1 < p < np.inf and 1 < q < np.inf and abs(1.0 / p + 1.0 / q - 1.0) <= _CONJUGATE_TOL,
         f"exponents p={p}, q={q} are not conjugate",
     )
-
-
-def _young_grams(sa, sb):
-    """``(P^H P, A^H A, B^H B)`` with ``P = A B^H``, per slice or per stack member."""
-    prod = sa @ _herm_t(sb)
-    return _herm_t(prod) @ prod, _herm_t(sa) @ sa, _herm_t(sb) @ sb

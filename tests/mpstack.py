@@ -2,20 +2,22 @@
 
 :class:`_MpStack` has the stack algebra of :class:`ttensor.core._Stack`
 (``@``, ``transpose``, ``sym``, ``+``, ``-``, ``*``, ``power``,
-``abs_power``, ``frobenius``, ``spectral``, ``extremes``,
+``abs_power``, ``align``, ``frobenius``, ``spectral``, ``extremes``,
 ``cartesian_norms``, ``cat``, ``split``, ``where``), so the stacked
-certifiers of :mod:`ttensor.inequalities` and the gates of
-:mod:`ttensor.algebra` run on it unchanged.  It holds each member's half
-spectrum, Fourier slices ``0 .. n3//2`` as mpmath matrices, from a 50-digit
-DFT of the same float inputs; the other slices are their conjugates, so the
-half spectrum carries the whole member (Kilmer & Martin, LAA 2011).
+certifiers of :mod:`ttensor.inequalities`, the gates of
+:mod:`ttensor.algebra` and the Young witness of :mod:`ttensor.spectral` run
+on it unchanged.  It holds each member's half spectrum, Fourier slices
+``0 .. n3//2`` as mpmath matrices, from a 50-digit DFT of the same float
+inputs; the other slices are their conjugates, so the half spectrum carries
+the whole member (Kilmer & Martin, LAA 2011).
 
-Per half slice it multiplies, takes conjugate transposes, powers and min
-gaps through ``eighe`` of the Hermitian part, and spectral norms through
-``svd_c``; Frobenius norms come from Parseval.  A power is taken of the
-formed product (no factored form), which 50 digits make accurate enough.
-The norms and gaps are rounded to float64 at the end, which moves a margin
-by about 1e-16 of its scale, far below every certificate's tolerance.
+Per half slice it multiplies, takes conjugate transposes, powers,
+alignments and min gaps through ``eighe`` of the Hermitian part, and
+spectral norms through ``svd_c``; Frobenius norms come from Parseval.  A
+power is taken of the formed product (no factored form), which 50 digits
+make accurate enough.  The norms and gaps are rounded to float64 at the
+end, which moves a margin by about 1e-16 of its scale, far below every
+certificate's tolerance.
 mpmath is imported on first use.
 """
 
@@ -136,6 +138,18 @@ class _MpStack:
 
         rs = [mp.mpf(float(v)) for v in _per_member(r, len(self))]
         return _MpStack([[slice_power(s, ri) for s in m] for m, ri in zip(self.halves, rs)], self.shape)
+
+    def align(self, other: "_MpStack") -> "_MpStack":
+        """Per half slice, ``V W^H`` with ``V`` and ``W`` the eigenvectors of
+        the Hermitian parts of this stack's and ``other``'s slices, in the
+        ascending eigenvalue order ``eighe`` returns."""
+        mp = _mp()
+        _check_same_shape(self, other)
+
+        def vectors(s):
+            return mp.eighe((s + s.H) * 0.5)[1]
+
+        return self._map(lambda s, t: vectors(s) * vectors(t).H, other)
 
     def abs_power(self, r) -> "_MpStack":
         return (self.transpose() @ self).sym().power([0.5 * v for v in _per_member(r, len(self))])

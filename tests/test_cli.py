@@ -52,17 +52,22 @@ def test_file_rejects_bad_lengths(tmp_path):
     assert main(["eig", str(path)]) == 2
 
 
-@pytest.mark.parametrize("doc", [
-    {"dims": [1, 1, 2], "data": [1.0]},
-    {"dims": [1, 1, 2], "data_re": [1.0], "data_im": [0.0]},
-    {"dims": [1, 1, 2], "data_re": [1.0, 2.0, 3.0], "data_im": [0.0, 0.0]},
-    {"dims": [1, 1, 2], "data": [[1.0], [2.0]]},
-], ids=["real-short", "complex-short", "complex-long-re", "nested"])
-def test_file_rejects_data_that_is_not_a_flat_array_of_the_dims(tmp_path, capsys, doc):
-    # every data array is checked the same way, and the message names the file
+@pytest.mark.parametrize("doc,message", [
+    ({"dims": [1, 1, 2], "data": [1.0]}, "data must be a flat array of 2 numbers"),
+    ({"dims": [1, 1, 2], "data_re": [1.0], "data_im": [0.0]}, "data_re must be a flat array of 2 numbers"),
+    (
+        {"dims": [1, 1, 2], "data_re": [1.0, 2.0, 3.0], "data_im": [0.0, 0.0]},
+        "data_re must be a flat array of 2 numbers",
+    ),
+    ({"dims": [1, 1, 2], "data": [[1.0], [2.0]]}, "data must be a flat array of 2 numbers"),
+    ({"dims": [True, True, True], "data": [2.5]}, "dims must be three positive integers"),
+], ids=["real-short", "complex-short", "complex-long-re", "nested", "boolean-dims"])
+def test_file_rejects_data_that_is_not_a_flat_array_of_the_dims(tmp_path, capsys, doc, message):
+    # every data array, and the dims, are checked the same way, and the
+    # message names the file
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(cli.FileFormatError, match="bad.json: data.* must be a flat array of 2 numbers"):
+    with pytest.raises(cli.FileFormatError, match=f"bad.json: {message}"):
         read_tensor(str(path))
     assert main(["eig", str(path)]) == 2
     assert "bad.json" in capsys.readouterr().err

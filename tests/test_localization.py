@@ -216,7 +216,7 @@ def _pairs_for_optimality():
     yield pytest.param(*_symmetric_campaign_pair(3, 127, 0), id="campaign-n=3-n3=127-seed=0")
 
 
-@pytest.mark.parametrize("pairing", [hoffman_wielandt, sorted_pairing_distance])
+@pytest.mark.parametrize("pairing", [hoffman_wielandt, sorted_pairing_distance, diag_spectrum_bound])
 def test_pairings_of_two_shapes_are_shape_errors(pairing):
     a, b = gen_symmetric(2, 3, RngStream(313)), gen_symmetric(3, 3, RngStream(314))
     with pytest.raises(ShapeMismatchError):

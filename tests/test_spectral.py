@@ -284,7 +284,7 @@ def test_wave_in_one_jacobi_call_matches_each_call_alone(monkeypatch, n3):
     counts = _count_kernels(monkeypatch)
     x, y = _Stack.of(a), _Stack.of(b)
     diff, gram, gap = x - y, ((x - y).transpose() @ (x - y)).sym(), (x - y).sym()
-    _solve_together((x, False), (diff, False), (x, True), (y, True), (gram, True), (gap, False))
+    _solve_together(x, diff, y, gram, gap)
     assert counts["jacobi"] == 1
     xp, yp = x.cat(y).power([0.5, 1.5]).split(2)
     shared = [
@@ -306,13 +306,13 @@ def test_unshareable_wave_leaves_each_stack_to_its_own_call(monkeypatch):
     small = gen_t_psd(2, 4, RngStream(93))
     x = _Stack.of(a)
     counts = _count_kernels(monkeypatch)
-    _solve_together((x, False), (_Stack.of(small), False))  # two shapes
-    _solve_together((x, True))  # a lone stack
+    _solve_together(x, _Stack.of(small))  # two shapes
+    _solve_together(x, x)  # a lone stack, named twice
     assert counts["jacobi"] == 0
     monkeypatch.setattr(eigensolvers, "_MAX_SWEEPS", 1)
     with pytest.raises(EigenConvergenceError) as alone:
         t_power(a, 0.5)
-    _solve_together((x, False), (x, True))  # the call fails, and nothing is kept
+    _solve_together(x, _Stack.of(a))  # the call fails, and nothing is kept
     assert counts["jacobi"] == 2
     with pytest.raises(EigenConvergenceError) as after:
         x.power(0.5)

@@ -22,7 +22,9 @@ runs on any stack type that has them.  The public functions are the ``b =
 keeps its Fourier slices and one decomposition of its Hermitian half slices,
 whose self-conjugate slices are real (:meth:`_Stack.spectra`), for its PSD
 checks and its powers alike; :func:`_solve_together` solves those of
-several stacks in one call.
+several stacks in one call.  A :class:`Tensor3` keeps its one-member stack
+(:meth:`_Stack.of`), so every public call on the tensor reads the same
+slices and spectra, transformed and solved on first use.
 """
 
 from __future__ import annotations
@@ -115,11 +117,20 @@ class _Dense:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape={self.shape})"
 
+    def __reduce__(self):
+        """Pickles and copies rebuild from the entries alone, through the
+        validating constructor; a kept stack does not travel with them."""
+        return type(self), (self.data,)
+
 
 class Tensor3(_Dense):
-    """Dense real third-order tensor; immutable after construction."""
+    """Dense real third-order tensor; immutable after construction.
 
-    __slots__ = ()
+    A tensor keeps its one-member :class:`_Stack` (``_Stack.of(t)``) once a
+    call has made it, so its Fourier slices and half-slice spectra are
+    computed once however many public calls use the tensor."""
+
+    __slots__ = ("_stack",)
 
     @classmethod
     def zeros(cls, n1: int, n2: int, n3: int) -> "Tensor3":
@@ -174,12 +185,15 @@ class _Stack:
     ``b = 1`` case.
 
     ``slices`` are the members' Fourier slices, ``(b, n3, n1, n2)``,
-    transformed on first use and kept, so a stack is transformed once however
-    often it is used; :meth:`spectra` keeps the one decomposition of its
-    half slices in the same way.  A stack made by :meth:`cat` starts with the
-    spectra that all of its parts were asked for (so one power application
-    covers a wave of stacks solved together); otherwise stacks share no
-    slices and no spectra.  Entries must be finite, as for :class:`Tensor3`.
+    transformed on first use and kept read-only, so a stack is transformed
+    once however often it is used; :meth:`spectra` keeps the one
+    decomposition of its half slices in the same way.  A stack made by
+    :meth:`cat` starts with the spectra that all of its parts were asked for
+    (so one power application covers a wave of stacks solved together);
+    otherwise stacks share no slices and no spectra.  One tensor's stack,
+    ``_Stack.of(t)``, is kept by the tensor for its lifetime, so its slices
+    and spectra serve every call on it.  Entries must be finite, as for
+    :class:`Tensor3`.
     """
 
     __slots__ = ("data", "_slices", "_spectra")
@@ -193,12 +207,20 @@ class _Stack:
 
     @classmethod
     def of(cls, *tensors: Tensor3) -> "_Stack":
-        """The tensors, in order, as the members of one stack."""
+        """The tensors, in order, as the members of one stack.  One tensor's
+        stack is the one it keeps, made on first use as a view of its
+        read-only data; two threads that make it at once each get a stack of
+        the same bits, and the tensor keeps one of them."""
         for t in tensors[1:]:
             _check_same_shape(tensors[0], t)
-        if len(tensors) == 1:  # a view: a tensor's data is read-only already
-            return cls(tensors[0].data[None])
-        return cls(np.stack([t.data for t in tensors]))
+        if len(tensors) > 1:
+            return cls(np.stack([t.data for t in tensors]))
+        (t,) = tensors
+        x = getattr(t, "_stack", None)  # unset on a stack's member view
+        if x is None:
+            x = cls(t.data[None])
+            object.__setattr__(t, "_stack", x)
+        return x
 
     def cat(self, *others: "_Stack") -> "_Stack":
         """The members of this stack and then of each other stack in turn,
@@ -248,7 +270,9 @@ class _Stack:
         if self._slices is None:
             from .fourier import _forward  # deferred import, see spectral_norm
 
-            self._slices = _forward(self.data)
+            slices = _forward(self.data)
+            slices.flags.writeable = False  # a tensor's stack shares them with every call
+            self._slices = slices
         return self._slices
 
     def halves(self) -> np.ndarray:
@@ -493,6 +517,8 @@ def spectral_norm(a) -> float:
 
     Equals the maximum over Fourier slices of the slice's largest singular
     value, because the unfolding is unitarily block-diagonalized by the DFT.
+    A real tensor's slices are those its stack keeps
+    (:func:`ttensor.fourier.to_fourier`).
     """
     from .fourier import to_fourier  # deferred: core must not import fourier at load
 

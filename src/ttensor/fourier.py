@@ -60,8 +60,12 @@ each member's terms in the same order whatever ``b`` is, so a member's
 result is bit for bit its lone transform, and :func:`to_fourier` and :func:`from_fourier` are the ``b = 1``
 case (bit-equal and as fast as the unstacked einsums at 8x8x1024, 8x8x512,
 16x16x128 and 3x3x128; the complex einsum was checked on 2800 members with
-``n`` up to 8, ``n3`` up to 128 and stacks of up to 64).  Every call
-transforms afresh: nothing is cached but the kernel.
+``n`` up to 8, ``n3`` up to 128 and stacks of up to 64).  This module
+caches nothing but the kernel; a real tensor's slices are kept by the stack
+it owns (:meth:`ttensor.core._Stack.of`), which takes them from
+:func:`_forward` once, so :func:`to_fourier` of a real tensor transforms it
+only on its first use by any call.  A complex tensor is transformed afresh
+by every call.
 
 Large transforms run on two threads (:func:`_slicewise_einsum`).  When the
 work ``b * n1 * n2 * n3**2`` is above ``_SPLIT_WORK``, the process may run
@@ -129,7 +133,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Tensor3
+from .core import Tensor3, _Stack
 from .errors import ConjugateSymmetryError, ShapeMismatchError
 
 __all__ = [
@@ -320,9 +324,12 @@ def to_fourier(a) -> FourierSlices:
 
     Accepts real and complex tensors; ``origin_real`` is set for real input,
     and the output then carries the conjugate-symmetry pattern by construction.
+    A real tensor's slices are a read-only view of those its stack keeps.
     """
     n1, n2, n3 = a.shape
-    return FourierSlices(n1, n2, n3, _forward(a.data[None])[0], isinstance(a, Tensor3))
+    if isinstance(a, Tensor3):
+        return FourierSlices(n1, n2, n3, _Stack.of(a).slices[0], True)
+    return FourierSlices(n1, n2, n3, _forward(a.data[None])[0], False)
 
 
 def _forward(data: np.ndarray) -> np.ndarray:

@@ -24,10 +24,11 @@ the one power kernel).
 certifier's hypothesis gate has checked its symmetry and semidefiniteness,
 and :func:`t_power` checks its own argument.  :func:`_t_eigenvalues` takes
 the spectra of every member of several stacks with at most one call of each
-solver.  :func:`_young_witness` builds the witnesses of a stack of pairs in
-the stack algebra, in three Jacobi calls: it powers the Grams of ``A``,
-``B`` and ``A B^T``, solved in one wave, through their ``cat``, and takes
-the witness from :meth:`ttensor.core._Stack.align`.
+solver, and a symmetric stack's are the ones it keeps.
+:func:`_young_witness` builds the witnesses of a stack of pairs in the
+stack algebra, in three Jacobi calls: it powers the Grams of ``A``, ``B``
+and ``A B^T``, solved in one wave, through their ``cat``, and takes the
+witness from :meth:`ttensor.core._Stack.align`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .algebra import PREDICATE_TOL, LoewnerVerdict, _asymmetry, _psd_verdicts
 from .core import Tensor3, _as_generator, _solve_together, _Stack, gen_random
-from .eigensolvers import HermitianEigen, _herm_t, general_eig, hermitian_eig
+from .eigensolvers import HermitianEigen, _herm_t, general_eig
 from .errors import (
     NotSymmetricError,
     NotTPSDError,
@@ -96,29 +97,26 @@ def t_eigenvalues(a) -> TEigenSpectrum:
 
 def _t_eigenvalues(*xs: _Stack) -> list[TEigenSpectrum]:
     """:func:`t_eigenvalues` of every member of every stack, stack by stack.
-    The half spectra of the members symmetric within ``PREDICATE_TOL`` take
-    the Hermitian solver, the others the general one, and each solver takes
-    all of its half spectra in one call when they share a shape (a member's
-    values do not depend on the rest of the stack)."""
+    The members symmetric within ``PREDICATE_TOL`` read their stack's
+    :meth:`~ttensor.core._Stack.spectra`, solved in one wave; the half
+    spectra of the others take the general solver, in one call when they
+    share a shape (a member's values do not depend on the rest of the
+    stack)."""
     for x in xs:
         if x.shape[0] != x.shape[1]:
             raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {x.shape}")
-    kinds, hermitian, general = [], [], []
-    for x in xs:
+    symmetric = [[not reason for reason in _asymmetry(x, PREDICATE_TOL)] for x in xs]
+    _solve_together(*(x for x, sym in zip(xs, symmetric) if any(sym)))
+    members, general = [], []  # (kept half spectrum or None, n3) of each member
+    for x, sym in zip(xs, symmetric):
         half = _half_size(x.n3)
-        symmetric = [not reason for reason in _asymmetry(x, PREDICATE_TOL)]
-        psd = x.halves().reshape(len(x), half, *x.shape[:2]) if any(symmetric) else None
-        for i, sym in enumerate(symmetric):
-            kinds.append((sym, x.n3))
-            if sym:
-                hermitian.append(psd[i])
-            else:
+        kept = x.spectra().values.reshape(len(x), half, -1) if any(sym) else None
+        for i, s in enumerate(sym):
+            members.append((kept[i].astype(complex) if s else None, x.n3))
+            if not s:
                 general.append(x.slices[i, :half])
-    solved = {
-        True: iter(_solve_halves(hermitian, lambda m: hermitian_eig(m).values.astype(complex))),
-        False: iter(_solve_halves(general, general_eig)),
-    }
-    return [_mirrored_spectrum(next(solved[sym]), n3) for sym, n3 in kinds]
+    solved = iter(_solve_halves(general, general_eig))
+    return [_mirrored_spectrum(next(solved) if w is None else w, n3) for w, n3 in members]
 
 
 def _solve_halves(halves: list, solve) -> list:

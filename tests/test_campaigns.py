@@ -590,15 +590,15 @@ def test_window_merges_each_wave_into_one_call(monkeypatch):
 # each stack solved alone and with each wave of independent stacks in one
 # call, for the same members.  Solving alone, each stack solves its
 # half-slice stack in a call of its own where it is used (young-witness's
-# three Grams too, before their cat is powered), and diag-spectrum and
-# hoffman-wielandt take each half spectrum in a call of its own.
+# three Grams too, before their cat is powered, and the t-eigenvalues of
+# diag-spectrum and hoffman-wielandt).
 _SHARED_WAVE_CALLS = {
     "complex-norm-c": ((2, 1), (2, 1)),
-    "diag-spectrum": ((8, 1), (2, 1)),
+    "diag-spectrum": ((2, 1), (2, 1)),
     "furuta": ((6, 3), (6, 3)),
     "hansen-power": ((3, 2), (3, 2)),
     "heinz-family": ((2, 1), (2, 1)),
-    "hoffman-wielandt": ((8, 1), (2, 1)),
+    "hoffman-wielandt": ((2, 1), (2, 1)),
     "holder": ((3, 2), (3, 2)),
     "holder-corollary": ((1, 1), (1, 1)),
     "holder-pairs": ((1, 1), (1, 1)),

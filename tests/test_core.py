@@ -1,7 +1,10 @@
 """Tensor storage, structural operations, norms, and generators."""
 
+import copy
+import pickle
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ import pytest
 from ttensor import (
     ComplexTensor3,
     RngStream,
+    eigensolvers,
+    fourier,
     ShapeMismatchError,
     Tensor3,
     frobenius_norm,
@@ -23,10 +28,14 @@ from ttensor import (
     is_t_psd,
     loewner_ge,
     spectral_norm,
+    t_eigenvalues,
+    t_inverse,
+    t_power,
     t_product,
     to_fourier,
     transpose,
 )
+from ttensor.core import _Stack
 from oracles import brute_bcirc, direct_inner_product, power_iteration_norm
 
 
@@ -63,6 +72,102 @@ def test_tensor_is_immutable():
         t.data = np.ones((2, 2, 2))
     with pytest.raises(ValueError):
         t.data[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_random((2, 3, 4), RngStream(5)),
+    lambda: ComplexTensor3.from_parts(*(gen_random((2, 3, 4), RngStream(s)) for s in (6, 7))),
+], ids=["real", "complex"])
+@pytest.mark.parametrize("round_trip", [
+    lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_tensors_pickle_and_copy(make, round_trip):
+    t = make()
+    if isinstance(t, Tensor3):
+        spectral_norm(t)  # the tensor now keeps its stack
+    u = round_trip(t)
+    assert type(u) is type(t) and u.data.dtype == t.data.dtype
+    assert u.data.tobytes() == t.data.tobytes() and not u.data.flags.writeable
+    assert getattr(u, "_stack", None) is None  # the copy keeps no stack of its own yet
+
+
+# --- each tensor keeps its one-member stack -------------------------------------
+
+def _count_forward(monkeypatch) -> list:
+    """The stacks handed to the forward transform, in order."""
+    calls, forward = [], fourier._forward
+    monkeypatch.setattr(fourier, "_forward", lambda data: calls.append(data.shape) or forward(data))
+    return calls
+
+
+def _count_jacobi(monkeypatch) -> list:
+    calls, jacobi = [], eigensolvers._jacobi
+    monkeypatch.setattr(eigensolvers, "_jacobi", lambda stack: calls.append(len(stack)) or jacobi(stack))
+    return calls
+
+
+# the public calls that read a tensor's Fourier slices, and those that read its
+# slice spectra; each output as bytes (or a verdict of Python floats)
+_FOURIER_CALLS = (
+    lambda t: t_product(t, t).data.tobytes(),
+    lambda t: t_inverse(t).data.tobytes(),
+    lambda t: to_fourier(t).slices.tobytes(),
+    spectral_norm,
+)
+_SPECTRAL_CALLS = (
+    is_t_psd,
+    lambda t: t_power(t, 0.5).data.tobytes(),
+    lambda t: t_eigenvalues(t).values.tobytes(),
+)
+
+
+def _on(a, calls) -> list:
+    return [f(a) for f in calls]
+
+
+def _on_fresh(a, calls) -> list:
+    """Each call on a fresh tensor of ``a``'s entries."""
+    return [f(Tensor3(a.data)) for f in calls]
+
+
+def test_tensor_is_transformed_once_for_every_call(monkeypatch):
+    a = gen_random((3, 3, 8), RngStream(11))
+    assert _Stack.of(a) is _Stack.of(a)
+    fresh = _on_fresh(a, _FOURIER_CALLS)
+    calls = _count_forward(monkeypatch)
+    assert _on(a, _FOURIER_CALLS) == fresh
+    assert calls == [(1, 3, 3, 8)]
+    assert _on(a, _FOURIER_CALLS) == fresh
+    assert len(calls) == 1
+
+
+def test_psd_tensor_is_solved_once_for_every_call(monkeypatch):
+    a = gen_t_psd(3, 6, RngStream(12))
+    fresh = _on_fresh(a, _SPECTRAL_CALLS)
+    calls = _count_jacobi(monkeypatch)
+    assert _on(a, _SPECTRAL_CALLS) == fresh
+    assert calls == [6 // 2 + 1]  # the half slices of a, in one call
+    assert _on(a, _SPECTRAL_CALLS) == fresh
+    assert len(calls) == 1
+
+
+def test_threads_sharing_a_tensor_get_fresh_bytes():
+    a = gen_t_psd(4, 64, RngStream(13))
+    calls = _FOURIER_CALLS + _SPECTRAL_CALLS
+    fresh = _on_fresh(a, calls)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(lambda _: _on(a, calls), range(8)))
+    assert all(r == fresh for r in results)
+
+
+def test_kept_slices_are_read_only():
+    a = gen_random((2, 2, 4), RngStream(14))
+    x = _Stack.of(a)
+    with pytest.raises(ValueError):
+        x.slices[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        to_fourier(a).slices[0, 0, 0] = 1.0
+    assert not x.slices.flags.writeable
 
 
 def test_transpose_n3_equals_1_is_matrix_transpose():

@@ -12,10 +12,10 @@ import pytest
 from ttensor import (
     ComplexTensor3,
     RngStream,
-    eigensolvers,
-    fourier,
     ShapeMismatchError,
     Tensor3,
+    eigensolvers,
+    fourier,
     frobenius_norm,
     fourier_frobenius_norm,
     gen_commuting_psd_pair,

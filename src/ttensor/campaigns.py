@@ -26,9 +26,15 @@ stack of its own, the window's other trials in one pass of array calls
 certifier takes each wave of independent slice spectra of the whole window
 in one solver call: Jacobi for the powers, PSD checks, Loewner gaps and
 symmetric spectra, Hessenberg + QR for the t-eigenvalues of non-symmetric
-tensors (``gershgorin``, ``bauer-fike``, ``schur``).  If the pass raises,
-drawing included, the window's trials run again one by one, so the campaign
-raises the error the lowest failing trial raises in a serial loop.
+tensors (``gershgorin``, ``bauer-fike``, ``schur``).  The stacked
+certifiers live in :mod:`ttensor.inequalities` and
+:mod:`ttensor.localization` (Gershgorin's too), and the localization ones
+read their spectra only through :meth:`ttensor.core._Stack.eigenvalues`;
+the registry entries here only adapt their arguments, and add the sorted
+pairing of a Hoffman-Wielandt pair, whose spectra they name as one wave.
+If the pass raises, drawing included, the window's trials run again one by
+one, so the campaign raises the error the lowest failing trial raises in a
+serial loop.
 
 Every member of a stacked call gets the bits it would get alone, so reports
 are byte-identical to running the trials one after another.  A campaign
@@ -49,12 +55,12 @@ import numpy as np
 from . import inequalities as ineq
 from . import localization as loc
 from .algebra import PREDICATE_TOL, _require_symmetric, _t_inverse
-from .certificates import DEFAULT_TOL, NO_NORM, InequalityCertificate, norm_certificate
+from .certificates import DEFAULT_TOL, InequalityCertificate
 from .core import (
-    RngStream, _commuting_psd_pairs, _frobenius, _loewner_pairs, _spectral, _Stack, _t_psd, identity,
+    RngStream, _commuting_psd_pairs, _frobenius, _loewner_pairs, _solve_together, _spectral, _Stack, _t_psd,
+    identity,
 )
 from .errors import SingularTensorError, UnknownTheoremError, _require
-from .spectral import _t_eigenvalues
 
 __all__ = ["THEOREM_IDS", "CampaignResult", "run_campaign"]
 
@@ -249,27 +255,6 @@ def _draw_random(w, mode, params):
     return w.group([w.random()])
 
 
-def _certify_gershgorin(stacks, columns, tol, mode):
-    """The containment and component-count certificates of each member;
-    the spectra of the whole stack take one solver call, the discs and
-    their components are found member by member."""
-    (x,) = stacks
-    out = []
-    for i, spectrum in enumerate(_t_eigenvalues(x)):
-        discs = loc.gershgorin_discs(x.member(i))
-        gaps, _, scale = loc.gershgorin_gaps(discs, spectrum)
-        components = loc.gershgorin_component_count(discs, spectrum, tol)
-        miscount = max(abs(c.eigenvalue_count - c.disc_count) for c in components)
-        out.append([
-            norm_certificate(
-                "gershgorin", dims=x.shape, params={"claim": claim}, norm_kind=NO_NORM,
-                lhs=lhs, rhs=0.0, tol=tol,
-            )
-            for claim, lhs in (("containment", float(gaps.max()) / scale), ("component-count", miscount))
-        ])
-    return out
-
-
 def _conjugators(w: _Window, q: _Stack, tries: int = _CONJUGATOR_DRAWS) -> tuple[_Stack, _Stack]:
     """Each trial's conjugator and its inverse, from its candidate in ``q``: the
     candidates are tested in one stacked inverse and norm call, and a trial
@@ -316,8 +301,10 @@ def _draw_symmetric_pair(w, mode, params):
 
 def _certify_hoffman_wielandt(stacks, columns, tol, mode):
     """The optimal-pairing certificates of each member, then the sorted pairing's:
-    a symmetric pair's spectra are real, so its optimal pairing is the sorted one."""
+    a symmetric pair's spectra are real, so its optimal pairing is the sorted one.
+    The pair's spectra are one wave (:func:`ttensor.core._solve_together`)."""
     a, b = stacks
+    _solve_together(a, b)
     matched = loc._hoffman_wielandt(a, b, tol)
     _require_symmetric(PREDICATE_TOL, A=a, B=b)
     return [
@@ -344,7 +331,7 @@ _REGISTRY = {
     "holder-corollary": _Stacked(_draw_holder_corollary, _stacked(ineq._holder_corollary)),
     "minkowski": _Stacked(_draw_minkowski, _stacked(ineq._minkowski)),
     "schur": _Stacked(_draw_random, _stacked(loc._schur)),
-    "gershgorin": _Stacked(_draw_random, _certify_gershgorin),
+    "gershgorin": _Stacked(_draw_random, _stacked(loc._gershgorin)),
     "bauer-fike": _Stacked(_draw_bauer_fike, _stacked(loc._bauer_fike)),
     "hoffman-wielandt": _Stacked(_draw_symmetric_pair, _certify_hoffman_wielandt),
     "diag-spectrum": _Stacked(_draw_symmetric_pair, _stacked(loc._diag_spectrum)),

@@ -13,18 +13,21 @@ definition).
 written in: the t-product ``x @ y``, transpose, ``sym``, sums and scalings,
 powers, ``|X|^r``, the eigenbasis alignment of the Young witness
 (:meth:`_Stack.align`), the Frobenius and spectral norms, the min gaps
-(:meth:`_Stack.extremes`), the norms of ``A + iB``, and ``cat``, ``split``
-and ``where``.  The kernels behind them stay in their modules
-(:mod:`ttensor.fourier`, :func:`ttensor.spectral._t_power`), reached
-through deferred imports, so a certifier body that calls only these methods
-runs on any stack type that has them.  The public functions are the ``b =
-1`` case: a member's result never depends on the rest of its stack.  A stack
-keeps its Fourier slices and one decomposition of its Hermitian half slices,
-whose self-conjugate slices are real (:meth:`_Stack.spectra`), for its PSD
-checks and its powers alike; :func:`_solve_together` solves those of
-several stacks in one call.  A :class:`Tensor3` keeps its one-member stack
+(:meth:`_Stack.extremes`), the t-eigenvalues (:meth:`_Stack.eigenvalues`),
+the norms of ``A + iB``, and ``cat``, ``split`` and ``where``.  The kernels
+behind them stay in their modules (:mod:`ttensor.fourier`,
+:func:`ttensor.spectral._t_power`, :func:`ttensor.spectral._t_eigenvalues`),
+reached through deferred imports, so a certifier body that calls only
+these methods runs on any stack type that has them.  The public functions
+are the ``b = 1`` case: a member's result never depends on the rest of its
+stack.  A stack keeps its Fourier slices and one decomposition of its
+Hermitian half slices, whose self-conjugate slices are real
+(:meth:`_Stack.spectra`), for its PSD checks and its powers alike;
+:func:`_solve_together` solves those of several stacks in one call.  A :class:`Tensor3` keeps its one-member stack
 (:meth:`_Stack.of`), so every public call on the tensor reads the same
-slices and spectra, transformed and solved on first use.
+slices and spectra, transformed and solved on first use.  A stack holds
+real tensors only: :meth:`_Stack.of` refuses anything but a
+:class:`Tensor3`, and a :class:`Tensor3` refuses complex entries.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ _DELTA = 1e-3  # the default identity shift of the positive semidefinite generat
 
 
 def _validated(arr: np.ndarray, dtype) -> np.ndarray:
+    if dtype is float and np.iscomplexobj(arr):
+        raise ValueError("a real tensor takes no complex entries")
     arr = np.array(arr, dtype=dtype, order="C")
     if arr.ndim != 3:
         raise ValueError(f"expected a 3-way array, got {arr.ndim} axes")
@@ -107,12 +112,9 @@ class _Dense:
     @classmethod
     def from_flat(cls, flat, n1: int, n2: int, n3: int):
         """Inverse of :meth:`to_flat`; requires exactly ``n1 * n2 * n3`` entries."""
-        flat = np.asarray(flat, dtype=cls._dtype)
-        if flat.size != n1 * n2 * n3:
-            raise ShapeMismatchError(
-                f"flat data has {flat.size} entries, expected {n1 * n2 * n3}"
-            )
-        return cls(flat.reshape(n3, n1, n2).transpose(1, 2, 0))
+        if np.size(flat) != n1 * n2 * n3:
+            raise ShapeMismatchError(f"flat data has {np.size(flat)} entries, expected {n1 * n2 * n3}")
+        return cls(np.reshape(flat, (n3, n1, n2)).transpose(1, 2, 0))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape={self.shape})"
@@ -178,11 +180,11 @@ class _Stack:
     Its methods are the algebra the certifiers are written in: ``x @ y``,
     :meth:`transpose`, :meth:`sym`, ``+``, ``-`` and ``*``, :meth:`power`,
     :meth:`abs_power`, :meth:`align`, :meth:`frobenius`, :meth:`spectral`,
-    :meth:`extremes`, :meth:`cartesian_norms`, :meth:`cat`, :meth:`split`
-    and :meth:`where`.  A certifier body that calls only these runs on any
-    stack type that has them.  Each member's result is bit for bit what the
-    public function gives that member alone; the public functions are the
-    ``b = 1`` case.
+    :meth:`extremes`, :meth:`eigenvalues`, :meth:`cartesian_norms`,
+    :meth:`cat`, :meth:`split` and :meth:`where`.  A certifier body that
+    calls only these runs on any stack type that has them.  Each member's
+    result is bit for bit what the public function gives that member alone;
+    the public functions are the ``b = 1`` case.
 
     ``slices`` are the members' Fourier slices, ``(b, n3, n1, n2)``,
     transformed on first use and kept read-only, so a stack is transformed
@@ -210,8 +212,11 @@ class _Stack:
         """The tensors, in order, as the members of one stack.  One tensor's
         stack is the one it keeps, made on first use as a view of its
         read-only data; two threads that make it at once each get a stack of
-        the same bits, and the tensor keeps one of them."""
-        for t in tensors[1:]:
+        the same bits, and the tensor keeps one of them.  Anything but a
+        :class:`Tensor3` raises :class:`TypeError`."""
+        for t in tensors:
+            if not isinstance(t, Tensor3):
+                raise TypeError(f"a stack holds real tensors (Tensor3), got {type(t).__name__}")
             _check_same_shape(tensors[0], t)
         if len(tensors) > 1:
             return cls(np.stack([t.data for t in tensors]))
@@ -391,6 +396,15 @@ class _Stack:
         w = self.spectra().values.reshape(len(self), -1)
         return w.min(axis=1).tolist(), np.abs(w).max(axis=1).tolist()
 
+    def eigenvalues(self) -> list:
+        """Each member's :func:`ttensor.spectral.t_eigenvalues`, from one
+        stack (:func:`ttensor.spectral._t_eigenvalues`): the symmetric
+        members read :meth:`spectra`, the others share one general solver
+        call."""
+        from .spectral import _t_eigenvalues  # deferred import, see spectral_norm
+
+        return _t_eigenvalues(self)
+
     def cartesian_norms(self, other: "_Stack") -> tuple[list, list]:
         """Each member's Frobenius and spectral norms of ``T = self + i other``,
         as lists of floats; the spectral norms take one complex transform."""
@@ -474,7 +488,7 @@ def transpose(a: Tensor3) -> Tensor3:
 def _transpose(d: np.ndarray) -> np.ndarray:
     """:func:`transpose` of every member of a ``(b, n1, n2, n3)`` stack."""
     b, n1, n2, n3 = d.shape
-    out = np.empty((b, n2, n1, n3))
+    out = np.empty((b, n2, n1, n3), dtype=d.dtype)
     out[..., 0] = d[..., 0].transpose(0, 2, 1)
     if n3 > 1:
         # slice k of the result is slice (n3 - k) of the input, transposed

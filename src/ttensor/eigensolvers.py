@@ -186,17 +186,16 @@ def _max_offdiag(a: np.ndarray) -> np.ndarray:
 def _rotate(w: np.ndarray, p: int, q: int, skip: np.ndarray) -> None:
     """One Jacobi rotation in the ``(p, q)`` plane of every member of ``w``
     (matrix rows over eigenvector rows, as in :func:`_jacobi`) whose
-    ``|a[p, q]|`` exceeds its ``skip``; updates ``w`` in place."""
+    ``|a[p, q]|`` exceeds its ``skip``; updates ``w`` in place.  When some
+    members skip, the others are rotated in a copy that is written back."""
     b = w[:, p, q]
     ab = np.hypot(b.real, b.imag)  # bit-equal to the scalar abs(); np.abs is not
-    on = ~(ab <= skip)
-    if not on.all():
-        idx = np.flatnonzero(on)
-        if idx.size:
-            sub = w[idx]
-            _rotate(sub, p, q, skip[idx])
-            w[idx] = sub
+    on = np.flatnonzero(~(ab <= skip))  # the members that rotate
+    if not on.size:
         return
+    every = on.size == len(w)
+    if not every:
+        out, w, b, ab = w, w[on], b[on], ab[on]
     phase = (b / ab)[:, None]
     tau = (w[:, q, q].real - w[:, p, p].real) / (2.0 * ab)
     # t = 1 / (tau + root) for tau >= 0, else -1 / (-tau + root): the same
@@ -222,6 +221,8 @@ def _rotate(w: np.ndarray, p: int, q: int, skip: np.ndarray) -> None:
     w[:, q, p] = 0.0
     w[:, p, p] = w[:, p, p].real
     w[:, q, q] = w[:, q, q].real
+    if not every:
+        out[on] = w
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,8 @@ def check_hansen_power(
 
 def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[list]:
     """:func:`check_hansen_power` of each member, member ``i`` at ``r[i]``."""
+    if mode not in ("contraction", MODE_LITERAL):
+        raise ValueError(f"unknown mode {mode!r}")
     for ri in r:
         _require(0.0 < ri <= 2.0, f"exponent r={ri} outside (0, 2]")
     left = q.transpose() if mode == "contraction" else q
@@ -228,10 +230,8 @@ def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[
     if mode == "contraction":
         for q_norm in q.spectral():
             _require(q_norm <= 1.0 + tol, f"Q is not a contraction: ||Q||_2 = {q_norm:.6f}")
-    elif mode == MODE_LITERAL:
-        _require_each(_orthogonality(q, _hypothesis_tol(tol)), "Q is not orthogonal")
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        _require_each(_orthogonality(q, _hypothesis_tol(tol)), "Q is not orthogonal")
 
     if middle is None:
         middle = left @ x @ q
@@ -372,7 +372,8 @@ def check_complex_norm_bounds(
 def _complex_norm_bounds(a: _Stack, b: _Stack, variant: str, tol: float, mode: str) -> list[list]:
     """:func:`check_complex_norm_bounds` of each member.  The norms of
     ``T = A + iB`` come from the complex transform of the stacked members."""
-    _require(variant in ("a", "b", "c"), f"unknown variant {variant!r}")
+    if variant not in ("a", "b", "c"):
+        raise ValueError(f"unknown variant {variant!r}")
     if mode not in (MODE_CORRECTED, MODE_LITERAL):
         raise ValueError(f"unknown mode {mode!r}")
     _require_symmetric(tol, A=a, B=b)

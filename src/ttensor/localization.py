@@ -9,9 +9,24 @@ the unfolding identity ``||bcirc(X)||_F = sqrt(n3) * ||X||_F`` yields.
 The certifiers are the ``b = 1`` case of stacked ones (``_schur``,
 ``_bauer_fike``, ``_hoffman_wielandt``, ``_diag_spectrum``) that take their
 tensors as stacks along a leading trial axis (:class:`ttensor.core._Stack`)
-and return one result per member; the spectra of a whole stack take one
-solver call (:func:`ttensor.spectral._t_eigenvalues`), while the matchings
-and the disc components are found member by member.
+and return one result per member; ``_gershgorin`` is the stacked
+containment and component-count certificate that the ``gershgorin``
+campaign runs, from the public disc functions.  They read
+spectra only through :meth:`ttensor.core._Stack.eigenvalues`, and a
+certifier of two stacks takes those of ``a.cat(b)``: its non-symmetric
+members share one general solver call, and its symmetric members read the
+cat's Hermitian half spectra.  The certifiers whose pairs must be symmetric
+(``_sorted_pairing_distances``, ``_diag_spectrum``) first name the pair as
+one wave (:func:`ttensor.core._solve_together`), so each stack keeps its
+spectra and a campaign window solves both in one Jacobi call; the campaign
+names Hoffman-Wielandt's symmetric pairs in the same way.  The matchings and
+the disc components are found member by member.
+
+``_schur``, ``_hoffman_wielandt``, ``_sorted_pairing_distances`` and
+``_diag_spectrum`` call only stack methods, so they run on any stack type
+(the tests run them at 50 digits).  Gershgorin's discs and Bauer-Fike's
+f-diagonal gate read their inputs' entries, so those two run on float
+stacks only.
 """
 
 from __future__ import annotations
@@ -24,13 +39,14 @@ from .algebra import PREDICATE_TOL, _hypothesis_tol, _normality, _off_diagonalit
 from .certificates import (
     DEFAULT_TOL,
     FROBENIUS,
+    NO_NORM,
     SPECTRAL,
     InequalityCertificate,
     norm_certificate,
 )
-from .core import Tensor3, _check_same_shape, _Stack, frobenius_norm
+from .core import Tensor3, _check_same_shape, _solve_together, _Stack, frobenius_norm
 from .errors import ShapeMismatchError, _require, _require_each
-from .spectral import TEigenSpectrum, _matched_distance, _sorted_pairing, _t_eigenvalues, t_eigenvalues
+from .spectral import TEigenSpectrum, _matched_distance, _sorted_pairing, t_eigenvalues
 
 __all__ = [
     "GershgorinDisc",
@@ -107,7 +123,7 @@ def _schur(x: _Stack, tol: float) -> list[list]:
     """:func:`schur_bound` of each member of a real stack."""
     return [
         [_schur_certificate(x.shape, spectrum, norm, tol)]
-        for spectrum, norm in zip(_t_eigenvalues(x), x.frobenius())
+        for spectrum, norm in zip(x.eigenvalues(), x.frobenius())
     ]
 
 
@@ -207,6 +223,25 @@ def gershgorin_component_count(
     ]
 
 
+def _gershgorin(x: _Stack, tol: float) -> list[list]:
+    """The containment and component-count certificates of each member;
+    the discs and their components are found member by member."""
+    out = []
+    for i, spectrum in enumerate(x.eigenvalues()):
+        discs = gershgorin_discs(x.member(i))
+        gaps, _, scale = gershgorin_gaps(discs, spectrum)
+        components = gershgorin_component_count(discs, spectrum, tol)
+        miscount = max(abs(c.eigenvalue_count - c.disc_count) for c in components)
+        out.append([
+            norm_certificate(
+                "gershgorin", dims=x.shape, params={"claim": claim}, norm_kind=NO_NORM,
+                lhs=lhs, rhs=0.0, tol=tol,
+            )
+            for claim, lhs in (("containment", float(gaps.max()) / scale), ("component-count", miscount))
+        ])
+    return out
+
+
 def bauer_fike(
     a: Tensor3,
     b: Tensor3,
@@ -224,7 +259,7 @@ def bauer_fike(
 
 def _bauer_fike(a: _Stack, b: _Stack, q: _Stack, s: _Stack, tol: float) -> list[list]:
     """:func:`bauer_fike` of each member; both spectra of every member take
-    one solver call."""
+    one general solver call."""
     hypothesis_tol = _hypothesis_tol(tol)
     _require_each(_off_diagonality(s.data, hypothesis_tol), "S is not f-diagonal: {}")
     q_inv = _t_inverse(q)
@@ -233,7 +268,7 @@ def _bauer_fike(a: _Stack, b: _Stack, q: _Stack, s: _Stack, tol: float) -> list[
             not res > hypothesis_tol * (1.0 + norm),
             f"a is not reproduced by q^-1 * s * q (residual {res:.3e})",
         )
-    spectra = _t_eigenvalues(a, b)
+    spectra = a.cat(b).eigenvalues()
     norms = zip(*(x.spectral() for x in (q_inv, q, a - b)))
     out = []
     for lam, mu, (n_inv, n_q, n_diff) in zip(spectra, spectra[len(a):], norms):
@@ -259,10 +294,11 @@ def hoffman_wielandt(
 
 
 def _hoffman_wielandt(a: _Stack, b: _Stack, tol: float) -> list:
-    """:func:`hoffman_wielandt` of each member; the spectra take one solver call."""
+    """:func:`hoffman_wielandt` of each member; the spectra are those of
+    ``a.cat(b)``."""
     for name, x in (("A", a), ("B", b)):
         _require_each(_normality(x, _hypothesis_tol(tol)), f"{name} is not normal: {{}}")
-    spectra = _t_eigenvalues(a, b)
+    spectra = a.cat(b).eigenvalues()
     out = []
     for lam, mu, diff in zip(spectra, spectra[len(a):], (b - a).frobenius()):
         perm, dist = _matched_distance(lam.values, mu.values)
@@ -295,7 +331,8 @@ def _sorted_pairing_distances(a: _Stack, b: _Stack) -> list[float]:
     """:func:`sorted_pairing_distance` of each member pair."""
     _check_same_shape(a, b)
     _require_symmetric(PREDICATE_TOL, A=a, B=b)
-    spectra = _t_eigenvalues(a, b)
+    _solve_together(a, b)
+    spectra = a.cat(b).eigenvalues()
     return [
         _sorted_pairing(lam.values.real, mu.values.real)[1]
         for lam, mu in zip(spectra, spectra[len(a):])
@@ -319,8 +356,8 @@ def _diag_spectrum(a: _Stack, b: _Stack, tol: float) -> list[list]:
     """:func:`diag_spectrum_bound` of each member; the spectra take one
     solver call, and the norms of ``T = A + iB`` one complex transform."""
     _require_symmetric(tol, A=a, B=b)
-    _check_same_shape(a, b)
-    spectra = _t_eigenvalues(a, b)
+    _solve_together(a, b)
+    spectra = a.cat(b).eigenvalues()
     n3 = a.n3
 
     def cert(claim, norm_kind, lhs, rhs):

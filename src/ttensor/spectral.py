@@ -22,9 +22,11 @@ the one power kernel).
 :func:`_t_power` reads the spectra its stack keeps
 (:meth:`ttensor.core._Stack.spectra`), and trusts its operand: a
 certifier's hypothesis gate has checked its symmetry and semidefiniteness,
-and :func:`t_power` checks its own argument.  :func:`_t_eigenvalues` takes
-the spectra of every member of several stacks with at most one call of each
-solver, and a symmetric stack's are the ones it keeps.
+and :func:`t_power` checks its own argument.  :func:`_t_eigenvalues` is the
+kernel of :meth:`ttensor.core._Stack.eigenvalues`, one stack at a time:
+its symmetric members read the spectra the stack keeps, and the half
+slices of the others take one general solver call.  Several stacks take
+theirs from their :meth:`_Stack.cat`, as a wave is powered.
 :func:`_young_witness` builds the witnesses of a stack of pairs in the
 stack algebra, in three Jacobi calls: it powers the Grams of ``A``, ``B``
 and ``A B^T``, solved in one wave, through their ``cat``, and takes the
@@ -88,42 +90,30 @@ def t_eigenvalues(a) -> TEigenSpectrum:
     equals the spectrum of the block-circulant unfolding.
     """
     if isinstance(a, Tensor3):
-        return _t_eigenvalues(_Stack.of(a))[0]
+        return _Stack.of(a).eigenvalues()[0]
     if a.n1 != a.n2:
         raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {a.shape}")
     values = general_eig(to_fourier(a).slices).ravel()
     return TEigenSpectrum(values, np.repeat(np.arange(a.n3), a.n1))
 
 
-def _t_eigenvalues(*xs: _Stack) -> list[TEigenSpectrum]:
-    """:func:`t_eigenvalues` of every member of every stack, stack by stack.
-    The members symmetric within ``PREDICATE_TOL`` read their stack's
-    :meth:`~ttensor.core._Stack.spectra`, solved in one wave; the half
-    spectra of the others take the general solver, in one call when they
-    share a shape (a member's values do not depend on the rest of the
+def _t_eigenvalues(x: _Stack) -> list[TEigenSpectrum]:
+    """:func:`t_eigenvalues` of each member of ``x``: the kernel of
+    :meth:`ttensor.core._Stack.eigenvalues`.  The members symmetric within
+    ``PREDICATE_TOL`` read the stack's :meth:`~ttensor.core._Stack.spectra`;
+    the half slices of the others take one general solver call, made only
+    when there are any (a member's values do not depend on the rest of the
     stack)."""
-    for x in xs:
-        if x.shape[0] != x.shape[1]:
-            raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {x.shape}")
-    symmetric = [[not reason for reason in _asymmetry(x, PREDICATE_TOL)] for x in xs]
-    _solve_together(*(x for x, sym in zip(xs, symmetric) if any(sym)))
-    members, general = [], []  # (kept half spectrum or None, n3) of each member
-    for x, sym in zip(xs, symmetric):
-        half = _half_size(x.n3)
-        kept = x.spectra().values.reshape(len(x), half, -1) if any(sym) else None
-        for i, s in enumerate(sym):
-            members.append((kept[i].astype(complex) if s else None, x.n3))
-            if not s:
-                general.append(x.slices[i, :half])
-    solved = iter(_solve_halves(general, general_eig))
-    return [_mirrored_spectrum(next(solved) if w is None else w, n3) for w, n3 in members]
-
-
-def _solve_halves(halves: list, solve) -> list:
-    """``solve`` of each half spectrum, in one call when they share a shape."""
-    if len({h.shape for h in halves}) > 1:
-        return [solve(h) for h in halves]
-    return np.split(solve(np.concatenate(halves)), len(halves)) if halves else []
+    (n, m, n3), half = x.shape, _half_size(x.n3)
+    if n != m:
+        raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {x.shape}")
+    symmetric = np.array([not reason for reason in _asymmetry(x, PREDICATE_TOL)])
+    w = np.empty((len(x), half, n), dtype=complex)  # each member's half spectrum
+    if symmetric.any():
+        w[symmetric] = x.spectra().values.reshape(len(x), half, n)[symmetric]
+    if not symmetric.all():
+        w[~symmetric] = general_eig(x.slices[~symmetric, :half].reshape(-1, n, n)).reshape(-1, half, n)
+    return [_mirrored_spectrum(wi, n3) for wi in w]
 
 
 def _mirrored_spectrum(w: np.ndarray, n3: int) -> TEigenSpectrum:

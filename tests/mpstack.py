@@ -3,20 +3,25 @@
 :class:`_MpStack` has the stack algebra of :class:`ttensor.core._Stack`
 (``@``, ``transpose``, ``sym``, ``+``, ``-``, ``*``, ``power``,
 ``abs_power``, ``align``, ``frobenius``, ``spectral``, ``extremes``,
-``cartesian_norms``, ``cat``, ``split``, ``where``), so the stacked
-certifiers of :mod:`ttensor.inequalities`, the gates of
-:mod:`ttensor.algebra` and the Young witness of :mod:`ttensor.spectral` run
-on it unchanged.  It holds each member's half spectrum, Fourier slices
-``0 .. n3//2`` as mpmath matrices, from a 50-digit DFT of the same float
-inputs; the other slices are their conjugates, so the half spectrum carries
-the whole member (Kilmer & Martin, LAA 2011).
+``eigenvalues``, ``cartesian_norms``, ``cat``, ``split``, ``where``), so
+the stacked certifiers of :mod:`ttensor.inequalities`, the Schur,
+Hoffman-Wielandt and diag-spectrum certifiers of
+:mod:`ttensor.localization`, the gates of :mod:`ttensor.algebra` and the
+Young witness of :mod:`ttensor.spectral` run on it unchanged.  It holds
+each member's half spectrum, Fourier slices ``0 .. n3//2`` as mpmath
+matrices, from a 50-digit DFT of the same float inputs; the other slices
+are their conjugates, so the half spectrum carries the whole member
+(Kilmer & Martin, LAA 2011).
 
 Per half slice it multiplies, takes conjugate transposes, powers,
 alignments and min gaps through ``eighe`` of the Hermitian part, and
-spectral norms through ``svd_c``; Frobenius norms come from Parseval.  A
-power is taken of the formed product (no factored form), which 50 digits
-make accurate enough.  The norms and gaps are rounded to float64 at the
-end, which moves a margin by about 1e-16 of its scale, far below every
+spectral norms through ``svd_c``; Frobenius norms come from Parseval.
+t-eigenvalues take ``eighe`` of the Hermitian half slices of a member
+symmetric within ``PREDICATE_TOL`` and ``eig`` of the half slices of any
+other, rounded to complex128 and mirrored as the float kernel mirrors
+them.  A power is taken of the formed product (no factored form), which 50
+digits make accurate enough.  The norms, gaps and t-eigenvalues are
+rounded to float64 at the end, which moves a margin by about 1e-16 of its scale, far below every
 certificate's tolerance.
 mpmath is imported on first use.
 """
@@ -27,8 +32,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from ttensor.algebra import PREDICATE_TOL, _asymmetry
 from ttensor.core import _check_same_shape
 from ttensor.errors import ShapeMismatchError
+from ttensor.spectral import _mirrored_spectrum
 
 DIGITS = 50
 
@@ -173,6 +180,18 @@ class _MpStack:
             mins.append(float(min(w)))
             scales.append(float(max(abs(v) for v in w)))
         return mins, scales
+
+    def eigenvalues(self) -> list:
+        """Each member's t-eigenvalues as a :class:`ttensor.spectral.TEigenSpectrum`."""
+        mp = _mp()
+        out = []
+        for m, reason in zip(self.halves, _asymmetry(self, PREDICATE_TOL)):
+            if reason:
+                w = [mp.eig(s, left=False, right=False) for s in m]
+            else:
+                w = [mp.eighe((s + s.H) * 0.5, eigvals_only=True) for s in m]
+            out.append(_mirrored_spectrum(np.array([[complex(v) for v in ws] for ws in w]), self.n3))
+        return out
 
     def cartesian_norms(self, other: "_MpStack") -> tuple[list, list]:
         """The norms of ``T = A + iB`` from all ``n3`` slices of ``T``: a

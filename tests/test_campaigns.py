@@ -243,9 +243,6 @@ def _solve_each_stack_alone(patch):
     """Give every wave of independent slice spectra no shared solver call:
     each stack of the wave is then solved where it is used."""
     patch.setattr(eigensolvers, "_hermitian_eigs", lambda stacks: [None] * len(stacks))
-    patch.setattr(
-        spectral, "_solve_halves", lambda halves, solve: [solve(h) for h in halves]
-    )
 
 
 @pytest.mark.parametrize("n,n3", [(3, 4), (2, 5)])

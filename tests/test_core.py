@@ -66,6 +66,41 @@ def test_construction_rejects_bad_entries():
         ComplexTensor3(np.array([[[1 + 1j * np.inf]]]))
 
 
+_COMPLEX = np.arange(8.0).reshape(2, 2, 2) + 1j
+
+
+def test_real_tensor_refuses_complex_entries():
+    with pytest.raises(ValueError, match="complex"):
+        Tensor3(_COMPLEX)
+
+
+def test_from_flat_refuses_complex_entries_before_casting():
+    flat = ComplexTensor3(_COMPLEX).to_flat()
+    with pytest.raises(ValueError, match="complex"):
+        Tensor3.from_flat(flat, 2, 2, 2)
+    assert np.array_equal(ComplexTensor3.from_flat(flat, 2, 2, 2).data, _COMPLEX)
+
+
+def test_real_plus_complex_tensor_is_refused():
+    with pytest.raises(ValueError, match="complex"):
+        Tensor3(_COMPLEX.real) + ComplexTensor3(_COMPLEX)
+
+
+def test_transpose_refuses_a_complex_tensor():
+    with pytest.raises(ValueError, match="complex"):
+        transpose(ComplexTensor3(_COMPLEX))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [_Stack.of, lambda c: t_product(c, c), is_t_psd, t_inverse, lambda c: t_power(c, 0.5)],
+    ids=["stack-of", "t_product", "is_t_psd", "t_inverse", "t_power"],
+)
+def test_stack_calls_refuse_a_complex_tensor_by_type(call):
+    with pytest.raises(TypeError, match="got ComplexTensor3"):
+        call(ComplexTensor3(_COMPLEX))
+
+
 def test_tensor_is_immutable():
     t = Tensor3(np.zeros((2, 2, 2)))
     with pytest.raises(AttributeError):

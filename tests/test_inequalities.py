@@ -467,6 +467,18 @@ def test_complex_norm_validates_hypotheses():
             check_complex_norm_bounds(sym, sym, "c")
 
 
+def test_complex_norm_unknown_variant_is_a_usage_error():
+    sym = gen_symmetric(2, 2, RngStream(219))
+    with pytest.raises(ValueError, match=r"^unknown variant 'd'$"):
+        check_complex_norm_bounds(sym, sym, "d")
+
+
+def test_hansen_unknown_mode_is_a_usage_error_before_the_psd_gate():
+    not_psd = -1.0 * gen_t_psd(2, 2, RngStream(220))
+    with pytest.raises(ValueError, match=r"^unknown mode 'bogus'$"):
+        check_hansen_power(identity(2, 2), not_psd, 0.5, mode="bogus")
+
+
 def test_symmetric_hypothesis_has_one_gate_at_small_tol():
     # complex-norm and diag-spectrum check A, B symmetric through one gate,
     # floored at PREDICATE_TOL, so at tol = 1e-12 they agree on a pair that

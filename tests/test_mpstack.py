@@ -13,6 +13,7 @@ STACK_ALGEBRA_IDS = (
     "loewner-heinz", "hansen-power", "furuta", "young-commuting",
     "complex-norm-a", "complex-norm-b", "complex-norm-c", "am-gm", "heinz-family",
     "holder", "holder-pairs", "holder-corollary", "minkowski", "young-witness",
+    "schur", "hoffman-wielandt", "diag-spectrum",
 )
 
 # Furuta at n = 4, n3 = 4, seed 30, trial 0: the float lower margin reads a

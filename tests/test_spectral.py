@@ -328,6 +328,21 @@ def test_non_symmetric_t_eigenvalues_take_only_the_general_solver(monkeypatch):
     assert counts == {"jacobi": 0, "general": 1}
 
 
+@pytest.mark.parametrize("n3", [4, 5])
+def test_mixed_stack_eigenvalues_are_each_members_alone(monkeypatch, n3):
+    # the symmetric members read the stack's one Jacobi call, the others
+    # share one general call, and each member gets its lone spectrum's bits
+    members = [gen_symmetric(3, n3, RngStream(97)), gen_random((3, 3, n3), RngStream(98)),
+               gen_symmetric(3, n3, RngStream(99)), gen_random((3, 3, n3), RngStream(100))]
+    alone = [t_eigenvalues(Tensor3(t.data)) for t in members]
+    counts = _count_kernels(monkeypatch)
+    stacked = _Stack.of(*members).eigenvalues()
+    assert counts == {"jacobi": 1, "general": 1}
+    for s, a in zip(stacked, alone, strict=True):
+        assert s.values.tobytes() == a.values.tobytes()
+        assert np.array_equal(s.slice_index, a.slice_index)
+
+
 def test_symmetric_pair_spectra_take_one_call(monkeypatch):
     # both Hermitian spectra of a pair go to the Jacobi kernel together
     a = gen_symmetric(3, 4, RngStream(95))

@@ -11,19 +11,23 @@ definition).
 :class:`_Stack` holds ``b`` tensors of one shape along a leading trial axis,
 ``(b, n1, n2, n3)``.  Its methods are the stack algebra the certifiers are
 written in: the t-product ``x @ y``, transpose, ``sym``, sums and scalings,
-powers, ``|X|^r``, the eigenbasis alignment of the Young witness
-(:meth:`_Stack.align`), the Frobenius and spectral norms, the min gaps
-(:meth:`_Stack.extremes`), the t-eigenvalues (:meth:`_Stack.eigenvalues`),
-the norms of ``A + iB``, and ``cat``, ``split`` and ``where``.  The kernels
-behind them stay in their modules (:mod:`ttensor.fourier`,
-:func:`ttensor.spectral._t_power`, :func:`ttensor.spectral._t_eigenvalues`),
-reached through deferred imports, so a certifier body that calls only
-these methods runs on any stack type that has them.  The public functions
-are the ``b = 1`` case: a member's result never depends on the rest of its
-stack.  A stack keeps its Fourier slices and one decomposition of its
-Hermitian half slices, whose self-conjugate slices are real
-(:meth:`_Stack.spectra`), for its PSD checks and its powers alike;
-:func:`_solve_together` solves those of several stacks in one call.  A :class:`Tensor3` keeps its one-member stack
+powers, Gram powers ``(X^T X)^s`` and ``|X|^r``, the eigenbasis alignment
+of the Young witness (:meth:`_Stack.align`), the Frobenius and spectral
+norms, the min gaps (:meth:`_Stack.extremes`), the t-eigenvalues
+(:meth:`_Stack.eigenvalues`), the norms of ``A + iB``, and ``cat``,
+``split`` and ``where``.  The kernels behind them stay in their modules
+(:mod:`ttensor.fourier`, :func:`ttensor.spectral._t_power`,
+:func:`ttensor.spectral._gram_power`,
+:func:`ttensor.spectral._t_eigenvalues`), reached through deferred
+imports, so a certifier body that calls only these methods runs on any
+stack type that has them.  The public functions are the ``b = 1`` case: a
+member's result never depends on the rest of its stack.  A stack keeps its
+Fourier slices and one decomposition of its Hermitian half slices, whose
+self-conjugate slices are real (:meth:`_Stack.spectra`), for its PSD
+checks and its powers alike; its Gram powers take one SVD of its half
+slices instead and never form the Gram, whose condition is the square of
+the stack's.  :func:`_solve_together` solves the spectra of several stacks
+in one call.  A :class:`Tensor3` keeps its one-member stack
 (:meth:`_Stack.of`), so every public call on the tensor reads the same
 slices and spectra, transformed and solved on first use.  A stack holds
 real tensors only: :meth:`_Stack.of` refuses anything but a
@@ -179,23 +183,23 @@ class _Stack:
 
     Its methods are the algebra the certifiers are written in: ``x @ y``,
     :meth:`transpose`, :meth:`sym`, ``+``, ``-`` and ``*``, :meth:`power`,
-    :meth:`abs_power`, :meth:`align`, :meth:`frobenius`, :meth:`spectral`,
-    :meth:`extremes`, :meth:`eigenvalues`, :meth:`cartesian_norms`,
-    :meth:`cat`, :meth:`split` and :meth:`where`.  A certifier body that
-    calls only these runs on any stack type that has them.  Each member's
-    result is bit for bit what the public function gives that member alone;
-    the public functions are the ``b = 1`` case.
+    :meth:`gram_power`, :meth:`abs_power`, :meth:`align`, :meth:`frobenius`,
+    :meth:`spectral`, :meth:`extremes`, :meth:`eigenvalues`,
+    :meth:`cartesian_norms`, :meth:`cat`, :meth:`split` and :meth:`where`.
+    A certifier body that calls only these runs on any stack type that has
+    them.  Each member's result is bit for bit what the public function
+    gives that member alone; the public functions are the ``b = 1`` case.
 
     ``slices`` are the members' Fourier slices, ``(b, n3, n1, n2)``,
     transformed on first use and kept read-only, so a stack is transformed
     once however often it is used; :meth:`spectra` keeps the one
     decomposition of its half slices in the same way.  A stack made by
-    :meth:`cat` starts with the spectra that all of its parts were asked for
-    (so one power application covers a wave of stacks solved together);
-    otherwise stacks share no slices and no spectra.  One tensor's stack,
-    ``_Stack.of(t)``, is kept by the tensor for its lifetime, so its slices
-    and spectra serve every call on it.  Entries must be finite, as for
-    :class:`Tensor3`.
+    :meth:`cat` starts with the slices that all of its parts hold and the
+    spectra that all of them were asked for (so one power application
+    covers a wave of stacks solved together); otherwise stacks share no
+    slices and no spectra.  One tensor's stack, ``_Stack.of(t)``, is kept
+    by the tensor for its lifetime, so its slices and spectra serve every
+    call on it.  Entries must be finite, as for :class:`Tensor3`.
     """
 
     __slots__ = ("data", "_slices", "_spectra")
@@ -227,10 +231,22 @@ class _Stack:
             object.__setattr__(t, "_stack", x)
         return x
 
+    @classmethod
+    def from_halves(cls, half: np.ndarray, n3: int) -> "_Stack":
+        """The real stack whose members have the half slices ``half``,
+        ``n3 // 2 + 1`` of each member in turn (as :meth:`half_slices` lays
+        them out), mirrored as conjugates and inverted; the slices must be
+        those of real tensors (:func:`ttensor.fourier._inverse`)."""
+        from .fourier import _half_size, _inverse, _mirror_half  # deferred import, see spectral_norm
+
+        return cls(_inverse(_mirror_half(half.reshape(-1, _half_size(n3), *half.shape[1:]), n3)))
+
     def cat(self, *others: "_Stack") -> "_Stack":
         """The members of this stack and then of each other stack in turn,
-        with the spectra if every one of them was asked for (by
-        :func:`_solve_together`, or solved and kept)."""
+        with the Fourier slices if every one of them holds its own (a
+        member's slices are bit for bit its lone transform), and the spectra
+        if every one of them was asked for (by :func:`_solve_together`, or
+        solved and kept)."""
         from .eigensolvers import HermitianEigen  # deferred import, see spectral_norm
 
         for other in others:
@@ -239,6 +255,9 @@ class _Stack:
             return self
         parts = (self, *others)
         out = _Stack(np.concatenate([x.data for x in parts]))
+        if all(x._slices is not None for x in parts):
+            out._slices = np.concatenate([x._slices for x in parts])
+            out._slices.flags.writeable = False
         if all(x._spectra is not None for x in parts):  # each was asked for in a wave
             held = [x.spectra() for x in parts]  # solved alone after a failed wave
             out._spectra = HermitianEigen(
@@ -280,22 +299,28 @@ class _Stack:
             self._slices = slices
         return self._slices
 
-    def halves(self) -> np.ndarray:
-        """Hermitian-symmetrized Fourier slices ``0..n3//2`` (conjugate slices
-        share a spectrum) of each square member, one ``(b * (n3//2 + 1), n,
-        n)`` stack: the slices of the PSD checks, the powers and the
-        symmetric branch of :func:`ttensor.spectral.t_eigenvalues`.  Each
-        member's self-conjugate slices, real in exact arithmetic, are set to
-        their real part, which keeps every power exactly conjugate-symmetric
-        after mirroring."""
-        from .eigensolvers import _herm_t  # deferred import, see spectral_norm
-        from .fourier import _half_size, _self_conjugate_indices
+    def half_slices(self) -> np.ndarray:
+        """Fourier slices ``0..n3//2`` of each member (conjugate slices share
+        a spectrum and singular values), one ``(b * (n3//2 + 1), n1, n2)``
+        stack: the slices of :meth:`gram_power`.  Each member's
+        self-conjugate slices, real in exact arithmetic, are set to their
+        real part, which keeps every power exactly conjugate-symmetric after
+        mirroring."""
+        from .fourier import _half_size, _self_conjugate_indices  # deferred import, see spectral_norm
 
-        half = self.slices[:, : _half_size(self.n3)]
-        half = 0.5 * (half + _herm_t(half))
+        half = self.slices[:, : _half_size(self.n3)].copy()
         real_idx = _self_conjugate_indices(self.n3)
         half[:, real_idx] = half[:, real_idx].real
         return half.reshape(-1, *self.shape[:2])
+
+    def halves(self) -> np.ndarray:
+        """The Hermitian parts of each square member's :meth:`half_slices`:
+        the slices of the PSD checks, the powers and the symmetric branch of
+        :func:`ttensor.spectral.t_eigenvalues`."""
+        from .eigensolvers import _herm_t  # deferred import, see spectral_norm
+
+        half = self.half_slices()
+        return 0.5 * (half + _herm_t(half))
 
     def spectra(self):
         """:func:`ttensor.eigensolvers.hermitian_eig` of :meth:`halves`,
@@ -312,12 +337,9 @@ class _Stack:
         :meth:`spectra`: the unitary per slice that carries ``other``'s
         eigenbasis onto this stack's, eigenvalues in ascending order."""
         from .eigensolvers import _herm_t  # deferred import, see spectral_norm
-        from .fourier import _half_size, _inverse, _mirror_half
 
         _check_same_shape(self, other)
-        u = self.spectra().vectors @ _herm_t(other.spectra().vectors)
-        u = u.reshape(len(self), _half_size(self.n3), *self.shape[:2])
-        return _Stack(_inverse(_mirror_half(u, self.n3)))
+        return _Stack.from_halves(self.spectra().vectors @ _herm_t(other.spectra().vectors), self.n3)
 
     def member(self, i: int) -> Tensor3:
         """Member ``i``, a read-only view, so a :class:`Tensor3` as it is."""
@@ -364,11 +386,18 @@ class _Stack:
 
         return _t_power(self, list(r) if np.ndim(r) else [r] * len(self))
 
+    def gram_power(self, s) -> "_Stack":
+        """``(x^T x)^s`` of each member, or of member ``i`` at ``s[i]``, from
+        one SVD of the :meth:`half_slices`; the Gram is never formed
+        (:func:`ttensor.spectral._gram_power`)."""
+        from .spectral import _gram_power  # deferred import, see spectral_norm
+
+        return _gram_power(self, list(s) if np.ndim(s) else [s] * len(self))
+
     def abs_power(self, r) -> "_Stack":
-        """``|x|^r`` of each member, or of member ``i`` at ``r[i]``: the power
-        ``r / 2`` of the symmetrized Gram ``x^T x``."""
-        half = [0.5 * ri for ri in r] if np.ndim(r) else 0.5 * r
-        return (self.transpose() @ self).sym().power(half)
+        """``|x|^r`` of each member, or of member ``i`` at ``r[i]``: the Gram
+        power ``r / 2``."""
+        return self.gram_power([0.5 * ri for ri in r] if np.ndim(r) else 0.5 * r)
 
     def frobenius(self) -> list:
         """Each member's :func:`frobenius_norm`, as a list of floats."""

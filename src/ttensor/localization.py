@@ -31,6 +31,7 @@ stacks only.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,12 +184,15 @@ def gershgorin_component_count(
     count directly.
     """
     values = spectrum.values if isinstance(spectrum, TEigenSpectrum) else np.asarray(spectrum)
+    return _component_count(discs, values, *gershgorin_gaps(discs, values), tol) if len(discs) else []
+
+
+def _component_count(discs, values, gaps, nearest, scale: float, tol: float) -> list[ComponentCount]:
+    """:func:`gershgorin_component_count` of nonempty ``discs`` from the
+    :func:`gershgorin_gaps` of ``values``."""
     n = len(discs)
-    if n == 0:
-        return []
     _require(len(values) % n == 0, f"{len(values)} eigenvalues cannot be grouped by {n} discs")
     n3 = len(values) // n
-    gaps, nearest, scale = gershgorin_gaps(discs, values)
     slack = tol * scale
 
     # union-find over the disc overlap graph
@@ -205,7 +209,7 @@ def gershgorin_component_count(
             if abs(discs[i].center - discs[j].center) <= discs[i].radius + discs[j].radius + slack:
                 parent[find(i)] = find(j)
 
-    members: dict[int, list[int]] = {}
+    members: dict[int, list[int]] = {}  # each component in order of its lowest disc
     for i in range(n):
         members.setdefault(find(i), []).append(i)
 
@@ -213,24 +217,19 @@ def gershgorin_component_count(
         (f"{z} escapes every disc by {gap:.3e}" if gap > slack else "" for z, gap in zip(values, gaps)),
         "eigenvalue {}",
     )
-    counts = {root: 0 for root in members}
-    for best in nearest:
-        counts[find(int(best))] += 1
-
-    return [
-        ComponentCount(tuple(idx), len(idx), counts[root] / n3)
-        for root, idx in sorted(members.items(), key=lambda kv: min(kv[1]))
-    ]
+    counts = Counter(find(int(best)) for best in nearest)
+    return [ComponentCount(tuple(idx), len(idx), counts[root] / n3) for root, idx in members.items()]
 
 
 def _gershgorin(x: _Stack, tol: float) -> list[list]:
     """The containment and component-count certificates of each member;
-    the discs and their components are found member by member."""
+    the discs and their components are found member by member, both
+    certificates from one :func:`gershgorin_gaps` of the member."""
     out = []
     for i, spectrum in enumerate(x.eigenvalues()):
         discs = gershgorin_discs(x.member(i))
-        gaps, _, scale = gershgorin_gaps(discs, spectrum)
-        components = gershgorin_component_count(discs, spectrum, tol)
+        gaps, nearest, scale = gershgorin_gaps(discs, spectrum)
+        components = _component_count(discs, spectrum.values, gaps, nearest, scale, tol)
         miscount = max(abs(c.eigenvalue_count - c.disc_count) for c in components)
         out.append([
             norm_certificate(

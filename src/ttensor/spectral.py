@@ -1,24 +1,29 @@
 """Tensor spectra and tensor functions.
 
 t-eigenvalues are the eigenvalues of the block-circulant unfolding, computed
-slice-by-slice in the Fourier domain.  Tensor functions (real powers, square
-root, absolute value) act on the Hermitian eigendecomposition of each Fourier
-slice.  For real tensors only slices ``0 .. n3//2`` are decomposed, all of them
-in one stacked solver call; the rest are mirrored as complex conjugates, which
-makes every function output exactly real after the inverse transform.
+slice-by-slice in the Fourier domain.  Real powers and square roots act on
+the Hermitian eigendecomposition of each Fourier slice, and the Gram powers
+``(x^T x)^s`` (so the absolute value ``|x|^r``, at ``s = r / 2``) on the
+singular value decomposition ``U diag(sigma) V^H`` of each slice of ``x``,
+as ``V diag(sigma^(2s)) V^H``, so the Gram is never formed.  For real
+tensors only slices ``0 .. n3//2`` are decomposed, all of them in one
+stacked call; the rest are mirrored as complex conjugates, which makes
+every function output exactly real after the inverse transform.
 
 Fourier slices are independent across slices, across tensors and across
 trials (Kilmer & Martin, *Factorization strategies for third-order
 tensors*, 2011), so the tensor functions also act on stacks of tensors along
 a leading trial axis (:class:`ttensor.core._Stack`): :func:`_t_power` is the
-kernel of :meth:`_Stack.power` (and so of :meth:`_Stack.abs_power`), one
-stack at a time, each member at its own exponent, and :func:`t_power` and
-:func:`t_abs` are its one-member case.  A wave of stacks is powered in one
-application by powering their :meth:`_Stack.cat`, which starts with the
-spectra that all of its parts were asked for.  Each member's result is bit
-for bit its lone result: every step acts on each slice alone, and each
-distinct exponent is applied as one Python number (:func:`_clipped_power`,
-the one power kernel).
+kernel of :meth:`_Stack.power` and :func:`_gram_power` that of
+:meth:`_Stack.gram_power` (and so of :meth:`_Stack.abs_power`), one stack
+at a time, each member at its own exponent; :func:`t_power` and
+:func:`t_abs` are their one-member cases.  A wave of stacks is powered in
+one application by powering their :meth:`_Stack.cat`, which starts with
+the spectra that all of its parts were asked for.  Each member's result is
+bit for bit its lone result: every step acts on each slice alone, and each
+distinct exponent is applied as one Python number.  Both kernels apply
+their exponents with :func:`_clipped_power`, the one power loop, and build
+their tensors with :func:`_hermitian_tensors`, the one tail.
 :func:`_t_power` reads the spectra its stack keeps
 (:meth:`ttensor.core._Stack.spectra`), and trusts its operand: a
 certifier's hypothesis gate has checked its symmetry and semidefiniteness,
@@ -49,13 +54,7 @@ from .errors import (
     SingularTensorError,
     _require,
 )
-from .fourier import (
-    _half_size,
-    _inverse,
-    _mirror_half,
-    _self_conjugate_indices,
-    to_fourier,
-)
+from .fourier import _half_size, _self_conjugate_indices, to_fourier
 
 __all__ = [
     "TEigenSpectrum",
@@ -204,42 +203,61 @@ def _t_power(x: _Stack, exponents: list) -> _Stack:
     ``exponents[i]``: the kernel of :meth:`ttensor.core._Stack.power`.
 
     The members are symmetric and PSD, as a hypothesis gate has certified,
-    and eigenvalues below zero are clipped; only a member at a negative
-    exponent is checked, for strict definiteness, so the first that fails
-    raises the error it raises alone.  The stack is decomposed through the
-    spectra it keeps.  Each distinct exponent is applied as one Python
-    number: numpy's ``**`` takes its square and square-root fast paths only
-    for a scalar exponent, and those round differently from the general
-    power.
+    and eigenvalues below zero are clipped.  The stack is decomposed through
+    the spectra it keeps.
     """
-    b, (n, _, n3) = len(x), x.shape
-    eigs = x.spectra()
-    values = eigs.values.reshape(b, -1)
+    return _hermitian_tensors(_clipped_power(x.spectra(), exponents), x.n3)
+
+
+def _gram_power(x: _Stack, exponents: list) -> _Stack:
+    """``(x^T x)^s`` of each member of ``x``, member ``i`` at
+    ``s = exponents[i]``: the kernel of :meth:`ttensor.core._Stack.gram_power`.
+
+    Each half slice ``U diag(sigma) V^H`` takes one ``np.linalg.svd`` (LAPACK
+    ``gesdd``, which keeps a real slice real), and its Gram power is ``V
+    diag(sigma^(2s)) V^H``: ``|x|``'s eigendecomposition ``V diag(sigma)
+    V^H`` at the exponent ``2s``.  The Gram ``x^T x`` is never formed, so
+    the power keeps the condition of ``x``, not its square (Golub & Van
+    Loan, *Matrix Computations*, 5.3; Higham, *Functions of Matrices*, ch.
+    8).  A slice with fewer rows than columns has zeros for the missing
+    singular values.
+    """
+    _, sigma, vh = np.linalg.svd(x.half_slices())
+    sigma = np.pad(sigma, [(0, 0), (0, x.shape[1] - sigma.shape[1])])
+    e = HermitianEigen(sigma, _herm_t(vh))  # sigma descending: the power reads no order
+    return _hermitian_tensors(_clipped_power(e, [2 * s for s in exponents]), x.n3)
+
+
+def _clipped_power(e: HermitianEigen, exponents: list) -> np.ndarray:
+    """``V clip(w)^r V^H`` per slice, each member's slices in turn, the
+    slices of member ``i`` at ``exponents[i]``.
+
+    Eigenvalues are clipped at 0 first, so ``0**r = 0`` for ``r > 0`` and
+    ``w**0 = 1``.  Only a member at a negative exponent is checked, for
+    strict definiteness, so the first that fails raises the error it raises
+    alone.  Each distinct exponent is applied as one Python number: numpy's
+    ``**`` takes its square and square-root fast paths only for a scalar
+    exponent, and those round differently from the general power."""
+    values = e.values.reshape(len(exponents), -1)
     for r, lam_max, min_eig in zip(exponents, values.max(axis=1).tolist(), values.min(axis=1).tolist()):
         if r < 0 and (lam_max <= 0.0 or min_eig < _POWER_TOL * lam_max):
             raise SingularTensorError(
                 -1, np.inf,
                 f"negative power needs strict definiteness: smallest eigenvalue {min_eig:.3e}",
             )
-    half = _half_size(n3)
-    m = _clipped_power(eigs, exponents, np.repeat(np.arange(b), half))  # the member of each half slice
-    m = (0.5 * (m + _herm_t(m))).reshape(b, half, n, n)
-    return _Stack(_inverse(_mirror_half(m, n3))).sym()
-
-
-def _clipped_power(e: HermitianEigen, exponents: list, rows: np.ndarray) -> np.ndarray:
-    """``V clip(w)^r V^H`` per slice, the slices of member ``i`` at
-    ``exponents[i]``, each distinct exponent applied as one Python number.
-
-    Eigenvalues are clipped at 0 first, so ``0**r = 0`` for ``r > 0`` and
-    ``w**0 = 1``; a negative exponent needs a strictly positive spectrum,
-    which :func:`_t_power` checks."""
     w = np.clip(e.values, 0.0, None)
-    row_exponent = np.asarray(exponents, dtype=float)[rows]
+    row_exponent = np.repeat(np.asarray(exponents, dtype=float), len(w) // len(exponents))
     for r in dict.fromkeys(exponents):
         same = row_exponent == r
         w[same] = w[same] ** r
     return (e.vectors * w[:, None, :]) @ _herm_t(e.vectors)
+
+
+def _hermitian_tensors(m: np.ndarray, n3: int) -> _Stack:
+    """The stack whose members have the Hermitian parts of ``m`` as their
+    half slices, ``n3 // 2 + 1`` of each member in turn: mirrored,
+    inverted and symmetrized (which removes the transform roundoff)."""
+    return _Stack.from_halves(0.5 * (m + _herm_t(m)), n3).sym()
 
 
 def t_abs(a: Tensor3) -> Tensor3:
@@ -265,7 +283,7 @@ def gen_orthogonal(n: int, n3: int, rng) -> Tensor3:
         d = np.diagonal(rr).copy()
         d[d == 0] = 1.0
         q_half[k] = q * (d / np.abs(d))
-    return Tensor3(_inverse(_mirror_half(q_half[None], n3))[0])
+    return _Stack.from_halves(q_half, n3).member(0)
 
 
 def young_witness(

@@ -2,7 +2,7 @@
 
 :class:`_MpStack` has the stack algebra of :class:`ttensor.core._Stack`
 (``@``, ``transpose``, ``sym``, ``+``, ``-``, ``*``, ``power``,
-``abs_power``, ``align``, ``frobenius``, ``spectral``, ``extremes``,
+``gram_power``, ``abs_power``, ``align``, ``frobenius``, ``spectral``, ``extremes``,
 ``eigenvalues``, ``cartesian_norms``, ``cat``, ``split``, ``where``), so
 the stacked certifiers of :mod:`ttensor.inequalities`, the Schur,
 Hoffman-Wielandt and diag-spectrum certifiers of
@@ -19,10 +19,11 @@ spectral norms through ``svd_c``; Frobenius norms come from Parseval.
 t-eigenvalues take ``eighe`` of the Hermitian half slices of a member
 symmetric within ``PREDICATE_TOL`` and ``eig`` of the half slices of any
 other, rounded to complex128 and mirrored as the float kernel mirrors
-them.  A power is taken of the formed product (no factored form), which 50
-digits make accurate enough.  The norms, gaps and t-eigenvalues are
-rounded to float64 at the end, which moves a margin by about 1e-16 of its scale, far below every
-certificate's tolerance.
+them.  A power is taken of the formed product (no factored form), and a
+Gram power of the formed Gram, where the float stack takes the SVD of the
+factor; 50 digits make both accurate enough.  The norms, gaps and
+t-eigenvalues are rounded to float64 at the end, which moves a margin by
+about 1e-16 of its scale, far below every certificate's tolerance.
 mpmath is imported on first use.
 """
 
@@ -158,8 +159,12 @@ class _MpStack:
 
         return self._map(lambda s, t: vectors(s) * vectors(t).H, other)
 
+    def gram_power(self, s) -> "_MpStack":
+        """``(x^T x)^s`` as the power of the formed Gram."""
+        return (self.transpose() @ self).sym().power(s)
+
     def abs_power(self, r) -> "_MpStack":
-        return (self.transpose() @ self).sym().power([0.5 * v for v in _per_member(r, len(self))])
+        return self.gram_power([0.5 * v for v in _per_member(r, len(self))])
 
     def frobenius(self) -> list:
         mp = _mp()

@@ -23,6 +23,7 @@ from ttensor import (
     gen_random,
     gen_symmetric,
     gen_t_psd,
+    hoffman_wielandt,
     identity,
     inner_product,
     is_t_psd,
@@ -203,6 +204,23 @@ def test_kept_slices_are_read_only():
     with pytest.raises(ValueError):
         to_fourier(a).slices[0, 0, 0] = 1.0
     assert not x.slices.flags.writeable
+
+
+def test_cat_carries_the_kept_slices(monkeypatch):
+    # a cat of stacks that hold their slices transforms nothing, and its
+    # slices are bit for bit those of a fresh transform
+    a, b = gen_symmetric(3, 8, RngStream(15)), gen_symmetric(3, 8, RngStream(16))
+    x, y = _Stack.of(a), _Stack.of(b)
+    x.slices, y.slices  # each transformed once and kept
+    calls = _count_forward(monkeypatch)
+    both = x.cat(y)
+    assert calls == [] and not both.slices.flags.writeable
+    assert both.slices.tobytes() == _Stack(both.data).slices.tobytes()
+    # public hoffman_wielandt of fresh tensors transforms A, B and their
+    # transposes (its normality gate), then reads the spectra of A and B's cat
+    calls.clear()
+    hoffman_wielandt(Tensor3(a.data), Tensor3(b.data))
+    assert sum(shape[0] for shape in calls) == 4
 
 
 def test_transpose_n3_equals_1_is_matrix_transpose():

@@ -26,7 +26,7 @@ from ttensor import (
     t_inverse,
     t_product,
 )
-from ttensor import campaigns
+from ttensor import campaigns, localization
 from oracles import brute_bcirc
 
 
@@ -60,6 +60,13 @@ def test_gershgorin_two_point_tube():
     comps = gershgorin_component_count(discs, spec)
     assert len(comps) == 1
     assert comps[0].disc_count == 1 and comps[0].eigenvalue_count == pytest.approx(1.0)
+
+
+def test_gershgorin_campaign_takes_each_members_gaps_once(monkeypatch):
+    calls, gaps = [], localization.gershgorin_gaps
+    monkeypatch.setattr(localization, "gershgorin_gaps", lambda *args: calls.append(1) or gaps(*args))
+    result = campaigns.run_campaign("gershgorin", n=3, n3=4, trials=3, seed=0)
+    assert len(calls) == 3 and len(result.certificates) == 6
 
 
 def test_gershgorin_constant_tube_f_diagonal():

@@ -70,6 +70,12 @@ ONE_DEFINITION = {
     r"_forward\(": ("core:_Stack", "fourier"),
     # t-eigenvalues are a stack method: its kernel is called only by _Stack.eigenvalues
     r"_t_eigenvalues\(": ("spectral", "core:_Stack"),
+    # each distinct exponent applied as one Python number, for powers and Gram powers alike
+    r"dict\.fromkeys\(exponents\)|\] \*\* r\b": "spectral:_clipped_power",
+    # the tail of powers and Gram powers: Hermitian half slices mirrored, inverted, symmetrized
+    r"from_halves\(.*\)\.sym\(\)": "spectral:_hermitian_tensors",
+    # a real stack is built from half slices in one place
+    r"_mirror_half\(": ("core:_Stack", "fourier"),
 }
 
 

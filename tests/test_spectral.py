@@ -276,15 +276,15 @@ def _later_calls(a, b):
 
 @pytest.mark.parametrize("n3", [4, 5])
 def test_wave_in_one_jacobi_call_matches_each_call_alone(monkeypatch, n3):
-    # the half spectra of a PSD check, an order check, powers, an absolute
-    # value and a Loewner gap share one call, each stack keeps its share, and
-    # each call that reads them computes what it computes alone
+    # the half spectra of a PSD check, an order check, powers and a Loewner
+    # gap share one call, each stack keeps its share, an absolute value takes
+    # an SVD and no Jacobi call, and each call computes what it computes alone
     a, b = gen_loewner_pair(3, n3, RngStream(91))
     alone = _later_calls(a, b)
     counts = _count_kernels(monkeypatch)
     x, y = _Stack.of(a), _Stack.of(b)
-    diff, gram, gap = x - y, ((x - y).transpose() @ (x - y)).sym(), (x - y).sym()
-    _solve_together(x, diff, y, gram, gap)
+    diff, gap = x - y, (x - y).sym()
+    _solve_together(x, diff, y, gap)
     assert counts["jacobi"] == 1
     xp, yp = x.cat(y).power([0.5, 1.5]).split(2)
     shared = [
@@ -292,7 +292,7 @@ def test_wave_in_one_jacobi_call_matches_each_call_alone(monkeypatch, n3):
         _psd_verdicts(diff, PREDICATE_TOL)[0].min_gap_eigenvalue,
         xp.data.tobytes(),
         yp.data.tobytes(),
-        gram.power(0.5 * 0.7).data.tobytes(),
+        diff.abs_power(0.7).data.tobytes(),
         gap.extremes()[0][0],
     ]
     assert counts["jacobi"] == 1
@@ -378,6 +378,40 @@ def test_stacked_abs_power_members_are_bit_equal_to_lone_calls(n, n3):
     for x, r, member in zip(xs, _MIXED_EXPONENTS, powers.data, strict=True):
         alone = core._Stack.of(x).abs_power(r)
         assert member.tobytes() == alone.data.tobytes()
+
+
+def _formed_gram_power(x, s):
+    """``(x^T x)^s`` the way |X|^r was once taken: the power of the formed Gram."""
+    return (x.transpose() @ x).sym().power(s).data
+
+
+@pytest.mark.parametrize("n,n3", [(3, 4), (2, 5), (3, 127), (1, 2)])
+def test_gram_power_matches_the_formed_gram(n, n3):
+    # every Fourier slice of a + 2 ||a||_2 I has condition at most 3, so the
+    # formed Gram loses nothing to its squared condition
+    a = gen_random((n, n, n3), RngStream(600 + n3))
+    x = core._Stack.of(a + 2.0 * spectral_norm(a) * identity(n, n3))
+    for s in (0.25, 0.5, 1.0, 1.5):
+        expected = _formed_gram_power(x, s)
+        assert np.abs(x.gram_power(s).data - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_gram_power_of_rank_deficient_and_wide_members():
+    # a member whose frontal slices are one rank-1 matrix has one rank-1
+    # Fourier slice and zero slices elsewhere; a 2x3 member's Gram is 3x3 of
+    # rank 2, so its SVD misses a singular value that counts as zero
+    u = np.array([1.0, -2.0, 0.5])
+    rank_one = core._Stack.of(Tensor3(np.repeat(np.outer(u, u)[:, :, None], 6, axis=2)))
+    wide = core._Stack.of(gen_random((2, 3, 5), RngStream(610)))
+    for x in (rank_one, wide):
+        for s in (0.25, 0.5):
+            assert np.isfinite(x.gram_power(s).data).all()
+        # the formed Gram's roundoff at a zero eigenvalue, about 1e-32, is
+        # harmless only at exponents s >= 1
+        for s in (1.0, 1.5):
+            expected = _formed_gram_power(x, s)
+            assert np.abs(x.gram_power(s).data - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(x.gram_power(0.0).data - identity(3, x.n3).data).max() <= 1e-12
 
 
 def test_stacked_powers_of_several_stacks_split_per_stack():

@@ -3,8 +3,13 @@
 Multiplication and inversion run slicewise in the Fourier domain, each as one
 array call over the stacked slices; the block-circulant route
 ``fold(bcirc(a) @ unfold(b))`` is equivalent and is kept as a test oracle
-only.  The positive-semidefinite order on symmetric tensors is decided per
-Fourier slice: a symmetric tensor is t-PSD exactly when every
+only.  The inverse's condition check reads the half slices (``0..n3//2``)
+and their partner bounds, and checks all ``n3`` slices only when those do
+not clear ``INVERSE_TOL``; orthogonality and normality are decided per
+half slice too (:meth:`ttensor.core._Stack.gram_residuals`), since a real
+tensor is orthogonal or normal exactly when each Fourier slice is unitary
+or normal.  The positive-semidefinite order on symmetric tensors is
+decided per Fourier slice: a symmetric tensor is t-PSD exactly when every
 (Hermitian-symmetrized) Fourier slice is positive semidefinite.
 
 The product is the stacks' ``x @ y`` (:class:`ttensor.core._Stack`), and
@@ -14,10 +19,11 @@ tensors along a leading trial axis: :func:`_t_inverse`, :func:`_asymmetry`,
 :func:`_psd_verdicts`, with :func:`t_product`, :func:`t_inverse`,
 :func:`is_symmetric`, :func:`is_orthogonal`, :func:`is_normal`,
 :func:`is_f_diagonal` and :func:`is_t_psd` their one-member case.  The
-gates (:func:`_asymmetry`, :func:`_require_symmetric`, :func:`_require_psd`
-and :func:`_psd_verdicts`) call only the stack methods, so they run on any
-stack type; a PSD verdict reads the min gaps of :meth:`_Stack.extremes`,
-whose spectra a float stack keeps, perhaps solved with other stacks.
+gates (:func:`_asymmetry`, :func:`_orthogonality`, :func:`_normality`,
+:func:`_require_symmetric`, :func:`_require_psd` and :func:`_psd_verdicts`)
+call only the stack methods, so they run on any stack type; a PSD verdict
+reads the min gaps of :meth:`_Stack.extremes`, whose spectra a float stack
+keeps, perhaps solved with other stacks.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, _frobenius, _solve_together, _Stack, identity
+from .core import Tensor3, _frobenius, _solve_together, _Stack
 from .errors import NotSymmetricError, ShapeMismatchError, SingularTensorError, _require, _require_each
 from .fourier import _inverse
 
@@ -100,18 +106,29 @@ def t_inverse(a: Tensor3) -> Tensor3:
 
 def _t_inverse(x: _Stack) -> _Stack:
     """:func:`t_inverse` of each member; the lowest member with a singular
-    slice raises.  LAPACK takes each slice alone."""
+    slice raises.  LAPACK takes each slice alone.  The check reads the half
+    slices and accepts when each upper slice's partner bound
+    (:meth:`ttensor.core._Stack.half_singular_values`) keeps it clear of
+    ``INVERSE_TOL`` too; otherwise all ``n3`` slices are checked, so a
+    tensor is accepted or reported exactly as by the all-slice check."""
     if x.shape[0] != x.shape[1]:
         raise ShapeMismatchError(f"inverse requires a square tensor, got {x.shape}")
-    sv = np.linalg.svd(x.slices, compute_uv=False)
-    ratio = np.zeros(sv.shape[:2])  # sigma_min / sigma_max per slice; 0 for an all-zero slice
-    np.divide(sv[..., -1], sv[..., 0], out=ratio, where=sv[..., 0] > 0)
-    for member in ratio:
-        worst = int(np.argmin(member))
-        if member[worst] <= INVERSE_TOL:
-            cond = 1.0 / member[worst] if member[worst] > 0 else np.inf
-            raise SingularTensorError(worst, float(cond))
+    sv, gaps = x.half_singular_values()
+    partners = sv[:, 1 : gaps.shape[1] + 1]  # slices k = 1..(n3-1)//2 of the upper slices n3 - k
+    upper_clear = partners[..., -1] - gaps > INVERSE_TOL * (partners[..., 0] + gaps)
+    if not ((_sigma_ratios(sv) > INVERSE_TOL).all() and upper_clear.all()):
+        for member in _sigma_ratios(np.linalg.svd(x.slices, compute_uv=False)):
+            worst = int(np.argmin(member))
+            if member[worst] <= INVERSE_TOL:
+                cond = 1.0 / member[worst] if member[worst] > 0 else np.inf
+                raise SingularTensorError(worst, float(cond))
     return _Stack(_inverse(np.linalg.inv(x.slices)))
+
+
+def _sigma_ratios(sv: np.ndarray) -> np.ndarray:
+    """``sigma_min / sigma_max`` of each slice of LAPACK's singular values
+    ``sv``; 0 for an all-zero slice."""
+    return np.divide(sv[..., -1], sv[..., 0], out=np.zeros(sv.shape[:-1]), where=sv[..., 0] > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +167,10 @@ def _orthogonality(x: _Stack, tol: float) -> list[str]:
     """Why each member fails :func:`is_orthogonal`, or ``""`` if it passes."""
     if x.shape[0] != x.shape[1]:
         return [f"not square: {x.shape}"] * len(x)
-    eye = _Stack.of(identity(x.shape[0], x.n3))
-    xt = x.transpose()
-    r1 = (xt @ x - eye).frobenius()
-    r2 = (x @ xt - eye).frobenius()
+    left, right, _ = x.gram_residuals()
     return [
         f"orthogonality residual {max(a, b):.3e}" if max(a, b) > tol else ""
-        for a, b in zip(r1, r2)
+        for a, b in zip(left, right)
     ]
 
 
@@ -170,8 +184,7 @@ def _normality(x: _Stack, tol: float) -> list[str]:
     """Why each member fails :func:`is_normal`, or ``""`` if it passes."""
     if x.shape[0] != x.shape[1]:
         return [f"not square: {x.shape}"] * len(x)
-    xt = x.transpose()
-    residual = (xt @ x - x @ xt).frobenius()
+    residual = x.gram_residuals()[2]
     norms = x.frobenius()
     return [
         f"normality residual {r:.3e}" if r > tol * (1.0 + f ** 2) else ""

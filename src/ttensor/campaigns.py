@@ -57,7 +57,7 @@ from . import localization as loc
 from .algebra import PREDICATE_TOL, _require_symmetric, _t_inverse
 from .certificates import DEFAULT_TOL, InequalityCertificate
 from .core import (
-    RngStream, _commuting_psd_pairs, _frobenius, _loewner_pairs, _solve_together, _spectral, _Stack, _t_psd,
+    RngStream, _commuting_psd_pairs, _frobenius, _loewner_pairs, _solve_together, _Stack, _t_psd,
     identity,
 )
 from .errors import SingularTensorError, UnknownTheoremError, _require
@@ -167,7 +167,7 @@ def _draw_hansen_power(w, mode, params):
         q = (_Stack.of(identity(w.n, w.n3)) - 2.0 * (vv @ v.transpose())).sym()
     else:
         raw = w.random()
-        q = raw * (1.0 / (_spectral(raw.slices) * w.uniform(1.0, 2.0)))
+        q = raw * (1.0 / (np.array(raw.spectral()) * w.uniform(1.0, 2.0)))
     return w.group((q, x), r)
 
 
@@ -263,7 +263,7 @@ def _conjugators(w: _Window, q: _Stack, tries: int = _CONJUGATOR_DRAWS) -> tuple
     stands, ``tries`` candidates in all."""
     try:
         q_inv = _t_inverse(q)
-        norms = zip(_spectral(q.slices).tolist(), _spectral(q_inv.slices).tolist())
+        norms = zip(q.spectral(), q_inv.spectral())
         passed = [a * b <= _CONJUGATOR_MAX_COND for a, b in norms]
     except SingularTensorError:  # a candidate is singular: each is tested alone
         q_inv, passed = q, [False] * len(q)

@@ -13,9 +13,10 @@ definition).
 written in: the t-product ``x @ y``, transpose, ``sym``, sums and scalings,
 powers, Gram powers ``(X^T X)^s`` and ``|X|^r``, the eigenbasis alignment
 of the Young witness (:meth:`_Stack.align`), the Frobenius and spectral
-norms, the min gaps (:meth:`_Stack.extremes`), the t-eigenvalues
-(:meth:`_Stack.eigenvalues`), the norms of ``A + iB``, and ``cat``,
-``split`` and ``where``.  The kernels behind them stay in their modules
+norms, the residuals of the orthogonality and normality gates
+(:meth:`_Stack.gram_residuals`), the min gaps (:meth:`_Stack.extremes`),
+the t-eigenvalues (:meth:`_Stack.eigenvalues`), the norms of ``A + iB``,
+and ``cat``, ``split`` and ``where``.  The kernels behind them stay in their modules
 (:mod:`ttensor.fourier`, :func:`ttensor.spectral._t_power`,
 :func:`ttensor.spectral._gram_power`,
 :func:`ttensor.spectral._t_eigenvalues`), reached through deferred
@@ -26,8 +27,12 @@ Fourier slices and one decomposition of its Hermitian half slices, whose
 self-conjugate slices are real (:meth:`_Stack.spectra`), for its PSD
 checks and its powers alike; its Gram powers take one SVD of its half
 slices instead and never form the Gram, whose condition is the square of
-the stack's.  :func:`_solve_together` solves the spectra of several stacks
-in one call.  A :class:`Tensor3` keeps its one-member stack
+the stack's.  A real member's slices ``n3 - k`` and ``k`` are conjugates,
+so its spectral norm takes the SVD of the half slices and of only those
+upper slices whose partner bound could raise the max, with the bits of
+the max over all ``n3`` slices, and its gate residuals are Parseval sums
+over the half slices.  :func:`_solve_together` solves the spectra of
+several stacks in one call.  A :class:`Tensor3` keeps its one-member stack
 (:meth:`_Stack.of`), so every public call on the tensor reads the same
 slices and spectra, transformed and solved on first use.  A stack holds
 real tensors only: :meth:`_Stack.of` refuses anything but a
@@ -184,8 +189,9 @@ class _Stack:
     Its methods are the algebra the certifiers are written in: ``x @ y``,
     :meth:`transpose`, :meth:`sym`, ``+``, ``-`` and ``*``, :meth:`power`,
     :meth:`gram_power`, :meth:`abs_power`, :meth:`align`, :meth:`frobenius`,
-    :meth:`spectral`, :meth:`extremes`, :meth:`eigenvalues`,
-    :meth:`cartesian_norms`, :meth:`cat`, :meth:`split` and :meth:`where`.
+    :meth:`spectral`, :meth:`gram_residuals`, :meth:`extremes`,
+    :meth:`eigenvalues`, :meth:`cartesian_norms`, :meth:`cat`, :meth:`split`
+    and :meth:`where`.
     A certifier body that calls only these runs on any stack type that has
     them.  Each member's result is bit for bit what the public function
     gives that member alone; the public functions are the ``b = 1`` case.
@@ -404,8 +410,50 @@ class _Stack:
         return _frobenius(self.data).tolist()
 
     def spectral(self) -> list:
-        """Each member's :func:`spectral_norm`, as a list of floats."""
-        return _spectral(self.slices).tolist()
+        """Each member's :func:`spectral_norm`, as a list of floats: the max
+        of :meth:`half_singular_values` and of the upper slices whose
+        partner bound reaches it, bit for bit ``_spectral(self.slices)``,
+        which a stack of fewer than 64 slices in all takes instead."""
+        # below 64 slices the half path's fixed cost, a second SVD call and the
+        # partner bounds, exceeds the slice SVDs it saves (3x3 to 8x8 slices)
+        if len(self) * self.n3 < 64:
+            return _spectral(self.slices).tolist()
+        sv, gaps = self.half_singular_values()
+        top = sv[..., 0].max(axis=1)
+        member, k = np.nonzero(sv[:, 1 : gaps.shape[1] + 1, 0] + gaps >= top[:, None])
+        np.maximum.at(top, member, _spectral(self.slices[member, self.n3 - 1 - k, None]))
+        return top.tolist()
+
+    def half_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """LAPACK's singular values of each member's Fourier slices ``0..n3//2``
+        as kept, ``(b, n3//2 + 1, min(n1, n2))`` in descending order, and the
+        partner bound of each upper slice ``n3 - k`` (``k = 1..(n3-1)//2``, in
+        that order), ``(b, (n3-1)//2)``: how far its singular values can lie
+        from slice ``k``'s.  The two are conjugate in exact arithmetic, so
+        the bound is Weyl's, ``||S_{n3-k} - conj(S_k)||_F``, doubled, plus
+        LAPACK's backward error, taken as ``1e-10`` of the member's largest
+        singular value."""
+        from .fourier import _half_size  # deferred import, see spectral_norm
+
+        slices, n3 = self.slices, self.n3
+        sv = np.linalg.svd(slices[:, : _half_size(n3)], compute_uv=False)
+        drift = slices[:, : n3 // 2 : -1] - slices[:, 1 : (n3 + 1) // 2].conj()
+        return sv, 2.0 * np.linalg.norm(drift, axis=(2, 3)) + 1e-10 * sv[..., 0].max(axis=1)[:, None]
+
+    def gram_residuals(self) -> tuple[list, list, list]:
+        """Each member's Frobenius norms of ``x^T x - I``, ``x x^T - I`` and
+        ``x^T x - x x^T`` (square members), as three lists of floats: the
+        Parseval sums of the half slices' ``S^H S - I``, ``S S^H - I`` and
+        ``S^H S - S S^H``, so no transpose is transformed and no product
+        inverted (Kilmer & Martin, LAA 2011)."""
+        from .eigensolvers import _herm_t  # deferred import, see spectral_norm
+        from .fourier import _half_size, _parseval_weights
+
+        half = self.slices[:, : _half_size(self.n3)]
+        left, right = _herm_t(half) @ half, half @ _herm_t(half)
+        eye, weights = np.eye(self.shape[0]), _parseval_weights(self.n3) / self.n3
+        squares = [(np.abs(m) ** 2).sum(axis=(2, 3)) for m in (left - eye, right - eye, left - right)]
+        return tuple(np.sqrt(sq @ weights).tolist() for sq in squares)
 
     def extremes(self) -> tuple[list, list]:
         """Each member's ``(smallest eigenvalue, largest eigenvalue magnitude)``
@@ -560,18 +608,23 @@ def spectral_norm(a) -> float:
 
     Equals the maximum over Fourier slices of the slice's largest singular
     value, because the unfolding is unitarily block-diagonalized by the DFT.
-    A real tensor's slices are those its stack keeps
-    (:func:`ttensor.fourier.to_fourier`).
+    A real tensor's norm is its stack's (:meth:`_Stack.spectral`), which
+    takes the SVD of the half slices and of only those upper slices that
+    could raise the max; a complex tensor's takes all ``n3`` slices.
     """
     from .fourier import to_fourier  # deferred: core must not import fourier at load
 
+    if isinstance(a, Tensor3):
+        return _Stack.of(a).spectral()[0]
     return float(_spectral(to_fourier(a).slices[None])[0])
 
 
 def _spectral(slices: np.ndarray) -> np.ndarray:
     """:func:`spectral_norm` of each member of a ``(b, n3, n1, n2)`` stack of
-    Fourier slices; LAPACK takes each slice alone, so a member's norm does
-    not depend on the rest of the stack."""
+    Fourier slices, all ``n3`` of them: the path of complex tensors, which
+    have no conjugate pairs, and of the partner slices that
+    :meth:`_Stack.spectral` adds.  LAPACK takes each slice alone, so a
+    member's norm does not depend on the rest of the stack."""
     return np.linalg.svd(slices, compute_uv=False)[..., 0].max(axis=1)
 
 

@@ -225,6 +225,15 @@ def _self_conjugate_indices(n3: int) -> list:
     return [0, n3 // 2] if n3 % 2 == 0 else [0]
 
 
+def _parseval_weights(n3: int) -> np.ndarray:
+    """Each half slice's count among all ``n3`` slices, 1 if self-conjugate
+    and 2 otherwise, so that a real tensor's ``||x||_F^2`` is ``sum_k w_k
+    ||S_k||_F^2 / n3`` over its half slices (Parseval)."""
+    w = np.full(_half_size(n3), 2.0)
+    w[_self_conjugate_indices(n3)] = 1.0
+    return w
+
+
 def _mirror_half(half: np.ndarray, n3: int) -> np.ndarray:
     """All ``n3`` slices of each member of a ``(b, n3//2 + 1, n1, n2)`` stack
     of half spectra: slices 1..(n3-1)//2 mirrored as conjugates."""

@@ -2,20 +2,21 @@
 
 :class:`_MpStack` has the stack algebra of :class:`ttensor.core._Stack`
 (``@``, ``transpose``, ``sym``, ``+``, ``-``, ``*``, ``power``,
-``gram_power``, ``abs_power``, ``align``, ``frobenius``, ``spectral``, ``extremes``,
-``eigenvalues``, ``cartesian_norms``, ``cat``, ``split``, ``where``), so
-the stacked certifiers of :mod:`ttensor.inequalities`, the Schur,
-Hoffman-Wielandt and diag-spectrum certifiers of
-:mod:`ttensor.localization`, the gates of :mod:`ttensor.algebra` and the
-Young witness of :mod:`ttensor.spectral` run on it unchanged.  It holds
-each member's half spectrum, Fourier slices ``0 .. n3//2`` as mpmath
-matrices, from a 50-digit DFT of the same float inputs; the other slices
-are their conjugates, so the half spectrum carries the whole member
-(Kilmer & Martin, LAA 2011).
+``gram_power``, ``abs_power``, ``align``, ``frobenius``, ``spectral``,
+``gram_residuals``, ``extremes``, ``eigenvalues``, ``cartesian_norms``,
+``cat``, ``split``, ``where``), so the stacked certifiers of
+:mod:`ttensor.inequalities`, the Schur, Hoffman-Wielandt and diag-spectrum
+certifiers of :mod:`ttensor.localization`, the gates of
+:mod:`ttensor.algebra` and the Young witness of :mod:`ttensor.spectral`
+run on it unchanged.  It holds each member's half spectrum, Fourier slices
+``0 .. n3//2`` as mpmath matrices, from a 50-digit DFT of the same float
+inputs; the other slices are their conjugates, so the half spectrum
+carries the whole member (Kilmer & Martin, LAA 2011).
 
 Per half slice it multiplies, takes conjugate transposes, powers,
 alignments and min gaps through ``eighe`` of the Hermitian part, and
-spectral norms through ``svd_c``; Frobenius norms come from Parseval.
+spectral norms through ``svd_c``; Frobenius norms, and with them the
+residuals of the orthogonality and normality gates, come from Parseval.
 t-eigenvalues take ``eighe`` of the Hermitian half slices of a member
 symmetric within ``PREDICATE_TOL`` and ``eig`` of the half slices of any
 other, rounded to complex128 and mirrored as the float kernel mirrors
@@ -36,6 +37,7 @@ import numpy as np
 from ttensor.algebra import PREDICATE_TOL, _asymmetry
 from ttensor.core import _check_same_shape
 from ttensor.errors import ShapeMismatchError
+from ttensor.fourier import _parseval_weights
 from ttensor.spectral import _mirrored_spectrum
 
 DIGITS = 50
@@ -90,7 +92,7 @@ class _MpStack:
 
     def _weights(self) -> list:
         """Each half slice's count among all slices: 1 if self-conjugate, else 2."""
-        return [1 if k == 0 or 2 * k == self.n3 else 2 for k in range(len(self.halves[0]))]
+        return _parseval_weights(self.n3).tolist()
 
     # --- the stack algebra --------------------------------------------------
 
@@ -176,6 +178,13 @@ class _MpStack:
 
     def spectral(self) -> list:
         return [float(max(_sigma_max(s) for s in m)) for m in self.halves]
+
+    def gram_residuals(self) -> tuple[list, list, list]:
+        """The Frobenius norms of ``x^T x - I``, ``x x^T - I`` and
+        ``x^T x - x x^T``, each formed per half slice."""
+        eye = self._map(lambda s: _mp().eye(s.rows))
+        left, right = self.transpose() @ self, self @ self.transpose()
+        return (left - eye).frobenius(), (right - eye).frobenius(), (left - right).frobenius()
 
     def extremes(self) -> tuple[list, list]:
         mp = _mp()

@@ -16,6 +16,7 @@ from ttensor import (
     from_fourier,
     frobenius_norm,
     gen_loewner_pair,
+    gen_orthogonal,
     gen_random,
     gen_symmetric,
     gen_t_psd,
@@ -33,8 +34,8 @@ from ttensor import (
     transpose,
 )
 from oracles import brute_bcirc, quadratic_form_min
-from ttensor.algebra import _off_diagonality
-from ttensor.core import _frobenius
+from ttensor.algebra import PREDICATE_TOL, _off_diagonality
+from ttensor.core import _frobenius, _Stack
 from ttensor.fourier import _mirror_half
 
 EPS = np.finfo(float).eps
@@ -161,6 +162,27 @@ def test_t_inverse_zero_tensor_reports_first_slice_without_warnings():
     assert err.value.condition == np.inf
 
 
+def test_t_inverse_reports_a_singular_conjugate_pair_as_all_slices_do():
+    # slices 2 and n3 - 2 = 3 of a real tensor at n3 = 5 are singular: the
+    # report names the slice and condition of an all-slice check
+    n, n3 = 3, 5
+    worst_slices = set()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        half = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+        half[0] = half[0].real
+        half[2, :, -1] = half[2, :, :-1] @ rng.normal(size=n - 1)
+        a = from_fourier(FourierSlices(n, n, n3, _mirror_half(half[None], n3)[0], True))
+        sv = np.linalg.svd(to_fourier(a).slices, compute_uv=False)
+        ratio = sv[:, -1] / sv[:, 0]
+        worst = int(np.argmin(ratio))
+        with pytest.raises(SingularTensorError) as err:
+            t_inverse(a)
+        assert (err.value.slice_index, err.value.condition) == (worst, 1.0 / ratio[worst])
+        worst_slices.add(worst)
+    assert worst_slices == {2, 3}
+
+
 def test_predicates_on_identity():
     eye = identity(3, 4)
     assert is_symmetric(eye) and is_orthogonal(eye) and is_normal(eye) and is_f_diagonal(eye)
@@ -176,6 +198,33 @@ def test_symmetric_implies_normal():
     a = gen_symmetric(3, 4, RngStream(55))
     assert is_symmetric(a) and is_normal(a)
     assert not is_symmetric(gen_random((3, 3, 4), RngStream(56)))
+
+
+def _gram_residuals_by_t_products(a: Tensor3) -> list:
+    """``||a^T a - I||_F``, ``||a a^T - I||_F`` and ``||a^T a - a a^T||_F``
+    from their definitions: t-products, inverted to the spatial domain."""
+    at, eye = transpose(a), identity(a.n1, a.n3)
+    left, right = t_product(at, a), t_product(a, at)
+    return [frobenius_norm(m) for m in (left - eye, right - eye, left - right)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_gate_residuals_match_their_t_product_definitions(seed):
+    n, n3 = 2 + seed % 4, (1, 2, 5, 8)[seed // 3]
+    q = gen_orthogonal(n, n3, RngStream(57, seed))
+    cases = (  # tensor, orthogonal, normal
+        (q, True, True),
+        (q + 1e-6 * gen_random((n, n, n3), RngStream(58, seed)), False, False),
+        (gen_symmetric(n, n3, RngStream(59, seed)), False, True),
+        (gen_random((n, n, n3), RngStream(60, seed)), False, False),
+    )
+    for a, orthogonal, normal in cases:
+        expected = _gram_residuals_by_t_products(a)
+        got = [r for (r,) in _Stack.of(a).gram_residuals()]
+        scale = 1.0 + frobenius_norm(a) ** 2
+        assert np.abs(np.subtract(got, expected)).max() <= 1e-12 * scale
+        assert bool(is_orthogonal(a)) == orthogonal == (max(expected[:2]) <= PREDICATE_TOL)
+        assert bool(is_normal(a)) == normal == (expected[2] <= PREDICATE_TOL * scale)
 
 
 def test_f_diagonal_predicate():

@@ -303,7 +303,7 @@ def test_bauer_fike_all_draws_singular(monkeypatch):
 
 
 def test_bauer_fike_no_well_conditioned_draw(monkeypatch):
-    monkeypatch.setattr(campaigns, "_spectral", lambda slices: np.full(len(slices), 1e3))
+    monkeypatch.setattr(_Stack, "spectral", lambda self: [1e3] * len(self))
     with pytest.raises(HypothesisViolationError, match=r"seed=8, trial=0"):
         run_campaign("bauer-fike", n=2, n3=2, trials=1, seed=8)
 

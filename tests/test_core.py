@@ -1,6 +1,7 @@
 """Tensor storage, structural operations, norms, and generators."""
 
 import copy
+import math
 import pickle
 import subprocess
 import sys
@@ -36,7 +37,7 @@ from ttensor import (
     to_fourier,
     transpose,
 )
-from ttensor.core import _Stack
+from ttensor.core import _spectral, _Stack
 from oracles import brute_bcirc, direct_inner_product, power_iteration_norm
 
 
@@ -216,11 +217,12 @@ def test_cat_carries_the_kept_slices(monkeypatch):
     both = x.cat(y)
     assert calls == [] and not both.slices.flags.writeable
     assert both.slices.tobytes() == _Stack(both.data).slices.tobytes()
-    # public hoffman_wielandt of fresh tensors transforms A, B and their
-    # transposes (its normality gate), then reads the spectra of A and B's cat
+    # public hoffman_wielandt of fresh tensors transforms A and B once (its
+    # normality gate reads their half slices; no transpose is transformed),
+    # then reads the spectra of A and B's cat
     calls.clear()
     hoffman_wielandt(Tensor3(a.data), Tensor3(b.data))
-    assert sum(shape[0] for shape in calls) == 4
+    assert sum(shape[0] for shape in calls) == 2
 
 
 def test_transpose_n3_equals_1_is_matrix_transpose():
@@ -336,6 +338,71 @@ def test_degenerate_dims_are_first_class():
     assert spectral_norm(flat) == pytest.approx(
         np.linalg.svd(flat.slice(0), compute_uv=False)[0], rel=1e-12
     )
+
+
+def _norm_member(kind: str, n: int, n3: int, seed: int) -> Tensor3:
+    rng = RngStream(seed, 1000 * n + n3)
+    if kind == "symmetric":
+        return gen_symmetric(n, n3, rng)
+    if kind == "psd":
+        return gen_t_psd(n, n3, rng)
+    return gen_random((n, n + (kind == "wide"), n3), rng)
+
+
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 127, 128])
+def test_stack_spectral_is_the_all_slice_norm_bit_for_bit(n3):
+    # the half slices and the partner slices that could raise the max give
+    # the bits of the max over all n3 slice SVDs; a stack of fewer than 64
+    # slices takes them all, so the short tubes are stacked up to 64 slices
+    for n in range(1, 9):
+        for kind in ("random", "wide", "symmetric", "psd"):
+            members = [_norm_member(kind, n, n3, seed) for seed in range(max(3, -(-64 // n3)))]
+            x = _Stack.of(*members)
+            assert np.array(x.spectral()).tobytes() == _spectral(x.slices).tobytes(), (n, kind)
+            assert [spectral_norm(t) for t in members[:3]] == x.spectral()[:3]
+
+
+def test_stack_spectral_takes_the_upper_slice_that_raises_the_max():
+    # slice n3 - 1 is conj(slice 1) * (1 + 4 eps), the largest of all, so
+    # only the SVD of that partner slice finds the max
+    n, n3 = 4, 64
+    slices = _Stack.of(gen_random((n, n, n3), RngStream(3))).slices.copy()
+    slices[:, 1] *= 10.0
+    slices[:, n3 - 1] = slices[:, 1].conj() * (1.0 + 4.0 * np.finfo(float).eps)
+    x = _Stack(np.zeros((1, n, n, n3)))
+    x._slices = slices
+    sigma = np.linalg.svd(slices[0], compute_uv=False)[:, 0]
+    assert sigma[n3 - 1] > sigma[: n3 // 2 + 1].max()
+    assert x.spectral() == [sigma[n3 - 1]] == _spectral(slices).tolist()
+
+
+def test_half_spectrum_svds_at_8x8x256(monkeypatch):
+    # spectral() and a well-conditioned t_inverse take the 129 half slices and
+    # at most two partner slices
+    seen, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        seen.append(math.prod(a.shape[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    spectral_norm(gen_random((8, 8, 256), RngStream(5)))
+    assert 129 <= sum(seen) <= 131
+    seen.clear()
+    t_inverse(gen_t_psd(8, 256, RngStream(6)))
+    assert 129 <= sum(seen) <= 131
+
+
+def test_complex_spectral_norm_finds_the_max_in_the_last_slice():
+    # a complex tensor has no conjugate pairs: all n3 slices are searched
+    n, n3 = 3, 6
+    rng = np.random.default_rng(7)
+    slices = rng.normal(size=(n3, n, n)) + 1j * rng.normal(size=(n3, n, n))
+    slices[n3 - 1] *= 10.0
+    t = ComplexTensor3(np.fft.ifft(slices.transpose(1, 2, 0), axis=2))
+    oracle = np.linalg.svd(np.fft.fft(t.data, axis=2).transpose(2, 0, 1), compute_uv=False)[:, 0]
+    assert int(np.argmax(oracle)) == n3 - 1
+    assert spectral_norm(t) == pytest.approx(oracle.max(), rel=1e-12)
 
 
 def test_import_leaves_scipy_optimize_unloaded():

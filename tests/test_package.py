@@ -76,6 +76,13 @@ ONE_DEFINITION = {
     r"from_halves\(.*\)\.sym\(\)": "spectral:_hermitian_tensors",
     # a real stack is built from half slices in one place
     r"_mirror_half\(": ("core:_Stack", "fourier"),
+    # slice SVDs: a real stack's half slices and its partner slices, the
+    # complex tensors' all-slice norm, the Gram powers and the inverse's check
+    r"np\.linalg\.svd\(": ("core", "spectral:_gram_power", "algebra:_t_inverse"),
+    # the half-spectrum Parseval weights: 1 for a self-conjugate slice, else 2
+    r"np\.full\(_half_size\(|\bk == 0 or 2 \* k == \w+": "fourier:_parseval_weights",
+    # the partner-gap bound of upper slice n3 - k against slice k
+    r"\[:, : ?\w+ // 2 : ?-1\]|\b1e-10 \*": "core:_Stack",
 }
 
 

@@ -56,10 +56,7 @@ from . import inequalities as ineq
 from . import localization as loc
 from .algebra import PREDICATE_TOL, _require_symmetric, _t_inverse
 from .certificates import DEFAULT_TOL, InequalityCertificate
-from .core import (
-    RngStream, _commuting_psd_pairs, _frobenius, _loewner_pairs, _solve_together, _Stack, _t_psd,
-    identity,
-)
+from .core import RngStream, _commuting_psd_pairs, _frobenius, _loewner_pairs, _Stack, _t_psd, identity
 from .errors import SingularTensorError, UnknownTheoremError, _require
 
 __all__ = ["THEOREM_IDS", "CampaignResult", "run_campaign"]
@@ -302,9 +299,8 @@ def _draw_symmetric_pair(w, mode, params):
 def _certify_hoffman_wielandt(stacks, columns, tol, mode):
     """The optimal-pairing certificates of each member, then the sorted pairing's:
     a symmetric pair's spectra are real, so its optimal pairing is the sorted one.
-    The pair's spectra are one wave (:func:`ttensor.core._solve_together`)."""
+    The pair's spectra are one solver call, that of ``a.cat(b).eigenvalues()``."""
     a, b = stacks
-    _solve_together(a, b)
     matched = loc._hoffman_wielandt(a, b, tol)
     _require_symmetric(PREDICATE_TOL, A=a, B=b)
     return [

@@ -11,22 +11,22 @@ definition).
 :class:`_Stack` holds ``b`` tensors of one shape along a leading trial axis,
 ``(b, n1, n2, n3)``.  Its methods are the stack algebra the certifiers are
 written in: the t-product ``x @ y``, transpose, ``sym``, sums and scalings,
-powers, Gram powers ``(X^T X)^s`` and ``|X|^r``, the eigenbasis alignment
+powers, ``|X|^r = (X^T X)^(r/2)``, the eigenbasis alignment
 of the Young witness (:meth:`_Stack.align`), the Frobenius and spectral
 norms, the residuals of the orthogonality and normality gates
 (:meth:`_Stack.gram_residuals`), the min gaps (:meth:`_Stack.extremes`),
 the t-eigenvalues (:meth:`_Stack.eigenvalues`), the norms of ``A + iB``,
 and ``cat``, ``split`` and ``where``.  The kernels behind them stay in their modules
 (:mod:`ttensor.fourier`, :func:`ttensor.spectral._t_power`,
-:func:`ttensor.spectral._gram_power`,
+:func:`ttensor.spectral._abs_power`,
 :func:`ttensor.spectral._t_eigenvalues`), reached through deferred
 imports, so a certifier body that calls only these methods runs on any
 stack type that has them.  The public functions are the ``b = 1`` case: a
 member's result never depends on the rest of its stack.  A stack keeps its
 Fourier slices and one decomposition of its Hermitian half slices, whose
 self-conjugate slices are real (:meth:`_Stack.spectra`), for its PSD
-checks and its powers alike; its Gram powers take one SVD of its half
-slices instead and never form the Gram, whose condition is the square of
+checks and its powers alike; its ``|X|^r`` takes one SVD of its half
+slices instead and never forms the Gram, whose condition is the square of
 the stack's.  A real member's slices ``n3 - k`` and ``k`` are conjugates,
 so its spectral norm takes the SVD of the half slices and of only those
 upper slices whose partner bound could raise the max, with the bits of
@@ -188,7 +188,7 @@ class _Stack:
 
     Its methods are the algebra the certifiers are written in: ``x @ y``,
     :meth:`transpose`, :meth:`sym`, ``+``, ``-`` and ``*``, :meth:`power`,
-    :meth:`gram_power`, :meth:`abs_power`, :meth:`align`, :meth:`frobenius`,
+    :meth:`abs_power`, :meth:`align`, :meth:`frobenius`,
     :meth:`spectral`, :meth:`gram_residuals`, :meth:`extremes`,
     :meth:`eigenvalues`, :meth:`cartesian_norms`, :meth:`cat`, :meth:`split`
     and :meth:`where`.
@@ -308,7 +308,7 @@ class _Stack:
     def half_slices(self) -> np.ndarray:
         """Fourier slices ``0..n3//2`` of each member (conjugate slices share
         a spectrum and singular values), one ``(b * (n3//2 + 1), n1, n2)``
-        stack: the slices of :meth:`gram_power`.  Each member's
+        stack: the slices of :meth:`abs_power`.  Each member's
         self-conjugate slices, real in exact arithmetic, are set to their
         real part, which keeps every power exactly conjugate-symmetric after
         mirroring."""
@@ -392,18 +392,13 @@ class _Stack:
 
         return _t_power(self, list(r) if np.ndim(r) else [r] * len(self))
 
-    def gram_power(self, s) -> "_Stack":
-        """``(x^T x)^s`` of each member, or of member ``i`` at ``s[i]``, from
-        one SVD of the :meth:`half_slices`; the Gram is never formed
-        (:func:`ttensor.spectral._gram_power`)."""
-        from .spectral import _gram_power  # deferred import, see spectral_norm
-
-        return _gram_power(self, list(s) if np.ndim(s) else [s] * len(self))
-
     def abs_power(self, r) -> "_Stack":
-        """``|x|^r`` of each member, or of member ``i`` at ``r[i]``: the Gram
-        power ``r / 2``."""
-        return self.gram_power([0.5 * ri for ri in r] if np.ndim(r) else 0.5 * r)
+        """``|x|^r = (x^T x)^(r/2)`` of each member, or of member ``i`` at
+        ``r[i]``, from one SVD of the :meth:`half_slices`; the Gram is never
+        formed (:func:`ttensor.spectral._abs_power`)."""
+        from .spectral import _abs_power  # deferred import, see spectral_norm
+
+        return _abs_power(self, list(r) if np.ndim(r) else [r] * len(self))
 
     def frobenius(self) -> list:
         """Each member's :func:`frobenius_norm`, as a list of floats."""

@@ -31,8 +31,10 @@ certifiers call only the stack algebra of :class:`ttensor.core._Stack`
 (``@``, ``transpose``, ``sym``, ``power``, ``abs_power``, the norms,
 ``extremes``, ``cat``, ``split``, ``where``) and the gates and the Young
 witness built on it, so the same bodies run on any stack type that has
-those methods.  The tensors under ``|X|^r`` in one certifier are powered
-together when they share a shape (:func:`_powers`).  A stacked certifier
+those methods.  Every semidefinite-order certificate, the Young witness's
+included, comes from :func:`ttensor.certificates._loewner_certificates`.
+The tensors under ``|X|^r`` in one certifier are powered together when
+they share a shape (:func:`_powers`).  A stacked certifier
 also stacks its own independent slice spectra, one solver call per wave: it
 names the stacks whose spectra a wave needs in one request
 (:func:`ttensor.core._solve_together`, which only the float stack acts on),
@@ -58,7 +60,6 @@ from .algebra import _asymmetry, _hypothesis_tol, _orthogonality, _require_psd, 
 from .certificates import (
     DEFAULT_TOL,
     FROBENIUS,
-    NO_NORM,
     SPECTRAL,
     InequalityCertificate,
     _loewner_certificates,
@@ -339,14 +340,10 @@ def check_young_witness(
 
 def _young_witness_certificates(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> list[list]:
     """:func:`check_young_witness` of each member, member ``i`` at ``p[i]``, ``q[i]``."""
-    _, verdicts = _young_witness(a, b, p, q, tol)
-    return [
-        [InequalityCertificate(
-            "young-witness", -1, tuple(a.shape), {"p": pi, "q": qi}, NO_NORM,
-            -v.min_gap_eigenvalue, 0.0, v.min_gap_eigenvalue, v.tolerance_used, v.holds,
-        )]
-        for v, pi, qi in zip(verdicts, p, q)
-    ]
+    _, rhs, lhs = _young_witness(a, b, p, q)
+    params = [{"p": pi, "q": qi} for pi, qi in zip(p, q)]
+    certs = _loewner_certificates("young-witness", lhs, rhs, dims=a.shape, params=params, tol=tol)
+    return [[c] for c in certs]
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +481,6 @@ def _heinz_family(a: _Stack, x: _Stack, b: _Stack, r: list, t: list, tol: float)
     for ri, ti in zip(r, t):
         _require(1.0 <= 2 * ri <= 3.0, f"exponent r={ri} outside [0.5, 1.5]")
         _require(-2.0 < ti <= 2.0, f"weight t={ti} outside (-2, 2]")
-    _solve_together(a, b)
     _require_psd(tol, A=a, B=b)
     r2 = [2 - ri for ri in r]
     pair = a.cat(b)
@@ -525,7 +521,6 @@ def check_holder(
 def _holder(a: _Stack, x: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list[list]:
     """:func:`check_holder` of each member, member ``i`` at ``r[i]``, ``p[i]``, ``q[i]``."""
     _require_holder_exponents(r, p, q)
-    _solve_together(a, b)
     _require_psd(tol, A=a, B=b)
     axb = a @ x @ b
     ap, bq = _powers("power", [a, b], [p, q])

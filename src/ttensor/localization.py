@@ -18,9 +18,10 @@ members share one general solver call, and its symmetric members read the
 cat's Hermitian half spectra.  The certifiers whose pairs must be symmetric
 (``_sorted_pairing_distances``, ``_diag_spectrum``) first name the pair as
 one wave (:func:`ttensor.core._solve_together`), so each stack keeps its
-spectra and a campaign window solves both in one Jacobi call; the campaign
-names Hoffman-Wielandt's symmetric pairs in the same way.  The matchings and
-the disc components are found member by member.
+spectra and a campaign window solves both in one Jacobi call; the
+Hoffman-Wielandt campaign's symmetric pairs take theirs from the cat's
+spectra, also one call.  The matchings and the disc components are found
+member by member.
 
 ``_schur``, ``_hoffman_wielandt``, ``_sorted_pairing_distances`` and
 ``_diag_spectrum`` call only stack methods, so they run on any stack type

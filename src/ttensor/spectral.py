@@ -2,10 +2,10 @@
 
 t-eigenvalues are the eigenvalues of the block-circulant unfolding, computed
 slice-by-slice in the Fourier domain.  Real powers and square roots act on
-the Hermitian eigendecomposition of each Fourier slice, and the Gram powers
-``(x^T x)^s`` (so the absolute value ``|x|^r``, at ``s = r / 2``) on the
-singular value decomposition ``U diag(sigma) V^H`` of each slice of ``x``,
-as ``V diag(sigma^(2s)) V^H``, so the Gram is never formed.  For real
+the Hermitian eigendecomposition of each Fourier slice, and the powers of
+the absolute value ``|x|^r = (x^T x)^(r/2)`` on the singular value
+decomposition ``U diag(sigma) V^H`` of each slice of ``x``, as
+``V diag(sigma^r) V^H``, so the Gram ``x^T x`` is never formed.  For real
 tensors only slices ``0 .. n3//2`` are decomposed, all of them in one
 stacked call; the rest are mirrored as complex conjugates, which makes
 every function output exactly real after the inverse transform.
@@ -14,16 +14,16 @@ Fourier slices are independent across slices, across tensors and across
 trials (Kilmer & Martin, *Factorization strategies for third-order
 tensors*, 2011), so the tensor functions also act on stacks of tensors along
 a leading trial axis (:class:`ttensor.core._Stack`): :func:`_t_power` is the
-kernel of :meth:`_Stack.power` and :func:`_gram_power` that of
-:meth:`_Stack.gram_power` (and so of :meth:`_Stack.abs_power`), one stack
-at a time, each member at its own exponent; :func:`t_power` and
-:func:`t_abs` are their one-member cases.  A wave of stacks is powered in
-one application by powering their :meth:`_Stack.cat`, which starts with
-the spectra that all of its parts were asked for.  Each member's result is
-bit for bit its lone result: every step acts on each slice alone, and each
-distinct exponent is applied as one Python number.  Both kernels apply
-their exponents with :func:`_clipped_power`, the one power loop, and build
-their tensors with :func:`_hermitian_tensors`, the one tail.
+kernel of :meth:`_Stack.power` and :func:`_abs_power` that of
+:meth:`_Stack.abs_power`, one stack at a time, each member at its own
+exponent; :func:`t_power` and :func:`t_abs` are their one-member cases.  A
+wave of stacks is powered in one application by powering their
+:meth:`_Stack.cat`, which starts with the spectra that all of its parts
+were asked for.  Each member's result is bit for bit its lone result: every
+step acts on each slice alone, and each distinct exponent is applied as one
+Python number.  Both kernels apply their exponents with
+:func:`_clipped_power`, the one power loop, and build their tensors with
+:func:`_hermitian_tensors`, the one tail.
 :func:`_t_power` reads the spectra its stack keeps
 (:meth:`ttensor.core._Stack.spectra`), and trusts its operand: a
 certifier's hypothesis gate has checked its symmetry and semidefiniteness,
@@ -33,9 +33,10 @@ its symmetric members read the spectra the stack keeps, and the half
 slices of the others take one general solver call.  Several stacks take
 theirs from their :meth:`_Stack.cat`, as a wave is powered.
 :func:`_young_witness` builds the witnesses of a stack of pairs in the
-stack algebra, in three Jacobi calls: it powers the Grams of ``A``, ``B``
-and ``A B^T``, solved in one wave, through their ``cat``, and takes the
-witness from :meth:`ttensor.core._Stack.align`.
+stack algebra: ``|A|^p``, ``|B|^q`` and ``|A B^T|`` are one
+:meth:`_Stack.abs_power` of their ``cat``, the spectra of ``|A B^T|`` and
+of the right-hand side take one Jacobi call, and the witness is
+:meth:`ttensor.core._Stack.align` of the two.
 """
 
 from __future__ import annotations
@@ -209,23 +210,22 @@ def _t_power(x: _Stack, exponents: list) -> _Stack:
     return _hermitian_tensors(_clipped_power(x.spectra(), exponents), x.n3)
 
 
-def _gram_power(x: _Stack, exponents: list) -> _Stack:
-    """``(x^T x)^s`` of each member of ``x``, member ``i`` at
-    ``s = exponents[i]``: the kernel of :meth:`ttensor.core._Stack.gram_power`.
+def _abs_power(x: _Stack, exponents: list) -> _Stack:
+    """``|x|^r = (x^T x)^(r/2)`` of each member of ``x``, member ``i`` at
+    ``r = exponents[i]``: the kernel of :meth:`ttensor.core._Stack.abs_power`.
 
     Each half slice ``U diag(sigma) V^H`` takes one ``np.linalg.svd`` (LAPACK
-    ``gesdd``, which keeps a real slice real), and its Gram power is ``V
-    diag(sigma^(2s)) V^H``: ``|x|``'s eigendecomposition ``V diag(sigma)
-    V^H`` at the exponent ``2s``.  The Gram ``x^T x`` is never formed, so
-    the power keeps the condition of ``x``, not its square (Golub & Van
-    Loan, *Matrix Computations*, 5.3; Higham, *Functions of Matrices*, ch.
-    8).  A slice with fewer rows than columns has zeros for the missing
-    singular values.
+    ``gesdd``, which keeps a real slice real), and its power is ``V
+    diag(sigma^r) V^H``: ``|x|``'s eigendecomposition ``V diag(sigma) V^H``
+    at the exponent ``r``.  The Gram ``x^T x`` is never formed, so the power
+    keeps the condition of ``x``, not its square (Golub & Van Loan, *Matrix
+    Computations*, 5.3; Higham, *Functions of Matrices*, ch. 8).  A slice
+    with fewer rows than columns has zeros for the missing singular values.
     """
     _, sigma, vh = np.linalg.svd(x.half_slices())
     sigma = np.pad(sigma, [(0, 0), (0, x.shape[1] - sigma.shape[1])])
     e = HermitianEigen(sigma, _herm_t(vh))  # sigma descending: the power reads no order
-    return _hermitian_tensors(_clipped_power(e, [2 * s for s in exponents]), x.n3)
+    return _hermitian_tensors(_clipped_power(e, exponents), x.n3)
 
 
 def _clipped_power(e: HermitianEigen, exponents: list) -> np.ndarray:
@@ -298,31 +298,28 @@ def young_witness(
     for ``|A|^p / p + |B|^q / q >= U^T * |A * B^T| * U``; a dominance failure
     shows up as a failed verdict rather than an exception.
     """
-    u, verdicts = _young_witness(_Stack.of(a), _Stack.of(b), [p], [q], tol)
-    return u.member(0), verdicts[0]
+    u, rhs, lhs = _young_witness(_Stack.of(a), _Stack.of(b), [p], [q])
+    return u.member(0), _psd_verdicts(rhs - lhs, tol)[0]
 
 
-def _young_witness(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> tuple[_Stack, list]:
+def _young_witness(a: _Stack, b: _Stack, p: list, q: list) -> tuple[_Stack, _Stack, _Stack]:
     """:func:`young_witness` of each member pair, member ``i`` at ``p[i]``,
-    ``q[i]``: the witnesses as one stack and the verdicts in member order.
-    The Grams of ``A``, ``B`` and ``A B^T`` take one solver call, the
-    right-hand side one more, and the verdicts a third."""
+    ``q[i]``: the witnesses ``U``, the right-hand sides ``|A|^p / p + |B|^q /
+    q`` and the conjugated ``U^T |A B^T| U``, each as one stack.  The
+    exponents are checked before the shapes."""
+    for pi, qi in zip(p, q):
+        _require_conjugate(pi, qi)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(
             f"young_witness needs equal square shapes, got {a.shape} and {b.shape}"
         )
-    for pi, qi in zip(p, q):
-        _require_conjugate(pi, qi)
-    g_a, g_b, g_ab = ((x.transpose() @ x).sym() for x in (a, b, a @ b.transpose()))
-    _solve_together(g_a, g_b, g_ab)
-    # |A|^p, |B|^q and |A B^T| as the powers p/2, q/2 and 1/2 of their Grams
-    abs_a, abs_b, abs_ab = g_a.cat(g_b, g_ab).power([0.5 * r for r in [*p, *q, *[1.0] * len(a)]]).split(3)
+    abs_a, abs_b, abs_ab = a.cat(b, a @ b.transpose()).abs_power([*p, *q, *[1.0] * len(a)]).split(3)
     rhs = abs_a * [1.0 / pi for pi in p] + abs_b * [1.0 / qi for qi in q]
+    _solve_together(abs_ab, rhs)
     # U carries the right-hand side's eigenbasis onto that of |A B^T|, slice by
     # slice, so U^T |A B^T| U has |A B^T|'s eigenvalues in the right-hand side's basis
-    u = g_ab.align(rhs)
-    conjugated = u.transpose() @ abs_ab @ u
-    return u, _psd_verdicts(rhs - conjugated.sym(), tol)
+    u = abs_ab.align(rhs)
+    return u, rhs, (u.transpose() @ abs_ab @ u).sym()
 
 
 def _require_conjugate(p: float, q: float) -> None:

@@ -2,9 +2,9 @@
 
 :class:`_MpStack` has the stack algebra of :class:`ttensor.core._Stack`
 (``@``, ``transpose``, ``sym``, ``+``, ``-``, ``*``, ``power``,
-``gram_power``, ``abs_power``, ``align``, ``frobenius``, ``spectral``,
-``gram_residuals``, ``extremes``, ``eigenvalues``, ``cartesian_norms``,
-``cat``, ``split``, ``where``), so the stacked certifiers of
+``abs_power``, ``align``, ``frobenius``, ``spectral``, ``gram_residuals``,
+``extremes``, ``eigenvalues``, ``cartesian_norms``, ``cat``, ``split``,
+``where``), so the stacked certifiers of
 :mod:`ttensor.inequalities`, the Schur, Hoffman-Wielandt and diag-spectrum
 certifiers of :mod:`ttensor.localization`, the gates of
 :mod:`ttensor.algebra` and the Young witness of :mod:`ttensor.spectral`
@@ -20,8 +20,8 @@ residuals of the orthogonality and normality gates, come from Parseval.
 t-eigenvalues take ``eighe`` of the Hermitian half slices of a member
 symmetric within ``PREDICATE_TOL`` and ``eig`` of the half slices of any
 other, rounded to complex128 and mirrored as the float kernel mirrors
-them.  A power is taken of the formed product (no factored form), and a
-Gram power of the formed Gram, where the float stack takes the SVD of the
+them.  A power is taken of the formed product (no factored form), and
+``|x|^r`` of the formed Gram, where the float stack takes the SVD of the
 factor; 50 digits make both accurate enough.  The norms, gaps and
 t-eigenvalues are rounded to float64 at the end, which moves a margin by
 about 1e-16 of its scale, far below every certificate's tolerance.
@@ -161,12 +161,9 @@ class _MpStack:
 
         return self._map(lambda s, t: vectors(s) * vectors(t).H, other)
 
-    def gram_power(self, s) -> "_MpStack":
-        """``(x^T x)^s`` as the power of the formed Gram."""
-        return (self.transpose() @ self).sym().power(s)
-
     def abs_power(self, r) -> "_MpStack":
-        return self.gram_power([0.5 * v for v in _per_member(r, len(self))])
+        """``|x|^r`` as the power ``r / 2`` of the formed Gram ``x^T x``."""
+        return (self.transpose() @ self).sym().power([0.5 * v for v in _per_member(r, len(self))])
 
     def frobenius(self) -> list:
         mp = _mp()

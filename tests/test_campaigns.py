@@ -586,25 +586,26 @@ def test_window_merges_each_wave_into_one_call(monkeypatch):
 # Jacobi kernel calls of one campaign at (4, 4, 4) and at (3, 128, 1), with
 # each stack solved alone and with each wave of independent stacks in one
 # call, for the same members.  Solving alone, each stack solves its
-# half-slice stack in a call of its own where it is used (young-witness's
-# three Grams too, before their cat is powered, and the t-eigenvalues of
-# diag-spectrum and hoffman-wielandt).  |X|^r takes an SVD and no Jacobi
-# call, so holder's calls are its PSD checks and powers of A and B, and
-# holder-corollary, holder-pairs and minkowski make none.
+# half-slice stack in a call of its own where it is used (the t-eigenvalues
+# of diag-spectrum too).  |X|^r takes an SVD and no Jacobi call, so holder's
+# calls are its PSD checks and powers of A and B, holder-corollary,
+# holder-pairs and minkowski make none, and young-witness's are the spectra
+# of |A B^T|, of the right-hand side and of the Loewner gap.
+# Hoffman-Wielandt's pair takes the spectra of its cat, one call either way.
 _SHARED_WAVE_CALLS = {
     "complex-norm-c": ((2, 1), (2, 1)),
     "diag-spectrum": ((2, 1), (2, 1)),
     "furuta": ((6, 3), (6, 3)),
     "hansen-power": ((3, 2), (3, 2)),
     "heinz-family": ((2, 1), (2, 1)),
-    "hoffman-wielandt": ((2, 1), (2, 1)),
+    "hoffman-wielandt": ((1, 1), (1, 1)),
     "holder": ((2, 1), (2, 1)),
     "holder-corollary": ((0, 0), (0, 0)),
     "holder-pairs": ((0, 0), (0, 0)),
     "loewner-heinz": ((4, 2), (4, 2)),
     "minkowski": ((0, 0), (0, 0)),
     "young-commuting": ((4, 2), (4, 2)),
-    "young-witness": ((5, 3), (5, 3)),
+    "young-witness": ((3, 2), (3, 2)),
 }
 
 
@@ -747,7 +748,7 @@ def test_interrupt_in_a_window_is_not_rerun(monkeypatch):
 # Solver calls of one window at (n, n3, trials) = (4, 4, 4), seed 1: one call
 # per wave of independent spectra, whatever the number of trials
 _WINDOW_JACOBI_CALLS = {
-    "furuta": 3, "young-witness": 3, "hansen-power": 2, "young-commuting": 2,
+    "furuta": 3, "young-witness": 2, "hansen-power": 2, "young-commuting": 2,
     "loewner-heinz": 2, "hoffman-wielandt": 1, "diag-spectrum": 1,
     "complex-norm-a": 1, "complex-norm-b": 1, "complex-norm-c": 1,
 }

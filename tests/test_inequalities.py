@@ -35,6 +35,7 @@ from ttensor import (
     is_t_psd,
     power_order_counterexample,
     t_eigenvalues,
+    young_witness,
 )
 
 
@@ -171,6 +172,16 @@ def test_young_commuting_checks_hypotheses_before_shapes():
         check_young_commuting(a, -1.0 * b, 2.0, 2.0)
     with pytest.raises(ShapeMismatchError):
         check_young_commuting(a, b, 2.0, 2.0)
+
+
+def test_young_witness_checks_exponents_before_shapes():
+    a = gen_random((2, 2, 3), RngStream(215))
+    b = gen_random((3, 3, 3), RngStream(216))
+    for call in (young_witness, check_young_witness):
+        with pytest.raises(HypothesisViolationError, match=r"^exponents p=1.5, q=2.0 are not conjugate$"):
+            call(a, b, 1.5, 2.0)
+        with pytest.raises(ShapeMismatchError):
+            call(a, b, 1.5, 3.0)
 
 
 def test_hansen_checks_hypotheses_before_shapes():

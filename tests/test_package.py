@@ -77,12 +77,17 @@ ONE_DEFINITION = {
     # a real stack is built from half slices in one place
     r"_mirror_half\(": ("core:_Stack", "fourier"),
     # slice SVDs: a real stack's half slices and its partner slices, the
-    # complex tensors' all-slice norm, the Gram powers and the inverse's check
-    r"np\.linalg\.svd\(": ("core", "spectral:_gram_power", "algebra:_t_inverse"),
+    # complex tensors' all-slice norm, |X|^r and the inverse's check
+    r"np\.linalg\.svd\(": ("core", "spectral:_abs_power", "algebra:_t_inverse"),
     # the half-spectrum Parseval weights: 1 for a self-conjugate slice, else 2
     r"np\.full\(_half_size\(|\bk == 0 or 2 \* k == \w+": "fourier:_parseval_weights",
     # the partner-gap bound of upper slice n3 - k against slice k
     r"\[:, : ?\w+ // 2 : ?-1\]|\b1e-10 \*": "core:_Stack",
+    # a Gram is formed only where a statement or a generator names it:
+    # |X|^r takes the SVD of X
+    r"(\b\w+)\.transpose\(\) @ \1\b": ("core:_t_psd", "inequalities:_am_gm", "campaigns:_draw_hansen_power"),
+    # certificates are built by their builders, and stamped by the campaign
+    r"\bInequalityCertificate\(": ("certificates", "campaigns:_stamp"),
 }
 
 

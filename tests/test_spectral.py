@@ -393,7 +393,7 @@ def test_gram_power_matches_the_formed_gram(n, n3):
     x = core._Stack.of(a + 2.0 * spectral_norm(a) * identity(n, n3))
     for s in (0.25, 0.5, 1.0, 1.5):
         expected = _formed_gram_power(x, s)
-        assert np.abs(x.gram_power(s).data - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(x.abs_power(2 * s).data - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_gram_power_of_rank_deficient_and_wide_members():
@@ -405,13 +405,13 @@ def test_gram_power_of_rank_deficient_and_wide_members():
     wide = core._Stack.of(gen_random((2, 3, 5), RngStream(610)))
     for x in (rank_one, wide):
         for s in (0.25, 0.5):
-            assert np.isfinite(x.gram_power(s).data).all()
+            assert np.isfinite(x.abs_power(2 * s).data).all()
         # the formed Gram's roundoff at a zero eigenvalue, about 1e-32, is
         # harmless only at exponents s >= 1
         for s in (1.0, 1.5):
             expected = _formed_gram_power(x, s)
-            assert np.abs(x.gram_power(s).data - expected).max() <= 1e-12 * np.abs(expected).max()
-        assert np.abs(x.gram_power(0.0).data - identity(3, x.n3).data).max() <= 1e-12
+            assert np.abs(x.abs_power(2 * s).data - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(x.abs_power(0.0).data - identity(3, x.n3).data).max() <= 1e-12
 
 
 def test_stacked_powers_of_several_stacks_split_per_stack():

@@ -3,9 +3,8 @@
 Multiplication and inversion run slicewise in the Fourier domain, each as one
 array call over the stacked slices; the block-circulant route
 ``fold(bcirc(a) @ unfold(b))`` is equivalent and is kept as a test oracle
-only.  The inverse's condition check reads the half slices (``0..n3//2``)
-and their partner bounds, and checks all ``n3`` slices only when those do
-not clear ``INVERSE_TOL``; orthogonality and normality are decided per
+only.  The inverse checks and inverts the half slices (``0..n3//2``) only,
+whose conjugates are the rest; orthogonality and normality are decided per
 half slice too (:meth:`ttensor.core._Stack.gram_residuals`), since a real
 tensor is orthogonal or normal exactly when each Fourier slice is unitary
 or normal.  The positive-semidefinite order on symmetric tensors is
@@ -34,7 +33,6 @@ import numpy as np
 
 from .core import Tensor3, _frobenius, _solve_together, _Stack
 from .errors import NotSymmetricError, ShapeMismatchError, SingularTensorError, _require, _require_each
-from .fourier import _inverse
 
 __all__ = [
     "LoewnerVerdict",
@@ -96,39 +94,32 @@ def t_inverse(a: Tensor3) -> Tensor3:
     """Multiplicative inverse, computed by slicewise inversion.
 
     Every Fourier slice must be invertible: its smallest singular value must
-    exceed ``INVERSE_TOL`` times its largest.  Otherwise
-    :class:`SingularTensorError` reports the worst slice index and its
-    condition estimate; it is the only failure a slice can cause, however
-    ill-conditioned the invertible slices are.
+    exceed ``INVERSE_TOL`` times its largest.  Slices ``n3 - k`` and ``k``
+    are conjugates, so only the half slices ``0..n3//2`` are checked, and
+    otherwise :class:`SingularTensorError` reports the worst half-slice
+    index and its condition estimate; it is the only failure a slice can
+    cause, however ill-conditioned the invertible slices are.
     """
     return _t_inverse(_Stack.of(a)).member(0)
 
 
 def _t_inverse(x: _Stack) -> _Stack:
     """:func:`t_inverse` of each member; the lowest member with a singular
-    slice raises.  LAPACK takes each slice alone.  The check reads the half
-    slices and accepts when each upper slice's partner bound
-    (:meth:`ttensor.core._Stack.half_singular_values`) keeps it clear of
-    ``INVERSE_TOL`` too; otherwise all ``n3`` slices are checked, so a
-    tensor is accepted or reported exactly as by the all-slice check."""
+    half slice raises.  One SVD of the :meth:`~ttensor.core._Stack.half_slices`
+    checks them, LAPACK taking each slice alone, and their inverses are
+    mirrored, so the result is exactly conjugate-symmetric."""
     if x.shape[0] != x.shape[1]:
         raise ShapeMismatchError(f"inverse requires a square tensor, got {x.shape}")
-    sv, gaps = x.half_singular_values()
-    partners = sv[:, 1 : gaps.shape[1] + 1]  # slices k = 1..(n3-1)//2 of the upper slices n3 - k
-    upper_clear = partners[..., -1] - gaps > INVERSE_TOL * (partners[..., 0] + gaps)
-    if not ((_sigma_ratios(sv) > INVERSE_TOL).all() and upper_clear.all()):
-        for member in _sigma_ratios(np.linalg.svd(x.slices, compute_uv=False)):
-            worst = int(np.argmin(member))
-            if member[worst] <= INVERSE_TOL:
-                cond = 1.0 / member[worst] if member[worst] > 0 else np.inf
-                raise SingularTensorError(worst, float(cond))
-    return _Stack(_inverse(np.linalg.inv(x.slices)))
-
-
-def _sigma_ratios(sv: np.ndarray) -> np.ndarray:
-    """``sigma_min / sigma_max`` of each slice of LAPACK's singular values
-    ``sv``; 0 for an all-zero slice."""
-    return np.divide(sv[..., -1], sv[..., 0], out=np.zeros(sv.shape[:-1]), where=sv[..., 0] > 0)
+    half = x.half_slices()
+    sv = np.linalg.svd(half, compute_uv=False)
+    # sigma_min / sigma_max of each slice; 0 for an all-zero slice
+    ratios = np.divide(sv[..., -1], sv[..., 0], out=np.zeros(sv.shape[:-1]), where=sv[..., 0] > 0)
+    for member in ratios:
+        worst = int(np.argmin(member))
+        if member[worst] <= INVERSE_TOL:
+            cond = 1.0 / member[worst] if member[worst] > 0 else np.inf
+            raise SingularTensorError(worst, float(cond))
+    return _Stack.from_halves(np.linalg.inv(half), x.n3)
 
 
 # ---------------------------------------------------------------------------

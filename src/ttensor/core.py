@@ -28,13 +28,14 @@ self-conjugate slices are real (:meth:`_Stack.spectra`), for its PSD
 checks and its powers alike; its ``|X|^r`` takes one SVD of its half
 slices instead and never forms the Gram, whose condition is the square of
 the stack's.  A real member's slices ``n3 - k`` and ``k`` are conjugates,
-so its spectral norm takes the SVD of the half slices and of only those
-upper slices whose partner bound could raise the max, with the bits of
-the max over all ``n3`` slices, and its gate residuals are Parseval sums
-over the half slices.  :func:`_solve_together` solves the spectra of
-several stacks in one call.  A :class:`Tensor3` keeps its one-member stack
-(:meth:`_Stack.of`), so every public call on the tensor reads the same
-slices and spectra, transformed and solved on first use.  A stack holds
+so every SVD and eigen reader of a stack sees only its half slices
+``0..n3//2`` (:meth:`_Stack.half_slices`): its spectral norm is the largest
+singular value over them, as the 50-digit reference stack defines it, and
+its gate residuals are Parseval sums over them.  :func:`_solve_together`
+solves the spectra of several stacks in one call.  A :class:`Tensor3`
+keeps its one-member stack (:meth:`_Stack.of`), so every public call on
+the tensor reads the same slices and spectra, transformed and solved on
+first use.  A stack holds
 real tensors only: :meth:`_Stack.of` refuses anything but a
 :class:`Tensor3`, and a :class:`Tensor3` refuses complex entries.
 """
@@ -241,11 +242,12 @@ class _Stack:
     def from_halves(cls, half: np.ndarray, n3: int) -> "_Stack":
         """The real stack whose members have the half slices ``half``,
         ``n3 // 2 + 1`` of each member in turn (as :meth:`half_slices` lays
-        them out), mirrored as conjugates and inverted; the slices must be
-        those of real tensors (:func:`ttensor.fourier._inverse`)."""
+        them out, or flattened over the members), mirrored as conjugates and
+        inverted; the slices must be those of real tensors
+        (:func:`ttensor.fourier._inverse`)."""
         from .fourier import _half_size, _inverse, _mirror_half  # deferred import, see spectral_norm
 
-        return cls(_inverse(_mirror_half(half.reshape(-1, _half_size(n3), *half.shape[1:]), n3)))
+        return cls(_inverse(_mirror_half(half.reshape(-1, _half_size(n3), *half.shape[-2:]), n3)))
 
     def cat(self, *others: "_Stack") -> "_Stack":
         """The members of this stack and then of each other stack in turn,
@@ -306,26 +308,26 @@ class _Stack:
         return self._slices
 
     def half_slices(self) -> np.ndarray:
-        """Fourier slices ``0..n3//2`` of each member (conjugate slices share
-        a spectrum and singular values), one ``(b * (n3//2 + 1), n1, n2)``
-        stack: the slices of :meth:`abs_power`.  Each member's
-        self-conjugate slices, real in exact arithmetic, are set to their
-        real part, which keeps every power exactly conjugate-symmetric after
-        mirroring."""
+        """Fourier slices ``0..n3//2`` of each member, ``(b, n3//2 + 1, n1,
+        n2)``: the only slices a real stack's SVD and eigen readers see, since
+        slices ``n3 - k`` and ``k`` are conjugates and share a spectrum and
+        singular values.  Each member's self-conjugate slices, real in exact
+        arithmetic, are set to their real part, which keeps every result
+        built from them exactly conjugate-symmetric after mirroring."""
         from .fourier import _half_size, _self_conjugate_indices  # deferred import, see spectral_norm
 
         half = self.slices[:, : _half_size(self.n3)].copy()
-        real_idx = _self_conjugate_indices(self.n3)
-        half[:, real_idx] = half[:, real_idx].real
-        return half.reshape(-1, *self.shape[:2])
+        half.imag[:, _self_conjugate_indices(self.n3)] = 0.0
+        return half
 
     def halves(self) -> np.ndarray:
-        """The Hermitian parts of each square member's :meth:`half_slices`:
-        the slices of the PSD checks, the powers and the symmetric branch of
+        """The Hermitian parts of each square member's :meth:`half_slices`,
+        one ``(b * (n3//2 + 1), n, n)`` stack: the slices of the PSD checks,
+        the powers and the symmetric branch of
         :func:`ttensor.spectral.t_eigenvalues`."""
         from .eigensolvers import _herm_t  # deferred import, see spectral_norm
 
-        half = self.half_slices()
+        half = self.half_slices().reshape(-1, *self.shape[:2])
         return 0.5 * (half + _herm_t(half))
 
     def spectra(self):
@@ -405,35 +407,10 @@ class _Stack:
         return _frobenius(self.data).tolist()
 
     def spectral(self) -> list:
-        """Each member's :func:`spectral_norm`, as a list of floats: the max
-        of :meth:`half_singular_values` and of the upper slices whose
-        partner bound reaches it, bit for bit ``_spectral(self.slices)``,
-        which a stack of fewer than 64 slices in all takes instead."""
-        # below 64 slices the half path's fixed cost, a second SVD call and the
-        # partner bounds, exceeds the slice SVDs it saves (3x3 to 8x8 slices)
-        if len(self) * self.n3 < 64:
-            return _spectral(self.slices).tolist()
-        sv, gaps = self.half_singular_values()
-        top = sv[..., 0].max(axis=1)
-        member, k = np.nonzero(sv[:, 1 : gaps.shape[1] + 1, 0] + gaps >= top[:, None])
-        np.maximum.at(top, member, _spectral(self.slices[member, self.n3 - 1 - k, None]))
-        return top.tolist()
-
-    def half_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """LAPACK's singular values of each member's Fourier slices ``0..n3//2``
-        as kept, ``(b, n3//2 + 1, min(n1, n2))`` in descending order, and the
-        partner bound of each upper slice ``n3 - k`` (``k = 1..(n3-1)//2``, in
-        that order), ``(b, (n3-1)//2)``: how far its singular values can lie
-        from slice ``k``'s.  The two are conjugate in exact arithmetic, so
-        the bound is Weyl's, ``||S_{n3-k} - conj(S_k)||_F``, doubled, plus
-        LAPACK's backward error, taken as ``1e-10`` of the member's largest
-        singular value."""
-        from .fourier import _half_size  # deferred import, see spectral_norm
-
-        slices, n3 = self.slices, self.n3
-        sv = np.linalg.svd(slices[:, : _half_size(n3)], compute_uv=False)
-        drift = slices[:, : n3 // 2 : -1] - slices[:, 1 : (n3 + 1) // 2].conj()
-        return sv, 2.0 * np.linalg.norm(drift, axis=(2, 3)) + 1e-10 * sv[..., 0].max(axis=1)[:, None]
+        """Each member's :func:`spectral_norm`, as a list of floats: the
+        largest singular value of its :meth:`half_slices`, from one SVD
+        call."""
+        return np.linalg.svd(self.half_slices(), compute_uv=False)[..., 0].max(axis=1).tolist()
 
     def gram_residuals(self) -> tuple[list, list, list]:
         """Each member's Frobenius norms of ``x^T x - I``, ``x x^T - I`` and
@@ -442,9 +419,9 @@ class _Stack:
         ``S^H S - S S^H``, so no transpose is transformed and no product
         inverted (Kilmer & Martin, LAA 2011)."""
         from .eigensolvers import _herm_t  # deferred import, see spectral_norm
-        from .fourier import _half_size, _parseval_weights
+        from .fourier import _parseval_weights
 
-        half = self.slices[:, : _half_size(self.n3)]
+        half = self.half_slices()
         left, right = _herm_t(half) @ half, half @ _herm_t(half)
         eye, weights = np.eye(self.shape[0]), _parseval_weights(self.n3) / self.n3
         squares = [(np.abs(m) ** 2).sum(axis=(2, 3)) for m in (left - eye, right - eye, left - right)]
@@ -604,8 +581,8 @@ def spectral_norm(a) -> float:
     Equals the maximum over Fourier slices of the slice's largest singular
     value, because the unfolding is unitarily block-diagonalized by the DFT.
     A real tensor's norm is its stack's (:meth:`_Stack.spectral`), which
-    takes the SVD of the half slices and of only those upper slices that
-    could raise the max; a complex tensor's takes all ``n3`` slices.
+    takes the SVD of the half slices ``0..n3//2`` only; a complex tensor's
+    takes all ``n3`` slices.
     """
     from .fourier import to_fourier  # deferred: core must not import fourier at load
 
@@ -617,9 +594,8 @@ def spectral_norm(a) -> float:
 def _spectral(slices: np.ndarray) -> np.ndarray:
     """:func:`spectral_norm` of each member of a ``(b, n3, n1, n2)`` stack of
     Fourier slices, all ``n3`` of them: the path of complex tensors, which
-    have no conjugate pairs, and of the partner slices that
-    :meth:`_Stack.spectral` adds.  LAPACK takes each slice alone, so a
-    member's norm does not depend on the rest of the stack."""
+    have no conjugate pairs.  LAPACK takes each slice alone, so a member's
+    norm does not depend on the rest of the stack."""
     return np.linalg.svd(slices, compute_uv=False)[..., 0].max(axis=1)
 
 

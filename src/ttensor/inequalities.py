@@ -282,7 +282,6 @@ def _furuta(a: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list
     sandwich_b = (br @ ap @ br).sym()
     sandwich_a = (ar @ bp @ ar).sym()
     inverse_q = [1.0 / qi for qi in q]
-    _solve_together(sandwich_b, sandwich_a)
     lower_rhs, upper_lhs = sandwich_b.cat(sandwich_a).power(inverse_q + inverse_q).split(2)
     params = [{"r": ri, "p": pi, "q": qi} for ri, pi, qi in zip(r, p, q)]
     sides = [{**pm, "side": "lower"} for pm in params] + [{**pm, "side": "upper"} for pm in params]

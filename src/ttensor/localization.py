@@ -116,8 +116,6 @@ class ComponentCount:
 
 def schur_bound(a, tol: float = DEFAULT_TOL) -> InequalityCertificate:
     """Quadratic spectral-sum bound: sum |lambda_i|^2 <= n3 * ||A||_F^2."""
-    if isinstance(a, Tensor3):
-        return _schur(_Stack.of(a), tol)[0][0]
     return _schur_certificate(a.shape, t_eigenvalues(a), frobenius_norm(a), tol)
 
 

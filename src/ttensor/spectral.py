@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import PREDICATE_TOL, LoewnerVerdict, _asymmetry, _psd_verdicts
-from .core import Tensor3, _as_generator, _solve_together, _Stack, gen_random
+from .core import Tensor3, _solve_together, _Stack, gen_random
 from .eigensolvers import HermitianEigen, _herm_t, general_eig
 from .errors import (
     NotSymmetricError,
@@ -55,7 +55,7 @@ from .errors import (
     SingularTensorError,
     _require,
 )
-from .fourier import _half_size, _self_conjugate_indices, to_fourier
+from .fourier import _half_size, to_fourier
 
 __all__ = [
     "TEigenSpectrum",
@@ -112,7 +112,7 @@ def _t_eigenvalues(x: _Stack) -> list[TEigenSpectrum]:
     if symmetric.any():
         w[symmetric] = x.spectra().values.reshape(len(x), half, n)[symmetric]
     if not symmetric.all():
-        w[~symmetric] = general_eig(x.slices[~symmetric, :half].reshape(-1, n, n)).reshape(-1, half, n)
+        w[~symmetric] = general_eig(x.half_slices()[~symmetric].reshape(-1, n, n)).reshape(-1, half, n)
     return [_mirrored_spectrum(wi, n3) for wi in w]
 
 
@@ -222,7 +222,7 @@ def _abs_power(x: _Stack, exponents: list) -> _Stack:
     Computations*, 5.3; Higham, *Functions of Matrices*, ch. 8).  A slice
     with fewer rows than columns has zeros for the missing singular values.
     """
-    _, sigma, vh = np.linalg.svd(x.half_slices())
+    _, sigma, vh = np.linalg.svd(x.half_slices().reshape(-1, *x.shape[:2]))
     sigma = np.pad(sigma, [(0, 0), (0, x.shape[1] - sigma.shape[1])])
     e = HermitianEigen(sigma, _herm_t(vh))  # sigma descending: the power reads no order
     return _hermitian_tensors(_clipped_power(e, exponents), x.n3)
@@ -270,20 +270,14 @@ def t_abs(a: Tensor3) -> Tensor3:
 def gen_orthogonal(n: int, n3: int, rng) -> Tensor3:
     """Random orthogonal tensor from slicewise QR of a random tensor.
 
-    QR is taken on Fourier slices 0..n3//2 with the R diagonal sign-normalized
-    positive (pins the factor uniquely), conjugate slices mirrored.
+    QR is taken on the half slices ``0..n3//2`` in one call, with the R
+    diagonal phase-normalized to be positive (pins the factor uniquely),
+    conjugate slices mirrored.
     """
-    g = _as_generator(rng)
-    r = gen_random((n, n, n3), g)
-    half = to_fourier(r).half()
-    real_idx = _self_conjugate_indices(n3)
-    q_half = np.empty_like(half)
-    for k, s in enumerate(half):
-        q, rr = np.linalg.qr(s.real if k in real_idx else s)
-        d = np.diagonal(rr).copy()
-        d[d == 0] = 1.0
-        q_half[k] = q * (d / np.abs(d))
-    return _Stack.from_halves(q_half, n3).member(0)
+    q, rr = np.linalg.qr(_Stack.of(gen_random((n, n, n3), rng)).half_slices())
+    d = np.diagonal(rr, axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0
+    return _Stack.from_halves(q * (d / np.abs(d))[..., None, :], n3).member(0)
 
 
 def young_witness(

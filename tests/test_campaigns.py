@@ -595,7 +595,7 @@ def test_window_merges_each_wave_into_one_call(monkeypatch):
 _SHARED_WAVE_CALLS = {
     "complex-norm-c": ((2, 1), (2, 1)),
     "diag-spectrum": ((2, 1), (2, 1)),
-    "furuta": ((6, 3), (6, 3)),
+    "furuta": ((5, 3), (5, 3)),
     "hansen-power": ((3, 2), (3, 2)),
     "heinz-family": ((2, 1), (2, 1)),
     "hoffman-wielandt": ((1, 1), (1, 1)),

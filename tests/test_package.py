@@ -63,7 +63,7 @@ ONE_DEFINITION = {
     r"is not positive semidefinite": "algebra:_require_psd",  # PSD and order hypotheses
     r"is_t_psd requires a symmetric": "algebra:is_t_psd",
     # the Hermitian half slices, whose self-conjugate ones every half spectrum keeps real
-    r"\.slices\[:, : ?_half_size\(|\[:, real_idx\]\.real": "core:_Stack",
+    r"\.slices\[:, : ?_half_size\(|\.imag\[:, _self_conjugate_indices\(": "core:_Stack",
     r"t_power requires": "spectral:t_power",  # the kernel trusts the hypothesis gates
     r"[\"']n/a[\"']": "certificates",  # NO_NORM
     # a real tensor is transformed only by its stack, which keeps the slices
@@ -76,13 +76,14 @@ ONE_DEFINITION = {
     r"from_halves\(.*\)\.sym\(\)": "spectral:_hermitian_tensors",
     # a real stack is built from half slices in one place
     r"_mirror_half\(": ("core:_Stack", "fourier"),
-    # slice SVDs: a real stack's half slices and its partner slices, the
+    # slice SVDs: a real stack's half slices for its spectral norm, the
     # complex tensors' all-slice norm, |X|^r and the inverse's check
     r"np\.linalg\.svd\(": ("core", "spectral:_abs_power", "algebra:_t_inverse"),
+    # a real stack's kept slices are read by the stack alone (its readers
+    # see half_slices()); the complex tensors read their FourierSlices
+    r"\.slices\b": ("core:_Stack", "core:spectral_norm", "fourier", "spectral:t_eigenvalues"),
     # the half-spectrum Parseval weights: 1 for a self-conjugate slice, else 2
     r"np\.full\(_half_size\(|\bk == 0 or 2 \* k == \w+": "fourier:_parseval_weights",
-    # the partner-gap bound of upper slice n3 - k against slice k
-    r"\[:, : ?\w+ // 2 : ?-1\]|\b1e-10 \*": "core:_Stack",
     # a Gram is formed only where a statement or a generator names it:
     # |X|^r takes the SVD of X
     r"(\b\w+)\.transpose\(\) @ \1\b": ("core:_t_psd", "inequalities:_am_gm", "campaigns:_draw_hansen_power"),

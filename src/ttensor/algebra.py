@@ -12,7 +12,9 @@ decided per Fourier slice: a symmetric tensor is t-PSD exactly when every
 (Hermitian-symmetrized) Fourier slice is positive semidefinite.
 
 The product is the stacks' ``x @ y`` (:class:`ttensor.core._Stack`), and
-the inverse, the structural predicates and the PSD verdicts take stacks of
+the inverse is :func:`ttensor.core._t_inverse`, which lives beside the
+stack with the other kernels that read its half spectrum.  They, the
+structural predicates and the PSD verdicts take stacks of
 tensors along a leading trial axis: :func:`_t_inverse`, :func:`_asymmetry`,
 :func:`_orthogonality`, :func:`_normality`, :func:`_off_diagonality` and
 :func:`_psd_verdicts`, with :func:`t_product`, :func:`t_inverse`,
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, _frobenius, _solve_together, _Stack
-from .errors import NotSymmetricError, ShapeMismatchError, SingularTensorError, _require, _require_each
+from .core import Tensor3, _frobenius, _solve_together, _Stack, _t_inverse
+from .errors import NotSymmetricError, ShapeMismatchError, _require, _require_each
 
 __all__ = [
     "LoewnerVerdict",
@@ -48,7 +50,6 @@ __all__ = [
 ]
 
 PREDICATE_TOL = 1e-9
-INVERSE_TOL = 1e-12
 
 
 def _hypothesis_tol(tol: float) -> float:
@@ -101,25 +102,6 @@ def t_inverse(a: Tensor3) -> Tensor3:
     cause, however ill-conditioned the invertible slices are.
     """
     return _t_inverse(_Stack.of(a)).member(0)
-
-
-def _t_inverse(x: _Stack) -> _Stack:
-    """:func:`t_inverse` of each member; the lowest member with a singular
-    half slice raises.  One SVD of the :meth:`~ttensor.core._Stack.half_slices`
-    checks them, LAPACK taking each slice alone, and their inverses are
-    mirrored, so the result is exactly conjugate-symmetric."""
-    if x.shape[0] != x.shape[1]:
-        raise ShapeMismatchError(f"inverse requires a square tensor, got {x.shape}")
-    half = x.half_slices()
-    sv = np.linalg.svd(half, compute_uv=False)
-    # sigma_min / sigma_max of each slice; 0 for an all-zero slice
-    ratios = np.divide(sv[..., -1], sv[..., 0], out=np.zeros(sv.shape[:-1]), where=sv[..., 0] > 0)
-    for member in ratios:
-        worst = int(np.argmin(member))
-        if member[worst] <= INVERSE_TOL:
-            cond = 1.0 / member[worst] if member[worst] > 0 else np.inf
-            raise SingularTensorError(worst, float(cond))
-    return _Stack.from_halves(np.linalg.inv(half), x.n3)
 
 
 # ---------------------------------------------------------------------------

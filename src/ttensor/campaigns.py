@@ -48,14 +48,14 @@ call's report is byte-identical to a lone serial run.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import inequalities as ineq
 from . import localization as loc
 from .algebra import PREDICATE_TOL, _require_symmetric, _t_inverse
-from .certificates import DEFAULT_TOL, InequalityCertificate
+from .certificates import DEFAULT_TOL, _require_tol
 from .core import RngStream, _commuting_psd_pairs, _frobenius, _loewner_pairs, _Stack, _t_psd, identity
 from .errors import SingularTensorError, UnknownTheoremError, _require
 
@@ -350,7 +350,8 @@ def run_campaign(
 
     Trial ``i`` draws its instance from ``RngStream(seed, i)``, so the full
     certificate list is a pure function of the arguments.  ``n`` and ``n3``
-    must be at least 1 and ``trials`` at least 0, else :class:`ValueError`.
+    must be at least 1, ``trials`` at least 0 and ``tol`` a finite number at
+    least 0, else :class:`ValueError`.
     """
     if theorem_id not in _REGISTRY:
         raise UnknownTheoremError(
@@ -360,6 +361,7 @@ def run_campaign(
         raise ValueError(f"unknown mode {mode!r}")
     if n < 1 or n3 < 1 or trials < 0:
         raise ValueError(f"need n >= 1, n3 >= 1 and trials >= 0, got n={n}, n3={n3}, trials={trials}")
+    _require_tol(tol)
     theorem = _REGISTRY[theorem_id]
     params = dict(params or {})
     certificates = []
@@ -393,11 +395,7 @@ def _certified(theorem: _Stacked, trials, seed, n, n3, tol, mode, params) -> lis
 def _stamp(certificates, seed, trial) -> list:
     """The certificates stamped with their provenance, ``seed`` set and ``"trial"``
     first in ``params``: the only place a certificate gets its seed and trial."""
-    return [
-        InequalityCertificate(c.theorem_id, int(seed), c.dims, {"trial": trial, **c.params},
-                              c.norm_kind, c.lhs, c.rhs, c.margin, c.tol, c.holds)
-        for c in certificates
-    ]
+    return [replace(c, seed=int(seed), params={"trial": trial, **c.params}) for c in certificates]
 
 
 def _window_size(n: int, n3: int) -> int:

@@ -49,6 +49,14 @@ NO_NORM = "n/a"
 DEFAULT_TOL = 1e-8
 
 
+def _require_tol(tol: float) -> None:
+    """Raise :class:`ValueError` unless ``tol`` is a finite number ``>= 0``:
+    a NaN, infinite or negative tolerance makes every verdict against it
+    wrong."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+
+
 @dataclass(frozen=True)
 class InequalityCertificate:
     """Single inequality evaluation; ``holds`` iff ``margin >= -tol``.

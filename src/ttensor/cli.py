@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .campaigns import THEOREM_IDS, run_campaign
-from .certificates import DEFAULT_TOL
+from .certificates import DEFAULT_TOL, _require_tol
 from .core import ComplexTensor3, Tensor3, frobenius_norm
 from .errors import ShapeMismatchError, TtensorError, UnknownTheoremError
 from .localization import gershgorin_discs, gershgorin_gaps
@@ -161,6 +161,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_gershgorin(args) -> int:
+    _require_tol(args.tol)
     a = read_tensor(args.file)
     discs = gershgorin_discs(a)
     entries = _sorted_spectrum(t_eigenvalues(a))

@@ -16,13 +16,16 @@ of the Young witness (:meth:`_Stack.align`), the Frobenius and spectral
 norms, the residuals of the orthogonality and normality gates
 (:meth:`_Stack.gram_residuals`), the min gaps (:meth:`_Stack.extremes`),
 the t-eigenvalues (:meth:`_Stack.eigenvalues`), the norms of ``A + iB``,
-and ``cat``, ``split`` and ``where``.  The kernels behind them stay in their modules
-(:mod:`ttensor.fourier`, :func:`ttensor.spectral._t_power`,
-:func:`ttensor.spectral._abs_power`,
-:func:`ttensor.spectral._t_eigenvalues`), reached through deferred
-imports, so a certifier body that calls only these methods runs on any
-stack type that has them.  The public functions are the ``b = 1`` case: a
-member's result never depends on the rest of its stack.  A stack keeps its
+and ``cat``, ``split`` and ``where``; a certifier body that calls only
+these methods runs on any stack type that has them.  The Fourier-domain
+kernels live beside the stack: the power loop (:func:`_clipped_power`),
+the Hermitian tail of every power (:func:`_hermitian_tensors`) and the
+inverse (:func:`_t_inverse`), so this is the one module that reads a
+stack's half spectrum.  The modules it calls into (:mod:`ttensor.algebra`,
+:mod:`ttensor.eigensolvers`, :mod:`ttensor.fourier`,
+:mod:`ttensor.spectral`) are bound once, at the end of this module.  The
+public functions are the ``b = 1`` case: a member's result never depends on
+the rest of its stack.  A stack keeps its
 Fourier slices and one decomposition of its Hermitian half slices, whose
 self-conjugate slices are real (:meth:`_Stack.spectra`), for its PSD
 checks and its powers alike; its ``|X|^r`` takes one SVD of its half
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, SingularTensorError
 
 __all__ = [
     "Tensor3",
@@ -67,6 +70,8 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _DELTA = 1e-3  # the default identity shift of the positive semidefinite generators
+_POWER_TOL = 1e-9  # t_power's symmetry and clamp window; a negative power's definiteness floor
+INVERSE_TOL = 1e-12  # an invertible slice's smallest singular value exceeds this times its largest
 
 
 def _validated(arr: np.ndarray, dtype) -> np.ndarray:
@@ -245,9 +250,8 @@ class _Stack:
         them out, or flattened over the members), mirrored as conjugates and
         inverted; the slices must be those of real tensors
         (:func:`ttensor.fourier._inverse`)."""
-        from .fourier import _half_size, _inverse, _mirror_half  # deferred import, see spectral_norm
-
-        return cls(_inverse(_mirror_half(half.reshape(-1, _half_size(n3), *half.shape[-2:]), n3)))
+        half = half.reshape(-1, fourier._half_size(n3), *half.shape[-2:])
+        return cls(fourier._inverse(fourier._mirror_half(half, n3)))
 
     def cat(self, *others: "_Stack") -> "_Stack":
         """The members of this stack and then of each other stack in turn,
@@ -255,8 +259,6 @@ class _Stack:
         member's slices are bit for bit its lone transform), and the spectra
         if every one of them was asked for (by :func:`_solve_together`, or
         solved and kept)."""
-        from .eigensolvers import HermitianEigen  # deferred import, see spectral_norm
-
         for other in others:
             _check_same_shape(self, other)
         if not others:
@@ -268,7 +270,7 @@ class _Stack:
             out._slices.flags.writeable = False
         if all(x._spectra is not None for x in parts):  # each was asked for in a wave
             held = [x.spectra() for x in parts]  # solved alone after a failed wave
-            out._spectra = HermitianEigen(
+            out._spectra = eigensolvers.HermitianEigen(
                 np.concatenate([e.values for e in held]), np.concatenate([e.vectors for e in held])
             )
         return out
@@ -300,9 +302,7 @@ class _Stack:
     @property
     def slices(self) -> np.ndarray:
         if self._slices is None:
-            from .fourier import _forward  # deferred import, see spectral_norm
-
-            slices = _forward(self.data)
+            slices = fourier._forward(self.data)
             slices.flags.writeable = False  # a tensor's stack shares them with every call
             self._slices = slices
         return self._slices
@@ -314,10 +314,8 @@ class _Stack:
         singular values.  Each member's self-conjugate slices, real in exact
         arithmetic, are set to their real part, which keeps every result
         built from them exactly conjugate-symmetric after mirroring."""
-        from .fourier import _half_size, _self_conjugate_indices  # deferred import, see spectral_norm
-
-        half = self.slices[:, : _half_size(self.n3)].copy()
-        half.imag[:, _self_conjugate_indices(self.n3)] = 0.0
+        half = self.slices[:, : fourier._half_size(self.n3)].copy()
+        half.imag[:, fourier._self_conjugate_indices(self.n3)] = 0.0
         return half
 
     def halves(self) -> np.ndarray:
@@ -325,18 +323,14 @@ class _Stack:
         one ``(b * (n3//2 + 1), n, n)`` stack: the slices of the PSD checks,
         the powers and the symmetric branch of
         :func:`ttensor.spectral.t_eigenvalues`."""
-        from .eigensolvers import _herm_t  # deferred import, see spectral_norm
-
         half = self.half_slices().reshape(-1, *self.shape[:2])
-        return 0.5 * (half + _herm_t(half))
+        return 0.5 * (half + eigensolvers._herm_t(half))
 
     def spectra(self):
         """:func:`ttensor.eigensolvers.hermitian_eig` of :meth:`halves`,
         solved on first use (or by :func:`_solve_together`) and kept."""
         if not self._spectra:  # None before any request, False after a failed wave
-            from .eigensolvers import hermitian_eig  # deferred import, see spectral_norm
-
-            self._spectra = hermitian_eig(self.halves())
+            self._spectra = eigensolvers.hermitian_eig(self.halves())
         return self._spectra
 
     def align(self, other: "_Stack") -> "_Stack":
@@ -344,10 +338,9 @@ class _Stack:
         ``V`` and ``W`` the eigenvectors of this stack's and ``other``'s
         :meth:`spectra`: the unitary per slice that carries ``other``'s
         eigenbasis onto this stack's, eigenvalues in ascending order."""
-        from .eigensolvers import _herm_t  # deferred import, see spectral_norm
-
         _check_same_shape(self, other)
-        return _Stack.from_halves(self.spectra().vectors @ _herm_t(other.spectra().vectors), self.n3)
+        v, w = self.spectra().vectors, other.spectra().vectors
+        return _Stack.from_halves(v @ eigensolvers._herm_t(w), self.n3)
 
     def member(self, i: int) -> Tensor3:
         """Member ``i``, a read-only view, so a :class:`Tensor3` as it is."""
@@ -381,26 +374,37 @@ class _Stack:
     def __matmul__(self, other: "_Stack") -> "_Stack":
         """The t-product of each pair of members; the slice products go to
         BLAS one matrix at a time, so each member gets its lone product's bits."""
-        from .fourier import _inverse  # deferred import, see spectral_norm
-
         _check_product_shapes(self, other)
-        return _Stack(_inverse(self.slices @ other.slices))
+        return _Stack(fourier._inverse(self.slices @ other.slices))
 
     def power(self, r) -> "_Stack":
-        """Each member to the power ``r``, or member ``i`` to ``r[i]``
-        (:func:`ttensor.spectral._t_power`, which trusts that a hypothesis
-        gate has found the members symmetric and PSD)."""
-        from .spectral import _t_power  # deferred import, see spectral_norm
-
-        return _t_power(self, list(r) if np.ndim(r) else [r] * len(self))
+        """Each member to the power ``r``, or member ``i`` to ``r[i]``: its
+        :meth:`spectra` at the exponent, eigenvalues below zero clipped
+        (:func:`_clipped_power`).  The members are symmetric and PSD, as a
+        hypothesis gate has certified; :func:`ttensor.spectral.t_power`
+        checks its own argument."""
+        exponents = list(r) if np.ndim(r) else [r] * len(self)
+        return _hermitian_tensors(_clipped_power(self.spectra(), exponents), self.n3)
 
     def abs_power(self, r) -> "_Stack":
         """``|x|^r = (x^T x)^(r/2)`` of each member, or of member ``i`` at
-        ``r[i]``, from one SVD of the :meth:`half_slices`; the Gram is never
-        formed (:func:`ttensor.spectral._abs_power`)."""
-        from .spectral import _abs_power  # deferred import, see spectral_norm
+        ``r[i]``.
 
-        return _abs_power(self, list(r) if np.ndim(r) else [r] * len(self))
+        Each half slice ``U diag(sigma) V^H`` takes one ``np.linalg.svd``
+        (LAPACK ``gesdd``, which keeps a real slice real), and its power is
+        ``V diag(sigma^r) V^H``: ``|x|``'s eigendecomposition ``V diag(sigma)
+        V^H`` at the exponent ``r``.  The Gram ``x^T x`` is never formed, so
+        the power keeps the condition of ``x``, not its square (Golub & Van
+        Loan, *Matrix Computations*, 5.3; Higham, *Functions of Matrices*,
+        ch. 8).  A slice with fewer rows than columns has zeros for the
+        missing singular values.
+        """
+        _, sigma, vh = np.linalg.svd(self.half_slices().reshape(-1, *self.shape[:2]))
+        sigma = np.pad(sigma, [(0, 0), (0, self.shape[1] - sigma.shape[1])])
+        # sigma descending: the power reads no order
+        e = eigensolvers.HermitianEigen(sigma, eigensolvers._herm_t(vh))
+        exponents = list(r) if np.ndim(r) else [r] * len(self)
+        return _hermitian_tensors(_clipped_power(e, exponents), self.n3)
 
     def frobenius(self) -> list:
         """Each member's :func:`frobenius_norm`, as a list of floats."""
@@ -418,12 +422,9 @@ class _Stack:
         Parseval sums of the half slices' ``S^H S - I``, ``S S^H - I`` and
         ``S^H S - S S^H``, so no transpose is transformed and no product
         inverted (Kilmer & Martin, LAA 2011)."""
-        from .eigensolvers import _herm_t  # deferred import, see spectral_norm
-        from .fourier import _parseval_weights
-
         half = self.half_slices()
-        left, right = _herm_t(half) @ half, half @ _herm_t(half)
-        eye, weights = np.eye(self.shape[0]), _parseval_weights(self.n3) / self.n3
+        left, right = eigensolvers._herm_t(half) @ half, half @ eigensolvers._herm_t(half)
+        eye, weights = np.eye(self.shape[0]), fourier._parseval_weights(self.n3) / self.n3
         squares = [(np.abs(m) ** 2).sum(axis=(2, 3)) for m in (left - eye, right - eye, left - right)]
         return tuple(np.sqrt(sq @ weights).tolist() for sq in squares)
 
@@ -446,22 +447,29 @@ class _Stack:
         return w.min(axis=1).tolist(), np.abs(w).max(axis=1).tolist()
 
     def eigenvalues(self) -> list:
-        """Each member's :func:`ttensor.spectral.t_eigenvalues`, from one
-        stack (:func:`ttensor.spectral._t_eigenvalues`): the symmetric
-        members read :meth:`spectra`, the others share one general solver
-        call."""
-        from .spectral import _t_eigenvalues  # deferred import, see spectral_norm
-
-        return _t_eigenvalues(self)
+        """Each member's :func:`ttensor.spectral.t_eigenvalues`.  The members
+        symmetric within ``PREDICATE_TOL`` read :meth:`spectra`; the half
+        slices of the others take one general solver call, made only when
+        there are any (a member's values do not depend on the rest of the
+        stack)."""
+        (n, m, n3), half = self.shape, fourier._half_size(self.n3)
+        if n != m:
+            raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {self.shape}")
+        symmetric = np.array([not reason for reason in algebra._asymmetry(self, algebra.PREDICATE_TOL)])
+        w = np.empty((len(self), half, n), dtype=complex)  # each member's half spectrum
+        if symmetric.any():
+            w[symmetric] = self.spectra().values.reshape(len(self), half, n)[symmetric]
+        if not symmetric.all():
+            others = self.half_slices()[~symmetric].reshape(-1, n, n)
+            w[~symmetric] = eigensolvers.general_eig(others).reshape(-1, half, n)
+        return [spectral._mirrored_spectrum(wi, n3) for wi in w]
 
     def cartesian_norms(self, other: "_Stack") -> tuple[list, list]:
         """Each member's Frobenius and spectral norms of ``T = self + i other``,
         as lists of floats; the spectral norms take one complex transform."""
-        from .fourier import _forward  # deferred import, see spectral_norm
-
         _check_same_shape(self, other)
         t = self.data + 1j * other.data
-        return _frobenius(t).tolist(), _spectral(_forward(t)).tolist()
+        return _frobenius(t).tolist(), _spectral(fourier._forward(t)).tolist()
 
 
 def _check_same_shape(a, b) -> None:
@@ -473,6 +481,59 @@ def _check_product_shapes(a, b) -> None:
     a, b = a.shape, b.shape
     if a[1] != b[0] or a[2] != b[2]:
         raise ShapeMismatchError(f"cannot multiply {a} by {b}: need a.n2 == b.n1 and equal n3")
+
+
+def _clipped_power(e, exponents: list) -> np.ndarray:
+    """``V clip(w)^r V^H`` per slice of the decomposition ``e``, each
+    member's slices in turn, the slices of member ``i`` at ``exponents[i]``:
+    the one power loop of :meth:`_Stack.power` and :meth:`_Stack.abs_power`.
+
+    Eigenvalues are clipped at 0 first, so ``0**r = 0`` for ``r > 0`` and
+    ``w**0 = 1``.  Only a member at a negative exponent is checked, for
+    strict definiteness, so the first that fails raises the error it raises
+    alone.  Each distinct exponent is applied as one Python number: numpy's
+    ``**`` takes its square and square-root fast paths only for a scalar
+    exponent, and those round differently from the general power."""
+    values = e.values.reshape(len(exponents), -1)
+    for r, lam_max, min_eig in zip(exponents, values.max(axis=1).tolist(), values.min(axis=1).tolist()):
+        if r < 0 and (lam_max <= 0.0 or min_eig < _POWER_TOL * lam_max):
+            raise SingularTensorError(
+                -1, np.inf,
+                f"negative power needs strict definiteness: smallest eigenvalue {min_eig:.3e}",
+            )
+    w = np.clip(e.values, 0.0, None)
+    row_exponent = np.repeat(np.asarray(exponents, dtype=float), len(w) // len(exponents))
+    for r in dict.fromkeys(exponents):
+        same = row_exponent == r
+        w[same] = w[same] ** r
+    return (e.vectors * w[:, None, :]) @ eigensolvers._herm_t(e.vectors)
+
+
+def _hermitian_tensors(m: np.ndarray, n3: int) -> _Stack:
+    """The stack whose members have the Hermitian parts of ``m`` as their
+    half slices, ``n3 // 2 + 1`` of each member in turn: mirrored,
+    inverted and symmetrized (which removes the transform roundoff)."""
+    return _Stack.from_halves(0.5 * (m + eigensolvers._herm_t(m)), n3).sym()
+
+
+def _t_inverse(x: _Stack) -> _Stack:
+    """:func:`ttensor.algebra.t_inverse` of each member; the lowest member
+    with a singular half slice raises.  One SVD of the
+    :meth:`_Stack.half_slices` checks them, LAPACK taking each slice alone,
+    and their inverses are mirrored, so the result is exactly
+    conjugate-symmetric."""
+    if x.shape[0] != x.shape[1]:
+        raise ShapeMismatchError(f"inverse requires a square tensor, got {x.shape}")
+    half = x.half_slices()
+    sv = np.linalg.svd(half, compute_uv=False)
+    # sigma_min / sigma_max of each slice; 0 for an all-zero slice
+    ratios = np.divide(sv[..., -1], sv[..., 0], out=np.zeros(sv.shape[:-1]), where=sv[..., 0] > 0)
+    for member in ratios:
+        worst = int(np.argmin(member))
+        if member[worst] <= INVERSE_TOL:
+            cond = 1.0 / member[worst] if member[worst] > 0 else np.inf
+            raise SingularTensorError(worst, float(cond))
+    return _Stack.from_halves(np.linalg.inv(half), x.n3)
 
 
 def _same_square(*xs: _Stack) -> bool:
@@ -490,12 +551,10 @@ def _solve_together(*wave: _Stack) -> None:
     is solved, and raises its own error, where it is used; a stack of a
     failed call does not join a wave again.  Stacks of another type keep no
     spectra and ignore the request."""
-    from .eigensolvers import _hermitian_eigs  # deferred import, see spectral_norm
-
     pending = list(dict.fromkeys(x for x in wave if isinstance(x, _Stack) and x._spectra is None))
     if len(pending) < 2 or not _same_square(*pending):
         return
-    for x, e in zip(pending, _hermitian_eigs([x.halves() for x in pending])):
+    for x, e in zip(pending, eigensolvers._hermitian_eigs([x.halves() for x in pending])):
         x._spectra = e or False  # False after a failed call: solved where it is used
 
 
@@ -584,11 +643,9 @@ def spectral_norm(a) -> float:
     takes the SVD of the half slices ``0..n3//2`` only; a complex tensor's
     takes all ``n3`` slices.
     """
-    from .fourier import to_fourier  # deferred: core must not import fourier at load
-
     if isinstance(a, Tensor3):
         return _Stack.of(a).spectral()[0]
-    return float(_spectral(to_fourier(a).slices[None])[0])
+    return float(_spectral(fourier.to_fourier(a).slices[None])[0])
 
 
 def _spectral(slices: np.ndarray) -> np.ndarray:
@@ -667,3 +724,7 @@ def _commuting_psd_pairs(r: _Stack, w1, w2, delta: float = _DELTA) -> tuple[_Sta
     powers = [_Stack.of(identity(*c.shape[1:])), c, c2, c2 @ c]
     zero = _Stack(np.zeros_like(c.data))
     return tuple(sum((p * w[:, k] for k, p in enumerate(powers)), zero).sym() for w in (w1, w2))
+
+
+# These modules import names from this one, so they load after it is defined.
+from . import algebra, eigensolvers, fourier, spectral  # noqa: E402

@@ -15,13 +15,10 @@ campaign runs, from the public disc functions.  They read
 spectra only through :meth:`ttensor.core._Stack.eigenvalues`, and a
 certifier of two stacks takes those of ``a.cat(b)``: its non-symmetric
 members share one general solver call, and its symmetric members read the
-cat's Hermitian half spectra.  The certifiers whose pairs must be symmetric
-(``_sorted_pairing_distances``, ``_diag_spectrum``) first name the pair as
-one wave (:func:`ttensor.core._solve_together`), so each stack keeps its
-spectra and a campaign window solves both in one Jacobi call; the
-Hoffman-Wielandt campaign's symmetric pairs take theirs from the cat's
-spectra, also one call.  The matchings and the disc components are found
-member by member.
+cat's Hermitian half spectra, so a campaign window solves the symmetric
+pairs of ``_sorted_pairing_distances``, ``_diag_spectrum`` and the
+Hoffman-Wielandt campaign in one Jacobi call.  The matchings and the disc
+components are found member by member.
 
 ``_schur``, ``_hoffman_wielandt``, ``_sorted_pairing_distances`` and
 ``_diag_spectrum`` call only stack methods, so they run on any stack type
@@ -46,7 +43,7 @@ from .certificates import (
     InequalityCertificate,
     norm_certificate,
 )
-from .core import Tensor3, _check_same_shape, _solve_together, _Stack, frobenius_norm
+from .core import Tensor3, _check_same_shape, _Stack, frobenius_norm
 from .errors import ShapeMismatchError, _require, _require_each
 from .spectral import TEigenSpectrum, _matched_distance, _sorted_pairing, t_eigenvalues
 
@@ -329,7 +326,6 @@ def _sorted_pairing_distances(a: _Stack, b: _Stack) -> list[float]:
     """:func:`sorted_pairing_distance` of each member pair."""
     _check_same_shape(a, b)
     _require_symmetric(PREDICATE_TOL, A=a, B=b)
-    _solve_together(a, b)
     spectra = a.cat(b).eigenvalues()
     return [
         _sorted_pairing(lam.values.real, mu.values.real)[1]
@@ -354,7 +350,6 @@ def _diag_spectrum(a: _Stack, b: _Stack, tol: float) -> list[list]:
     """:func:`diag_spectrum_bound` of each member; the spectra take one
     solver call, and the norms of ``T = A + iB`` one complex transform."""
     _require_symmetric(tol, A=a, B=b)
-    _solve_together(a, b)
     spectra = a.cat(b).eigenvalues()
     n3 = a.n3
 

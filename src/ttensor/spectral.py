@@ -13,25 +13,15 @@ every function output exactly real after the inverse transform.
 Fourier slices are independent across slices, across tensors and across
 trials (Kilmer & Martin, *Factorization strategies for third-order
 tensors*, 2011), so the tensor functions also act on stacks of tensors along
-a leading trial axis (:class:`ttensor.core._Stack`): :func:`_t_power` is the
-kernel of :meth:`_Stack.power` and :func:`_abs_power` that of
-:meth:`_Stack.abs_power`, one stack at a time, each member at its own
-exponent; :func:`t_power` and :func:`t_abs` are their one-member cases.  A
-wave of stacks is powered in one application by powering their
+a leading trial axis (:class:`ttensor.core._Stack`): :func:`t_power`,
+:func:`t_abs` and :func:`t_eigenvalues` are the one-member cases of
+:meth:`_Stack.power`, :meth:`_Stack.abs_power` (each member at its own
+exponent) and :meth:`_Stack.eigenvalues`, whose kernels live beside the
+stack in :mod:`ttensor.core`.  :func:`t_power` checks its own argument,
+where the stacked power trusts a certifier's hypothesis gate.  A wave of
+stacks is powered, or takes its t-eigenvalues, in one application on their
 :meth:`_Stack.cat`, which starts with the spectra that all of its parts
-were asked for.  Each member's result is bit for bit its lone result: every
-step acts on each slice alone, and each distinct exponent is applied as one
-Python number.  Both kernels apply their exponents with
-:func:`_clipped_power`, the one power loop, and build their tensors with
-:func:`_hermitian_tensors`, the one tail.
-:func:`_t_power` reads the spectra its stack keeps
-(:meth:`ttensor.core._Stack.spectra`), and trusts its operand: a
-certifier's hypothesis gate has checked its symmetry and semidefiniteness,
-and :func:`t_power` checks its own argument.  :func:`_t_eigenvalues` is the
-kernel of :meth:`ttensor.core._Stack.eigenvalues`, one stack at a time:
-its symmetric members read the spectra the stack keeps, and the half
-slices of the others take one general solver call.  Several stacks take
-theirs from their :meth:`_Stack.cat`, as a wave is powered.
+were asked for.
 :func:`_young_witness` builds the witnesses of a stack of pairs in the
 stack algebra: ``|A|^p``, ``|B|^q`` and ``|A B^T|`` are one
 :meth:`_Stack.abs_power` of their ``cat``, the spectra of ``|A B^T|`` and
@@ -45,17 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PREDICATE_TOL, LoewnerVerdict, _asymmetry, _psd_verdicts
-from .core import Tensor3, _solve_together, _Stack, gen_random
-from .eigensolvers import HermitianEigen, _herm_t, general_eig
-from .errors import (
-    NotSymmetricError,
-    NotTPSDError,
-    ShapeMismatchError,
-    SingularTensorError,
-    _require,
-)
-from .fourier import _half_size, to_fourier
+from .algebra import LoewnerVerdict, _asymmetry, _psd_verdicts
+from .core import _POWER_TOL, Tensor3, _solve_together, _Stack, gen_random
+from .eigensolvers import general_eig
+from .errors import NotSymmetricError, NotTPSDError, ShapeMismatchError, _require
+from .fourier import to_fourier
 
 __all__ = [
     "TEigenSpectrum",
@@ -67,7 +51,6 @@ __all__ = [
     "multiset_distance",
 ]
 
-_POWER_TOL = 1e-9
 _CONJUGATE_TOL = 1e-12
 
 
@@ -95,25 +78,6 @@ def t_eigenvalues(a) -> TEigenSpectrum:
         raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {a.shape}")
     values = general_eig(to_fourier(a).slices).ravel()
     return TEigenSpectrum(values, np.repeat(np.arange(a.n3), a.n1))
-
-
-def _t_eigenvalues(x: _Stack) -> list[TEigenSpectrum]:
-    """:func:`t_eigenvalues` of each member of ``x``: the kernel of
-    :meth:`ttensor.core._Stack.eigenvalues`.  The members symmetric within
-    ``PREDICATE_TOL`` read the stack's :meth:`~ttensor.core._Stack.spectra`;
-    the half slices of the others take one general solver call, made only
-    when there are any (a member's values do not depend on the rest of the
-    stack)."""
-    (n, m, n3), half = x.shape, _half_size(x.n3)
-    if n != m:
-        raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {x.shape}")
-    symmetric = np.array([not reason for reason in _asymmetry(x, PREDICATE_TOL)])
-    w = np.empty((len(x), half, n), dtype=complex)  # each member's half spectrum
-    if symmetric.any():
-        w[symmetric] = x.spectra().values.reshape(len(x), half, n)[symmetric]
-    if not symmetric.all():
-        w[~symmetric] = general_eig(x.half_slices()[~symmetric].reshape(-1, n, n)).reshape(-1, half, n)
-    return [_mirrored_spectrum(wi, n3) for wi in w]
 
 
 def _mirrored_spectrum(w: np.ndarray, n3: int) -> TEigenSpectrum:
@@ -199,71 +163,10 @@ def t_power(a: Tensor3, r: float) -> Tensor3:
     return x.power(r).member(0)
 
 
-def _t_power(x: _Stack, exponents: list) -> _Stack:
-    """:func:`t_power` of each member of ``x``, member ``i`` at
-    ``exponents[i]``: the kernel of :meth:`ttensor.core._Stack.power`.
-
-    The members are symmetric and PSD, as a hypothesis gate has certified,
-    and eigenvalues below zero are clipped.  The stack is decomposed through
-    the spectra it keeps.
-    """
-    return _hermitian_tensors(_clipped_power(x.spectra(), exponents), x.n3)
-
-
-def _abs_power(x: _Stack, exponents: list) -> _Stack:
-    """``|x|^r = (x^T x)^(r/2)`` of each member of ``x``, member ``i`` at
-    ``r = exponents[i]``: the kernel of :meth:`ttensor.core._Stack.abs_power`.
-
-    Each half slice ``U diag(sigma) V^H`` takes one ``np.linalg.svd`` (LAPACK
-    ``gesdd``, which keeps a real slice real), and its power is ``V
-    diag(sigma^r) V^H``: ``|x|``'s eigendecomposition ``V diag(sigma) V^H``
-    at the exponent ``r``.  The Gram ``x^T x`` is never formed, so the power
-    keeps the condition of ``x``, not its square (Golub & Van Loan, *Matrix
-    Computations*, 5.3; Higham, *Functions of Matrices*, ch. 8).  A slice
-    with fewer rows than columns has zeros for the missing singular values.
-    """
-    _, sigma, vh = np.linalg.svd(x.half_slices().reshape(-1, *x.shape[:2]))
-    sigma = np.pad(sigma, [(0, 0), (0, x.shape[1] - sigma.shape[1])])
-    e = HermitianEigen(sigma, _herm_t(vh))  # sigma descending: the power reads no order
-    return _hermitian_tensors(_clipped_power(e, exponents), x.n3)
-
-
-def _clipped_power(e: HermitianEigen, exponents: list) -> np.ndarray:
-    """``V clip(w)^r V^H`` per slice, each member's slices in turn, the
-    slices of member ``i`` at ``exponents[i]``.
-
-    Eigenvalues are clipped at 0 first, so ``0**r = 0`` for ``r > 0`` and
-    ``w**0 = 1``.  Only a member at a negative exponent is checked, for
-    strict definiteness, so the first that fails raises the error it raises
-    alone.  Each distinct exponent is applied as one Python number: numpy's
-    ``**`` takes its square and square-root fast paths only for a scalar
-    exponent, and those round differently from the general power."""
-    values = e.values.reshape(len(exponents), -1)
-    for r, lam_max, min_eig in zip(exponents, values.max(axis=1).tolist(), values.min(axis=1).tolist()):
-        if r < 0 and (lam_max <= 0.0 or min_eig < _POWER_TOL * lam_max):
-            raise SingularTensorError(
-                -1, np.inf,
-                f"negative power needs strict definiteness: smallest eigenvalue {min_eig:.3e}",
-            )
-    w = np.clip(e.values, 0.0, None)
-    row_exponent = np.repeat(np.asarray(exponents, dtype=float), len(w) // len(exponents))
-    for r in dict.fromkeys(exponents):
-        same = row_exponent == r
-        w[same] = w[same] ** r
-    return (e.vectors * w[:, None, :]) @ _herm_t(e.vectors)
-
-
-def _hermitian_tensors(m: np.ndarray, n3: int) -> _Stack:
-    """The stack whose members have the Hermitian parts of ``m`` as their
-    half slices, ``n3 // 2 + 1`` of each member in turn: mirrored,
-    inverted and symmetrized (which removes the transform roundoff)."""
-    return _Stack.from_halves(0.5 * (m + _herm_t(m)), n3).sym()
-
-
 def t_abs(a: Tensor3) -> Tensor3:
-    """Absolute value (a^T * a)^(1/2); symmetric positive semidefinite."""
-    if a.n1 != a.n2:
-        raise ShapeMismatchError(f"t_abs requires a square tensor, got {a.shape}")
+    """Absolute value (a^T * a)^(1/2) of an ``n1 x n2 x n3`` tensor: the
+    symmetric positive semidefinite ``n2 x n2 x n3`` tensor of
+    :meth:`ttensor.core._Stack.abs_power`."""
     return _Stack.of(a).abs_power(1.0).member(0)
 
 

@@ -231,6 +231,16 @@ def test_non_square_tensor_is_a_usage_error_for_eig_and_gershgorin(tmp_path, cap
         assert err.startswith("error: ") and "square tensor, got (2, 3, 2)" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tolerance_out_of_range_exit_2(tmp_path, capsys, tol):
+    # the tensor is contained at the default tolerance (test_gershgorin_random_exit_0)
+    path = _write(tmp_path, "a.json", gen_random((4, 4, 3), RngStream(409)))
+    for argv in (["check", "furuta", "--trials", "2"], ["check", "minkowski", "--trials", "2"],
+                 ["gershgorin", path]):
+        assert main([*argv, "--tol", tol]) == 2
+        assert "error: tol must be a finite number >= 0" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2():
     assert main(["eig", "/nonexistent/tensor.json"]) == 2
 

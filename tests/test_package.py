@@ -63,22 +63,26 @@ ONE_DEFINITION = {
     r"is not positive semidefinite": "algebra:_require_psd",  # PSD and order hypotheses
     r"is_t_psd requires a symmetric": "algebra:is_t_psd",
     # the Hermitian half slices, whose self-conjugate ones every half spectrum keeps real
-    r"\.slices\[:, : ?_half_size\(|\.imag\[:, _self_conjugate_indices\(": "core:_Stack",
+    r"\.slices\[:, : ?(fourier\.)?_half_size\(|\.imag\[:, (fourier\.)?_self_conjugate_indices\(": "core:_Stack",
     r"t_power requires": "spectral:t_power",  # the kernel trusts the hypothesis gates
     r"[\"']n/a[\"']": "certificates",  # NO_NORM
     # a real tensor is transformed only by its stack, which keeps the slices
     r"_forward\(": ("core:_Stack", "fourier"),
-    # t-eigenvalues are a stack method: its kernel is called only by _Stack.eigenvalues
-    r"_t_eigenvalues\(": ("spectral", "core:_Stack"),
     # each distinct exponent applied as one Python number, for powers and Gram powers alike
-    r"dict\.fromkeys\(exponents\)|\] \*\* r\b": "spectral:_clipped_power",
+    r"dict\.fromkeys\(exponents\)|\] \*\* r\b": "core:_clipped_power",
     # the tail of powers and Gram powers: Hermitian half slices mirrored, inverted, symmetrized
-    r"from_halves\(.*\)\.sym\(\)": "spectral:_hermitian_tensors",
+    r"from_halves\(.*\)\.sym\(\)": "core:_hermitian_tensors",
+    # a real stack's half spectrum is read and built by the stack's kernels
+    # (t-eigenvalues, powers, |X|^r, the inverse) and by the one generator
+    # built from half-slice factors
+    r"\.half_slices\(\)|\bfrom_halves\(": (
+        "core:_Stack", "core:_t_inverse", "core:_hermitian_tensors", "spectral:gen_orthogonal",
+    ),
     # a real stack is built from half slices in one place
     r"_mirror_half\(": ("core:_Stack", "fourier"),
     # slice SVDs: a real stack's half slices for its spectral norm, the
     # complex tensors' all-slice norm, |X|^r and the inverse's check
-    r"np\.linalg\.svd\(": ("core", "spectral:_abs_power", "algebra:_t_inverse"),
+    r"np\.linalg\.svd\(": "core",
     # a real stack's kept slices are read by the stack alone (its readers
     # see half_slices()); the complex tensors read their FourierSlices
     r"\.slices\b": ("core:_Stack", "core:spectral_norm", "fourier", "spectral:t_eigenvalues"),
@@ -87,8 +91,8 @@ ONE_DEFINITION = {
     # a Gram is formed only where a statement or a generator names it:
     # |X|^r takes the SVD of X
     r"(\b\w+)\.transpose\(\) @ \1\b": ("core:_t_psd", "inequalities:_am_gm", "campaigns:_draw_hansen_power"),
-    # certificates are built by their builders, and stamped by the campaign
-    r"\bInequalityCertificate\(": ("certificates", "campaigns:_stamp"),
+    # certificates are built by their builders; the campaign stamps copies
+    r"\bInequalityCertificate\(": "certificates",
 }
 
 
@@ -143,6 +147,24 @@ def _stack_algebra_lines():
         for node in nodes:
             for lineno in range(node.lineno, node.end_lineno + 1):
                 yield f"{name}.py", lineno, lines[lineno - 1]
+
+
+def _imports_the_package(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or node.module.split(".")[0] == "ttensor"
+    return isinstance(node, ast.Import) and any(a.name.split(".")[0] == "ttensor" for a in node.names)
+
+
+def test_no_module_imports_from_the_package_inside_a_function():
+    found = {
+        f"{path.name}:{inner.lineno}: {ast.unparse(inner)}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if _imports_the_package(inner)
+    }
+    assert not found, "imports from the package inside a function:\n" + "\n".join(sorted(found))
 
 
 def test_certifier_modules_use_only_the_stack_algebra():

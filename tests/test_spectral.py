@@ -20,6 +20,7 @@ from ttensor import (
     gen_loewner_pair,
     gen_random,
     gen_symmetric,
+    is_symmetric,
     gen_t_psd,
     general_eig,
     identity,
@@ -149,6 +150,21 @@ def test_t_abs_properties():
     r = gen_random((3, 3, 4), RngStream(80))
     assert frobenius_norm(t_abs(r)) == pytest.approx(frobenius_norm(r), rel=1e-9)
     assert is_t_psd(t_abs(r)).holds
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 2, 4), (2, 3, 1), (3, 2, 1), (2, 3, 5)])
+def test_t_abs_of_a_rectangular_tensor_is_the_unfolding_abs(shape):
+    a = gen_random(shape, RngStream(82))
+    n2, n3 = shape[1], shape[2]
+    out = t_abs(a)
+    assert out.shape == (n2, n2, n3)
+    assert is_symmetric(out) and is_t_psd(out).holds
+    # |bcirc(A)| = V diag(s) V^T from the SVD of bcirc(A), which never forms
+    # the Gram: a wide Gram is singular, and its square root is off by ~1e-8
+    _, s, vh = np.linalg.svd(brute_bcirc(a.data))
+    s = np.pad(s, (0, len(vh) - len(s)))
+    expected = (vh.T * s) @ vh
+    assert np.abs(brute_bcirc(out.data) - expected).max() <= 1e-13
 
 
 def test_gen_orthogonal_n3_1():

@@ -22,9 +22,11 @@ tensors along a leading trial axis: :func:`_t_inverse`, :func:`_asymmetry`,
 :func:`is_f_diagonal` and :func:`is_t_psd` their one-member case.  The
 gates (:func:`_asymmetry`, :func:`_orthogonality`, :func:`_normality`,
 :func:`_require_symmetric`, :func:`_require_psd` and :func:`_psd_verdicts`)
-call only the stack methods, so they run on any stack type; a PSD verdict
+call only the stack methods, so they run on any stack type; a PSD check
 reads the min gaps of :meth:`_Stack.extremes`, whose spectra a float stack
-keeps, perhaps solved with other stacks.
+keeps, perhaps solved with other stacks.  The gate compares the numbers;
+only the public :func:`is_t_psd` and :func:`ttensor.spectral.young_witness`
+make :class:`LoewnerVerdict` objects, through :func:`_psd_verdicts`.
 """
 
 from __future__ import annotations
@@ -199,7 +201,9 @@ def is_t_psd(a: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:
 
 
 def _psd_verdicts(x: _Stack, tol: float) -> list[LoewnerVerdict]:
-    """:func:`is_t_psd` of each member, whose symmetry the caller has checked."""
+    """:func:`is_t_psd` of each member, whose symmetry the caller has
+    checked: the verdicts of the public :func:`is_t_psd` and
+    :func:`ttensor.spectral.young_witness`."""
     mins, scales = x.extremes()
     tolerances = [tol * (1.0 + scale) for scale in scales]
     return [LoewnerVerdict(bool(m >= -t), m, t) for m, t in zip(mins, tolerances)]
@@ -213,8 +217,8 @@ def _require_psd(tol: float, **stacks: _Stack) -> None:
     _require_symmetric(tol, **stacks)
     _solve_together(*stacks.values())
     for name, x in stacks.items():
-        for v in _psd_verdicts(x, tol):
-            _require(v.holds, f"{name} is not positive semidefinite (min gap {v.min_gap_eigenvalue:.3e})")
+        for gap, scale in zip(*x.extremes()):
+            _require(gap >= -tol * (1.0 + scale), f"{name} is not positive semidefinite (min gap {gap:.3e})")
 
 
 def loewner_ge(a: Tensor3, b: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:

@@ -4,9 +4,11 @@ A campaign draws hypothesis-valid instances (one counter-based substream per
 trial, so runs are reproducible and order-independent), invokes the matching
 certifier, and aggregates the certificates; a norm inequality's certifier
 returns its Frobenius and its spectral certificates from one call.
-Certifiers are pure functions of the instance; the campaign stamps each
-certificate with its provenance, the campaign ``seed`` and ``"trial"`` as
-the first key of ``params``, in one place (:func:`_stamp`).
+Certifiers are pure functions of the instance and return their
+certificates as numbers (:class:`ttensor.certificates._Blocks`); the
+campaign makes each certificate once, through the one builder
+:func:`ttensor.certificates._build`, with its provenance: the campaign
+``seed`` and ``"trial"`` as the first key of ``params`` (:func:`_certified`).
 
 Trials run in windows of at most 4096 tensor entries (``n * n * n3`` a
 trial), but at least one trial; the bound keeps the memory a window's
@@ -22,7 +24,7 @@ are).  ``bauer-fike`` tests every trial's first conjugator in one stacked
 inverse and norm call; only a trial whose candidate fails draws on alone.
 A fixed instance (literal ``am-gm``'s 1x1x1 trial 0) is certified in a
 stack of its own, the window's other trials in one pass of array calls
-(:func:`_certified`), and the certificates are split per trial.  The
+(:func:`_certified`), and the certificates are built per trial.  The
 certifier takes each wave of independent slice spectra of the whole window
 in one solver call: Jacobi for the powers, PSD checks, Loewner gaps and
 symmetric spectra, Hessenberg + QR for the t-eigenvalues of non-symmetric
@@ -48,14 +50,14 @@ call's report is byte-identical to a lone serial run.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import inequalities as ineq
 from . import localization as loc
 from .algebra import PREDICATE_TOL, _require_symmetric, _t_inverse
-from .certificates import DEFAULT_TOL, _require_tol
+from .certificates import DEFAULT_TOL, _build, _require_tol
 from .core import RngStream, _commuting_psd_pairs, _frobenius, _loewner_pairs, _Stack, _t_psd, identity
 from .errors import SingularTensorError, UnknownTheoremError, _require
 
@@ -120,8 +122,8 @@ class _Stacked:
     ``draw(window, mode, params)`` gives the window's instances as groups
     ``(trials, stacks, columns)``: the ``k``-th tensors of the trials in
     ``stacks[k]``, their ``k``-th scalars in ``columns[k]``.
-    ``certify(stacks, columns, tol, mode)`` gives one certificate list per
-    trial of a group.
+    ``certify(stacks, columns, tol, mode)`` gives the group's
+    :class:`ttensor.certificates._Blocks`, one list of rows per trial.
     """
 
     draw: Callable
@@ -301,12 +303,10 @@ def _certify_hoffman_wielandt(stacks, columns, tol, mode):
     a symmetric pair's spectra are real, so its optimal pairing is the sorted one.
     The pair's spectra are one solver call, that of ``a.cat(b).eigenvalues()``."""
     a, b = stacks
-    matched = loc._hoffman_wielandt(a, b, tol)
+    reports, blocks = loc._hoffman_wielandt(a, b, tol)
     _require_symmetric(PREDICATE_TOL, A=a, B=b)
-    return [
-        [*certs, *loc._matching_certificates(a.shape, "sorted", report.matched_distance, report, tol)]
-        for report, *certs in matched
-    ]
+    members = [[*rows, *loc._matching_rows("sorted", r)] for r, rows in zip(reports, blocks.members)]
+    return blocks._replace(members=members)
 
 
 _REGISTRY = {
@@ -378,24 +378,19 @@ def run_campaign(
 
 
 def _run_trial(theorem: _Stacked, trial, seed, n, n3, tol, mode, params) -> list:
-    """One trial alone, its certificates stamped: a window of one trial."""
+    """One trial alone, its certificates built: a window of one trial."""
     return _certified(theorem, [trial], seed, n, n3, tol, mode, params)[0]
 
 
 def _certified(theorem: _Stacked, trials, seed, n, n3, tol, mode, params) -> list:
-    """Each trial's stamped certificates: the window's instances are drawn
-    as stacks, and each group of them is certified in one call."""
+    """Each trial's certificates: the window's instances are drawn as
+    stacks, each group of them is certified in one call, and its
+    certificates are built with their provenance, the campaign ``seed``
+    and each trial (:func:`ttensor.certificates._build`)."""
     out = {}
     for group, stacks, columns in theorem.draw(_Window(seed, trials, n, n3), mode, params):
-        for trial, certificates in zip(group, theorem.certify(stacks, columns, tol, mode)):
-            out[trial] = _stamp(certificates, seed, trial)
+        out.update(zip(group, _build(theorem.certify(stacks, columns, tol, mode), seed, group)))
     return [out[t] for t in trials]
-
-
-def _stamp(certificates, seed, trial) -> list:
-    """The certificates stamped with their provenance, ``seed`` set and ``"trial"``
-    first in ``params``: the only place a certificate gets its seed and trial."""
-    return [replace(c, seed=int(seed), params={"trial": trial, **c.params}) for c in certificates]
 
 
 def _window_size(n: int, n3: int) -> int:

@@ -5,28 +5,35 @@ effective tolerance, and a verdict, plus enough descriptor data (dims, seed,
 parameters) to rebuild the instance bit-identically.  Certificates serialize
 to JSON with a fixed field order so reports are byte-reproducible.
 
-A certifier is a pure function of its instance: it records only its own
-parameters, and its certificate has ``seed = -1``.  A campaign
-(:mod:`ttensor.campaigns`) stamps the provenance afterwards, setting ``seed``
-and putting ``"trial"`` first in ``params``.
+A stacked certifier returns numbers, not certificates: its :class:`_Blocks`
+hold each member's rows ``(params, norm_kind, lhs, rhs, scale)``.  One
+builder, :func:`_build`, computes every margin, effective tolerance and
+verdict from them and makes each :class:`InequalityCertificate` once, where
+it leaves the lab.  A certifier's own certificates (the ``check_*``
+functions, :func:`norm_certificate`, :func:`loewner_certificate`) are built
+with ``seed = -1`` and their own parameters only; a campaign
+(:mod:`ttensor.campaigns`) builds its certificates with the campaign
+``seed`` and ``"trial"`` as the first key of ``params``.
 
 Two tolerance policies, both relative:
 
 * norm inequalities ``lhs <= rhs``: holds iff ``lhs <= rhs + tol * (1 + |rhs|)``;
 * semidefinite-order inequalities ``L <= R``: the margin is the smallest
   eigenvalue over the Fourier slices of ``R - L`` and must be at least
-  ``-tol * (1 + lambda_max(R))``.
+  ``-tol * (1 + ||R||_2)``.
 
 :func:`loewner_certificate` is the one-member case of
-:func:`_loewner_certificates`, which certifies every member of a stack of
-pairs (:class:`ttensor.core._Stack`) with one solver call for the gaps.  It
-calls only the stack methods (the min gaps of :meth:`_Stack.extremes` and
-the norms of :meth:`_Stack.spectral`), so it certifies any stack type.
+:func:`_loewner_blocks`, which gives the rows of every member of a
+stack of pairs (:class:`ttensor.core._Stack`) with one solver call for the
+gaps.  It calls only the stack methods (the min gaps of
+:meth:`_Stack.extremes` and the norms of :meth:`_Stack.spectral`), so it
+certifies any stack type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +72,7 @@ class InequalityCertificate:
     margin is the minimum gap eigenvalue, stored with ``lhs = -margin`` and
     ``rhs = 0`` so the same field convention covers both certificate kinds.
     ``tol`` is the effective (already scaled) tolerance.  ``seed`` is -1
-    until a campaign stamps its certificates.
+    unless a campaign built the certificate.
     """
 
     theorem_id: str
@@ -109,6 +116,48 @@ def _plain(value):
     return value
 
 
+class _Blocks(NamedTuple):
+    """A stacked certifier's result, in numbers: ``members[i]`` lists member
+    ``i``'s rows ``(params, norm_kind, lhs, rhs, scale)``, one per
+    certificate, all of theorem ``theorem_id`` at shape ``dims`` and
+    tolerance ``tol``.  ``scale`` is ``None`` for a norm inequality and
+    ``||R||_2`` for a semidefinite order, whose row has ``lhs = -gap`` and
+    ``rhs = 0``."""
+
+    theorem_id: str
+    dims: tuple
+    tol: float
+    members: list
+
+
+def _build(blocks: _Blocks, seed: int = -1, trials=None) -> list[list[InequalityCertificate]]:
+    """Each member's certificates, made from its rows: the one place a
+    certificate is made.  A norm row's margin is ``rhs - lhs`` and its
+    effective tolerance ``tol * (1 + |rhs|)``; an order row's margin is the
+    gap ``-lhs`` and its effective tolerance ``tol * (1 + ||R||_2)``.  A
+    campaign passes its ``seed`` and member ``i``'s trial ``trials[i]``,
+    which goes first in ``params``."""
+    theorem_id, tol, seed = blocks.theorem_id, blocks.tol, int(seed)
+    dims = tuple(int(d) for d in blocks.dims)
+    out = []
+    for i, rows in enumerate(blocks.members):
+        provenance = {} if trials is None else {"trial": trials[i]}
+        certs = []
+        for params, norm_kind, lhs, rhs, scale in rows:
+            lhs, rhs = float(lhs), float(rhs)
+            if scale is None:
+                margin, scale = rhs - lhs, abs(rhs)
+            else:
+                margin = -lhs
+            effective = tol * (1.0 + scale)
+            certs.append(InequalityCertificate(
+                theorem_id, seed, dims, {**provenance, **params}, norm_kind,
+                lhs, rhs, margin, effective, bool(margin >= -effective),
+            ))
+        out.append(certs)
+    return out
+
+
 def norm_certificate(
     theorem_id: str,
     *,
@@ -120,14 +169,7 @@ def norm_certificate(
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Certificate for a scalar inequality ``lhs <= rhs``."""
-    lhs = float(lhs)
-    rhs = float(rhs)
-    effective = tol * (1.0 + abs(rhs))
-    margin = rhs - lhs
-    return InequalityCertificate(
-        theorem_id, -1, tuple(int(d) for d in dims), dict(params),
-        norm_kind, lhs, rhs, margin, effective, bool(margin >= -effective),
-    )
+    return _build(_Blocks(theorem_id, dims, tol, [[(params, norm_kind, lhs, rhs, None)]]))[0][0]
 
 
 def loewner_min_gap(lhs_tensor: Tensor3, rhs_tensor: Tensor3) -> float:
@@ -145,23 +187,15 @@ def loewner_certificate(
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Certificate for ``lhs_tensor <= rhs_tensor`` in the semidefinite order."""
-    return _loewner_certificates(
-        theorem_id, _Stack.of(lhs_tensor), _Stack.of(rhs_tensor), dims=dims, params=[params], tol=tol
-    )[0]
+    lhs, rhs = _Stack.of(lhs_tensor), _Stack.of(rhs_tensor)
+    return _build(_loewner_blocks(theorem_id, lhs, rhs, dims=dims, params=[params], tol=tol))[0][0]
 
 
-def _loewner_certificates(
+def _loewner_blocks(
     theorem_id: str, lhs: _Stack, rhs: _Stack, *, dims, params: list, tol: float
-) -> list[InequalityCertificate]:
-    """:func:`loewner_certificate` of each member pair, member ``i`` with
-    ``params[i]``; the gaps' slice spectra take one solver call."""
+) -> _Blocks:
+    """The rows of :func:`loewner_certificate` of each member pair, member
+    ``i`` with ``params[i]``; the gaps' slice spectra take one solver call."""
     gaps, _ = (rhs - lhs).sym().extremes()
-    norms = rhs.spectral()
-    dims = tuple(int(d) for d in dims)
-    out = []
-    for gap, norm, p in zip(gaps, norms, params):
-        effective = tol * (1.0 + norm)
-        out.append(InequalityCertificate(
-            theorem_id, -1, dims, dict(p), NO_NORM, -gap, 0.0, gap, effective, bool(gap >= -effective),
-        ))
-    return out
+    rows = [[(p, NO_NORM, -gap, 0.0, norm)] for gap, norm, p in zip(gaps, rhs.spectral(), params)]
+    return _Blocks(theorem_id, dims, tol, rows)

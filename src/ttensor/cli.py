@@ -77,6 +77,8 @@ def read_tensor(path: str):
 
 
 def write_tensor(path: str, tensor) -> None:
+    """Write a tensor file; a path that cannot be written raises
+    :class:`FileFormatError`."""
     dims = [tensor.n1, tensor.n2, tensor.n3]
     flat = tensor.to_flat()
     if isinstance(tensor, ComplexTensor3):
@@ -87,9 +89,12 @@ def write_tensor(path: str, tensor) -> None:
         }
     else:
         doc = {"dims": dims, "data": [float(v) for v in flat]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _sorted_spectrum(spectrum):

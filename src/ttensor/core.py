@@ -446,8 +446,11 @@ class _Stack:
         w = self.spectra().values.reshape(len(self), -1)
         return w.min(axis=1).tolist(), np.abs(w).max(axis=1).tolist()
 
-    def eigenvalues(self) -> list:
-        """Each member's :func:`ttensor.spectral.t_eigenvalues`.  The members
+    def eigenvalues(self) -> np.ndarray:
+        """Each member's t-eigenvalues, one ``(b, n * n3)`` complex array, row
+        ``i`` the values of member ``i``'s
+        :func:`ttensor.spectral.t_eigenvalues` in its order
+        (:func:`ttensor.spectral._mirrored_spectrum`).  The members
         symmetric within ``PREDICATE_TOL`` read :meth:`spectra`; the half
         slices of the others take one general solver call, made only when
         there are any (a member's values do not depend on the rest of the
@@ -462,7 +465,7 @@ class _Stack:
         if not symmetric.all():
             others = self.half_slices()[~symmetric].reshape(-1, n, n)
             w[~symmetric] = eigensolvers.general_eig(others).reshape(-1, half, n)
-        return [spectral._mirrored_spectrum(wi, n3) for wi in w]
+        return spectral._mirrored_spectrum(w, n3)
 
     def cartesian_norms(self, other: "_Stack") -> tuple[list, list]:
         """Each member's Frobenius and spectral norms of ``T = self + i other``,

@@ -25,14 +25,17 @@ Frobenius certificates followed by the spectral ones.
 Every public certifier is the ``b = 1`` case of a stacked certifier
 (``_loewner_heinz``, ``_furuta``, ``_am_gm``, ...) that takes its tensors as
 stacks along a leading trial axis (:class:`ttensor.core._Stack`) and its
-scalars as one list per argument, and returns one certificate list per
-member; a campaign certifies a whole window with one call.  The stacked
+scalars as one list per argument, and returns its certificates as numbers,
+one list of rows per member (:class:`ttensor.certificates._Blocks`); the
+public certifier builds its member's certificates
+(:func:`ttensor.certificates._build`), and a campaign certifies a whole
+window with one call and builds them with their provenance.  The stacked
 certifiers call only the stack algebra of :class:`ttensor.core._Stack`
 (``@``, ``transpose``, ``sym``, ``power``, ``abs_power``, the norms,
 ``extremes``, ``cat``, ``split``, ``where``) and the gates and the Young
 witness built on it, so the same bodies run on any stack type that has
-those methods.  Every semidefinite-order certificate, the Young witness's
-included, comes from :func:`ttensor.certificates._loewner_certificates`.
+those methods.  Every semidefinite-order row, the Young witness's
+included, comes from :func:`ttensor.certificates._loewner_blocks`.
 The tensors under ``|X|^r`` in one certifier are powered together when
 they share a shape (:func:`_powers`).  A stacked certifier
 also stacks its own independent slice spectra, one solver call per wave: it
@@ -62,8 +65,9 @@ from .certificates import (
     FROBENIUS,
     SPECTRAL,
     InequalityCertificate,
-    _loewner_certificates,
-    norm_certificate,
+    _Blocks,
+    _build,
+    _loewner_blocks,
 )
 from .core import Tensor3, _same_square, _solve_together, _Stack
 from .errors import ShapeMismatchError, _require, _require_each
@@ -101,8 +105,8 @@ def power_order_counterexample() -> tuple[Tensor3, Tensor3]:
     return a, b
 
 
-def _norm_certificates(theorem_id: str, dims, tol: float, tensors, sides) -> list[list]:
-    """One list per stack member: the certificates of ``lhs <= rhs`` in the
+def _norm_blocks(theorem_id: str, dims, tol: float, tensors, sides) -> _Blocks:
+    """One list per stack member: the rows of ``lhs <= rhs`` in the
     Frobenius and then the spectral norm.  ``sides(i, norms)`` lists member
     ``i``'s ``(params, lhs, rhs)`` in order, given ``norms``, member ``i``'s
     norms of the stacks ``tensors`` as Python floats, so the tensors under
@@ -113,14 +117,9 @@ def _norm_certificates(theorem_id: str, dims, tol: float, tensors, sides) -> lis
     out = [[] for _ in range(len(tensors[0]))]
     for kind in (FROBENIUS, SPECTRAL):
         table = zip(*(getattr(t, kind)() for t in tensors))
-        for i, (certs, norms) in enumerate(zip(out, table)):
-            certs.extend(
-                norm_certificate(
-                    theorem_id, dims=dims, params=params, norm_kind=kind, lhs=lhs, rhs=rhs, tol=tol
-                )
-                for params, lhs, rhs in sides(i, norms)
-            )
-    return out
+        for i, (rows, norms) in enumerate(zip(out, table)):
+            rows.extend((params, kind, lhs, rhs, None) for params, lhs, rhs in sides(i, norms))
+    return _Blocks(theorem_id, dims, tol, out)
 
 
 def _stacks(*tensors: Tensor3) -> list[_Stack]:
@@ -172,12 +171,12 @@ def check_loewner_heinz(
     exponents (where the implication is known to fail) can be probed; ``r``
     must still be finite.
     """
-    return _loewner_heinz(*_stacks(a, b), [r], [exploratory], [None], tol)[0][0]
+    return _build(_loewner_heinz(*_stacks(a, b), [r], [exploratory], [None], tol))[0][0]
 
 
 def _loewner_heinz(
     a: _Stack, b: _Stack, r: list, exploratory: list, extra_params: list, tol: float
-) -> list[list]:
+) -> _Blocks:
     """:func:`check_loewner_heinz` of each member, member ``i`` at ``r[i]``,
     ``exploratory[i]`` and ``extra_params[i]``."""
     for ri, ex in zip(r, exploratory):
@@ -190,8 +189,7 @@ def _loewner_heinz(
         {"r": ri, "exploratory": ex, **(extra or {})}
         for ri, ex, extra in zip(r, exploratory, extra_params)
     ]
-    certs = _loewner_certificates("loewner-heinz", br, ar, dims=a.shape, params=params, tol=tol)
-    return [[c] for c in certs]
+    return _loewner_blocks("loewner-heinz", br, ar, dims=a.shape, params=params, tol=tol)
 
 
 def check_hansen_power(
@@ -210,10 +208,10 @@ def check_hansen_power(
     generally non-symmetric, which is reported rather than silently
     symmetrized.
     """
-    return _hansen_power(*_stacks(q, x), [r], tol, mode)[0][0]
+    return _build(_hansen_power(*_stacks(q, x), [r], tol, mode))[0][0]
 
 
-def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[list]:
+def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> _Blocks:
     """:func:`check_hansen_power` of each member, member ``i`` at ``r[i]``."""
     if mode not in ("contraction", MODE_LITERAL):
         raise ValueError(f"unknown mode {mode!r}")
@@ -247,8 +245,7 @@ def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> list[
     low = [ri <= 1.0 for ri in r]
     lhs, rhs = conj_pow.where(low, pow_conj), pow_conj.where(low, conj_pow)
     params = [{"r": ri, "mode": mode} for ri in r]
-    certs = _loewner_certificates("hansen-power", lhs, rhs, dims=q.shape, params=params, tol=tol)
-    return [[c] for c in certs]
+    return _loewner_blocks("hansen-power", lhs, rhs, dims=q.shape, params=params, tol=tol)
 
 
 def check_furuta(
@@ -265,10 +262,10 @@ def check_furuta(
     ``(B^r * A^p * B^r)^(1/q) >= B^((p+2r)/q)`` and
     ``A^((p+2r)/q) >= (A^r * B^p * A^r)^(1/q)``.
     """
-    return tuple(_furuta(*_stacks(a, b), [r], [p], [q], tol)[0])
+    return tuple(_build(_furuta(*_stacks(a, b), [r], [p], [q], tol))[0])
 
 
-def _furuta(a: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list[list]:
+def _furuta(a: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> _Blocks:
     """:func:`check_furuta` of each member, member ``i`` at ``r[i]``,
     ``p[i]``, ``q[i]``: three solver calls for the whole stack."""
     for ri, pi, qi in zip(r, p, q):
@@ -286,8 +283,9 @@ def _furuta(a: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list
     params = [{"r": ri, "p": pi, "q": qi} for ri, pi, qi in zip(r, p, q)]
     sides = [{**pm, "side": "lower"} for pm in params] + [{**pm, "side": "upper"} for pm in params]
     lhs, rhs = bs.cat(upper_lhs), lower_rhs.cat(as_)
-    certs = _loewner_certificates("furuta", lhs, rhs, dims=a.shape, params=sides, tol=tol)
-    return [[certs[i], certs[len(a) + i]] for i in range(len(a))]
+    blocks = _loewner_blocks("furuta", lhs, rhs, dims=a.shape, params=sides, tol=tol)
+    lower, upper = blocks.members[:len(a)], blocks.members[len(a):]
+    return blocks._replace(members=[lo + up for lo, up in zip(lower, upper)])
 
 
 def check_young_commuting(
@@ -298,10 +296,10 @@ def check_young_commuting(
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Young inequality A * B <= A^p / p + B^q / q for a commuting PSD pair."""
-    return _young_commuting(*_stacks(a, b), [p], [q], tol)[0][0]
+    return _build(_young_commuting(*_stacks(a, b), [p], [q], tol))[0][0]
 
 
-def _young_commuting(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> list[list]:
+def _young_commuting(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> _Blocks:
     """:func:`check_young_commuting` of each member, member ``i`` at ``p[i]``, ``q[i]``."""
     for pi, qi in zip(p, q):
         _require_conjugate(pi, qi)
@@ -322,8 +320,7 @@ def _young_commuting(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> list
     ap, bq = a.cat(b).power(p + q).split(2)
     rhs = ap * [1.0 / pi for pi in p] + bq * [1.0 / qi for qi in q]
     params = [{"p": pi, "q": qi} for pi, qi in zip(p, q)]
-    certs = _loewner_certificates("young-commuting", lhs, rhs, dims=a.shape, params=params, tol=tol)
-    return [[c] for c in certs]
+    return _loewner_blocks("young-commuting", lhs, rhs, dims=a.shape, params=params, tol=tol)
 
 
 def check_young_witness(
@@ -334,15 +331,14 @@ def check_young_witness(
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Certificate form of the constructive generalized Young inequality."""
-    return _young_witness_certificates(*_stacks(a, b), [p], [q], tol)[0][0]
+    return _build(_young_witness_certificates(*_stacks(a, b), [p], [q], tol))[0][0]
 
 
-def _young_witness_certificates(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> list[list]:
+def _young_witness_certificates(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> _Blocks:
     """:func:`check_young_witness` of each member, member ``i`` at ``p[i]``, ``q[i]``."""
     _, rhs, lhs = _young_witness(a, b, p, q)
     params = [{"p": pi, "q": qi} for pi, qi in zip(p, q)]
-    certs = _loewner_certificates("young-witness", lhs, rhs, dims=a.shape, params=params, tol=tol)
-    return [[c] for c in certs]
+    return _loewner_blocks("young-witness", lhs, rhs, dims=a.shape, params=params, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +358,10 @@ def check_complex_norm_bounds(
     symmetric; (c) A, B positive semidefinite.  One certificate is emitted per
     claimed inequality, spectral and Frobenius separately.
     """
-    return _complex_norm_bounds(*_stacks(a, b), variant, tol, mode)[0]
+    return _build(_complex_norm_bounds(*_stacks(a, b), variant, tol, mode))[0]
 
 
-def _complex_norm_bounds(a: _Stack, b: _Stack, variant: str, tol: float, mode: str) -> list[list]:
+def _complex_norm_bounds(a: _Stack, b: _Stack, variant: str, tol: float, mode: str) -> _Blocks:
     """:func:`check_complex_norm_bounds` of each member.  The norms of
     ``T = A + iB`` come from the complex transform of the stacked members."""
     if variant not in ("a", "b", "c"):
@@ -386,11 +382,8 @@ def _complex_norm_bounds(a: _Stack, b: _Stack, variant: str, tol: float, mode: s
         sr, fr = root.spectral(), root.frobenius()
     base = {"variant": variant, "mode": mode}
 
-    def cert(claim: str, norm_kind: str, lhs: float, rhs: float) -> InequalityCertificate:
-        return norm_certificate(
-            f"complex-norm-{variant}", dims=a.shape,
-            params={**base, "claim": claim}, norm_kind=norm_kind, lhs=lhs, rhs=rhs, tol=tol,
-        )
+    def row(claim: str, norm_kind: str, lhs: float, rhs: float) -> tuple:
+        return {**base, "claim": claim}, norm_kind, lhs, rhs, None
 
     out = []
     for i in range(len(a)):
@@ -399,30 +392,30 @@ def _complex_norm_bounds(a: _Stack, b: _Stack, variant: str, tol: float, mode: s
             s_sum = sa2[i] + sb2[i]
             lower = s_sum if mode == MODE_LITERAL else 0.5 * s_sum
             out.append([
-                cert("spectral-lower", SPECTRAL, lower, st2),
-                cert("spectral-upper", SPECTRAL, st2, 2 * s_sum),
-                cert("frobenius-lower", FROBENIUS, fa2[i] + fb2[i], ft2),
-                cert("frobenius-upper", FROBENIUS, ft2, 4 * (fa2[i] + fb2[i])),
-                cert("gram-root-spectral-lower", SPECTRAL, sr[i], st[i]),
-                cert("gram-root-spectral-upper", SPECTRAL, st[i], np.sqrt(2) * sr[i]),
-                cert("gram-root-frobenius-le", FROBENIUS, fr[i], ft[i]),
-                cert("gram-root-frobenius-ge", FROBENIUS, ft[i], fr[i]),
+                row("spectral-lower", SPECTRAL, lower, st2),
+                row("spectral-upper", SPECTRAL, st2, 2 * s_sum),
+                row("frobenius-lower", FROBENIUS, fa2[i] + fb2[i], ft2),
+                row("frobenius-upper", FROBENIUS, ft2, 4 * (fa2[i] + fb2[i])),
+                row("gram-root-spectral-lower", SPECTRAL, sr[i], st[i]),
+                row("gram-root-spectral-upper", SPECTRAL, st[i], np.sqrt(2) * sr[i]),
+                row("gram-root-frobenius-le", FROBENIUS, fr[i], ft[i]),
+                row("gram-root-frobenius-ge", FROBENIUS, ft[i], fr[i]),
             ])
         elif variant == "b":
             if mode == MODE_LITERAL:
-                frobenius = [cert("frobenius-lower", FROBENIUS, fa2[i] + 2 * fb2[i], ft2)]
+                frobenius = [row("frobenius-lower", FROBENIUS, fa2[i] + 2 * fb2[i], ft2)]
             else:
                 frobenius = [
-                    cert("frobenius-identity-le", FROBENIUS, ft2, fa2[i] + fb2[i]),
-                    cert("frobenius-identity-ge", FROBENIUS, fa2[i] + fb2[i], ft2),
+                    row("frobenius-identity-le", FROBENIUS, ft2, fa2[i] + fb2[i]),
+                    row("frobenius-identity-ge", FROBENIUS, fa2[i] + fb2[i], ft2),
                 ]
-            out.append([cert("spectral-upper", SPECTRAL, st2, sa2[i] + 2 * sb2[i]), *frobenius])
+            out.append([row("spectral-upper", SPECTRAL, st2, sa2[i] + 2 * sb2[i]), *frobenius])
         else:
             out.append([
-                cert("spectral-upper", SPECTRAL, st2, sa2[i] + sb2[i]),
-                cert("frobenius-upper", FROBENIUS, ft2, fa2[i] + fb2[i]),
+                row("spectral-upper", SPECTRAL, st2, sa2[i] + sb2[i]),
+                row("frobenius-upper", FROBENIUS, ft2, fa2[i] + fb2[i]),
             ])
-    return out
+    return _Blocks(f"complex-norm-{variant}", a.shape, tol, out)
 
 
 def check_am_gm(
@@ -438,10 +431,10 @@ def check_am_gm(
     term, matching the defective circulating statement; scalars already break
     it.
     """
-    return _am_gm(*_stacks(a, x, b), tol, mode)[0]
+    return _build(_am_gm(*_stacks(a, x, b), tol, mode))[0]
 
 
-def _am_gm(a: _Stack, x: _Stack, b: _Stack, tol: float, mode: str) -> list[list]:
+def _am_gm(a: _Stack, x: _Stack, b: _Stack, tol: float, mode: str) -> _Blocks:
     """:func:`check_am_gm` of each member."""
     bt = b.transpose()
     left = a @ x @ bt
@@ -452,7 +445,7 @@ def _am_gm(a: _Stack, x: _Stack, b: _Stack, tol: float, mode: str) -> list[list]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     right = first + x @ (bt @ b)
-    return _norm_certificates(
+    return _norm_blocks(
         "am-gm", a.shape, tol, [left, right],
         lambda i, norms: [({"mode": mode}, norms[0], 0.5 * norms[1])],
     )
@@ -472,10 +465,10 @@ def check_heinz_family(
     for 1 <= 2r <= 3 and -2 < t <= 2.  Part two: ``4 ||A*B|| <= ||(A+B)^2||``.
     Returns both parts' Frobenius certificates, then their spectral ones.
     """
-    return _heinz_family(*_stacks(a, x, b), [r], [t], tol)[0]
+    return _build(_heinz_family(*_stacks(a, x, b), [r], [t], tol))[0]
 
 
-def _heinz_family(a: _Stack, x: _Stack, b: _Stack, r: list, t: list, tol: float) -> list[list]:
+def _heinz_family(a: _Stack, x: _Stack, b: _Stack, r: list, t: list, tol: float) -> _Blocks:
     """:func:`check_heinz_family` of each member, member ``i`` at ``r[i]``, ``t[i]``."""
     for ri, ti in zip(r, t):
         _require(1.0 <= 2 * ri <= 3.0, f"exponent r={ri} outside [0.5, 1.5]")
@@ -496,7 +489,7 @@ def _heinz_family(a: _Stack, x: _Stack, b: _Stack, r: list, t: list, tol: float)
             ({**params, "part": "product"}, 4 * norms[2], norms[3]),
         ]
 
-    return _norm_certificates("heinz-family", a.shape, tol, [heinz, quadratic, ab, s2], sides)
+    return _norm_blocks("heinz-family", a.shape, tol, [heinz, quadratic, ab, s2], sides)
 
 
 def check_holder(
@@ -514,10 +507,10 @@ def check_holder(
     (p, q).  The exponent on the left absolute value follows the scaling-
     consistent reading of the statement.
     """
-    return _holder(*_stacks(a, x, b), [r], [p], [q], tol)[0]
+    return _build(_holder(*_stacks(a, x, b), [r], [p], [q], tol))[0]
 
 
-def _holder(a: _Stack, x: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list[list]:
+def _holder(a: _Stack, x: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> _Blocks:
     """:func:`check_holder` of each member, member ``i`` at ``r[i]``, ``p[i]``, ``q[i]``."""
     _require_holder_exponents(r, p, q)
     _require_psd(tol, A=a, B=b)
@@ -525,7 +518,7 @@ def _holder(a: _Stack, x: _Stack, b: _Stack, r: list, p: list, q: list, tol: flo
     ap, bq = _powers("power", [a, b], [p, q])
     apx, xbq = ap @ x, x @ bq
     left, first, second = axb.cat(apx, xbq).abs_power(r + r + r).split(3)
-    return _norm_certificates(
+    return _norm_blocks(
         "holder", a.shape, tol, [left, first, second], _holder_sides(r, p, q)
     )
 
@@ -538,7 +531,7 @@ def _require_holder_exponents(r: list, p: list, q: list) -> None:
 
 def _holder_sides(r: list, p: list, q: list):
     """Member ``i``'s sides of ``||L|| <= ||F||^(1/p) ||S||^(1/q)`` from the
-    norms of ``(L, F, S)``, for :func:`_norm_certificates`."""
+    norms of ``(L, F, S)``, for :func:`_norm_blocks`."""
     return lambda i, norms: [(
         {"r": r[i], "p": p[i], "q": q[i]},
         norms[0], norms[1] ** (1 / p[i]) * norms[2] ** (1 / q[i]),
@@ -560,12 +553,12 @@ def check_holder_pairs(
     for arbitrary tensors and conjugate exponents, checked as for every Young
     and Hoelder certifier (:func:`ttensor.spectral._require_conjugate`).
     """
-    return _holder_pairs(*_stacks(a, b, c, d), [p], [q], tol)[0]
+    return _build(_holder_pairs(*_stacks(a, b, c, d), [p], [q], tol))[0]
 
 
 def _holder_pairs(
     a: _Stack, b: _Stack, c: _Stack, d: _Stack, p: list, q: list, tol: float
-) -> list[list]:
+) -> _Blocks:
     """:func:`check_holder_pairs` of each member, member ``i`` at ``p[i]``, ``q[i]``."""
     for pi, qi in zip(p, q):
         _require_conjugate(pi, qi)
@@ -580,7 +573,7 @@ def _holder_pairs(
             damping * norms[0], norms[1] ** (1 / p[i]) * norms[2] ** (1 / q[i]),
         )]
 
-    return _norm_certificates("holder-pairs", a.shape, tol, [cross, ab_p, cd_q], sides)
+    return _norm_blocks("holder-pairs", a.shape, tol, [cross, ab_p, cd_q], sides)
 
 
 def check_holder_corollary(
@@ -592,16 +585,16 @@ def check_holder_corollary(
     tol: float = DEFAULT_TOL,
 ) -> list[InequalityCertificate]:
     """Two-factor Hoelder corollary ``|| |A B|^r || <= || |A|^(pr) ||^(1/p) || |B|^(qr) ||^(1/q)``."""
-    return _holder_corollary(*_stacks(a, b), [r], [p], [q], tol)[0]
+    return _build(_holder_corollary(*_stacks(a, b), [r], [p], [q], tol))[0]
 
 
-def _holder_corollary(a: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> list[list]:
+def _holder_corollary(a: _Stack, b: _Stack, r: list, p: list, q: list, tol: float) -> _Blocks:
     """:func:`check_holder_corollary` of each member, member ``i`` at ``r[i]``, ``p[i]``, ``q[i]``."""
     _require_holder_exponents(r, p, q)
     pr = [pi * ri for pi, ri in zip(p, r)]
     qr = [qi * ri for qi, ri in zip(q, r)]
     left, first, second = _powers("abs_power", [a @ b, a, b], [r, pr, qr])
-    return _norm_certificates(
+    return _norm_blocks(
         "holder-corollary", a.shape, tol, [left, first, second], _holder_sides(r, p, q)
     )
 
@@ -619,10 +612,10 @@ def check_minkowski(
     ``2^(-|1/p-1/2|) || |A1+A2|^p + |B1+B2|^p ||^(1/p)
     <= || |A1|^p + |B1|^p ||^(1/p) + || |A2|^p + |B2|^p ||^(1/p)``.
     """
-    return _minkowski(*_stacks(a1, a2, b1, b2), [p], tol)[0]
+    return _build(_minkowski(*_stacks(a1, a2, b1, b2), [p], tol))[0]
 
 
-def _minkowski(a1: _Stack, a2: _Stack, b1: _Stack, b2: _Stack, p: list, tol: float) -> list[list]:
+def _minkowski(a1: _Stack, a2: _Stack, b1: _Stack, b2: _Stack, p: list, tol: float) -> _Blocks:
     """:func:`check_minkowski` of each member, member ``i`` at ``p[i]``."""
     for pi in p:
         _require(1.0 <= pi < np.inf, f"exponent p={pi} outside [1, inf)")
@@ -637,4 +630,4 @@ def _minkowski(a1: _Stack, a2: _Stack, b1: _Stack, b2: _Stack, p: list, tol: flo
             damping * norms[0] ** root, norms[1] ** root + norms[2] ** root,
         )]
 
-    return _norm_certificates("minkowski", a1.shape, tol, [whole, first, second], sides)
+    return _norm_blocks("minkowski", a1.shape, tol, [whole, first, second], sides)

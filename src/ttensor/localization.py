@@ -9,10 +9,13 @@ the unfolding identity ``||bcirc(X)||_F = sqrt(n3) * ||X||_F`` yields.
 The certifiers are the ``b = 1`` case of stacked ones (``_schur``,
 ``_bauer_fike``, ``_hoffman_wielandt``, ``_diag_spectrum``) that take their
 tensors as stacks along a leading trial axis (:class:`ttensor.core._Stack`)
-and return one result per member; ``_gershgorin`` is the stacked
+and return their certificates as numbers, one list of rows per member
+(:class:`ttensor.certificates._Blocks`), which the public certifiers and
+the campaigns build; ``_gershgorin`` is the stacked
 containment and component-count certificate that the ``gershgorin``
 campaign runs, from the public disc functions.  They read
-spectra only through :meth:`ttensor.core._Stack.eigenvalues`, and a
+spectra only through :meth:`ttensor.core._Stack.eigenvalues`, one array
+of each member's t-eigenvalues, and a
 certifier of two stacks takes those of ``a.cat(b)``: its non-symmetric
 members share one general solver call, and its symmetric members read the
 cat's Hermitian half spectra, so a campaign window solves the symmetric
@@ -41,7 +44,8 @@ from .certificates import (
     NO_NORM,
     SPECTRAL,
     InequalityCertificate,
-    norm_certificate,
+    _Blocks,
+    _build,
 )
 from .core import Tensor3, _check_same_shape, _Stack, frobenius_norm
 from .errors import ShapeMismatchError, _require, _require_each
@@ -113,23 +117,18 @@ class ComponentCount:
 
 def schur_bound(a, tol: float = DEFAULT_TOL) -> InequalityCertificate:
     """Quadratic spectral-sum bound: sum |lambda_i|^2 <= n3 * ||A||_F^2."""
-    return _schur_certificate(a.shape, t_eigenvalues(a), frobenius_norm(a), tol)
+    row = _schur_row(t_eigenvalues(a).values, frobenius_norm(a), a.n3)
+    return _build(_Blocks("schur", a.shape, tol, [[row]]))[0][0]
 
 
-def _schur(x: _Stack, tol: float) -> list[list]:
+def _schur(x: _Stack, tol: float) -> _Blocks:
     """:func:`schur_bound` of each member of a real stack."""
-    return [
-        [_schur_certificate(x.shape, spectrum, norm, tol)]
-        for spectrum, norm in zip(x.eigenvalues(), x.frobenius())
-    ]
+    rows = [[_schur_row(values, norm, x.n3)] for values, norm in zip(x.eigenvalues(), x.frobenius())]
+    return _Blocks("schur", x.shape, tol, rows)
 
 
-def _schur_certificate(dims, spectrum: TEigenSpectrum, norm: float, tol: float) -> InequalityCertificate:
-    lhs = float(np.sum(np.abs(spectrum.values) ** 2))
-    rhs = dims[2] * norm ** 2
-    return norm_certificate(
-        "schur", dims=dims, params={}, norm_kind=FROBENIUS, lhs=lhs, rhs=rhs, tol=tol
-    )
+def _schur_row(values: np.ndarray, norm: float, n3: int) -> tuple:
+    return {}, FROBENIUS, float(np.sum(np.abs(values) ** 2)), n3 * norm ** 2, None
 
 
 def gershgorin_discs(a) -> list[GershgorinDisc]:
@@ -217,24 +216,21 @@ def _component_count(discs, values, gaps, nearest, scale: float, tol: float) -> 
     return [ComponentCount(tuple(idx), len(idx), counts[root] / n3) for root, idx in members.items()]
 
 
-def _gershgorin(x: _Stack, tol: float) -> list[list]:
+def _gershgorin(x: _Stack, tol: float) -> _Blocks:
     """The containment and component-count certificates of each member;
     the discs and their components are found member by member, both
     certificates from one :func:`gershgorin_gaps` of the member."""
     out = []
-    for i, spectrum in enumerate(x.eigenvalues()):
+    for i, values in enumerate(x.eigenvalues()):
         discs = gershgorin_discs(x.member(i))
-        gaps, nearest, scale = gershgorin_gaps(discs, spectrum)
-        components = _component_count(discs, spectrum.values, gaps, nearest, scale, tol)
+        gaps, nearest, scale = gershgorin_gaps(discs, values)
+        components = _component_count(discs, values, gaps, nearest, scale, tol)
         miscount = max(abs(c.eigenvalue_count - c.disc_count) for c in components)
         out.append([
-            norm_certificate(
-                "gershgorin", dims=x.shape, params={"claim": claim}, norm_kind=NO_NORM,
-                lhs=lhs, rhs=0.0, tol=tol,
-            )
+            ({"claim": claim}, NO_NORM, lhs, 0.0, None)
             for claim, lhs in (("containment", float(gaps.max()) / scale), ("component-count", miscount))
         ])
-    return out
+    return _Blocks("gershgorin", x.shape, tol, out)
 
 
 def bauer_fike(
@@ -249,10 +245,10 @@ def bauer_fike(
     Certifies that every t-eigenvalue of ``a`` has a t-eigenvalue of ``b``
     within ``||q^-1||_2 * ||q||_2 * ||a - b||_2``.
     """
-    return _bauer_fike(*(_Stack.of(t) for t in (a, b, q, s)), tol)[0][0]
+    return _build(_bauer_fike(*(_Stack.of(t) for t in (a, b, q, s)), tol))[0][0]
 
 
-def _bauer_fike(a: _Stack, b: _Stack, q: _Stack, s: _Stack, tol: float) -> list[list]:
+def _bauer_fike(a: _Stack, b: _Stack, q: _Stack, s: _Stack, tol: float) -> _Blocks:
     """:func:`bauer_fike` of each member; both spectra of every member take
     one general solver call."""
     hypothesis_tol = _hypothesis_tol(tol)
@@ -267,13 +263,10 @@ def _bauer_fike(a: _Stack, b: _Stack, q: _Stack, s: _Stack, tol: float) -> list[
     norms = zip(*(x.spectral() for x in (q_inv, q, a - b)))
     out = []
     for lam, mu, (n_inv, n_q, n_diff) in zip(spectra, spectra[len(a):], norms):
-        blocks = np.split(lam.values, range(64, len(lam.values), 64))  # each block's matrix: 64 x n*n3
-        lhs = float(max(np.abs(mu.values - z[:, None]).min(axis=1).max() for z in blocks))
-        out.append([norm_certificate(
-            "bauer-fike", dims=a.shape, params={}, norm_kind=SPECTRAL, lhs=lhs,
-            rhs=n_inv * n_q * n_diff, tol=tol,
-        )])
-    return out
+        blocks = np.split(lam, range(64, len(lam), 64))  # each block's matrix: 64 x n*n3
+        lhs = float(max(np.abs(mu - z[:, None]).min(axis=1).max() for z in blocks))
+        out.append([({}, SPECTRAL, lhs, n_inv * n_q * n_diff, None)])
+    return _Blocks("bauer-fike", a.shape, tol, out)
 
 
 def hoffman_wielandt(
@@ -285,34 +278,33 @@ def hoffman_wielandt(
     certificates against the stated constant (``n3``) and the tightened
     constant (``sqrt(n3)``).
     """
-    return _hoffman_wielandt(_Stack.of(a), _Stack.of(b), tol)[0]
+    reports, blocks = _hoffman_wielandt(_Stack.of(a), _Stack.of(b), tol)
+    return (reports[0], *_build(blocks)[0])
 
 
-def _hoffman_wielandt(a: _Stack, b: _Stack, tol: float) -> list:
-    """:func:`hoffman_wielandt` of each member; the spectra are those of
-    ``a.cat(b)``."""
+def _hoffman_wielandt(a: _Stack, b: _Stack, tol: float) -> tuple[list[MatchingReport], _Blocks]:
+    """:func:`hoffman_wielandt` of each member: the reports and the rows of
+    the optimal pairing; the spectra are those of ``a.cat(b)``."""
     for name, x in (("A", a), ("B", b)):
         _require_each(_normality(x, _hypothesis_tol(tol)), f"{name} is not normal: {{}}")
     spectra = a.cat(b).eigenvalues()
-    out = []
+    reports = []
     for lam, mu, diff in zip(spectra, spectra[len(a):], (b - a).frobenius()):
-        perm, dist = _matched_distance(lam.values, mu.values)
-        report = MatchingReport(
+        perm, dist = _matched_distance(lam, mu)
+        reports.append(MatchingReport(
             tuple(int(i) for i in perm), dist,
             float(np.sqrt(a.n3) * diff), float(a.n3 * diff),
-        )
-        out.append((report, *_matching_certificates(a.shape, "optimal", dist, report, tol)))
-    return out
+        ))
+    rows = [_matching_rows("optimal", report) for report in reports]
+    return reports, _Blocks("hoffman-wielandt", a.shape, tol, rows)
 
 
-def _matching_certificates(dims, pairing: str, dist: float, report: MatchingReport, tol: float) -> list:
-    """The certificates of a pairing's distance against both bounds of
-    ``report``: the ``sqrt(n3)`` one, then the stated ``n3`` one."""
+def _matching_rows(pairing: str, report: MatchingReport) -> list:
+    """The rows of the pairing's distance, ``report.matched_distance``,
+    against both bounds of ``report``: the ``sqrt(n3)`` one, then the
+    stated ``n3`` one."""
     return [
-        norm_certificate(
-            "hoffman-wielandt", dims=dims, params={"pairing": pairing, "constant": const},
-            norm_kind=FROBENIUS, lhs=dist, rhs=rhs, tol=tol,
-        )
+        ({"pairing": pairing, "constant": const}, FROBENIUS, report.matched_distance, rhs, None)
         for const, rhs in (("sqrt-n3", report.bound_sqrt), ("n3", report.bound_stated))
     ]
 
@@ -327,10 +319,7 @@ def _sorted_pairing_distances(a: _Stack, b: _Stack) -> list[float]:
     _check_same_shape(a, b)
     _require_symmetric(PREDICATE_TOL, A=a, B=b)
     spectra = a.cat(b).eigenvalues()
-    return [
-        _sorted_pairing(lam.values.real, mu.values.real)[1]
-        for lam, mu in zip(spectra, spectra[len(a):])
-    ]
+    return [_sorted_pairing(lam.real, mu.real)[1] for lam, mu in zip(spectra, spectra[len(a):])]
 
 
 def diag_spectrum_bound(
@@ -343,33 +332,30 @@ def diag_spectrum_bound(
     ``max_k sqrt(alpha_k^2 + beta_k^2) <= sqrt(2) ||T||_2``, and the tightened
     Frobenius variant with prefactor 1/sqrt(n3).
     """
-    return _diag_spectrum(_Stack.of(a), _Stack.of(b), tol)[0]
+    return _build(_diag_spectrum(_Stack.of(a), _Stack.of(b), tol))[0]
 
 
-def _diag_spectrum(a: _Stack, b: _Stack, tol: float) -> list[list]:
+def _diag_spectrum(a: _Stack, b: _Stack, tol: float) -> _Blocks:
     """:func:`diag_spectrum_bound` of each member; the spectra take one
     solver call, and the norms of ``T = A + iB`` one complex transform."""
     _require_symmetric(tol, A=a, B=b)
     spectra = a.cat(b).eigenvalues()
     n3 = a.n3
 
-    def cert(claim, norm_kind, lhs, rhs):
-        return norm_certificate(
-            "diag-spectrum", dims=a.shape, params={"claim": claim}, norm_kind=norm_kind,
-            lhs=lhs, rhs=rhs, tol=tol,
-        )
+    def row(claim, norm_kind, lhs, rhs):
+        return {"claim": claim}, norm_kind, lhs, rhs, None
 
     out = []
     norms = zip(*a.cartesian_norms(b))
     for alpha, beta, (ft, st) in zip(spectra, spectra[len(a):], norms):
-        alpha, beta = alpha.values.real, beta.values.real
+        alpha, beta = alpha.real, beta.real
         alpha = alpha[np.argsort(-np.abs(alpha), kind="stable")]
         beta = beta[np.argsort(-np.abs(beta), kind="stable")]
         paired = np.sqrt(alpha**2 + beta**2)
         diag_fro = float(np.sqrt((paired**2).sum()))
         out.append([
-            cert("frobenius-stated", FROBENIUS, diag_fro / n3, np.sqrt(2) * ft),
-            cert("spectral", SPECTRAL, float(paired.max()), np.sqrt(2) * st),
-            cert("frobenius-tight", FROBENIUS, diag_fro / np.sqrt(n3), np.sqrt(2) * ft),
+            row("frobenius-stated", FROBENIUS, diag_fro / n3, np.sqrt(2) * ft),
+            row("spectral", SPECTRAL, float(paired.max()), np.sqrt(2) * st),
+            row("frobenius-tight", FROBENIUS, diag_fro / np.sqrt(n3), np.sqrt(2) * ft),
         ])
-    return out
+    return _Blocks("diag-spectrum", a.shape, tol, out)

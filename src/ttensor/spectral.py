@@ -17,8 +17,11 @@ a leading trial axis (:class:`ttensor.core._Stack`): :func:`t_power`,
 :func:`t_abs` and :func:`t_eigenvalues` are the one-member cases of
 :meth:`_Stack.power`, :meth:`_Stack.abs_power` (each member at its own
 exponent) and :meth:`_Stack.eigenvalues`, whose kernels live beside the
-stack in :mod:`ttensor.core`.  :func:`t_power` checks its own argument,
-where the stacked power trusts a certifier's hypothesis gate.  A wave of
+stack in :mod:`ttensor.core`.  The stack keeps t-eigenvalues as one array
+of values per member; only :func:`t_eigenvalues` builds a
+:class:`TEigenSpectrum`, with the slice of each value.  :func:`t_power`
+checks its own argument, where the stacked power trusts a certifier's
+hypothesis gate.  A wave of
 stacks is powered, or takes its t-eigenvalues, in one application on their
 :meth:`_Stack.cat`, which starts with the spectra that all of its parts
 were asked for.
@@ -39,7 +42,7 @@ from .algebra import LoewnerVerdict, _asymmetry, _psd_verdicts
 from .core import _POWER_TOL, Tensor3, _solve_together, _Stack, gen_random
 from .eigensolvers import general_eig
 from .errors import NotSymmetricError, NotTPSDError, ShapeMismatchError, _require
-from .fourier import to_fourier
+from .fourier import _half_size, to_fourier
 
 __all__ = [
     "TEigenSpectrum",
@@ -73,22 +76,30 @@ def t_eigenvalues(a) -> TEigenSpectrum:
     equals the spectrum of the block-circulant unfolding.
     """
     if isinstance(a, Tensor3):
-        return _Stack.of(a).eigenvalues()[0]
+        values = _Stack.of(a).eigenvalues()[0]
+        return TEigenSpectrum(values, np.repeat(_mirrored_slices(a.n3)[1], a.n1))
     if a.n1 != a.n2:
         raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {a.shape}")
     values = general_eig(to_fourier(a).slices).ravel()
     return TEigenSpectrum(values, np.repeat(np.arange(a.n3), a.n1))
 
 
-def _mirrored_spectrum(w: np.ndarray, n3: int) -> TEigenSpectrum:
-    """All t-eigenvalues from those of the half spectrum, ``w[k]`` for slice
-    ``k``: slice k, then its conjugate partner n3 - k when that is another
-    slice."""
-    k = np.arange(len(w))
+def _mirrored_slices(n3: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order of a real tensor's t-eigenvalues: for each half slice
+    ``k``, slice ``k``, then its conjugate partner ``n3 - k`` when that is
+    another slice.  Returns which of each ``(k, n3 - k)`` is listed, an
+    ``(n3//2 + 1, 2)`` mask, and the slices listed, in order."""
+    k = np.arange(_half_size(n3))
     keep = np.stack([np.full(len(k), True), (0 < k) & (k < n3 - k)], axis=1)
-    values = np.stack([w, w.conj()], axis=1)[keep].ravel()
-    provenance = np.repeat(np.stack([k, n3 - k], axis=1)[keep], w.shape[1])
-    return TEigenSpectrum(values, provenance)
+    return keep, np.stack([k, n3 - k], axis=1)[keep]
+
+
+def _mirrored_spectrum(w: np.ndarray, n3: int) -> np.ndarray:
+    """All t-eigenvalues from those of the half spectrum, ``w[..., k, :]``
+    for slice ``k``, in the order of :func:`_mirrored_slices`: ``(...,
+    n * n3)``, for one member or a stack of them."""
+    keep, _ = _mirrored_slices(n3)
+    return np.stack([w, w.conj()], axis=-2)[..., keep, :].reshape(*w.shape[:-2], -1)
 
 
 def multiset_distance(u, v) -> float:

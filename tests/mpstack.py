@@ -192,8 +192,9 @@ class _MpStack:
             scales.append(float(max(abs(v) for v in w)))
         return mins, scales
 
-    def eigenvalues(self) -> list:
-        """Each member's t-eigenvalues as a :class:`ttensor.spectral.TEigenSpectrum`."""
+    def eigenvalues(self) -> np.ndarray:
+        """Each member's t-eigenvalues, one ``(b, n * n3)`` complex array in
+        the float stack's order."""
         mp = _mp()
         out = []
         for m, reason in zip(self.halves, _asymmetry(self, PREDICATE_TOL)):
@@ -202,7 +203,7 @@ class _MpStack:
             else:
                 w = [mp.eighe((s + s.H) * 0.5, eigvals_only=True) for s in m]
             out.append(_mirrored_spectrum(np.array([[complex(v) for v in ws] for ws in w]), self.n3))
-        return out
+        return np.array(out)
 
     def cartesian_norms(self, other: "_MpStack") -> tuple[list, list]:
         """The norms of ``T = A + iB`` from all ``n3`` slices of ``T``: a

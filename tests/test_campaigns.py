@@ -198,7 +198,7 @@ def test_campaign_stamps_seed_and_trial():
     assert [next(iter(c.params)) for c in result.certificates] == ["trial"] * 4
     assert [c.params["trial"] for c in result.certificates] == [0, 0, 1, 1]
     # trial 0's instance, certified outside the campaign: no provenance, and
-    # stamping it gives the campaign's certificate
+    # adding the campaign's gives the campaign's certificate
     g = RngStream(3, 0).generator()
     a, b = gen_t_psd(2, 2, g), gen_t_psd(2, 2, g)
     x = gen_random((2, 2, 2), g)
@@ -209,6 +209,28 @@ def test_campaign_stamps_seed_and_trial():
         assert "trial" not in cert.to_json_dict()["params"]
         stamped = dataclasses.replace(cert, seed=3, params={"trial": 0, **cert.params})
         assert stamped == campaign_cert
+
+
+def _count_made(monkeypatch, *classes) -> dict:
+    """How many objects of each class are made from here on, by class name."""
+    made = dict.fromkeys((cls.__name__ for cls in classes), 0)
+    for cls in classes:
+        def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            made[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return made
+
+
+def test_campaign_makes_each_certificate_once(monkeypatch):
+    # a certificate is made once, with its provenance, and never copied;
+    # the stack algebra keeps t-eigenvalues as arrays
+    made = _count_made(monkeypatch, certificates.InequalityCertificate, spectral.TEigenSpectrum)
+    for theorem_id in ("furuta", "schur"):
+        made["InequalityCertificate"] = 0
+        result = run_campaign(theorem_id, n=3, n3=3, trials=200)
+        assert made == {"InequalityCertificate": len(result.certificates), "TEigenSpectrum": 0}
 
 
 def test_holder_trial_takes_each_abs_power_once(monkeypatch):
@@ -622,7 +644,7 @@ _SHARED_WAVE_CALLS = {
 }
 
 
-def _solved_members(monkeypatch, theorem_id, solve_ahead, **kwargs):
+def _solved_members(monkeypatch, theorem_id, shared_waves, **kwargs):
     """Kernel calls of one campaign, and the members they solved."""
     calls, members = [], []
     kernel = eigensolvers._jacobi
@@ -634,7 +656,7 @@ def _solved_members(monkeypatch, theorem_id, solve_ahead, **kwargs):
 
     with monkeypatch.context() as patch:
         patch.setattr(eigensolvers, "_jacobi", recording_kernel)
-        if not solve_ahead:
+        if not shared_waves:
             _solve_each_stack_alone(patch)
         result = run_campaign(theorem_id, **kwargs)
     return result, len(calls), sorted(members)
@@ -645,11 +667,11 @@ def _solved_members(monkeypatch, theorem_id, solve_ahead, **kwargs):
 def test_shared_wave_kernel_calls(monkeypatch, theorem_id, n, n3, trials, seed):
     kwargs = dict(n=n, n3=n3, trials=trials, seed=seed)
     plain, plain_calls, plain_members = _solved_members(monkeypatch, theorem_id, False, **kwargs)
-    ahead, ahead_calls, ahead_members = _solved_members(monkeypatch, theorem_id, True, **kwargs)
-    assert (plain_calls, ahead_calls) == _SHARED_WAVE_CALLS[theorem_id][n == 3]
+    shared, shared_calls, shared_members = _solved_members(monkeypatch, theorem_id, True, **kwargs)
+    assert (plain_calls, shared_calls) == _SHARED_WAVE_CALLS[theorem_id][n == 3]
     # a wave solves the members that the stacks solved alone would solve
-    assert ahead_members == plain_members
-    assert _report_bytes(ahead) == _report_bytes(plain)
+    assert shared_members == plain_members
+    assert _report_bytes(shared) == _report_bytes(plain)
 
 
 _SHARED_WAVE_CONFIGS = [(tid, "corrected", None) for tid in sorted(_SHARED_WAVE_CALLS)] + [

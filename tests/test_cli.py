@@ -139,6 +139,17 @@ def test_tprod_shape_error_exit_2(tmp_path):
     assert main(["tprod", pa, pb, "-o", str(tmp_path / "c.json")]) == 2
 
 
+@pytest.mark.parametrize("target", ["missing/c.json", "."])
+def test_tprod_unwritable_output_exit_2(tmp_path, capsys, target):
+    # an output in a missing directory, or a directory, is a file error:
+    # exit 2 with a message, not exit 1 (a violation) and a traceback
+    a = gen_random((2, 2, 2), RngStream(408))
+    pa = _write(tmp_path, "a.json", a)
+    out = str(tmp_path / target)
+    assert main(["tprod", pa, pa, "-o", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+
 def test_eig_identity(tmp_path, capsys):
     eye_data = np.zeros((2, 2, 2))
     eye_data[:, :, 0] = np.eye(2)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ttensor import (
+    THEOREM_IDS,
     HypothesisViolationError,
     InequalityCertificate,
     RngStream,
@@ -26,6 +27,7 @@ from ttensor import (
     check_young_commuting,
     check_young_witness,
     diag_spectrum_bound,
+    gen_commuting_psd_pair,
     gen_loewner_pair,
     gen_random,
     gen_symmetric,
@@ -33,10 +35,18 @@ from ttensor import (
     frobenius_norm,
     identity,
     is_t_psd,
+    loewner_certificate,
     power_order_counterexample,
+    run_campaign,
+    spectral_norm,
+    t_abs,
     t_eigenvalues,
+    t_power,
+    t_product,
+    transpose,
     young_witness,
 )
+from ttensor.certificates import DEFAULT_TOL
 
 
 def test_loewner_heinz_r1_is_the_gap_itself():
@@ -722,3 +732,64 @@ def test_loewner_certificate_min_gap_vs_quadratic_form():
     # sampling can only overestimate the minimum eigenvalue
     assert sampled_min >= cert.margin - 10 * cert.tol
     assert sampled_min >= -10 * cert.tol  # certificate holds here
+
+
+# the tolerance rule, pinned without the report digests: a norm certificate's
+# effective tolerance is tol * (1 + |rhs|), an order certificate's
+# tol * (1 + ||R||_2) for its right-hand side R
+
+ORDER_THEOREMS = ("loewner-heinz", "hansen-power", "furuta", "young-commuting", "young-witness")
+
+
+@pytest.mark.parametrize("theorem_id", [t for t in THEOREM_IDS if t not in ORDER_THEOREMS])
+def test_norm_certificate_tolerance_scales_with_the_right_side(theorem_id):
+    result = run_campaign(theorem_id, n=2, n3=3, trials=6, seed=0)
+    assert result.certificates
+    for c in result.certificates:
+        assert c.tol == DEFAULT_TOL * (1 + abs(c.rhs)), c.params
+        assert c.margin == c.rhs - c.lhs and c.holds == (c.margin >= -c.tol)
+
+
+def _sym(x: Tensor3) -> Tensor3:
+    return 0.5 * (x + transpose(x))
+
+
+def _conjugated(q: Tensor3, x: Tensor3) -> Tensor3:
+    return _sym(t_product(t_product(transpose(q), x), q))
+
+
+def _order_cases():
+    """``(certificate, R)`` of ``loewner_certificate`` and each public order
+    certifier, each ``R`` formed apart from the certifier through the public
+    functions."""
+    a, b = gen_loewner_pair(3, 4, RngStream(81))
+    yield loewner_certificate("t", b, a, dims=a.shape, params={}), a
+    yield check_loewner_heinz(a, b, 0.5), t_power(a, 0.5)
+    raw = gen_random((3, 3, 4), RngStream(82))
+    q = raw * (1.0 / (1.5 * spectral_norm(raw)))
+    x = gen_t_psd(3, 4, RngStream(83))
+    yield check_hansen_power(q, x, 0.5), t_power(_conjugated(q, x), 0.5)
+    yield check_hansen_power(q, x, 1.5), _conjugated(q, t_power(x, 1.5))
+    r, p, s = 0.5, 1.0, 1.5  # q = 4/3, so (p + 2r) / q = 1.5
+    lower, upper = check_furuta(a, b, r, p, 4 / 3)
+    sandwich = _sym(t_product(t_product(t_power(b, r), t_power(a, p)), t_power(b, r)))
+    yield lower, t_power(sandwich, 3 / 4)
+    yield upper, t_power(a, s)
+    c, d = gen_commuting_psd_pair(3, 4, RngStream(84))
+    yield check_young_commuting(c, d, 3.0, 1.5), t_power(c, 3.0) * (1 / 3.0) + t_power(d, 1.5) * (1 / 1.5)
+
+
+def test_order_certificate_tolerance_scales_with_the_right_side():
+    for cert, rhs in _order_cases():
+        assert cert.tol == DEFAULT_TOL * (1 + spectral_norm(rhs)), cert.theorem_id
+        assert cert.margin == -cert.lhs and cert.rhs == 0.0
+
+
+def test_young_witness_tolerance_scales_with_the_right_side():
+    # |A|^p and |B|^q from t_abs and t_power round differently from the
+    # witness's one SVD of each half slice, so R's norm agrees to roundoff
+    a, b = gen_random((3, 3, 4), RngStream(85)), gen_random((3, 3, 4), RngStream(86))
+    p, q = 3.0, 1.5
+    cert = check_young_witness(a, b, p, q)
+    rhs = t_power(t_abs(a), p) * (1 / p) + t_power(t_abs(b), q) * (1 / q)
+    assert cert.tol == pytest.approx(DEFAULT_TOL * (1 + spectral_norm(rhs)), rel=1e-12, abs=0)

@@ -91,8 +91,14 @@ ONE_DEFINITION = {
     # a Gram is formed only where a statement or a generator names it:
     # |X|^r takes the SVD of X
     r"(\b\w+)\.transpose\(\) @ \1\b": ("core:_t_psd", "inequalities:_am_gm", "campaigns:_draw_hansen_power"),
-    # certificates are built by their builders; the campaign stamps copies
-    r"\bInequalityCertificate\(": "certificates",
+    # a certificate is made once, by the one builder, with its provenance
+    r"\bInequalityCertificate\(": "certificates:_build",
+    # the stack algebra keeps t-eigenvalues as arrays; the public function
+    # builds the spectrum object
+    r"\bTEigenSpectrum\(": "spectral:t_eigenvalues",
+    # the hypothesis gates read the min gaps; only the public verdicts build objects
+    r"\bLoewnerVerdict\(": "algebra:_psd_verdicts",
+    r"\b_psd_verdicts\(": ("algebra:_psd_verdicts", "algebra:is_t_psd", "spectral:young_witness"),
 }
 
 
@@ -165,6 +171,20 @@ def test_no_module_imports_from_the_package_inside_a_function():
         if _imports_the_package(inner)
     }
     assert not found, "imports from the package inside a function:\n" + "\n".join(sorted(found))
+
+
+def test_no_module_copies_a_dataclass_with_replace():
+    # a certificate is made once, with its provenance, and never copied
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+            and any(a.name == "replace" for a in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == "replace"
+            and isinstance(node.value, ast.Name) and node.value.id == "dataclasses")
+    ]
+    assert not found, "dataclasses.replace in the source:\n" + "\n".join(found)
 
 
 def test_certifier_modules_use_only_the_stack_algebra():

@@ -354,9 +354,9 @@ def test_mixed_stack_eigenvalues_are_each_members_alone(monkeypatch, n3):
     counts = _count_kernels(monkeypatch)
     stacked = _Stack.of(*members).eigenvalues()
     assert counts == {"jacobi": 1, "general": 1}
+    assert stacked.shape == (len(members), 3 * n3)
     for s, a in zip(stacked, alone, strict=True):
-        assert s.values.tobytes() == a.values.tobytes()
-        assert np.array_equal(s.slice_index, a.slice_index)
+        assert s.tobytes() == a.values.tobytes()
 
 
 def test_symmetric_pair_spectra_take_one_call(monkeypatch):
@@ -402,7 +402,7 @@ def _formed_gram_power(x, s):
 
 
 @pytest.mark.parametrize("n,n3", [(3, 4), (2, 5), (3, 127), (1, 2)])
-def test_gram_power_matches_the_formed_gram(n, n3):
+def test_abs_power_matches_the_formed_gram(n, n3):
     # every Fourier slice of a + 2 ||a||_2 I has condition at most 3, so the
     # formed Gram loses nothing to its squared condition
     a = gen_random((n, n, n3), RngStream(600 + n3))
@@ -412,7 +412,7 @@ def test_gram_power_matches_the_formed_gram(n, n3):
         assert np.abs(x.abs_power(2 * s).data - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_gram_power_of_rank_deficient_and_wide_members():
+def test_abs_power_of_rank_deficient_and_wide_members():
     # a member whose frontal slices are one rank-1 matrix has one rank-1
     # Fourier slice and zero slices elsewhere; a 2x3 member's Gram is 3x3 of
     # rank 2, so its SVD misses a singular value that counts as zero

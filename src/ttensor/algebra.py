@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Tensor3, _frobenius, _solve_together, _Stack, _t_inverse
-from .errors import NotSymmetricError, ShapeMismatchError, _require, _require_each
+from .errors import NotSymmetricError, ShapeMismatchError, _require, _require_each, _require_tol
 
 __all__ = [
     "LoewnerVerdict",
@@ -112,6 +112,7 @@ def t_inverse(a: Tensor3) -> Tensor3:
 
 def is_symmetric(a: Tensor3, tol: float = PREDICATE_TOL) -> PredicateVerdict:
     """a == transpose(a) within ``tol * (1 + ||a||_F)``."""
+    _require_tol(tol)
     reason = _asymmetry(_Stack.of(a), tol)[0]
     return PredicateVerdict(not reason, reason)
 
@@ -134,6 +135,7 @@ def _require_symmetric(tol: float, **stacks: _Stack) -> None:
 
 def is_orthogonal(q: Tensor3, tol: float = PREDICATE_TOL) -> PredicateVerdict:
     """Both q^T * q and q * q^T equal the identity within ``tol``."""
+    _require_tol(tol)
     reason = _orthogonality(_Stack.of(q), tol)[0]
     return PredicateVerdict(not reason, reason)
 
@@ -151,6 +153,7 @@ def _orthogonality(x: _Stack, tol: float) -> list[str]:
 
 def is_normal(a: Tensor3, tol: float = PREDICATE_TOL) -> PredicateVerdict:
     """a^T * a == a * a^T within ``tol * (1 + ||a||_F^2)``."""
+    _require_tol(tol)
     reason = _normality(_Stack.of(a), tol)[0]
     return PredicateVerdict(not reason, reason)
 
@@ -169,6 +172,7 @@ def _normality(x: _Stack, tol: float) -> list[str]:
 
 def is_f_diagonal(a, tol: float = PREDICATE_TOL) -> PredicateVerdict:
     """Every frontal slice is diagonal within ``tol * (1 + ||a||_F)``."""
+    _require_tol(tol)
     reason = _off_diagonality(a.data[None], tol)[0]
     return PredicateVerdict(not reason, reason)
 
@@ -193,6 +197,7 @@ def is_t_psd(a: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:
     verdict holds iff the smallest eigenvalue over all slices is at least
     ``-tol * (1 + largest eigenvalue magnitude)``.
     """
+    _require_tol(tol)
     x = _Stack.of(a)
     reason = _asymmetry(x, tol)[0]
     if reason:
@@ -223,6 +228,7 @@ def _require_psd(tol: float, **stacks: _Stack) -> None:
 
 def loewner_ge(a: Tensor3, b: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:
     """Verdict for a >= b in the positive semidefinite order: a - b is t-PSD."""
+    _require_tol(tol)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"order comparison needs equal shapes: {a.shape} vs {b.shape}")
     return is_t_psd(a - b, tol)

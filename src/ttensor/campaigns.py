@@ -57,9 +57,9 @@ import numpy as np
 from . import inequalities as ineq
 from . import localization as loc
 from .algebra import PREDICATE_TOL, _require_symmetric, _t_inverse
-from .certificates import DEFAULT_TOL, _build, _require_tol
+from .certificates import DEFAULT_TOL, _build
 from .core import RngStream, _commuting_psd_pairs, _frobenius, _loewner_pairs, _Stack, _t_psd, identity
-from .errors import SingularTensorError, UnknownTheoremError, _require
+from .errors import SingularTensorError, UnknownTheoremError, _require, _require_tol
 
 __all__ = ["THEOREM_IDS", "CampaignResult", "run_campaign"]
 

@@ -38,6 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Tensor3, _Stack
+from .errors import _require_tol
 
 __all__ = [
     "InequalityCertificate",
@@ -54,14 +55,6 @@ SPECTRAL = "spectral"
 NO_NORM = "n/a"
 
 DEFAULT_TOL = 1e-8
-
-
-def _require_tol(tol: float) -> None:
-    """Raise :class:`ValueError` unless ``tol`` is a finite number ``>= 0``:
-    a NaN, infinite or negative tolerance makes every verdict against it
-    wrong."""
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -169,6 +162,7 @@ def norm_certificate(
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Certificate for a scalar inequality ``lhs <= rhs``."""
+    _require_tol(tol)
     return _build(_Blocks(theorem_id, dims, tol, [[(params, norm_kind, lhs, rhs, None)]]))[0][0]
 
 
@@ -187,6 +181,7 @@ def loewner_certificate(
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Certificate for ``lhs_tensor <= rhs_tensor`` in the semidefinite order."""
+    _require_tol(tol)
     lhs, rhs = _Stack.of(lhs_tensor), _Stack.of(rhs_tensor)
     return _build(_loewner_blocks(theorem_id, lhs, rhs, dims=dims, params=[params], tol=tol))[0][0]
 

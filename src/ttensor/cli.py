@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from .campaigns import THEOREM_IDS, run_campaign
-from .certificates import DEFAULT_TOL, _require_tol
+from .certificates import DEFAULT_TOL
 from .core import ComplexTensor3, Tensor3, frobenius_norm
-from .errors import ShapeMismatchError, TtensorError, UnknownTheoremError
+from .errors import ShapeMismatchError, TtensorError, UnknownTheoremError, _require_tol
 from .localization import gershgorin_discs, gershgorin_gaps
 from .algebra import t_product
 from .spectral import t_eigenvalues

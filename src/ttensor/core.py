@@ -30,14 +30,17 @@ Fourier slices and one decomposition of its Hermitian half slices, whose
 self-conjugate slices are real (:meth:`_Stack.spectra`), for its PSD
 checks and its powers alike; its ``|X|^r`` takes one SVD of its half
 slices instead and never forms the Gram, whose condition is the square of
-the stack's.  A real member's slices ``n3 - k`` and ``k`` are conjugates,
+the stack's.  It keeps the singular values of its half slices as well
+(:meth:`_Stack.singular_values`), from one SVD that its spectral norm and
+the inverse's singularity check both read.  A real member's slices
+``n3 - k`` and ``k`` are conjugates,
 so every SVD and eigen reader of a stack sees only its half slices
 ``0..n3//2`` (:meth:`_Stack.half_slices`): its spectral norm is the largest
 singular value over them, as the 50-digit reference stack defines it, and
 its gate residuals are Parseval sums over them.  :func:`_solve_together`
 solves the spectra of several stacks in one call.  A :class:`Tensor3`
 keeps its one-member stack (:meth:`_Stack.of`), so every public call on
-the tensor reads the same slices and spectra, transformed and solved on
+the tensor reads the same slices, spectra and singular values, computed on
 first use.  A stack holds
 real tensors only: :meth:`_Stack.of` refuses anything but a
 :class:`Tensor3`, and a :class:`Tensor3` refuses complex entries.
@@ -144,8 +147,9 @@ class Tensor3(_Dense):
     """Dense real third-order tensor; immutable after construction.
 
     A tensor keeps its one-member :class:`_Stack` (``_Stack.of(t)``) once a
-    call has made it, so its Fourier slices and half-slice spectra are
-    computed once however many public calls use the tensor."""
+    call has made it, so its Fourier slices and its half slices' spectra
+    and singular values are computed once however many public calls use
+    the tensor."""
 
     __slots__ = ("_stack",)
 
@@ -205,23 +209,25 @@ class _Stack:
     ``slices`` are the members' Fourier slices, ``(b, n3, n1, n2)``,
     transformed on first use and kept read-only, so a stack is transformed
     once however often it is used; :meth:`spectra` keeps the one
-    decomposition of its half slices in the same way.  A stack made by
+    decomposition of its half slices in the same way, and
+    :meth:`singular_values` their singular values.  A stack made by
     :meth:`cat` starts with the slices that all of its parts hold and the
     spectra that all of them were asked for (so one power application
-    covers a wave of stacks solved together); otherwise stacks share no
-    slices and no spectra.  One tensor's stack, ``_Stack.of(t)``, is kept
-    by the tensor for its lifetime, so its slices and spectra serve every
-    call on it.  Entries must be finite, as for :class:`Tensor3`.
+    covers a wave of stacks solved together), and no singular values;
+    otherwise stacks share none of these.  One tensor's stack,
+    ``_Stack.of(t)``, is kept by the tensor for its lifetime, so its slices,
+    spectra and singular values serve every call on it.  Entries must be
+    finite, as for :class:`Tensor3`.
     """
 
-    __slots__ = ("data", "_slices", "_spectra")
+    __slots__ = ("data", "_slices", "_spectra", "_singular")
 
     def __init__(self, data):
         data = np.ascontiguousarray(data, dtype=float)
         if not np.isfinite(data).all():
             raise ValueError("tensor entries must be finite (no NaN/Inf)")
         data.flags.writeable = False
-        self.data, self._slices, self._spectra = data, None, None
+        self.data, self._slices, self._spectra, self._singular = data, None, None, None
 
     @classmethod
     def of(cls, *tensors: Tensor3) -> "_Stack":
@@ -318,6 +324,18 @@ class _Stack:
         half.imag[:, fourier._self_conjugate_indices(self.n3)] = 0.0
         return half
 
+    def singular_values(self) -> np.ndarray:
+        """The singular values of each member's :meth:`half_slices`,
+        ``(b, n3//2 + 1, min(n1, n2))``, descending in each slice: one
+        ``np.linalg.svd`` call on first use, kept read-only.  The spectral
+        norm and the inverse's singularity check both read them, so a kept
+        stack takes this SVD once however many of those calls it serves."""
+        if self._singular is None:
+            sv = np.linalg.svd(self.half_slices(), compute_uv=False)
+            sv.flags.writeable = False  # a tensor's stack shares them with every call
+            self._singular = sv
+        return self._singular
+
     def halves(self) -> np.ndarray:
         """The Hermitian parts of each square member's :meth:`half_slices`,
         one ``(b * (n3//2 + 1), n, n)`` stack: the slices of the PSD checks,
@@ -412,9 +430,8 @@ class _Stack:
 
     def spectral(self) -> list:
         """Each member's :func:`spectral_norm`, as a list of floats: the
-        largest singular value of its :meth:`half_slices`, from one SVD
-        call."""
-        return np.linalg.svd(self.half_slices(), compute_uv=False)[..., 0].max(axis=1).tolist()
+        largest of its :meth:`singular_values`."""
+        return self.singular_values()[..., 0].max(axis=1).tolist()
 
     def gram_residuals(self) -> tuple[list, list, list]:
         """Each member's Frobenius norms of ``x^T x - I``, ``x x^T - I`` and
@@ -521,14 +538,13 @@ def _hermitian_tensors(m: np.ndarray, n3: int) -> _Stack:
 
 def _t_inverse(x: _Stack) -> _Stack:
     """:func:`ttensor.algebra.t_inverse` of each member; the lowest member
-    with a singular half slice raises.  One SVD of the
-    :meth:`_Stack.half_slices` checks them, LAPACK taking each slice alone,
-    and their inverses are mirrored, so the result is exactly
-    conjugate-symmetric."""
+    with a singular half slice raises.  The stack's kept
+    :meth:`_Stack.singular_values` check them, LAPACK having taken each slice
+    alone, and the inverses of the :meth:`_Stack.half_slices` are mirrored,
+    so the result is exactly conjugate-symmetric."""
     if x.shape[0] != x.shape[1]:
         raise ShapeMismatchError(f"inverse requires a square tensor, got {x.shape}")
-    half = x.half_slices()
-    sv = np.linalg.svd(half, compute_uv=False)
+    sv = x.singular_values()
     # sigma_min / sigma_max of each slice; 0 for an all-zero slice
     ratios = np.divide(sv[..., -1], sv[..., 0], out=np.zeros(sv.shape[:-1]), where=sv[..., 0] > 0)
     for member in ratios:
@@ -536,7 +552,7 @@ def _t_inverse(x: _Stack) -> _Stack:
         if member[worst] <= INVERSE_TOL:
             cond = 1.0 / member[worst] if member[worst] > 0 else np.inf
             raise SingularTensorError(worst, float(cond))
-    return _Stack.from_halves(np.linalg.inv(half), x.n3)
+    return _Stack.from_halves(np.linalg.inv(x.half_slices()), x.n3)
 
 
 def _same_square(*xs: _Stack) -> bool:

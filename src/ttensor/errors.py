@@ -6,7 +6,11 @@ hypotheses (positive semidefiniteness, symmetry, normality, f-diagonality,
 conjugate exponents, ...) through them before it evaluates either side, so a
 failed hypothesis raises this error, not the :class:`NotSymmetricError` or
 ``ValueError`` that ``is_t_psd`` and ``t_power`` raise for their own inputs.
+:func:`_require_tol` is the one check of a ``tol`` argument: every public
+function that takes one calls it before any gate or solve.
 """
+
+import math
 
 __all__ = [
     "TtensorError",
@@ -94,3 +98,11 @@ def _require_each(reasons, message: str) -> None:
     for reason in reasons:
         if reason:
             raise HypothesisViolationError(message.format(reason))
+
+
+def _require_tol(tol: float) -> None:
+    """Raise :class:`ValueError` unless ``tol`` is a finite number ``>= 0``:
+    a NaN, infinite or negative tolerance makes every verdict against it
+    wrong."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")

@@ -70,7 +70,7 @@ from .certificates import (
     _loewner_blocks,
 )
 from .core import Tensor3, _same_square, _solve_together, _Stack
-from .errors import ShapeMismatchError, _require, _require_each
+from .errors import ShapeMismatchError, _require, _require_each, _require_tol
 from .spectral import _require_conjugate, _young_witness
 
 __all__ = [
@@ -171,6 +171,7 @@ def check_loewner_heinz(
     exponents (where the implication is known to fail) can be probed; ``r``
     must still be finite.
     """
+    _require_tol(tol)
     return _build(_loewner_heinz(*_stacks(a, b), [r], [exploratory], [None], tol))[0][0]
 
 
@@ -208,6 +209,7 @@ def check_hansen_power(
     generally non-symmetric, which is reported rather than silently
     symmetrized.
     """
+    _require_tol(tol)
     return _build(_hansen_power(*_stacks(q, x), [r], tol, mode))[0][0]
 
 
@@ -262,6 +264,7 @@ def check_furuta(
     ``(B^r * A^p * B^r)^(1/q) >= B^((p+2r)/q)`` and
     ``A^((p+2r)/q) >= (A^r * B^p * A^r)^(1/q)``.
     """
+    _require_tol(tol)
     return tuple(_build(_furuta(*_stacks(a, b), [r], [p], [q], tol))[0])
 
 
@@ -296,6 +299,7 @@ def check_young_commuting(
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Young inequality A * B <= A^p / p + B^q / q for a commuting PSD pair."""
+    _require_tol(tol)
     return _build(_young_commuting(*_stacks(a, b), [p], [q], tol))[0][0]
 
 
@@ -331,6 +335,7 @@ def check_young_witness(
     tol: float = DEFAULT_TOL,
 ) -> InequalityCertificate:
     """Certificate form of the constructive generalized Young inequality."""
+    _require_tol(tol)
     return _build(_young_witness_certificates(*_stacks(a, b), [p], [q], tol))[0][0]
 
 
@@ -358,6 +363,7 @@ def check_complex_norm_bounds(
     symmetric; (c) A, B positive semidefinite.  One certificate is emitted per
     claimed inequality, spectral and Frobenius separately.
     """
+    _require_tol(tol)
     return _build(_complex_norm_bounds(*_stacks(a, b), variant, tol, mode))[0]
 
 
@@ -431,6 +437,7 @@ def check_am_gm(
     term, matching the defective circulating statement; scalars already break
     it.
     """
+    _require_tol(tol)
     return _build(_am_gm(*_stacks(a, x, b), tol, mode))[0]
 
 
@@ -465,6 +472,7 @@ def check_heinz_family(
     for 1 <= 2r <= 3 and -2 < t <= 2.  Part two: ``4 ||A*B|| <= ||(A+B)^2||``.
     Returns both parts' Frobenius certificates, then their spectral ones.
     """
+    _require_tol(tol)
     return _build(_heinz_family(*_stacks(a, x, b), [r], [t], tol))[0]
 
 
@@ -507,6 +515,7 @@ def check_holder(
     (p, q).  The exponent on the left absolute value follows the scaling-
     consistent reading of the statement.
     """
+    _require_tol(tol)
     return _build(_holder(*_stacks(a, x, b), [r], [p], [q], tol))[0]
 
 
@@ -553,6 +562,7 @@ def check_holder_pairs(
     for arbitrary tensors and conjugate exponents, checked as for every Young
     and Hoelder certifier (:func:`ttensor.spectral._require_conjugate`).
     """
+    _require_tol(tol)
     return _build(_holder_pairs(*_stacks(a, b, c, d), [p], [q], tol))[0]
 
 
@@ -585,6 +595,7 @@ def check_holder_corollary(
     tol: float = DEFAULT_TOL,
 ) -> list[InequalityCertificate]:
     """Two-factor Hoelder corollary ``|| |A B|^r || <= || |A|^(pr) ||^(1/p) || |B|^(qr) ||^(1/q)``."""
+    _require_tol(tol)
     return _build(_holder_corollary(*_stacks(a, b), [r], [p], [q], tol))[0]
 
 
@@ -612,6 +623,7 @@ def check_minkowski(
     ``2^(-|1/p-1/2|) || |A1+A2|^p + |B1+B2|^p ||^(1/p)
     <= || |A1|^p + |B1|^p ||^(1/p) + || |A2|^p + |B2|^p ||^(1/p)``.
     """
+    _require_tol(tol)
     return _build(_minkowski(*_stacks(a1, a2, b1, b2), [p], tol))[0]
 
 

@@ -48,7 +48,7 @@ from .certificates import (
     _build,
 )
 from .core import Tensor3, _check_same_shape, _Stack, frobenius_norm
-from .errors import ShapeMismatchError, _require, _require_each
+from .errors import ShapeMismatchError, _require, _require_each, _require_tol
 from .spectral import TEigenSpectrum, _matched_distance, _sorted_pairing, t_eigenvalues
 
 __all__ = [
@@ -117,6 +117,7 @@ class ComponentCount:
 
 def schur_bound(a, tol: float = DEFAULT_TOL) -> InequalityCertificate:
     """Quadratic spectral-sum bound: sum |lambda_i|^2 <= n3 * ||A||_F^2."""
+    _require_tol(tol)
     row = _schur_row(t_eigenvalues(a).values, frobenius_norm(a), a.n3)
     return _build(_Blocks("schur", a.shape, tol, [[row]]))[0][0]
 
@@ -163,6 +164,7 @@ def gershgorin_gaps(discs, spectrum) -> tuple[np.ndarray, np.ndarray, float]:
 
 def gershgorin_contains(discs, spectrum, tol: float = DEFAULT_TOL) -> bool:
     """True iff every value lies within ``tol * scale`` of some disc."""
+    _require_tol(tol)
     gaps, _, scale = gershgorin_gaps(discs, spectrum)
     return not np.any(gaps > tol * scale)
 
@@ -178,6 +180,7 @@ def gershgorin_component_count(
     the returned count is normalized by n3 so it can be compared with the disc
     count directly.
     """
+    _require_tol(tol)
     values = spectrum.values if isinstance(spectrum, TEigenSpectrum) else np.asarray(spectrum)
     return _component_count(discs, values, *gershgorin_gaps(discs, values), tol) if len(discs) else []
 
@@ -245,6 +248,7 @@ def bauer_fike(
     Certifies that every t-eigenvalue of ``a`` has a t-eigenvalue of ``b``
     within ``||q^-1||_2 * ||q||_2 * ||a - b||_2``.
     """
+    _require_tol(tol)
     return _build(_bauer_fike(*(_Stack.of(t) for t in (a, b, q, s)), tol))[0][0]
 
 
@@ -278,6 +282,7 @@ def hoffman_wielandt(
     certificates against the stated constant (``n3``) and the tightened
     constant (``sqrt(n3)``).
     """
+    _require_tol(tol)
     reports, blocks = _hoffman_wielandt(_Stack.of(a), _Stack.of(b), tol)
     return (reports[0], *_build(blocks)[0])
 
@@ -332,6 +337,7 @@ def diag_spectrum_bound(
     ``max_k sqrt(alpha_k^2 + beta_k^2) <= sqrt(2) ||T||_2``, and the tightened
     Frobenius variant with prefactor 1/sqrt(n3).
     """
+    _require_tol(tol)
     return _build(_diag_spectrum(_Stack.of(a), _Stack.of(b), tol))[0]
 
 

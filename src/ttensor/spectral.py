@@ -41,7 +41,7 @@ import numpy as np
 from .algebra import LoewnerVerdict, _asymmetry, _psd_verdicts
 from .core import _POWER_TOL, Tensor3, _solve_together, _Stack, gen_random
 from .eigensolvers import general_eig
-from .errors import NotSymmetricError, NotTPSDError, ShapeMismatchError, _require
+from .errors import NotSymmetricError, NotTPSDError, ShapeMismatchError, _require, _require_tol
 from .fourier import _half_size, to_fourier
 
 __all__ = [
@@ -206,6 +206,7 @@ def young_witness(
     for ``|A|^p / p + |B|^q / q >= U^T * |A * B^T| * U``; a dominance failure
     shows up as a failed verdict rather than an exception.
     """
+    _require_tol(tol)
     u, rhs, lhs = _young_witness(_Stack.of(a), _Stack.of(b), [p], [q])
     return u.member(0), _psd_verdicts(rhs - lhs, tol)[0]
 

@@ -451,18 +451,36 @@ _ORACLE_GRID = (
     (4, 4, 4, 0), (3, 5, 3, 1), (2, 2, 3, 0), (3, 8, 3, 1), (4, 4, 16, 0),
     (2, 2, 70, 1), (3, 128, 3, 0), (3, 127, 3, 1),
 )
+# the configurations checked under the test's current name; the rest keep
+# the old name until they move, a few at a time, since test IDs key the
+# pass/fail record kept across changes
+_WINDOW_CONFIGS = _ORACLE_CONFIGS[:1]
 
 
-@pytest.mark.parametrize("n,n3,trials,seed", _ORACLE_GRID)
-@pytest.mark.parametrize(
-    "theorem_id,mode,params", _ORACLE_CONFIGS,
-    ids=[f"{tid}-{mode}{'-r2' if params else ''}" for tid, mode, params in _ORACLE_CONFIGS],
-)
-def test_lockstep_matches_serial_oracle(theorem_id, mode, params, n, n3, trials, seed):
+def _oracle_configs(configs):
+    return pytest.mark.parametrize(
+        "theorem_id,mode,params", configs,
+        ids=[f"{tid}-{mode}{'-r2' if params else ''}" for tid, mode, params in configs],
+    )
+
+
+def _window_matches_serial_oracle(theorem_id, mode, params, n, n3, trials, seed):
     kwargs = dict(n=n, n3=n3, trials=trials, seed=seed, mode=mode, params=params)
     assert _report_bytes(run_campaign(theorem_id, **kwargs)) == _report_bytes(
         run_campaign_serial(theorem_id, **kwargs)
     )
+
+
+@pytest.mark.parametrize("n,n3,trials,seed", _ORACLE_GRID)
+@_oracle_configs(_WINDOW_CONFIGS)
+def test_window_matches_serial_oracle(theorem_id, mode, params, n, n3, trials, seed):
+    _window_matches_serial_oracle(theorem_id, mode, params, n, n3, trials, seed)
+
+
+@pytest.mark.parametrize("n,n3,trials,seed", _ORACLE_GRID)
+@_oracle_configs(_ORACLE_CONFIGS[len(_WINDOW_CONFIGS):])
+def test_lockstep_matches_serial_oracle(theorem_id, mode, params, n, n3, trials, seed):
+    _window_matches_serial_oracle(theorem_id, mode, params, n, n3, trials, seed)
 
 
 def test_window_size():
@@ -960,3 +978,20 @@ def test_bauer_fike_takes_both_spectra_in_one_general_solve(monkeypatch):
     del calls[:]
     run_campaign_serial("bauer-fike", n=4, n3=4, trials=2, seed=5)
     assert calls == [6, 6]
+
+
+@pytest.mark.parametrize("n,n3,trials", [(4, 4, 4), (3, 128, 1)])
+def test_bauer_fike_conjugator_takes_one_singular_value_svd(monkeypatch, n, n3, trials):
+    # the conjugator stack q keeps its singular values: _conjugators' inverse
+    # check and norm and the certifier's again read one SVD of q; its two
+    # inverses and a - b take one each
+    calls, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if kwargs.get("compute_uv") is False:
+            calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    run_campaign("bauer-fike", n=n, n3=n3, trials=trials, seed=0)
+    assert calls == [(trials, n3 // 2 + 1, n, n)] * 4

@@ -14,6 +14,7 @@ from ttensor import (
     ComplexTensor3,
     RngStream,
     ShapeMismatchError,
+    SingularTensorError,
     Tensor3,
     eigensolvers,
     fourier,
@@ -393,6 +394,58 @@ def test_half_spectrum_svds_at_8x8x256(monkeypatch):
     seen.clear()
     t_inverse(gen_t_psd(8, 256, RngStream(6)))
     assert seen == [129]
+
+
+def _count_singular_value_svds(monkeypatch) -> list:
+    """The shapes handed to ``np.linalg.svd`` for singular values alone."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if kwargs.get("compute_uv") is False:
+            calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_tensor_takes_one_singular_value_svd_for_every_call(monkeypatch):
+    # t_inverse's check and spectral_norm read the singular values the
+    # tensor's stack keeps: one SVD of its 5 half slices for three rounds
+    a = gen_random((4, 4, 8), RngStream(17))
+    fresh = (t_inverse(Tensor3(a.data)).data.tobytes(), spectral_norm(Tensor3(a.data)))
+    calls = _count_singular_value_svds(monkeypatch)
+    for _ in range(3):
+        assert (t_inverse(a).data.tobytes(), spectral_norm(a)) == fresh
+    assert calls == [(1, 5, 4, 4)]
+
+
+def test_kept_singular_values_are_read_only_and_a_fresh_svd():
+    x = _Stack.of(*(gen_random((3, 4, 7), RngStream(18, seed)) for seed in range(2)))
+    sv = x.singular_values()
+    assert sv is x.singular_values() and sv.shape == (2, 4, 3)
+    assert not sv.flags.writeable
+    with pytest.raises(ValueError):
+        sv[0, 0, 0] = 1.0
+    assert sv.tobytes() == np.linalg.svd(x.half_slices(), compute_uv=False).tobytes()
+
+
+def _inverse_error(a: Tensor3) -> tuple:
+    with pytest.raises(SingularTensorError) as info:
+        t_inverse(a)
+    return info.value.slice_index, info.value.condition, str(info.value)
+
+
+def test_singular_tensor_raises_the_same_error_after_spectral_norm():
+    # Fourier slice 0 (the sum of the frontal slices) is rank one
+    d = gen_random((3, 3, 4), RngStream(19)).data.copy()
+    d[:, :, 0] += np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 0.5]) - d.sum(axis=2)
+    alone = _inverse_error(Tensor3(d))
+    assert alone[0] == 0
+    a = Tensor3(d)
+    spectral_norm(a)
+    assert _inverse_error(a) == alone
+    assert _inverse_error(a) == alone
 
 
 def test_complex_spectral_norm_finds_the_max_in_the_last_slice():

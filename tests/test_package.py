@@ -2,8 +2,12 @@
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import ttensor
 from ttensor import certificates
@@ -51,13 +55,14 @@ def _enclosing(tree: ast.Module) -> dict:
     return owner
 
 
-# pattern -> the one place, "module" or "module:Owner", allowed to spell it
-# (or a tuple of such places)
+# pattern -> the one place, "module", "module:Owner" or "module:Owner.method",
+# allowed to spell it (or a tuple of such places)
 ONE_DEFINITION = {
     r"raise HypothesisViolationError\b": "errors",
     r"conj\(\)\.(transpose|swapaxes)": "eigensolvers:_herm_t",
     r"transpose\((2, 0, 1|1, 2, 0)\)": "core:_Dense",
     r"\b1e-8\b": "certificates",  # DEFAULT_TOL
+    r"tol must be a finite number": "errors:_require_tol",  # the one check of a tol argument
     r"1 < \w+ < np\.inf and 1 < \w+ < np\.inf": "spectral:_require_conjugate",  # conjugate exponents
     r"[\"'](\{\w+\}|[A-Z]\w*) (is not|must be) symmetric": "algebra:_require_symmetric",  # symmetric pairs
     r"is not positive semidefinite": "algebra:_require_psd",  # PSD and order hypotheses
@@ -83,6 +88,10 @@ ONE_DEFINITION = {
     # slice SVDs: a real stack's half slices for its spectral norm, the
     # complex tensors' all-slice norm, |X|^r and the inverse's check
     r"np\.linalg\.svd\(": "core",
+    # singular values alone: a real stack's half slices, kept by the stack
+    # for its spectral norm and the inverse's check; the complex tensors'
+    # all-slice norm
+    r"svd\(.*compute_uv=False": ("core:_Stack.singular_values", "core:_spectral"),
     # a real stack's kept slices are read by the stack alone (its readers
     # see half_slices()); the complex tensors read their FourierSlices
     r"\.slices\b": ("core:_Stack", "core:spectral_norm", "fourier", "spectral:t_eigenvalues"),
@@ -105,7 +114,7 @@ ONE_DEFINITION = {
 def _is_home(home: str, module: str, inside: str) -> bool:
     """Whether a line of ``module`` inside ``inside`` lies in ``home``."""
     home_module, _, scope = home.partition(":")
-    return module == home_module and (not scope or inside.split(".")[0] == scope)
+    return module == home_module and (not scope or f"{inside}.".startswith(f"{scope}."))
 
 
 def test_each_concept_is_spelled_in_one_place():
@@ -202,3 +211,76 @@ def test_cli_tolerance_defaults_are_default_tol():
     parser = build_parser()
     for argv in (["check", "furuta"], ["gershgorin", "a.json"]):
         assert parser.parse_args(argv).tol == certificates.DEFAULT_TOL
+
+
+def _tol_calls() -> dict:
+    """Each public function that takes a ``tol``, as a call on instances
+    that satisfy its hypotheses, at the given ``tol``."""
+    tt, rng = ttensor, ttensor.RngStream
+    r1, r2, r3, r4 = (tt.gen_random((3, 3, 4), rng(1, i)) for i in range(4))
+    s1, s2 = (tt.gen_symmetric(3, 4, rng(2, i)) for i in range(2))
+    big, small = tt.gen_loewner_pair(3, 4, rng(3))
+    c1, c2 = tt.gen_commuting_psd_pair(3, 4, rng(4))
+    ortho = tt.spectral.gen_orthogonal(3, 4, rng(5))
+    diag = tt.Tensor3(np.einsum("ij,ik->ijk", np.eye(3), tt.gen_random((3, 1, 4), rng(6)).data[:, 0]))
+    a_bf = tt.t_product(tt.t_product(tt.t_inverse(r1), diag), r1)
+    discs, spectrum = tt.gershgorin_discs(r1), tt.t_eigenvalues(r1)
+    return {
+        "is_symmetric": lambda tol: tt.is_symmetric(s1, tol),
+        "is_orthogonal": lambda tol: tt.is_orthogonal(ortho, tol),
+        "is_normal": lambda tol: tt.is_normal(s1, tol),
+        "is_f_diagonal": lambda tol: tt.is_f_diagonal(diag, tol),
+        "is_t_psd": lambda tol: tt.is_t_psd(big, tol),
+        "loewner_ge": lambda tol: tt.loewner_ge(big, small, tol),
+        "young_witness": lambda tol: tt.young_witness(r1, r2, 2.0, 2.0, tol),
+        "norm_certificate": lambda tol: tt.norm_certificate(
+            "t", dims=(3, 3, 4), params={}, norm_kind=tt.FROBENIUS, lhs=1.0, rhs=2.0, tol=tol
+        ),
+        "loewner_certificate": lambda tol: tt.loewner_certificate(
+            "t", small, big, dims=(3, 3, 4), params={}, tol=tol
+        ),
+        "check_loewner_heinz": lambda tol: tt.check_loewner_heinz(big, small, 0.5, tol),
+        "check_hansen_power": lambda tol: tt.check_hansen_power(0.5 * ortho, big, 0.5, tol),
+        "check_furuta": lambda tol: tt.check_furuta(big, small, 0.5, 1.0, 1.5, tol),
+        "check_young_commuting": lambda tol: tt.check_young_commuting(c1, c2, 2.0, 2.0, tol),
+        "check_young_witness": lambda tol: tt.check_young_witness(r1, r2, 2.0, 2.0, tol),
+        "check_complex_norm_bounds": lambda tol: tt.check_complex_norm_bounds(s1, s2, "a", tol),
+        "check_am_gm": lambda tol: tt.check_am_gm(r1, r2, r3, tol),
+        "check_heinz_family": lambda tol: tt.check_heinz_family(big, r1, small, 1.0, 0.0, tol),
+        "check_holder": lambda tol: tt.check_holder(big, r1, small, 1.0, 2.0, 2.0, tol),
+        "check_holder_pairs": lambda tol: tt.check_holder_pairs(r1, r2, r3, r4, 2.0, 2.0, tol),
+        "check_holder_corollary": lambda tol: tt.check_holder_corollary(r1, r2, 1.0, 2.0, 2.0, tol),
+        "check_minkowski": lambda tol: tt.check_minkowski(r1, r2, r3, r4, 2.0, tol),
+        "schur_bound": lambda tol: tt.schur_bound(r1, tol),
+        "gershgorin_contains": lambda tol: tt.gershgorin_contains(discs, spectrum, tol),
+        "gershgorin_component_count": lambda tol: tt.gershgorin_component_count(discs, spectrum, tol),
+        "bauer_fike": lambda tol: tt.bauer_fike(a_bf, a_bf + 0.01 * r2, r1, diag, tol),
+        "hoffman_wielandt": lambda tol: tt.hoffman_wielandt(s1, s2, tol),
+        "diag_spectrum_bound": lambda tol: tt.diag_spectrum_bound(s1, s2, tol),
+        "run_campaign": lambda tol: tt.run_campaign("minkowski", n=2, n3=2, trials=1, tol=tol),
+    }
+
+
+# every public function that takes a tol, found by its signature
+TOL_FUNCTIONS = [
+    name for name in ttensor.__all__
+    if callable(getattr(ttensor, name)) and not isinstance(getattr(ttensor, name), type)
+    and "tol" in inspect.signature(getattr(ttensor, name)).parameters
+]
+
+
+def test_tol_calls_cover_every_public_function_with_a_tol():
+    assert len(TOL_FUNCTIONS) == 28
+    assert sorted(_tol_calls()) == sorted(TOL_FUNCTIONS)
+
+
+@pytest.mark.parametrize("name", TOL_FUNCTIONS)
+def test_every_tol_must_be_finite_and_nonnegative(name):
+    # a NaN, infinite or negative tolerance makes every verdict against it
+    # wrong: it is refused before any gate or solve, on valid instances
+    call = _tol_calls()[name]
+    call(certificates.DEFAULT_TOL)
+    call(0.0)
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match=r"^tol must be a finite number >= 0, got"):
+            call(tol)

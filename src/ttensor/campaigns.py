@@ -20,8 +20,10 @@ trial takes them (:class:`_Window`); then the window's tensors are built as
 stacks along a leading trial axis, all of its ``R^T * R + delta * I`` in
 one t-product, one shift and one symmetrization (:func:`ttensor.core._t_psd`
 and the other stacked builders, whose one-trial case the public generators
-are).  ``bauer-fike`` tests every trial's first conjugator in one stacked
-inverse and norm call; only a trial whose candidate fails draws on alone.
+are).  ``bauer-fike`` accepts every trial's first conjugator from the
+singular values of the window's candidate stack, which its inverse's check
+reads too; only a trial whose candidate is rejected draws on alone, and the
+accepted stack is inverted once, for the draw and the certifier.
 A fixed instance (literal ``am-gm``'s 1x1x1 trial 0) is certified in a
 stack of its own, the window's other trials in one pass of array calls
 (:func:`_certified`), and the certificates are built per trial.  The
@@ -59,7 +61,7 @@ from . import localization as loc
 from .algebra import PREDICATE_TOL, _require_symmetric, _t_inverse
 from .certificates import DEFAULT_TOL, _build
 from .core import RngStream, _commuting_psd_pairs, _frobenius, _loewner_pairs, _Stack, _t_psd, identity
-from .errors import SingularTensorError, UnknownTheoremError, _require, _require_tol
+from .errors import UnknownTheoremError, _require, _require_tol
 
 __all__ = ["THEOREM_IDS", "CampaignResult", "run_campaign"]
 
@@ -254,33 +256,37 @@ def _draw_random(w, mode, params):
     return w.group([w.random()])
 
 
-def _conjugators(w: _Window, q: _Stack, tries: int = _CONJUGATOR_DRAWS) -> tuple[_Stack, _Stack]:
-    """Each trial's conjugator and its inverse, from its candidate in ``q``: the
-    candidates are tested in one stacked inverse and norm call, and a trial
-    whose candidate is singular or has ``||q||_2 ||q^-1||_2`` above
-    ``_CONJUGATOR_MAX_COND`` goes on alone, drawing from where its stream
-    stands, ``tries`` candidates in all."""
-    try:
-        q_inv = _t_inverse(q)
-        norms = zip(q.spectral(), q_inv.spectral())
-        passed = [a * b <= _CONJUGATOR_MAX_COND for a, b in norms]
-    except SingularTensorError:  # a candidate is singular: each is tested alone
-        q_inv, passed = q, [False] * len(q)
-    if all(passed):
-        return q, q_inv
-    if len(q) == 1:
-        _require(
-            tries > 1,
-            f"bauer-fike: no invertible conjugator with condition <= "
-            f"{_CONJUGATOR_MAX_COND:.0e} in {_CONJUGATOR_DRAWS} draws "
-            f"(seed={w.seed}, trial={w.trials[0]})",
-        )
-        return _conjugators(w, w.random(), tries - 1)
-    q_data, inv_data = q.data.copy(), q_inv.data.copy()
-    for i in (i for i, ok in enumerate(passed) if not ok):
-        q_i, inv_i = _conjugators(w.part(i, i + 1), _Stack(q.data[i:i + 1]), tries)
-        q_data[i], inv_data[i] = q_i.data[0], inv_i.data[0]
-    return _Stack(q_data), _Stack(inv_data)
+def _conjugators(w: _Window, q: _Stack) -> tuple[_Stack, _Stack]:
+    """Each trial's conjugator and its inverse, from its candidate in ``q``.
+    A candidate is accepted when the smallest singular value of its half
+    slices is positive and the largest is at most ``_CONJUGATOR_MAX_COND``
+    times it: their ratio is ``||q||_2 ||q^-1||_2``.  A trial whose
+    candidate is rejected draws on alone, from where its stream stands,
+    ``_CONJUGATOR_DRAWS`` candidates in all.  The accepted stack is
+    inverted once."""
+    accepted = _well_conditioned(q)
+    if not accepted.all():
+        data = q.data.copy()
+        for i in np.flatnonzero(~accepted):
+            redraws = (w.part(i, i + 1).random() for _ in range(_CONJUGATOR_DRAWS - 1))
+            candidate = next((c for c in redraws if _well_conditioned(c)[0]), None)
+            _require(
+                candidate is not None,
+                f"bauer-fike: no invertible conjugator with condition <= "
+                f"{_CONJUGATOR_MAX_COND:.0e} in {_CONJUGATOR_DRAWS} draws "
+                f"(seed={w.seed}, trial={w.trials[i]})",
+            )
+            data[i] = candidate.data[0]
+        q = _Stack(data)
+    return q, _t_inverse(q)
+
+
+def _well_conditioned(q: _Stack) -> np.ndarray:
+    """Whether each member's half slices have a positive smallest singular
+    value and a largest at most ``_CONJUGATOR_MAX_COND`` times it."""
+    sv = q.singular_values()
+    low, high = sv[..., -1].min(axis=1), sv[..., 0].max(axis=1)
+    return (low > 0) & (high <= _CONJUGATOR_MAX_COND * low)
 
 
 def _draw_bauer_fike(w, mode, params):
@@ -291,7 +297,7 @@ def _draw_bauer_fike(w, mode, params):
     a = q_inv @ s @ q
     e = w.random()
     b = a + e * (0.3 * (1.0 + _frobenius(a.data)) / (1.0 + _frobenius(e.data)))
-    return w.group((a, b, q, s))
+    return w.group((a, b, q, s, q_inv))
 
 
 def _draw_symmetric_pair(w, mode, params):

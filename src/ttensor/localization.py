@@ -178,20 +178,30 @@ def gershgorin_component_count(
     Each of the n tensor discs stands for n3 identical rows of the unfolding,
     so a disjoint component of k discs must hold exactly k * n3 t-eigenvalues;
     the returned count is normalized by n3 so it can be compared with the disc
-    count directly.
+    count directly.  The count assumes Gershgorin's theorem: a value more
+    than ``tol * scale`` (:func:`gershgorin_gaps`) outside every disc raises
+    :class:`HypothesisViolationError`.
     """
     _require_tol(tol)
     values = spectrum.values if isinstance(spectrum, TEigenSpectrum) else np.asarray(spectrum)
-    return _component_count(discs, values, *gershgorin_gaps(discs, values), tol) if len(discs) else []
+    if not len(discs):
+        return []
+    _require(len(values) % len(discs) == 0, f"{len(values)} eigenvalues cannot be grouped by {len(discs)} discs")
+    gaps, nearest, scale = gershgorin_gaps(discs, values)
+    _require_each(
+        (f"{z} escapes every disc by {gap:.3e}" if gap > tol * scale else "" for z, gap in zip(values, gaps)),
+        "eigenvalue {}",
+    )
+    return _component_count(discs, nearest, tol * scale)
 
 
-def _component_count(discs, values, gaps, nearest, scale: float, tol: float) -> list[ComponentCount]:
+def _component_count(discs, nearest, slack: float) -> list[ComponentCount]:
     """:func:`gershgorin_component_count` of nonempty ``discs`` from the
-    :func:`gershgorin_gaps` of ``values``."""
+    nearest disc of each value (:func:`gershgorin_gaps`), discs within
+    ``slack`` of each other overlapping: a value is counted in its nearest
+    disc's component however far outside that disc it lies."""
     n = len(discs)
-    _require(len(values) % n == 0, f"{len(values)} eigenvalues cannot be grouped by {n} discs")
-    n3 = len(values) // n
-    slack = tol * scale
+    n3 = len(nearest) // n
 
     # union-find over the disc overlap graph
     parent = list(range(n))
@@ -211,10 +221,6 @@ def _component_count(discs, values, gaps, nearest, scale: float, tol: float) -> 
     for i in range(n):
         members.setdefault(find(i), []).append(i)
 
-    _require_each(
-        (f"{z} escapes every disc by {gap:.3e}" if gap > slack else "" for z, gap in zip(values, gaps)),
-        "eigenvalue {}",
-    )
     counts = Counter(find(int(best)) for best in nearest)
     return [ComponentCount(tuple(idx), len(idx), counts[root] / n3) for root, idx in members.items()]
 
@@ -227,7 +233,7 @@ def _gershgorin(x: _Stack, tol: float) -> _Blocks:
     for i, values in enumerate(x.eigenvalues()):
         discs = gershgorin_discs(x.member(i))
         gaps, nearest, scale = gershgorin_gaps(discs, values)
-        components = _component_count(discs, values, gaps, nearest, scale, tol)
+        components = _component_count(discs, nearest, tol * scale)
         miscount = max(abs(c.eigenvalue_count - c.disc_count) for c in components)
         out.append([
             ({"claim": claim}, NO_NORM, lhs, 0.0, None)
@@ -246,18 +252,20 @@ def bauer_fike(
     """Perturbation bound for a diagonalizable tensor a = q^-1 * s * q.
 
     Certifies that every t-eigenvalue of ``a`` has a t-eigenvalue of ``b``
-    within ``||q^-1||_2 * ||q||_2 * ||a - b||_2``.
+    within ``||q^-1||_2 * ||q||_2 * ||a - b||_2``.  ``q`` is inverted
+    first, so a singular ``q`` raises :class:`SingularTensorError` before
+    ``s`` is checked to be f-diagonal.
     """
     _require_tol(tol)
-    return _build(_bauer_fike(*(_Stack.of(t) for t in (a, b, q, s)), tol))[0][0]
+    return _build(_bauer_fike(*(_Stack.of(t) for t in (a, b, q, s)), _t_inverse(_Stack.of(q)), tol))[0][0]
 
 
-def _bauer_fike(a: _Stack, b: _Stack, q: _Stack, s: _Stack, tol: float) -> _Blocks:
-    """:func:`bauer_fike` of each member; both spectra of every member take
-    one general solver call."""
+def _bauer_fike(a: _Stack, b: _Stack, q: _Stack, s: _Stack, q_inv: _Stack, tol: float) -> _Blocks:
+    """:func:`bauer_fike` of each member, given the inverse ``q_inv`` of
+    ``q``, which the reproduction gate and the bound read; both spectra of
+    every member take one general solver call."""
     hypothesis_tol = _hypothesis_tol(tol)
     _require_each(_off_diagonality(s.data, hypothesis_tol), "S is not f-diagonal: {}")
-    q_inv = _t_inverse(q)
     for res, norm in zip((a - q_inv @ s @ q).frobenius(), a.frobenius()):
         _require(
             not res > hypothesis_tol * (1.0 + norm),

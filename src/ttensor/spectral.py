@@ -42,7 +42,7 @@ from .algebra import LoewnerVerdict, _asymmetry, _psd_verdicts
 from .core import _POWER_TOL, Tensor3, _solve_together, _Stack, gen_random
 from .eigensolvers import general_eig
 from .errors import NotSymmetricError, NotTPSDError, ShapeMismatchError, _require, _require_tol
-from .fourier import _half_size, to_fourier
+from .fourier import _half_size, _parseval_weights, to_fourier
 
 __all__ = [
     "TEigenSpectrum",
@@ -90,7 +90,7 @@ def _mirrored_slices(n3: int) -> tuple[np.ndarray, np.ndarray]:
     another slice.  Returns which of each ``(k, n3 - k)`` is listed, an
     ``(n3//2 + 1, 2)`` mask, and the slices listed, in order."""
     k = np.arange(_half_size(n3))
-    keep = np.stack([np.full(len(k), True), (0 < k) & (k < n3 - k)], axis=1)
+    keep = np.stack([np.full(len(k), True), _parseval_weights(n3) == 2], axis=1)
     return keep, np.stack([k, n3 - k], axis=1)[keep]
 
 

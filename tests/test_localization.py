@@ -26,7 +26,8 @@ from ttensor import (
     t_inverse,
     t_product,
 )
-from ttensor import campaigns, localization
+from ttensor import campaigns, core, localization
+from ttensor.cli import main
 from oracles import brute_bcirc
 
 
@@ -67,6 +68,26 @@ def test_gershgorin_campaign_takes_each_members_gaps_once(monkeypatch):
     monkeypatch.setattr(localization, "gershgorin_gaps", lambda *args: calls.append(1) or gaps(*args))
     result = campaigns.run_campaign("gershgorin", n=3, n3=4, trials=3, seed=0)
     assert len(calls) == 3 and len(result.certificates) == 6
+
+
+def test_gershgorin_campaign_records_an_escaped_eigenvalue_as_a_violation(monkeypatch, capsys):
+    # containment is the theorem's claim, not a hypothesis: an eigenvalue
+    # shifted out of every disc gives violated containment certificates and
+    # exit 1, and the component count puts it in its nearest disc's component
+    eigenvalues = core._Stack.eigenvalues
+    monkeypatch.setattr(core._Stack, "eigenvalues", lambda self: eigenvalues(self) + 100.0)
+    result = campaigns.run_campaign("gershgorin", n=3, n3=4, trials=2, seed=0)
+    containment = [c for c in result.certificates if c.params["claim"] == "containment"]
+    assert len(containment) == 2 and not any(c.holds for c in containment)
+    assert main(["check", "gershgorin", "--n", "3", "--n3", "4", "--trials", "2"]) == 1
+
+
+def test_gershgorin_component_count_refuses_an_escaped_eigenvalue():
+    a = gen_random((3, 3, 4), RngStream(303))
+    discs, values = gershgorin_discs(a), t_eigenvalues(a).values
+    assert len(gershgorin_component_count(discs, values)) >= 1
+    with pytest.raises(HypothesisViolationError, match=r"^eigenvalue .* escapes every disc by"):
+        gershgorin_component_count(discs, values + 100.0)
 
 
 def test_gershgorin_constant_tube_f_diagonal():
@@ -166,7 +187,8 @@ def test_bauer_fike_distance_matches_the_loop_over_eigenvalues(n, n3, seed):
     # eigenvalue bit for bit, whether the last block is full (3 x 128) or not
     window = campaigns._Window(seed, [0], n, n3)
     ((_, stacks, _),) = campaigns._draw_bauer_fike(window, "corrected", {})
-    a, b, q, s = (x.member(0) for x in stacks)
+    a, b, q, s, q_inv = (x.member(0) for x in stacks)
+    assert q_inv.data.tobytes() == t_inverse(q).data.tobytes()
     lam, mu = t_eigenvalues(a).values, t_eigenvalues(b).values
     assert np.any(lam.imag)
     assert bauer_fike(a, b, q, s).lhs == float(max(np.abs(mu - z).min() for z in lam))

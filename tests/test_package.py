@@ -83,6 +83,13 @@ ONE_DEFINITION = {
     r"\.half_slices\(\)|\bfrom_halves\(": (
         "core:_Stack", "core:_t_inverse", "core:_hermitian_tensors", "spectral:gen_orthogonal",
     ),
+    # a tensor is inverted by the inverse kernel, the public inverse, the
+    # campaign draws (each accepted conjugator stack once) and the public
+    # Bauer-Fike bound; no stacked certifier inverts
+    r"\b_t_inverse\(": (
+        "core", "algebra:t_inverse", "campaigns:_conjugators", "campaigns:_draw_hansen_power",
+        "localization:bauer_fike",
+    ),
     # a real stack is built from half slices in one place
     r"_mirror_half\(": ("core:_Stack", "fourier"),
     # slice SVDs: a real stack's half slices for its spectral norm, the
@@ -96,7 +103,8 @@ ONE_DEFINITION = {
     # see half_slices()); the complex tensors read their FourierSlices
     r"\.slices\b": ("core:_Stack", "core:spectral_norm", "fourier", "spectral:t_eigenvalues"),
     # the half-spectrum Parseval weights: 1 for a self-conjugate slice, else 2
-    r"np\.full\(_half_size\(|\bk == 0 or 2 \* k == \w+": "fourier:_parseval_weights",
+    # (2 for a half slice with a distinct conjugate partner)
+    r"np\.full\(_half_size\(|\bk == 0 or 2 \* k == \w+|\(0 < k\) & \(k < n3 - k\)": "fourier:_parseval_weights",
     # a Gram is formed only where a statement or a generator names it:
     # |X|^r takes the SVD of X
     r"(\b\w+)\.transpose\(\) @ \1\b": ("core:_t_psd", "inequalities:_am_gm", "campaigns:_draw_hansen_power"),

@@ -32,6 +32,7 @@ certifies any stack type.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -128,8 +129,11 @@ def _build(blocks: _Blocks, seed: int = -1, trials=None) -> list[list[Inequality
     certificate is made.  A norm row's margin is ``rhs - lhs`` and its
     effective tolerance ``tol * (1 + |rhs|)``; an order row's margin is the
     gap ``-lhs`` and its effective tolerance ``tol * (1 + ||R||_2)``.  A
-    campaign passes its ``seed`` and member ``i``'s trial ``trials[i]``,
-    which goes first in ``params``."""
+    row whose sides, order scale, margin or effective tolerance is not
+    finite raises :class:`ValueError` naming the theorem: its verdict would
+    mean nothing, and a report cannot print it as JSON.  A campaign passes
+    its ``seed`` and member ``i``'s trial ``trials[i]``, which goes first
+    in ``params``."""
     theorem_id, tol, seed = blocks.theorem_id, blocks.tol, int(seed)
     dims = tuple(int(d) for d in blocks.dims)
     out = []
@@ -138,11 +142,10 @@ def _build(blocks: _Blocks, seed: int = -1, trials=None) -> list[list[Inequality
         certs = []
         for params, norm_kind, lhs, rhs, scale in rows:
             lhs, rhs = float(lhs), float(rhs)
-            if scale is None:
-                margin, scale = rhs - lhs, abs(rhs)
-            else:
-                margin = -lhs
-            effective = tol * (1.0 + scale)
+            margin = rhs - lhs if scale is None else -lhs
+            effective = tol * (1.0 + (abs(rhs) if scale is None else scale))
+            if not all(map(math.isfinite, (lhs, rhs, margin, effective))):
+                raise ValueError(f"{theorem_id}: a certificate needs finite values ({lhs=}, {rhs=}, {scale=})")
             certs.append(InequalityCertificate(
                 theorem_id, seed, dims, {**provenance, **params}, norm_kind,
                 lhs, rhs, margin, effective, bool(margin >= -effective),

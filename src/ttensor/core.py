@@ -26,8 +26,9 @@ stack's half spectrum.  The modules it calls into (:mod:`ttensor.algebra`,
 :mod:`ttensor.spectral`) are bound once, at the end of this module.  The
 public functions are the ``b = 1`` case: a member's result never depends on
 the rest of its stack.  A stack keeps its
-Fourier slices and one decomposition of its Hermitian half slices, whose
-self-conjugate slices are real (:meth:`_Stack.spectra`), for its PSD
+Fourier slices, each member's self-conjugate slices made exactly real once,
+when they are kept (the stack's ``slices``), and one decomposition of its
+Hermitian half slices (:meth:`_Stack.spectra`), for its PSD
 checks and its powers alike; its ``|X|^r`` takes one SVD of its half
 slices instead and never forms the Gram, whose condition is the square of
 the stack's.  It keeps the singular values of its half slices as well
@@ -35,7 +36,8 @@ the stack's.  It keeps the singular values of its half slices as well
 the inverse's singularity check both read.  A real member's slices
 ``n3 - k`` and ``k`` are conjugates,
 so every SVD and eigen reader of a stack sees only its half slices
-``0..n3//2`` (:meth:`_Stack.half_slices`): its spectral norm is the largest
+``0..n3//2`` (:meth:`_Stack.half_slices`, a read-only view of the kept
+slices, with no copy): its spectral norm is the largest
 singular value over them, as the 50-digit reference stack defines it, and
 its gate residuals are Parseval sums over them.  :func:`_solve_together`
 solves the spectra of several stacks in one call.  A :class:`Tensor3`
@@ -207,9 +209,10 @@ class _Stack:
     gives that member alone; the public functions are the ``b = 1`` case.
 
     ``slices`` are the members' Fourier slices, ``(b, n3, n1, n2)``,
-    transformed on first use and kept read-only, so a stack is transformed
-    once however often it is used; :meth:`spectra` keeps the one
-    decomposition of its half slices in the same way, and
+    transformed on first use and kept read-only, their self-conjugate
+    slices exactly real, so a stack is transformed once however often it is
+    used and :meth:`half_slices` is a view of them; :meth:`spectra` keeps
+    the one decomposition of its half slices in the same way, and
     :meth:`singular_values` their singular values.  A stack made by
     :meth:`cat` starts with the slices that all of its parts hold and the
     spectra that all of them were asked for (so one power application
@@ -307,22 +310,25 @@ class _Stack:
 
     @property
     def slices(self) -> np.ndarray:
+        """The members' Fourier slices, ``(b, n3, n1, n2)``, from
+        :func:`ttensor.fourier._forward` on first use and kept read-only.
+        Each member's self-conjugate slices, real in exact arithmetic, are
+        set to their real part once, here, so every reader sees them exactly
+        real and every result built from them is exactly conjugate-symmetric
+        after mirroring."""
         if self._slices is None:
             slices = fourier._forward(self.data)
+            slices.imag[:, fourier._self_conjugate_indices(self.n3)] = 0.0
             slices.flags.writeable = False  # a tensor's stack shares them with every call
             self._slices = slices
         return self._slices
 
     def half_slices(self) -> np.ndarray:
         """Fourier slices ``0..n3//2`` of each member, ``(b, n3//2 + 1, n1,
-        n2)``: the only slices a real stack's SVD and eigen readers see, since
-        slices ``n3 - k`` and ``k`` are conjugates and share a spectrum and
-        singular values.  Each member's self-conjugate slices, real in exact
-        arithmetic, are set to their real part, which keeps every result
-        built from them exactly conjugate-symmetric after mirroring."""
-        half = self.slices[:, : fourier._half_size(self.n3)].copy()
-        half.imag[:, fourier._self_conjugate_indices(self.n3)] = 0.0
-        return half
+        n2)``, a read-only view of :attr:`slices`: the only slices a real
+        stack's SVD and eigen readers see, since slices ``n3 - k`` and ``k``
+        are conjugates and share a spectrum and singular values."""
+        return self.slices[:, : fourier._half_size(self.n3)]
 
     def singular_values(self) -> np.ndarray:
         """The singular values of each member's :meth:`half_slices`,
@@ -401,8 +407,7 @@ class _Stack:
         (:func:`_clipped_power`).  The members are symmetric and PSD, as a
         hypothesis gate has certified; :func:`ttensor.spectral.t_power`
         checks its own argument."""
-        exponents = list(r) if np.ndim(r) else [r] * len(self)
-        return _hermitian_tensors(_clipped_power(self.spectra(), exponents), self.n3)
+        return _hermitian_tensors(_clipped_power(self.spectra(), r, len(self)), self.n3)
 
     def abs_power(self, r) -> "_Stack":
         """``|x|^r = (x^T x)^(r/2)`` of each member, or of member ``i`` at
@@ -421,8 +426,7 @@ class _Stack:
         sigma = np.pad(sigma, [(0, 0), (0, self.shape[1] - sigma.shape[1])])
         # sigma descending: the power reads no order
         e = eigensolvers.HermitianEigen(sigma, eigensolvers._herm_t(vh))
-        exponents = list(r) if np.ndim(r) else [r] * len(self)
-        return _hermitian_tensors(_clipped_power(e, exponents), self.n3)
+        return _hermitian_tensors(_clipped_power(e, r, len(self)), self.n3)
 
     def frobenius(self) -> list:
         """Each member's :func:`frobenius_norm`, as a list of floats."""
@@ -503,10 +507,11 @@ def _check_product_shapes(a, b) -> None:
         raise ShapeMismatchError(f"cannot multiply {a} by {b}: need a.n2 == b.n1 and equal n3")
 
 
-def _clipped_power(e, exponents: list) -> np.ndarray:
-    """``V clip(w)^r V^H`` per slice of the decomposition ``e``, each
-    member's slices in turn, the slices of member ``i`` at ``exponents[i]``:
-    the one power loop of :meth:`_Stack.power` and :meth:`_Stack.abs_power`.
+def _clipped_power(e, exponent, b: int) -> np.ndarray:
+    """``V clip(w)^r V^H`` per slice of the decomposition ``e``, each of the
+    ``b`` members' slices in turn, all at ``r = exponent`` or those of member
+    ``i`` at ``exponent[i]``: the one power loop of :meth:`_Stack.power` and
+    :meth:`_Stack.abs_power`.
 
     Eigenvalues are clipped at 0 first, so ``0**r = 0`` for ``r > 0`` and
     ``w**0 = 1``.  Only a member at a negative exponent is checked, for
@@ -514,7 +519,8 @@ def _clipped_power(e, exponents: list) -> np.ndarray:
     alone.  Each distinct exponent is applied as one Python number: numpy's
     ``**`` takes its square and square-root fast paths only for a scalar
     exponent, and those round differently from the general power."""
-    values = e.values.reshape(len(exponents), -1)
+    exponents = list(exponent) if np.ndim(exponent) else [exponent] * b
+    values = e.values.reshape(b, -1)
     for r, lam_max, min_eig in zip(exponents, values.max(axis=1).tolist(), values.min(axis=1).tolist()):
         if r < 0 and (lam_max <= 0.0 or min_eig < _POWER_TOL * lam_max):
             raise SingularTensorError(

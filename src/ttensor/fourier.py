@@ -63,8 +63,9 @@ case (bit-equal and as fast as the unstacked einsums at 8x8x1024, 8x8x512,
 ``n`` up to 8, ``n3`` up to 128 and stacks of up to 64).  This module
 caches nothing but the kernel; a real tensor's slices are kept by the stack
 it owns (:meth:`ttensor.core._Stack.of`), which takes them from
-:func:`_forward` once, so :func:`to_fourier` of a real tensor transforms it
-only on its first use by any call.  A complex tensor is transformed afresh
+:func:`_forward` once and sets its self-conjugate slices' imaginary parts,
+which are roundoff, to 0; so :func:`to_fourier` of a real tensor transforms
+it only on its first use by any call.  A complex tensor is transformed afresh
 by every call.
 
 Large transforms run on two threads (:func:`_slicewise_einsum`).  When the
@@ -160,7 +161,9 @@ class FourierSlices:
 
     ``origin_real`` records that the slices came from a real tensor, in which
     case slice ``n3 - i`` is the entrywise conjugate of slice ``i`` for
-    i = 1..n3-1 (0-based) and slice 0 is real up to roundoff.
+    i = 1..n3-1 (0-based) and the self-conjugate slices (0 and, for even
+    n3, n3/2) are real: exactly real when they come from :func:`to_fourier`,
+    whose stack sets their imaginary parts to 0.
     """
 
     n1: int
@@ -333,7 +336,8 @@ def to_fourier(a) -> FourierSlices:
 
     Accepts real and complex tensors; ``origin_real`` is set for real input,
     and the output then carries the conjugate-symmetry pattern by construction.
-    A real tensor's slices are a read-only view of those its stack keeps.
+    A real tensor's slices are a read-only view of those its stack keeps,
+    which are the kernel's but for self-conjugate slices made exactly real.
     """
     n1, n2, n3 = a.shape
     if isinstance(a, Tensor3):

@@ -23,11 +23,10 @@ pairs of ``_sorted_pairing_distances``, ``_diag_spectrum`` and the
 Hoffman-Wielandt campaign in one Jacobi call.  The matchings and the disc
 components are found member by member.
 
-``_schur``, ``_hoffman_wielandt``, ``_sorted_pairing_distances`` and
-``_diag_spectrum`` call only stack methods, so they run on any stack type
-(the tests run them at 50 digits).  Gershgorin's discs and Bauer-Fike's
-f-diagonal gate read their inputs' entries, so those two run on float
-stacks only.
+The stacked certifiers call only stack methods, so they run on any stack
+type (the tests run them at 50 digits).  Gershgorin's discs and
+Bauer-Fike's f-diagonal gate read their inputs' entries, through the
+stack's ``data`` and ``member``.
 """
 
 from __future__ import annotations

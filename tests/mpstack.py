@@ -5,13 +5,14 @@
 ``abs_power``, ``align``, ``frobenius``, ``spectral``, ``gram_residuals``,
 ``extremes``, ``eigenvalues``, ``cartesian_norms``, ``cat``, ``split``,
 ``where``), so the stacked certifiers of
-:mod:`ttensor.inequalities`, the Schur, Hoffman-Wielandt and diag-spectrum
-certifiers of :mod:`ttensor.localization`, the gates of
+:mod:`ttensor.inequalities` and :mod:`ttensor.localization`, the gates of
 :mod:`ttensor.algebra` and the Young witness of :mod:`ttensor.spectral`
 run on it unchanged.  It holds each member's half spectrum, Fourier slices
 ``0 .. n3//2`` as mpmath matrices, from a 50-digit DFT of the same float
 inputs; the other slices are their conjugates, so the half spectrum
-carries the whole member (Kilmer & Martin, LAA 2011).
+carries the whole member (Kilmer & Martin, LAA 2011).  A stack made from
+a float stack keeps it, and reads its entries where a certifier reads its
+inputs' entries: Gershgorin's discs and Bauer-Fike's f-diagonal gate.
 
 Per half slice it multiplies, takes conjugate transposes, powers,
 alignments and min gaps through ``eighe`` of the Hermitian part, and
@@ -59,14 +60,17 @@ def _per_member(value, b: int) -> list:
 
 class _MpStack:
     """``b`` real tensors of shape ``(n1, n2, n3)``; ``halves[i][k]`` is
-    Fourier slice ``k`` of member ``i``, for ``k`` in ``0 .. n3//2``."""
+    Fourier slice ``k`` of member ``i``, for ``k`` in ``0 .. n3//2``.  A
+    stack made by :meth:`of` keeps the float stack ``source`` it was made
+    from, whose entries :attr:`data` and :meth:`member` read."""
 
-    def __init__(self, halves: list, shape: tuple):
-        self.halves, self.shape = halves, tuple(shape)
+    def __init__(self, halves: list, shape: tuple, source=None):
+        self.halves, self.shape, self._source = halves, tuple(shape), source
 
     @classmethod
     def of(cls, x) -> "_MpStack":
-        """The members of the float stack ``x``, transformed at 50 digits."""
+        """The members of the float stack ``x``, transformed at 50 digits;
+        the stack keeps ``x`` for its entries."""
         mp = _mp()
         _, n1, n2, n3 = x.data.shape
         roots = [[mp.expjpi(mp.mpf(-2 * k * t) / n3) for t in range(n3)] for k in range(n3 // 2 + 1)]
@@ -76,7 +80,17 @@ class _MpStack:
             halves.append([
                 mp.matrix([[mp.fdot(w, tubes[i][j]) for j in range(n2)] for i in range(n1)]) for w in roots
             ])
-        return cls(halves, (n1, n2, n3))
+        return cls(halves, (n1, n2, n3), x)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The entries of the float stack this stack was made from, the
+        input that Gershgorin's discs and Bauer-Fike's f-diagonal gate read."""
+        return self._source.data
+
+    def member(self, i: int):
+        """Member ``i`` of the float stack this stack was made from."""
+        return self._source.member(i)
 
     @property
     def n3(self) -> int:

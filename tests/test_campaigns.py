@@ -461,7 +461,7 @@ _ORACLE_GRID = (
 # the configurations checked under the test's current name; the rest keep
 # the old name until they move, a few at a time, since test IDs key the
 # pass/fail record kept across changes
-_WINDOW_CONFIGS = _ORACLE_CONFIGS[:2]
+_WINDOW_CONFIGS = _ORACLE_CONFIGS[:3]
 
 
 def _oracle_configs(configs):

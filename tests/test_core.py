@@ -365,6 +365,18 @@ def test_stack_spectral_is_the_half_slice_max(n3):
             assert np.allclose(x.spectral(), _spectral(x.slices), rtol=1e-13, atol=0), (n, kind)
 
 
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 127, 128])
+def test_half_slices_view_exactly_real_self_conjugate_slices(n3):
+    # the stack makes each member's self-conjugate slices real once, where
+    # it keeps its slices; half_slices() is a read-only view of them
+    x = _Stack.of(*(gen_random((3, 2, n3), RngStream(19, seed)) for seed in range(3)))
+    half = x.half_slices()
+    assert half.shape == (3, n3 // 2 + 1, 3, 2)
+    assert np.shares_memory(half, x.slices) and not half.flags.writeable
+    imag = x.slices.imag[:, [0, n3 // 2] if n3 % 2 == 0 else [0]]
+    assert (imag == 0.0).all() and not np.signbit(imag).any()
+
+
 @pytest.mark.parametrize("n3", [3, 4, 5, 64, 127])
 def test_upper_slices_reach_no_svd_reader(n3):
     # slices n3//2+1.. are the conjugates of the half slices: garbage there

@@ -46,7 +46,7 @@ from ttensor import (
     transpose,
     young_witness,
 )
-from ttensor.certificates import DEFAULT_TOL
+from ttensor.certificates import DEFAULT_TOL, FROBENIUS, NO_NORM, _Blocks, _build, norm_certificate
 
 
 def test_loewner_heinz_r1_is_the_gap_itself():
@@ -709,6 +709,19 @@ def test_certificate_margin_invariant():
     cert = check_loewner_heinz(a, b, 0.7)
     assert cert.margin == pytest.approx(cert.rhs - cert.lhs, abs=1e-15)
     assert cert.holds == (cert.margin >= -cert.tol)
+
+
+def test_a_certificate_of_a_side_that_is_not_finite_raises():
+    # an infinite or NaN side or scale has no verdict and no JSON form
+    a, big = gen_random((2, 2, 3), RngStream(1)), 1e150 * gen_random((2, 2, 3), RngStream(2))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^holder-corollary: a certificate needs finite"):
+            check_holder_corollary(a, big, 1.0, 2.0, 2.0)
+    for lhs, rhs in ((1.0, np.inf), (np.nan, 1.0), (-np.inf, 0.0)):
+        with pytest.raises(ValueError, match="^t: a certificate needs finite"):
+            norm_certificate("t", dims=(1, 1, 1), params={}, norm_kind=FROBENIUS, lhs=lhs, rhs=rhs)
+    with pytest.raises(ValueError, match="^t: a certificate needs finite"):
+        _build(_Blocks("t", (1, 1, 1), DEFAULT_TOL, [[({}, NO_NORM, 0.0, 0.0, np.inf)]]))
 
 
 def test_loewner_certificate_min_gap_vs_quadratic_form():

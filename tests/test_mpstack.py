@@ -5,16 +5,8 @@ draws."""
 import pytest
 
 from mpstack import _MpStack
-from ttensor import campaigns, run_campaign
+from ttensor import THEOREM_IDS, campaigns, run_campaign
 from ttensor.certificates import DEFAULT_TOL, _build
-
-# the theorems whose certifiers are written in the stack algebra
-STACK_ALGEBRA_IDS = (
-    "loewner-heinz", "hansen-power", "furuta", "young-commuting",
-    "complex-norm-a", "complex-norm-b", "complex-norm-c", "am-gm", "heinz-family",
-    "holder", "holder-pairs", "holder-corollary", "minkowski", "young-witness",
-    "schur", "hoffman-wielandt", "diag-spectrum",
-)
 
 # the theorems under |X|^r, which takes one SVD per half slice: their float
 # margins stay within 1e-5 tol of the 50-digit ones (at most 1.1e-7 tol
@@ -55,7 +47,7 @@ def _float(stack):
 
 
 @pytest.mark.parametrize("n,n3", [(2, 3), (3, 4)])
-@pytest.mark.parametrize("theorem_id", STACK_ALGEBRA_IDS)
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)  # every certifier is written in the stack algebra
 def test_float_margins_agree_with_50_digits(theorem_id, n, n3):
     floats = _trial_certificates(theorem_id, n, n3, 0, _float)
     campaign = run_campaign(theorem_id, n=n, n3=n3, trials=1, seed=0).certificates

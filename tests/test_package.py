@@ -67,14 +67,18 @@ ONE_DEFINITION = {
     r"[\"'](\{\w+\}|[A-Z]\w*) (is not|must be) symmetric": "algebra:_require_symmetric",  # symmetric pairs
     r"is not positive semidefinite": "algebra:_require_psd",  # PSD and order hypotheses
     r"is_t_psd requires a symmetric": "algebra:is_t_psd",
-    # the Hermitian half slices, whose self-conjugate ones every half spectrum keeps real
-    r"\.slices\[:, : ?(fourier\.)?_half_size\(|\.imag\[:, (fourier\.)?_self_conjugate_indices\(": "core:_Stack",
+    # the self-conjugate slices made real once, where the stack keeps its
+    # slices, and the half slices read in place
+    r"\.imag\[:, (fourier\.)?_self_conjugate_indices\(": "core:_Stack.slices",
+    r"\.slices\[:, : ?(fourier\.)?_half_size\(": "core:_Stack.half_slices",
     r"t_power requires": "spectral:t_power",  # the kernel trusts the hypothesis gates
     r"[\"']n/a[\"']": "certificates",  # NO_NORM
     # a real tensor is transformed only by its stack, which keeps the slices
     r"_forward\(": ("core:_Stack", "fourier"),
     # each distinct exponent applied as one Python number, for powers and Gram powers alike
     r"dict\.fromkeys\(exponents\)|\] \*\* r\b": "core:_clipped_power",
+    # one exponent for every member, or one per member
+    r"list\(\w+\) if np\.ndim\(\w+\) else": "core:_clipped_power",
     # the tail of powers and Gram powers: Hermitian half slices mirrored, inverted, symmetrized
     r"from_halves\(.*\)\.sym\(\)": "core:_hermitian_tensors",
     # a real stack's half spectrum is read and built by the stack's kernels
@@ -110,6 +114,7 @@ ONE_DEFINITION = {
     r"(\b\w+)\.transpose\(\) @ \1\b": ("core:_t_psd", "inequalities:_am_gm", "campaigns:_draw_hansen_power"),
     # a certificate is made once, by the one builder, with its provenance
     r"\bInequalityCertificate\(": "certificates:_build",
+    r"a certificate needs finite": "certificates:_build",  # no verdict on an overflowed side
     # the stack algebra keeps t-eigenvalues as arrays; the public function
     # builds the spectrum object
     r"\bTEigenSpectrum\(": "spectral:t_eigenvalues",

@@ -45,7 +45,11 @@ keeps its one-member stack (:meth:`_Stack.of`), so every public call on
 the tensor reads the same slices, spectra and singular values, computed on
 first use.  A stack holds
 real tensors only: :meth:`_Stack.of` refuses anything but a
-:class:`Tensor3`, and a :class:`Tensor3` refuses complex entries.
+:class:`Tensor3`, and a :class:`Tensor3` refuses complex entries.  A
+:class:`ComplexTensor3` ``A + iB`` takes the same half-spectrum path
+through stacks of its parts: its spectral norm is
+:meth:`_Stack.cartesian_norms` of ``A`` and ``B`` (slice ``n3 - k`` of
+``A + iB`` is ``conj(A_k - i B_k)``), so no complex transform is made.
 """
 
 from __future__ import annotations
@@ -233,19 +237,13 @@ class _Stack:
         self.data, self._slices, self._spectra, self._singular = data, None, None, None
 
     @classmethod
-    def of(cls, *tensors: Tensor3) -> "_Stack":
-        """The tensors, in order, as the members of one stack.  One tensor's
-        stack is the one it keeps, made on first use as a view of its
-        read-only data; two threads that make it at once each get a stack of
-        the same bits, and the tensor keeps one of them.  Anything but a
-        :class:`Tensor3` raises :class:`TypeError`."""
-        for t in tensors:
-            if not isinstance(t, Tensor3):
-                raise TypeError(f"a stack holds real tensors (Tensor3), got {type(t).__name__}")
-            _check_same_shape(tensors[0], t)
-        if len(tensors) > 1:
-            return cls(np.stack([t.data for t in tensors]))
-        (t,) = tensors
+    def of(cls, t: Tensor3) -> "_Stack":
+        """The one-member stack that ``t`` keeps, made on first use as a view
+        of its read-only data; two threads that make it at once each get a
+        stack of the same bits, and the tensor keeps one of them.  Anything
+        but a :class:`Tensor3` raises :class:`TypeError`."""
+        if not isinstance(t, Tensor3):
+            raise TypeError(f"a stack holds real tensors (Tensor3), got {type(t).__name__}")
         x = getattr(t, "_stack", None)  # unset on a stack's member view
         if x is None:
             x = cls(t.data[None])
@@ -490,10 +488,22 @@ class _Stack:
 
     def cartesian_norms(self, other: "_Stack") -> tuple[list, list]:
         """Each member's Frobenius and spectral norms of ``T = self + i other``,
-        as lists of floats; the spectral norms take one complex transform."""
+        as lists of floats.
+
+        With ``A_k`` and ``B_k`` the members' Fourier slices, slice ``k`` of
+        ``T`` is ``A_k + i B_k`` and slice ``n3 - k`` is ``conj(A_k - i B_k)``
+        (Kilmer & Martin, LAA 2011), so the spectral norm is the largest
+        singular value of ``A_k + i B_k`` over both stacks'
+        :meth:`half_slices` and of ``A_k - i B_k`` over those with a distinct
+        partner (a self-conjugate slice's is the conjugate of its own), taken
+        in one SVD of ``n3`` slices per member, and no complex transform is
+        made.  The Frobenius norm sums the squares of both parts' entries
+        (:func:`_frobenius`)."""
         _check_same_shape(self, other)
-        t = self.data + 1j * other.data
-        return _frobenius(t).tolist(), _spectral(fourier._forward(t)).tolist()
+        a, ib = self.half_slices(), 1j * other.half_slices()
+        partnered = fourier._parseval_weights(self.n3) == 2
+        sv = np.linalg.svd(np.concatenate([a + ib, (a - ib)[:, partnered]], axis=1), compute_uv=False)
+        return _frobenius(self.data + 1j * other.data).tolist(), sv[..., 0].max(axis=1).tolist()
 
 
 def _check_same_shape(a, b) -> None:
@@ -652,11 +662,23 @@ def frobenius_norm(a) -> float:
 def _frobenius(d: np.ndarray) -> np.ndarray:
     """Frobenius norm of each member of a real or complex stack: the bits of
     ``np.linalg.norm`` on the member, which takes the same BLAS dot products
-    (of the real and the imaginary parts)."""
+    (of the real and the imaginary parts).  A member whose plain sum of
+    squares overflows or underflows (is infinite, or below the smallest
+    normal number) is summed again with its entries' parts divided by the
+    largest part magnitude, as LAPACK's ``dnrm2`` scales, so a representable
+    norm is returned; every other member keeps the plain sum's bits."""
     flat = d.reshape(d.shape[0], math.prod(d.shape[1:]))
-    if not np.iscomplexobj(flat):
-        return np.sqrt(np.vecdot(flat, flat))
-    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    with np.errstate(over="ignore"):
+        squares = sum(np.vecdot(p, p) for p in parts)
+    norms, tiny = np.sqrt(squares), np.finfo(float).tiny  # the smallest normal number
+    # an all-zero stack's norms are 0 as they are
+    if not (squares.min(initial=math.inf) >= tiny and squares.max(initial=0.0) < math.inf) and flat.any():
+        redo = ~(squares >= tiny) | np.isinf(squares)
+        x = flat[redo].view(float)  # the parts' entries, side by side
+        big = np.abs(x).max(axis=1, keepdims=True, initial=tiny)  # tiny: an all-zero member
+        norms[redo] = big[:, 0] * np.sqrt(np.vecdot(x / big, x / big))
+    return norms
 
 
 def spectral_norm(a) -> float:
@@ -665,20 +687,13 @@ def spectral_norm(a) -> float:
     Equals the maximum over Fourier slices of the slice's largest singular
     value, because the unfolding is unitarily block-diagonalized by the DFT.
     A real tensor's norm is its stack's (:meth:`_Stack.spectral`), which
-    takes the SVD of the half slices ``0..n3//2`` only; a complex tensor's
-    takes all ``n3`` slices.
+    takes the SVD of the half slices ``0..n3//2`` only; a complex tensor
+    ``A + iB``'s is :meth:`_Stack.cartesian_norms` of its parts, which reads
+    the half slices of ``A`` and ``B``.
     """
     if isinstance(a, Tensor3):
         return _Stack.of(a).spectral()[0]
-    return float(_spectral(fourier.to_fourier(a).slices[None])[0])
-
-
-def _spectral(slices: np.ndarray) -> np.ndarray:
-    """:func:`spectral_norm` of each member of a ``(b, n3, n1, n2)`` stack of
-    Fourier slices, all ``n3`` of them: the path of complex tensors, which
-    have no conjugate pairs.  LAPACK takes each slice alone, so a member's
-    norm does not depend on the rest of the stack."""
-    return np.linalg.svd(slices, compute_uv=False)[..., 0].max(axis=1)
+    return _Stack(a.data.real[None]).cartesian_norms(_Stack(a.data.imag[None]))[1][0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ One cached array per tube length backs both directions: ``F`` from
 :func:`dft_matrix`, which is bitwise symmetric (its exponents come from the
 symmetric ``outer(j, j)``).
 
-* Forward, real tensor: a complex product ``F[k, t] * (a[t] + 0j)`` has
+* Forward: a real tensor's complex product ``F[k, t] * (a[t] + 0j)`` has
   parts ``round(F.real[k, t] * a[t])`` and ``round(F.imag[k, t] * a[t])``
   exactly, so the transform runs in real arithmetic.  The real kernel ``K``
   is ``F``'s own buffer read as ``(t, k, c)`` floats, ``c`` 0 for the real
@@ -24,9 +24,9 @@ symmetric ``outer(j, j)``).
   order as the complex einsum did, and its output read as complex is the
   same slices, bit for bit (the tests pin this against the complex kernel
   for ``n3`` up to 1024, exact and signed zeros included), at a third of
-  the time on long tubes.  A :class:`~ttensor.core.ComplexTensor3` keeps the
-  complex kernel: its imaginary parts are not zero, so there is no real
-  split with the same roundoff.
+  the time on long tubes.  This is the only forward kernel: a
+  :class:`~ttensor.core.ComplexTensor3` ``A + iB`` is transformed as its
+  real parts, ``to_fourier(A) + 1j * to_fourier(B)``.
 * Inverse: the slices are conjugated once into a tube-major ``(n1, n2, n3)``
   buffer, so the reduction over the slice index runs along contiguous
   memory, and contracted with ``F`` itself.  Per term
@@ -54,31 +54,30 @@ What breaks or slows this:
 
 Both directions take stacks too: :func:`_forward` maps ``(b, n1, n2, n3)``
 real tensors to ``(b, n3, n1, n2)`` slices with the einsum
-``"tkc,bijt->bkijc"`` (complex tensors with ``"kt,bijt->bkij"`` over ``F``),
-and :func:`_inverse` maps them back with ``"kt,bijt->bijk"``.  einsum adds
-each member's terms in the same order whatever ``b`` is, so a member's
-result is bit for bit its lone transform, and :func:`to_fourier` and :func:`from_fourier` are the ``b = 1``
-case (bit-equal and as fast as the unstacked einsums at 8x8x1024, 8x8x512,
-16x16x128 and 3x3x128; the complex einsum was checked on 2800 members with
-``n`` up to 8, ``n3`` up to 128 and stacks of up to 64).  This module
-caches nothing but the kernel; a real tensor's slices are kept by the stack
-it owns (:meth:`ttensor.core._Stack.of`), which takes them from
-:func:`_forward` once and sets its self-conjugate slices' imaginary parts,
-which are roundoff, to 0; so :func:`to_fourier` of a real tensor transforms
-it only on its first use by any call.  A complex tensor is transformed afresh
-by every call.
+``"tkc,bijt->bkijc"``, and :func:`_inverse` maps them back with
+``"kt,bijt->bijk"``.  einsum adds each member's terms in the same order
+whatever ``b`` is, so a member's result is bit for bit its lone transform,
+and :func:`to_fourier` and :func:`from_fourier` are the ``b = 1`` case
+(bit-equal and as fast as the unstacked einsums at 8x8x1024, 8x8x512,
+16x16x128 and 3x3x128).  This module caches nothing but the kernel; a real
+tensor's slices are kept by the stack it owns
+(:meth:`ttensor.core._Stack.of`), which takes them from :func:`_forward`
+once and sets its self-conjugate slices' imaginary parts, which are
+roundoff, to 0; so :func:`to_fourier` of a real tensor transforms it only
+on its first use by any call.  A complex tensor's parts are transformed
+afresh, as one two-member stack, by every call.
 
 Large transforms run on two threads (:func:`_slicewise_einsum`).  When the
 work ``b * n1 * n2 * n3**2`` is above ``_SPLIT_WORK``, the process may run
-on two or more CPUs and the worker is idle, each of the three einsums is cut
+on two or more CPUs and the worker is idle, each of the two einsums is cut
 in two blocks of the kernel's ``k`` rows, the output slice index, never
 ``t``, the index summed over.  The calling thread computes the first block, one persistent
 worker thread the second, and the blocks are joined along the slice axis.
 numpy's einsum releases the GIL in its loops, so the blocks run at once.
 An output element depends only on its own kernel row, whose terms einsum
 adds in the same ``t`` order whichever block the row sits in, so the
-result is bit for bit the single einsum (the tests force the split on real
-and complex forwards and inverses, ``n3`` 1 to 1023, and compare bytes).
+result is bit for bit the single einsum (the tests force the split on
+forwards and inverses, ``n3`` 1 to 1023, and compare bytes).
 
 * The threshold, ``2**21`` (1-3 ms of one einsum), was measured on the
   shared 2-core box by timing each direction split and whole, best of
@@ -338,23 +337,22 @@ def to_fourier(a) -> FourierSlices:
     and the output then carries the conjugate-symmetry pattern by construction.
     A real tensor's slices are a read-only view of those its stack keeps,
     which are the kernel's but for self-conjugate slices made exactly real.
+    A complex tensor ``A + iB``'s slices are ``to_fourier(A) + 1j *
+    to_fourier(B)``, from one two-member stack of its parts.
     """
     n1, n2, n3 = a.shape
     if isinstance(a, Tensor3):
         return FourierSlices(n1, n2, n3, _Stack.of(a).slices[0], True)
-    return FourierSlices(n1, n2, n3, _forward(a.data[None])[0], False)
+    re, im = _Stack(np.stack([a.data.real, a.data.imag])).slices
+    return FourierSlices(n1, n2, n3, re + 1j * im, False)
 
 
 def _forward(data: np.ndarray) -> np.ndarray:
-    """Fourier slices ``(b, n3, n1, n2)`` of each member of a C-contiguous
-    ``(b, n1, n2, n3)`` stack, C-contiguous for real data.  einsum adds each
-    member's terms in ``t`` order whatever ``b`` is, so a member's slices are
-    bit for bit its own transform."""
-    n3 = data.shape[3]
-    if np.iscomplexobj(data):
-        return _slicewise_einsum("kt,bijt->bkij", dft_matrix(n3), data)
-    kernel = _real_dft_kernel(n3)
-    parts = _slicewise_einsum("tkc,bijt->bkijc", kernel, data)
+    """C-contiguous Fourier slices ``(b, n3, n1, n2)`` of each member of a
+    C-contiguous real ``(b, n1, n2, n3)`` stack.  einsum adds each member's
+    terms in ``t`` order whatever ``b`` is, so a member's slices are bit for
+    bit its own transform."""
+    parts = _slicewise_einsum("tkc,bijt->bkijc", _real_dft_kernel(data.shape[3]), data)
     return np.ascontiguousarray(parts.view(complex)[..., 0])
 
 

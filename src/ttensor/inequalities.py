@@ -369,7 +369,8 @@ def check_complex_norm_bounds(
 
 def _complex_norm_bounds(a: _Stack, b: _Stack, variant: str, tol: float, mode: str) -> _Blocks:
     """:func:`check_complex_norm_bounds` of each member.  The norms of
-    ``T = A + iB`` come from the complex transform of the stacked members."""
+    ``T = A + iB`` come from the half slices of the members of ``A`` and
+    ``B`` (:meth:`~ttensor.core._Stack.cartesian_norms`)."""
     if variant not in ("a", "b", "c"):
         raise ValueError(f"unknown variant {variant!r}")
     if mode not in (MODE_CORRECTED, MODE_LITERAL):

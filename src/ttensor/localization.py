@@ -350,8 +350,10 @@ def diag_spectrum_bound(
 
 def _diag_spectrum(a: _Stack, b: _Stack, tol: float) -> _Blocks:
     """:func:`diag_spectrum_bound` of each member; the spectra take one
-    solver call, and the norms of ``T = A + iB`` one complex transform."""
+    solver call.  The norms of ``T = A + iB`` come first, so the stack of
+    both spectra carries the Fourier slices they transformed."""
     _require_symmetric(tol, A=a, B=b)
+    norms = zip(*a.cartesian_norms(b))
     spectra = a.cat(b).eigenvalues()
     n3 = a.n3
 
@@ -359,7 +361,6 @@ def _diag_spectrum(a: _Stack, b: _Stack, tol: float) -> _Blocks:
         return {"claim": claim}, norm_kind, lhs, rhs, None
 
     out = []
-    norms = zip(*a.cartesian_norms(b))
     for alpha, beta, (ft, st) in zip(spectra, spectra[len(a):], norms):
         alpha, beta = alpha.real, beta.real
         alpha = alpha[np.argsort(-np.abs(alpha), kind="stable")]

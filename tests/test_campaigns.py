@@ -461,7 +461,7 @@ _ORACLE_GRID = (
 # the configurations checked under the test's current name; the rest keep
 # the old name until they move, a few at a time, since test IDs key the
 # pass/fail record kept across changes
-_WINDOW_CONFIGS = _ORACLE_CONFIGS[:3]
+_WINDOW_CONFIGS = _ORACLE_CONFIGS[:4]
 
 
 def _oracle_configs(configs):
@@ -870,7 +870,8 @@ def _grouped(instances: dict) -> list:
         groups.setdefault(tuple(x.shape for x in tensors), []).append(trial)
     return [
         (trials,
-         [_Stack.of(*column) for column in zip(*(instances[t][0] for t in trials))],
+         [_Stack(np.stack([x.data for x in column]))
+          for column in zip(*(instances[t][0] for t in trials))],
          [list(column) for column in zip(*(instances[t][1] for t in trials))])
         for trials in groups.values()
     ]

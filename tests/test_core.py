@@ -5,6 +5,7 @@ import math
 import pickle
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -39,7 +40,7 @@ from ttensor import (
     transpose,
 )
 from ttensor.algebra import _t_inverse
-from ttensor.core import _spectral, _Stack
+from ttensor.core import _Stack
 from oracles import brute_bcirc, direct_inner_product, power_iteration_norm
 
 
@@ -279,6 +280,24 @@ def test_norms_on_identity():
     assert spectral_norm(eye) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_frobenius_norm_survives_a_sum_of_squares_out_of_range(scale):
+    # the plain sum of squares overflows to inf at 1e200 and underflows to 0
+    # at 1e-200; such a member is summed again, scaled by its largest entry
+    t = Tensor3(np.full((1, 1, 2), scale))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frobenius_norm(t) == pytest.approx(np.sqrt(2) * scale, rel=1e-15, abs=0)
+        assert frobenius_norm(ComplexTensor3.from_parts(t, -t)) == pytest.approx(2 * scale, rel=1e-15, abs=0)
+        ordinary = gen_random((2, 3, 4), RngStream(23))
+        fro = _stack([ordinary, Tensor3(np.full((2, 3, 4), scale)), Tensor3.zeros(2, 3, 4)]).frobenius()
+    # every other member keeps the plain sum's bits
+    flat = ordinary.data.ravel()
+    assert fro[0] == frobenius_norm(ordinary) == float(np.sqrt(np.vecdot(flat, flat)))
+    assert fro[1] == pytest.approx(np.sqrt(24) * scale, rel=1e-15, abs=0)
+    assert fro[2] == 0.0
+
+
 def test_frobenius_fourier_transport():
     # ||a||_F equals the stacked Fourier norm divided by sqrt(n3)
     for seed in range(10):
@@ -351,6 +370,17 @@ def _norm_member(kind: str, n: int, n3: int, seed: int) -> Tensor3:
     return gen_random((n, n + (kind == "wide"), n3), rng)
 
 
+def _stack(tensors) -> _Stack:
+    """The tensors, in order, as the members of one new stack."""
+    return _Stack(np.stack([t.data for t in tensors]))
+
+
+def _fft_norm(data: np.ndarray) -> float:
+    """The spectral norm by an oracle that shares no code with the library:
+    the largest singular value over all ``n3`` slices of ``np.fft.fft``."""
+    return float(np.linalg.svd(np.fft.fft(data, axis=2).transpose(2, 0, 1), compute_uv=False)[:, 0].max())
+
+
 @pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 127, 128])
 def test_stack_spectral_is_the_half_slice_max(n3):
     # the largest singular value over slices 0..n3//2, whose conjugates are
@@ -358,18 +388,58 @@ def test_stack_spectral_is_the_half_slice_max(n3):
     for n in range(1, 9):
         for kind in ("random", "wide", "symmetric", "psd"):
             members = [_norm_member(kind, n, n3, seed) for seed in range(3)]
-            x = _Stack.of(*members)
+            x = _stack(members)
             half = np.linalg.svd(x.half_slices(), compute_uv=False)[..., 0].max(axis=1)
             assert np.array(x.spectral()).tobytes() == half.tobytes(), (n, kind)
             assert [spectral_norm(t) for t in members] == x.spectral()
-            assert np.allclose(x.spectral(), _spectral(x.slices), rtol=1e-13, atol=0), (n, kind)
+            oracle = [_fft_norm(t.data) for t in members]
+            assert np.allclose(x.spectral(), oracle, rtol=1e-13, atol=0), (n, kind)
+
+
+def _cartesian_members(n: int, n3: int, part: str) -> list:
+    """Three ``(A, B)`` pairs of ``n x (n + 1) x n3`` tensors; ``part`` names
+    one that is zero, if any."""
+    pairs = []
+    for seed in range(3):
+        a, b = (gen_random((n, n + 1, n3), RngStream(seed, 100 * n3 + 10 * n + s)) for s in (0, 1))
+        zero = Tensor3.zeros(n, n + 1, n3)
+        pairs.append((zero if part == "real" else a, zero if part == "imaginary" else b))
+    return pairs
+
+
+@pytest.mark.parametrize("part", ["none", "imaginary", "real"], ids=lambda p: f"zero-{p}")
+@pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 127, 128])
+def test_cartesian_norms_match_an_all_slice_fft_oracle(n3, part):
+    # the norms of T = A + iB from the half slices of A and B: slice n3 - k
+    # of T is conj(A_k - i B_k), so no slice of T is missed
+    for n in (1, 3, 5):
+        pairs = _cartesian_members(n, n3, part)
+        x, y = _stack([a for a, _ in pairs]), _stack([b for _, b in pairs])
+        fro, spec = x.cartesian_norms(y)
+        for (a, b), f, s in zip(pairs, fro, spec):
+            t = ComplexTensor3.from_parts(a, b)
+            assert spectral_norm(t) == s  # the b = 1 case, bit for bit
+            assert s == pytest.approx(_fft_norm(t.data), rel=1e-13, abs=0), (n, part)
+            assert f == frobenius_norm(t) == pytest.approx(np.linalg.norm(t.data), rel=1e-13, abs=0)
+
+
+def test_complex_spectral_norm_takes_its_parts_half_slices(monkeypatch):
+    # one real forward transform of each part, and one singular-value SVD of
+    # A_k + i B_k over the 5 half slices and A_k - i B_k over the 3 of them
+    # with a distinct conjugate partner: 8 slices, as many as T has
+    t = ComplexTensor3.from_parts(*(gen_random((3, 3, 8), RngStream(21, s)) for s in (0, 1)))
+    calls = _count_forward(monkeypatch)
+    svds = _count_singular_value_svds(monkeypatch)
+    spectral_norm(t)
+    assert calls == [(1, 3, 3, 8)] * 2
+    assert svds == [(1, 8, 3, 3)]
 
 
 @pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 127, 128])
 def test_half_slices_view_exactly_real_self_conjugate_slices(n3):
     # the stack makes each member's self-conjugate slices real once, where
     # it keeps its slices; half_slices() is a read-only view of them
-    x = _Stack.of(*(gen_random((3, 2, n3), RngStream(19, seed)) for seed in range(3)))
+    x = _stack([gen_random((3, 2, n3), RngStream(19, seed)) for seed in range(3)])
     half = x.half_slices()
     assert half.shape == (3, n3 // 2 + 1, 3, 2)
     assert np.shares_memory(half, x.slices) and not half.flags.writeable
@@ -382,7 +452,7 @@ def test_upper_slices_reach_no_svd_reader(n3):
     # slices n3//2+1.. are the conjugates of the half slices: garbage there
     # leaves the spectral norm and the inverse bit for bit as they are
     members = [gen_t_psd(3, n3, RngStream(9, seed)) for seed in range(2)]
-    x = _Stack.of(*members)
+    x = _stack(members)
     garbled = x.slices.copy()
     garbled[:, n3 // 2 + 1:] = 1e3 * np.random.default_rng(n3).normal(size=garbled[:, n3 // 2 + 1:].shape)
     y = _Stack(x.data)
@@ -433,7 +503,7 @@ def test_tensor_takes_one_singular_value_svd_for_every_call(monkeypatch):
 
 
 def test_kept_singular_values_are_read_only_and_a_fresh_svd():
-    x = _Stack.of(*(gen_random((3, 4, 7), RngStream(18, seed)) for seed in range(2)))
+    x = _stack([gen_random((3, 4, 7), RngStream(18, seed)) for seed in range(2)])
     sv = x.singular_values()
     assert sv is x.singular_values() and sv.shape == (2, 4, 3)
     assert not sv.flags.writeable

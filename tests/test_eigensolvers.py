@@ -57,6 +57,29 @@ def test_hermitian_rejects_asymmetric():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+_TRIDIAGONAL = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_hermitian_eig_at_extreme_scales(scale):
+    # Jacobi stops at 1e-13 ||M||_F: a norm whose sum of squares overflowed
+    # stopped it at once, on the diagonal; one that underflowed to 0 never
+    # let it stop
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hermitian_eig(scale * _TRIDIAGONAL).values
+    assert np.allclose(got, scale * np.linalg.eigvalsh(_TRIDIAGONAL), rtol=1e-12, atol=0)
+
+
+def test_general_eig_of_a_tiny_triangular_matrix():
+    # the QR phase skips a member of norm 0, so a norm that underflowed
+    # returned all-zero eigenvalues
+    m = np.triu(np.arange(1.0, 10.0).reshape(3, 3))
+    got = general_eig(1e-200 * m)
+    assert np.allclose(np.sort(got.real), 1e-200 * np.array([1.0, 5.0, 9.0]), rtol=1e-12, atol=0)
+    assert (got.imag == 0.0).all()
+
+
 def test_general_triangular_gives_diagonal():
     m = np.triu(np.arange(16, dtype=float).reshape(4, 4)) + np.diag([5.0, 6.0, 7.0, 8.0])
     w = np.sort_complex(general_eig(m))

@@ -712,16 +712,27 @@ def test_certificate_margin_invariant():
 
 
 def test_a_certificate_of_a_side_that_is_not_finite_raises():
-    # an infinite or NaN side or scale has no verdict and no JSON form
-    a, big = gen_random((2, 2, 3), RngStream(1)), 1e150 * gen_random((2, 2, 3), RngStream(2))
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="^holder-corollary: a certificate needs finite"):
-            check_holder_corollary(a, big, 1.0, 2.0, 2.0)
+    # an infinite or NaN side or scale has no verdict and no JSON form: the
+    # right side ||A| + |B|| + ||-A| + |-B|| of 1.6e308 + 1.6e308 overflows
+    a = Tensor3(np.full((1, 1, 1), 8e307))
+    with pytest.raises(ValueError, match="^minkowski: a certificate needs finite"):
+        check_minkowski(a, -a, a, -a, 1.0)
     for lhs, rhs in ((1.0, np.inf), (np.nan, 1.0), (-np.inf, 0.0)):
         with pytest.raises(ValueError, match="^t: a certificate needs finite"):
             norm_certificate("t", dims=(1, 1, 1), params={}, norm_kind=FROBENIUS, lhs=lhs, rhs=rhs)
     with pytest.raises(ValueError, match="^t: a certificate needs finite"):
         _build(_Blocks("t", (1, 1, 1), DEFAULT_TOL, [[({}, NO_NORM, 0.0, 0.0, np.inf)]]))
+
+
+def test_a_side_whose_sum_of_squares_overflows_is_certified():
+    # |B|^2 has entries near 1e300, so the plain sums of squares of its
+    # Frobenius norm overflow; the scaled norm is finite, and so are the sides
+    a, big = gen_random((2, 2, 3), RngStream(1)), 1e150 * gen_random((2, 2, 3), RngStream(2))
+    certs = check_holder_corollary(a, big, 1.0, 2.0, 2.0)
+    assert [c.norm_kind for c in certs] == ["frobenius", "spectral"]
+    for c in certs:
+        assert np.isfinite([c.lhs, c.rhs, c.margin, c.tol]).all() and c.holds
+        assert 1e150 < c.lhs < c.rhs < 1e151
 
 
 def test_loewner_certificate_min_gap_vs_quadratic_form():

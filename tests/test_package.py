@@ -96,16 +96,20 @@ ONE_DEFINITION = {
     ),
     # a real stack is built from half slices in one place
     r"_mirror_half\(": ("core:_Stack", "fourier"),
-    # slice SVDs: a real stack's half slices for its spectral norm, the
-    # complex tensors' all-slice norm, |X|^r and the inverse's check
+    # slice SVDs: a stack's half slices for its spectral norm and the
+    # inverse's check, for |X|^r, and for the norm of A + iB
     r"np\.linalg\.svd\(": "core",
-    # singular values alone: a real stack's half slices, kept by the stack
-    # for its spectral norm and the inverse's check; the complex tensors'
-    # all-slice norm
-    r"svd\(.*compute_uv=False": ("core:_Stack.singular_values", "core:_spectral"),
+    # singular values alone: a stack's half slices, kept by the stack for its
+    # spectral norm and the inverse's check; A_k + i B_k and A_k - i B_k over
+    # the half slices of A and B, for the spectral norm of A + iB
+    r"svd\(.*compute_uv=False": ("core:_Stack.singular_values", "core:_Stack.cartesian_norms"),
+    # complex tensors take the real half-spectrum path: no complex forward
+    # kernel, and only the entry check and the Frobenius norm tell complex
+    # data from real
+    r"np\.iscomplexobj\(|[\"']kt,bijt->bkij[\"']": ("core:_validated", "core:_frobenius"),
     # a real stack's kept slices are read by the stack alone (its readers
     # see half_slices()); the complex tensors read their FourierSlices
-    r"\.slices\b": ("core:_Stack", "core:spectral_norm", "fourier", "spectral:t_eigenvalues"),
+    r"\.slices\b": ("core:_Stack", "fourier", "spectral:t_eigenvalues"),
     # the half-spectrum Parseval weights: 1 for a self-conjugate slice, else 2
     # (2 for a half slice with a distinct conjugate partner)
     r"np\.full\(_half_size\(|\bk == 0 or 2 \* k == \w+|\(0 < k\) & \(k < n3 - k\)": "fourier:_parseval_weights",

@@ -45,6 +45,11 @@ from ttensor.localization import diag_spectrum_bound, hoffman_wielandt, sorted_p
 from oracles import brute_bcirc
 
 
+def _stack(tensors) -> _Stack:
+    """The tensors, in order, as the members of one new stack."""
+    return _Stack(np.stack([t.data for t in tensors]))
+
+
 def test_t_eigenvalues_identity():
     spec = t_eigenvalues(identity(2, 3))
     assert len(spec) == 6
@@ -352,7 +357,7 @@ def test_mixed_stack_eigenvalues_are_each_members_alone(monkeypatch, n3):
                gen_symmetric(3, n3, RngStream(99)), gen_random((3, 3, n3), RngStream(100))]
     alone = [t_eigenvalues(Tensor3(t.data)) for t in members]
     counts = _count_kernels(monkeypatch)
-    stacked = _Stack.of(*members).eigenvalues()
+    stacked = _stack(members).eigenvalues()
     assert counts == {"jacobi": 1, "general": 1}
     assert stacked.shape == (len(members), 3 * n3)
     for s, a in zip(stacked, alone, strict=True):
@@ -380,7 +385,7 @@ _MIXED_EXPONENTS = [0.5, 1, 2, 1.25, 0.625]
 @pytest.mark.parametrize("n,n3", [(3, 4), (2, 5), (3, 127), (1, 2)])
 def test_stacked_t_power_members_are_bit_equal_to_lone_calls(n, n3):
     xs = [gen_t_psd(n, n3, RngStream(200 + i)) for i in range(len(_MIXED_EXPONENTS))]
-    stack = core._Stack.of(*xs)
+    stack = _stack(xs)
     powers, again = stack.power(_MIXED_EXPONENTS), stack.power(_MIXED_EXPONENTS[::-1])
     for i, x in enumerate(xs):
         assert powers.data[i].tobytes() == t_power(x, _MIXED_EXPONENTS[i]).data.tobytes()
@@ -390,7 +395,7 @@ def test_stacked_t_power_members_are_bit_equal_to_lone_calls(n, n3):
 @pytest.mark.parametrize("n,n3", [(3, 4), (2, 5), (3, 128)])
 def test_stacked_abs_power_members_are_bit_equal_to_lone_calls(n, n3):
     xs = [gen_random((n, n, n3), RngStream(300 + i)) for i in range(len(_MIXED_EXPONENTS))]
-    powers = core._Stack.of(*xs).abs_power(_MIXED_EXPONENTS)
+    powers = _stack(xs).abs_power(_MIXED_EXPONENTS)
     for x, r, member in zip(xs, _MIXED_EXPONENTS, powers.data, strict=True):
         alone = core._Stack.of(x).abs_power(r)
         assert member.tobytes() == alone.data.tobytes()
@@ -436,7 +441,7 @@ def test_stacked_powers_of_several_stacks_split_per_stack():
     a = [gen_t_psd(3, 4, RngStream(400 + i)) for i in range(2)]
     b = [gen_t_psd(3, 4, RngStream(410 + i)) for i in range(2)]
     c = gen_t_psd(2, 4, RngStream(420))
-    stacks = [core._Stack.of(*a), core._Stack.of(*b), core._Stack.of(c)]
+    stacks = [_stack(a), _stack(b), core._Stack.of(c)]
     pa, pb = stacks[0].cat(stacks[1]).power([0.5, 2, 1.25, 1]).split(2)
     pc = stacks[2].power([0.625])
     expected = [t_power(a[0], 0.5), t_power(a[1], 2), t_power(b[0], 1.25), t_power(b[1], 1),
@@ -453,7 +458,7 @@ def test_stacked_t_power_raises_the_first_failing_members_error():
     with pytest.raises(SingularTensorError) as alone:
         t_power(singular[0], -0.5)
     with pytest.raises(SingularTensorError) as stacked:
-        core._Stack.of(good, singular[0], good, singular[1]).power(-0.5)
+        _stack([good, singular[0], good, singular[1]]).power(-0.5)
     assert str(stacked.value) == str(alone.value)
 
 
@@ -469,13 +474,13 @@ def test_stacked_t_power_trusts_its_operands():
 @pytest.mark.parametrize("n,n3", [(3, 4), (2, 5), (3, 128)])
 def test_stacked_norms_are_bit_equal_to_lone_calls(n, n3):
     xs = [gen_random((n, n, n3), RngStream(600 + i)) * (1.0 + i) for i in range(4)]
-    stack = core._Stack.of(*xs)
+    stack = _stack(xs)
     assert stack.frobenius() == [frobenius_norm(x) for x in xs]
     assert stack.spectral() == [spectral_norm(x) for x in xs]
     # a stack made of stacks transforms its members as they transform alone
     parts = [core._Stack.of(x) for x in xs[:2]]
     whole = core._Stack.cat(*parts)
     assert whole.slices.tobytes() == np.concatenate([p.slices for p in parts]).tobytes()
-    fresh = [core._Stack.of(*xs[:2]), core._Stack.of(*xs[2:])]
+    fresh = [_stack(xs[:2]), _stack(xs[2:])]
     joined = core._Stack.cat(*fresh)
     assert joined.slices.tobytes() == stack.slices.tobytes()

@@ -154,6 +154,17 @@ def _build(blocks: _Blocks, seed: int = -1, trials=None) -> list[list[Inequality
     return out
 
 
+def _square(v: float) -> float:
+    """``v ** 2`` of a side's float, or ``inf`` where Python's ``**`` raises
+    :class:`OverflowError`, so that :func:`_build` refuses the row and names
+    its theorem.  (``v * v`` would round differently from ``**`` on some
+    inputs and move report bytes.)"""
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
+
+
 def norm_certificate(
     theorem_id: str,
     *,

@@ -39,8 +39,14 @@ so every SVD and eigen reader of a stack sees only its half slices
 ``0..n3//2`` (:meth:`_Stack.half_slices`, a read-only view of the kept
 slices, with no copy): its spectral norm is the largest
 singular value over them, as the 50-digit reference stack defines it, and
-its gate residuals are Parseval sums over them.  :func:`_solve_together`
-solves the spectra of several stacks in one call.  A :class:`Tensor3`
+its gate residuals are Parseval sums over them.  A stack's half slices
+are Hermitian by construction, so its spectra go to the Jacobi kernel
+through the finite-entry check alone (:func:`_jacobi_spectra`), with no
+Hermitian residual.  Since a member's decomposition does not depend on
+the rest of its stack, a certifier puts the independent stacks it needs
+at one point, a wave, into one Jacobi call (:func:`_solve_together`,
+which also splits the call's result among them), for a whole campaign
+window (:mod:`ttensor.campaigns`).  A :class:`Tensor3`
 keeps its one-member stack (:meth:`_Stack.of`), so every public call on
 the tensor reads the same slices, spectra and singular values, computed on
 first use.  A stack holds
@@ -59,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError, SingularTensorError
+from .errors import ShapeMismatchError, SingularTensorError, TtensorError
 
 __all__ = [
     "Tensor3",
@@ -349,10 +355,10 @@ class _Stack:
         return 0.5 * (half + eigensolvers._herm_t(half))
 
     def spectra(self):
-        """:func:`ttensor.eigensolvers.hermitian_eig` of :meth:`halves`,
-        solved on first use (or by :func:`_solve_together`) and kept."""
+        """The Jacobi decomposition of :meth:`halves`, solved on first use
+        (or by :func:`_solve_together`) and kept (:func:`_jacobi_spectra`)."""
         if not self._spectra:  # None before any request, False after a failed wave
-            self._spectra = eigensolvers.hermitian_eig(self.halves())
+            self._spectra = _jacobi_spectra(self.halves())
         return self._spectra
 
     def align(self, other: "_Stack") -> "_Stack":
@@ -577,20 +583,35 @@ def _same_square(*xs: _Stack) -> bool:
     return len({x.shape for x in xs}) == 1 and xs[0].shape[0] == xs[0].shape[1]
 
 
+def _jacobi_spectra(halves: np.ndarray):
+    """The Jacobi decomposition of each member of :meth:`_Stack.halves`, one
+    stack's or a wave's: Hermitian by construction, so the members pass the
+    finite-entry check of :func:`ttensor.eigensolvers.hermitian_eig` alone,
+    and no Hermitian residual is taken."""
+    return eigensolvers.HermitianEigen(*eigensolvers._jacobi(eigensolvers._square_stack(halves)[0]))
+
+
 def _solve_together(*wave: _Stack) -> None:
-    """Solve the spectra of a wave of independent stacks in one solver call
-    (:func:`ttensor.eigensolvers._hermitian_eigs`); each stack not yet
-    asked for them keeps its :meth:`_Stack.spectra`, and a stack named
-    twice is solved once.  When they cannot share a call (fewer than two,
-    stacks of two shapes or not square, or a call that raises), each stack
-    is solved, and raises its own error, where it is used; a stack of a
-    failed call does not join a wave again.  Stacks of another type keep no
-    spectra and ignore the request."""
+    """Solve the spectra of a wave of independent stacks in one solver call;
+    each stack not yet asked for them keeps its share as its
+    :meth:`_Stack.spectra`, and a stack named twice is solved once.  Since a
+    member's decomposition does not depend on the rest of its stack, the
+    share is bit for bit what the stack gets alone.  When they cannot share
+    a call (fewer than two, stacks of two shapes or not square, or a call
+    that raises), each stack is solved, and raises its own error, where it
+    is used; a stack of a failed call does not join a wave again.  Stacks of
+    another type keep no spectra and ignore the request."""
     pending = list(dict.fromkeys(x for x in wave if isinstance(x, _Stack) and x._spectra is None))
     if len(pending) < 2 or not _same_square(*pending):
         return
-    for x, e in zip(pending, eigensolvers._hermitian_eigs([x.halves() for x in pending])):
-        x._spectra = e or False  # False after a failed call: solved where it is used
+    halves = [x.halves() for x in pending]
+    try:
+        e = _jacobi_spectra(np.concatenate(halves))
+    except TtensorError:
+        e = False  # each stack is then solved, and raises its own error, where it is used
+    ends = np.cumsum([0] + [len(h) for h in halves])
+    for x, start, end in zip(pending, ends, ends[1:]):
+        x._spectra = e and eigensolvers.HermitianEigen(e.values[start:end], e.vectors[start:end])
 
 
 @dataclass(frozen=True)

@@ -1,44 +1,33 @@
-"""Dense eigensolvers implemented in-repo.
+"""Dense eigensolvers implemented in-repo: the source of every slice spectrum.
 
-Two kernels back everything spectral in this package:
+The module owns two public entry points and their kernels:
 
-* :func:`hermitian_eig`: cyclic Jacobi rotations on a Hermitian matrix, run
-  until every off-diagonal magnitude drops below ``1e-13 * ||M||_F`` (at most
-  100 sweeps).  Returns ascending eigenvalues with a unitary eigenvector
-  matrix.  It also takes a ``(b, n, n)`` stack, such as the Fourier slices of
-  a tensor, and solves every member in one pass: each rotation step is one
-  array operation across the stack, with a per-member mask for members that
-  have converged or whose rotation is skipped.  The rotations keep the cyclic
-  ``(p, q)`` row order of the one-matrix method, so every member's result is
-  bit-for-bit what solving it alone gives.
-* :func:`general_eig`: Householder reduction to upper Hessenberg form
-  followed by explicitly shifted QR iteration with Wilkinson shifts (an
-  exceptional shift every 12th step without a deflation) and subdiagonal
-  deflation at ``1e-13 * ||H||_F``.  Returns all eigenvalues of a general
-  complex matrix, in the order they deflate from the bottom.  It also takes a
-  ``(b, n, n)`` stack: each Householder step is one array operation across
-  the members whose column is not already zero, and the QR phase keeps each
-  member's own active window, step and stall counts.  A round deflates the
-  members that can and gives every other member one QR step, one array call
-  per distinct window; members leave the live set as they finish.  Products
-  of two complex scalars, which numpy's array loops may round differently
-  from its scalars, are spelled out in real arithmetic, so every member's
-  values, order included, are bit-for-bit what solving it alone gives.
+* :func:`hermitian_eig`: cyclic Jacobi (:func:`_jacobi`) on a Hermitian
+  matrix or ``(b, n, n)`` stack, until every off-diagonal magnitude is below
+  ``1e-13 * ||M||_F`` (at most 100 sweeps); ascending eigenvalues, ties in
+  input order, with unitary eigenvectors.
+* :func:`general_eig`: Householder reduction to Hessenberg form and shifted
+  QR (:func:`_qr_eig`), Wilkinson shifts with an exceptional shift every
+  12th stalled step, deflation at ``1e-13 * ||H||_F``; all eigenvalues of a
+  general complex matrix or stack, in the order they deflate.
 
-Both are plain numpy with fixed operation order, so results are
-bit-reproducible.  Both reject a matrix or stack holding NaN or Inf on entry
-with :class:`EigenConvergenceError`, naming the lowest such member, since no
-iteration converges on it.
+Invariants:
 
-Every call solves afresh; nothing is cached here, though a tensor stack
-keeps the one decomposition of its half slices
-(:meth:`ttensor.core._Stack.spectra`).  Since every member's result is
-independent of the rest of its stack, a caller may put the independent
-stacks it needs at one point into one call: :func:`_hermitian_eigs` solves
-several stacks at once and hands each its share, so a certifier makes one
-Jacobi call per wave of independent spectra
-(:func:`ttensor.core._solve_together`), for a whole campaign window
-(:mod:`ttensor.campaigns`).
+* A member's result does not depend on its stack: it is bit for bit what
+  the member gets alone, so callers may join independent stacks in one call.
+* No input is written; a C-ordered complex stack is read without a copy.
+  Nothing is cached.
+* Results scale exactly with powers of two while entries stay normal:
+  ``general_eig(2**k M)`` is ``2**k general_eig(M)`` bit for bit (each
+  member is solved at unit scale); :func:`hermitian_eig` too, but for the
+  last bit of its threshold where ``||M||_F**2`` leaves the float range.
+
+Errors: a NaN or infinite entry raises :class:`EigenConvergenceError`
+before any iteration, as does a member out of its budget (the lowest such
+member is named); a non-square input raises :class:`ValueError`.  Only
+:func:`hermitian_eig` raises :class:`NotSymmetricError`, for a member not
+Hermitian within ``1e-9 * (1 + ||M||_F)``: the library's own stacks are
+Hermitian by construction and reach the kernel without that check.
 """
 
 from __future__ import annotations
@@ -49,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import _frobenius
-from .errors import EigenConvergenceError, NotSymmetricError, TtensorError
+from .errors import EigenConvergenceError, NotSymmetricError
 
 __all__ = ["HermitianEigen", "hermitian_eig", "general_eig"]
 
@@ -76,21 +65,24 @@ def _herm_t(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _square_stack(m) -> np.ndarray:
-    """``m`` as a C-ordered complex matrix or ``(b, n, n)`` stack.
+def _square_stack(m) -> tuple[np.ndarray, object]:
+    """``m``, a square matrix or ``(b, n, n)`` stack, as a C-ordered complex
+    ``(b, n, n)`` stack (``b = 1`` for a matrix; no copy if ``m`` is one
+    already), and the index that takes a result of the stack back to ``m``'s
+    form: ``0`` for a matrix, ``...`` for a stack.
 
     A NaN or infinite entry raises :class:`EigenConvergenceError` naming the
     lowest member that holds one.  No iteration converges on such a member,
     so it fails here instead of after its whole iteration budget.
     """
-    a = np.array(m, dtype=complex, order="C")
+    a = np.asarray(m, dtype=complex, order="C")
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     finite = np.isfinite(a)
     if not finite.all():
         where = "matrix" if a.ndim == 2 else f"stack member {np.argmin(finite.all(axis=(1, 2)))}"
         raise EigenConvergenceError(f"{where} has a non-finite entry (NaN or Inf)")
-    return a
+    return (a, ...) if a.ndim == 3 else (a[None], 0)
 
 
 def hermitian_eig(m) -> HermitianEigen:
@@ -103,30 +95,25 @@ def hermitian_eig(m) -> HermitianEigen:
     by original position (stable sort), which keeps the output deterministic
     across platforms.
     """
-    a = _square_stack(m)
-    values, vectors = _jacobi(a if a.ndim == 3 else a[None])
-    if a.ndim == 2:
-        return HermitianEigen(values[0], vectors[0])
-    return HermitianEigen(values, vectors)
-
-
-def _hermitian_eigs(stacks: list) -> list:
-    """:func:`hermitian_eig` of each ``(m, n, n)`` stack in ``stacks``, from
-    one solver call: the independent spectra a certifier needs at one point.
-
-    All ``None`` when the call raises; each caller then solves its own stack
-    and raises the error it raises alone, where it raises it.
-    """
-    try:
-        e = hermitian_eig(np.concatenate(stacks))
-    except TtensorError:
-        return [None] * len(stacks)
-    bounds = np.cumsum([len(s) for s in stacks])[:-1]
-    return [HermitianEigen(v, w) for v, w in zip(np.split(e.values, bounds), np.split(e.vectors, bounds))]
+    a, back = _square_stack(m)
+    residual = _frobenius(a - _herm_t(a))
+    bad = np.flatnonzero(residual > _HERMITIAN_PRE_TOL * (1.0 + _frobenius(a)))
+    if bad.size:
+        raise NotSymmetricError(
+            f"matrix is not Hermitian: residual {residual[bad[0]]:.3e} "
+            f"exceeds {_HERMITIAN_PRE_TOL:.1e} * (1 + ||M||_F)"
+        )
+    values, vectors = _jacobi(a)
+    return HermitianEigen(values[back], vectors[back])
 
 
 def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi on a ``(b, n, n)`` stack; ``(values, vectors)`` stacks.
+
+    The members must be finite and Hermitian, which is not checked here:
+    :func:`hermitian_eig` checks input from outside the library, whose own
+    stacks are so by construction.  Each member is symmetrized, and its
+    threshold is ``1e-13`` times its own Frobenius norm.
 
     Each member iterates as one ``(2n, n)`` array: the matrix in rows
     ``0..n-1`` and its accumulated eigenvectors in rows ``n..2n-1``, so a
@@ -134,13 +121,6 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     b, n, _ = a.shape
     norm = _frobenius(a)
-    herm_residual = _frobenius(a - _herm_t(a))
-    bad = np.flatnonzero(herm_residual > _HERMITIAN_PRE_TOL * (1.0 + norm))
-    if bad.size:
-        raise NotSymmetricError(
-            f"matrix is not Hermitian: residual {herm_residual[bad[0]]:.3e} "
-            f"exceeds {_HERMITIAN_PRE_TOL:.1e} * (1 + ||M||_F)"
-        )
     w = np.empty((b, 2 * n, n), dtype=complex)
     w[:, :n] = 0.5 * (a + _herm_t(a))
     w[:, n:] = np.eye(n)
@@ -240,9 +220,8 @@ def general_eig(m) -> np.ndarray:
     :class:`EigenConvergenceError`; in a stack, the lowest such member is
     reported.
     """
-    a = _square_stack(m)
-    values = _qr_eig(a if a.ndim == 3 else a[None])
-    return values if a.ndim == 3 else values[0]
+    a, back = _square_stack(m)
+    return _qr_eig(a)[back]
 
 
 def _qr_eig(a: np.ndarray) -> np.ndarray:
@@ -254,9 +233,17 @@ def _qr_eig(a: np.ndarray) -> np.ndarray:
     every live member's subdiagonal, deflates the members whose bottom 1x1 or
     2x2 block has split off, and gives every other member one QR step on its
     active window ``[lo, end)``, one array call per distinct window.
+
+    Each member is first multiplied by the power of two that brings its
+    largest entry part into ``[0.5, 1)``, and its values by the inverse at
+    the end (as LAPACK's ``xLASCL`` scales): exact, so the values of
+    ``2**k M`` are ``2**k`` times those of ``M``, and the shifts and the 2x2
+    roots neither overflow nor underflow at extreme scales.
     """
     b, n, _ = a.shape
-    h = _hessenberg(a)
+    parts = a.view(float)  # real and imaginary parts side by side
+    _, exponent = np.frexp(np.abs(parts).max(axis=(1, 2), initial=0.0))
+    h = _hessenberg((parts * np.ldexp(1.0, -exponent)[:, None, None]).view(complex))  # a new array
     norm = _frobenius(h)
     tol = _OFFDIAG_FACTOR * norm
     values = np.zeros((b, n), dtype=complex)
@@ -308,6 +295,7 @@ def _qr_eig(a: np.ndarray) -> np.ndarray:
         live = live[end[live] > 0]
     if failures:
         raise EigenConvergenceError(failures[min(failures)])
+    values.view(float)[:] *= np.ldexp(1.0, exponent)[:, None]
     return values
 
 
@@ -333,10 +321,10 @@ def _shifted_qr_steps(h, m, lo, end, exceptional) -> None:
         h[m[same], lo_w:end_w, lo_w:end_w] = block
 
 
-def _hessenberg(a: np.ndarray) -> np.ndarray:
+def _hessenberg(h: np.ndarray) -> np.ndarray:
     """Householder reduction of each member of a ``(b, n, n)`` stack to upper
-    Hessenberg form; a member whose column is already zero skips that step."""
-    h = a.copy()
+    Hessenberg form, in place (``h`` is returned); a member whose column is
+    already zero skips that step."""
     n = h.shape[1]
     for k in range(n - 2):
         v = h[:, k + 1:, k].copy()

@@ -133,7 +133,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Tensor3, _Stack
+from .core import Tensor3, _frobenius, _Stack
 from .errors import ConjugateSymmetryError, ShapeMismatchError
 
 __all__ = [
@@ -409,5 +409,7 @@ def _slicewise_einsum(subscripts: str, kernel: np.ndarray, operand: np.ndarray) 
 
 
 def fourier_frobenius_norm(s: FourierSlices) -> float:
-    """Frobenius norm of the stacked Fourier slices."""
-    return float(np.linalg.norm(s.slices))
+    """Frobenius norm of the stacked Fourier slices, by the library's one
+    Frobenius norm (:func:`ttensor.core._frobenius`), so a representable
+    norm is returned even where the plain sum of squares overflows."""
+    return float(_frobenius(s.slices[None])[0])

@@ -57,6 +57,8 @@ scalar call.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .algebra import _asymmetry, _hypothesis_tol, _orthogonality, _require_psd, _require_symmetric
@@ -68,6 +70,7 @@ from .certificates import (
     _Blocks,
     _build,
     _loewner_blocks,
+    _square,
 )
 from .core import Tensor3, _same_square, _solve_together, _Stack
 from .errors import ShapeMismatchError, _require, _require_each, _require_tol
@@ -380,13 +383,15 @@ def _complex_norm_bounds(a: _Stack, b: _Stack, variant: str, tol: float, mode: s
         _require_psd(tol, A=a, **({"B": b} if variant == "c" else {}))
 
     ft, st = a.cartesian_norms(b)
-    sa2 = [v ** 2 for v in a.spectral()]
-    sb2 = [v ** 2 for v in b.spectral()]
-    fa2 = [v ** 2 for v in a.frobenius()]
-    fb2 = [v ** 2 for v in b.frobenius()]
+    sa2, sb2 = ([_square(v) for v in x.spectral()] for x in (a, b))
+    fa2, fb2 = ([_square(v) for v in x.frobenius()] for x in (a, b))
     if variant == "a":
-        root = (a @ a + b @ b).sym().power(0.5)
-        sr, fr = root.spectral(), root.frobenius()
+        # A^2 + B^2 overflows where ||A||_2^2 + ||B||_2^2 does; _build then
+        # refuses that member's rows, so the root is not formed
+        sr = fr = [math.inf] * len(a)
+        if all(math.isfinite(x + y) for x, y in zip(sa2, sb2)):
+            root = (a @ a + b @ b).sym().power(0.5)
+            sr, fr = root.spectral(), root.frobenius()
     base = {"variant": variant, "mode": mode}
 
     def row(claim: str, norm_kind: str, lhs: float, rhs: float) -> tuple:
@@ -394,7 +399,7 @@ def _complex_norm_bounds(a: _Stack, b: _Stack, variant: str, tol: float, mode: s
 
     out = []
     for i in range(len(a)):
-        st2, ft2 = st[i] ** 2, ft[i] ** 2
+        st2, ft2 = _square(st[i]), _square(ft[i])
         if variant == "a":
             s_sum = sa2[i] + sb2[i]
             lower = s_sum if mode == MODE_LITERAL else 0.5 * s_sum

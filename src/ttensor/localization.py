@@ -45,6 +45,7 @@ from .certificates import (
     InequalityCertificate,
     _Blocks,
     _build,
+    _square,
 )
 from .core import Tensor3, _check_same_shape, _Stack, frobenius_norm
 from .errors import ShapeMismatchError, _require, _require_each, _require_tol
@@ -128,7 +129,7 @@ def _schur(x: _Stack, tol: float) -> _Blocks:
 
 
 def _schur_row(values: np.ndarray, norm: float, n3: int) -> tuple:
-    return {}, FROBENIUS, float(np.sum(np.abs(values) ** 2)), n3 * norm ** 2, None
+    return {}, FROBENIUS, float(np.sum(np.abs(values) ** 2)), n3 * _square(norm), None
 
 
 def gershgorin_discs(a) -> list[GershgorinDisc]:

@@ -298,6 +298,34 @@ def test_frobenius_norm_survives_a_sum_of_squares_out_of_range(scale):
     assert fro[2] == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_fourier_frobenius_norm_survives_a_sum_of_squares_out_of_range(scale):
+    # the library's one Frobenius norm: np.linalg.norm read inf at 1e200
+    for t in (Tensor3(np.full((1, 1, 2), scale)), scale * gen_random((3, 2, 6), RngStream(24))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = fourier_frobenius_norm(to_fourier(t))
+        assert stacked == pytest.approx(np.sqrt(t.n3) * frobenius_norm(t), rel=1e-14, abs=0)
+
+
+def test_library_stack_solve_takes_no_hermitian_residual(monkeypatch):
+    # a stack's half slices are Hermitian by construction, so its solve takes
+    # one norm (the Jacobi threshold's) and no Hermitian residual; only
+    # hermitian_eig, for matrices from outside the library, takes both
+    norms, frobenius = [], eigensolvers._frobenius
+    monkeypatch.setattr(eigensolvers, "_frobenius", lambda d: norms.append(len(d)) or frobenius(d))
+    calls = _count_jacobi(monkeypatch)
+    a, b = gen_loewner_pair(3, 6, RngStream(25))
+    loewner_ge(a, b)
+    t_power(a, 0.5)
+    hoffman_wielandt(gen_symmetric(3, 6, RngStream(26)), gen_symmetric(3, 6, RngStream(27)))
+    assert calls == [4, 4, 8] and norms == calls
+    del norms[:], calls[:]
+    halves = _Stack.of(a).halves()
+    assert np.array_equal(eigensolvers.hermitian_eig(halves).values, _Stack.of(a).spectra().values)
+    assert calls == [len(halves)] and norms == [len(halves)] * 3
+
+
 def test_frobenius_fourier_transport():
     # ||a||_F equals the stacked Fourier norm divided by sqrt(n3)
     for seed in range(10):

@@ -80,6 +80,57 @@ def test_general_eig_of_a_tiny_triangular_matrix():
     assert (got.imag == 0.0).all()
 
 
+def _times_power_of_two(x, k):
+    """``2**k * x`` exactly, each real and imaginary part's exponent moved
+    by ``k`` (``np.ldexp`` takes no complex input)."""
+    return np.ldexp(np.ascontiguousarray(x, dtype=complex).view(float), k).view(complex)
+
+
+@pytest.mark.parametrize("k", [600, -600, 900, -900])
+def test_general_eig_scales_exactly_with_powers_of_two(k):
+    # each member is brought to unit scale by a power of two, exactly, so the
+    # values of 2**k M are 2**k times those of M, bit for bit
+    rng = np.random.default_rng(76)
+    upper = _TRIDIAGONAL + np.triu(_TRIDIAGONAL, 1)
+    cases = [_TRIDIAGONAL, upper, upper.T] + [
+        rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) * (n != 3) for n in (3, 4, 8)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in cases:
+            assert _same_bits(general_eig(_times_power_of_two(m, k)), _times_power_of_two(general_eig(m), k))
+        # a stack's members are scaled each by its own power of two
+        m = cases[-1]
+        stack = np.stack([_times_power_of_two(m, k), m, _times_power_of_two(m, -k)])
+        expected = np.stack([_times_power_of_two(general_eig(m), j) for j in (k, 0, -k)])
+        assert _same_bits(general_eig(stack), expected)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_general_eig_at_extreme_scales(scale):
+    # unscaled, the Wilkinson shift overflowed to NaN at 1e200 and the 2x2
+    # discriminant underflowed to 0 at 1e-200
+    upper = _TRIDIAGONAL + np.triu(_TRIDIAGONAL, 1)
+    for m in (_TRIDIAGONAL, upper, upper.T):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = general_eig(scale * m) / scale
+        expected = np.sort(np.linalg.eigvals(m).real)
+        assert np.allclose(np.sort(got.real), expected, rtol=1e-12, atol=0)
+        assert np.abs(got.imag).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_solvers_write_no_input():
+    # the stack is taken as it is, without a copy, and no kernel writes it
+    rng = np.random.default_rng(77)
+    stack = np.stack([_random_hermitian(rng, 4) for _ in range(3)])
+    stack.flags.writeable = False
+    before = stack.copy()
+    hermitian_eig(stack)
+    general_eig(stack)
+    assert _same_bits(stack, before)
+
+
 def test_general_triangular_gives_diagonal():
     m = np.triu(np.arange(16, dtype=float).reshape(4, 4)) + np.diag([5.0, 6.0, 7.0, 8.0])
     w = np.sort_complex(general_eig(m))

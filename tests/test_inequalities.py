@@ -724,6 +724,16 @@ def test_a_certificate_of_a_side_that_is_not_finite_raises():
         _build(_Blocks("t", (1, 1, 1), DEFAULT_TOL, [[({}, NO_NORM, 0.0, 0.0, np.inf)]]))
 
 
+@pytest.mark.parametrize("variant", ["a", "b", "c"])
+def test_complex_norm_bounds_of_an_overflowing_square_raise_the_finite_side_error(variant):
+    # ||A||_2^2 of 1e320 overflowed Python's float ** with OverflowError;
+    # it is now the ValueError of any non-finite side, naming the theorem,
+    # and the Gram root of variant a, whose entries would overflow, is not formed
+    big = Tensor3(np.full((2, 2, 2), 1e160))
+    with pytest.raises(ValueError, match=f"^complex-norm-{variant}: a certificate needs finite"):
+        check_complex_norm_bounds(big, big, variant)
+
+
 def test_a_side_whose_sum_of_squares_overflows_is_certified():
     # |B|^2 has entries near 1e300, so the plain sums of squares of its
     # Frobenius norm overflow; the scaled norm is finite, and so are the sides

@@ -37,6 +37,13 @@ def test_schur_scalar_equality():
     assert cert.lhs == pytest.approx(4.0) and cert.rhs == pytest.approx(4.0)
 
 
+def test_schur_bound_of_an_overflowing_square_raises_the_finite_side_error():
+    # n3 * ||A||_F^2 of 8e320 overflowed Python's float ** with OverflowError;
+    # it is now the ValueError of any non-finite side, naming the theorem
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^schur: a certificate needs finite"):
+        schur_bound(Tensor3(np.full((2, 2, 2), 1e160)))
+
+
 def test_schur_equality_for_symmetric():
     for trial in range(20):
         a = gen_symmetric(3, 3, RngStream(300, trial))

@@ -125,7 +125,15 @@ ONE_DEFINITION = {
     # the hypothesis gates read the min gaps; only the public verdicts build objects
     r"\bLoewnerVerdict\(": "algebra:_psd_verdicts",
     r"\b_psd_verdicts\(": ("algebra:_psd_verdicts", "algebra:is_t_psd", "spectral:young_witness"),
+    # the Jacobi kernel is reached by the public entry point and by the one
+    # solve of a stack's Hermitian half slices, which a wave shares
+    r"\b_jacobi\(": ("eigensolvers:hermitian_eig", "eigensolvers:_jacobi", "core:_jacobi_spectra"),
 }
+
+# spellings gone from the source: a wave's shared solver call is made by
+# core._solve_together itself, and the library has one Frobenius norm
+# (core._frobenius)
+NOWHERE = (r"\b_hermitian_eigs\b", r"np\.linalg\.norm\(")
 
 
 def _is_home(home: str, module: str, inside: str) -> bool:
@@ -151,6 +159,35 @@ def test_each_concept_is_spelled_in_one_place():
                     found.append(f"{path.name}:{lineno} ({inside or 'module level'}): {line.strip()}")
     assert not found, "spelled outside its one definition:\n" + "\n".join(found)
     assert homes == set(ONE_DEFINITION)  # each one definition still exists
+
+
+def test_retired_spellings_appear_nowhere():
+    found = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if any(re.search(pattern, line) for pattern in NOWHERE)
+    ]
+    assert not found, "a retired spelling in the source:\n" + "\n".join(found)
+
+
+def test_only_hermitian_eig_checks_that_a_matrix_is_hermitian():
+    # a library stack is Hermitian by construction and goes to the kernel
+    # through the finite-entry check alone; only the public entry point, for
+    # matrices from outside the library, takes the residual and refuses
+    text = (SOURCE / "eigensolvers.py").read_text()
+    owner = _enclosing(ast.parse(text))
+    places = {
+        (pattern, owner.get(lineno, ""))
+        for lineno, line in enumerate(text.splitlines(), 1)
+        for pattern in (r"NotSymmetricError\(", r"\b_HERMITIAN_PRE_TOL\b")
+        if re.search(pattern, line)
+    }
+    assert places == {
+        (r"NotSymmetricError\(", "hermitian_eig"),
+        (r"\b_HERMITIAN_PRE_TOL\b", ""),  # its definition
+        (r"\b_HERMITIAN_PRE_TOL\b", "hermitian_eig"),
+    }
 
 
 # the certifier modules, the Young witness they call and the localization

@@ -265,6 +265,25 @@ def test_function_outputs_are_exactly_real():
     assert fs.symmetry_residual() <= 1e-10 * (1 + frobenius_norm(a))
 
 
+def _times_power_of_two(x, k):
+    return np.ldexp(np.ascontiguousarray(x, dtype=complex).view(float), k).view(complex)
+
+
+@pytest.mark.parametrize("k", [600, -600, 900, -900])
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_t_eigenvalues_scale_exactly_with_powers_of_two(n, k):
+    # the transform, the Jacobi and the QR paths all commute with a power of
+    # two, so the t-eigenvalues of 2**k A are 2**k times those of A, bit for
+    # bit; a non-symmetric tensor is checked for k > 0 only, since below
+    # scale 1 the symmetry predicate's 1 + ||A||_F floor calls it symmetric
+    tensors = [gen_symmetric(n, 5, RngStream(95, n))] + [gen_random((n, n, 5), RngStream(96, n))] * (k > 0)
+    for a in tensors:
+        scaled = t_eigenvalues(Tensor3(np.ldexp(a.data, k))).values
+        expected = _times_power_of_two(t_eigenvalues(a).values, k)
+        assert scaled.shape == expected.shape
+        assert np.array_equal(scaled.view(np.uint64), expected.view(np.uint64))
+
+
 # --- one solver call for a wave of independent spectra ----------------------
 
 def _count_kernels(monkeypatch):

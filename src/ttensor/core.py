@@ -475,15 +475,17 @@ class _Stack:
         """Each member's t-eigenvalues, one ``(b, n * n3)`` complex array, row
         ``i`` the values of member ``i``'s
         :func:`ttensor.spectral.t_eigenvalues` in its order
-        (:func:`ttensor.spectral._mirrored_spectrum`).  The members
-        symmetric within ``PREDICATE_TOL`` read :meth:`spectra`; the half
-        slices of the others take one general solver call, made only when
-        there are any (a member's values do not depend on the rest of the
-        stack)."""
+        (:func:`ttensor.spectral._mirrored_spectrum`).  The members whose
+        symmetry residual is at most ``PREDICATE_TOL * ||X||_F`` read
+        :meth:`spectra`; the half slices of the others take one general
+        solver call, made only when there are any (a member's values do not
+        depend on the rest of the stack).  The bound has no absolute floor,
+        so a member's route does not change with its scale."""
         (n, m, n3), half = self.shape, fourier._half_size(self.n3)
         if n != m:
             raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {self.shape}")
-        symmetric = np.array([not reason for reason in algebra._asymmetry(self, algebra.PREDICATE_TOL)])
+        residual = _frobenius(self.data - _transpose(self.data))
+        symmetric = residual <= algebra.PREDICATE_TOL * _frobenius(self.data)
         w = np.empty((len(self), half, n), dtype=complex)  # each member's half spectrum
         if symmetric.any():
             w[symmetric] = self.spectra().values.reshape(len(self), half, n)[symmetric]
@@ -577,12 +579,6 @@ def _t_inverse(x: _Stack) -> _Stack:
     return _Stack.from_halves(np.linalg.inv(x.half_slices()), x.n3)
 
 
-def _same_square(*xs: _Stack) -> bool:
-    """Whether the stacks share one square member shape, so that their slice
-    spectra can join one solver call."""
-    return len({x.shape for x in xs}) == 1 and xs[0].shape[0] == xs[0].shape[1]
-
-
 def _jacobi_spectra(halves: np.ndarray):
     """The Jacobi decomposition of each member of :meth:`_Stack.halves`, one
     stack's or a wave's: Hermitian by construction, so the members pass the
@@ -602,7 +598,7 @@ def _solve_together(*wave: _Stack) -> None:
     is used; a stack of a failed call does not join a wave again.  Stacks of
     another type keep no spectra and ignore the request."""
     pending = list(dict.fromkeys(x for x in wave if isinstance(x, _Stack) and x._spectra is None))
-    if len(pending) < 2 or not _same_square(*pending):
+    if len(pending) < 2 or len({x.shape for x in pending}) > 1 or pending[0].shape[0] != pending[0].shape[1]:
         return
     halves = [x.halves() for x in pending]
     try:

@@ -45,10 +45,12 @@ each stack keeps its decomposition for the gates and the powers that read
 it, and the stacks a wave powers are concatenated so that one power
 application covers them.  ``furuta`` takes the decompositions of B (for
 its PSD check and its powers), of the order gap A - B and of A in one call,
-both sandwich powers in a second and both Loewner gaps in a third.  A
-product a wave needs (``Q^T X Q``, ``A B``) is formed ahead of the checks
-only when the shapes are equal and square, so a shape error still comes
-after the hypothesis errors.  Hypotheses are checked member by member, each
+both sandwich powers in a second and both Loewner gaps in a third.
+``loewner-heinz``, ``furuta``, ``hansen-power`` and ``young-commuting``
+check ``tol`` and their scalar parameters first, then form the products
+their first wave needs (``A - B``, ``Q^T X Q``, ``A B``) before any
+hypothesis gate, so a mis-shaped call raises a shape error even when it
+also violates a hypothesis.  Hypotheses are checked member by member, each
 in the order the scalar certifier checks them, and the certificate
 arithmetic (``** (1/p)``, the damping, ``(2 + t) *``) stays in Python floats
 per member, so each member's certificates are bit for bit those of the
@@ -72,8 +74,8 @@ from .certificates import (
     _loewner_blocks,
     _square,
 )
-from .core import Tensor3, _same_square, _solve_together, _Stack
-from .errors import ShapeMismatchError, _require, _require_each, _require_tol
+from .core import Tensor3, _solve_together, _Stack
+from .errors import _require, _require_each, _require_tol
 from .spectral import _require_conjugate, _young_witness
 
 __all__ = [
@@ -146,12 +148,9 @@ def _loewner_pair_powers(a: _Stack, b: _Stack, tol: float, *exponents) -> list[l
     return ``[B, A]`` at each list of exponents in ``exponents``.  The checks
     and the decompositions of B and A take one solver call, and each list
     of exponents one power application."""
-    diff = a - b if a.shape == b.shape else None
-    if diff is not None:
-        _solve_together(b, diff, a)
+    diff = a - b
+    _solve_together(b, diff, a)
     _require_psd(tol, B=b)
-    if diff is None:
-        raise ShapeMismatchError(f"order comparison needs equal shapes: {a.shape} vs {b.shape}")
     _require_psd(tol, **{"A - B": diff})
     pair = b.cat(a)
     return [pair.power(e + e).split(2) for e in exponents]
@@ -223,23 +222,15 @@ def _hansen_power(q: _Stack, x: _Stack, r: list, tol: float, mode: str) -> _Bloc
     for ri in r:
         _require(0.0 < ri <= 2.0, f"exponent r={ri} outside (0, 2]")
     left = q.transpose() if mode == "contraction" else q
-    # the conjugated product is formed ahead of the checks when the shapes
-    # allow it, so that its power joins the first solver call
-    middle = sym_middle = None
-    if _same_square(q, x):
-        middle = left @ x @ q
-        sym_middle = middle.sym()
-        _solve_together(x, sym_middle)
+    middle = left @ x @ q
+    sym_middle = middle.sym()
+    _solve_together(x, sym_middle)
     _require_psd(tol, X=x)
     if mode == "contraction":
         for q_norm in q.spectral():
             _require(q_norm <= 1.0 + tol, f"Q is not a contraction: ||Q||_2 = {q_norm:.6f}")
     else:
         _require_each(_orthogonality(q, _hypothesis_tol(tol)), "Q is not orthogonal")
-
-    if middle is None:
-        middle = left @ x @ q
-        sym_middle = middle.sym()
     _require_each(
         _asymmetry(middle, _hypothesis_tol(tol)),
         f"conjugated product is not symmetric in {mode} mode ({{}}); "
@@ -310,17 +301,10 @@ def _young_commuting(a: _Stack, b: _Stack, p: list, q: list, tol: float) -> _Blo
     """:func:`check_young_commuting` of each member, member ``i`` at ``p[i]``, ``q[i]``."""
     for pi, qi in zip(p, q):
         _require_conjugate(pi, qi)
-    # A * B is formed ahead of the PSD checks when the shapes allow it, so
-    # that the check of its symmetric part joins the first solver call
-    ab = lhs = None
-    if _same_square(a, b):
-        ab = a @ b
-        lhs = ab.sym()
-        _solve_together(a, b, lhs)
+    ab = a @ b
+    lhs = ab.sym()
+    _solve_together(a, b, lhs)
     _require_psd(tol, A=a, B=b)
-    if ab is None:
-        ab = a @ b
-        lhs = ab.sym()
     for c, fa, fb in zip((ab - b @ a).frobenius(), a.frobenius(), b.frobenius()):
         _require(c <= _hypothesis_tol(tol) * (1 + fa * fb), f"pair does not commute: ||AB - BA|| = {c:.3e}")
     _require_psd(tol, **{"A * B": lhs})

@@ -19,9 +19,9 @@ alignments and min gaps through ``eighe`` of the Hermitian part, and
 spectral norms through ``svd_c``; Frobenius norms, and with them the
 residuals of the orthogonality and normality gates, come from Parseval.
 t-eigenvalues take ``eighe`` of the Hermitian half slices of a member
-symmetric within ``PREDICATE_TOL`` and ``eig`` of the half slices of any
-other, rounded to complex128 and mirrored as the float kernel mirrors
-them.  A power is taken of the formed product (no factored form), and
+whose symmetry residual is at most ``PREDICATE_TOL * ||X||_F`` and ``eig``
+of the half slices of any other, rounded to complex128 and mirrored as the
+float kernel mirrors them.  A power is taken of the formed product (no factored form), and
 ``|x|^r`` of the formed Gram, where the float stack takes the SVD of the
 factor; 50 digits make both accurate enough.  The norms, gaps and
 t-eigenvalues are rounded to float64 at the end, which moves a margin by
@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ttensor.algebra import PREDICATE_TOL, _asymmetry
+from ttensor.algebra import PREDICATE_TOL
 from ttensor.core import _check_same_shape
 from ttensor.errors import ShapeMismatchError
 from ttensor.fourier import _parseval_weights
@@ -211,8 +211,9 @@ class _MpStack:
         the float stack's order."""
         mp = _mp()
         out = []
-        for m, reason in zip(self.halves, _asymmetry(self, PREDICATE_TOL)):
-            if reason:
+        residuals = (self - self.transpose()).frobenius()
+        for m, residual, norm in zip(self.halves, residuals, self.frobenius()):
+            if residual > PREDICATE_TOL * norm:
                 w = [mp.eig(s, left=False, right=False) for s in m]
             else:
                 w = [mp.eighe((s + s.H) * 0.5, eigvals_only=True) for s in m]

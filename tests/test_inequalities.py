@@ -174,14 +174,28 @@ def test_young_commuting_rejects_noncommuting():
             check_young_commuting(a, b, 2.0, 2.0)
 
 
-def test_young_commuting_checks_hypotheses_before_shapes():
-    # A * B is formed ahead of the PSD checks only when the shapes allow it
+def test_young_commuting_checks_shapes_before_hypotheses():
+    # A * B is formed before the PSD checks, so a shape error comes first
     a = gen_t_psd(3, 4, RngStream(212))
     b = gen_t_psd(2, 4, RngStream(213))
+    square_b = gen_t_psd(3, 4, RngStream(213))
     with pytest.raises(HypothesisViolationError, match=r"^B is not positive semidefinite"):
-        check_young_commuting(a, -1.0 * b, 2.0, 2.0)
-    with pytest.raises(ShapeMismatchError):
-        check_young_commuting(a, b, 2.0, 2.0)
+        check_young_commuting(a, -1.0 * square_b, 2.0, 2.0)
+    for other in (b, -1.0 * b):
+        with pytest.raises(ShapeMismatchError):
+            check_young_commuting(a, other, 2.0, 2.0)
+
+
+def test_order_certifiers_check_shapes_before_hypotheses():
+    # A - B is formed before the PSD checks, so a shape error comes first
+    a, b = gen_t_psd(3, 4, RngStream(225)), gen_t_psd(3, 4, RngStream(226))
+    small_b = gen_t_psd(2, 4, RngStream(226))
+    for call in (lambda a, b: check_loewner_heinz(a, b, 0.5), lambda a, b: check_furuta(a, b, 1.0, 1.0, 1.0)):
+        with pytest.raises(HypothesisViolationError, match=r"^B is not positive semidefinite"):
+            call(a, -1.0 * b)
+        for other in (small_b, -1.0 * small_b):
+            with pytest.raises(ShapeMismatchError):
+                call(a, other)
 
 
 def test_young_witness_checks_exponents_before_shapes():
@@ -194,16 +208,17 @@ def test_young_witness_checks_exponents_before_shapes():
             call(a, b, 1.5, 3.0)
 
 
-def test_hansen_checks_hypotheses_before_shapes():
-    # Q^T X Q is formed ahead of the checks only when the shapes allow it
+def test_hansen_checks_shapes_before_hypotheses():
+    # Q^T X Q is formed before the checks, so a shape error comes first
     x = gen_t_psd(3, 4, RngStream(214))
-    q = identity(2, 4)
+    q, square_q = identity(2, 4), identity(3, 4)
     with pytest.raises(HypothesisViolationError, match=r"^Q is not a contraction"):
-        check_hansen_power(3.0 * q, x, 0.5)
+        check_hansen_power(3.0 * square_q, x, 0.5)
     with pytest.raises(HypothesisViolationError, match=r"^X is not positive semidefinite"):
-        check_hansen_power(q, -1.0 * x, 0.5)
-    with pytest.raises(ShapeMismatchError):
-        check_hansen_power(q, x, 0.5)
+        check_hansen_power(square_q, -1.0 * x, 0.5)
+    for q_bad, x_bad in ((q, x), (3.0 * q, x), (q, -1.0 * x)):
+        with pytest.raises(ShapeMismatchError):
+            check_hansen_power(q_bad, x_bad, 0.5)
 
 
 def test_absolute_values_of_two_shapes_are_certified():

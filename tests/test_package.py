@@ -133,7 +133,7 @@ ONE_DEFINITION = {
 # spellings gone from the source: a wave's shared solver call is made by
 # core._solve_together itself, and the library has one Frobenius norm
 # (core._frobenius)
-NOWHERE = (r"\b_hermitian_eigs\b", r"np\.linalg\.norm\(")
+NOWHERE = (r"\b_hermitian_eigs\b", r"np\.linalg\.norm\(", r"\b_same_square\b")
 
 
 def _is_home(home: str, module: str, inside: str) -> bool:

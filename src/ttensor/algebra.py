@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Tensor3, _frobenius, _solve_together, _Stack, _t_inverse
-from .errors import NotSymmetricError, ShapeMismatchError, _require, _require_each, _require_tol
+from .errors import NotSymmetricError, _require, _require_each, _require_tol
 
 __all__ = [
     "LoewnerVerdict",
@@ -229,6 +229,4 @@ def _require_psd(tol: float, **stacks: _Stack) -> None:
 def loewner_ge(a: Tensor3, b: Tensor3, tol: float = PREDICATE_TOL) -> LoewnerVerdict:
     """Verdict for a >= b in the positive semidefinite order: a - b is t-PSD."""
     _require_tol(tol)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"order comparison needs equal shapes: {a.shape} vs {b.shape}")
     return is_t_psd(a - b, tol)

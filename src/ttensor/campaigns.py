@@ -126,10 +126,13 @@ class _Stacked:
     ``stacks[k]``, their ``k``-th scalars in ``columns[k]``.
     ``certify(stacks, columns, tol, mode)`` gives the group's
     :class:`ttensor.certificates._Blocks`, one list of rows per trial.
+    ``params`` names the keys of :func:`run_campaign`'s ``params`` that
+    the draw reads; the campaign refuses any other key.
     """
 
     draw: Callable
     certify: Callable
+    params: tuple = ()
 
 
 def _stacked(certifier):
@@ -316,22 +319,22 @@ def _certify_hoffman_wielandt(stacks, columns, tol, mode):
 
 
 _REGISTRY = {
-    "loewner-heinz": _Stacked(_draw_loewner_heinz, _stacked(ineq._loewner_heinz)),
-    "hansen-power": _Stacked(_draw_hansen_power, _certify_hansen_power),
+    "loewner-heinz": _Stacked(_draw_loewner_heinz, _stacked(ineq._loewner_heinz), ("r", "exploratory")),
+    "hansen-power": _Stacked(_draw_hansen_power, _certify_hansen_power, ("r",)),
     "furuta": _Stacked(_draw_furuta, _stacked(ineq._furuta)),
-    "young-commuting": _Stacked(_draw_young_commuting, _stacked(ineq._young_commuting)),
-    "young-witness": _Stacked(_draw_young_witness, _stacked(ineq._young_witness_certificates)),
+    "young-commuting": _Stacked(_draw_young_commuting, _stacked(ineq._young_commuting), ("p",)),
+    "young-witness": _Stacked(_draw_young_witness, _stacked(ineq._young_witness_certificates), ("p",)),
     "complex-norm-a": _complex_norm("a"),
     "complex-norm-b": _complex_norm("b"),
     "complex-norm-c": _complex_norm("c"),
     "am-gm": _Stacked(
         _draw_am_gm, lambda stacks, columns, tol, mode: ineq._am_gm(*stacks, tol, mode)
     ),
-    "heinz-family": _Stacked(_draw_heinz_family, _stacked(ineq._heinz_family)),
-    "holder": _Stacked(_draw_holder, _stacked(ineq._holder)),
-    "holder-pairs": _Stacked(_draw_holder_pairs, _stacked(ineq._holder_pairs)),
-    "holder-corollary": _Stacked(_draw_holder_corollary, _stacked(ineq._holder_corollary)),
-    "minkowski": _Stacked(_draw_minkowski, _stacked(ineq._minkowski)),
+    "heinz-family": _Stacked(_draw_heinz_family, _stacked(ineq._heinz_family), ("r", "t")),
+    "holder": _Stacked(_draw_holder, _stacked(ineq._holder), ("r", "p")),
+    "holder-pairs": _Stacked(_draw_holder_pairs, _stacked(ineq._holder_pairs), ("p",)),
+    "holder-corollary": _Stacked(_draw_holder_corollary, _stacked(ineq._holder_corollary), ("r", "p")),
+    "minkowski": _Stacked(_draw_minkowski, _stacked(ineq._minkowski), ("p",)),
     "schur": _Stacked(_draw_random, _stacked(loc._schur)),
     "gershgorin": _Stacked(_draw_random, _stacked(loc._gershgorin)),
     "bauer-fike": _Stacked(_draw_bauer_fike, _stacked(loc._bauer_fike)),
@@ -357,7 +360,8 @@ def run_campaign(
     Trial ``i`` draws its instance from ``RngStream(seed, i)``, so the full
     certificate list is a pure function of the arguments.  ``n`` and ``n3``
     must be at least 1, ``trials`` at least 0 and ``tol`` a finite number at
-    least 0, else :class:`ValueError`.
+    least 0, and ``params`` may hold only keys the theorem's draw reads,
+    else :class:`ValueError`.
     """
     if theorem_id not in _REGISTRY:
         raise UnknownTheoremError(
@@ -370,6 +374,11 @@ def run_campaign(
     _require_tol(tol)
     theorem = _REGISTRY[theorem_id]
     params = dict(params or {})
+    unknown = [key for key in params if key not in theorem.params]
+    if unknown:
+        raise ValueError(
+            f"{theorem_id} takes no params {unknown}; its params: {', '.join(theorem.params) or 'none'}"
+        )
     certificates = []
     window = _window_size(n, n3)
     for start in range(0, trials, window):

@@ -39,10 +39,11 @@ so every SVD and eigen reader of a stack sees only its half slices
 ``0..n3//2`` (:meth:`_Stack.half_slices`, a read-only view of the kept
 slices, with no copy): its spectral norm is the largest
 singular value over them, as the 50-digit reference stack defines it, and
-its gate residuals are Parseval sums over them.  A stack's half slices
-are Hermitian by construction, so its spectra go to the Jacobi kernel
-through the finite-entry check alone (:func:`_jacobi_spectra`), with no
-Hermitian residual.  Since a member's decomposition does not depend on
+its gate residuals are Parseval sums over them.  A stack's Hermitian
+half slices are exactly Hermitian by construction, so its spectra go to
+the Jacobi kernel through the finite-entry check alone
+(:func:`_jacobi_spectra`), with no Hermitian residual and no second
+symmetrization.  Since a member's decomposition does not depend on
 the rest of its stack, a certifier puts the independent stacks it needs
 at one point, a wave, into one Jacobi call (:func:`_solve_together`,
 which also splits the call's result among them), for a whole campaign
@@ -274,8 +275,6 @@ class _Stack:
         solved and kept)."""
         for other in others:
             _check_same_shape(self, other)
-        if not others:
-            return self
         parts = (self, *others)
         out = _Stack(np.concatenate([x.data for x in parts]))
         if all(x._slices is not None for x in parts):
@@ -290,8 +289,6 @@ class _Stack:
 
     def split(self, parts: int) -> list["_Stack"]:
         """Inverse of :meth:`cat` for ``parts`` stacks of equal size."""
-        if parts == 1:
-            return [self]
         size = len(self) // parts
         return [_Stack(self.data[i:i + size]) for i in range(0, len(self), size)]
 
@@ -350,7 +347,9 @@ class _Stack:
         """The Hermitian parts of each square member's :meth:`half_slices`,
         one ``(b * (n3//2 + 1), n, n)`` stack: the slices of the PSD checks,
         the powers and the symmetric branch of
-        :func:`ttensor.spectral.t_eigenvalues`."""
+        :func:`ttensor.spectral.t_eigenvalues`.  They are exactly Hermitian
+        (entry ``(i, j)`` and the conjugate of entry ``(j, i)`` round
+        alike), as the Jacobi kernel takes its input."""
         half = self.half_slices().reshape(-1, *self.shape[:2])
         return 0.5 * (half + eigensolvers._herm_t(half))
 
@@ -581,10 +580,12 @@ def _t_inverse(x: _Stack) -> _Stack:
 
 def _jacobi_spectra(halves: np.ndarray):
     """The Jacobi decomposition of each member of :meth:`_Stack.halves`, one
-    stack's or a wave's: Hermitian by construction, so the members pass the
-    finite-entry check of :func:`ttensor.eigensolvers.hermitian_eig` alone,
-    and no Hermitian residual is taken."""
-    return eigensolvers.HermitianEigen(*eigensolvers._jacobi(eigensolvers._square_stack(halves)[0]))
+    stack's or a wave's: exactly Hermitian by construction, so the members
+    pass the finite-entry check of :func:`ttensor.eigensolvers.hermitian_eig`
+    alone and go to the kernel as they are, with their own Frobenius norms;
+    they are not symmetrized again, and no Hermitian residual is taken."""
+    h = eigensolvers._square_stack(halves)[0]
+    return eigensolvers.HermitianEigen(*eigensolvers._jacobi(h, _frobenius(h)))
 
 
 def _solve_together(*wave: _Stack) -> None:

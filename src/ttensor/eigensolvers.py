@@ -26,14 +26,20 @@ Errors: a NaN or infinite entry raises :class:`EigenConvergenceError`
 before any iteration, as does a member out of its budget (the lowest such
 member is named); a non-square input raises :class:`ValueError`.  Only
 :func:`hermitian_eig` raises :class:`NotSymmetricError`, for a member not
-Hermitian within ``1e-9 * (1 + ||M||_F)``: the library's own stacks are
-Hermitian by construction and reach the kernel without that check.
+Hermitian within ``1e-9 * (1 + ||M||_F)``.
+
+The Jacobi kernel trusts its callers: :func:`_jacobi` takes an exactly
+Hermitian, finite stack and each member's Frobenius norm, and neither
+symmetrizes nor measures it.  :func:`hermitian_eig`, the one entry for
+matrices from outside the library, takes the norm once (for its Hermitian
+bound and the threshold alike) and symmetrizes once;
+:func:`ttensor.core._jacobi_spectra` passes a stack's Hermitian half slices,
+exact by construction, and their norm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,33 +102,35 @@ def hermitian_eig(m) -> HermitianEigen:
     across platforms.
     """
     a, back = _square_stack(m)
+    norm = _frobenius(a)
     residual = _frobenius(a - _herm_t(a))
-    bad = np.flatnonzero(residual > _HERMITIAN_PRE_TOL * (1.0 + _frobenius(a)))
+    bad = np.flatnonzero(residual > _HERMITIAN_PRE_TOL * (1.0 + norm))
     if bad.size:
         raise NotSymmetricError(
             f"matrix is not Hermitian: residual {residual[bad[0]]:.3e} "
             f"exceeds {_HERMITIAN_PRE_TOL:.1e} * (1 + ||M||_F)"
         )
-    values, vectors = _jacobi(a)
+    values, vectors = _jacobi(0.5 * (a + _herm_t(a)), norm)
     return HermitianEigen(values[back], vectors[back])
 
 
-def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi on a ``(b, n, n)`` stack; ``(values, vectors)`` stacks.
+def _jacobi(h: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi on a ``(b, n, n)`` stack ``h``; ``(values, vectors)``
+    stacks.
 
-    The members must be finite and Hermitian, which is not checked here:
-    :func:`hermitian_eig` checks input from outside the library, whose own
-    stacks are so by construction.  Each member is symmetrized, and its
-    threshold is ``1e-13`` times its own Frobenius norm.
+    The members must be finite and exactly Hermitian, and ``norm`` holds
+    each member's Frobenius norm (its threshold is ``1e-13`` times it); none
+    of this is checked or recomputed here.  :func:`hermitian_eig`
+    symmetrizes input from outside the library, whose own stacks are
+    exactly Hermitian by construction.
 
     Each member iterates as one ``(2n, n)`` array: the matrix in rows
     ``0..n-1`` and its accumulated eigenvectors in rows ``n..2n-1``, so a
     rotation's column update covers both in one set of array operations.
     """
-    b, n, _ = a.shape
-    norm = _frobenius(a)
+    b, n, _ = h.shape
     w = np.empty((b, 2 * n, n), dtype=complex)
-    w[:, :n] = 0.5 * (a + _herm_t(a))
+    w[:, :n] = h
     w[:, n:] = np.eye(n)
     threshold = _OFFDIAG_FACTOR * norm
     live = np.arange(b if n > 1 else 0)  # members still sweeping
@@ -151,16 +159,9 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(vals, order, 1), np.take_along_axis(w[:, n:], order[:, None, :], 2)
 
 
-@lru_cache(maxsize=None)
-def _offdiag_mask(n: int) -> np.ndarray:
-    mask = ~np.eye(n, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
 def _max_offdiag(a: np.ndarray) -> np.ndarray:
     """Largest off-diagonal magnitude of each member of a stack."""
-    return np.abs(a[:, _offdiag_mask(a.shape[1])]).max(axis=1, initial=0.0)
+    return np.abs(a[:, ~np.eye(a.shape[1], dtype=bool)]).max(axis=1, initial=0.0)
 
 
 def _rotate(w: np.ndarray, p: int, q: int, skip: np.ndarray) -> None:

@@ -433,14 +433,11 @@ def check_am_gm(
 
 def _am_gm(a: _Stack, x: _Stack, b: _Stack, tol: float, mode: str) -> _Blocks:
     """:func:`check_am_gm` of each member."""
+    if mode not in (MODE_CORRECTED, MODE_LITERAL):
+        raise ValueError(f"unknown mode {mode!r}")
     bt = b.transpose()
     left = a @ x @ bt
-    if mode == MODE_CORRECTED:
-        first = a.transpose() @ a @ x
-    elif mode == MODE_LITERAL:
-        first = a.transpose() @ x
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    first = a.transpose() @ a @ x if mode == MODE_CORRECTED else a.transpose() @ x
     right = first + x @ (bt @ b)
     return _norm_blocks(
         "am-gm", a.shape, tol, [left, right],

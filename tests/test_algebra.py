@@ -305,6 +305,13 @@ def test_loewner_transitive_on_chain():
     assert loewner_ge(a, b).holds and loewner_ge(b, c).holds and loewner_ge(a, c).holds
 
 
+def test_loewner_mis_shaped_pair_raises_the_subtraction_check():
+    # the order A >= B is A - B PSD; the subtraction refuses a mis-shaped pair
+    a, b = gen_symmetric(3, 3, RngStream(64)), gen_symmetric(2, 3, RngStream(65))
+    with pytest.raises(ShapeMismatchError, match=r"^shape mismatch: \(3, 3, 3\) vs \(2, 2, 3\)$"):
+        loewner_ge(a, b)
+
+
 def test_power_order_counterexample_pair():
     a, b = power_order_counterexample()
     assert loewner_ge(a, b).holds

@@ -90,6 +90,23 @@ def test_unknown_mode(theorem_id):
         run_campaign(theorem_id, n=2, n3=2, trials=1, mode="bogus")
 
 
+def test_params_take_only_the_keys_the_draw_reads():
+    # a params key the theorem's draw never reads is refused before any
+    # trial runs, naming the theorem and the keys it takes
+    with pytest.raises(ValueError, match=r"^furuta takes no params \['r'\]; its params: none$"):
+        run_campaign("furuta", n=2, n3=2, trials=1, params={"r": 0.5})
+    with pytest.raises(ValueError, match=r"^holder takes no params \['rr'\]; its params: r, p$"):
+        run_campaign("holder", n=2, n3=2, trials=0, params={"rr": 7.0, "r": 1.0})
+    assert run_campaign("loewner-heinz", n=2, n3=2, trials=0, params={"r": 2.0}).certificates == []
+    # each key a theorem takes is read: it moves the report off the default grid
+    values = {"r": 0.6, "p": 2.5, "t": 0.5, "exploratory": True}
+    for theorem_id in THEOREM_IDS:
+        default = _report_bytes(run_campaign(theorem_id, n=2, n3=2, trials=2, seed=0))
+        for key in campaigns._REGISTRY[theorem_id].params:
+            moved = run_campaign(theorem_id, n=2, n3=2, trials=2, seed=0, params={key: values[key]})
+            assert _report_bytes(moved) != default, (theorem_id, key)
+
+
 def test_hoffman_wielandt_pairs_each_member_once(monkeypatch):
     # a symmetric pair's optimal pairing is the sorted one, so the sorted
     # certificates take its distance instead of sorting the spectra again
@@ -279,7 +296,7 @@ def _solve_each_stack_alone(patch):
     the wave is solved where it is used."""
     solve_together = core._solve_together
 
-    def refuse(stack):
+    def refuse(stack, norm):
         raise EigenConvergenceError("no shared call")
 
     def without_a_shared_call(*wave):
@@ -315,9 +332,9 @@ def test_repeated_campaign_solves_the_same_members(monkeypatch):
     solved = []
     kernel = eigensolvers._jacobi
 
-    def counting_kernel(stack):
+    def counting_kernel(stack, norm):
         solved.append([m.tobytes() for m in stack])
-        return kernel(stack)
+        return kernel(stack, norm)
 
     monkeypatch.setattr(eigensolvers, "_jacobi", counting_kernel)
     run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
@@ -479,7 +496,7 @@ _ORACLE_GRID = (
 # the configurations checked under the test's current name; the rest keep
 # the old name until they move, a few at a time, since test IDs key the
 # pass/fail record kept across changes
-_WINDOW_CONFIGS = _ORACLE_CONFIGS[:6]
+_WINDOW_CONFIGS = _ORACLE_CONFIGS[:7]
 
 
 def _oracle_configs(configs):
@@ -591,9 +608,9 @@ def _solved_per_trial(monkeypatch, theorem_id, **kwargs):
         stacks[current[0]] = []
         return real.draw(window, *args)
 
-    def recording_kernel(stack):
+    def recording_kernel(stack, norm):
         stacks[current[0]].append(stack.copy())
-        return kernel(stack)
+        return kernel(stack, norm)
 
     with monkeypatch.context() as patch:
         patch.setitem(campaigns._REGISTRY, theorem_id, campaigns._Stacked(draw, real.certify))
@@ -610,11 +627,11 @@ def test_merged_call_error_reaches_only_its_trial(monkeypatch):
     kernel = eigensolvers._jacobi
     raised_sizes = []
 
-    def poisoned_kernel(stack):
+    def poisoned_kernel(stack, norm):
         if any(m.tobytes() == poison for m in stack):
             raised_sizes.append(len(stack))
             raise NotSymmetricError("poisoned member")
-        return kernel(stack)
+        return kernel(stack, norm)
 
     monkeypatch.setattr(eigensolvers, "_jacobi", poisoned_kernel)
     log = _track_trials(monkeypatch, "furuta")
@@ -644,9 +661,9 @@ def test_window_merges_each_wave_into_one_call(monkeypatch):
     calls = []
     kernel = eigensolvers._jacobi
 
-    def counting_kernel(stack):
+    def counting_kernel(stack, norm):
         calls.append(len(stack))
-        return kernel(stack)
+        return kernel(stack, norm)
 
     monkeypatch.setattr(eigensolvers, "_jacobi", counting_kernel)
     threads_before = threading.active_count()
@@ -689,10 +706,10 @@ def _solved_members(monkeypatch, theorem_id, shared_waves, **kwargs):
     calls, members = [], []
     kernel = eigensolvers._jacobi
 
-    def recording_kernel(stack):
+    def recording_kernel(stack, norm):
         calls.append(len(stack))
         members.extend(m.tobytes() for m in stack)
-        return kernel(stack)
+        return kernel(stack, norm)
 
     with monkeypatch.context() as patch:
         patch.setattr(eigensolvers, "_jacobi", recording_kernel)
@@ -810,7 +827,7 @@ def test_interrupt_in_a_window_is_not_rerun(monkeypatch):
     # an interrupt is not an error of a trial: it leaves the window at once
     calls = []
 
-    def interrupted(stack):
+    def interrupted(stack, norm):
         calls.append(len(stack))
         raise KeyboardInterrupt
 
@@ -834,7 +851,7 @@ _WINDOW_QR_CALLS = {"schur": 1, "gershgorin": 1, "bauer-fike": 1}
 def test_window_solver_calls(monkeypatch, theorem_id):
     jacobi = []
     kernel = eigensolvers._jacobi
-    monkeypatch.setattr(eigensolvers, "_jacobi", lambda stack: jacobi.append(len(stack)) or kernel(stack))
+    monkeypatch.setattr(eigensolvers, "_jacobi", lambda stack, norm: jacobi.append(len(stack)) or kernel(stack, norm))
     qr = _count_general_kernel(monkeypatch)
     run_campaign(theorem_id, n=4, n3=4, trials=4, seed=1)
     assert (len(jacobi), len(qr)) == (

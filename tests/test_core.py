@@ -142,7 +142,7 @@ def _count_forward(monkeypatch) -> list:
 
 def _count_jacobi(monkeypatch) -> list:
     calls, jacobi = [], eigensolvers._jacobi
-    monkeypatch.setattr(eigensolvers, "_jacobi", lambda stack: calls.append(len(stack)) or jacobi(stack))
+    monkeypatch.setattr(eigensolvers, "_jacobi", lambda stack, norm: calls.append(len(stack)) or jacobi(stack, norm))
     return calls
 
 
@@ -309,9 +309,11 @@ def test_fourier_frobenius_norm_survives_a_sum_of_squares_out_of_range(scale):
 
 
 def test_library_stack_solve_takes_no_hermitian_residual(monkeypatch):
-    # a stack's half slices are Hermitian by construction, so its solve takes
-    # one norm (the Jacobi threshold's) and no Hermitian residual; only
-    # hermitian_eig, for matrices from outside the library, takes both
+    # a stack's half slices are exactly Hermitian by construction, so its
+    # solve hands the kernel their own norm and takes no Hermitian residual
+    # and no norm in eigensolvers; only hermitian_eig, for matrices from
+    # outside the library, takes its input's norm (for its bound and the
+    # threshold alike) and its residual, one call each
     norms, frobenius = [], eigensolvers._frobenius
     monkeypatch.setattr(eigensolvers, "_frobenius", lambda d: norms.append(len(d)) or frobenius(d))
     calls = _count_jacobi(monkeypatch)
@@ -319,11 +321,13 @@ def test_library_stack_solve_takes_no_hermitian_residual(monkeypatch):
     loewner_ge(a, b)
     t_power(a, 0.5)
     hoffman_wielandt(gen_symmetric(3, 6, RngStream(26)), gen_symmetric(3, 6, RngStream(27)))
-    assert calls == [4, 4, 8] and norms == calls
-    del norms[:], calls[:]
+    assert calls == [4, 4, 8] and norms == []
+    del calls[:]
     halves = _Stack.of(a).halves()
-    assert np.array_equal(eigensolvers.hermitian_eig(halves).values, _Stack.of(a).spectra().values)
-    assert calls == [len(halves)] and norms == [len(halves)] * 3
+    assert np.array_equal(halves, eigensolvers._herm_t(halves))  # exactly Hermitian
+    alone, kept = eigensolvers.hermitian_eig(halves), _Stack.of(a).spectra()
+    assert np.array_equal(alone.values, kept.values) and np.array_equal(alone.vectors, kept.vectors)
+    assert calls == [len(halves)] and norms == [len(halves)] * 2
 
 
 def test_frobenius_fourier_transport():

@@ -304,9 +304,9 @@ def _count_solved(monkeypatch):
     solved = []
     kernel = eigensolvers._jacobi
 
-    def counting_kernel(stack):
+    def counting_kernel(stack, norm):
         solved.extend(m.tobytes() for m in stack)
-        return kernel(stack)
+        return kernel(stack, norm)
 
     monkeypatch.setattr(eigensolvers, "_jacobi", counting_kernel)
     return solved

@@ -515,6 +515,15 @@ def test_hansen_unknown_mode_is_a_usage_error_before_the_psd_gate():
         check_hansen_power(identity(2, 2), not_psd, 0.5, mode="bogus")
 
 
+def test_am_gm_unknown_mode_is_a_usage_error_before_the_products():
+    # the mode is checked before A X B^T is formed, so a mis-shaped call with
+    # an unknown mode is the same usage error as a well-shaped one
+    a, y = gen_random((2, 2, 3), RngStream(227)), gen_random((3, 3, 3), RngStream(228))
+    for x in (a, y):  # well-shaped, then mis-shaped
+        with pytest.raises(ValueError, match=r"^unknown mode 'bogus'$"):
+            check_am_gm(a, x, a, mode="bogus")
+
+
 def test_symmetric_hypothesis_has_one_gate_at_small_tol():
     # complex-norm and diag-spectrum check A, B symmetric through one gate,
     # floored at PREDICATE_TOL, so at tol = 1e-12 they agree on a pair that

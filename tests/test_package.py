@@ -128,12 +128,22 @@ ONE_DEFINITION = {
     # the Jacobi kernel is reached by the public entry point and by the one
     # solve of a stack's Hermitian half slices, which a wave shares
     r"\b_jacobi\(": ("eigensolvers:hermitian_eig", "eigensolvers:_jacobi", "core:_jacobi_spectra"),
+    # the Hermitian part of a matrix stack: a stack's half slices, the half
+    # slices of powers, and input from outside the library; the Jacobi
+    # kernel takes it as it is
+    r"\+ (eigensolvers\.)?_herm_t\(": (
+        "core:_Stack.halves", "core:_hermitian_tensors", "eigensolvers:hermitian_eig",
+    ),
+    r"\blru_cache\b": "fourier",  # the transform kernels; nothing else is cached
 }
 
 # spellings gone from the source: a wave's shared solver call is made by
-# core._solve_together itself, and the library has one Frobenius norm
-# (core._frobenius)
-NOWHERE = (r"\b_hermitian_eigs\b", r"np\.linalg\.norm\(", r"\b_same_square\b")
+# core._solve_together itself, the library has one Frobenius norm
+# (core._frobenius), and a mis-shaped operation raises its own shape check
+NOWHERE = (
+    r"\b_hermitian_eigs\b", r"np\.linalg\.norm\(", r"\b_same_square\b",
+    r"order comparison needs equal shapes",
+)
 
 
 def _is_home(home: str, module: str, inside: str) -> bool:

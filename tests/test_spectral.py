@@ -290,9 +290,9 @@ def _count_kernels(monkeypatch):
     counts = {"jacobi": 0, "general": 0}
     jacobi, qr = eigensolvers._jacobi, eigensolvers._qr_eig
 
-    def counting_jacobi(stack):
+    def counting_jacobi(stack, norm):
         counts["jacobi"] += 1
-        return jacobi(stack)
+        return jacobi(stack, norm)
 
     def counting_qr(stack):
         counts["general"] += 1

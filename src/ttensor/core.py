@@ -50,7 +50,16 @@ which also splits the call's result among them), for a whole campaign
 window (:mod:`ttensor.campaigns`).  A :class:`Tensor3`
 keeps its one-member stack (:meth:`_Stack.of`), so every public call on
 the tensor reads the same slices, spectra and singular values, computed on
-first use.  A stack holds
+first use.  Stacks of equal bytes share them, and their t-eigenvalues, by
+content: a stack that first needs one looks up its member shape and data
+bytes in the store :data:`_KEPT`, adopts the value stored there or
+computes and stores it, and a wave drops the stacks whose spectra the
+store holds and solves each distinct content once.  Equal bytes give the
+same computation, so a stored value is bit for bit what the stack would
+compute.  The store is least recently used first, bounded by
+``_KEPT_BYTES`` of keys and values together, guarded by a lock for
+concurrent callers, and holds read-only arrays; errors and failed waves
+are not stored.  A stack holds
 real tensors only: :meth:`_Stack.of` refuses anything but a
 :class:`Tensor3`, and a :class:`Tensor3` refuses complex entries.  A
 :class:`ComplexTensor3` ``A + iB`` takes the same half-spectrum path
@@ -62,6 +71,8 @@ through stacks of its parts: its spectral norm is
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +99,7 @@ _MASK64 = (1 << 64) - 1
 _DELTA = 1e-3  # the default identity shift of the positive semidefinite generators
 _POWER_TOL = 1e-9  # t_power's symmetry and clamp window; a negative power's definiteness floor
 INVERSE_TOL = 1e-12  # an invertible slice's smallest singular value exceeds this times its largest
+_KEPT_BYTES = 1 << 20  # the bound of the kept-quantity store (_KEPT), keys and values together
 
 
 def _validated(arr: np.ndarray, dtype) -> np.ndarray:
@@ -205,6 +217,84 @@ class ComplexTensor3(_Dense):
         return cls(real.data + 1j * imag.data)
 
 
+class _Content:
+    """A stack's key in the store: its data, compared by shape and exact
+    bytes (so ``-0.0`` and ``0.0`` differ).  The key holds the read-only
+    array, not a copy of its bytes; a view of a larger array is copied
+    first, so the key holds just the bytes the store counts for it."""
+
+    __slots__ = ("data", "_hash")
+
+    def __init__(self, data: np.ndarray):
+        if data.base is not None and getattr(data.base, "nbytes", None) != data.nbytes:
+            data = data.copy()
+            data.flags.writeable = False
+        self.data, self._hash = data, hash((data.shape, data.tobytes()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, _Content)
+            and self.data.shape == other.data.shape
+            and self.data.tobytes() == other.data.tobytes()
+        )
+
+
+class _Store:
+    """What stacks keep, by content: for each key (:class:`_Content`, a
+    stack's data), the quantities computed for a stack of that content, by
+    name.  Equal bytes give the same computation, so a stack that
+    adopts a stored value has the bits it would compute.  The entries are
+    held least recently used first and evicted in that order while keys and
+    values together hold more than ``bound`` bytes; a value that would not
+    fit beside its key alone is not stored.  Stored arrays are read-only.  A
+    lock guards the entries, for concurrent callers."""
+
+    def __init__(self, bound: int):
+        self.bound, self.size = bound, 0
+        self._entries = OrderedDict()  # key -> (bytes held, {name: value})
+        self._lock = threading.Lock()
+
+    def get(self, key, name):
+        """The value stored as ``name`` for ``key``, or ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or name not in entry[1]:
+                return None
+            self._entries.move_to_end(key)
+            return entry[1][name]
+
+    def put(self, key: _Content | None, name: str, value) -> None:
+        """Store ``value`` as ``name`` for ``key``, its arrays made read-only
+        (also when it is not stored: the stack keeps it and shares it)."""
+        arrays = (value.values, value.vectors) if isinstance(value, eigensolvers.HermitianEigen) else (value,)
+        for a in arrays:
+            a.flags.writeable = False
+        if key is None:  # a stack whose data alone is over the bound
+            return
+        added = sum(a.nbytes for a in arrays)
+        with self._lock:
+            held, values = self._entries.get(key, (0, {}))
+            size = (held or key.data.nbytes) + added
+            if name in values or size > self.bound:
+                return
+            self._entries[key] = (size, {**values, name: value})
+            self._entries.move_to_end(key)
+            self.size += size - held
+            while self.size > self.bound:  # the entry just stored fits alone, so it stays
+                self.size -= self._entries.popitem(last=False)[1][0]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.size = 0
+
+
+_KEPT = _Store(_KEPT_BYTES)
+
+
 class _Stack:
     """``b`` real tensors of one shape, member ``i`` at ``data[i]`` of one
     read-only C-contiguous ``(b, n1, n2, n3)`` float64 array: the trial axis.
@@ -223,25 +313,29 @@ class _Stack:
     transformed on first use and kept read-only, their self-conjugate
     slices exactly real, so a stack is transformed once however often it is
     used and :meth:`half_slices` is a view of them; :meth:`spectra` keeps
-    the one decomposition of its half slices in the same way, and
-    :meth:`singular_values` their singular values.  A stack made by
-    :meth:`cat` starts with the slices that all of its parts hold and the
-    spectra that all of them were asked for (so one power application
-    covers a wave of stacks solved together), and no singular values;
-    otherwise stacks share none of these.  One tensor's stack,
-    ``_Stack.of(t)``, is kept by the tensor for its lifetime, so its slices,
-    spectra and singular values serve every call on it.  Entries must be
-    finite, as for :class:`Tensor3`.
+    the one decomposition of its half slices in the same way,
+    :meth:`singular_values` their singular values and :meth:`eigenvalues`
+    the t-eigenvalues.  A stack made by :meth:`cat` starts with the slices
+    that all of its parts hold and the spectra that all of them were asked
+    for (so one power application covers a wave of stacks solved together).
+    Otherwise a stack takes each of these from the store (:data:`_KEPT`)
+    under its :attr:`key` when a stack of equal bytes put it there, and puts
+    what it computes there; equal bytes give the same computation, so the
+    bits are those it would compute.  One tensor's stack, ``_Stack.of(t)``,
+    is kept by the tensor for its lifetime, so its slices, spectra and
+    singular values serve every call on it.  Entries must be finite, as for
+    :class:`Tensor3`.
     """
 
-    __slots__ = ("data", "_slices", "_spectra", "_singular")
+    __slots__ = ("data", "_key", "_slices", "_spectra", "_singular", "_eigenvalues")
 
     def __init__(self, data):
         data = np.ascontiguousarray(data, dtype=float)
         if not np.isfinite(data).all():
             raise ValueError("tensor entries must be finite (no NaN/Inf)")
         data.flags.writeable = False
-        self.data, self._slices, self._spectra, self._singular = data, None, None, None
+        self.data, self._key = data, None
+        self._slices, self._spectra, self._singular, self._eigenvalues = None, None, None, None
 
     @classmethod
     def of(cls, t: Tensor3) -> "_Stack":
@@ -303,6 +397,24 @@ class _Stack:
         return self.data.shape[1:]
 
     @property
+    def key(self):
+        """The stack's key in the store (:data:`_KEPT`), its data's shape and
+        bytes (:class:`_Content`), made on first use; ``None`` for data over
+        the store's bound, which no entry could hold."""
+        if self._key is None and self.data.nbytes <= _KEPT.bound:
+            self._key = _Content(self.data)
+        return self._key
+
+    def _kept(self, name: str, compute):
+        """The stack's quantity ``name``: the store's value for its key, else
+        ``compute()``, stored.  An error leaves nothing stored."""
+        value = _KEPT.get(self.key, name)
+        if value is None:
+            value = compute()
+            _KEPT.put(self.key, name, value)
+        return value
+
+    @property
     def n3(self) -> int:
         return self.data.shape[3]
 
@@ -317,11 +429,13 @@ class _Stack:
         set to their real part once, here, so every reader sees them exactly
         real and every result built from them is exactly conjugate-symmetric
         after mirroring."""
-        if self._slices is None:
+        def transformed():
             slices = fourier._forward(self.data)
             slices.imag[:, fourier._self_conjugate_indices(self.n3)] = 0.0
-            slices.flags.writeable = False  # a tensor's stack shares them with every call
-            self._slices = slices
+            return slices
+
+        if self._slices is None:
+            self._slices = self._kept("slices", transformed)
         return self._slices
 
     def half_slices(self) -> np.ndarray:
@@ -338,9 +452,7 @@ class _Stack:
         norm and the inverse's singularity check both read them, so a kept
         stack takes this SVD once however many of those calls it serves."""
         if self._singular is None:
-            sv = np.linalg.svd(self.half_slices(), compute_uv=False)
-            sv.flags.writeable = False  # a tensor's stack shares them with every call
-            self._singular = sv
+            self._singular = self._kept("singular", lambda: np.linalg.svd(self.half_slices(), compute_uv=False))
         return self._singular
 
     def halves(self) -> np.ndarray:
@@ -357,7 +469,7 @@ class _Stack:
         """The Jacobi decomposition of :meth:`halves`, solved on first use
         (or by :func:`_solve_together`) and kept (:func:`_jacobi_spectra`)."""
         if not self._spectra:  # None before any request, False after a failed wave
-            self._spectra = _jacobi_spectra(self.halves())
+            self._spectra = self._kept("spectra", lambda: _jacobi_spectra(self.halves()))
         return self._spectra
 
     def align(self, other: "_Stack") -> "_Stack":
@@ -479,10 +591,16 @@ class _Stack:
         :meth:`spectra`; the half slices of the others take one general
         solver call, made only when there are any (a member's values do not
         depend on the rest of the stack).  The bound has no absolute floor,
-        so a member's route does not change with its scale."""
-        (n, m, n3), half = self.shape, fourier._half_size(self.n3)
-        if n != m:
+        so a member's route does not change with its scale.  Computed on
+        first use and kept read-only, as the stack's other quantities are."""
+        if self.shape[0] != self.shape[1]:
             raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {self.shape}")
+        if self._eigenvalues is None:
+            self._eigenvalues = self._kept("eigenvalues", self._solved_eigenvalues)
+        return self._eigenvalues
+
+    def _solved_eigenvalues(self) -> np.ndarray:
+        (n, _, n3), half = self.shape, fourier._half_size(self.n3)
         residual = _frobenius(self.data - _transpose(self.data))
         symmetric = residual <= algebra.PREDICATE_TOL * _frobenius(self.data)
         w = np.empty((len(self), half, n), dtype=complex)  # each member's half spectrum
@@ -591,24 +709,39 @@ def _jacobi_spectra(halves: np.ndarray):
 def _solve_together(*wave: _Stack) -> None:
     """Solve the spectra of a wave of independent stacks in one solver call;
     each stack not yet asked for them keeps its share as its
-    :meth:`_Stack.spectra`, and a stack named twice is solved once.  Since a
-    member's decomposition does not depend on the rest of its stack, the
-    share is bit for bit what the stack gets alone.  When they cannot share
-    a call (fewer than two, stacks of two shapes or not square, or a call
-    that raises), each stack is solved, and raises its own error, where it
-    is used; a stack of a failed call does not join a wave again.  Stacks of
-    another type keep no spectra and ignore the request."""
-    pending = list(dict.fromkeys(x for x in wave if isinstance(x, _Stack) and x._spectra is None))
-    if len(pending) < 2 or len({x.shape for x in pending}) > 1 or pending[0].shape[0] != pending[0].shape[1]:
+    :meth:`_Stack.spectra`.  A stack whose spectra the store holds adopts
+    them and leaves the wave, and stacks of equal content are solved once.
+    Since a member's decomposition does not depend on the rest of its stack,
+    the share is bit for bit what the stack gets alone.  When they cannot
+    share a call (fewer than two contents, stacks of two shapes or not
+    square, or a call that raises), each stack is solved, and raises its own error, where
+    it is used; a stack of a failed call does not join a wave again, and
+    the store keeps nothing of it.  Stacks of another type keep no spectra
+    and ignore the request."""
+    pending = {}  # one list of stacks per content; a stack over the store's bound by itself
+    for x in wave:
+        if isinstance(x, _Stack) and x._spectra is None:
+            x._spectra = _KEPT.get(x.key, "spectra")
+            if x._spectra is None:
+                pending.setdefault(x.key or x, []).append(x)
+    first = [same[0] for same in pending.values()]
+    if len(first) < 2 or len({x.shape for x in first}) > 1 or first[0].shape[0] != first[0].shape[1]:
         return
-    halves = [x.halves() for x in pending]
+    halves = [x.halves() for x in first]
     try:
         e = _jacobi_spectra(np.concatenate(halves))
-    except TtensorError:
-        e = False  # each stack is then solved, and raises its own error, where it is used
+    except TtensorError:  # each stack is then solved, and raises its own error, where it is used
+        for same in pending.values():
+            for x in same:
+                x._spectra = False
+        return
     ends = np.cumsum([0] + [len(h) for h in halves])
-    for x, start, end in zip(pending, ends, ends[1:]):
-        x._spectra = e and eigensolvers.HermitianEigen(e.values[start:end], e.vectors[start:end])
+    for same, start, end in zip(pending.values(), ends, ends[1:]):
+        # copies, so the store holds and counts each share alone, not the wave's arrays
+        share = eigensolvers.HermitianEigen(e.values[start:end].copy(), e.vectors[start:end].copy())
+        _KEPT.put(same[0].key, "spectra", share)
+        for x in same:
+            x._spectra = share
 
 
 @dataclass(frozen=True)

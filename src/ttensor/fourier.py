@@ -156,7 +156,9 @@ class FourierSlices:
     ``slices`` is a read-only C-contiguous complex128 array of shape
     ``(n3, n1, n2)``; slice ``k`` is ``slices[k]``.  Construction accepts a
     tuple, list or array of equally shaped slices and raises
-    :class:`ShapeMismatchError` when they do not stack to that shape.
+    :class:`ShapeMismatchError` when they do not stack to that shape, and
+    :class:`ValueError` for a NaN or infinite entry, as :class:`Tensor3`
+    does.
 
     ``origin_real`` records that the slices came from a real tensor, in which
     case slice ``n3 - i`` is the entrywise conjugate of slice ``i`` for
@@ -181,6 +183,8 @@ class FourierSlices:
                 f"Fourier slices stack to shape {stack.shape}, expected "
                 f"(n3, n1, n2) = {(self.n3, self.n1, self.n2)}"
             )
+        if not np.isfinite(stack).all():
+            raise ValueError("Fourier slice entries must be finite (no NaN/Inf)")
         stack = stack.view()  # read-only without freezing the caller's array
         stack.flags.writeable = False
         object.__setattr__(self, "slices", stack)

@@ -140,9 +140,12 @@ def test_campaign_determinism():
     assert _report_bytes(r1) != _report_bytes(r3)
 
 
+# loewner-heinz draws furuta's Loewner pairs and solves the same first
+# wave, so the callers race on the same entries of the store
 _CONCURRENT_CAMPAIGNS = (
     ("heinz-family", 2, 2, 10, 4),
     ("furuta", 3, 4, 6, 7),
+    ("loewner-heinz", 3, 4, 6, 7),
     ("gershgorin", 3, 5, 6, 2),
 )
 
@@ -155,8 +158,8 @@ def _concurrent_reports(order, run=run_campaign):
 
 
 def test_campaign_concurrent_callers_match_serial():
-    # a campaign keeps no state outside its call, so campaigns run at once
-    # from two caller threads give their lone serial reports
+    # a campaign keeps nothing that changes its output, so campaigns run at
+    # once from two caller threads give their lone serial reports
     serial = _concurrent_reports(_CONCURRENT_CAMPAIGNS, run_campaign_serial)
     orders = (_CONCURRENT_CAMPAIGNS, _CONCURRENT_CAMPAIGNS[::-1])
     barrier = threading.Barrier(len(orders))
@@ -327,8 +330,9 @@ def test_shared_wave_solves_leave_reports_unchanged(monkeypatch, theorem_id, n, 
 
 
 def test_repeated_campaign_solves_the_same_members(monkeypatch):
-    # nothing is kept between calls: a repeated campaign solves the same
-    # members in the same calls
+    # a repeated campaign adopts the spectra the store kept and solves
+    # nothing; with the store emptied, it solves the same members in the
+    # same calls
     solved = []
     kernel = eigensolvers._jacobi
 
@@ -341,12 +345,15 @@ def test_repeated_campaign_solves_the_same_members(monkeypatch):
     first = list(solved)
     assert len(first) == 3  # the three waves of furuta
     run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
+    assert solved == first
+    core._KEPT.clear()
+    run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
     assert solved[len(first):] == first
 
 
 def test_repeated_campaign_transforms_the_same_stacks(monkeypatch):
-    # nothing is kept between calls: a repeated campaign transforms the same
-    # stacks again
+    # a repeated campaign adopts the slices the store kept and transforms
+    # nothing; with the store emptied, it transforms the same stacks again
     computed = []
     forward = fourier._forward
 
@@ -358,6 +365,9 @@ def test_repeated_campaign_transforms_the_same_stacks(monkeypatch):
     run_campaign("furuta", n=3, n3=5, trials=1, seed=5)
     first = list(computed)
     assert first
+    run_campaign("furuta", n=3, n3=5, trials=1, seed=5)
+    assert computed == first
+    core._KEPT.clear()
     run_campaign("furuta", n=3, n3=5, trials=1, seed=5)
     assert computed[len(first):] == first
 
@@ -496,7 +506,7 @@ _ORACLE_GRID = (
 # the configurations checked under the test's current name; the rest keep
 # the old name until they move, a few at a time, since test IDs key the
 # pass/fail record kept across changes
-_WINDOW_CONFIGS = _ORACLE_CONFIGS[:7]
+_WINDOW_CONFIGS = _ORACLE_CONFIGS[:8]
 
 
 def _oracle_configs(configs):
@@ -533,6 +543,9 @@ def test_window_size():
 
 
 def _raised(run, *args, **kwargs):
+    """The error of a run from an empty store, so each run meets its errors
+    where a first run meets them."""
+    core._KEPT.clear()
     with pytest.raises(Exception) as info:
         run(*args, **kwargs)
     return type(info.value), str(info.value)
@@ -702,7 +715,9 @@ _SHARED_WAVE_CALLS = {
 
 
 def _solved_members(monkeypatch, theorem_id, shared_waves, **kwargs):
-    """Kernel calls of one campaign, and the members they solved."""
+    """Kernel calls of one campaign from an empty store, and the members
+    they solved."""
+    core._KEPT.clear()
     calls, members = [], []
     kernel = eigensolvers._jacobi
 
@@ -821,6 +836,33 @@ def test_campaigns_start_no_thread(monkeypatch):
     _no_thread_starts(monkeypatch)
     for theorem_id, mode, params in _ALL_CONFIGS:
         run_campaign(theorem_id, n=4, n3=4, trials=4, seed=4, mode=mode, params=params)
+
+
+def _registry_pass(seed: int) -> list:
+    return [
+        _report_bytes(run_campaign(tid, n=4, n3=4, trials=4, seed=seed, mode=mode, params=params))
+        for tid, mode, params in _ALL_CONFIGS
+    ]
+
+
+def _held(store) -> int:
+    return sum(size for size, _ in store._entries.values())
+
+
+def test_store_stays_within_its_bound_and_changes_no_report():
+    # a registry pass at one seed shares slices and spectra across its
+    # campaigns; the store holds at most its bound, evicting the oldest
+    # entries past it, and a pass gives the same bytes whatever it finds
+    store = core._KEPT
+    shared = _registry_pass(0)
+    assert 0 < store.size == _held(store) <= core._KEPT_BYTES
+    first = set(store._entries)
+    _registry_pass(1)
+    assert store.size == _held(store) <= core._KEPT_BYTES
+    assert not first <= set(store._entries)  # some of pass 0's entries were evicted
+    assert _registry_pass(0) == shared  # what is left of pass 0 adopted, the rest solved again
+    store.clear()
+    assert _registry_pass(0) == shared
 
 
 def test_interrupt_in_a_window_is_not_rerun(monkeypatch):

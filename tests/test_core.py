@@ -5,6 +5,7 @@ import math
 import pickle
 import subprocess
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -39,6 +40,7 @@ from ttensor import (
     to_fourier,
     transpose,
 )
+from ttensor import core
 from ttensor.algebra import _t_inverse
 from ttensor.core import _Stack
 from oracles import brute_bcirc, direct_inner_product, power_iteration_norm
@@ -166,8 +168,11 @@ def _on(a, calls) -> list:
 
 
 def _on_fresh(a, calls) -> list:
-    """Each call on a fresh tensor of ``a``'s entries."""
-    return [f(Tensor3(a.data)) for f in calls]
+    """Each call on a fresh tensor of ``a``'s entries; the store is emptied
+    after them, so a run on ``a`` computes what it keeps."""
+    out = [f(Tensor3(a.data)) for f in calls]
+    core._KEPT.clear()
+    return out
 
 
 def test_tensor_is_transformed_once_for_every_call(monkeypatch):
@@ -224,6 +229,7 @@ def test_cat_carries_the_kept_slices(monkeypatch):
     # normality gate reads their half slices; no transpose is transformed),
     # then reads the spectra of A and B's cat
     calls.clear()
+    core._KEPT.clear()
     hoffman_wielandt(Tensor3(a.data), Tensor3(b.data))
     assert sum(shape[0] for shape in calls) == 2
 
@@ -528,6 +534,7 @@ def test_tensor_takes_one_singular_value_svd_for_every_call(monkeypatch):
     # tensor's stack keeps: one SVD of its 5 half slices for three rounds
     a = gen_random((4, 4, 8), RngStream(17))
     fresh = (t_inverse(Tensor3(a.data)).data.tobytes(), spectral_norm(Tensor3(a.data)))
+    core._KEPT.clear()
     calls = _count_singular_value_svds(monkeypatch)
     for _ in range(3):
         assert (t_inverse(a).data.tobytes(), spectral_norm(a)) == fresh
@@ -542,6 +549,76 @@ def test_kept_singular_values_are_read_only_and_a_fresh_svd():
     with pytest.raises(ValueError):
         sv[0, 0, 0] = 1.0
     assert sv.tobytes() == np.linalg.svd(x.half_slices(), compute_uv=False).tobytes()
+
+
+def _keyed(value: float):
+    """The store key of a one-member 4x4x4 stack of ``value``: 512 bytes."""
+    return _Stack(np.full((1, 4, 4, 4), value)).key
+
+
+def test_store_evicts_the_least_recently_used_entry_past_its_bound():
+    store = core._Store(3 * 1024)  # three entries of a 512-byte key and value
+    keys = [_keyed(v) for v in range(4)]
+    for k in keys[:3]:
+        store.put(k, "slices", np.zeros(64))
+    assert store.size == 3 * 1024
+    assert store.get(keys[0], "slices") is not None  # now the most recently used
+    store.put(keys[3], "slices", np.zeros(64))
+    assert store.size == 3 * 1024
+    assert store.get(keys[1], "slices") is None
+    assert all(store.get(k, "slices") is not None for k in (keys[0], keys[2], keys[3]))
+    store.clear()
+    assert store.size == 0 and store.get(keys[0], "slices") is None
+
+
+def test_store_keeps_only_what_fits_and_freezes_it():
+    store = core._Store(1024)
+    k, value = _keyed(1.0), np.zeros(64)
+    store.put(k, "singular", value)
+    assert not value.flags.writeable and store.get(k, "singular") is value
+    store.put(_keyed(2.0), "slices", np.zeros(128))  # 512 + 1024 bytes: over the bound alone
+    assert store.get(_keyed(2.0), "slices") is None and store.get(k, "singular") is value
+    store.put(k, "spectra", np.zeros(1))  # the entry would hold 1032 bytes
+    assert store.get(k, "spectra") is None and store.size == 1024
+    # keys compare exact bytes: the zeros' signs count
+    assert _keyed(1.0) == k and _keyed(0.0) != _keyed(-0.0)
+    assert _Stack(np.zeros((1, 128, 128, 9))).key is None  # data alone over the default bound
+
+
+def test_store_accounting_survives_concurrent_callers():
+    # more threads than cores look up and store 16 keys in a store that
+    # holds 8 entries; a lost update would leave its byte count off the
+    # entries it holds
+    store, keys, errors = core._Store(8 * 1024), [_keyed(v) for v in range(16)], []
+
+    def caller(seed):
+        try:
+            for i in np.random.default_rng(seed).integers(0, len(keys), 300):
+                if store.get(keys[i], "slices") is None:
+                    store.put(keys[i], "slices", np.zeros(64))
+        except BaseException as exc:  # re-raised on the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert store.size == sum(size for size, _ in store._entries.values()) == 8 * 1024
+
+
+def test_stacks_of_equal_bytes_share_what_they_keep():
+    a = gen_t_psd(3, 5, RngStream(20))
+    x, y = _Stack(a.data[None]), _Stack(a.data[None].copy())
+    assert x.slices is y.slices and x.singular_values() is y.singular_values()
+    assert x.spectra() is y.spectra() and x.eigenvalues() is y.eigenvalues()
+    assert not x.eigenvalues().flags.writeable
 
 
 def _inverse_error(a: Tensor3) -> tuple:

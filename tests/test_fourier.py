@@ -7,6 +7,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,34 @@ def test_fourier_slices_is_one_read_only_stack():
 def test_fourier_slices_rejects_mismatched_shapes(dims, given):
     with pytest.raises(ShapeMismatchError):
         FourierSlices(*dims, given, True)
+
+
+def _with_entry(bad) -> np.ndarray:
+    """A real tensor's Fourier slices with one entry of slice 1 set to ``bad``."""
+    s = np.array(to_fourier(gen_random((2, 2, 4), RngStream(22))).slices)
+    s[1, 0, 1] = bad
+    return s
+
+
+_NON_FINITE = [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, -np.inf)]
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_from_fourier_refuses_non_finite_slices_without_warnings(bad):
+    # refused where the slices are made, as a Tensor3 refuses its entries;
+    # the symmetry check never sees a NaN residual
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Fourier slice entries must be finite"):
+            from_fourier(FourierSlices(2, 2, 4, _with_entry(bad), True))
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_fourier_frobenius_norm_refuses_non_finite_slices(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Fourier slice entries must be finite"):
+            fourier.fourier_frobenius_norm(FourierSlices(2, 2, 4, _with_entry(bad), False))
 
 
 def _exactly_conjugate_slices(rng, n1, n2, n3, zeros=False):

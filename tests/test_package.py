@@ -134,7 +134,10 @@ ONE_DEFINITION = {
     r"\+ (eigensolvers\.)?_herm_t\(": (
         "core:_Stack.halves", "core:_hermitian_tensors", "eigensolvers:hermitian_eig",
     ),
-    r"\blru_cache\b": "fourier",  # the transform kernels; nothing else is cached
+    r"\blru_cache\b": "fourier",  # the transform kernels; stacks keep the rest through the store
+    # the one store of what stacks keep, by content: no module but core
+    # reads or writes it
+    r"\b_KEPT\b|\b_Store\(": "core",
 }
 
 # spellings gone from the source: a wave's shared solver call is made by

@@ -40,6 +40,7 @@ from ttensor import (
     young_witness,
 )
 from ttensor.algebra import PREDICATE_TOL, _psd_verdicts
+from ttensor import core
 from ttensor.core import _solve_together, _Stack
 from ttensor.localization import diag_spectrum_bound, hoffman_wielandt, sorted_pairing_distance
 from oracles import brute_bcirc
@@ -318,14 +319,18 @@ def _later_calls(a, b):
 def test_wave_in_one_jacobi_call_matches_each_call_alone(monkeypatch, n3):
     # the half spectra of a PSD check, an order check, powers and a Loewner
     # gap share one call, each stack keeps its share, an absolute value takes
-    # an SVD and no Jacobi call, and each call computes what it computes alone
+    # an SVD and no Jacobi call, and each call computes what it computes alone;
+    # the gap of a symmetric pair is their difference, bit for bit, so the
+    # wave solves that content once
     a, b = gen_loewner_pair(3, n3, RngStream(91))
     alone = _later_calls(a, b)
+    core._KEPT.clear()  # so the wave solves what the calls alone solved
     counts = _count_kernels(monkeypatch)
-    x, y = _Stack.of(a), _Stack.of(b)
+    x, y = _Stack(a.data[None]), _Stack(b.data[None])
     diff, gap = x - y, (x - y).sym()
+    assert gap.data.tobytes() == diff.data.tobytes()
     _solve_together(x, diff, y, gap)
-    assert counts["jacobi"] == 1
+    assert counts["jacobi"] == 1 and gap.spectra() is diff.spectra()
     xp, yp = x.cat(y).power([0.5, 1.5]).split(2)
     shared = [
         _psd_verdicts(x, PREDICATE_TOL)[0].min_gap_eigenvalue,
@@ -348,11 +353,12 @@ def test_unshareable_wave_leaves_each_stack_to_its_own_call(monkeypatch):
     counts = _count_kernels(monkeypatch)
     _solve_together(x, _Stack.of(small))  # two shapes
     _solve_together(x, x)  # a lone stack, named twice
+    _solve_together(x, _Stack(a.data[None]))  # a lone content, in two stacks
     assert counts["jacobi"] == 0
     monkeypatch.setattr(eigensolvers, "_MAX_SWEEPS", 1)
     with pytest.raises(EigenConvergenceError) as alone:
         t_power(a, 0.5)
-    _solve_together(x, _Stack(a.data[None]))  # the call fails, and nothing is kept
+    _solve_together(x, _Stack.of(gen_t_psd(3, 4, RngStream(97))))  # the call fails, and nothing is kept
     assert counts["jacobi"] == 2
     with pytest.raises(EigenConvergenceError) as after:
         x.power(0.5)
@@ -389,6 +395,7 @@ def test_symmetric_pair_spectra_take_one_call(monkeypatch):
     b = gen_symmetric(3, 4, RngStream(96))
     counts = _count_kernels(monkeypatch)
     for certify in (hoffman_wielandt, diag_spectrum_bound, sorted_pairing_distance):
+        core._KEPT.clear()
         certify(Tensor3(a.data), Tensor3(b.data))  # fresh tensors keep no spectra
         assert counts == {"jacobi": 1, "general": 0}, certify.__name__
         counts["jacobi"] = 0

@@ -64,8 +64,11 @@ tensor's slices are kept by the stack it owns
 (:meth:`ttensor.core._Stack.of`), which takes them from :func:`_forward`
 once and sets its self-conjugate slices' imaginary parts, which are
 roundoff, to 0; so :func:`to_fourier` of a real tensor transforms it only
-on its first use by any call.  A complex tensor's parts are transformed
-afresh, as one two-member stack, by every call.
+on its first use by any call.  A complex tensor keeps no stack of its
+own: each call makes one two-member stack of its parts, whose slices are
+shared by content through :mod:`ttensor.core`'s store of kept
+quantities like any other stack's, so equal complex tensors transform
+their parts once while the stack's entry stays stored.
 
 Large transforms run on two threads (:func:`_slicewise_einsum`).  When the
 work ``b * n1 * n2 * n3**2`` is above ``_SPLIT_WORK``, the process may run

@@ -73,10 +73,13 @@ def t_eigenvalues(a) -> TEigenSpectrum:
 
     Real symmetric input goes through the Hermitian solver (real spectrum);
     everything else through the general solver.  As a multiset the result
-    equals the spectrum of the block-circulant unfolding.
+    equals the spectrum of the block-circulant unfolding.  ``values`` is the
+    caller's own writable array: a real tensor's stack keeps its
+    t-eigenvalues read-only and shares them by content, so the result holds
+    a copy.
     """
     if isinstance(a, Tensor3):
-        values = _Stack.of(a).eigenvalues()[0]
+        values = _Stack.of(a).eigenvalues()[0].copy()
         return TEigenSpectrum(values, np.repeat(_mirrored_slices(a.n3)[1], a.n1))
     if a.n1 != a.n2:
         raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {a.shape}")

@@ -44,6 +44,14 @@ def _report_bytes(result) -> bytes:
     return "\n".join(lines).encode()
 
 
+def _from_empty_store(run, *args, **kwargs):
+    """``run(*args, **kwargs)`` from an empty store of kept quantities, so it
+    computes every slice and spectrum it needs instead of adopting those an
+    earlier run of the same draws stored (:data:`ttensor.core._KEPT`)."""
+    core._KEPT.clear()
+    return run(*args, **kwargs)
+
+
 def test_registry_contents():
     expected = {
         "loewner-heinz", "hansen-power", "furuta", "young-commuting",
@@ -134,7 +142,7 @@ def test_zero_trials():
 
 def test_campaign_determinism():
     r1 = run_campaign("furuta", n=2, n3=2, trials=12, seed=9)
-    r2 = run_campaign("furuta", n=2, n3=2, trials=12, seed=9)
+    r2 = _from_empty_store(run_campaign, "furuta", n=2, n3=2, trials=12, seed=9)
     assert _report_bytes(r1) == _report_bytes(r2)
     r3 = run_campaign("furuta", n=2, n3=2, trials=12, seed=10)
     assert _report_bytes(r1) != _report_bytes(r3)
@@ -161,6 +169,7 @@ def test_campaign_concurrent_callers_match_serial():
     # a campaign keeps nothing that changes its output, so campaigns run at
     # once from two caller threads give their lone serial reports
     serial = _concurrent_reports(_CONCURRENT_CAMPAIGNS, run_campaign_serial)
+    core._KEPT.clear()  # the callers fill the store as they race
     orders = (_CONCURRENT_CAMPAIGNS, _CONCURRENT_CAMPAIGNS[::-1])
     barrier = threading.Barrier(len(orders))
     results, errors = [None] * len(orders), []
@@ -189,7 +198,7 @@ def test_campaign_concurrent_callers_match_serial():
 def test_campaign_certificates_reconstructible():
     # a certificate is a pure function of (theorem id, dims, seed, trial params)
     result = run_campaign("loewner-heinz", n=2, n3=3, trials=5, seed=21)
-    again = run_campaign("loewner-heinz", n=2, n3=3, trials=5, seed=21)
+    again = _from_empty_store(run_campaign, "loewner-heinz", n=2, n3=3, trials=5, seed=21)
     for c1, c2 in zip(result.certificates, again.certificates):
         assert c1 == c2
 
@@ -293,13 +302,16 @@ def test_summary_fields():
     assert "worst_margin" in s and "worst_params" in s
 
 
-def _solve_each_stack_alone(patch):
+def _solve_each_stack_alone(patch) -> list:
     """Give every wave of independent slice spectra no shared solver call:
     the wave's one call fails before it reaches the kernel, so each stack of
-    the wave is solved where it is used."""
+    the wave is solved where it is used.  Returns the sizes of the refused
+    calls, as they are made."""
     solve_together = core._solve_together
+    refused = []
 
     def refuse(stack, norm):
+        refused.append(len(stack))
         raise EigenConvergenceError("no shared call")
 
     def without_a_shared_call(*wave):
@@ -315,17 +327,21 @@ def _solve_each_stack_alone(patch):
     assert callers  # the modules that ask for waves
     for module in callers:
         patch.setattr(module, "_solve_together", without_a_shared_call)
+    return refused
 
 
 @pytest.mark.parametrize("n,n3", [(3, 4), (2, 5)])
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
 def test_shared_wave_solves_leave_reports_unchanged(monkeypatch, theorem_id, n, n3):
     # spectra that a window needs at one point share a solver call; solving
-    # each stack alone instead leaves the reports as they are
+    # each stack alone instead leaves the reports as they are.  The alone
+    # run starts from an empty store, or it would adopt the shared run's
+    # spectra and solve nothing
     shared = run_campaign(theorem_id, n=n, n3=n3, trials=2, seed=3)
     with monkeypatch.context() as patch:
-        _solve_each_stack_alone(patch)
-        alone = run_campaign(theorem_id, n=n, n3=n3, trials=2, seed=3)
+        refused = _solve_each_stack_alone(patch)
+        alone = _from_empty_store(run_campaign, theorem_id, n=n, n3=n3, trials=2, seed=3)
+    assert bool(refused) == (theorem_id in _WAVE_THEOREMS)
     assert _report_bytes(shared) == _report_bytes(alone)
 
 
@@ -415,7 +431,7 @@ def test_bauer_fike_rejected_first_conjugators_draw_on_alone(monkeypatch):
 
     monkeypatch.setattr(campaigns._Window, "random", recording_random)
     monkeypatch.setattr(campaigns, "_run_trial", _no_serial_rerun)
-    assert _report_bytes(run_campaign("bauer-fike", **kwargs)) == serial
+    assert _report_bytes(_from_empty_store(run_campaign, "bauer-fike", **kwargs)) == serial
     assert 0 < len(lone) < 16
 
 
@@ -519,7 +535,7 @@ def _oracle_configs(configs):
 def _window_matches_serial_oracle(theorem_id, mode, params, n, n3, trials, seed):
     kwargs = dict(n=n, n3=n3, trials=trials, seed=seed, mode=mode, params=params)
     assert _report_bytes(run_campaign(theorem_id, **kwargs)) == _report_bytes(
-        run_campaign_serial(theorem_id, **kwargs)
+        _from_empty_store(run_campaign_serial, theorem_id, **kwargs)
     )
 
 
@@ -545,9 +561,8 @@ def test_window_size():
 def _raised(run, *args, **kwargs):
     """The error of a run from an empty store, so each run meets its errors
     where a first run meets them."""
-    core._KEPT.clear()
     with pytest.raises(Exception) as info:
-        run(*args, **kwargs)
+        _from_empty_store(run, *args, **kwargs)
     return type(info.value), str(info.value)
 
 
@@ -680,7 +695,7 @@ def test_window_merges_each_wave_into_one_call(monkeypatch):
 
     monkeypatch.setattr(eigensolvers, "_jacobi", counting_kernel)
     threads_before = threading.active_count()
-    run_campaign("furuta", **kwargs)
+    _from_empty_store(run_campaign, "furuta", **kwargs)
     assert threading.active_count() == threads_before
     assert len(calls) == max(len(s) for s in per_trial.values())
     assert sum(calls) == sum(len(s) for t in per_trial.values() for s in t)
@@ -712,12 +727,13 @@ _SHARED_WAVE_CALLS = {
     "young-commuting": ((4, 2), (4, 2)),
     "young-witness": ((3, 2), (3, 2)),
 }
+# the theorems whose windows put two or more stacks in one wave
+_WAVE_THEOREMS = {tid for tid, ((alone, shared), _) in _SHARED_WAVE_CALLS.items() if alone > shared}
 
 
 def _solved_members(monkeypatch, theorem_id, shared_waves, **kwargs):
     """Kernel calls of one campaign from an empty store, and the members
     they solved."""
-    core._KEPT.clear()
     calls, members = [], []
     kernel = eigensolvers._jacobi
 
@@ -730,7 +746,7 @@ def _solved_members(monkeypatch, theorem_id, shared_waves, **kwargs):
         patch.setattr(eigensolvers, "_jacobi", recording_kernel)
         if not shared_waves:
             _solve_each_stack_alone(patch)
-        result = run_campaign(theorem_id, **kwargs)
+        result = _from_empty_store(run_campaign, theorem_id, **kwargs)
     return result, len(calls), sorted(members)
 
 
@@ -764,7 +780,7 @@ def test_shared_wave_matches_serial_oracle_without_it(
     ahead = run_campaign(theorem_id, **kwargs)
     with monkeypatch.context() as patch:
         _solve_each_stack_alone(patch)
-        serial = run_campaign_serial(theorem_id, **kwargs)
+        serial = _from_empty_store(run_campaign_serial, theorem_id, **kwargs)
     assert _report_bytes(ahead) == _report_bytes(serial)
 
 
@@ -793,7 +809,7 @@ def test_window_merges_general_eig_solves(monkeypatch, theorem_id, n, n3, trials
     assert rem == 0 and per_trial >= 1
     solved = sum(calls)
     del calls[:]
-    assert _report_bytes(run_campaign(theorem_id, **kwargs)) == serial
+    assert _report_bytes(_from_empty_store(run_campaign, theorem_id, **kwargs)) == serial
     windows = -(-trials // campaigns._window_size(n, n3))
     assert len(calls) == windows and sum(calls) == solved
 
@@ -920,7 +936,7 @@ def test_stacked_window_matches_serial_oracle(monkeypatch, theorem_id, mode, n, 
     kwargs = dict(n=n, n3=n3, trials=trials, seed=seed, mode=mode)
     serial = _report_bytes(run_campaign_serial(theorem_id, **kwargs))
     monkeypatch.setattr(campaigns, "_run_trial", _no_serial_rerun)
-    assert _report_bytes(run_campaign(theorem_id, **kwargs)) == serial
+    assert _report_bytes(_from_empty_store(run_campaign, theorem_id, **kwargs)) == serial
 
 
 def test_stacked_window_certifies_once_per_instance_shape(monkeypatch):
@@ -1058,7 +1074,7 @@ def test_bauer_fike_takes_both_spectra_in_one_general_solve(monkeypatch):
     # one call per window: 4 trials x 2 tensors x 3 half slices
     assert calls == [24]
     del calls[:]
-    run_campaign_serial("bauer-fike", n=4, n3=4, trials=2, seed=5)
+    _from_empty_store(run_campaign_serial, "bauer-fike", n=4, n3=4, trials=2, seed=5)
     assert calls == [6, 6]
 
 

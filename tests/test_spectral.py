@@ -57,6 +57,19 @@ def test_t_eigenvalues_identity():
     assert np.abs(spec.values - 1.0).max() < 1e-12
 
 
+@pytest.mark.parametrize("make", [gen_symmetric(3, 4, RngStream(88)), gen_random((3, 3, 4), RngStream(89))])
+def test_t_eigenvalues_values_are_the_callers_own(make):
+    # a stack keeps its t-eigenvalues read-only and shares them by content;
+    # each call hands back its own writable copy, so sorting or editing it
+    # in place changes no later call on the tensor or on equal bytes
+    first = t_eigenvalues(make)
+    kept = first.values.copy()
+    first.values.sort()
+    first.values[0] = 7.0
+    for a in (make, Tensor3(make.data.copy())):
+        assert t_eigenvalues(a).values.tobytes() == kept.tobytes()
+
+
 def test_t_eigenvalues_two_point_tube():
     t = Tensor3.from_flat([0.0, 1.0], 1, 1, 2)
     spec = t_eigenvalues(t)

@@ -43,11 +43,12 @@ serial loop.
 Every member of a stacked call gets the bits it would get alone, so reports
 are byte-identical to running the trials one after another.  A campaign
 keeps nothing that changes its output.  The stacks it draws share their
-Fourier slices, singular values, spectra and t-eigenvalues by content
-through the bounded store of :mod:`ttensor.core`, so theorems at one seed,
-which draw the same instances from the same streams, transform and solve
-a shared instance once; equal bytes give the same computation, so a stored
-value is the value the campaign would compute.  A window whose transforms
+built PSD instances (kept by their uniforms), Fourier slices, singular
+values, spectra and t-eigenvalues by content through the bounded store of
+:mod:`ttensor.core`, so theorems at one seed, which draw the same
+instances from the same streams, build, transform and solve a shared
+instance once; equal bytes give the same computation, so a stored value is
+the value the campaign would compute.  A window whose transforms
 stay below ``fourier._SPLIT_WORK`` starts no thread; above it the one
 transform worker that :mod:`ttensor.fourier` shares starts once per
 process.  :func:`run_campaign` may be called from several threads at once,

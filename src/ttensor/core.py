@@ -54,7 +54,11 @@ first use.  Stacks of equal bytes share them, and their t-eigenvalues, by
 content: a stack that first needs one looks up its member shape and data
 bytes in the store :data:`_KEPT`, adopts the value stored there or
 computes and stores it, and a wave drops the stacks whose spectra the
-store holds and solves each distinct content once.  Equal bytes give the
+store holds and solves each distinct content once.  The positive
+semidefinite instance ``R^T * R + delta * I`` built from a stack of
+uniforms ``R`` (:func:`_t_psd`, behind every generator and campaign draw of
+one) is a kept quantity of ``R`` in the same way, so equal uniforms build
+it, and transform and solve it, once.  Equal bytes give the
 same computation, so a stored value is bit for bit what the stack would
 compute.  The store is least recently used first, bounded by
 ``_KEPT_BYTES`` of keys and values together, guarded by a lock for
@@ -99,7 +103,11 @@ _MASK64 = (1 << 64) - 1
 _DELTA = 1e-3  # the default identity shift of the positive semidefinite generators
 _POWER_TOL = 1e-9  # t_power's symmetry and clamp window; a negative power's definiteness floor
 INVERSE_TOL = 1e-12  # an invertible slice's smallest singular value exceeds this times its largest
-_KEPT_BYTES = 1 << 20  # the bound of the kept-quantity store (_KEPT), keys and values together
+# the bound of the kept-quantity store (_KEPT), keys and values together.
+# One pass of the 19 theorems at n = 3, n3 = 128 or 127, one trial (seeds
+# 0-3, both lengths) takes 47 store hits a pass at this bound, 35 at 1 MiB
+# and 49 unbounded; a registry pass at (4, 4, 4) holds under 1 MiB.
+_KEPT_BYTES = 1 << 21
 
 
 def _validated(arr: np.ndarray, dtype) -> np.ndarray:
@@ -405,8 +413,9 @@ class _Stack:
             self._key = _Content(self.data)
         return self._key
 
-    def _kept(self, name: str, compute):
-        """The stack's quantity ``name``: the store's value for its key, else
+    def _kept(self, name, compute):
+        """The stack's quantity ``name`` (a string, or a tuple of a string
+        and the quantity's parameters): the store's value for its key, else
         ``compute()``, stored.  An error leaves nothing stored."""
         value = _KEPT.get(self.key, name)
         if value is None:
@@ -867,7 +876,8 @@ def gen_t_psd(n: int, n3: int, rng, delta: float = _DELTA) -> Tensor3:
     """Positive semidefinite tensor R^T * R + delta * I.
 
     ``delta > 0`` keeps all Fourier-slice eigenvalues away from zero so that
-    fractional powers are well conditioned.
+    fractional powers are well conditioned; a ``delta`` that is not a finite
+    number ``>= 0`` raises :class:`ValueError`.
     """
     return _t_psd(_Stack.of(gen_random((n, n, n3), rng)), delta).member(0)
 
@@ -895,10 +905,20 @@ def gen_commuting_psd_pair(n: int, n3: int, rng, delta: float = _DELTA) -> tuple
 def _t_psd(r: _Stack, delta: float = _DELTA) -> _Stack:
     """:func:`gen_t_psd` of each member's uniforms ``r``: one t-product, one
     shift and one symmetrization (which removes the transform roundoff, so
-    downstream symmetry checks are exact) for the whole stack."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    return _Stack((r.transpose() @ r).data + delta * identity(r.shape[0], r.n3).data).sym()
+    downstream symmetry checks are exact) for the whole stack.
+
+    The instance's data is a kept quantity of ``r`` (:meth:`_Stack._kept`),
+    named by ``delta``'s exact bits (so ``-0.0`` and ``0.0`` differ), so a
+    stack of equal uniforms adopts the instance an earlier build stored;
+    equal uniforms give the same computation, so the bits are those it
+    would build.  ``delta`` must be a finite number ``>= 0``."""
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be a finite number >= 0, got {delta}")
+
+    def built():
+        return _Stack((r.transpose() @ r).data + delta * identity(r.shape[0], r.n3).data).sym().data
+
+    return _Stack(r._kept(("t_psd", float(delta).hex()), built))
 
 
 def _loewner_pairs(r_b: _Stack, r_p: _Stack, delta: float = _DELTA) -> tuple[_Stack, _Stack]:

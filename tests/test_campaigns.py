@@ -522,7 +522,7 @@ _ORACLE_GRID = (
 # the configurations checked under the test's current name; the rest keep
 # the old name until they move, a few at a time, since test IDs key the
 # pass/fail record kept across changes
-_WINDOW_CONFIGS = _ORACLE_CONFIGS[:8]
+_WINDOW_CONFIGS = _ORACLE_CONFIGS[:9]
 
 
 def _oracle_configs(configs):
@@ -873,12 +873,95 @@ def test_store_stays_within_its_bound_and_changes_no_report():
     shared = _registry_pass(0)
     assert 0 < store.size == _held(store) <= core._KEPT_BYTES
     first = set(store._entries)
-    _registry_pass(1)
-    assert store.size == _held(store) <= core._KEPT_BYTES
+    # passes at distinct seeds, enough that together with pass 0 they hold
+    # more than the bound
+    for seed in range(1, core._KEPT_BYTES // store.size + 1):
+        _registry_pass(seed)
+        assert store.size == _held(store) <= core._KEPT_BYTES
     assert not first <= set(store._entries)  # some of pass 0's entries were evicted
     assert _registry_pass(0) == shared  # what is left of pass 0 adopted, the rest solved again
     store.clear()
     assert _registry_pass(0) == shared
+
+
+def _count_kernels(monkeypatch) -> dict:
+    """Calls of the transform, Jacobi and QR kernels, by name."""
+    calls = {}
+
+    def counted(name, kernel):
+        def run(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args)
+        return run
+
+    for module, name in (
+        (fourier, "_forward"), (fourier, "_inverse"), (eigensolvers, "_jacobi"), (eigensolvers, "_qr_eig")
+    ):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+# Kernel calls of one registry pass at seed 5 from an empty store: the 19
+# corrected theorems at each tube length, and every configuration at
+# (4, 4, 4).  A theorem that draws a PSD instance which an earlier theorem
+# of the pass built adopts it, and the slices and spectra kept for it, so the
+# pass builds, transforms and solves it once.  With a 1 MiB store and no kept
+# instances the counts were (102, 72, 17, 3) at each tube length and
+# (124, 99, 20, 2) at (4, 4, 4).
+_PASS_KERNEL_CALLS = [
+    # (n, n3, trials), configurations, (_forward, _inverse, _jacobi, _qr_eig)
+    ((3, 128, 1), _ORACLE_CONFIGS[:len(THEOREM_IDS)], (91, 66, 15, 2)),
+    ((3, 127, 1), _ORACLE_CONFIGS[:len(THEOREM_IDS)], (91, 66, 15, 2)),
+    ((4, 4, 4), _ALL_CONFIGS, (124, 91, 20, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "dims,configs,expected", _PASS_KERNEL_CALLS, ids=["3-128-1", "3-127-1", "4-4-4-all"]
+)
+def test_registry_pass_kernel_calls(monkeypatch, dims, configs, expected):
+    n, n3, trials = dims
+    calls = _count_kernels(monkeypatch)
+    for theorem_id, mode, params in configs:
+        run_campaign(theorem_id, n=n, n3=n3, trials=trials, seed=5, mode=mode, params=params)
+    assert tuple(calls.get(name, 0) for name in ("_forward", "_inverse", "_jacobi", "_qr_eig")) == expected
+
+
+def _psd_uniforms(seed: int) -> np.ndarray:
+    """Two trials' uniforms for 3x3x8 PSD instances, along a trial axis."""
+    return np.array([gen_random((3, 3, 8), RngStream(seed, t)).data for t in range(2)])
+
+
+def test_psd_instance_is_kept_read_only_and_adopted_with_the_bytes_of_a_fresh_build(monkeypatch):
+    uniforms = _psd_uniforms(33)
+    kept = _t_psd(_Stack(uniforms))
+    calls = _count_kernels(monkeypatch)
+    adopted = _t_psd(_Stack(uniforms.copy()))  # equal uniforms, another stack
+    assert calls == {} and adopted.data is kept.data
+    assert not adopted.data.flags.writeable
+    with pytest.raises(ValueError):
+        adopted.data[0, 0, 0, 0] = 1.0
+    fresh = _from_empty_store(_t_psd, _Stack(uniforms.copy()))
+    assert calls["_inverse"] == 1 and fresh.data.tobytes() == adopted.data.tobytes()
+
+
+def test_psd_instance_is_named_by_the_exact_bits_of_delta():
+    r = _Stack(_psd_uniforms(34))
+    built = {delta.hex(): _t_psd(r, delta) for delta in (0.0, -0.0, 0.5)}
+    assert len(built) == 3
+    for bits, x in built.items():
+        assert core._KEPT.get(r.key, ("t_psd", bits)) is x.data
+    assert _t_psd(r, 0).data is built[(0.0).hex()].data
+
+
+def test_psd_instance_of_uniforms_over_the_bound_is_built_and_not_stored(monkeypatch):
+    members = core._KEPT_BYTES // (2 * 2 * 4 * 8) + 1  # data one member over the bound
+    r = _Stack(np.random.default_rng(35).uniform(-1.0, 1.0, (members, 2, 2, 4)))
+    assert r.key is None
+    calls = _count_kernels(monkeypatch)
+    first, second = _t_psd(r), _t_psd(r)
+    assert calls["_inverse"] == 2 and core._KEPT.size == 0 and not core._KEPT._entries
+    assert first.data.tobytes() == second.data.tobytes()
 
 
 def test_interrupt_in_a_window_is_not_rerun(monkeypatch):

@@ -389,6 +389,18 @@ def test_gen_commuting_pair_commutes(seed):
     assert is_t_psd(a, 1e-9).holds and is_t_psd(b, 1e-9).holds
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize(
+    "generator", [gen_t_psd, gen_loewner_pair, gen_commuting_psd_pair],
+    ids=["gen_t_psd", "gen_loewner_pair", "gen_commuting_psd_pair"],
+)
+def test_psd_generators_refuse_a_delta_that_is_not_a_finite_number_at_least_0(generator, delta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic warns
+        with pytest.raises(ValueError, match=r"^delta must be a finite number >= 0, got"):
+            generator(2, 3, RngStream(32), delta=delta)
+
+
 def test_degenerate_dims_are_first_class():
     one = gen_random((1, 1, 1), RngStream(1))
     assert one.shape == (1, 1, 1)
@@ -582,7 +594,9 @@ def test_store_keeps_only_what_fits_and_freezes_it():
     assert store.get(k, "spectra") is None and store.size == 1024
     # keys compare exact bytes: the zeros' signs count
     assert _keyed(1.0) == k and _keyed(0.0) != _keyed(-0.0)
-    assert _Stack(np.zeros((1, 128, 128, 9))).key is None  # data alone over the default bound
+    # data alone over the default bound: one 128 x 128 slice more than fits
+    over = core._KEPT_BYTES // (128 * 128 * 8) + 1
+    assert _Stack(np.zeros((1, 128, 128, over))).key is None
 
 
 def test_store_accounting_survives_concurrent_callers():

@@ -58,6 +58,7 @@ lone serial run.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -365,10 +366,12 @@ def run_campaign(
     """Run ``trials`` seeded instances of one registered theorem.
 
     Trial ``i`` draws its instance from ``RngStream(seed, i)``, so the full
-    certificate list is a pure function of the arguments.  ``n`` and ``n3``
-    must be at least 1, ``trials`` at least 0 and ``tol`` a finite number at
-    least 0, and ``params`` may hold only keys the theorem's draw reads,
-    else :class:`ValueError`.
+    certificate list is a pure function of the arguments.  ``n``, ``n3``,
+    ``trials`` and ``seed`` must be integers (not bools), ``n`` and ``n3``
+    at least 1, ``trials`` at least 0 and ``tol`` a finite number at least
+    0, and ``params`` may hold only keys the theorem's draw reads, else
+    :class:`ValueError`, before any trial.  The summary holds them as plain
+    ``int``.
     """
     if theorem_id not in _REGISTRY:
         raise UnknownTheoremError(
@@ -376,6 +379,10 @@ def run_campaign(
         )
     if mode not in (ineq.MODE_CORRECTED, ineq.MODE_LITERAL):
         raise ValueError(f"unknown mode {mode!r}")
+    for name, value in {"n": n, "n3": n3, "trials": trials, "seed": seed}.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    n, n3, trials, seed = map(int, (n, n3, trials, seed))
     if n < 1 or n3 < 1 or trials < 0:
         raise ValueError(f"need n >= 1, n3 >= 1 and trials >= 0, got n={n}, n3={n3}, trials={trials}")
     _require_tol(tol)

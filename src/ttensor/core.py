@@ -1,80 +1,40 @@
-"""Dense third-order tensors, elementary structural operations, norms, and
-seeded random instance generation.
+"""Dense third-order tensors, the stack algebra, the store of what stacks
+keep, and seeded instance generation.
 
-A :class:`Tensor3` stores its entries as a read-only float64 array of shape
-``(n1, n2, n3)``; ``data[:, :, k]`` is frontal slice ``k`` (0-based).  The flat
-serialization order used by files and oracles is slice-major with row-major
-slices: flat index ``(k * n1 + i) * n2 + j`` for 0-based ``(i, j, k)``, for
-real and complex tensors alike (``to_flat`` / ``from_flat``, its one
-definition).
+Owns :class:`Tensor3` and :class:`ComplexTensor3` (read-only ``(n1, n2, n3)``
+arrays, slice ``k`` at ``data[:, :, k]``, flat order slice-major and
+row-major: ``to_flat`` / ``from_flat``); :class:`_Stack`, ``b`` real tensors
+along a leading trial axis, whose methods are the algebra every certifier is
+written in, and which a :class:`Tensor3` keeps for itself (:meth:`_Stack.of`);
+the Fourier-domain kernels beside it (powers, ``|X|^r``, the inverse, the
+Jacobi solve of Hermitian half slices, a wave's one shared solve
+:func:`_solve_together`); the store :data:`_KEPT`; :class:`RngStream` and
+the generators.  A complex ``A + iB`` is read through stacks of its parts.
 
-:class:`_Stack` holds ``b`` tensors of one shape along a leading trial axis,
-``(b, n1, n2, n3)``.  Its methods are the stack algebra the certifiers are
-written in: the t-product ``x @ y``, transpose, ``sym``, sums and scalings,
-powers, ``|X|^r = (X^T X)^(r/2)``, the eigenbasis alignment
-of the Young witness (:meth:`_Stack.align`), the Frobenius and spectral
-norms, the residuals of the orthogonality and normality gates
-(:meth:`_Stack.gram_residuals`), the min gaps (:meth:`_Stack.extremes`),
-the t-eigenvalues (:meth:`_Stack.eigenvalues`), the norms of ``A + iB``,
-and ``cat``, ``split`` and ``where``; a certifier body that calls only
-these methods runs on any stack type that has them.  The Fourier-domain
-kernels live beside the stack: the power loop (:func:`_clipped_power`),
-the Hermitian tail of every power (:func:`_hermitian_tensors`) and the
-inverse (:func:`_t_inverse`), so this is the one module that reads a
-stack's half spectrum.  The modules it calls into (:mod:`ttensor.algebra`,
-:mod:`ttensor.eigensolvers`, :mod:`ttensor.fourier`,
-:mod:`ttensor.spectral`) are bound once, at the end of this module.  The
-public functions are the ``b = 1`` case: a member's result never depends on
-the rest of its stack.  A stack keeps its
-Fourier slices, each member's self-conjugate slices made exactly real once,
-when they are kept (the stack's ``slices``), and one decomposition of its
-Hermitian half slices (:meth:`_Stack.spectra`), for its PSD
-checks and its powers alike; its ``|X|^r`` takes one SVD of its half
-slices instead and never forms the Gram, whose condition is the square of
-the stack's.  It keeps the singular values of its half slices as well
-(:meth:`_Stack.singular_values`), from one SVD that its spectral norm and
-the inverse's singularity check both read.  A real member's slices
-``n3 - k`` and ``k`` are conjugates,
-so every SVD and eigen reader of a stack sees only its half slices
-``0..n3//2`` (:meth:`_Stack.half_slices`, a read-only view of the kept
-slices, with no copy): its spectral norm is the largest
-singular value over them, as the 50-digit reference stack defines it, and
-its gate residuals are Parseval sums over them.  A stack's Hermitian
-half slices are exactly Hermitian by construction, so its spectra go to
-the Jacobi kernel through the finite-entry check alone
-(:func:`_jacobi_spectra`), with no Hermitian residual and no second
-symmetrization.  Since a member's decomposition does not depend on
-the rest of its stack, a certifier puts the independent stacks it needs
-at one point, a wave, into one Jacobi call (:func:`_solve_together`,
-which also splits the call's result among them), for a whole campaign
-window (:mod:`ttensor.campaigns`).  A :class:`Tensor3`
-keeps its one-member stack (:meth:`_Stack.of`), so every public call on
-the tensor reads the same slices, spectra and singular values, computed on
-first use.  Stacks of equal bytes share them, and their t-eigenvalues, by
-content: a stack that first needs one looks up its member shape and data
-bytes in the store :data:`_KEPT`, adopts the value stored there or
-computes and stores it, and a wave drops the stacks whose spectra the
-store holds and solves each distinct content once.  The positive
-semidefinite instance ``R^T * R + delta * I`` built from a stack of
-uniforms ``R`` (:func:`_t_psd`, behind every generator and campaign draw of
-one) is a kept quantity of ``R`` in the same way, so equal uniforms build
-it, and transform and solve it, once.  Equal bytes give the
-same computation, so a stored value is bit for bit what the stack would
-compute.  The store is least recently used first, bounded by
-``_KEPT_BYTES`` of keys and values together, guarded by a lock for
-concurrent callers, and holds read-only arrays; errors and failed waves
-are not stored.  A stack holds
-real tensors only: :meth:`_Stack.of` refuses anything but a
-:class:`Tensor3`, and a :class:`Tensor3` refuses complex entries.  A
-:class:`ComplexTensor3` ``A + iB`` takes the same half-spectrum path
-through stacks of its parts: its spectral norm is
-:meth:`_Stack.cartesian_norms` of ``A`` and ``B`` (slice ``n3 - k`` of
-``A + iB`` is ``conj(A_k - i B_k)``), so no complex transform is made.
+Invariants:
+
+* A member's result is bit for bit the public function's on that member
+  alone; the public functions are the ``b = 1`` case.
+* A stack keeps what it computes (:meth:`_Stack._kept`): Fourier slices,
+  half-slice spectra and singular values, t-eigenvalues, PSD instances.  A
+  kept value is what the stack would compute: a stored one was computed on
+  equal bytes, and equal bytes give the same computation.
+* Only half slices ``0..n3//2`` reach an SVD or eigen reader.
+* The store is bounded by ``_KEPT_BYTES``, evicts least recently used first,
+  holds read-only arrays, is locked, and keeps no error and no failed wave.
+
+Errors: :class:`ValueError` for non-finite or mis-dimensioned entries, a
+complex entry in a real tensor or a bad ``delta``;
+:class:`ShapeMismatchError` for mismatched shapes;
+:class:`SingularTensorError` for a singular inverse or a negative power of a
+tensor not strictly definite; :class:`TypeError` for a stack of anything but
+a :class:`Tensor3`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -317,33 +277,27 @@ class _Stack:
     them.  Each member's result is bit for bit what the public function
     gives that member alone; the public functions are the ``b = 1`` case.
 
-    ``slices`` are the members' Fourier slices, ``(b, n3, n1, n2)``,
-    transformed on first use and kept read-only, their self-conjugate
-    slices exactly real, so a stack is transformed once however often it is
-    used and :meth:`half_slices` is a view of them; :meth:`spectra` keeps
-    the one decomposition of its half slices in the same way,
-    :meth:`singular_values` their singular values and :meth:`eigenvalues`
-    the t-eigenvalues.  A stack made by :meth:`cat` starts with the slices
-    that all of its parts hold and the spectra that all of them were asked
-    for (so one power application covers a wave of stacks solved together).
-    Otherwise a stack takes each of these from the store (:data:`_KEPT`)
-    under its :attr:`key` when a stack of equal bytes put it there, and puts
-    what it computes there; equal bytes give the same computation, so the
-    bits are those it would compute.  One tensor's stack, ``_Stack.of(t)``,
-    is kept by the tensor for its lifetime, so its slices, spectra and
-    singular values serve every call on it.  Entries must be finite, as for
-    :class:`Tensor3`.
+    A stack holds its quantities by name (``_held``), each got once through
+    :meth:`_kept` however often it is used: its Fourier ``slices``, its half
+    slices' :meth:`spectra` and :meth:`singular_values`, its
+    :meth:`eigenvalues` and the PSD instance built from it (:func:`_t_psd`).  ``"spectra" in x._held`` marks a stack asked for its spectra: by
+    a wave that solved it or whose call failed (``None``, so it is solved
+    alone where it is used), or by a share it adopted.  A stack made by
+    :meth:`cat` starts with the slices that all of its parts hold and the
+    spectra that all of them were asked for (so one power application covers
+    a wave of stacks solved together).  One tensor's stack, ``_Stack.of(t)``,
+    is kept by the tensor for its lifetime, so what it holds serves every
+    call on it.  Entries must be finite, as for :class:`Tensor3`.
     """
 
-    __slots__ = ("data", "_key", "_slices", "_spectra", "_singular", "_eigenvalues")
+    __slots__ = ("data", "_key", "_held")
 
     def __init__(self, data):
         data = np.ascontiguousarray(data, dtype=float)
         if not np.isfinite(data).all():
             raise ValueError("tensor entries must be finite (no NaN/Inf)")
         data.flags.writeable = False
-        self.data, self._key = data, None
-        self._slices, self._spectra, self._singular, self._eigenvalues = None, None, None, None
+        self.data, self._key, self._held = data, None, {}
 
     @classmethod
     def of(cls, t: Tensor3) -> "_Stack":
@@ -379,12 +333,12 @@ class _Stack:
             _check_same_shape(self, other)
         parts = (self, *others)
         out = _Stack(np.concatenate([x.data for x in parts]))
-        if all(x._slices is not None for x in parts):
-            out._slices = np.concatenate([x._slices for x in parts])
-            out._slices.flags.writeable = False
-        if all(x._spectra is not None for x in parts):  # each was asked for in a wave
+        if all("slices" in x._held for x in parts):
+            out._held["slices"] = np.concatenate([x.slices for x in parts])
+            out._held["slices"].flags.writeable = False
+        if all("spectra" in x._held for x in parts):  # each was asked for in a wave
             held = [x.spectra() for x in parts]  # solved alone after a failed wave
-            out._spectra = eigensolvers.HermitianEigen(
+            out._held["spectra"] = eigensolvers.HermitianEigen(
                 np.concatenate([e.values for e in held]), np.concatenate([e.vectors for e in held])
             )
         return out
@@ -415,12 +369,19 @@ class _Stack:
 
     def _kept(self, name, compute):
         """The stack's quantity ``name`` (a string, or a tuple of a string
-        and the quantity's parameters): the store's value for its key, else
-        ``compute()``, stored.  An error leaves nothing stored."""
-        value = _KEPT.get(self.key, name)
+        and the quantity's parameters): the value the stack holds, else the
+        store's value for its :attr:`key`, else ``compute()``, stored; the
+        stack holds what it gets.  The one path that stores a value, and
+        that fills a stack but for what :meth:`cat` carries over and a
+        failed wave's ``None`` spectra.  An error leaves nothing held or
+        stored."""
+        value = self._held.get(name)
         if value is None:
-            value = compute()
-            _KEPT.put(self.key, name, value)
+            value = _KEPT.get(self.key, name)
+            if value is None:
+                value = compute()
+                _KEPT.put(self.key, name, value)
+            self._held[name] = value
         return value
 
     @property
@@ -443,9 +404,7 @@ class _Stack:
             slices.imag[:, fourier._self_conjugate_indices(self.n3)] = 0.0
             return slices
 
-        if self._slices is None:
-            self._slices = self._kept("slices", transformed)
-        return self._slices
+        return self._kept("slices", transformed)
 
     def half_slices(self) -> np.ndarray:
         """Fourier slices ``0..n3//2`` of each member, ``(b, n3//2 + 1, n1,
@@ -460,9 +419,7 @@ class _Stack:
         ``np.linalg.svd`` call on first use, kept read-only.  The spectral
         norm and the inverse's singularity check both read them, so a kept
         stack takes this SVD once however many of those calls it serves."""
-        if self._singular is None:
-            self._singular = self._kept("singular", lambda: np.linalg.svd(self.half_slices(), compute_uv=False))
-        return self._singular
+        return self._kept("singular", lambda: np.linalg.svd(self.half_slices(), compute_uv=False))
 
     def halves(self) -> np.ndarray:
         """The Hermitian parts of each square member's :meth:`half_slices`,
@@ -475,11 +432,10 @@ class _Stack:
         return 0.5 * (half + eigensolvers._herm_t(half))
 
     def spectra(self):
-        """The Jacobi decomposition of :meth:`halves`, solved on first use
-        (or by :func:`_solve_together`) and kept (:func:`_jacobi_spectra`)."""
-        if not self._spectra:  # None before any request, False after a failed wave
-            self._spectra = self._kept("spectra", lambda: _jacobi_spectra(self.halves()))
-        return self._spectra
+        """The Jacobi decomposition of :meth:`halves`
+        (:func:`_jacobi_spectra`), kept: solved by :func:`_solve_together`,
+        or on first use, also after a failed wave."""
+        return self._kept("spectra", lambda: _jacobi_spectra(self.halves()))
 
     def align(self, other: "_Stack") -> "_Stack":
         """Each member's tensor whose half slice ``k`` is ``V_k W_k^H``, with
@@ -604,9 +560,7 @@ class _Stack:
         first use and kept read-only, as the stack's other quantities are."""
         if self.shape[0] != self.shape[1]:
             raise ShapeMismatchError(f"t-eigenvalues require a square tensor, got {self.shape}")
-        if self._eigenvalues is None:
-            self._eigenvalues = self._kept("eigenvalues", self._solved_eigenvalues)
-        return self._eigenvalues
+        return self._kept("eigenvalues", self._solved_eigenvalues)
 
     def _solved_eigenvalues(self) -> np.ndarray:
         (n, _, n3), half = self.shape, fourier._half_size(self.n3)
@@ -717,22 +671,23 @@ def _jacobi_spectra(halves: np.ndarray):
 
 def _solve_together(*wave: _Stack) -> None:
     """Solve the spectra of a wave of independent stacks in one solver call;
-    each stack not yet asked for them keeps its share as its
-    :meth:`_Stack.spectra`.  A stack whose spectra the store holds adopts
-    them and leaves the wave, and stacks of equal content are solved once.
-    Since a member's decomposition does not depend on the rest of its stack,
-    the share is bit for bit what the stack gets alone.  When they cannot
-    share a call (fewer than two contents, stacks of two shapes or not
-    square, or a call that raises), each stack is solved, and raises its own error, where
-    it is used; a stack of a failed call does not join a wave again, and
-    the store keeps nothing of it.  Stacks of another type keep no spectra
-    and ignore the request."""
+    each stack not yet asked for them keeps its share through
+    :meth:`_Stack._kept`.  A stack whose spectra the store holds adopts them
+    and leaves the wave, and stacks of equal content are solved once.  Since
+    a member's decomposition does not depend on the rest of its stack, the
+    share is bit for bit what the stack gets alone.  With fewer than two
+    contents, stacks of two shapes or stacks not square, the wave returns
+    and leaves its stacks unasked.  A call that raises leaves each stack
+    holding ``None`` spectra: it is solved, and raises its own error, where
+    it is used, and does not join a wave again.  Stacks of another type keep
+    no spectra and ignore the request."""
     pending = {}  # one list of stacks per content; a stack over the store's bound by itself
     for x in wave:
-        if isinstance(x, _Stack) and x._spectra is None:
-            x._spectra = _KEPT.get(x.key, "spectra")
-            if x._spectra is None:
+        if isinstance(x, _Stack) and "spectra" not in x._held:
+            if _KEPT.get(x.key, "spectra") is None:
                 pending.setdefault(x.key or x, []).append(x)
+            else:
+                x.spectra()  # adopts the stored share
     first = [same[0] for same in pending.values()]
     if len(first) < 2 or len({x.shape for x in first}) > 1 or first[0].shape[0] != first[0].shape[1]:
         return
@@ -742,32 +697,34 @@ def _solve_together(*wave: _Stack) -> None:
     except TtensorError:  # each stack is then solved, and raises its own error, where it is used
         for same in pending.values():
             for x in same:
-                x._spectra = False
+                x._held["spectra"] = None
         return
     ends = np.cumsum([0] + [len(h) for h in halves])
     for same, start, end in zip(pending.values(), ends, ends[1:]):
         # copies, so the store holds and counts each share alone, not the wave's arrays
         share = eigensolvers.HermitianEigen(e.values[start:end].copy(), e.vectors[start:end].copy())
-        _KEPT.put(same[0].key, "spectra", share)
         for x in same:
-            x._spectra = share
+            x._kept("spectra", lambda: share)
 
 
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based random stream identified by ``(seed, stream)``.
 
-    Philox is used underneath, so equal identifiers give bit-identical scalar
-    sequences on every platform and regardless of thread scheduling.  Every
+    Philox is used underneath, keyed by both integers modulo 2^64, so equal
+    identifiers give bit-identical scalar sequences on every platform and
+    regardless of thread scheduling, and distinct keys distinct ones.  Every
     generator call derives a fresh ``numpy`` Generator, hence a generator
     function called twice with the same stream produces identical output.
+    Anything but an integer raises :class:`TypeError` there.
     """
 
     seed: int
     stream: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = [self.seed & _MASK64, self.stream & _MASK64]
+        # a uint64 array: numpy takes a list's integers through float64
+        key = np.array([operator.index(i) & _MASK64 for i in (self.seed, self.stream)], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -78,6 +78,27 @@ def test_campaign_sizes_are_checked(theorem_id):
     assert empty.certificates == [] and empty.summary["trials"] == 0
 
 
+@pytest.mark.parametrize("name", ["n", "n3", "trials", "seed"])
+def test_campaign_integer_arguments_are_checked(monkeypatch, name):
+    # a bool or a non-integral size, trial count or seed is refused, naming
+    # the argument, before any trial runs
+    calls = []
+    monkeypatch.setattr(campaigns, "_certified", lambda *args: calls.append(args))
+    for value in (2.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            run_campaign("furuta", **{"n": 2, "n3": 2, "trials": 1, name: value})
+    assert calls == []
+
+
+def test_campaign_takes_numpy_integers_and_reports_plain_ints():
+    kwargs = dict(n=2, n3=3, trials=2, seed=-1)
+    result = run_campaign("furuta", **{k: np.int64(v) for k, v in kwargs.items()})
+    assert all(type(result.summary[k]) is int for k in kwargs)
+    assert _report_bytes(result) == _report_bytes(run_campaign("furuta", **kwargs))
+    # a negative seed is taken modulo 2^64, not as seed 0
+    assert _report_bytes(run_campaign("furuta", **{**kwargs, "seed": 0})) != _report_bytes(result)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
 def test_campaign_tolerance_must_be_finite_and_nonnegative(tol):
     # a NaN, infinite or negative tolerance makes every verdict against it wrong
@@ -522,7 +543,7 @@ _ORACLE_GRID = (
 # the configurations checked under the test's current name; the rest keep
 # the old name until they move, a few at a time, since test IDs key the
 # pass/fail record kept across changes
-_WINDOW_CONFIGS = _ORACLE_CONFIGS[:9]
+_WINDOW_CONFIGS = _ORACLE_CONFIGS[:10]
 
 
 def _oracle_configs(configs):
@@ -959,7 +980,9 @@ def test_psd_instance_of_uniforms_over_the_bound_is_built_and_not_stored(monkeyp
     r = _Stack(np.random.default_rng(35).uniform(-1.0, 1.0, (members, 2, 2, 4)))
     assert r.key is None
     calls = _count_kernels(monkeypatch)
-    first, second = _t_psd(r), _t_psd(r)
+    first, again = _t_psd(r), _t_psd(r)  # the stack keeps its own instance
+    assert calls["_inverse"] == 1 and again.data is first.data
+    second = _t_psd(_Stack(r.data.copy()))  # equal bytes, but nothing is stored to share
     assert calls["_inverse"] == 2 and core._KEPT.size == 0 and not core._KEPT._entries
     assert first.data.tobytes() == second.data.tobytes()
 

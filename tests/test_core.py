@@ -363,6 +363,26 @@ def test_generator_determinism():
         assert not np.array_equal(t1.data, t3.data)
 
 
+def _stream_bytes(rng: RngStream) -> bytes:
+    return rng.generator().bytes(64)
+
+
+def test_rng_stream_keeps_every_bit_of_its_key():
+    # the key reaches Philox as uint64, not through float64: keys at or above
+    # 2^63, negative keys (taken modulo 2^64) and numpy integers keep their bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zero = _stream_bytes(RngStream(0))
+        assert _stream_bytes(RngStream(-1)) != zero
+        assert _stream_bytes(RngStream(2**64 - 1)) != zero
+        assert _stream_bytes(RngStream(-1)) == _stream_bytes(RngStream(2**64 - 1))
+        assert _stream_bytes(RngStream(2**63)) != _stream_bytes(RngStream(2**63 + 1))
+        assert _stream_bytes(RngStream(5, -1)) != _stream_bytes(RngStream(5, 0))
+        assert _stream_bytes(RngStream(np.int64(7), np.uint64(2))) == _stream_bytes(RngStream(7, 2))
+    # keys below 2^63 draw what a key list always drew
+    assert _stream_bytes(RngStream(5, 3)) == np.random.Generator(np.random.Philox(key=[5, 3])).bytes(64)
+
+
 def test_gen_symmetric_exact():
     a = gen_symmetric(4, 3, RngStream(31))
     assert frobenius_norm(a - transpose(a)) == 0.0
@@ -506,7 +526,7 @@ def test_upper_slices_reach_no_svd_reader(n3):
     garbled = x.slices.copy()
     garbled[:, n3 // 2 + 1:] = 1e3 * np.random.default_rng(n3).normal(size=garbled[:, n3 // 2 + 1:].shape)
     y = _Stack(x.data)
-    y._slices = garbled
+    y._held["slices"] = garbled
     assert y.spectral() == x.spectral()
     assert _t_inverse(y).data.tobytes() == _t_inverse(x).data.tobytes()
 

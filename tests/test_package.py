@@ -138,14 +138,19 @@ ONE_DEFINITION = {
     # the one store of what stacks keep, by content: no module but core
     # reads or writes it
     r"\b_KEPT\b|\b_Store\(": "core",
+    # a stack's quantities are held and stored on one path: what it computes
+    # goes into the store there and nowhere else
+    r"_KEPT\.put\(": "core:_Stack._kept",
 }
 
 # spellings gone from the source: a wave's shared solver call is made by
 # core._solve_together itself, the library has one Frobenius norm
-# (core._frobenius), and a mis-shaped operation raises its own shape check
+# (core._frobenius), a mis-shaped operation raises its own shape check, and
+# a stack holds its quantities in one dict, a failed wave's spectra as None
 NOWHERE = (
     r"\b_hermitian_eigs\b", r"np\.linalg\.norm\(", r"\b_same_square\b",
     r"order comparison needs equal shapes",
+    r"\b_(slices|spectra|singular|eigenvalues)\b", r"_spectra = False",
 )
 
 

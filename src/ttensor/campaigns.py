@@ -1,59 +1,33 @@
 """Seeded verification campaigns over the theorem registry.
 
-A campaign draws hypothesis-valid instances (one counter-based substream per
-trial, so runs are reproducible and order-independent), invokes the matching
-certifier, and aggregates the certificates; a norm inequality's certifier
-returns its Frobenius and its spectral certificates from one call.
-Certifiers are pure functions of the instance and return their
-certificates as numbers (:class:`ttensor.certificates._Blocks`); the
-campaign makes each certificate once, through the one builder
-:func:`ttensor.certificates._build`, with its provenance: the campaign
-``seed`` and ``"trial"`` as the first key of ``params`` (:func:`_certified`).
+Owns the registry (:data:`THEOREM_IDS`; each entry a :class:`_Stacked`, a
+draw and a stacked certifier from :mod:`ttensor.inequalities` or
+:mod:`ttensor.localization`) and :func:`run_campaign`, which draws
+hypothesis-valid instances, certifies them and aggregates the certificates.
+Trials run in windows of at most ``_WINDOW_ENTRIES`` tensor entries (at
+least one trial).  A window is drawn in two phases: each trial takes its
+raw numbers from its own ``RngStream(seed, trial)`` in the order a lone
+trial takes them (:class:`_Window`), then the window's tensors are built as
+stacks along a trial axis.  The certifier takes each wave of independent
+slice spectra of the whole window in one solver call, and every certificate
+is made once, with the campaign ``seed`` and its ``"trial"`` first in
+``params`` (:func:`_certified`, :func:`ttensor.certificates._build`).
 
-Trials run in windows of at most 4096 tensor entries (``n * n * n3`` a
-trial), but at least one trial; the bound keeps the memory a window's
-stacks hold at once small.  There is no setting.  Each theorem's registry
-entry is a :class:`_Stacked`: a draw and a stacked certifier.  A window
-is drawn in two phases.  Each trial first takes its raw numbers (uniforms,
-exponents, polynomial coefficients, lateral slices) from its own generator, ``RngStream(seed, trial)``, in the order a lone
-trial takes them (:class:`_Window`); then the window's tensors are built as
-stacks along a leading trial axis, all of its ``R^T * R + delta * I`` in
-one t-product, one shift and one symmetrization (:func:`ttensor.core._t_psd`
-and the other stacked builders, whose one-trial case the public generators
-are).  ``bauer-fike`` accepts every trial's first conjugator from the
-singular values of the window's candidate stack, which its inverse's check
-reads too; only a trial whose candidate is rejected draws on alone, and the
-accepted stack is inverted once, for the draw and the certifier.
-A fixed instance (literal ``am-gm``'s 1x1x1 trial 0) is certified in a
-stack of its own, the window's other trials in one pass of array calls
-(:func:`_certified`), and the certificates are built per trial.  The
-certifier takes each wave of independent slice spectra of the whole window
-in one solver call: Jacobi for the powers, PSD checks, Loewner gaps and
-symmetric spectra, Hessenberg + QR for the t-eigenvalues of non-symmetric
-tensors (``gershgorin``, ``bauer-fike``, ``schur``).  The stacked
-certifiers live in :mod:`ttensor.inequalities` and
-:mod:`ttensor.localization` (Gershgorin's too), and the localization ones
-read their spectra only through :meth:`ttensor.core._Stack.eigenvalues`;
-the registry entries here only adapt their arguments, and add the sorted
-pairing of a Hoffman-Wielandt pair, whose spectra they name as one wave.
-If the pass raises, drawing included, the window's trials run again one by
-one, so the campaign raises the error the lowest failing trial raises in a
-serial loop.
+Invariants:
 
-Every member of a stacked call gets the bits it would get alone, so reports
-are byte-identical to running the trials one after another.  A campaign
-keeps nothing that changes its output.  The stacks it draws share their
-built PSD instances (kept by their uniforms), Fourier slices, singular
-values, spectra and t-eigenvalues by content through the bounded store of
-:mod:`ttensor.core`, so theorems at one seed, which draw the same
-instances from the same streams, build, transform and solve a shared
-instance once; equal bytes give the same computation, so a stored value is
-the value the campaign would compute.  A window whose transforms
-stay below ``fourier._SPLIT_WORK`` starts no thread; above it the one
-transform worker that :mod:`ttensor.fourier` shares starts once per
-process.  :func:`run_campaign` may be called from several threads at once,
-the store behind a lock, and each call's report is byte-identical to a
-lone serial run.
+* A report is byte-identical to running the trials one after another: a
+  stacked member gets the bits it would get alone.
+* A campaign keeps nothing that changes its output; what it shares through
+  the store of :mod:`ttensor.core` is what it would compute.
+* :func:`run_campaign` may be called from several threads at once; a window
+  whose transforms stay below ``fourier._SPLIT_WORK`` starts no thread.
+
+Errors: :class:`ttensor.errors.UnknownTheoremError` for an unknown theorem;
+:class:`ValueError`, before any trial, for an unknown mode, a size, trial
+count or seed that is not an integer (or is a bool) or out of range, a bad
+``tol`` or a ``params`` key the draw does not read.  If a window's pass
+raises, its trials run again one by one, so a campaign raises what the
+lowest failing trial raises in a serial loop.
 """
 
 from __future__ import annotations

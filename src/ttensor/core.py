@@ -28,7 +28,7 @@ complex entry in a real tensor or a bad ``delta``;
 :class:`ShapeMismatchError` for mismatched shapes;
 :class:`SingularTensorError` for a singular inverse or a negative power of a
 tensor not strictly definite; :class:`TypeError` for a stack of anything but
-a :class:`Tensor3`.
+a :class:`Tensor3`, or an :class:`RngStream` key that is not an integer.
 """
 
 from __future__ import annotations
@@ -280,14 +280,13 @@ class _Stack:
     A stack holds its quantities by name (``_held``), each got once through
     :meth:`_kept` however often it is used: its Fourier ``slices``, its half
     slices' :meth:`spectra` and :meth:`singular_values`, its
-    :meth:`eigenvalues` and the PSD instance built from it (:func:`_t_psd`).  ``"spectra" in x._held`` marks a stack asked for its spectra: by
-    a wave that solved it or whose call failed (``None``, so it is solved
-    alone where it is used), or by a share it adopted.  A stack made by
-    :meth:`cat` starts with the slices that all of its parts hold and the
-    spectra that all of them were asked for (so one power application covers
-    a wave of stacks solved together).  One tensor's stack, ``_Stack.of(t)``,
-    is kept by the tensor for its lifetime, so what it holds serves every
-    call on it.  Entries must be finite, as for :class:`Tensor3`.
+    :meth:`eigenvalues` and the PSD instance built from it (:func:`_t_psd`).
+    A stack holds a quantity's value or nothing.  A stack made by
+    :meth:`cat` starts with the slices and the spectra that all of its parts
+    hold (so one power application covers a wave of stacks solved
+    together).  One tensor's stack, ``_Stack.of(t)``, is kept by the tensor
+    for its lifetime, so what it holds serves every call on it.  Entries
+    must be finite, as for :class:`Tensor3`.
     """
 
     __slots__ = ("data", "_key", "_held")
@@ -325,10 +324,9 @@ class _Stack:
 
     def cat(self, *others: "_Stack") -> "_Stack":
         """The members of this stack and then of each other stack in turn,
-        with the Fourier slices if every one of them holds its own (a
-        member's slices are bit for bit its lone transform), and the spectra
-        if every one of them was asked for (by :func:`_solve_together`, or
-        solved and kept)."""
+        with the Fourier slices, and the spectra, if every one of them holds
+        its own (a member's are bit for bit those it gets alone).  Nothing
+        is computed here."""
         for other in others:
             _check_same_shape(self, other)
         parts = (self, *others)
@@ -336,8 +334,8 @@ class _Stack:
         if all("slices" in x._held for x in parts):
             out._held["slices"] = np.concatenate([x.slices for x in parts])
             out._held["slices"].flags.writeable = False
-        if all("spectra" in x._held for x in parts):  # each was asked for in a wave
-            held = [x.spectra() for x in parts]  # solved alone after a failed wave
+        if all("spectra" in x._held for x in parts):
+            held = [x._held["spectra"] for x in parts]
             out._held["spectra"] = eigensolvers.HermitianEigen(
                 np.concatenate([e.values for e in held]), np.concatenate([e.vectors for e in held])
             )
@@ -372,9 +370,8 @@ class _Stack:
         and the quantity's parameters): the value the stack holds, else the
         store's value for its :attr:`key`, else ``compute()``, stored; the
         stack holds what it gets.  The one path that stores a value, and
-        that fills a stack but for what :meth:`cat` carries over and a
-        failed wave's ``None`` spectra.  An error leaves nothing held or
-        stored."""
+        that fills a stack but for what :meth:`cat` carries over.  An error
+        leaves nothing held or stored."""
         value = self._held.get(name)
         if value is None:
             value = _KEPT.get(self.key, name)
@@ -433,8 +430,8 @@ class _Stack:
 
     def spectra(self):
         """The Jacobi decomposition of :meth:`halves`
-        (:func:`_jacobi_spectra`), kept: solved by :func:`_solve_together`,
-        or on first use, also after a failed wave."""
+        (:func:`_jacobi_spectra`), kept: a wave's share
+        (:func:`_solve_together`), or solved alone on first use."""
         return self._kept("spectra", lambda: _jacobi_spectra(self.halves()))
 
     def align(self, other: "_Stack") -> "_Stack":
@@ -671,40 +668,33 @@ def _jacobi_spectra(halves: np.ndarray):
 
 def _solve_together(*wave: _Stack) -> None:
     """Solve the spectra of a wave of independent stacks in one solver call;
-    each stack not yet asked for them keeps its share through
+    each stack that does not hold them keeps its share through
     :meth:`_Stack._kept`.  A stack whose spectra the store holds adopts them
-    and leaves the wave, and stacks of equal content are solved once.  Since
-    a member's decomposition does not depend on the rest of its stack, the
+    and leaves the wave, and a stack named twice is solved once.  Since a
+    member's decomposition does not depend on the rest of its stack, the
     share is bit for bit what the stack gets alone.  With fewer than two
-    contents, stacks of two shapes or stacks not square, the wave returns
-    and leaves its stacks unasked.  A call that raises leaves each stack
-    holding ``None`` spectra: it is solved, and raises its own error, where
-    it is used, and does not join a wave again.  Stacks of another type keep
-    no spectra and ignore the request."""
-    pending = {}  # one list of stacks per content; a stack over the store's bound by itself
+    stacks left, stacks of two shapes or stacks not square, the wave
+    returns, as does a call that raises: each stack is then solved, and
+    raises its own error, where it is used.  Stacks of another type keep no
+    spectra and ignore the request."""
+    pending = []
     for x in wave:
-        if isinstance(x, _Stack) and "spectra" not in x._held:
+        if isinstance(x, _Stack) and "spectra" not in x._held and x not in pending:
             if _KEPT.get(x.key, "spectra") is None:
-                pending.setdefault(x.key or x, []).append(x)
+                pending.append(x)
             else:
                 x.spectra()  # adopts the stored share
-    first = [same[0] for same in pending.values()]
-    if len(first) < 2 or len({x.shape for x in first}) > 1 or first[0].shape[0] != first[0].shape[1]:
+    if len(pending) < 2 or len({x.shape for x in pending}) > 1 or pending[0].shape[0] != pending[0].shape[1]:
         return
-    halves = [x.halves() for x in first]
+    halves = [x.halves() for x in pending]
     try:
         e = _jacobi_spectra(np.concatenate(halves))
     except TtensorError:  # each stack is then solved, and raises its own error, where it is used
-        for same in pending.values():
-            for x in same:
-                x._held["spectra"] = None
         return
-    ends = np.cumsum([0] + [len(h) for h in halves])
-    for same, start, end in zip(pending.values(), ends, ends[1:]):
+    ends = np.cumsum([len(h) for h in halves])[:-1]
+    for x, values, vectors in zip(pending, np.split(e.values, ends), np.split(e.vectors, ends)):
         # copies, so the store holds and counts each share alone, not the wave's arrays
-        share = eigensolvers.HermitianEigen(e.values[start:end].copy(), e.vectors[start:end].copy())
-        for x in same:
-            x._kept("spectra", lambda: share)
+        x._kept("spectra", lambda: eigensolvers.HermitianEigen(values.copy(), vectors.copy()))
 
 
 @dataclass(frozen=True)
@@ -716,11 +706,19 @@ class RngStream:
     regardless of thread scheduling, and distinct keys distinct ones.  Every
     generator call derives a fresh ``numpy`` Generator, hence a generator
     function called twice with the same stream produces identical output.
-    Anything but an integer raises :class:`TypeError` there.
+    A ``seed`` or ``stream`` that is not an integer (``operator.index``)
+    raises :class:`TypeError` at construction, naming the field.
     """
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "stream"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise TypeError(f"RngStream {name} must be an integer, got {getattr(self, name)!r}") from None
 
     def generator(self) -> np.random.Generator:
         # a uint64 array: numpy takes a list's integers through float64

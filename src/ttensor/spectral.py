@@ -24,7 +24,7 @@ checks its own argument, where the stacked power trusts a certifier's
 hypothesis gate.  A wave of
 stacks is powered, or takes its t-eigenvalues, in one application on their
 :meth:`_Stack.cat`, which starts with the spectra that all of its parts
-were asked for.
+hold.
 :func:`_young_witness` builds the witnesses of a stack of pairs in the
 stack algebra: ``|A|^p``, ``|B|^q`` and ``|A B^T|`` are one
 :meth:`_Stack.abs_power` of their ``cat``, the spectra of ``|A B^T|`` and

@@ -325,20 +325,18 @@ def test_summary_fields():
 
 def _solve_each_stack_alone(patch) -> list:
     """Give every wave of independent slice spectra no shared solver call:
-    the wave's one call fails before it reaches the kernel, so each stack of
-    the wave is solved where it is used.  Returns the sizes of the refused
-    calls, as they are made."""
+    a stand-in for :func:`ttensor.core._solve_together` solves each float
+    stack of the wave alone.  Returns the sizes of the waves of two or more
+    unsolved stacks that it split, as they are asked for."""
     solve_together = core._solve_together
-    refused = []
+    split = []
 
-    def refuse(stack, norm):
-        refused.append(len(stack))
-        raise EigenConvergenceError("no shared call")
-
-    def without_a_shared_call(*wave):
-        with pytest.MonkeyPatch.context() as inner:
-            inner.setattr(eigensolvers, "_jacobi", refuse)
-            solve_together(*wave)
+    def each_alone(*wave):
+        stacks = {id(x): x for x in wave if isinstance(x, _Stack) and "spectra" not in x._held}
+        if len(stacks) > 1:
+            split.append(len(stacks))
+        for x in stacks.values():
+            x.spectra()
 
     callers = [
         module for name, module in sys.modules.items()
@@ -347,8 +345,8 @@ def _solve_each_stack_alone(patch) -> list:
     ]
     assert callers  # the modules that ask for waves
     for module in callers:
-        patch.setattr(module, "_solve_together", without_a_shared_call)
-    return refused
+        patch.setattr(module, "_solve_together", each_alone)
+    return split
 
 
 @pytest.mark.parametrize("n,n3", [(3, 4), (2, 5)])
@@ -360,53 +358,36 @@ def test_shared_wave_solves_leave_reports_unchanged(monkeypatch, theorem_id, n, 
     # spectra and solve nothing
     shared = run_campaign(theorem_id, n=n, n3=n3, trials=2, seed=3)
     with monkeypatch.context() as patch:
-        refused = _solve_each_stack_alone(patch)
+        split = _solve_each_stack_alone(patch)
         alone = _from_empty_store(run_campaign, theorem_id, n=n, n3=n3, trials=2, seed=3)
-    assert bool(refused) == (theorem_id in _WAVE_THEOREMS)
+    assert bool(split) == (theorem_id in _WAVE_THEOREMS)
     assert _report_bytes(shared) == _report_bytes(alone)
 
 
-def test_repeated_campaign_solves_the_same_members(monkeypatch):
-    # a repeated campaign adopts the spectra the store kept and solves
-    # nothing; with the store emptied, it solves the same members in the
-    # same calls
-    solved = []
-    kernel = eigensolvers._jacobi
+def _repeated_furuta_calls(kernels, kernel, n3) -> list:
+    """The stacks handed to ``kernel`` by a furuta campaign (as bytes, one
+    entry a call), after checking that a repeated campaign adopts what the
+    store kept and calls the kernel no more, and that with the store
+    emptied it makes the same calls on the same stacks again."""
+    def calls():
+        return [a.tobytes() for a in kernels[kernel]]
 
-    def counting_kernel(stack, norm):
-        solved.append([m.tobytes() for m in stack])
-        return kernel(stack, norm)
-
-    monkeypatch.setattr(eigensolvers, "_jacobi", counting_kernel)
-    run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
-    first = list(solved)
-    assert len(first) == 3  # the three waves of furuta
-    run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
-    assert solved == first
+    run_campaign("furuta", n=3, n3=n3, trials=1, seed=5)
+    first = calls()
+    run_campaign("furuta", n=3, n3=n3, trials=1, seed=5)
+    assert calls() == first
     core._KEPT.clear()
-    run_campaign("furuta", n=3, n3=4, trials=1, seed=5)
-    assert solved[len(first):] == first
+    run_campaign("furuta", n=3, n3=n3, trials=1, seed=5)
+    assert calls()[len(first):] == first
+    return first
 
 
-def test_repeated_campaign_transforms_the_same_stacks(monkeypatch):
-    # a repeated campaign adopts the slices the store kept and transforms
-    # nothing; with the store emptied, it transforms the same stacks again
-    computed = []
-    forward = fourier._forward
+def test_repeated_campaign_solves_the_same_members(kernels):
+    assert len(_repeated_furuta_calls(kernels, "_jacobi", 4)) == 3  # the three waves of furuta
 
-    def counting_forward(data):
-        computed.append(data.tobytes())
-        return forward(data)
 
-    monkeypatch.setattr(fourier, "_forward", counting_forward)
-    run_campaign("furuta", n=3, n3=5, trials=1, seed=5)
-    first = list(computed)
-    assert first
-    run_campaign("furuta", n=3, n3=5, trials=1, seed=5)
-    assert computed == first
-    core._KEPT.clear()
-    run_campaign("furuta", n=3, n3=5, trials=1, seed=5)
-    assert computed[len(first):] == first
+def test_repeated_campaign_transforms_the_same_stacks(kernels):
+    assert _repeated_furuta_calls(kernels, "_forward", 5)
 
 
 def _singular_values_as(monkeypatch, largest, smallest):
@@ -543,7 +524,7 @@ _ORACLE_GRID = (
 # the configurations checked under the test's current name; the rest keep
 # the old name until they move, a few at a time, since test IDs key the
 # pass/fail record kept across changes
-_WINDOW_CONFIGS = _ORACLE_CONFIGS[:10]
+_WINDOW_CONFIGS = _ORACLE_CONFIGS[:11]
 
 
 def _oracle_configs(configs):
@@ -646,31 +627,27 @@ def test_every_trial_failing_raises_trial_zero_error(monkeypatch):
     assert _raised(run_campaign, "bauer-fike", n=2, n3=2, trials=5, seed=7) == expected
 
 
-def _solved_per_trial(monkeypatch, theorem_id, **kwargs):
-    """Stacks each trial hands the kernel in the serial oracle, in order."""
-    stacks, current = {}, [None]
+def _solved_per_trial(monkeypatch, kernels, theorem_id, **kwargs):
+    """Stacks each trial hands the Jacobi kernel in the serial oracle, in
+    order."""
+    first_call = {}
     real = campaigns._REGISTRY[theorem_id]
-    kernel = eigensolvers._jacobi
 
     def draw(window, *args):
-        (current[0],) = window.trials  # the serial oracle draws one trial a window
-        stacks[current[0]] = []
+        (trial,) = window.trials  # the serial oracle draws one trial a window
+        first_call[trial] = len(kernels["_jacobi"])
         return real.draw(window, *args)
-
-    def recording_kernel(stack, norm):
-        stacks[current[0]].append(stack.copy())
-        return kernel(stack, norm)
 
     with monkeypatch.context() as patch:
         patch.setitem(campaigns._REGISTRY, theorem_id, campaigns._Stacked(draw, real.certify))
-        patch.setattr(eigensolvers, "_jacobi", recording_kernel)
         run_campaign_serial(theorem_id, **kwargs)
-    return stacks
+    ends = [*first_call.values(), len(kernels["_jacobi"])]
+    return {trial: kernels["_jacobi"][start:end] for trial, start, end in zip(first_call, ends, ends[1:])}
 
 
-def test_merged_call_error_reaches_only_its_trial(monkeypatch):
+def test_merged_call_error_reaches_only_its_trial(monkeypatch, kernels):
     kwargs = dict(n=4, n3=4, trials=4, seed=0)
-    stacks = _solved_per_trial(monkeypatch, "furuta", **kwargs)
+    stacks = _solved_per_trial(monkeypatch, kernels, "furuta", **kwargs)
     others = {m.tobytes() for t in (0, 1, 3) for s in stacks[t] for m in s}
     poison = next(m.tobytes() for s in stacks[2] for m in s if m.tobytes() not in others)
     kernel = eigensolvers._jacobi
@@ -702,22 +679,16 @@ def test_merged_call_error_reaches_only_its_trial(monkeypatch):
     assert [t for t in sorted(log) if log[t]["ok"]] == [0, 1]
 
 
-def test_window_merges_each_wave_into_one_call(monkeypatch):
+def test_window_merges_each_wave_into_one_call(monkeypatch, kernels):
     # furuta solves only 4x4 stacks, so wave r of the window
     # is one kernel call holding every trial's r-th stack
     kwargs = dict(n=4, n3=4, trials=8, seed=0)
-    per_trial = _solved_per_trial(monkeypatch, "furuta", **kwargs)
-    calls = []
-    kernel = eigensolvers._jacobi
-
-    def counting_kernel(stack, norm):
-        calls.append(len(stack))
-        return kernel(stack, norm)
-
-    monkeypatch.setattr(eigensolvers, "_jacobi", counting_kernel)
+    per_trial = _solved_per_trial(monkeypatch, kernels, "furuta", **kwargs)
+    kernels.clear()
     threads_before = threading.active_count()
     _from_empty_store(run_campaign, "furuta", **kwargs)
     assert threading.active_count() == threads_before
+    calls = kernels.sizes("_jacobi")
     assert len(calls) == max(len(s) for s in per_trial.values())
     assert sum(calls) == sum(len(s) for t in per_trial.values() for s in t)
 
@@ -727,7 +698,7 @@ def test_window_merges_each_wave_into_one_call(monkeypatch):
 # Jacobi kernel calls of one campaign at (4, 4, 4) and at (3, 128, 1), with
 # each stack solved alone and with each wave of independent stacks in one
 # call, for the same members.  Solving alone, each stack solves its
-# half-slice stack in a call of its own where it is used.  |X|^r takes an
+# half-slice stack in a call of its own where its wave is asked for.  |X|^r takes an
 # SVD and no Jacobi call, so holder's calls are its PSD checks and powers of
 # A and B, holder-corollary, holder-pairs and minkowski make none, and
 # young-witness's are the spectra of |A B^T|, of the right-hand side and of
@@ -752,31 +723,23 @@ _SHARED_WAVE_CALLS = {
 _WAVE_THEOREMS = {tid for tid, ((alone, shared), _) in _SHARED_WAVE_CALLS.items() if alone > shared}
 
 
-def _solved_members(monkeypatch, theorem_id, shared_waves, **kwargs):
-    """Kernel calls of one campaign from an empty store, and the members
-    they solved."""
-    calls, members = [], []
-    kernel = eigensolvers._jacobi
-
-    def recording_kernel(stack, norm):
-        calls.append(len(stack))
-        members.extend(m.tobytes() for m in stack)
-        return kernel(stack, norm)
-
+def _solved_members(monkeypatch, kernels, theorem_id, shared_waves, **kwargs):
+    """Jacobi kernel calls of one campaign from an empty store, and the
+    members they solved."""
+    kernels.clear()
     with monkeypatch.context() as patch:
-        patch.setattr(eigensolvers, "_jacobi", recording_kernel)
         if not shared_waves:
             _solve_each_stack_alone(patch)
         result = _from_empty_store(run_campaign, theorem_id, **kwargs)
-    return result, len(calls), sorted(members)
+    return result, kernels.count("_jacobi")[0], sorted(kernels.members("_jacobi"))
 
 
 @pytest.mark.parametrize("n,n3,trials,seed", [(4, 4, 4, 5), (3, 128, 1, 7)])
 @pytest.mark.parametrize("theorem_id", sorted(_SHARED_WAVE_CALLS))
-def test_shared_wave_kernel_calls(monkeypatch, theorem_id, n, n3, trials, seed):
+def test_shared_wave_kernel_calls(monkeypatch, kernels, theorem_id, n, n3, trials, seed):
     kwargs = dict(n=n, n3=n3, trials=trials, seed=seed)
-    plain, plain_calls, plain_members = _solved_members(monkeypatch, theorem_id, False, **kwargs)
-    shared, shared_calls, shared_members = _solved_members(monkeypatch, theorem_id, True, **kwargs)
+    plain, plain_calls, plain_members = _solved_members(monkeypatch, kernels, theorem_id, False, **kwargs)
+    shared, shared_calls, shared_members = _solved_members(monkeypatch, kernels, theorem_id, True, **kwargs)
     assert (plain_calls, shared_calls) == _SHARED_WAVE_CALLS[theorem_id][n == 3]
     # a wave solves the members that the stacks solved alone would solve
     assert shared_members == plain_members
@@ -805,37 +768,25 @@ def test_shared_wave_matches_serial_oracle_without_it(
     assert _report_bytes(ahead) == _report_bytes(serial)
 
 
-def _count_general_kernel(monkeypatch):
-    """Stack sizes handed to the general eigensolver's kernel, in order."""
-    calls = []
-    kernel = eigensolvers._qr_eig
-
-    def counting_kernel(stack):
-        calls.append(len(stack))
-        return kernel(stack)
-
-    monkeypatch.setattr(eigensolvers, "_qr_eig", counting_kernel)
-    return calls
-
-
 @pytest.mark.parametrize("n,n3,trials", [(4, 4, 16), (3, 5, 3), (2, 2, 70)])
 @pytest.mark.parametrize("theorem_id", ["gershgorin", "bauer-fike", "schur"])
-def test_window_merges_general_eig_solves(monkeypatch, theorem_id, n, n3, trials):
+def test_window_merges_general_eig_solves(kernels, theorem_id, n, n3, trials):
     # each trial takes the t-eigenvalues of the same number of non-symmetric
     # tensors, so a window takes every trial's general solves in one call
     kwargs = dict(n=n, n3=n3, trials=trials, seed=0)
-    calls = _count_general_kernel(monkeypatch)
     serial = _report_bytes(run_campaign_serial(theorem_id, **kwargs))
+    calls = kernels.sizes("_qr_eig")
     per_trial, rem = divmod(len(calls), trials)
     assert rem == 0 and per_trial >= 1
     solved = sum(calls)
-    del calls[:]
+    kernels.clear()
     assert _report_bytes(_from_empty_store(run_campaign, theorem_id, **kwargs)) == serial
     windows = -(-trials // campaigns._window_size(n, n3))
+    calls = kernels.sizes("_qr_eig")
     assert len(calls) == windows and sum(calls) == solved
 
 
-def test_merged_general_eig_failure_reaches_only_its_trial(monkeypatch):
+def test_merged_general_eig_failure_reaches_only_its_trial(monkeypatch, kernels):
     # with 2 QR steps per eigenvalue only trial 3's slices run out of steps
     monkeypatch.setattr(eigensolvers, "_QR_STEPS_PER_EIGENVALUE", 2)
     kwargs = dict(n=3, n3=3, trials=8, seed=0)
@@ -843,14 +794,14 @@ def test_merged_general_eig_failure_reaches_only_its_trial(monkeypatch):
     expected = _raised(run_campaign_serial, "gershgorin", **kwargs)
     assert expected[0] is EigenConvergenceError
     assert [t for t in sorted(log) if not log[t]["ok"]] == [3]
-    calls = _count_general_kernel(monkeypatch)
+    kernels.clear()
     log.clear()
     threads_before = threading.active_count()
     assert _raised(run_campaign, "gershgorin", **kwargs) == expected
     assert threading.active_count() == threads_before
     # the window's call of all 8 half spectra (2 slices each) raised, then
     # the trials ran again one by one up to trial 3
-    assert calls == [16] + [2] * 4
+    assert kernels.sizes("_qr_eig") == [16] + [2] * 4
     assert [t for t in sorted(log) if log[t]["ok"]] == [0, 1, 2]
 
 
@@ -905,21 +856,7 @@ def test_store_stays_within_its_bound_and_changes_no_report():
     assert _registry_pass(0) == shared
 
 
-def _count_kernels(monkeypatch) -> dict:
-    """Calls of the transform, Jacobi and QR kernels, by name."""
-    calls = {}
-
-    def counted(name, kernel):
-        def run(*args):
-            calls[name] = calls.get(name, 0) + 1
-            return kernel(*args)
-        return run
-
-    for module, name in (
-        (fourier, "_forward"), (fourier, "_inverse"), (eigensolvers, "_jacobi"), (eigensolvers, "_qr_eig")
-    ):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    return calls
+_PASS_KERNELS = ("_forward", "_inverse", "_jacobi", "_qr_eig")
 
 
 # Kernel calls of one registry pass at seed 5 from an empty store: the 19
@@ -940,12 +877,11 @@ _PASS_KERNEL_CALLS = [
 @pytest.mark.parametrize(
     "dims,configs,expected", _PASS_KERNEL_CALLS, ids=["3-128-1", "3-127-1", "4-4-4-all"]
 )
-def test_registry_pass_kernel_calls(monkeypatch, dims, configs, expected):
+def test_registry_pass_kernel_calls(kernels, dims, configs, expected):
     n, n3, trials = dims
-    calls = _count_kernels(monkeypatch)
     for theorem_id, mode, params in configs:
         run_campaign(theorem_id, n=n, n3=n3, trials=trials, seed=5, mode=mode, params=params)
-    assert tuple(calls.get(name, 0) for name in ("_forward", "_inverse", "_jacobi", "_qr_eig")) == expected
+    assert kernels.count(*_PASS_KERNELS) == expected
 
 
 def _psd_uniforms(seed: int) -> np.ndarray:
@@ -953,17 +889,17 @@ def _psd_uniforms(seed: int) -> np.ndarray:
     return np.array([gen_random((3, 3, 8), RngStream(seed, t)).data for t in range(2)])
 
 
-def test_psd_instance_is_kept_read_only_and_adopted_with_the_bytes_of_a_fresh_build(monkeypatch):
+def test_psd_instance_is_kept_read_only_and_adopted_with_the_bytes_of_a_fresh_build(kernels):
     uniforms = _psd_uniforms(33)
     kept = _t_psd(_Stack(uniforms))
-    calls = _count_kernels(monkeypatch)
+    kernels.clear()
     adopted = _t_psd(_Stack(uniforms.copy()))  # equal uniforms, another stack
-    assert calls == {} and adopted.data is kept.data
+    assert kernels.count(*_PASS_KERNELS) == (0, 0, 0, 0) and adopted.data is kept.data
     assert not adopted.data.flags.writeable
     with pytest.raises(ValueError):
         adopted.data[0, 0, 0, 0] = 1.0
     fresh = _from_empty_store(_t_psd, _Stack(uniforms.copy()))
-    assert calls["_inverse"] == 1 and fresh.data.tobytes() == adopted.data.tobytes()
+    assert kernels.count("_inverse") == (1,) and fresh.data.tobytes() == adopted.data.tobytes()
 
 
 def test_psd_instance_is_named_by_the_exact_bits_of_delta():
@@ -975,15 +911,15 @@ def test_psd_instance_is_named_by_the_exact_bits_of_delta():
     assert _t_psd(r, 0).data is built[(0.0).hex()].data
 
 
-def test_psd_instance_of_uniforms_over_the_bound_is_built_and_not_stored(monkeypatch):
+def test_psd_instance_of_uniforms_over_the_bound_is_built_and_not_stored(kernels):
     members = core._KEPT_BYTES // (2 * 2 * 4 * 8) + 1  # data one member over the bound
     r = _Stack(np.random.default_rng(35).uniform(-1.0, 1.0, (members, 2, 2, 4)))
     assert r.key is None
-    calls = _count_kernels(monkeypatch)
+    kernels.clear()
     first, again = _t_psd(r), _t_psd(r)  # the stack keeps its own instance
-    assert calls["_inverse"] == 1 and again.data is first.data
+    assert kernels.count("_inverse") == (1,) and again.data is first.data
     second = _t_psd(_Stack(r.data.copy()))  # equal bytes, but nothing is stored to share
-    assert calls["_inverse"] == 2 and core._KEPT.size == 0 and not core._KEPT._entries
+    assert kernels.count("_inverse") == (2,) and core._KEPT.size == 0 and not core._KEPT._entries
     assert first.data.tobytes() == second.data.tobytes()
 
 
@@ -1012,13 +948,9 @@ _WINDOW_QR_CALLS = {"schur": 1, "gershgorin": 1, "bauer-fike": 1}
 
 
 @pytest.mark.parametrize("theorem_id", sorted({**_WINDOW_JACOBI_CALLS, **_WINDOW_QR_CALLS}))
-def test_window_solver_calls(monkeypatch, theorem_id):
-    jacobi = []
-    kernel = eigensolvers._jacobi
-    monkeypatch.setattr(eigensolvers, "_jacobi", lambda stack, norm: jacobi.append(len(stack)) or kernel(stack, norm))
-    qr = _count_general_kernel(monkeypatch)
+def test_window_solver_calls(kernels, theorem_id):
     run_campaign(theorem_id, n=4, n3=4, trials=4, seed=1)
-    assert (len(jacobi), len(qr)) == (
+    assert kernels.count("_jacobi", "_qr_eig") == (
         _WINDOW_JACOBI_CALLS.get(theorem_id, 0), _WINDOW_QR_CALLS.get(theorem_id, 0)
     )
 
@@ -1174,43 +1106,27 @@ def test_stacked_window_error_is_the_lowest_failing_trial(monkeypatch):
     assert raised[1].startswith("A is not positive semidefinite")
 
 
-def test_bauer_fike_takes_both_spectra_in_one_general_solve(monkeypatch):
-    calls = _count_general_kernel(monkeypatch)
+def test_bauer_fike_takes_both_spectra_in_one_general_solve(kernels):
     run_campaign("bauer-fike", n=4, n3=4, trials=4, seed=5)
     # one call per window: 4 trials x 2 tensors x 3 half slices
-    assert calls == [24]
-    del calls[:]
+    assert kernels.sizes("_qr_eig") == [24]
+    kernels.clear()
     _from_empty_store(run_campaign_serial, "bauer-fike", n=4, n3=4, trials=2, seed=5)
-    assert calls == [6, 6]
+    assert kernels.sizes("_qr_eig") == [6, 6]
 
 
 @pytest.mark.parametrize("n,n3,trials", [(4, 4, 4), (3, 128, 1)])
-def test_bauer_fike_conjugator_takes_one_singular_value_svd(monkeypatch, n, n3, trials):
+def test_bauer_fike_conjugator_takes_one_singular_value_svd(kernels, n, n3, trials):
     # the conjugator stack q keeps its singular values: _conjugators'
     # acceptance, its inverse's check and the certifier's norm of q read one
     # SVD of q; the one inverse and a - b take one each
-    calls, svd = [], np.linalg.svd
-
-    def counted(a, *args, **kwargs):
-        if kwargs.get("compute_uv") is False:
-            calls.append(a.shape)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
     run_campaign("bauer-fike", n=n, n3=n3, trials=trials, seed=0)
-    assert calls == [(trials, n3 // 2 + 1, n, n)] * 3
+    assert kernels.singular_value_shapes() == [(trials, n3 // 2 + 1, n, n)] * 3
 
 
 @pytest.mark.parametrize("n,n3,trials", [(4, 4, 4), (3, 128, 1)])
-def test_bauer_fike_window_inverts_its_conjugators_once(monkeypatch, n, n3, trials):
+def test_bauer_fike_window_inverts_its_conjugators_once(kernels, n, n3, trials):
     # the draw inverts the accepted conjugator stack and hands the inverse to
     # the certifier, which inverts nothing
-    calls, inv = [], np.linalg.inv
-
-    def counted(a):
-        calls.append(a.shape)
-        return inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", counted)
     run_campaign("bauer-fike", n=n, n3=n3, trials=trials, seed=0)
-    assert calls == [(trials, n3 // 2 + 1, n, n)]
+    assert kernels.shapes("inv") == [(trials, n3 // 2 + 1, n, n)]

@@ -19,7 +19,6 @@ from ttensor import (
     SingularTensorError,
     Tensor3,
     eigensolvers,
-    fourier,
     frobenius_norm,
     fourier_frobenius_norm,
     gen_commuting_psd_pair,
@@ -135,19 +134,6 @@ def test_tensors_pickle_and_copy(make, round_trip):
 
 # --- each tensor keeps its one-member stack -------------------------------------
 
-def _count_forward(monkeypatch) -> list:
-    """The stacks handed to the forward transform, in order."""
-    calls, forward = [], fourier._forward
-    monkeypatch.setattr(fourier, "_forward", lambda data: calls.append(data.shape) or forward(data))
-    return calls
-
-
-def _count_jacobi(monkeypatch) -> list:
-    calls, jacobi = [], eigensolvers._jacobi
-    monkeypatch.setattr(eigensolvers, "_jacobi", lambda stack, norm: calls.append(len(stack)) or jacobi(stack, norm))
-    return calls
-
-
 # the public calls that read a tensor's Fourier slices, and those that read its
 # slice spectra; each output as bytes (or a verdict of Python floats)
 _FOURIER_CALLS = (
@@ -175,25 +161,25 @@ def _on_fresh(a, calls) -> list:
     return out
 
 
-def test_tensor_is_transformed_once_for_every_call(monkeypatch):
+def test_tensor_is_transformed_once_for_every_call(kernels):
     a = gen_random((3, 3, 8), RngStream(11))
     assert _Stack.of(a) is _Stack.of(a)
     fresh = _on_fresh(a, _FOURIER_CALLS)
-    calls = _count_forward(monkeypatch)
+    kernels.clear()
     assert _on(a, _FOURIER_CALLS) == fresh
-    assert calls == [(1, 3, 3, 8)]
+    assert kernels.shapes("_forward") == [(1, 3, 3, 8)]
     assert _on(a, _FOURIER_CALLS) == fresh
-    assert len(calls) == 1
+    assert kernels.count("_forward") == (1,)
 
 
-def test_psd_tensor_is_solved_once_for_every_call(monkeypatch):
+def test_psd_tensor_is_solved_once_for_every_call(kernels):
     a = gen_t_psd(3, 6, RngStream(12))
     fresh = _on_fresh(a, _SPECTRAL_CALLS)
-    calls = _count_jacobi(monkeypatch)
+    kernels.clear()
     assert _on(a, _SPECTRAL_CALLS) == fresh
-    assert calls == [6 // 2 + 1]  # the half slices of a, in one call
+    assert kernels.sizes("_jacobi") == [6 // 2 + 1]  # the half slices of a, in one call
     assert _on(a, _SPECTRAL_CALLS) == fresh
-    assert len(calls) == 1
+    assert kernels.count("_jacobi") == (1,)
 
 
 def test_threads_sharing_a_tensor_get_fresh_bytes():
@@ -215,23 +201,23 @@ def test_kept_slices_are_read_only():
     assert not x.slices.flags.writeable
 
 
-def test_cat_carries_the_kept_slices(monkeypatch):
+def test_cat_carries_the_kept_slices(kernels):
     # a cat of stacks that hold their slices transforms nothing, and its
     # slices are bit for bit those of a fresh transform
     a, b = gen_symmetric(3, 8, RngStream(15)), gen_symmetric(3, 8, RngStream(16))
     x, y = _Stack.of(a), _Stack.of(b)
     x.slices, y.slices  # each transformed once and kept
-    calls = _count_forward(monkeypatch)
+    kernels.clear()
     both = x.cat(y)
-    assert calls == [] and not both.slices.flags.writeable
+    assert kernels.count("_forward") == (0,) and not both.slices.flags.writeable
     assert both.slices.tobytes() == _Stack(both.data).slices.tobytes()
     # public hoffman_wielandt of fresh tensors transforms A and B once (its
     # normality gate reads their half slices; no transpose is transformed),
     # then reads the spectra of A and B's cat
-    calls.clear()
+    kernels.clear()
     core._KEPT.clear()
     hoffman_wielandt(Tensor3(a.data), Tensor3(b.data))
-    assert sum(shape[0] for shape in calls) == 2
+    assert sum(kernels.sizes("_forward")) == 2
 
 
 def test_transpose_n3_equals_1_is_matrix_transpose():
@@ -314,7 +300,7 @@ def test_fourier_frobenius_norm_survives_a_sum_of_squares_out_of_range(scale):
         assert stacked == pytest.approx(np.sqrt(t.n3) * frobenius_norm(t), rel=1e-14, abs=0)
 
 
-def test_library_stack_solve_takes_no_hermitian_residual(monkeypatch):
+def test_library_stack_solve_takes_no_hermitian_residual(monkeypatch, kernels):
     # a stack's half slices are exactly Hermitian by construction, so its
     # solve hands the kernel their own norm and takes no Hermitian residual
     # and no norm in eigensolvers; only hermitian_eig, for matrices from
@@ -322,18 +308,17 @@ def test_library_stack_solve_takes_no_hermitian_residual(monkeypatch):
     # threshold alike) and its residual, one call each
     norms, frobenius = [], eigensolvers._frobenius
     monkeypatch.setattr(eigensolvers, "_frobenius", lambda d: norms.append(len(d)) or frobenius(d))
-    calls = _count_jacobi(monkeypatch)
     a, b = gen_loewner_pair(3, 6, RngStream(25))
     loewner_ge(a, b)
     t_power(a, 0.5)
     hoffman_wielandt(gen_symmetric(3, 6, RngStream(26)), gen_symmetric(3, 6, RngStream(27)))
-    assert calls == [4, 4, 8] and norms == []
-    del calls[:]
+    assert kernels.sizes("_jacobi") == [4, 4, 8] and norms == []
+    kernels.clear()
     halves = _Stack.of(a).halves()
     assert np.array_equal(halves, eigensolvers._herm_t(halves))  # exactly Hermitian
     alone, kept = eigensolvers.hermitian_eig(halves), _Stack.of(a).spectra()
     assert np.array_equal(alone.values, kept.values) and np.array_equal(alone.vectors, kept.vectors)
-    assert calls == [len(halves)] and norms == [len(halves)] * 2
+    assert kernels.sizes("_jacobi") == [len(halves)] and norms == [len(halves)] * 2
 
 
 def test_frobenius_fourier_transport():
@@ -381,6 +366,17 @@ def test_rng_stream_keeps_every_bit_of_its_key():
         assert _stream_bytes(RngStream(np.int64(7), np.uint64(2))) == _stream_bytes(RngStream(7, 2))
     # keys below 2^63 draw what a key list always drew
     assert _stream_bytes(RngStream(5, 3)) == np.random.Generator(np.random.Philox(key=[5, 3])).bytes(64)
+
+
+def test_rng_stream_refuses_a_key_that_is_not_an_integer():
+    # a bad seed or stream is refused where it is given, naming the field,
+    # not when a generator is first made from it
+    for bad in (2.5, "1", None, 3.0):
+        with pytest.raises(TypeError, match=r"^RngStream seed must be an integer, got "):
+            RngStream(bad)
+        with pytest.raises(TypeError, match=r"^RngStream stream must be an integer, got "):
+            RngStream(0, bad)
+    assert RngStream(np.int64(7), np.uint64(2)) == RngStream(7, 2)
 
 
 def test_gen_symmetric_exact():
@@ -493,16 +489,15 @@ def test_cartesian_norms_match_an_all_slice_fft_oracle(n3, part):
             assert f == frobenius_norm(t) == pytest.approx(np.linalg.norm(t.data), rel=1e-13, abs=0)
 
 
-def test_complex_spectral_norm_takes_its_parts_half_slices(monkeypatch):
+def test_complex_spectral_norm_takes_its_parts_half_slices(kernels):
     # one real forward transform of each part, and one singular-value SVD of
     # A_k + i B_k over the 5 half slices and A_k - i B_k over the 3 of them
     # with a distinct conjugate partner: 8 slices, as many as T has
     t = ComplexTensor3.from_parts(*(gen_random((3, 3, 8), RngStream(21, s)) for s in (0, 1)))
-    calls = _count_forward(monkeypatch)
-    svds = _count_singular_value_svds(monkeypatch)
+    kernels.clear()
     spectral_norm(t)
-    assert calls == [(1, 3, 3, 8)] * 2
-    assert svds == [(1, 8, 3, 3)]
+    assert kernels.shapes("_forward") == [(1, 3, 3, 8)] * 2
+    assert kernels.singular_value_shapes() == [(1, 8, 3, 3)]
 
 
 @pytest.mark.parametrize("n3", [1, 2, 3, 4, 5, 127, 128])
@@ -531,46 +526,29 @@ def test_upper_slices_reach_no_svd_reader(n3):
     assert _t_inverse(y).data.tobytes() == _t_inverse(x).data.tobytes()
 
 
-def test_half_spectrum_svds_at_8x8x256(monkeypatch):
+def test_half_spectrum_svds_at_8x8x256(kernels):
     # spectral() and a well-conditioned t_inverse take one SVD of the 129
     # half slices each
-    seen, svd = [], np.linalg.svd
+    def slices_per_svd():
+        return [math.prod(shape[:-2]) for shape in kernels.shapes("svd")]
 
-    def counted(a, *args, **kwargs):
-        seen.append(math.prod(a.shape[:-2]))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
     spectral_norm(gen_random((8, 8, 256), RngStream(5)))
-    assert seen == [129]
-    seen.clear()
+    assert slices_per_svd() == [129]
+    kernels.clear()
     t_inverse(gen_t_psd(8, 256, RngStream(6)))
-    assert seen == [129]
+    assert slices_per_svd() == [129]
 
 
-def _count_singular_value_svds(monkeypatch) -> list:
-    """The shapes handed to ``np.linalg.svd`` for singular values alone."""
-    calls, svd = [], np.linalg.svd
-
-    def counted(a, *args, **kwargs):
-        if kwargs.get("compute_uv") is False:
-            calls.append(a.shape)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    return calls
-
-
-def test_tensor_takes_one_singular_value_svd_for_every_call(monkeypatch):
+def test_tensor_takes_one_singular_value_svd_for_every_call(kernels):
     # t_inverse's check and spectral_norm read the singular values the
     # tensor's stack keeps: one SVD of its 5 half slices for three rounds
     a = gen_random((4, 4, 8), RngStream(17))
     fresh = (t_inverse(Tensor3(a.data)).data.tobytes(), spectral_norm(Tensor3(a.data)))
     core._KEPT.clear()
-    calls = _count_singular_value_svds(monkeypatch)
+    kernels.clear()
     for _ in range(3):
         assert (t_inverse(a).data.tobytes(), spectral_norm(a)) == fresh
-    assert calls == [(1, 5, 4, 4)]
+    assert kernels.singular_value_shapes() == [(1, 5, 4, 4)]
 
 
 def test_kept_singular_values_are_read_only_and_a_fresh_svd():

@@ -300,27 +300,15 @@ def test_two_dimensional_input_keeps_matrix_shapes():
             hermitian_eig(bad)
 
 
-def _count_solved(monkeypatch):
-    solved = []
-    kernel = eigensolvers._jacobi
-
-    def counting_kernel(stack, norm):
-        solved.extend(m.tobytes() for m in stack)
-        return kernel(stack, norm)
-
-    monkeypatch.setattr(eigensolvers, "_jacobi", counting_kernel)
-    return solved
-
-
-def test_stack_solved_in_parts_matches_whole_solve(monkeypatch):
+def test_stack_solved_in_parts_matches_whole_solve(kernels):
     # a stack solved in parts gives each member the bits of the whole, and
     # every call solves all of its members
     rng = np.random.default_rng(47)
     stack = np.stack([_random_hermitian(rng, 4) for _ in range(5)])
     fresh = hermitian_eig(stack)
-    solved = _count_solved(monkeypatch)
+    kernels.clear()
     parts = [hermitian_eig(stack[:1]), hermitian_eig(stack[1:3]), hermitian_eig(stack[3:])]
-    assert solved == [m.tobytes() for m in stack]
+    assert kernels.members("_jacobi") == [m.tobytes() for m in stack]
     assert np.array_equal(np.concatenate([e.values for e in parts]), fresh.values)
     assert np.array_equal(np.concatenate([e.vectors for e in parts]), fresh.vectors)
 

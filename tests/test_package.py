@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ttensor
+from conftest import KERNELS
 from ttensor import certificates
 
 MODULES = (
@@ -146,11 +147,13 @@ ONE_DEFINITION = {
 # spellings gone from the source: a wave's shared solver call is made by
 # core._solve_together itself, the library has one Frobenius norm
 # (core._frobenius), a mis-shaped operation raises its own shape check, and
-# a stack holds its quantities in one dict, a failed wave's spectra as None
+# a stack holds its quantities in one dict, and a failed wave leaves its
+# stacks as they were
 NOWHERE = (
     r"\b_hermitian_eigs\b", r"np\.linalg\.norm\(", r"\b_same_square\b",
     r"order comparison needs equal shapes",
     r"\b_(slices|spectra|singular|eigenvalues)\b", r"_spectra = False",
+    r'_held\["spectra"\] = None',
 )
 
 
@@ -234,6 +237,41 @@ def _stack_algebra_lines():
         for node in nodes:
             for lineno in range(node.lineno, node.end_lineno + 1):
                 yield f"{name}.py", lineno, lines[lineno - 1]
+
+
+# the tests read the kernels' calls from one recorder (conftest.KERNELS); only
+# these tests patch a recorded kernel, each to inject a failure
+KERNEL_INJECTORS = {
+    ("test_campaigns", "test_merged_call_error_reaches_only_its_trial"),
+    ("test_campaigns", "test_interrupt_in_a_window_is_not_rerun"),
+    ("test_eigensolvers", "test_non_finite_input_fails_before_any_kernel"),
+}
+
+
+def _setattr_target(node: ast.AST):
+    """The name a ``setattr`` call (a monkeypatch's or the builtin) sets,
+    the last part of a dotted target, or ``"?"`` if it is not a string
+    constant; ``None`` for any other node."""
+    func = getattr(node, "func", None)
+    if getattr(func, "attr", getattr(func, "id", None)) != "setattr":
+        return None
+    target = node.args[1] if len(node.args) > 2 or isinstance(func, ast.Name) else node.args[0]
+    return target.value.rsplit(".", 1)[-1] if isinstance(target, ast.Constant) else "?"
+
+
+def test_only_the_recorder_and_failure_injectors_patch_a_kernel():
+    found, injectors = [], set()
+    for path in sorted(set(Path(__file__).parent.glob("*.py")) - {Path(__file__).with_name("conftest.py")}):
+        tree = ast.parse(path.read_text())
+        owner = _enclosing(tree)
+        for node in ast.walk(tree):
+            name, inside = _setattr_target(node), owner.get(getattr(node, "lineno", 0), "").split(".")[0]
+            if name in KERNELS and (path.stem, inside) in KERNEL_INJECTORS:
+                injectors.add((path.stem, inside))
+            elif name in (*KERNELS, "?"):
+                found.append(f"{path.name}:{node.lineno} ({inside or 'module level'}): {ast.unparse(node)}")
+    assert not found, "a kernel patched outside the recorder:\n" + "\n".join(found)
+    assert injectors == KERNEL_INJECTORS  # each injector still patches a kernel
 
 
 def _imports_the_package(node: ast.AST) -> bool:

@@ -300,23 +300,6 @@ def test_t_eigenvalues_scale_exactly_with_powers_of_two(n, k):
 
 # --- one solver call for a wave of independent spectra ----------------------
 
-def _count_kernels(monkeypatch):
-    counts = {"jacobi": 0, "general": 0}
-    jacobi, qr = eigensolvers._jacobi, eigensolvers._qr_eig
-
-    def counting_jacobi(stack, norm):
-        counts["jacobi"] += 1
-        return jacobi(stack, norm)
-
-    def counting_qr(stack):
-        counts["general"] += 1
-        return qr(stack)
-
-    monkeypatch.setattr(eigensolvers, "_jacobi", counting_jacobi)
-    monkeypatch.setattr(eigensolvers, "_qr_eig", counting_qr)
-    return counts
-
-
 def _later_calls(a, b):
     return [
         is_t_psd(a).min_gap_eigenvalue,
@@ -329,7 +312,7 @@ def _later_calls(a, b):
 
 
 @pytest.mark.parametrize("n3", [4, 5])
-def test_wave_in_one_jacobi_call_matches_each_call_alone(monkeypatch, n3):
+def test_wave_in_one_jacobi_call_matches_each_call_alone(kernels, n3):
     # the half spectra of a PSD check, an order check, powers and a Loewner
     # gap share one call, each stack keeps its share, an absolute value takes
     # an SVD and no Jacobi call, and each call computes what it computes alone;
@@ -338,12 +321,12 @@ def test_wave_in_one_jacobi_call_matches_each_call_alone(monkeypatch, n3):
     a, b = gen_loewner_pair(3, n3, RngStream(91))
     alone = _later_calls(a, b)
     core._KEPT.clear()  # so the wave solves what the calls alone solved
-    counts = _count_kernels(monkeypatch)
+    kernels.clear()
     x, y = _Stack(a.data[None]), _Stack(b.data[None])
     diff, gap = x - y, (x - y).sym()
     assert gap.data.tobytes() == diff.data.tobytes()
     _solve_together(x, diff, y, gap)
-    assert counts["jacobi"] == 1 and gap.spectra() is diff.spectra()
+    assert kernels.count("_jacobi") == (1,) and gap.spectra() is diff.spectra()
     xp, yp = x.cat(y).power([0.5, 1.5]).split(2)
     shared = [
         _psd_verdicts(x, PREDICATE_TOL)[0].min_gap_eigenvalue,
@@ -353,65 +336,64 @@ def test_wave_in_one_jacobi_call_matches_each_call_alone(monkeypatch, n3):
         diff.abs_power(0.7).data.tobytes(),
         gap.extremes()[0][0],
     ]
-    assert counts["jacobi"] == 1
+    assert kernels.count("_jacobi") == (1,)
     assert shared == alone
 
 
-def test_unshareable_wave_leaves_each_stack_to_its_own_call(monkeypatch):
+def test_unshareable_wave_leaves_each_stack_to_its_own_call(monkeypatch, kernels):
     # a wave that cannot share a call leaves every stack to the call that
     # reads it, which raises its own error where it raises alone
     a = gen_t_psd(3, 4, RngStream(92))
     small = gen_t_psd(2, 4, RngStream(93))
     x = _Stack.of(a)
-    counts = _count_kernels(monkeypatch)
+    kernels.clear()
     _solve_together(x, _Stack.of(small))  # two shapes
     _solve_together(x, x)  # a lone stack, named twice
-    _solve_together(x, _Stack(a.data[None]))  # a lone content, in two stacks
-    assert counts["jacobi"] == 0
+    assert kernels.count("_jacobi") == (0,)
+    _solve_together(*(_Stack(small.data[None]) for _ in range(2)))  # a lone content, in two stacks
+    assert kernels.sizes("_jacobi") == [2 * (4 // 2 + 1)]  # both in one call
     monkeypatch.setattr(eigensolvers, "_MAX_SWEEPS", 1)
     with pytest.raises(EigenConvergenceError) as alone:
         t_power(a, 0.5)
     _solve_together(x, _Stack.of(gen_t_psd(3, 4, RngStream(97))))  # the call fails, and nothing is kept
-    assert counts["jacobi"] == 2
+    assert kernels.count("_jacobi") == (3,) and "spectra" not in x._held
     with pytest.raises(EigenConvergenceError) as after:
         x.power(0.5)
     assert str(after.value) == str(alone.value)
-    assert counts["jacobi"] == 3  # not tried in a wave again
+    assert kernels.count("_jacobi") == (4,)  # solved alone where it is used
 
 
-def test_non_symmetric_t_eigenvalues_take_only_the_general_solver(monkeypatch):
+def test_non_symmetric_t_eigenvalues_take_only_the_general_solver(kernels):
     # t_eigenvalues of a non-symmetric tensor takes the general solver only
     a = gen_random((3, 3, 4), RngStream(94))
-    counts = _count_kernels(monkeypatch)
     t_eigenvalues(a)
-    assert counts == {"jacobi": 0, "general": 1}
+    assert kernels.count("_jacobi", "_qr_eig") == (0, 1)
 
 
 @pytest.mark.parametrize("n3", [4, 5])
-def test_mixed_stack_eigenvalues_are_each_members_alone(monkeypatch, n3):
+def test_mixed_stack_eigenvalues_are_each_members_alone(kernels, n3):
     # the symmetric members read the stack's one Jacobi call, the others
     # share one general call, and each member gets its lone spectrum's bits
     members = [gen_symmetric(3, n3, RngStream(97)), gen_random((3, 3, n3), RngStream(98)),
                gen_symmetric(3, n3, RngStream(99)), gen_random((3, 3, n3), RngStream(100))]
     alone = [t_eigenvalues(Tensor3(t.data)) for t in members]
-    counts = _count_kernels(monkeypatch)
+    kernels.clear()
     stacked = _stack(members).eigenvalues()
-    assert counts == {"jacobi": 1, "general": 1}
+    assert kernels.count("_jacobi", "_qr_eig") == (1, 1)
     assert stacked.shape == (len(members), 3 * n3)
     for s, a in zip(stacked, alone, strict=True):
         assert s.tobytes() == a.values.tobytes()
 
 
-def test_symmetric_pair_spectra_take_one_call(monkeypatch):
+def test_symmetric_pair_spectra_take_one_call(kernels):
     # both Hermitian spectra of a pair go to the Jacobi kernel together
     a = gen_symmetric(3, 4, RngStream(95))
     b = gen_symmetric(3, 4, RngStream(96))
-    counts = _count_kernels(monkeypatch)
     for certify in (hoffman_wielandt, diag_spectrum_bound, sorted_pairing_distance):
         core._KEPT.clear()
+        kernels.clear()
         certify(Tensor3(a.data), Tensor3(b.data))  # fresh tensors keep no spectra
-        assert counts == {"jacobi": 1, "general": 0}, certify.__name__
-        counts["jacobi"] = 0
+        assert kernels.count("_jacobi", "_qr_eig") == (1, 0), certify.__name__
 
 
 # --- the trial axis ------------------------------------------------------------

@@ -3,20 +3,23 @@ checked by a stateful test.
 
 A state machine interleaves small campaigns, public calls on tensors drawn
 from a pool of three seeds (so equal bytes recur, in new tensors and in
-tensors that keep their stacks), emptying the store and replacing it by an
-empty store of another bound.  After every step:
+tensors that keep their stacks), the same calls made at once from a second
+thread, the PSD generators at several ``delta``s, emptying the store and
+replacing it by an empty store of another bound.  After every step:
 
 * every output has the bytes of the same call with the store off (a store
   of bound 0, which keeps nothing, and tensors made afresh);
 * the store holds at most its bound, and its size is the sum of its
   entries, each its key's bytes and its values' bytes;
-* every stored array is read-only;
+* every stored array is read-only and holds no more memory than its own
+  bytes (it is no view of a larger array);
 * an array returned to a caller is its own: ``t_eigenvalues``' arrays are
   writable and share no memory with a stored array, and a tensor's entries
   are read-only.
 """
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from hypothesis import settings
@@ -30,6 +33,8 @@ from ttensor import (
     Tensor3,
     core,
     eigensolvers,
+    gen_commuting_psd_pair,
+    gen_loewner_pair,
     gen_random,
     gen_t_psd,
     is_t_psd,
@@ -65,7 +70,16 @@ CALLS = {
 }
 
 
+# the generators that build a PSD instance, and the deltas they take: both
+# zeros, whose bits differ, and two deltas equal to six decimals
+GENERATORS = {"gen_t_psd": gen_t_psd, "gen_loewner_pair": gen_loewner_pair,
+              "gen_commuting_psd_pair": gen_commuting_psd_pair}
+DELTAS = (0.0, -0.0, 1e-3, 1e-3 + 1e-9, 0.5)
+
+
 def _bytes(out) -> bytes:
+    if isinstance(out, tuple):  # a generated pair
+        return b"".join(map(_bytes, out))
     if isinstance(out, Tensor3):
         return out.data.tobytes()
     if isinstance(out, TEigenSpectrum):
@@ -82,6 +96,13 @@ def _arrays(values: dict):
     """The arrays of one entry's values, by name."""
     for v in values.values():
         yield from (v.values, v.vectors) if isinstance(v, eigensolvers.HermitianEigen) else (v,)
+
+
+def _root(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
 
 
 def _stored_arrays():
@@ -111,8 +132,10 @@ class StoreContract(RuleBasedStateMachine):
         self.original = core._KEPT
         core._KEPT = core._Store(core._KEPT_BYTES)
         self.held = {seed: _tensors(seed) for seed in SEEDS}  # tensors that keep their stacks
+        self.second_thread = ThreadPoolExecutor(max_workers=1)
 
     def teardown(self):
+        self.second_thread.shutdown()
         core._KEPT = self.original
 
     @rule(theorem_id=st.sampled_from(THEOREM_IDS), n3=st.sampled_from([3, 4]), seed=st.sampled_from(SEEDS))
@@ -128,8 +151,25 @@ class StoreContract(RuleBasedStateMachine):
         def call(tensors):
             return CALLS[name](*tensors(first), *tensors(second))
 
-        out = call(self.held.get if held else _tensors)
-        assert _bytes(out) == _store_off((name, first, second), lambda: _bytes(call(_tensors)))
+        self._check(name, first, second, call(self.held.get if held else _tensors))
+
+    @rule(name=st.sampled_from(sorted(CALLS)), first=st.sampled_from(SEEDS), second=st.sampled_from(SEEDS))
+    def public_call_from_two_threads(self, name, first, second):
+        # the same call on the same held tensors, here and on a second thread at once
+        def call():
+            return CALLS[name](*self.held[first], *self.held[second])
+
+        there = self.second_thread.submit(call)
+        here = call()
+        for out in (here, there.result()):
+            self._check(name, first, second, out)
+
+    def _check(self, name, first, second, out):
+        """``out`` has the bytes of the call with the store off, and is the caller's own."""
+        def fresh():
+            return _bytes(CALLS[name](*_tensors(first), *_tensors(second)))
+
+        assert _bytes(out) == _store_off((name, first, second), fresh)
         if isinstance(out, TEigenSpectrum):  # the caller's own arrays
             stored = list(_stored_arrays())
             for array in (out.values, out.slice_index):
@@ -137,6 +177,16 @@ class StoreContract(RuleBasedStateMachine):
                 array[...] = 0  # the caller's to change: no later call may see it
         elif isinstance(out, Tensor3):
             assert not out.data.flags.writeable  # immutable, so it may share the store's memory
+
+    @rule(name=st.sampled_from(sorted(GENERATORS)), seed=st.sampled_from(SEEDS),
+          deltas=st.tuples(st.sampled_from(DELTAS), st.sampled_from(DELTAS)))
+    def generate(self, name, seed, deltas):
+        # one generator at two deltas in turn, on the same uniforms
+        for delta in deltas:
+            def run():
+                return _bytes(GENERATORS[name](N, N3, RngStream(seed, 2), delta))
+
+            assert run() == _store_off((name, seed, delta.hex()), run)
 
     @rule()
     def empty_the_store(self):
@@ -156,8 +206,9 @@ class StoreContract(RuleBasedStateMachine):
             assert held == key.data.nbytes + sum(a.nbytes for a in _arrays(values))
 
     @invariant()
-    def stored_arrays_are_read_only(self):
-        assert not any(a.flags.writeable for a in _stored_arrays())
+    def stored_arrays_are_read_only_and_hold_only_their_bytes(self):
+        for a in _stored_arrays():
+            assert not a.flags.writeable and _root(a).nbytes == a.nbytes
 
 
 StoreContract.TestCase.settings = settings(

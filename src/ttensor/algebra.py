@@ -12,10 +12,10 @@ decided per Fourier slice: a symmetric tensor is t-PSD exactly when every
 (Hermitian-symmetrized) Fourier slice is positive semidefinite.
 
 The product is the stacks' ``x @ y`` (:class:`ttensor.core._Stack`), and
-the inverse is :func:`ttensor.core._t_inverse`, which lives beside the
-stack with the other kernels that read its half spectrum.  They, the
+the inverse is the stack's :meth:`~ttensor.core._Stack.inverse`, which the
+stack keeps, and stores by content, like its other quantities.  They, the
 structural predicates and the PSD verdicts take stacks of
-tensors along a leading trial axis: :func:`_t_inverse`, :func:`_asymmetry`,
+tensors along a leading trial axis: :meth:`_Stack.inverse`, :func:`_asymmetry`,
 :func:`_orthogonality`, :func:`_normality`, :func:`_off_diagonality` and
 :func:`_psd_verdicts`, with :func:`t_product`, :func:`t_inverse`,
 :func:`is_symmetric`, :func:`is_orthogonal`, :func:`is_normal`,
@@ -31,11 +31,12 @@ make :class:`LoewnerVerdict` objects, through :func:`_psd_verdicts`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor3, _frobenius, _solve_together, _Stack, _t_inverse
+from .core import Tensor3, _frobenius, _solve_together, _Stack
 from .errors import NotSymmetricError, _require, _require_each, _require_tol
 
 __all__ = [
@@ -101,9 +102,11 @@ def t_inverse(a: Tensor3) -> Tensor3:
     are conjugates, so only the half slices ``0..n3//2`` are checked, and
     otherwise :class:`SingularTensorError` reports the worst half-slice
     index and its condition estimate; it is the only failure a slice can
-    cause, however ill-conditioned the invertible slices are.
+    cause, however ill-conditioned the invertible slices are.  The tensor's
+    stack keeps the inverse (:meth:`ttensor.core._Stack.inverse`), so a
+    tensor is inverted once however often it is inverted.
     """
-    return _t_inverse(_Stack.of(a)).member(0)
+    return _Stack.of(a).inverse().member(0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +162,34 @@ def is_normal(a: Tensor3, tol: float = PREDICATE_TOL) -> PredicateVerdict:
 
 
 def _normality(x: _Stack, tol: float) -> list[str]:
-    """Why each member fails :func:`is_normal`, or ``""`` if it passes."""
+    """Why each member fails :func:`is_normal`, or ``""`` if it passes.
+
+    A member whose residual or bound is not finite (its Grams or its squared
+    norm leave the float range) is measured again times the power of two
+    ``2**-e`` that brings its norm into ``[0.5, 1)``, as :func:`_frobenius`
+    sums again: exact, and both sides of the test scale by ``4**-e``.  Every
+    other member keeps the plain measure's bits."""
     if x.shape[0] != x.shape[1]:
         return [f"not square: {x.shape}"] * len(x)
-    residual = x.gram_residuals()[2]
-    norms = x.frobenius()
-    return [
-        f"normality residual {r:.3e}" if r > tol * (1.0 + f ** 2) else ""
-        for r, f in zip(residual, norms)
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # Grams past the float range read inf or NaN
+        residual, norms = x.gram_residuals()[2], x.frobenius()
+        finite = [math.isfinite(r + _normal_bound(tol, f, 0)) for r, f in zip(residual, norms)]
+        exponents = [0 if ok else math.frexp(f)[1] for ok, f in zip(finite, norms)]
+        if any(exponents):  # the other members are measured again times 1, to the same bits
+            y = x * [math.ldexp(1.0, -e) for e in exponents]
+            residual, norms = y.gram_residuals()[2], y.frobenius()
+        return [
+            f"normality residual {float(np.ldexp(r, 2 * e)):.3e}" if r > _normal_bound(tol, f, e) else ""
+            for r, f, e in zip(residual, norms, exponents)
+        ]
+
+
+def _normal_bound(tol: float, f: float, e: int) -> float:
+    """``tol * (4**-e + f ** 2)``, infinite where ``f ** 2`` overflows."""
+    try:
+        return tol * (math.ldexp(1.0, -2 * e) + f ** 2)
+    except OverflowError:
+        return math.inf
 
 
 def is_f_diagonal(a, tol: float = PREDICATE_TOL) -> PredicateVerdict:

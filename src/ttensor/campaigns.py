@@ -40,7 +40,7 @@ import numpy as np
 
 from . import inequalities as ineq
 from . import localization as loc
-from .algebra import PREDICATE_TOL, _require_symmetric, _t_inverse
+from .algebra import PREDICATE_TOL, _require_symmetric
 from .certificates import DEFAULT_TOL, _build
 from .core import RngStream, _commuting_psd_pairs, _frobenius, _loewner_pairs, _Stack, _t_psd, identity
 from .errors import UnknownTheoremError, _require, _require_tol
@@ -149,8 +149,7 @@ def _draw_hansen_power(w, mode, params):
         # conjugators I - 2 v (v^T v)^-1 v^T (for which the statement reduces
         # to an equality case)
         v = w.random(w.n, 1, w.n3)
-        vv = v @ _t_inverse(v.transpose() @ v)
-        q = (_Stack.of(identity(w.n, w.n3)) - 2.0 * (vv @ v.transpose())).sym()
+        q = (_Stack.of(identity(w.n, w.n3)) - 2.0 * (v @ (v.transpose() @ v).inverse() @ v.transpose())).sym()
     else:
         raw = w.random()
         q = raw * (1.0 / (np.array(raw.spectral()) * w.uniform(1.0, 2.0)))
@@ -241,14 +240,15 @@ def _draw_random(w, mode, params):
     return w.group([w.random()])
 
 
-def _conjugators(w: _Window, q: _Stack) -> tuple[_Stack, _Stack]:
-    """Each trial's conjugator and its inverse, from its candidate in ``q``.
+def _conjugators(w: _Window, q: _Stack) -> _Stack:
+    """Each trial's conjugator, from its candidate in ``q``.
     A candidate is accepted when the smallest singular value of its half
     slices is positive and the largest is at most ``_CONJUGATOR_MAX_COND``
     times it: their ratio is ``||q||_2 ||q^-1||_2``.  A trial whose
     candidate is rejected draws on alone, from where its stream stands,
-    ``_CONJUGATOR_DRAWS`` candidates in all.  The accepted stack is
-    inverted once."""
+    ``_CONJUGATOR_DRAWS`` candidates in all.  The accepted stack keeps its
+    inverse (:meth:`_Stack.inverse`), which the draw and the certifier
+    read."""
     accepted = _well_conditioned(q)
     if not accepted.all():
         data = q.data.copy()
@@ -263,7 +263,7 @@ def _conjugators(w: _Window, q: _Stack) -> tuple[_Stack, _Stack]:
             )
             data[i] = candidate.data[0]
         q = _Stack(data)
-    return q, _t_inverse(q)
+    return q
 
 
 def _well_conditioned(q: _Stack) -> np.ndarray:
@@ -275,14 +275,14 @@ def _well_conditioned(q: _Stack) -> np.ndarray:
 
 
 def _draw_bauer_fike(w, mode, params):
-    q, q_inv = _conjugators(w, w.random())
+    q = _conjugators(w, w.random())
     diag = np.zeros((len(q), w.n, w.n, w.n3))
     diag[:, range(w.n), range(w.n), :] = w.uniform(-1.0, 1.0, (w.n, w.n3))
     s = _Stack(diag)
-    a = q_inv @ s @ q
+    a = q.inverse() @ s @ q
     e = w.random()
     b = a + e * (0.3 * (1.0 + _frobenius(a.data)) / (1.0 + _frobenius(e.data)))
-    return w.group((a, b, q, s, q_inv))
+    return w.group((a, b, q, s))
 
 
 def _draw_symmetric_pair(w, mode, params):

@@ -6,8 +6,8 @@ arrays, slice ``k`` at ``data[:, :, k]``, flat order slice-major and
 row-major: ``to_flat`` / ``from_flat``); :class:`_Stack`, ``b`` real tensors
 along a leading trial axis, whose methods are the algebra every certifier is
 written in, and which a :class:`Tensor3` keeps for itself (:meth:`_Stack.of`);
-the Fourier-domain kernels beside it (powers, ``|X|^r``, the inverse, the
-Jacobi solve of Hermitian half slices, a wave's one shared solve
+the Fourier-domain kernels beside it (powers, ``|X|^r``, the Jacobi solve
+of Hermitian half slices, a wave's one shared solve
 :func:`_solve_together`); the store :data:`_KEPT`; :class:`RngStream` and
 the generators.  A complex ``A + iB`` is read through stacks of its parts.
 
@@ -16,9 +16,9 @@ Invariants:
 * A member's result is bit for bit the public function's on that member
   alone; the public functions are the ``b = 1`` case.
 * A stack keeps what it computes (:meth:`_Stack._kept`): Fourier slices,
-  half-slice spectra and singular values, t-eigenvalues, PSD instances.  A
-  kept value is what the stack would compute: a stored one was computed on
-  equal bytes, and equal bytes give the same computation.
+  half-slice spectra and singular values, t-eigenvalues, inverses, PSD
+  instances.  A kept value is what the stack would compute: a stored one
+  was computed on equal bytes, and equal bytes give the same computation.
 * Only half slices ``0..n3//2`` reach an SVD or eigen reader.
 * The store is bounded by ``_KEPT_BYTES``, evicts least recently used first,
   holds read-only arrays, is locked, and keeps no error and no failed wave.
@@ -140,9 +140,9 @@ class Tensor3(_Dense):
     """Dense real third-order tensor; immutable after construction.
 
     A tensor keeps its one-member :class:`_Stack` (``_Stack.of(t)``) once a
-    call has made it, so its Fourier slices and its half slices' spectra
-    and singular values are computed once however many public calls use
-    the tensor."""
+    call has made it, so its Fourier slices, its half slices' spectra and
+    singular values and its inverse are computed once however many public
+    calls use the tensor."""
 
     __slots__ = ("_stack",)
 
@@ -270,7 +270,7 @@ class _Stack:
     Its methods are the algebra the certifiers are written in: ``x @ y``,
     :meth:`transpose`, :meth:`sym`, ``+``, ``-`` and ``*``, :meth:`power`,
     :meth:`abs_power`, :meth:`align`, :meth:`frobenius`,
-    :meth:`spectral`, :meth:`gram_residuals`, :meth:`extremes`,
+    :meth:`spectral`, :meth:`inverse`, :meth:`gram_residuals`, :meth:`extremes`,
     :meth:`eigenvalues`, :meth:`cartesian_norms`, :meth:`cat`, :meth:`split`
     and :meth:`where`.
     A certifier body that calls only these runs on any stack type that has
@@ -280,7 +280,8 @@ class _Stack:
     A stack holds its quantities by name (``_held``), each got once through
     :meth:`_kept` however often it is used: its Fourier ``slices``, its half
     slices' :meth:`spectra` and :meth:`singular_values`, its
-    :meth:`eigenvalues` and the PSD instance built from it (:func:`_t_psd`).
+    :meth:`eigenvalues`, its :meth:`inverse` and the PSD instance built from
+    it (:func:`_t_psd`).
     A stack holds a quantity's value or nothing.  A stack made by
     :meth:`cat` starts with the slices and the spectra that all of its parts
     hold (so one power application covers a wave of stacks solved
@@ -514,6 +515,28 @@ class _Stack:
         largest of its :meth:`singular_values`."""
         return self.singular_values()[..., 0].max(axis=1).tolist()
 
+    def inverse(self) -> "_Stack":
+        """Each member's :func:`ttensor.algebra.t_inverse`; the lowest member
+        with a singular half slice raises.  The kept
+        :meth:`singular_values` check them, LAPACK having taken each slice
+        alone, and the inverses of the :meth:`half_slices` are mirrored, so
+        the result is exactly conjugate-symmetric.  The inverse's data is
+        kept (:meth:`_kept`), so a stack, and any stack of equal bytes, is
+        inverted once however often it is inverted; a singular stack keeps
+        no inverse and raises on every call."""
+        if self.shape[0] != self.shape[1]:
+            raise ShapeMismatchError(f"inverse requires a square tensor, got {self.shape}")
+        sv = self.singular_values()
+        # sigma_min / sigma_max of each slice; 0 for an all-zero slice
+        ratios = np.divide(sv[..., -1], sv[..., 0], out=np.zeros(sv.shape[:-1]), where=sv[..., 0] > 0)
+        for member in ratios:
+            worst = int(np.argmin(member))
+            if member[worst] <= INVERSE_TOL:
+                cond = 1.0 / member[worst] if member[worst] > 0 else np.inf
+                raise SingularTensorError(worst, float(cond))
+        half = self.half_slices()
+        return _Stack(self._kept("inverse", lambda: _Stack.from_halves(np.linalg.inv(half), self.n3).data))
+
     def gram_residuals(self) -> tuple[list, list, list]:
         """Each member's Frobenius norms of ``x^T x - I``, ``x x^T - I`` and
         ``x^T x - x x^T`` (square members), as three lists of floats: the
@@ -635,25 +658,6 @@ def _hermitian_tensors(m: np.ndarray, n3: int) -> _Stack:
     half slices, ``n3 // 2 + 1`` of each member in turn: mirrored,
     inverted and symmetrized (which removes the transform roundoff)."""
     return _Stack.from_halves(0.5 * (m + eigensolvers._herm_t(m)), n3).sym()
-
-
-def _t_inverse(x: _Stack) -> _Stack:
-    """:func:`ttensor.algebra.t_inverse` of each member; the lowest member
-    with a singular half slice raises.  The stack's kept
-    :meth:`_Stack.singular_values` check them, LAPACK having taken each slice
-    alone, and the inverses of the :meth:`_Stack.half_slices` are mirrored,
-    so the result is exactly conjugate-symmetric."""
-    if x.shape[0] != x.shape[1]:
-        raise ShapeMismatchError(f"inverse requires a square tensor, got {x.shape}")
-    sv = x.singular_values()
-    # sigma_min / sigma_max of each slice; 0 for an all-zero slice
-    ratios = np.divide(sv[..., -1], sv[..., 0], out=np.zeros(sv.shape[:-1]), where=sv[..., 0] > 0)
-    for member in ratios:
-        worst = int(np.argmin(member))
-        if member[worst] <= INVERSE_TOL:
-            cond = 1.0 / member[worst] if member[worst] > 0 else np.inf
-            raise SingularTensorError(worst, float(cond))
-    return _Stack.from_halves(np.linalg.inv(x.half_slices()), x.n3)
 
 
 def _jacobi_spectra(halves: np.ndarray):

@@ -18,9 +18,9 @@ Invariants:
 * No input is written; a C-ordered complex stack is read without a copy.
   Nothing is cached.
 * Results scale exactly with powers of two while entries stay normal:
-  ``general_eig(2**k M)`` is ``2**k general_eig(M)`` bit for bit (each
-  member is solved at unit scale); :func:`hermitian_eig` too, but for the
-  last bit of its threshold where ``||M||_F**2`` leaves the float range.
+  ``general_eig(2**k M)`` is ``2**k general_eig(M)`` bit for bit, and
+  :func:`hermitian_eig`'s values likewise, with the same vectors (each
+  member is solved at unit scale).
 
 Errors: a NaN or infinite entry raises :class:`EigenConvergenceError`
 before any iteration, as does a member out of its budget (the lowest such
@@ -127,12 +127,19 @@ def _jacobi(h: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each member iterates as one ``(2n, n)`` array: the matrix in rows
     ``0..n-1`` and its accumulated eigenvectors in rows ``n..2n-1``, so a
     rotation's column update covers both in one set of array operations.
+
+    Each member and its norm are first multiplied by the power of two that
+    brings the member's largest entry part into ``[0.5, 1)``, and its values
+    by the inverse at the end, as :func:`_qr_eig` scales: exact, so a
+    rotation's ``b / |b|`` neither overflows nor underflows at extreme
+    scales, and the vectors do not depend on the scale.
     """
     b, n, _ = h.shape
+    _, exponent = np.frexp(np.abs(h.view(float)).max(axis=(1, 2), initial=0.0))
     w = np.empty((b, 2 * n, n), dtype=complex)
-    w[:, :n] = h
+    w[:, :n] = np.ldexp(h.view(float), -exponent[:, None, None]).view(complex)
     w[:, n:] = np.eye(n)
-    threshold = _OFFDIAG_FACTOR * norm
+    threshold = _OFFDIAG_FACTOR * np.ldexp(norm, -exponent)
     live = np.arange(b if n > 1 else 0)  # members still sweeping
     for _ in range(_MAX_SWEEPS):
         live = live[~(_max_offdiag(w[live, :n]) <= threshold[live])]
@@ -154,7 +161,7 @@ def _jacobi(h: np.ndarray, norm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 f"final off-diagonal max {off[k]:.3e} > {threshold[live[k]]:.3e}"
             )
 
-    vals = np.diagonal(w[:, :n], axis1=1, axis2=2).real
+    vals = np.ldexp(np.diagonal(w[:, :n], axis1=1, axis2=2).real, exponent[:, None])
     order = np.argsort(vals, axis=1, kind="stable")
     return np.take_along_axis(vals, order, 1), np.take_along_axis(w[:, n:], order[:, None, :], 2)
 

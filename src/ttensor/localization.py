@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PREDICATE_TOL, _hypothesis_tol, _normality, _off_diagonality, _require_symmetric, _t_inverse
+from .algebra import PREDICATE_TOL, _hypothesis_tol, _normality, _off_diagonality, _require_symmetric
 from .certificates import (
     DEFAULT_TOL,
     FROBENIUS,
@@ -257,22 +257,24 @@ def bauer_fike(
     ``s`` is checked to be f-diagonal.
     """
     _require_tol(tol)
-    return _build(_bauer_fike(*(_Stack.of(t) for t in (a, b, q, s)), _t_inverse(_Stack.of(q)), tol))[0][0]
+    return _build(_bauer_fike(*(_Stack.of(t) for t in (a, b, q, s)), tol))[0][0]
 
 
-def _bauer_fike(a: _Stack, b: _Stack, q: _Stack, s: _Stack, q_inv: _Stack, tol: float) -> _Blocks:
-    """:func:`bauer_fike` of each member, given the inverse ``q_inv`` of
-    ``q``, which the reproduction gate and the bound read; both spectra of
-    every member take one general solver call."""
+def _bauer_fike(a: _Stack, b: _Stack, q: _Stack, s: _Stack, tol: float) -> _Blocks:
+    """:func:`bauer_fike` of each member.  ``q`` is inverted first
+    (``q.inverse()``, which a float stack keeps, so the draw's inverse is
+    read again), and the reproduction gate and the bound read the inverse;
+    both spectra of every member take one general solver call."""
+    q_inverse = q.inverse()
     hypothesis_tol = _hypothesis_tol(tol)
     _require_each(_off_diagonality(s.data, hypothesis_tol), "S is not f-diagonal: {}")
-    for res, norm in zip((a - q_inv @ s @ q).frobenius(), a.frobenius()):
+    for res, norm in zip((a - q_inverse @ s @ q).frobenius(), a.frobenius()):
         _require(
             not res > hypothesis_tol * (1.0 + norm),
             f"a is not reproduced by q^-1 * s * q (residual {res:.3e})",
         )
     spectra = a.cat(b).eigenvalues()
-    norms = zip(*(x.spectral() for x in (q_inv, q, a - b)))
+    norms = zip(*(x.spectral() for x in (q_inverse, q, a - b)))
     out = []
     for lam, mu, (n_inv, n_q, n_diff) in zip(spectra, spectra[len(a):], norms):
         blocks = np.split(lam, range(64, len(lam), 64))  # each block's matrix: 64 x n*n3

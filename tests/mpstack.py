@@ -2,9 +2,9 @@
 
 :class:`_MpStack` has the stack algebra of :class:`ttensor.core._Stack`
 (``@``, ``transpose``, ``sym``, ``+``, ``-``, ``*``, ``power``,
-``abs_power``, ``align``, ``frobenius``, ``spectral``, ``gram_residuals``,
-``extremes``, ``eigenvalues``, ``cartesian_norms``, ``cat``, ``split``,
-``where``), so the stacked certifiers of
+``abs_power``, ``align``, ``frobenius``, ``spectral``, ``inverse``,
+``gram_residuals``, ``extremes``, ``eigenvalues``, ``cartesian_norms``,
+``cat``, ``split``, ``where``), so the stacked certifiers of
 :mod:`ttensor.inequalities` and :mod:`ttensor.localization`, the gates of
 :mod:`ttensor.algebra` and the Young witness of :mod:`ttensor.spectral`
 run on it unchanged.  It holds each member's half spectrum, Fourier slices
@@ -14,7 +14,7 @@ carries the whole member (Kilmer & Martin, LAA 2011).  A stack made from
 a float stack keeps it, and reads its entries where a certifier reads its
 inputs' entries: Gershgorin's discs and Bauer-Fike's f-diagonal gate.
 
-Per half slice it multiplies, takes conjugate transposes, powers,
+Per half slice it multiplies, inverts, takes conjugate transposes, powers,
 alignments and min gaps through ``eighe`` of the Hermitian part, and
 spectral norms through ``svd_c``; Frobenius norms, and with them the
 residuals of the orthogonality and normality gates, come from Parseval.
@@ -189,6 +189,10 @@ class _MpStack:
 
     def spectral(self) -> list:
         return [float(max(_sigma_max(s) for s in m)) for m in self.halves]
+
+    def inverse(self) -> "_MpStack":
+        """Each member's inverse, the inverse of each half slice."""
+        return self._map(_mp().inverse)
 
     def gram_residuals(self) -> tuple[list, list, list]:
         """The Frobenius norms of ``x^T x - I``, ``x x^T - I`` and

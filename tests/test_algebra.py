@@ -197,6 +197,24 @@ def test_symmetric_implies_normal():
     assert not is_symmetric(gen_random((3, 3, 4), RngStream(56)))
 
 
+def _upper_triangular_tubes(scale: float) -> Tensor3:
+    """Constant tubes ``2, 0.01; 0, 1`` times ``scale``: not normal."""
+    d = np.zeros((2, 2, 8))
+    d[0, 0], d[0, 1], d[1, 1] = 2.0 * scale, 0.01 * scale, scale
+    return Tensor3(d)
+
+
+def test_is_normal_where_the_grams_overflow():
+    # past ~1e154 the slice Grams overflow: the residual read NaN, so this
+    # tensor read normal at 1e153, and the squared norm raised OverflowError
+    assert is_normal(_upper_triangular_tubes(1.0)).reason == "normality residual 3.200e-01"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_normal(_upper_triangular_tubes(1e153)).reason == "normality residual 3.200e+305"
+        assert not is_normal(_upper_triangular_tubes(1e154))
+        assert is_normal(Tensor3(np.ldexp(gen_symmetric(3, 4, RngStream(63)).data, 1000)))
+
+
 def _gram_residuals_by_t_products(a: Tensor3) -> list:
     """``||a^T a - I||_F``, ``||a a^T - I||_F`` and ``||a^T a - a a^T||_F``
     from their definitions: t-products, inverted to the spatial domain."""
@@ -265,6 +283,11 @@ def test_off_diagonality_of_a_stack_is_each_member_alone():
 @pytest.mark.parametrize("seed", range(200))
 def test_is_t_psd_on_generated(seed):
     assert is_t_psd(gen_t_psd(2, 3, RngStream(900, seed))).holds
+
+
+def test_is_t_psd_of_a_tiny_tensor():
+    # an off-diagonal below ~1e-308 overflowed the Jacobi rotation's b / |b|
+    assert is_t_psd(gen_t_psd(3, 3, RngStream(1)) * 1e-300).holds
 
 
 def test_is_t_psd_negative_identity():

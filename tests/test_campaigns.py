@@ -445,12 +445,12 @@ def test_bauer_fike_rejects_an_all_zero_candidate():
     candidates = _Stack(np.stack([np.zeros((3, 3, 4)), first.data[1]]))
     assert not campaigns._well_conditioned(candidates)[0]
     with np.errstate(all="raise"):
-        q, q_inv = campaigns._conjugators(w, candidates)
+        q = campaigns._conjugators(w, candidates)
+        q.inverse()
     redraw = campaigns._Window(4, [0], 3, 4)
     redraw.random()
     assert q.data[0].tobytes() == redraw.random().data[0].tobytes()
     assert q.data[1].tobytes() == first.data[1].tobytes()
-    assert q_inv.data.tobytes() == core._t_inverse(q).data.tobytes()
 
 
 @pytest.mark.parametrize("b", [1, 4, 64])
@@ -524,7 +524,7 @@ _ORACLE_GRID = (
 # the configurations checked under the test's current name; the rest keep
 # the old name until they move, a few at a time, since test IDs key the
 # pass/fail record kept across changes
-_WINDOW_CONFIGS = _ORACLE_CONFIGS[:11]
+_WINDOW_CONFIGS = _ORACLE_CONFIGS[:12]
 
 
 def _oracle_configs(configs):
@@ -1081,7 +1081,7 @@ _FAULTS = [
     ("complex-norm-c", {3: _negate(1)}),
     ("schur", {2: _refuse}),
     ("gershgorin", {1: _replace(0, gen_random((4, 3, 4), RngStream(2)))}),
-    ("bauer-fike", {2: lambda inst: ((*inst[0][:3], inst[0][3] + _OFF_DIAGONAL, inst[0][4]), ())}),
+    ("bauer-fike", {2: lambda inst: ((*inst[0][:3], inst[0][3] + _OFF_DIAGONAL), ())}),
     ("bauer-fike", {1: _replace(0, _RANDOM)}),  # a is not q^-1 s q
     ("hoffman-wielandt", {1: _replace(0, _RANDOM)}),
     ("hoffman-wielandt", {3: _replace(1, gen_random((3, 3, 4), RngStream(3)))}),
@@ -1126,7 +1126,7 @@ def test_bauer_fike_conjugator_takes_one_singular_value_svd(kernels, n, n3, tria
 
 @pytest.mark.parametrize("n,n3,trials", [(4, 4, 4), (3, 128, 1)])
 def test_bauer_fike_window_inverts_its_conjugators_once(kernels, n, n3, trials):
-    # the draw inverts the accepted conjugator stack and hands the inverse to
-    # the certifier, which inverts nothing
+    # the draw inverts the accepted conjugator stack, which keeps the
+    # inverse, so the certifier's q.inverse() inverts nothing
     run_campaign("bauer-fike", n=n, n3=n3, trials=trials, seed=0)
     assert kernels.shapes("inv") == [(trials, n3 // 2 + 1, n, n)]

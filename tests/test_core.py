@@ -40,7 +40,6 @@ from ttensor import (
     transpose,
 )
 from ttensor import core
-from ttensor.algebra import _t_inverse
 from ttensor.core import _Stack
 from oracles import brute_bcirc, direct_inner_product, power_iteration_norm
 
@@ -520,10 +519,11 @@ def test_upper_slices_reach_no_svd_reader(n3):
     x = _stack(members)
     garbled = x.slices.copy()
     garbled[:, n3 // 2 + 1:] = 1e3 * np.random.default_rng(n3).normal(size=garbled[:, n3 // 2 + 1:].shape)
+    expected = (x.spectral(), x.inverse().data.tobytes())
+    core._KEPT.clear()  # so y computes both from its own slices, adopting none of x's
     y = _Stack(x.data)
     y._held["slices"] = garbled
-    assert y.spectral() == x.spectral()
-    assert _t_inverse(y).data.tobytes() == _t_inverse(x).data.tobytes()
+    assert (y.spectral(), y.inverse().data.tobytes()) == expected
 
 
 def test_half_spectrum_svds_at_8x8x256(kernels):
@@ -631,6 +631,35 @@ def test_stacks_of_equal_bytes_share_what_they_keep():
     assert x.slices is y.slices and x.singular_values() is y.singular_values()
     assert x.spectra() is y.spectra() and x.eigenvalues() is y.eigenvalues()
     assert not x.eigenvalues().flags.writeable
+
+
+def test_a_tensor_is_inverted_once_however_often_it_is_inverted(kernels):
+    a = gen_random((3, 3, 6), RngStream(23))
+    first, again = t_inverse(a), t_inverse(a)
+    assert first.data.tobytes() == again.data.tobytes()
+    assert kernels.count("_inverse", "inv") == (1, 1)
+
+
+def test_equal_bytes_adopt_the_stored_inverse(kernels):
+    a = gen_t_psd(3, 5, RngStream(24))
+    fresh = t_inverse(Tensor3(a.data)).data.tobytes()
+    kernels.clear()
+    adopted = t_inverse(Tensor3(a.data.copy())).data.tobytes()
+    assert kernels.count("_inverse", "inv", "svd") == (0, 0, 0)
+    core._KEPT.clear()
+    assert adopted == fresh == t_inverse(Tensor3(a.data)).data.tobytes()
+
+
+def test_a_singular_tensor_raises_on_every_inversion_and_keeps_no_inverse():
+    d = gen_random((3, 3, 4), RngStream(25)).data.copy()
+    d[2] = d[0] + d[1]  # every Fourier slice has rank 2
+    a = Tensor3(d)
+    for _ in range(2):
+        with pytest.raises(SingularTensorError):
+            t_inverse(a)
+    x = _Stack.of(a)
+    assert "inverse" not in x._held and core._KEPT.get(x.key, "inverse") is None
+    assert "singular" in x._held  # what the check read is kept
 
 
 def _inverse_error(a: Tensor3) -> tuple:

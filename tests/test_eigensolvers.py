@@ -106,6 +106,21 @@ def test_general_eig_scales_exactly_with_powers_of_two(k):
         assert _same_bits(general_eig(stack), expected)
 
 
+@pytest.mark.parametrize("k", [900, -900, -1000, -1020])
+def test_hermitian_eig_scales_exactly_with_powers_of_two(k):
+    # each member is brought to unit scale by a power of two, exactly, so the
+    # values of 2**k M are 2**k times those of M and the vectors are M's;
+    # unscaled, an off-diagonal below ~1e-308 overflowed b / |b| to NaN
+    a = np.random.default_rng(0).standard_normal((4, 4))
+    m = a + a.T
+    base = hermitian_eig(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hermitian_eig(np.ldexp(m, k))
+    assert _same_bits(got.values, np.ldexp(base.values, k))
+    assert _same_bits(got.vectors, base.vectors)
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_general_eig_at_extreme_scales(scale):
     # unscaled, the Wilkinson shift overflowed to NaN at 1e200 and the 2x2

@@ -194,8 +194,7 @@ def test_bauer_fike_distance_matches_the_loop_over_eigenvalues(n, n3, seed):
     # eigenvalue bit for bit, whether the last block is full (3 x 128) or not
     window = campaigns._Window(seed, [0], n, n3)
     ((_, stacks, _),) = campaigns._draw_bauer_fike(window, "corrected", {})
-    a, b, q, s, q_inv = (x.member(0) for x in stacks)
-    assert q_inv.data.tobytes() == t_inverse(q).data.tobytes()
+    a, b, q, s = (x.member(0) for x in stacks)
     lam, mu = t_eigenvalues(a).values, t_eigenvalues(b).values
     assert np.any(lam.imag)
     assert bauer_fike(a, b, q, s).lhs == float(max(np.abs(mu - z).min() for z in lam))

@@ -85,15 +85,13 @@ ONE_DEFINITION = {
     # a real stack's half spectrum is read and built by the stack's kernels
     # (t-eigenvalues, powers, |X|^r, the inverse) and by the one generator
     # built from half-slice factors
-    r"\.half_slices\(\)|\bfrom_halves\(": (
-        "core:_Stack", "core:_t_inverse", "core:_hermitian_tensors", "spectral:gen_orthogonal",
-    ),
-    # a tensor is inverted by the inverse kernel, the public inverse, the
-    # campaign draws (each accepted conjugator stack once) and the public
-    # Bauer-Fike bound; no stacked certifier inverts
-    r"\b_t_inverse\(": (
-        "core", "algebra:t_inverse", "campaigns:_conjugators", "campaigns:_draw_hansen_power",
-        "localization:bauer_fike",
+    r"\.half_slices\(\)|\bfrom_halves\(": ("core:_Stack", "core:_hermitian_tensors", "spectral:gen_orthogonal"),
+    # a tensor is inverted by its stack, which keeps the inverse: read by the
+    # public inverse, the campaign draws and the Bauer-Fike certifier (which
+    # reads the inverse its draw kept)
+    r"\.inverse\(\)": (
+        "algebra:t_inverse", "campaigns:_draw_hansen_power", "campaigns:_draw_bauer_fike",
+        "localization:_bauer_fike",
     ),
     # a real stack is built from half slices in one place
     r"_mirror_half\(": ("core:_Stack", "fourier"),
@@ -148,12 +146,12 @@ ONE_DEFINITION = {
 # core._solve_together itself, the library has one Frobenius norm
 # (core._frobenius), a mis-shaped operation raises its own shape check, and
 # a stack holds its quantities in one dict, and a failed wave leaves its
-# stacks as they were
+# stacks as they were; a stack keeps its inverse, which no caller passes on
 NOWHERE = (
     r"\b_hermitian_eigs\b", r"np\.linalg\.norm\(", r"\b_same_square\b",
     r"order comparison needs equal shapes",
     r"\b_(slices|spectra|singular|eigenvalues)\b", r"_spectra = False",
-    r'_held\["spectra"\] = None',
+    r'_held\["spectra"\] = None', r"\b_t_inverse\b", r"\bq_inv\b",
 )
 
 
